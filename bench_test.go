@@ -137,12 +137,13 @@ func BenchmarkAbl03ASCancellation(b *testing.B) {
 // fan-out and parallel bin-close. Output is bit-identical across all rows
 // (internal/engine tests assert it); this bench measures only ingest +
 // bin-close wall time. results/s is the headline metric; the recorded
-// baselines live in BENCH_engine.json. On a single-core host the rows
+// numbers are cmd/bench's engine.results_per_s_w1 / _wN rows
+// (cmd/bench/results/set-a.trace.json). On a single-core host the rows
 // should be within noise of each other — the speedup needs real cores.
 
 // benchStart and benchPlatform define the one benchmark campaign both the
-// engine and pipeline fixtures share (the recorded baselines in
-// BENCH_engine.json and BENCH_pipeline.json assume the same workload):
+// engine and pipeline fixtures share (a 27-AS toy next to the internet
+// fixture behind the recorded cmd/bench rows, kept because it is quick):
 // seed-42 topology, all stub probes, one builtin root measurement, three
 // anchoring measurements, 24 hours. Only the scenario differs per fixture.
 var benchStart = time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -225,7 +226,8 @@ func engineBenchFixture(b *testing.B) {
 // the per-result work the identity layer (internal/ident) and the columnar
 // detector state are designed to make allocation-free. It drives the two
 // sequential detectors directly, without the engine or the aggregator, so
-// allocs/op tracks exactly the path BENCH_ident.json records.
+// allocs/op tracks exactly the path cmd/bench records as
+// ident.intern_ns_per_result and delay/forwarding.extract_ns_per_result.
 func BenchmarkIngest(b *testing.B) {
 	engineBenchFixture(b)
 	b.ReportAllocs()
@@ -252,8 +254,9 @@ func BenchmarkIngest(b *testing.B) {
 // heap scheduler → legacy detector pair on one goroutine). The parallel
 // stream is bit-identical to sequential (internal/atlas and internal/core
 // equivalence tests), so rows differ only in wall time. results/s is the
-// headline; baselines live in BENCH_pipeline.json. On a single-core host
-// the rows measure coordination overhead, not speedup.
+// headline; the recorded numbers are cmd/bench's live_fused workload
+// (cmd/bench/results/set-a.json). On a single-core host the rows measure
+// coordination overhead, not speedup.
 
 var (
 	pipelineBenchOnce sync.Once

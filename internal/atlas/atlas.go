@@ -341,8 +341,8 @@ func (s *scheduler) next() (genTask, bool) {
 // pure function of (seed, measurement, probe, firing time) — the property
 // that makes tasks freely distributable across workers.
 func (p *Platform) exec(sc *netsim.TracerouteScratch, pcg *rand.PCG, rng *rand.Rand, t genTask) (trace.Result, error) {
-	m := p.msms[t.msm]
-	pr := p.probes[t.probe-1]
+	m := &p.msms[t.msm]
+	pr := &p.probes[t.probe-1]
 	pcg.Seed(
 		p.hash(uint64(m.ID), uint64(t.probe), uint64(t.at.UnixNano())),
 		p.hash(uint64(t.at.UnixNano()), uint64(m.ID)),

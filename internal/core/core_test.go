@@ -159,7 +159,9 @@ func TestRunStreamCancel(t *testing.T) {
 	p, _, _, _ := buildAttack(t)
 	a := New(Config{}, p.ProbeASN, p.Net().Prefixes())
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, _ := p.Stream(ctx, start, start.Add(240*time.Hour))
+	// A campaign that cannot finish before the cancel: ten simulated days
+	// stream in under 50 ms, so ask for years (the scheduler is incremental).
+	ch, _ := p.Stream(ctx, start, start.Add(100000*time.Hour))
 	done := make(chan error, 1)
 	go func() { done <- a.RunStream(ctx, ch) }()
 	time.Sleep(50 * time.Millisecond)

@@ -41,8 +41,9 @@ func benchFixture(b *testing.B) {
 // BenchmarkIngest decodes the fixture dump with 1/2/4/8 workers. The
 // delivered stream is bit-identical across rows (TestDecodeWorkerEquivalence),
 // so rows differ only in wall time; on a single-core host the parallel rows
-// measure pure coordination overhead, not speedup. Baselines live in
-// BENCH_ingest.json.
+// measure pure coordination overhead, not speedup. The recorded numbers are
+// cmd/bench's ingest.results_per_s_w1 / _wN rows
+// (cmd/bench/results/set-a.trace.json).
 func BenchmarkIngest(b *testing.B) {
 	benchFixture(b)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -406,6 +406,23 @@ func (b *Builder) Build(scenario *Scenario) (*Net, error) {
 		n.out[e.From] = append(n.out[e.From], e.ID)
 		n.in[e.To] = append(n.in[e.To], e.ID)
 	}
+	// Compile the scenario into dense per-edge and per-router event lists
+	// (in event order, which fixes the float summation order): an untouched
+	// link or router costs the traceroute engine one nil slice load.
+	n.linkEvents = make([][]*Event, len(b.edges))
+	n.routerEvents = make([][]*Event, len(b.routers))
+	for i := range scenario.events {
+		ev := &scenario.events[i]
+		if !ev.isLinkKind() {
+			n.routerEvents[ev.Router] = append(n.routerEvents[ev.Router], ev)
+			continue
+		}
+		for _, e := range b.edges {
+			if ev.matchesDir(e.From, e.To) {
+				n.linkEvents[e.ID] = append(n.linkEvents[e.ID], ev)
+			}
+		}
+	}
 	if b.artifacts.AliasProb > 0 {
 		n.aliases = b.allocAliases()
 	}

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -52,6 +51,10 @@ type Edge struct {
 // immutable copy-on-write map, so steady-state lookups are lock-free — the
 // parallel measurement generator hits this cache from every worker on every
 // traceroute, and a mutex here shows up immediately in profiles.
+//
+// Everything a traceroute needs that does not depend on its PRNG is laid out
+// for array access: trees name the next-hop edge (not just the router), and
+// the scenario is compiled into event lists indexed by EdgeID and RouterID.
 type Net struct {
 	routers  []Router
 	edges    []Edge
@@ -61,6 +64,11 @@ type Net struct {
 	services map[netip.Addr][]RouterID // service address → instance routers
 	prefixes *ipmap.Table
 	scenario *Scenario
+
+	// The scenario compiled at Build: the events touching each edge and
+	// each router, in scenario order; nil for the untouched majority.
+	linkEvents   [][]*Event
+	routerEvents [][]*Event
 
 	// Measurement-artifact layer (see Artifacts). aliases[id] is the
 	// router's second interface address (invalid when unassigned) and
@@ -161,16 +169,6 @@ func (n *Net) Neighbors(r RouterID) []RouterID {
 	return out
 }
 
-// edgeBetween returns the edge From→To, or false when absent.
-func (n *Net) edgeBetween(from, to RouterID) (Edge, bool) {
-	for _, id := range n.out[from] {
-		if n.edges[id].To == to {
-			return n.edges[id], true
-		}
-	}
-	return Edge{}, false
-}
-
 // --- Shortest-path "toward" trees -----------------------------------------
 
 type treeKey struct {
@@ -183,9 +181,12 @@ type treeKey struct {
 // packets travel from X to the destination root" (forwarding) and "how do
 // ICMP replies travel from hop X back to the probe root" (return paths).
 type towardTree struct {
-	root  RouterID
-	dist  []float64
-	nexts [][]RouterID // equal-cost next hops toward root; nil if unreachable
+	root RouterID
+	dist []float64
+	// next is the equal-cost next-hop edges of every router in CSR form, one
+	// allocation per tree: next[next[u]:next[u+1]] are the edges u forwards
+	// on (none when u is the root or cannot reach it).
+	next []int32
 }
 
 const inf = 1e18
@@ -227,22 +228,38 @@ type pqItem struct {
 	dist   float64
 }
 
+// priorityQueue is a binary min-heap on dist over a plain slice:
+// container/heap would box every pushed item.
 type priorityQueue []pqItem
 
-func (pq priorityQueue) Len() int            { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool  { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)       { pq[i], pq[j] = pq[j], pq[i] }
-func (pq *priorityQueue) Push(x interface{}) { *pq = append(*pq, x.(pqItem)) }
-func (pq *priorityQueue) Pop() interface{} {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	*pq = old[:n-1]
-	return it
+func (pq *priorityQueue) push(it pqItem) {
+	h := append(*pq, it)
+	for i := len(h) - 1; i > 0 && h[(i-1)/2].dist > h[i].dist; i = (i - 1) / 2 {
+		h[(i-1)/2], h[i] = h[i], h[(i-1)/2]
+	}
+	*pq = h
+}
+
+func (pq *priorityQueue) pop() pqItem {
+	h := *pq
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	for i, c := 0, 1; c < last; i, c = c, 2*c+1 {
+		if c+1 < last && h[c+1].dist < h[c].dist {
+			c++
+		}
+		if h[i].dist <= h[c].dist {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	*pq = h[:last]
+	return top
 }
 
 // computeTowardTree runs Dijkstra from root over reversed edges, so dist[u]
-// is the cost of the shortest directed path u→…→root.
+// is the cost of the shortest directed path u→…→root. It makes a fixed
+// number of allocations whatever the size of the network.
 func (n *Net) computeTowardTree(root RouterID, epoch uint64) *towardTree {
 	nr := len(n.routers)
 	dist := make([]float64, nr)
@@ -252,9 +269,10 @@ func (n *Net) computeTowardTree(root RouterID, epoch uint64) *towardTree {
 	dist[root] = 0
 	settled := make([]bool, nr)
 
-	pq := &priorityQueue{{router: root, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	pq := make(priorityQueue, 0, len(n.edges)+1) // one push per relaxation at most
+	pq.push(pqItem{router: root, dist: 0})
+	for len(pq) > 0 {
+		it := pq.pop()
 		v := it.router
 		if settled[v] {
 			continue
@@ -262,7 +280,7 @@ func (n *Net) computeTowardTree(root RouterID, epoch uint64) *towardTree {
 		settled[v] = true
 		// Relax edges u→v: a packet at u can reach root via v.
 		for _, eid := range n.in[v] {
-			e := n.edges[eid]
+			e := &n.edges[eid]
 			w, down := n.scenario.edgeWeight(e, epoch)
 			if down {
 				continue
@@ -270,68 +288,86 @@ func (n *Net) computeTowardTree(root RouterID, epoch uint64) *towardTree {
 			u := e.From
 			if nd := w + it.dist; nd < dist[u] {
 				dist[u] = nd
-				heap.Push(pq, pqItem{router: u, dist: nd})
+				pq.push(pqItem{router: u, dist: nd})
 			}
 		}
 	}
 
 	const eps = 1e-9
-	nexts := make([][]RouterID, nr)
+	next := make([]int32, nr+1, nr+1+len(n.edges)) // worst case; trimmed below
 	for u := 0; u < nr; u++ {
+		next[u] = int32(len(next))
 		if dist[u] >= inf || RouterID(u) == root {
 			continue
 		}
 		for _, eid := range n.out[u] {
-			e := n.edges[eid]
+			e := &n.edges[eid]
 			w, down := n.scenario.edgeWeight(e, epoch)
 			if down {
 				continue
 			}
 			if dist[e.To] < inf && dist[u] >= w+dist[e.To]-eps && dist[u] <= w+dist[e.To]+eps {
-				nexts[u] = append(nexts[u], e.To)
+				// Parallel links u→v are one scenario target (events name
+				// router pairs) and one data-plane link: whichever of them
+				// routing prefers, packets are sampled on the first.
+				for _, first := range n.out[u] {
+					if n.edges[first].To == e.To {
+						next = append(next, int32(first))
+						break
+					}
+				}
 			}
 		}
 	}
-	return &towardTree{root: root, dist: dist, nexts: nexts}
+	next[nr] = int32(len(next))
+	return &towardTree{root: root, dist: dist, next: append([]int32(nil), next...)}
 }
 
-// next returns the next hop from u toward the tree root, choosing among
-// equal-cost candidates with the given flow selector (Paris traceroute keeps
-// the selector constant within a flow, so the path is stable).
-func (t *towardTree) next(u RouterID, flow int) (RouterID, bool) {
-	cands := t.nexts[u]
-	if len(cands) == 0 {
-		return NoRouter, false
-	}
-	if flow < 0 {
-		flow = -flow
-	}
-	return cands[flow%len(cands)], true
-}
-
-// pathFrom walks the tree from u to the root, returning the router sequence
-// excluding u itself. ok is false when the root is unreachable; the returned
-// prefix is then the walk up to the dead end.
-func (t *towardTree) pathFrom(u RouterID, flow int) (path []RouterID, ok bool) {
-	return t.appendPathFrom(nil, u, flow)
-}
-
-// appendPathFrom is pathFrom appending into a caller-owned buffer: the hot
-// traceroute path hands in a scratch slice so the walk allocates nothing in
-// steady state. The walked routers (excluding u) are appended to dst.
-func (t *towardTree) appendPathFrom(dst []RouterID, u RouterID, flow int) (path []RouterID, ok bool) {
+// walk follows the tree from u to its root, appending the edges crossed to
+// dst — the hot traceroute path hands in a scratch slice, so the walk
+// allocates nothing in steady state. flow picks among equal-cost next hops
+// (Paris traceroute keeps it constant within a flow, so the path is stable).
+// ok is false when the root is unreachable; the appended edges are then the
+// walk up to the dead end.
+func (n *Net) walk(t *towardTree, dst []EdgeID, u RouterID, flow uint64) (path []EdgeID, ok bool) {
 	base := len(dst)
-	cur := u
-	for cur != t.root {
-		nxt, have := t.next(cur, flow)
-		if !have {
+	for u != t.root {
+		cands := t.next[t.next[u]:t.next[u+1]]
+		if len(cands) == 0 {
 			return dst, false
 		}
-		dst = append(dst, nxt)
-		cur = nxt
+		eid := EdgeID(cands[0])
+		if len(cands) > 1 { // rare: spares the common case a 64-bit division
+			eid = EdgeID(cands[flow%uint64(len(cands))])
+		}
+		dst = append(dst, eid)
+		u = n.edges[eid].To
 		if len(dst)-base > 1024 {
-			panic(fmt.Sprintf("netsim: routing loop walking toward %d from %d", t.root, u))
+			panic(fmt.Sprintf("netsim: routing loop walking toward %d", t.root))
 		}
 	}
 	return dst, true
 }
+
+// routersOn returns the router sequence of a walk of edges from start.
+func (n *Net) routersOn(start RouterID, edges []EdgeID) []RouterID {
+	out := append(make([]RouterID, 0, len(edges)+1), start)
+	for _, eid := range edges {
+		out = append(out, n.edges[eid].To)
+	}
+	return out
+}
+
+// flowOf turns a Paris id into an ECMP flow selector: its magnitude, taken
+// as unsigned so that math.MinInt has one too.
+func flowOf(parisID int) uint64 {
+	if parisID < 0 {
+		return -uint64(parisID)
+	}
+	return uint64(parisID)
+}
+
+// returnFlow is the flow selector of the ICMP replies of router r: fixed per
+// replying router, not per Paris id, because return-path ECMP hashes on the
+// reply's own header fields. 64-bit on every platform.
+func returnFlow(r RouterID) uint64 { return uint64(r) * 2654435761 }

@@ -94,33 +94,21 @@ func (e Event) matchesDir(from, to RouterID) bool {
 	return e.Both && e.From == to && e.To == from
 }
 
-// Scenario is an indexed set of events. The zero value is an empty scenario.
-// Scenarios are immutable once attached to a Net via Builder.Build.
+// Scenario is a set of events. The zero value is an empty scenario.
+// Scenarios are immutable once attached to a Net via Builder.Build, which
+// compiles them into per-edge and per-router event lists for the traceroute
+// engine.
 type Scenario struct {
-	events    []Event
-	linkIdx   map[[2]RouterID][]int // directional key → event indices
-	routerIdx map[RouterID][]int
-	routeIdx  []int // indices of route-affecting events (≤ 64)
+	events   []Event
+	routeIdx []int // indices of route-affecting events (≤ 64)
 }
 
-// NewScenario indexes the given events. It panics when more than 64
+// NewScenario wraps the given events. It panics when more than 64
 // route-affecting events are supplied (the epoch key is a 64-bit mask; no
 // realistic scenario comes close).
 func NewScenario(events ...Event) *Scenario {
-	s := &Scenario{
-		events:    events,
-		linkIdx:   make(map[[2]RouterID][]int),
-		routerIdx: make(map[RouterID][]int),
-	}
+	s := &Scenario{events: events}
 	for i, e := range events {
-		if e.isLinkKind() {
-			s.linkIdx[[2]RouterID{e.From, e.To}] = append(s.linkIdx[[2]RouterID{e.From, e.To}], i)
-			if e.Both {
-				s.linkIdx[[2]RouterID{e.To, e.From}] = append(s.linkIdx[[2]RouterID{e.To, e.From}], i)
-			}
-		} else {
-			s.routerIdx[e.Router] = append(s.routerIdx[e.Router], i)
-		}
 		if e.routeAffecting() {
 			s.routeIdx = append(s.routeIdx, i)
 		}
@@ -176,14 +164,22 @@ func (s *Scenario) EpochBoundaries() []time.Time {
 
 // LinkState returns the scenario modifiers for the directional link
 // from→to at time t: extra one-way delay, extra loss probability, and
-// whether the direction is administratively down.
+// whether the direction is administratively down. It scans every event; the
+// traceroute engine reads the per-edge lists Build compiled instead.
 func (s *Scenario) LinkState(from, to RouterID, t time.Time) (extraMS, loss float64, down bool) {
-	if s == nil {
-		return 0, 0, false
+	var evs []*Event
+	for i := range s.Events() {
+		if e := &s.events[i]; e.isLinkKind() && e.matchesDir(from, to) {
+			evs = append(evs, e)
+		}
 	}
-	for _, idx := range s.linkIdx[[2]RouterID{from, to}] {
-		e := s.events[idx]
-		if !e.Active(t) || !e.matchesDir(from, to) {
+	return linkState(evs, t)
+}
+
+// linkState folds the events attached to one link direction at time t.
+func linkState(evs []*Event, t time.Time) (extraMS, loss float64, down bool) {
+	for _, e := range evs {
+		if !e.Active(t) {
 			continue
 		}
 		switch e.Kind {
@@ -204,12 +200,20 @@ func (s *Scenario) LinkState(from, to RouterID, t time.Time) (extraMS, loss floa
 
 // RouterState returns the scenario modifiers for a router at time t:
 // whether it is ICMP-silent and the probability it drops transiting packets.
+// Like LinkState it scans every event.
 func (s *Scenario) RouterState(r RouterID, t time.Time) (silent bool, dropProb float64) {
-	if s == nil {
-		return false, 0
+	var evs []*Event
+	for i := range s.Events() {
+		if e := &s.events[i]; !e.isLinkKind() && e.Router == r {
+			evs = append(evs, e)
+		}
 	}
-	for _, idx := range s.routerIdx[r] {
-		e := s.events[idx]
+	return routerState(evs, t)
+}
+
+// routerState folds the events attached to one router at time t.
+func routerState(evs []*Event, t time.Time) (silent bool, dropProb float64) {
+	for _, e := range evs {
 		if !e.Active(t) {
 			continue
 		}
@@ -229,7 +233,7 @@ func (s *Scenario) RouterState(r RouterID, t time.Time) (silent bool, dropProb f
 // edgeWeight returns the routing weight of e under the given epoch and
 // whether the edge is down. Epochs encode exactly the set of active
 // route-affecting events, so evaluation needs no timestamp.
-func (s *Scenario) edgeWeight(e Edge, epoch uint64) (w float64, down bool) {
+func (s *Scenario) edgeWeight(e *Edge, epoch uint64) (w float64, down bool) {
 	w = e.Weight
 	if s == nil {
 		return w, false

@@ -36,19 +36,104 @@ func (o TracerouteOpts) Defaults() TracerouteOpts {
 	return o
 }
 
-// TracerouteScratch holds the working memory of one traceroute: the forward
-// and return path walks and the backing arrays for the result's hops and
+// TracerouteScratch holds the working memory of one traceroute: the path
+// walks, the compiled legs, and the backing arrays for the result's hops and
 // replies. A scratch is single-owner (one goroutine at a time); the parallel
 // measurement generator keeps one per worker. Buffers grow to the campaign's
 // high-water mark and are then reused, making steady-state traceroutes
 // allocation-free on the simulation side.
 type TracerouteScratch struct {
-	path     []RouterID    // forward path, probe first
-	altPath  []RouterID    // multipath-artifact alternate path
-	flipPath []RouterID    // route-flip-artifact recomputed path
-	retPath  []RouterID    // per-packet return path, replying router first
+	path     []EdgeID      // forward path from the probe
+	altPath  []EdgeID      // multipath-artifact alternate path
+	flipPath []EdgeID      // route-flip-artifact recomputed path
+	retPath  []EdgeID      // return-path walk being compiled
+	fwd, alt []step        // forward legs compiled for the current hop's instant
+	ret      [2]returnLeg  // the current hop's return legs: from the fwd and the alt target
 	hops     []trace.Hop   // reused hop headers
 	replies  []trace.Reply // one backing array for every hop's replies
+}
+
+// step is one link crossing with everything that does not depend on the PRNG
+// resolved for one instant: the link's delay model and scenario modifiers,
+// and the scenario state of the router at its far end.
+type step struct {
+	delay  *DelayModel
+	extra  float64 // scenario congestion, ms
+	loss   float64 // baseline + scenario loss probability
+	drop   float64 // far-end router's blackhole probability
+	to     RouterID
+	down   bool
+	silent bool // far-end router generates no ICMP
+}
+
+// returnLeg is the compiled path of the ICMP replies of one hop's router.
+type returnLeg struct {
+	steps []step
+	hop   int  // TTL the leg was resolved for (0: none)
+	ok    bool // the replying router can reach the probe
+}
+
+// compile resolves the links of path at one instant into dst.
+func (n *Net) compile(dst []step, path []EdgeID, at time.Time) []step {
+	dst = dst[:0]
+	for _, eid := range path {
+		e := &n.edges[eid]
+		s := step{delay: &e.Delay, loss: e.Loss, to: e.To}
+		if evs := n.linkEvents[eid]; evs != nil {
+			var loss float64
+			s.extra, loss, s.down = linkState(evs, at)
+			s.loss += loss
+		}
+		if evs := n.routerEvents[e.To]; evs != nil {
+			s.silent, s.drop = routerState(evs, at)
+		}
+		dst = append(dst, s)
+	}
+	return dst
+}
+
+// cross sends one packet over a leg and returns its sampled one-way delay,
+// or ok=false when it is lost: every link in order (a down link or a lost
+// coin ends it), then the blackhole coin of each transit router — the far
+// end of every link but the last. This draw order is pinned by the goldens.
+func cross(leg []step, rng *rand.Rand) (ms float64, ok bool) {
+	for i := range leg {
+		s := &leg[i]
+		if s.down || s.loss > 0 && rng.Float64() < s.loss {
+			return 0, false
+		}
+		ms += s.delay.Sample(rng, s.extra)
+	}
+	for i := 0; i+1 < len(leg); i++ {
+		if d := leg[i].drop; d > 0 && rng.Float64() < d {
+			return 0, false
+		}
+	}
+	return ms, true
+}
+
+// route resolves dst to the tree packets from probe follow: toward the
+// router owning the address, or for a service toward its closest instance
+// (anycast; ties go to the earliest instance, as does a probe that reaches
+// none — its packets vanish at the first hop). serviceHop is that instance,
+// whose replies carry the service address (what anycast looks like in real
+// traceroutes), or NoRouter when dst is a router's own address.
+func (n *Net) route(probe RouterID, dst netip.Addr, epoch uint64) (fwd *towardTree, serviceHop RouterID, ok bool) {
+	instances := n.services[dst]
+	if instances == nil {
+		rid, ok := n.byAddr[dst]
+		if !ok {
+			return nil, NoRouter, false
+		}
+		return n.towardTree(rid, epoch), NoRouter, true
+	}
+	fwd = n.towardTree(instances[0], epoch)
+	for _, inst := range instances[1:] {
+		if t := n.towardTree(inst, epoch); t.dist[probe] < fwd.dist[probe] {
+			fwd = t
+		}
+	}
+	return fwd, fwd.root, true
 }
 
 // TracerouteInto runs one traceroute using (and aliasing) the scratch: the
@@ -56,46 +141,23 @@ type TracerouteScratch struct {
 // valid only until the scratch's next traceroute. It is the zero-allocation
 // core; use Traceroute or TracerouteWith when the result must own its
 // memory.
+//
+// The route is compiled once: paths are walked per trace, scenario state is
+// resolved per hop instant (forward legs) and per (hop, replying router)
+// (return legs), and the per-packet loop only samples over the compiled
+// steps. The order of PRNG draws is a contract (see cross and Artifacts).
 func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Addr, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) (trace.Result, error) {
 	opts = opts.Defaults()
 	if !validRouter(probe, len(n.routers)) {
 		return trace.Result{}, fmt.Errorf("netsim: traceroute from unknown router %d", probe)
 	}
 	epoch := n.scenario.EpochKey(at)
-
-	instances := n.services[dst]
-	if instances == nil {
-		if rid, ok := n.byAddr[dst]; ok {
-			instances = []RouterID{rid}
-		} else {
-			return trace.Result{}, fmt.Errorf("netsim: traceroute to unknown destination %v", dst)
-		}
+	fwd, serviceHop, ok := n.route(probe, dst, epoch)
+	if !ok {
+		return trace.Result{}, fmt.Errorf("netsim: traceroute to unknown destination %v", dst)
 	}
-
-	// Anycast resolution: the routing system delivers to the closest
-	// instance (ties broken by lowest id, like lowest router-id in BGP).
-	var dstRouter RouterID = NoRouter
-	best := inf
-	var fwd *towardTree
-	for _, inst := range instances {
-		t := n.towardTree(inst, epoch)
-		if t.dist[probe] < best {
-			best = t.dist[probe]
-			dstRouter = inst
-			fwd = t
-		}
-	}
-	if dstRouter == NoRouter {
-		// Fully unreachable: packets vanish at the probe's first hop.
-		dstRouter = instances[0]
-		fwd = n.towardTree(dstRouter, epoch)
-	}
-
-	sc.path = append(sc.path[:0], probe)
 	var reached bool
-	sc.path, reached = fwd.appendPathFrom(sc.path, probe, parisID)
-	full := sc.path
-
+	sc.path, reached = n.walk(fwd, sc.path[:0], probe, flowOf(parisID))
 	ret := n.towardTree(probe, epoch)
 
 	res := trace.Result{
@@ -117,6 +179,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	}
 	sc.replies = sc.replies[:0]
 	sc.hops = sc.hops[:0]
+	sc.ret[0].hop, sc.ret[1].hop = 0, 0
 
 	// Artifact-layer setup. The strict contract here is that with the zero
 	// Artifacts config this block draws nothing from rng and every per-packet
@@ -124,15 +187,13 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	// must stay byte-identical to builds that never attached Artifacts.
 	art := n.artifacts
 	useArt := art.Enabled()
-	var altFull []RouterID
-	if useArt && art.multipathFlow(probe, dst, parisID) {
+	multipath := useArt && art.multipathFlow(probe, dst, parisID)
+	if multipath {
 		// A hash-selected flow crosses a load balancer that ignores the
 		// Paris flow identifier: packets split over a second path (walked
 		// with a perturbed flow selector), mixing two real paths' routers
 		// within single TTLs.
-		sc.altPath = append(sc.altPath[:0], probe)
-		sc.altPath, _ = fwd.appendPathFrom(sc.altPath, probe, parisID+1)
-		altFull = sc.altPath
+		sc.altPath, _ = n.walk(fwd, sc.altPath[:0], probe, flowOf(parisID+1))
 	}
 	slow := false
 	if useArt && art.RouteFlipProb > 0 {
@@ -143,8 +204,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	}
 
 	gap := 0
-	lastIdx := len(full) - 1
-	hopFull, hopAt, flipEpoch := full, at, epoch
+	hopPath, hopAt, flipEpoch := sc.path, at, epoch
 	for i := 1; i <= opts.MaxTTL; i++ {
 		if slow {
 			// A slow trace: hop i fires later than hop i-1. When a
@@ -154,31 +214,38 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 			hopAt = at.Add(time.Duration(i-1) * RouteFlipHopStall)
 			if e2 := n.scenario.EpochKey(hopAt); e2 != flipEpoch {
 				flipEpoch = e2
-				sc.flipPath = append(sc.flipPath[:0], probe)
-				sc.flipPath, _ = n.towardTree(dstRouter, e2).appendPathFrom(sc.flipPath, probe, parisID)
-				hopFull = sc.flipPath
+				sc.flipPath, _ = n.walk(n.towardTree(fwd.root, e2), sc.flipPath[:0], probe, flowOf(parisID))
+				hopPath = sc.flipPath
+			}
+		}
+		if slow || i == 1 {
+			// One compile serves a whole trace, except that every hop of a
+			// slow trace has its own instant.
+			sc.fwd = n.compile(sc.fwd, hopPath, hopAt)
+			if multipath {
+				sc.alt = n.compile(sc.alt, sc.altPath, hopAt)
 			}
 		}
 		hopStart := len(sc.replies)
 		for p := 0; p < opts.PacketsPerHop; p++ {
-			pktFull := hopFull
-			if altFull != nil && rng.Uint64()&1 == 1 {
-				pktFull = altFull
+			leg, retLeg := sc.fwd, &sc.ret[0]
+			if multipath && rng.Uint64()&1 == 1 {
+				leg, retLeg = sc.alt, &sc.ret[1]
 			}
-			if i < len(pktFull) {
-				sc.replies = append(sc.replies, n.probeHop(sc, pktFull, i, pktFull[i], dst, dstRouter, ret, hopAt, parisID, rng, opts))
-			} else {
-				// Beyond the routable path (a routing dead end): the packet
-				// vanishes.
-				sc.replies = append(sc.replies, trace.Reply{Timeout: true})
+			// Beyond the routable path (a routing dead end) the packet
+			// vanishes.
+			reply := trace.Reply{Timeout: true}
+			if i <= len(leg) {
+				reply = n.probeHop(sc, leg[:i], retLeg, ret, dst, serviceHop, hopAt, parisID, rng, opts)
 			}
+			sc.replies = append(sc.replies, reply)
 		}
 		hop := trace.Hop{Index: i, Replies: sc.replies[hopStart:len(sc.replies):len(sc.replies)]}
 		sc.hops = append(sc.hops, hop)
 
 		// Loop control keys on the base path: an artifact can change what a
 		// hop reports, never how far the probe walks.
-		if i <= lastIdx && full[i] == dstRouter && reached {
+		if reached && i == len(sc.path) {
 			break
 		}
 		if hop.Unresponsive() {
@@ -213,7 +280,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 // result out into exactly-sized, caller-owned memory (two allocations: the
 // hop slice and one shared reply backing array). This is what the parallel
 // generator's workers call: all the intermediate garbage — path walks,
-// per-packet return paths, slice growth — stays in the per-worker scratch.
+// compiled legs, slice growth — stays in the per-worker scratch.
 func (n *Net) TracerouteWith(sc *TracerouteScratch, probe RouterID, dst netip.Addr, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) (trace.Result, error) {
 	res, err := n.TracerouteInto(sc, probe, dst, at, parisID, rng, opts)
 	if err != nil {
@@ -248,45 +315,40 @@ func (n *Net) Traceroute(probe RouterID, dst netip.Addr, at time.Time, parisID i
 	return res, err
 }
 
-// probeHop simulates one packet probing hop index i (router target) of the
-// forward path and returns the resulting reply or timeout.
-func (n *Net) probeHop(sc *TracerouteScratch, full []RouterID, i int, target RouterID, dst netip.Addr, dstRouter RouterID, ret *towardTree, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) trace.Reply {
-	// Forward leg over links full[0..i].
-	fwdMS, ok := n.legDelay(full[:i+1], at, rng)
+// probeHop simulates one packet probing the hop at the end of the forward
+// leg and returns the resulting reply or timeout. The hop's return leg is
+// walked and compiled by the first packet that needs it and reused by the
+// hop's other packets.
+func (n *Net) probeHop(sc *TracerouteScratch, leg []step, retLeg *returnLeg, ret *towardTree, dst netip.Addr, serviceHop RouterID, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) trace.Reply {
+	// Forward leg: the links up to the hop, then the transit routers
+	// (strictly between probe and target), which may blackhole.
+	fwdMS, ok := cross(leg, rng)
 	if !ok {
 		return trace.Reply{Timeout: true}
 	}
-	// Transit routers (strictly between probe and target) may blackhole.
-	for _, r := range full[1:i] {
-		if _, drop := n.scenario.RouterState(r, at); drop > 0 && rng.Float64() < drop {
-			return trace.Reply{Timeout: true}
-		}
-	}
-	router := n.routers[target]
 	// The target router generates the ICMP time-exceeded reply (or not).
-	if silent, _ := n.scenario.RouterState(target, at); silent {
+	hop := &leg[len(leg)-1]
+	if hop.silent {
 		return trace.Reply{Timeout: true}
 	}
+	target := hop.to
+	router := &n.routers[target]
 	if rng.Float64() > router.ResponseProb {
 		return trace.Reply{Timeout: true}
 	}
-	// Return leg: the ICMP reply routes back independently. Its flow key is
-	// fixed per (replying router, probe), not per Paris id: return-path ECMP
-	// hashes on the reply's own header fields.
-	sc.retPath = append(sc.retPath[:0], target)
-	retFull, reachedProbe := ret.appendPathFrom(sc.retPath, target, int(target)*2654435761)
-	sc.retPath = retFull
-	if !reachedProbe {
+	// Return leg: the ICMP reply routes back independently, over the trees
+	// of the trace's start but with the scenario state of the hop's instant.
+	if retLeg.hop != len(leg) {
+		retLeg.hop = len(leg)
+		sc.retPath, retLeg.ok = n.walk(ret, sc.retPath[:0], target, returnFlow(target))
+		retLeg.steps = n.compile(retLeg.steps, sc.retPath, at)
+	}
+	if !retLeg.ok {
 		return trace.Reply{Timeout: true}
 	}
-	retMS, okRet := n.legDelay(retFull, at, rng)
-	if !okRet {
+	retMS, ok := cross(retLeg.steps, rng)
+	if !ok {
 		return trace.Reply{Timeout: true}
-	}
-	for _, r := range retFull[1 : len(retFull)-1] {
-		if _, drop := n.scenario.RouterState(r, at); drop > 0 && rng.Float64() < drop {
-			return trace.Reply{Timeout: true}
-		}
 	}
 	rtt := fwdMS + retMS + rng.ExpFloat64()*router.SlowPathMS + rng.NormFloat64()*opts.NoiseMS
 	if rtt < 0.01 {
@@ -303,72 +365,28 @@ func (n *Net) probeHop(sc *TracerouteScratch, full []RouterID, i int, target Rou
 			from = al
 		}
 	}
-	if target == dstRouter && len(n.services[dst]) > 0 {
-		// Replies from the service hop carry the service address (what
-		// anycast looks like in real traceroutes).
+	if target == serviceHop {
 		from = dst
 	}
 	return trace.Reply{From: from, RTT: rtt}
 }
 
-// legDelay accumulates sampled one-way delay along consecutive routers,
-// returning ok=false when any link drops the packet or is down.
-func (n *Net) legDelay(routers []RouterID, at time.Time, rng *rand.Rand) (ms float64, ok bool) {
-	for j := 0; j+1 < len(routers); j++ {
-		e, have := n.edgeBetween(routers[j], routers[j+1])
-		if !have {
-			return 0, false
-		}
-		extra, loss, down := n.scenario.LinkState(e.From, e.To, at)
-		if down {
-			return 0, false
-		}
-		p := e.Loss + loss
-		if p > 0 && rng.Float64() < p {
-			return 0, false
-		}
-		ms += e.Delay.Sample(rng, extra)
-	}
-	return ms, true
-}
-
 // ForwardPath returns the router sequence (including the probe router) a
 // flow takes toward dst at the given time, and whether the destination is
-// reached. Diagnostics and tests use it; the traceroute engine inlines the
-// same logic.
+// reached. Diagnostics and tests use it; it is the traceroute engine's own
+// route resolution and walk.
 func (n *Net) ForwardPath(probe RouterID, dst netip.Addr, at time.Time, parisID int) ([]RouterID, bool) {
-	epoch := n.scenario.EpochKey(at)
-	instances := n.services[dst]
-	if instances == nil {
-		if rid, ok := n.byAddr[dst]; ok {
-			instances = []RouterID{rid}
-		} else {
-			return nil, false
-		}
+	fwd, _, ok := n.route(probe, dst, n.scenario.EpochKey(at))
+	if !ok {
+		return nil, false
 	}
-	var dstRouter RouterID = NoRouter
-	best := inf
-	var fwd *towardTree
-	for _, inst := range instances {
-		t := n.towardTree(inst, epoch)
-		if t.dist[probe] < best {
-			best = t.dist[probe]
-			dstRouter = inst
-			fwd = t
-		}
-	}
-	if dstRouter == NoRouter {
-		return []RouterID{probe}, false
-	}
-	path, ok := fwd.pathFrom(probe, parisID)
-	return append([]RouterID{probe}, path...), ok
+	path, reached := n.walk(fwd, nil, probe, flowOf(parisID))
+	return n.routersOn(probe, path), reached
 }
 
 // ReturnPath returns the router sequence an ICMP reply takes from a router
 // back to the probe at the given time.
 func (n *Net) ReturnPath(from, probe RouterID, at time.Time) ([]RouterID, bool) {
-	epoch := n.scenario.EpochKey(at)
-	ret := n.towardTree(probe, epoch)
-	path, ok := ret.pathFrom(from, int(from)*2654435761)
-	return append([]RouterID{from}, path...), ok
+	path, ok := n.walk(n.towardTree(probe, n.scenario.EpochKey(at)), nil, from, returnFlow(from))
+	return n.routersOn(from, path), ok
 }

@@ -263,7 +263,8 @@ func BenchmarkReplicaReads(b *testing.B) {
 
 // BenchmarkServeIngest measures analysis throughput bare versus under
 // sustained concurrent read pressure — the "readers cannot stall the
-// pipeline" half of the claim. BENCH_serve.json records the slowdown.
+// pipeline" half of the claim. cmd/bench's ihr_chain workload records the
+// same pipeline under a 200 req/s reader (cmd/bench/results/set-a.json).
 func BenchmarkServeIngest(b *testing.B) {
 	wl := benchData(b)
 	for _, readers := range []int{0, 4} {
