@@ -244,22 +244,21 @@ func runFollower(c *experiments.Case, url, addr, storeDir string, feedWindow int
 // and reports the outcome through the publisher. No lock is shared with the
 // HTTP side: the publisher swaps immutable snapshots as bins close.
 func runAnalysis(a *core.Analyzer, pub *serve.Publisher, c *experiments.Case, inputPaths []string, decodeWorkers int) {
-	ingestBatch := func(rs []trace.Result) error {
-		a.ObserveBatch(rs)
-		pub.ObserveResults(len(rs))
-		return nil
-	}
 	t0 := time.Now()
 	var err error
 	var producer string
 	if len(inputPaths) > 0 {
 		var st ingest.Stats
-		st, err = ingest.Files(context.Background(), inputPaths,
-			ingest.Options{Workers: decodeWorkers}, ingestBatch)
+		st, err = a.RunFiles(context.Background(), inputPaths, ingest.Options{Workers: decodeWorkers},
+			func(n int, _, _ time.Time) { pub.ObserveResults(n) })
 		producer = fmt.Sprintf("%d decode workers, %d dump lines (%d decoded, %d skipped)",
 			runtimeWorkers(decodeWorkers), st.Lines, st.Results, st.Skipped)
 	} else {
-		err = c.Platform.RunChunks(context.Background(), c.Start, c.End, 0, ingestBatch)
+		err = c.Platform.RunChunks(context.Background(), c.Start, c.End, 0, func(rs []trace.Result) error {
+			a.ObserveBatch(rs)
+			pub.ObserveResults(len(rs))
+			return nil
+		})
 		producer = fmt.Sprintf("%d generator workers", c.Platform.Workers())
 	}
 	a.Flush()

@@ -11,8 +11,7 @@
 // Dumps may be gzip-compressed (auto-detected), read from stdin (-), and
 // -input accepts a comma-separated list replayed as one stream.
 // -cpuprofile/-memprofile write pprof profiles of the whole run for field
-// profiling of ingest; -intern-fused folds address interning into the
-// decode workers.
+// profiling of ingest.
 //
 // With -store DIR (requires -case) every closed bin is committed to an
 // append-only segment store (internal/segstore) as the run progresses; a
@@ -53,7 +52,6 @@ import (
 	"pinpoint/internal/segstore"
 	"pinpoint/internal/serve"
 	"pinpoint/internal/timeseries"
-	"pinpoint/internal/trace"
 )
 
 // splitPaths parses the -input list, rejecting an effectively empty one.
@@ -93,7 +91,6 @@ func run() error {
 	topAS := flag.Int("top", 10, "number of ASes to summarize")
 	dotPath := flag.String("dot", "", "write the alarm graph (all components) as Graphviz DOT to this path")
 	dotAround := flag.String("dot-around", "", "restrict the DOT graph to the component containing this IP")
-	internFused := flag.Bool("intern-fused", false, "fuse address interning into the NDJSON decode workers (pre-warms the identity registry straight from wire bytes)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit, after a GC) to this path")
 	binCloseStats := flag.Bool("binclose-stats", false, "print bin-close kernel throughput (bins/links/flows closed, samples/s) after the run")
@@ -225,18 +222,15 @@ func run() error {
 			return err
 		}
 		opts := ingest.Options{Workers: *decodeWorkers}
-		if *internFused {
-			opts.Intern = a.Registry()
-		}
 		if *skipBad {
 			opts.OnError = func(*ingest.LineError) error { return nil }
 		}
 		t0 := time.Now()
-		st, err := a.RunFiles(context.Background(), paths, opts, func(rs []trace.Result) {
+		st, err := a.RunFiles(context.Background(), paths, opts, func(_ int, batchFirst, batchLast time.Time) {
 			if first.IsZero() {
-				first = rs[0].Time
+				first = batchFirst
 			}
-			last = rs[len(rs)-1].Time
+			last = batchLast
 		})
 		if err != nil {
 			return err

@@ -95,6 +95,8 @@ type Analyzer struct {
 	// its lifecycle; it lives exactly as long as the Analyzer.
 	reg *ident.Registry
 
+	intern *ident.Interner // builds the one trace.View per Result both detectors read
+
 	// Sequential backend (Workers ≤ 1).
 	delayDet *delay.Detector
 	fwdDet   *forwarding.Detector
@@ -112,23 +114,20 @@ type Analyzer struct {
 	// Open-bin tracking for OnBinClose: mirrors the detectors' own bin
 	// bookkeeping so the facade knows when a close happened and for which
 	// bin, on both backends.
-	binSize      time.Duration
-	curBin       time.Time
-	haveBin      bool
-	closedchunks []time.Time // scratch for ObserveBatch bin closes
+	binSize time.Duration
+	curBin  time.Time
+	haveBin bool
 
 	// Per-bin result accounting: openResults counts results observed in the
 	// open bin, closedResults the results in all closed bins, and
 	// lastCloseResults the closedResults value captured at the moment the
-	// most recent close was detected (a batch can detect several closes
-	// before their hooks fire). The split is a property of the input stream
-	// alone — batch boundaries and worker counts do not move it — which is
-	// what makes the segment store's per-bin records byte-identical across
-	// configurations.
+	// most recent close was detected. The split is a property of the input
+	// stream alone — batch boundaries and worker counts do not move it —
+	// which is what makes the segment store's per-bin records byte-identical
+	// across configurations.
 	openResults      int
 	closedResults    int
 	lastCloseResults int
-	closedcounts     []int // scratch parallel to closedchunks
 
 	// OnDelayAlarm and OnForwardingAlarm, when non-nil, are invoked for
 	// every alarm as its bin closes (the near-real-time reporting path).
@@ -161,6 +160,7 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) *
 	a := &Analyzer{
 		cfg:     cfg,
 		reg:     reg,
+		intern:  ident.NewInterner(reg),
 		agg:     events.NewAggregator(cfg.Events, table),
 		binSize: cfg.Delay.BinSize,
 	}
@@ -190,17 +190,24 @@ func (a *Analyzer) Registry() *ident.Registry { return a.reg }
 // Observe ingests one traceroute result (results must arrive in
 // chronological order, as the platform and the Atlas stream provide them).
 func (a *Analyzer) Observe(r trace.Result) {
+	a.observeView(a.intern.ScratchView(&r))
+}
+
+// observeView ingests one result in its interned form (ids from a.reg) —
+// built once, by Observe or by ingest's decode workers straight from the
+// wire, and read by both detectors.
+func (a *Analyzer) observeView(v *trace.View) {
 	a.results++
 	a.dirty = true
-	a.agg.ObserveBin(r.Time)
-	closed, didClose := a.trackBin(r.Time)
+	a.agg.ObserveBin(v.Time)
+	closed, didClose := a.trackBin(v.Time)
 	if a.eng != nil {
-		da, fa := a.eng.Observe(r)
+		da, fa := a.eng.ObserveView(v)
 		a.dispatchDelay(da)
 		a.dispatchFwd(fa)
 	} else {
-		a.dispatchDelay(a.delayDet.Observe(r))
-		a.dispatchFwd(a.fwdDet.Observe(r))
+		a.dispatchDelay(a.delayDet.ObserveView(v))
+		a.dispatchFwd(a.fwdDet.ObserveView(v))
 	}
 	if didClose {
 		a.lastCloseResults = a.closedResults
@@ -210,36 +217,8 @@ func (a *Analyzer) Observe(r trace.Result) {
 
 // ObserveBatch ingests a slice of chronologically ordered results.
 func (a *Analyzer) ObserveBatch(rs []trace.Result) {
-	if a.eng != nil {
-		a.results += len(rs)
-		if len(rs) > 0 {
-			a.dirty = true
-		}
-		closes := a.closedchunks[:0]
-		counts := a.closedcounts[:0]
-		for _, r := range rs {
-			a.agg.ObserveBin(r.Time)
-			if c, ok := a.trackBin(r.Time); ok {
-				closes = append(closes, c)
-				counts = append(counts, a.closedResults)
-			}
-		}
-		da, fa := a.eng.ObserveBatch(rs)
-		a.dispatchDelay(da)
-		a.dispatchFwd(fa)
-		// Engine alarms come back merged per batch; each closed bin's
-		// alarms are all dispatched by now, so the hooks fire in close
-		// order after the dispatch.
-		for i, c := range closes {
-			a.lastCloseResults = counts[i]
-			a.binClosed(c)
-		}
-		a.closedchunks = closes[:0]
-		a.closedcounts = counts[:0]
-		return
-	}
-	for _, r := range rs {
-		a.Observe(r)
+	for i := range rs {
+		a.Observe(rs[i])
 	}
 }
 
@@ -368,8 +347,10 @@ func (a *Analyzer) RunStream(ctx context.Context, results <-chan trace.Result) e
 		select {
 		case r, ok := <-results:
 			if !ok {
+				// A producer that closes its channel because ctx was
+				// canceled races ctx.Done() in this select.
 				a.Flush()
-				return nil
+				return ctx.Err()
 			}
 			a.Observe(r)
 		case <-ctx.Done():
@@ -390,7 +371,7 @@ func (a *Analyzer) RunBatches(ctx context.Context, batches <-chan []trace.Result
 		case rs, ok := <-batches:
 			if !ok {
 				a.Flush()
-				return nil
+				return ctx.Err()
 			}
 			a.ObserveBatch(rs)
 		case <-ctx.Done():
@@ -420,43 +401,45 @@ func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to 
 
 // RunReader is the ingestion twin of RunPlatform: it streams an NDJSON
 // traceroute dump from r (gzip auto-detected) through the parallel decoder
-// of internal/ingest and ingests every ordered batch on this goroutine —
-// decode workers run ahead within their reorder window while the engine
-// ingests behind, with the same determinism guarantee as the fused
-// generator: analysis output is bit-identical for every decode worker
-// count. When opts.ChunkSize is 0 the engine's batch size is used, so
-// delivered batches match the extraction batches downstream. Flush runs in
-// all exit paths; decode statistics are returned alongside any run error.
+// of internal/ingest — straight to interned views, no trace.Result is built
+// — and ingests every ordered batch on this goroutine: decode workers run
+// ahead within their reorder window while the engine ingests behind, with
+// the same determinism guarantee as the fused generator: analysis output is
+// bit-identical for every decode worker count. When opts.ChunkSize is 0 the
+// engine's batch size is used, so delivered batches match the extraction
+// batches downstream. Flush runs in all exit paths; decode statistics are
+// returned alongside any run error.
 //
-// Optional onBatch observers run after each batch is ingested (e.g. to
-// track result timestamps); callers that must wrap ObserveBatch itself in
-// a lock (cmd/ihr) drive ingest.Decode/Files directly instead.
-func (a *Analyzer) RunReader(ctx context.Context, r io.Reader, opts ingest.Options, onBatch ...func([]trace.Result)) (ingest.Stats, error) {
-	return a.runIngest(opts, onBatch, func(o ingest.Options, fn func([]trace.Result) error) (ingest.Stats, error) {
-		return ingest.Decode(ctx, r, o, fn)
+// Optional onBatch observers run after each batch is ingested, with the
+// batch's result count and its first and last result timestamps.
+func (a *Analyzer) RunReader(ctx context.Context, r io.Reader, opts ingest.Options, onBatch ...func(n int, first, last time.Time)) (ingest.Stats, error) {
+	return a.runIngest(opts, onBatch, func(o ingest.Options, fn func([]trace.View) error) (ingest.Stats, error) {
+		return ingest.DecodeViews(ctx, r, o, a.reg, fn)
 	})
 }
 
 // RunFiles is RunReader over one or more dump files replayed in order as a
 // single logical stream ("-" reads stdin; gzip is auto-detected per file).
-func (a *Analyzer) RunFiles(ctx context.Context, paths []string, opts ingest.Options, onBatch ...func([]trace.Result)) (ingest.Stats, error) {
-	return a.runIngest(opts, onBatch, func(o ingest.Options, fn func([]trace.Result) error) (ingest.Stats, error) {
-		return ingest.Files(ctx, paths, o, fn)
+func (a *Analyzer) RunFiles(ctx context.Context, paths []string, opts ingest.Options, onBatch ...func(n int, first, last time.Time)) (ingest.Stats, error) {
+	return a.runIngest(opts, onBatch, func(o ingest.Options, fn func([]trace.View) error) (ingest.Stats, error) {
+		return ingest.FilesViews(ctx, paths, o, a.reg, fn)
 	})
 }
 
 // runIngest is the single implementation behind RunReader and RunFiles:
 // engine-sized batches, ingestion + observers per ordered batch, Flush on
 // every exit path.
-func (a *Analyzer) runIngest(opts ingest.Options, onBatch []func([]trace.Result),
-	decode func(ingest.Options, func([]trace.Result) error) (ingest.Stats, error)) (ingest.Stats, error) {
+func (a *Analyzer) runIngest(opts ingest.Options, onBatch []func(int, time.Time, time.Time),
+	decode func(ingest.Options, func([]trace.View) error) (ingest.Stats, error)) (ingest.Stats, error) {
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = a.cfg.BatchSize // 0 falls through to ingest's default
 	}
-	st, err := decode(opts, func(rs []trace.Result) error {
-		a.ObserveBatch(rs)
+	st, err := decode(opts, func(vs []trace.View) error {
+		for i := range vs {
+			a.observeView(&vs[i])
+		}
 		for _, ob := range onBatch {
-			ob(rs)
+			ob(len(vs), vs[0].Time, vs[len(vs)-1].Time)
 		}
 		return nil
 	})

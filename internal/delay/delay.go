@@ -6,12 +6,14 @@
 // exponentially smoothed reference (§4.2.4), and reports anomalies with the
 // deviation score d(∆) of Eq 6 (§4.2.3).
 //
-// The hot path flows interned IDs, not addresses: extraction interns every
-// (near, far) pair through ident.Registry once and emits ∆ samples tagged
-// with a dense LinkID; the detector keeps columnar per-link state in flat
-// slices indexed by that ID, with per-bin sample buffers whose capacity is
-// reused across bins. Steady-state ingestion therefore performs no map
-// writes and no allocations; addresses reappear only at bin close, where
+// The hot path flows interned IDs, not addresses: extraction walks a
+// trace.View, interns every (near, far) pair through ident.Registry once
+// and emits ∆ samples tagged with a dense LinkID; the detector keeps
+// columnar per-link state in flat slices indexed by that ID. A link-bin is
+// a column of ∆ values plus one 16-byte run per stretch of samples from one
+// probe (§4.2.1's "one to nine" samples arrive back to back), both reusing
+// their capacity across bins. Steady-state ingestion therefore performs no
+// map writes and no allocations; addresses reappear only at bin close, where
 // links are evaluated in reverse-resolved (Near, Far) order so the emitted
 // alarms are bit-identical to the pre-ID implementation.
 package delay
@@ -179,10 +181,9 @@ func (r *linkRef) observe(ci stats.MedianCI) {
 
 // Sample is one differential-RTT contribution (§4.2.1) extracted from a
 // traceroute result: the ∆ of one (near, far) reply combination, tagged with
-// the probe and its AS. The link is carried as an interned ident.LinkID —
-// 24 bytes per sample instead of two netip.Addrs — so samples are cheap to
-// buffer and route; the sharded engine hashes the LinkID to pick the shard
-// owning the link.
+// the probe and its AS. It is what the sharded engine routes (it hashes the
+// interned LinkID to pick the shard owning the link), not what a detector
+// stores: IngestSample folds one probe's consecutive samples into a run.
 type Sample struct {
 	Link  ident.LinkID
 	Probe int32
@@ -194,83 +195,77 @@ type Sample struct {
 // (§4.2.1): for adjacent hops X, Y every combination RTT(P→y) − RTT(P→x)
 // over the replies is one ∆ sample of the link (x, y), giving one to nine
 // samples per probe and link. Results from probes with no resolvable AS
-// yield nothing, since the §4.3 diversity filter cannot place them.
-// Extraction interns addresses and links through the caller's Interner
-// (lock-free single-owner memo over the shared registry) and emits
-// ID-tagged samples; it owns no other state, so each extracting goroutine
-// runs with its own Interner while detector state stays shard-local.
+// yield nothing, since the §4.3 diversity filter cannot place them. It is
+// ExtractView over the interner's scratch view, sample by sample.
 func ExtractSamples(in *ident.Interner, r trace.Result, probeASN func(int) (ipmap.ASN, bool), fn func(Sample)) {
 	asn, ok := probeASN(r.PrbID)
 	if !ok {
 		return
 	}
-	prb := int32(r.PrbID)
-	for hi := 0; hi+1 < len(r.Hops); hi++ {
-		near, far := &r.Hops[hi], &r.Hops[hi+1]
-		if far.Index != near.Index+1 {
+	s := Sample{Probe: int32(r.PrbID), ASN: asn}
+	ExtractView(in, in.ScratchView(&r), func(link ident.LinkID, near float64, far []float64) {
+		s.Link = link
+		for _, f := range far {
+			s.Delta = f - near
+			fn(s)
+		}
+	})
+}
+
+// ExtractView is the extraction kernel. For every pair of hops with
+// consecutive TTLs it visits the (near reply, far reply) combinations
+// near-major, skipping timeouts and self-loops, and calls fn once per near
+// reply and stretch of far replies from one responder: the ∆ samples of link
+// are far[k] − near, in order. Links are interned through the caller's
+// Interner, whose registry must have issued the view's ids; the kernel owns
+// no other state.
+func ExtractView(in *ident.Interner, v *trace.View, fn func(link ident.LinkID, near float64, far []float64)) {
+	for hi := 0; hi+1 < len(v.Hops); hi++ {
+		near, far := v.Hops[hi], v.Hops[hi+1]
+		if far.TTL != near.TTL+1 {
 			continue
 		}
-		// Intern each far responder once per hop pair, not once per
-		// combination. Atlas sends three packets per hop, so the stack
-		// buffer covers every realistic result.
-		var farBuf [8]ident.AddrID
-		nfar := len(far.Replies)
-		if nfar > len(farBuf) {
-			nfar = len(farBuf)
-		}
-		for j := 0; j < nfar; j++ {
-			rb := &far.Replies[j]
-			if rb.Timeout || !rb.From.IsValid() {
-				farBuf[j] = ident.ZeroAddr
+		for i := near.Start; i < near.End; i++ {
+			a := v.From[i]
+			if a == 0 {
 				continue
 			}
-			farBuf[j] = in.Addr(rb.From)
-		}
-		for _, ra := range near.Replies {
-			if ra.Timeout || !ra.From.IsValid() {
-				continue
-			}
-			nearID := in.Addr(ra.From)
-			for j, rb := range far.Replies {
-				if rb.Timeout || !rb.From.IsValid() || rb.From == ra.From {
-					continue
+			for j := far.Start; j < far.End; {
+				b := v.From[j]
+				k := j + 1
+				for k < far.End && v.From[k] == b {
+					k++
 				}
-				farID := ident.ZeroAddr
-				if j < nfar {
-					farID = farBuf[j]
-				} else {
-					farID = in.Addr(rb.From)
+				if b != 0 && b != a {
+					fn(in.Link(ident.AddrID(a), ident.AddrID(b)), v.RTT[i], v.RTT[j:k])
 				}
-				fn(Sample{
-					Link:  in.Link(nearID, farID),
-					Probe: prb,
-					ASN:   asn,
-					Delta: rb.RTT - ra.RTT,
-				})
+				j = k
 			}
 		}
 	}
 }
 
-// sampleEntry is one ∆ sample as stored in the columnar per-link bin
-// buffer, in arrival order. Grouping by probe happens once, at bin close.
-type sampleEntry struct {
-	probe int32
-	asn   ipmap.ASN
-	delta float64
+// probeRun is one probe's stretch of a link-bin's ∆ column, deltas[start:end].
+// A probe returning to the link after another's samples opens a new run.
+type probeRun struct {
+	probe      int32
+	asn        ipmap.ASN
+	start, end int32
 }
 
 // linkState is the columnar per-link record, indexed by ident.LinkID. The
-// entries buffer is truncated (capacity kept) when a new bin first touches
-// the link, so steady-state ingestion reuses the same backing arrays. The
-// reverse-resolved key is cached here at slot creation (a LinkID's address
-// pair never changes), so bin close never goes back to the registry. With
-// EvictIdleBins set, idle slots are reclaimed onto a free list (dead marks
-// a reclaimed slot); lastBin records the bin the link last produced a
-// sample in, the sole input to the eviction decision.
+// deltas and runs buffers are truncated (capacity kept) when a new bin first
+// touches the link, so steady-state ingestion reuses the same backing
+// arrays; runs tile deltas in arrival order. The reverse-resolved key is
+// cached here at slot creation (a LinkID's address pair never changes), so
+// bin close never goes back to the registry. With EvictIdleBins set, idle
+// slots are reclaimed onto a free list (dead marks a reclaimed slot);
+// lastBin records the bin the link last produced a sample in, the sole
+// input to the eviction decision.
 type linkState struct {
-	epoch   uint32        // bin epoch of the entries buffer
-	entries []sampleEntry // this bin's ∆ samples, arrival order
+	epoch   uint32        // bin epoch of the deltas/runs buffers
+	deltas  []float64     // this bin's ∆ samples, arrival order
+	runs    []probeRun    // who contributed which stretch of deltas
 	dead    bool          // slot reclaimed, waiting on the free list
 	hasRef  bool          // ref initialized (link passed filtering once)
 	isV4    bool          // both addresses are 4-byte: key64 is valid
@@ -281,8 +276,8 @@ type linkState struct {
 	ref     linkRef
 }
 
-// probeGroup is one probe's contiguous run in the probe-sorted entries of
-// one link-bin: entries[start:end] are its samples in arrival order.
+// probeGroup is one probe's runs in the probe-sorted run order of one
+// link-bin: ord[start:end] index its runs, in arrival order.
 type probeGroup struct {
 	probe      int32
 	asn        ipmap.ASN
@@ -338,13 +333,15 @@ type Detector struct {
 	freeSlots  []int32
 	evicted    int
 
-	sink func(Sample) // bound once; avoids a closure alloc per result
+	// The probe ObserveView is ingesting runs for.
+	runProbe int32
+	runASN   ipmap.ASN
 
 	// Bin-close scratch, reused across bins so steady-state close is
 	// alloc-free. closeKeys/closeOrd (+ their radix ping-pong buffers) hold
 	// the link close-order permutation and stay live across the whole link
 	// loop; lkeyBuf/ltmpBuf are the per-link radix scratch reused by
-	// groupEntries and filterDiversity (their decoded permutations land in
+	// groupRuns and filterDiversity (their decoded permutations land in
 	// ordBuf/idxBuf, so the key buffers are dead between uses).
 	closeKeys  []uint64
 	closeOrd   []int32
@@ -401,7 +398,6 @@ func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 	if cfg.EvictIdleBins > 0 {
 		d.evictAfter = int64(cfg.EvictIdleBins) * cfg.BinSize.Nanoseconds()
 	}
-	d.sink = d.IngestSample
 	return d
 }
 
@@ -415,21 +411,27 @@ func (d *Detector) Registry() *ident.Registry { return d.reg }
 // paper's "we monitored delays for 262k IPv4 links" statistic.
 func (d *Detector) LinksSeen() int { return d.linksSeen }
 
-// Observe ingests one traceroute result. When the result's bin is newer
+// Observe is ObserveView over the detector's scratch view.
+func (d *Detector) Observe(r trace.Result) []Alarm {
+	return d.ObserveView(d.intern.ScratchView(&r))
+}
+
+// ObserveView ingests one traceroute result in its interned form (ids from
+// the detector's registry). When the result's bin is newer
 // than the current one, the current bin is evaluated first and its alarms
 // returned. Results older than the current bin are folded into it (the
 // platform emits in order, so this only smooths jitter at bin edges).
-func (d *Detector) Observe(r trace.Result) []Alarm {
-	bin := timeseries.Bin(r.Time, d.cfg.BinSize)
+func (d *Detector) ObserveView(v *trace.View) []Alarm {
+	bin := timeseries.Bin(v.Time, d.cfg.BinSize)
 	var alarms []Alarm
 	if d.haveBin && bin.After(d.curBin) {
 		alarms = d.closeBin()
 	}
-	if !d.haveBin || bin.After(d.curBin) {
-		d.curBin = bin
-		d.haveBin = true
+	d.BeginBin(bin)
+	if asn, ok := d.probeASN(v.Prb); ok {
+		d.runProbe, d.runASN = int32(v.Prb), asn
+		ExtractView(d.intern, v, d.ingestRun)
 	}
-	d.ingest(r)
 	return alarms
 }
 
@@ -441,12 +443,6 @@ func (d *Detector) Flush() []Alarm {
 	alarms := d.closeBin()
 	d.haveBin = false
 	return alarms
-}
-
-// ingest extracts differential RTT samples (§4.2.1) and folds them into the
-// open bin.
-func (d *Detector) ingest(r trace.Result) {
-	ExtractSamples(d.intern, r, d.probeASN, d.sink)
 }
 
 // BeginBin opens (or asserts) the bin the next IngestSample calls belong to.
@@ -464,10 +460,48 @@ func (d *Detector) BeginBin(bin time.Time) {
 // BeginBin and Flush it forms the shard-scoped API: an engine shard feeds
 // only the samples whose link hashes to it, and the per-(link, bin) seeded
 // probe dropping guarantees the shard reproduces exactly what a single
-// detector would have decided for that link. In steady state this is one
-// epoch check and one append into a recycled buffer — no map, no alloc.
+// detector would have decided for that link. Consecutive samples of one
+// probe extend one run, so shards get ObserveView's link-bin layout. In
+// steady state this is one epoch check and appends into recycled buffers —
+// no map, no alloc.
 func (d *Detector) IngestSample(s Sample) {
-	li := int(s.Link)
+	ls := d.touch(s.Link)
+	ls.deltas = append(ls.deltas, s.Delta)
+	ls.extendRun(s.Probe, s.ASN)
+}
+
+// ingestRun is ObserveView's sink: ∆ samples far[k] − near of one link from
+// the probe in runProbe, behind one slot lookup.
+func (d *Detector) ingestRun(link ident.LinkID, near float64, far []float64) {
+	ls := d.touch(link)
+	deltas := ls.deltas
+	for _, f := range far {
+		deltas = append(deltas, f-near)
+	}
+	ls.deltas = deltas
+	ls.extendRun(d.runProbe, d.runASN)
+}
+
+// extendRun attributes the deltas appended since the last run's end to
+// probe, growing that run when it is the same probe's.
+func (ls *linkState) extendRun(probe int32, asn ipmap.ASN) {
+	n := len(ls.runs)
+	if n == 0 || ls.runs[n-1].probe != probe {
+		start := int32(0)
+		if n > 0 {
+			start = ls.runs[n-1].end
+		}
+		ls.runs = append(ls.runs, probeRun{probe: probe, asn: asn, start: start})
+		n++
+	}
+	ls.runs[n-1].end = int32(len(ls.deltas))
+}
+
+// touch returns the link's state for the open bin: it creates the slot on
+// first sight and, on the link's first sample of a bin, resets the bin
+// buffers and does the eviction and links-seen bookkeeping.
+func (d *Detector) touch(link ident.LinkID) *linkState {
+	li := int(link)
 	if li >= len(d.slotOf) {
 		d.slotOf = ident.GrowTable(d.slotOf, li+1, -1)
 	}
@@ -480,8 +514,8 @@ func (d *Detector) IngestSample(s Sample) {
 		// close reads the cached key instead of going through the registry's
 		// read lock, and the packed big-endian form drives the radix close
 		// order for IPv4 links.
-		key := d.reg.LinkKeyOf(s.Link)
-		st := linkState{key: key, id: s.Link}
+		key := d.reg.LinkKeyOf(link)
+		st := linkState{key: key, id: link}
 		if key.Near.Is4() && key.Far.Is4() {
 			n4, f4 := key.Near.As4(), key.Far.As4()
 			st.key64 = uint64(binary.BigEndian.Uint32(n4[:]))<<32 | uint64(binary.BigEndian.Uint32(f4[:]))
@@ -500,8 +534,9 @@ func (d *Detector) IngestSample(s Sample) {
 	ls := &d.links[si]
 	if ls.epoch != d.epoch {
 		ls.epoch = d.epoch
-		ls.entries = ls.entries[:0]
-		d.touched = append(d.touched, s.Link)
+		ls.deltas = ls.deltas[:0]
+		ls.runs = ls.runs[:0]
+		d.touched = append(d.touched, link)
 		bin := d.curBin.UnixNano()
 		// Touch-time staleness is the authoritative eviction semantics: a
 		// link idle for more than EvictIdleBins full bins restarts from a
@@ -519,7 +554,7 @@ func (d *Detector) IngestSample(s Sample) {
 			d.linksSeen++
 		}
 	}
-	ls.entries = append(ls.entries, sampleEntry{probe: s.Probe, asn: s.ASN, delta: s.Delta})
+	return ls
 }
 
 // closeBin runs steps 2–5 of §4.2 on the accumulated bin and resets it.
@@ -569,16 +604,16 @@ func (d *Detector) closeBin() []Alarm {
 	for _, ti := range order {
 		ls := &d.links[d.slotOf[d.touched[ti]]]
 		key := ls.key
-		ord, groups := d.groupEntries(ls.entries)
+		ord, groups := d.groupRuns(ls.runs)
 		var samples []float64
 		var ok bool
 		var probes, ases int
 		if d.cfg.SymmetricLink != nil && d.cfg.SymmetricLink(key) {
-			samples, probes, ases = d.collectAll(ls.entries, ord, groups)
+			samples, probes, ases = d.collectAll(ls, ord, groups)
 			ok = true
 		} else {
 			d.reseed(key)
-			samples, probes, ases, ok = d.filterDiversity(ls.entries, ord, groups)
+			samples, probes, ases, ok = d.filterDiversity(ls, ord, groups)
 		}
 		if !ok || len(samples) < d.cfg.MinSamples {
 			continue
@@ -679,19 +714,19 @@ func (d *Detector) closeBin() []Alarm {
 	return alarms
 }
 
-// groupEntries groups a link-bin's entries by probe without moving them:
-// it orders an index permutation by (probe, arrival index) — a total order
-// over values that pack losslessly into a uint64 (sign-biased probe in the
-// high word, arrival index in the low word), so an LSD radix sort over the
-// packed keys replaces the comparison sort and the permutation decodes
-// straight out of the keys' low words. The result is identical to the old
-// sort: probe-ascending groups, each probe's samples in arrival order,
-// exactly as the old per-probe append buffers kept them.
-func (d *Detector) groupEntries(entries []sampleEntry) ([]int32, []probeGroup) {
+// groupRuns groups a link-bin's runs by probe without moving them: it
+// orders an index permutation by (probe, arrival index) — a total order over
+// values that pack losslessly into a uint64 (sign-biased probe in the high
+// word, arrival index in the low word), so an LSD radix sort over the packed
+// keys replaces the comparison sort and the permutation decodes straight
+// out of the keys' low words. Runs tile the ∆ column in arrival order, so
+// this is the partition that sorting every sample by (probe, arrival) gives
+// — probe-ascending groups, each probe's samples in arrival order.
+func (d *Detector) groupRuns(runs []probeRun) ([]int32, []probeGroup) {
 	keys := d.lkeyBuf[:0]
-	for i := range entries {
+	for i := range runs {
 		// XOR-biasing the int32 probe maps signed order onto unsigned order.
-		keys = append(keys, uint64(uint32(entries[i].probe)^0x80000000)<<32|uint64(uint32(i)))
+		keys = append(keys, uint64(uint32(runs[i].probe)^0x80000000)<<32|uint64(uint32(i)))
 	}
 	d.ltmpBuf = stats.RadixSortUint64(keys, d.ltmpBuf)
 	ord := d.ordBuf[:0]
@@ -701,14 +736,14 @@ func (d *Detector) groupEntries(entries []sampleEntry) ([]int32, []probeGroup) {
 	d.lkeyBuf = keys[:0]
 	groups := d.groupBuf[:0]
 	for i := 0; i < len(ord); {
-		p := entries[ord[i]].probe
+		p := runs[ord[i]].probe
 		j := i + 1
-		for j < len(ord) && entries[ord[j]].probe == p {
+		for j < len(ord) && runs[ord[j]].probe == p {
 			j++
 		}
 		groups = append(groups, probeGroup{
 			probe: p,
-			asn:   entries[ord[i]].asn,
+			asn:   runs[ord[i]].asn,
 			start: int32(i),
 			end:   int32(j),
 		})
@@ -717,6 +752,15 @@ func (d *Detector) groupEntries(entries []sampleEntry) ([]int32, []probeGroup) {
 	d.ordBuf = ord
 	d.groupBuf = groups
 	return ord, groups
+}
+
+// appendGroup appends one probe group's ∆ samples, in arrival order.
+func (ls *linkState) appendGroup(samples []float64, ord []int32, g probeGroup) []float64 {
+	for _, ri := range ord[g.start:g.end] {
+		r := ls.runs[ri]
+		samples = append(samples, ls.deltas[r.start:r.end]...)
+	}
+	return samples
 }
 
 // reseed rebinds the probe-dropping PRNG to the (link, bin) about to be
@@ -743,7 +787,7 @@ func (d *Detector) reseed(key trace.LinkKey) {
 // The dropping decisions are bit-identical to the map-based implementation:
 // per-AS probe lists are probe-ascending and the most-represented AS breaks
 // ties on the smallest ASN, so the PRNG sees the same draw sequence.
-func (d *Detector) filterDiversity(entries []sampleEntry, ord []int32, groups []probeGroup) (samples []float64, probes, ases int, ok bool) {
+func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGroup) (samples []float64, probes, ases int, ok bool) {
 	// Bucket the probe groups per AS, ASN-ascending. Group indices within a
 	// bucket are probe-ascending because groups already are: the radix key
 	// packs (uint32 ASN, group index) so key order is exactly the old
@@ -779,11 +823,8 @@ func (d *Detector) filterDiversity(entries []sampleEntry, ord []int32, groups []
 			}
 			ases++
 			for _, gi := range b.groups {
-				g := groups[gi]
 				probes++
-				for _, ei := range ord[g.start:g.end] {
-					samples = append(samples, entries[ei].delta)
-				}
+				samples = ls.appendGroup(samples, ord, groups[gi])
 			}
 		}
 		d.samplesBuf = samples
@@ -831,7 +872,7 @@ func (d *Detector) filterDiversity(entries []sampleEntry, ord []int32, groups []
 // collectAll gathers every probe's samples without diversity filtering —
 // the symmetric-link path (§9 future work) where return-path ambiguity
 // does not exist.
-func (d *Detector) collectAll(entries []sampleEntry, ord []int32, groups []probeGroup) (samples []float64, probes, ases int) {
+func (d *Detector) collectAll(ls *linkState, ord []int32, groups []probeGroup) (samples []float64, probes, ases int) {
 	samples = d.samplesBuf[:0]
 	var lastASN ipmap.ASN
 	asnSeen := d.countsBuf[:0] // reuse as a tiny distinct-ASN scratch
@@ -850,9 +891,7 @@ func (d *Detector) collectAll(entries []sampleEntry, ord []int32, groups []probe
 			}
 			lastASN = g.asn
 		}
-		for _, ei := range ord[g.start:g.end] {
-			samples = append(samples, entries[ei].delta)
-		}
+		samples = ls.appendGroup(samples, ord, g)
 	}
 	ases = len(asnSeen)
 	d.countsBuf = asnSeen[:0]

@@ -215,14 +215,9 @@ func TestUpToNineSamplesPerProbe(t *testing.T) {
 	if !ok || int(li) >= len(d.slotOf) || d.slotOf[li] < 0 || d.links[d.slotOf[li]].epoch != d.epoch {
 		t.Fatal("no samples extracted")
 	}
-	n := 0
-	for _, e := range d.links[d.slotOf[li]].entries {
-		if e.probe == 1 {
-			n++
-		}
-	}
-	if n != 9 {
-		t.Errorf("samples per probe = %d, want 9 (3×3 combinations)", n)
+	ls := &d.links[d.slotOf[li]]
+	if len(ls.runs) != 1 || ls.runs[0].probe != 1 || ls.runs[0].start != 0 || ls.runs[0].end != 9 || len(ls.deltas) != 9 {
+		t.Errorf("link-bin = %d deltas in runs %+v, want one run of 9 from probe 1 (3×3 combinations)", len(ls.deltas), ls.runs)
 	}
 }
 
@@ -347,4 +342,25 @@ func almostEq(a, b, eps float64) bool {
 		return a-b <= eps
 	}
 	return b-a <= eps
+}
+
+// TestObserveViewAllocationFree pins steady-state view ingestion at zero
+// allocations: once a link has its slot and its bin buffers have grown,
+// ObserveView appends into recycled memory only.
+func TestObserveViewAllocationFree(t *testing.T) {
+	d := NewDetector(Config{Seed: 1}, testASN)
+	rng := rand.New(rand.NewPCG(8, 8))
+	var v trace.View
+	ingest := func() { d.ObserveView(&v) }
+	r := mkResult(1, t0, 5, 7, rng)
+	d.intern.View(&r, &v)
+	for i := 0; i < 300; i++ {
+		ingest() // grow the link's ∆ and run buffers past what the next bin needs
+	}
+	r = mkResult(2, t0.Add(time.Hour), 5, 7, rng)
+	d.intern.View(&r, &v)
+	ingest() // closes the first bin; its alarm slice may allocate
+	if n := testing.AllocsPerRun(200, ingest); n != 0 {
+		t.Errorf("ObserveView allocates %v times per result, want 0", n)
+	}
 }

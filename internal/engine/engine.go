@@ -1,11 +1,11 @@
 // Package engine shards the paper's two detectors across CPU cores while
 // producing output bit-identical to a single sequential detector pair.
 //
-// The pipeline is: the caller's goroutine extracts per-link ∆ samples
-// (delay.ExtractSamples, §4) and per-router next-hop contributions
-// (forwarding.ExtractContributions, §5) from each chronologically ordered
-// traceroute result and routes them, by a hash of trace.LinkKey
-// respectively the router address, to one of N shards. Each shard owns a
+// The pipeline is: the caller's goroutine turns each chronologically
+// ordered traceroute result into its interned trace.View once, extracts
+// per-link ∆ samples (delay.ExtractView, §4) and per-router next-hop
+// contributions (forwarding.ExtractView, §5) from it and routes them, by a
+// hash of the link respectively the router id, to one of N shards. Each shard owns a
 // private delay.Detector and forwarding.Detector fed through a bounded
 // batch channel, so map maintenance and — the expensive part — bin
 // evaluation (robust medians, Wilson CIs, Pearson correlations) run
@@ -197,9 +197,9 @@ type Engine struct {
 	bufContribs [][]forwarding.Contribution
 	pending     int
 
-	// Bound once to avoid a closure allocation per result.
-	sampleSink  func(delay.Sample)
-	contribSink func(forwarding.Contribution)
+	// The probe whose samples routeSamples is routing.
+	probe int32
+	asn   ipmap.ASN
 
 	// Batch slices cycle between the dispatcher and the shards: a shard
 	// puts a consumed slice back once it has ingested it, and dispatch
@@ -238,8 +238,6 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Engine {
 		go s.run(&e.wg)
 	}
 	e.binSize = e.shards[0].delayDet.Config().BinSize
-	e.sampleSink = e.routeSample
-	e.contribSink = e.routeContribution
 	return e
 }
 
@@ -258,9 +256,11 @@ func (e *Engine) shardFor(id uint32) int {
 	return int(hash.Mix64(uint64(id), 0x1d) % uint64(len(e.shards)))
 }
 
-func (e *Engine) routeSample(s delay.Sample) {
-	i := e.shardFor(uint32(s.Link))
-	e.bufSamples[i] = append(e.bufSamples[i], s)
+func (e *Engine) routeSamples(link ident.LinkID, near float64, far []float64) {
+	i := e.shardFor(uint32(link))
+	for _, f := range far {
+		e.bufSamples[i] = append(e.bufSamples[i], delay.Sample{Link: link, Probe: e.probe, ASN: e.asn, Delta: f - near})
+	}
 }
 
 func (e *Engine) routeContribution(c forwarding.Contribution) {
@@ -268,15 +268,21 @@ func (e *Engine) routeContribution(c forwarding.Contribution) {
 	e.bufContribs[i] = append(e.bufContribs[i], c)
 }
 
-// Observe ingests one traceroute result (chronological order required, as
-// for the detectors). When the result opens a new bin, the previous bin is
-// closed across all shards in parallel and its merged alarms are returned
-// in exactly the order a sequential detector pair would have produced.
+// Observe is ObserveView over the dispatcher's scratch view.
 func (e *Engine) Observe(r trace.Result) ([]delay.Alarm, []forwarding.Alarm) {
+	return e.ObserveView(e.intern.ScratchView(&r))
+}
+
+// ObserveView ingests one traceroute result in its interned form, ids from
+// the engine's registry (chronological order required, as for the
+// detectors). When the result opens a new bin, the previous bin is closed
+// across all shards in parallel and its merged alarms are returned in
+// exactly the order a sequential detector pair would have produced.
+func (e *Engine) ObserveView(v *trace.View) ([]delay.Alarm, []forwarding.Alarm) {
 	if e.closed {
 		return nil, nil
 	}
-	bin := timeseries.Bin(r.Time, e.binSize)
+	bin := timeseries.Bin(v.Time, e.binSize)
 	var da []delay.Alarm
 	var fa []forwarding.Alarm
 	if e.haveBin && bin.After(e.curBin) {
@@ -286,8 +292,11 @@ func (e *Engine) Observe(r trace.Result) ([]delay.Alarm, []forwarding.Alarm) {
 		e.curBin = bin
 		e.haveBin = true
 	}
-	delay.ExtractSamples(e.intern, r, e.probeASN, e.sampleSink)
-	forwarding.ExtractContributions(e.intern, r, e.contribSink)
+	if asn, ok := e.probeASN(v.Prb); ok {
+		e.probe, e.asn = int32(v.Prb), asn
+		delay.ExtractView(e.intern, v, e.routeSamples)
+	}
+	forwarding.ExtractView(e.intern, v, e.routeContribution)
 	e.pending++
 	if e.pending >= e.cfg.BatchSize {
 		e.dispatch()

@@ -162,52 +162,48 @@ type Contribution struct {
 }
 
 // ExtractContributions decomposes one result into next-hop contributions
-// (§5.1): for every responsive hop it records where the following hop's
-// packets went — to a responsive next hop or into the unresponsive bucket.
-// ECMP-split near hops contribute to each responder's model with weight
-// 1/len(responders) so far-hop packets are not double counted. Extraction
-// interns addresses, routers and flows through the caller's Interner
-// (lock-free single-owner memo over the shared registry) and emits
-// ID-tagged contributions; it owns no other state, so each extracting
-// goroutine runs with its own Interner while detector state stays
-// shard-local.
+// (§5.1): ExtractView over the interner's scratch view.
 func ExtractContributions(in *ident.Interner, r trace.Result, fn func(Contribution)) {
-	var dstID ident.AddrID
-	haveDst := false
-	for hi := 0; hi+1 < len(r.Hops); hi++ {
-		near, far := &r.Hops[hi], &r.Hops[hi+1]
-		if far.Index != near.Index+1 {
+	ExtractView(in, in.ScratchView(&r), fn)
+}
+
+// ExtractView is the extraction kernel (§5.1): for every responsive hop it
+// records where the following hop's packets went — to a responsive next hop
+// or into the unresponsive bucket. ECMP-split near hops contribute to each
+// responder's model with weight 1/len(responders) so far-hop packets are
+// not double counted. Routers and flows are interned through the caller's
+// Interner, whose registry must have issued the view's ids; the kernel owns
+// no other state.
+func ExtractView(in *ident.Interner, v *trace.View, fn func(Contribution)) {
+	dst := ident.AddrID(v.Dst)
+	for hi := 0; hi+1 < len(v.Hops); hi++ {
+		near, far := v.Hops[hi], v.Hops[hi+1]
+		if far.TTL != near.TTL+1 {
 			continue
 		}
-		var rbuf [8]netip.Addr
-		routers := near.AppendResponders(rbuf[:0])
-		if len(routers) == 0 {
-			continue
-		}
-		if !haveDst {
-			dstID = in.Addr(r.Dst)
-			haveDst = true
+		// Distinct near responders, first-seen order. Atlas sends three
+		// packets per hop, so the stack buffer covers every realistic result.
+		var rbuf [8]uint32
+		routers := rbuf[:0]
+		for _, a := range v.From[near.Start:near.End] {
+			if a != 0 && !slices.Contains(routers, a) {
+				routers = append(routers, a)
+			}
 		}
 		w := 1.0 / float64(len(routers))
 		for _, router := range routers {
-			routerAddr := in.Addr(router)
-			flow := in.Flow(routerAddr, dstID)
-			routerID := in.Router(routerAddr)
+			c := Contribution{Flow: in.Flow(ident.AddrID(router), dst), Router: in.Router(ident.AddrID(router)), W: w}
 			emitted := false
-			for _, rep := range far.Replies {
-				if rep.Timeout || !rep.From.IsValid() {
-					fn(Contribution{Flow: flow, Router: routerID, Hop: ident.ZeroAddr, W: w})
-					emitted = true
-					continue
-				}
-				if rep.From == router {
+			for _, b := range v.From[far.Start:far.End] {
+				if b == router {
 					continue // self-loop artifact
 				}
-				fn(Contribution{Flow: flow, Router: routerID, Hop: in.Addr(rep.From), W: w})
+				c.Hop = ident.AddrID(b) // ZeroAddr: the packet got no reply
+				fn(c)
 				emitted = true
 			}
 			if !emitted {
-				fn(Contribution{Flow: flow, Router: routerID, Touch: true})
+				fn(Contribution{Flow: c.Flow, Router: c.Router, Touch: true})
 			}
 		}
 	}
@@ -273,8 +269,6 @@ type Detector struct {
 	freeSlots  []int32
 	evicted    int
 
-	sink func(Contribution) // bound once; avoids a closure alloc per result
-
 	// Bin-close scratch, reused across bins so steady-state close is
 	// alloc-free: the flow close-order permutation (closeKeys/closeOrd +
 	// radix ping-pong buffers), the union resolution buffer, the Pearson
@@ -328,7 +322,6 @@ func NewDetector(cfg Config) *Detector {
 	if cfg.EvictIdleBins > 0 {
 		d.evictAfter = int64(cfg.EvictIdleBins) * cfg.BinSize.Nanoseconds()
 	}
-	d.sink = d.IngestContribution
 	return d
 }
 
@@ -375,19 +368,22 @@ func (d *Detector) ReferenceFor(k FlowKey) (map[netip.Addr]float64, bool) {
 	return out, true
 }
 
-// Observe ingests one traceroute result, returning the previous bin's
-// alarms when the result crosses a bin boundary.
+// Observe is ObserveView over the detector's scratch view.
 func (d *Detector) Observe(r trace.Result) []Alarm {
-	bin := timeseries.Bin(r.Time, d.cfg.BinSize)
+	return d.ObserveView(d.intern.ScratchView(&r))
+}
+
+// ObserveView ingests one traceroute result in its interned form (ids from
+// the detector's registry), returning the previous bin's alarms when the
+// result crosses a bin boundary.
+func (d *Detector) ObserveView(v *trace.View) []Alarm {
+	bin := timeseries.Bin(v.Time, d.cfg.BinSize)
 	var alarms []Alarm
 	if d.haveBin && bin.After(d.curBin) {
 		alarms = d.closeBin()
 	}
-	if !d.haveBin || bin.After(d.curBin) {
-		d.curBin = bin
-		d.haveBin = true
-	}
-	d.ingest(r)
+	d.BeginBin(bin)
+	ExtractView(d.intern, v, d.IngestContribution)
 	return alarms
 }
 
@@ -399,12 +395,6 @@ func (d *Detector) Flush() []Alarm {
 	alarms := d.closeBin()
 	d.haveBin = false
 	return alarms
-}
-
-// ingest extracts next-hop contributions (§5.1) and folds them into the
-// open bin.
-func (d *Detector) ingest(r trace.Result) {
-	ExtractContributions(d.intern, r, d.sink)
 }
 
 // BeginBin opens (or asserts) the bin the next IngestContribution calls

@@ -286,3 +286,17 @@ func TestFlushIdempotent(t *testing.T) {
 		t.Errorf("second flush returned %v", a)
 	}
 }
+
+// TestObserveViewAllocationFree pins steady-state view ingestion at zero
+// allocations once the result's flows have their slots.
+func TestObserveViewAllocationFree(t *testing.T) {
+	d := NewDetector(Config{})
+	r := mk(1, t0, []trace.Reply{reply(hopA), reply(hopB), {Timeout: true}})
+	var v trace.View
+	d.intern.View(&r, &v)
+	ingest := func() { d.ObserveView(&v) }
+	ingest()
+	if n := testing.AllocsPerRun(200, ingest); n != 0 {
+		t.Errorf("ObserveView allocates %v times per result, want 0", n)
+	}
+}

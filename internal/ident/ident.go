@@ -21,6 +21,7 @@
 package ident
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sync"
 
@@ -294,24 +295,20 @@ func GrowTable[T any](s []T, n int, fill T) []T {
 // goroutine over the same Registry. IDs are identical across interners by
 // construction (the registry assigns them).
 type Interner struct {
-	reg     *Registry
-	addrs   map[netip.Addr]AddrID
-	links   map[pairKey]LinkID
-	flows   map[pairKey]FlowID
-	routers map[AddrID]RouterID
-	texts   map[string]addrMemo // wire-text → parsed+interned, see AddrBytes
+	reg   *Registry
+	v4    map[uint32]AddrID     // IPv4 addresses by big-endian value: a 4-byte key
+	addrs map[netip.Addr]AddrID // every other address
+	links map[pairKey]LinkID
+	flows map[pairKey]FlowID
 
-	// Two-slot LRU in front of the addrs map. Extraction interns each
-	// hop's three replies back to back, and adjacent hop pairs share one
-	// hop, so the last two distinct addresses cover most calls without
-	// hashing a 24-byte netip.Addr key. The zero value is coherent: the
-	// zero Addr maps to ZeroAddr (0) in addrs too.
-	memoAddr [2]netip.Addr
-	memoID   [2]AddrID
+	routerOf []RouterID // by AddrID, dense; noRouter until first asked
+	scratch  trace.View // see ScratchView
 
-	// One-slot memos for the pair maps. Extraction visits every
-	// (near reply × far reply) combination of a hop pair — up to nine
-	// Link calls that almost always carry the same two addresses.
+	// One-slot memos: the last address, link and flow interned — a hop's
+	// replies usually share one address, a hop pair's combinations one link.
+	// The address memo's zero value is coherent: zero Addr ↔ ZeroAddr.
+	memoAddr    netip.Addr
+	memoAddrID  AddrID
 	memoLink    pairKey
 	memoLinkID  LinkID
 	memoLinkSet bool
@@ -320,20 +317,16 @@ type Interner struct {
 	memoFlowSet bool
 }
 
-// addrMemo caches one wire-text address form: its parsed value and ID.
-type addrMemo struct {
-	addr netip.Addr
-	id   AddrID
-}
+const noRouter = ^RouterID(0)
 
 // NewInterner returns an empty memo over reg.
 func NewInterner(reg *Registry) *Interner {
 	return &Interner{
-		reg:     reg,
-		addrs:   map[netip.Addr]AddrID{{}: ZeroAddr},
-		links:   make(map[pairKey]LinkID),
-		flows:   make(map[pairKey]FlowID),
-		routers: make(map[AddrID]RouterID),
+		reg:   reg,
+		v4:    make(map[uint32]AddrID),
+		addrs: map[netip.Addr]AddrID{{}: ZeroAddr},
+		links: make(map[pairKey]LinkID),
+		flows: make(map[pairKey]FlowID),
 	}
 }
 
@@ -342,46 +335,61 @@ func (in *Interner) Registry() *Registry { return in.reg }
 
 // Addr interns an address through the memo.
 func (in *Interner) Addr(a netip.Addr) AddrID {
-	if a == in.memoAddr[0] {
-		return in.memoID[0]
+	if a == in.memoAddr {
+		return in.memoAddrID
 	}
-	if a == in.memoAddr[1] {
-		in.memoAddr[0], in.memoAddr[1] = in.memoAddr[1], in.memoAddr[0]
-		in.memoID[0], in.memoID[1] = in.memoID[1], in.memoID[0]
-		return in.memoID[0]
+	var id AddrID
+	if a.Is4() {
+		a4 := a.As4()
+		id = in.addr4(binary.BigEndian.Uint32(a4[:]))
+	} else {
+		var ok bool
+		if id, ok = in.addrs[a]; !ok {
+			id = in.reg.Addr(a)
+			in.addrs[a] = id
+		}
 	}
-	id, ok := in.addrs[a]
-	if !ok {
-		id = in.reg.Addr(a)
-		in.addrs[a] = id
-	}
-	in.memoAddr[1], in.memoID[1] = in.memoAddr[0], in.memoID[0]
-	in.memoAddr[0], in.memoID[0] = a, id
+	in.memoAddr, in.memoAddrID = a, id
 	return id
 }
 
-// AddrBytes parses an address from its wire text and interns it in one
-// step, memoizing on the raw bytes — a map lookup keyed by string(b) does
-// not allocate on a hit, so repeated text forms cost one non-atomic map hit
-// with no intermediate netip.Addr→string round trip. It is the decode-side
-// fusion entry point for trace.Decoder.ParseAddr: wiring it into ingest's
-// decode workers pre-warms the registry with every address the stream
-// carries while the bytes are already in cache. Parse failures are not
-// memoized; the error is netip.ParseAddr's.
-func (in *Interner) AddrBytes(b []byte) (AddrID, netip.Addr, error) {
-	if m, ok := in.texts[string(b)]; ok {
-		return m.id, m.addr, nil
+// addr4 interns the IPv4 address with big-endian value k.
+func (in *Interner) addr4(k uint32) AddrID {
+	id, ok := in.v4[k]
+	if !ok {
+		id = in.reg.Addr(netip.AddrFrom4([4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}))
+		in.v4[k] = id
+	}
+	return id
+}
+
+// AddrText interns an address from its wire text — the id Addr gives the
+// parsed address, or netip.ParseAddr's error: what trace.Decoder.DecodeView
+// wants. A dotted quad costs one 4-byte map probe and forms no netip.Addr.
+func (in *Interner) AddrText(b []byte) (uint32, error) {
+	if k, ok := trace.ParseV4(b); ok {
+		return uint32(in.addr4(k)), nil
 	}
 	a, err := netip.ParseAddr(string(b))
 	if err != nil {
-		return 0, netip.Addr{}, err
+		return 0, err
 	}
-	id := in.Addr(a)
-	if in.texts == nil {
-		in.texts = make(map[string]addrMemo)
-	}
-	in.texts[string(b)] = addrMemo{addr: a, id: id}
-	return id, a, nil
+	return uint32(in.Addr(a)), nil
+}
+
+// View fills v with the interned form of r (see trace.View): the other
+// producer of views, for everything that already holds a Result.
+func (in *Interner) View(r *trace.Result, v *trace.View) {
+	v.Fill(r, in.addrID)
+}
+
+func (in *Interner) addrID(a netip.Addr) uint32 { return uint32(in.Addr(a)) }
+
+// ScratchView is View into the interner's own reusable View, for callers
+// that are done with one result's view before they ask for the next.
+func (in *Interner) ScratchView(r *trace.Result) *trace.View {
+	in.View(r, &in.scratch)
+	return &in.scratch
 }
 
 // Link interns the ordered address pair (near, far) through the memo.
@@ -416,11 +424,12 @@ func (in *Interner) Flow(router, dst AddrID) FlowID {
 
 // Router interns an address into the router ID space through the memo.
 func (in *Interner) Router(a AddrID) RouterID {
-	if id, ok := in.routers[a]; ok {
-		return id
+	if int(a) < len(in.routerOf) && in.routerOf[a] != noRouter {
+		return in.routerOf[a]
 	}
 	id := in.reg.Router(a)
-	in.routers[a] = id
+	in.routerOf = GrowTable(in.routerOf, int(a)+1, noRouter)
+	in.routerOf[a] = id
 	return id
 }
 

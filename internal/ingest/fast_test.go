@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,78 +111,78 @@ func TestOversizedLineNumberParityWithReader(t *testing.T) {
 	}
 }
 
-// TestInternFusion pins the interning-fusion contract: with Options.Intern
-// set, decoded results are unchanged and the registry ends up pre-warmed
-// with every address on the wire (src, dst and responding from addresses),
-// for every worker count.
-func TestInternFusion(t *testing.T) {
-	orig := makeResults(200)
-	dump := encodeDump(t, orig, 0)
+// TestViewsMatchResults pins the view decode target to the Result one: over
+// a dump with blank lines, an undecodable line and a line that only
+// Validate rejects, DecodeViews delivers — for every worker count, strict
+// or lenient, Validate on or off — the same batches, the same Stats and the
+// same LineErrors as Decode, and each view is the one ident.Interner.View
+// builds from the corresponding Result.
+func TestViewsMatchResults(t *testing.T) {
+	lines := strings.Split(strings.TrimRight(string(encodeDump(t, makeResults(600), 0)), "\n"), "\n")
+	lines[100] = "not json"
+	lines[333] = `{"src_addr":"10.0.0.1","dst_addr":"10.0.0.2","result":[{"hop":2,"result":[{"x":"*"}]},{"hop":1,"result":[]}]}`
+	lines[40] += "\n\n"
+	dump := []byte(strings.Join(lines, "\n") + "\n")
 
-	want := map[netip.Addr]bool{}
-	for _, r := range orig {
-		want[r.Src] = true
-		want[r.Dst] = true
-		for _, h := range r.Hops {
-			for _, rep := range h.Replies {
-				if !rep.Timeout {
-					want[rep.From] = true
+	type outcome struct {
+		batches []int
+		errs    []string
+		st      Stats
+		err     string
+	}
+	for _, validate := range []bool{false, true} {
+		for _, strict := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("validate=%t strict=%t workers=%d", validate, strict, workers)
+				var want, got outcome
+				opts := func(o *outcome) Options {
+					opts := Options{Workers: workers, ChunkSize: 64, Validate: validate}
+					if !strict {
+						opts.OnError = func(le *LineError) error {
+							o.errs = append(o.errs, le.Error())
+							return nil
+						}
+					}
+					return opts
+				}
+				var results []trace.Result
+				st, err := Decode(context.Background(), bytes.NewReader(dump), opts(&want), func(rs []trace.Result) error {
+					results = append(results, rs...)
+					want.batches = append(want.batches, len(rs))
+					return nil
+				})
+				want.st, want.err = st, fmt.Sprint(err)
+
+				reg := ident.NewRegistry()
+				var views []trace.View
+				st, err = DecodeViews(context.Background(), bytes.NewReader(dump), opts(&got), reg, func(vs []trace.View) error {
+					views = append(views, vs...)
+					got.batches = append(got.batches, len(vs))
+					return nil
+				})
+				got.st, got.err = st, fmt.Sprint(err)
+
+				if strict {
+					// Stats of an aborted parallel run count what the chunker
+					// had scanned, which may run ahead of delivery.
+					want.st.Lines, want.st.Bytes, got.st.Lines, got.st.Bytes = 0, 0, 0, 0
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: outcomes differ:\nresults: %+v\nviews:   %+v", name, want, got)
+					continue
+				}
+				if strict == (want.err == "<nil>") || (!strict && len(want.errs) == 0) {
+					t.Errorf("%s: fixture did not exercise the error policy: %+v", name, want)
+				}
+				in := ident.NewInterner(reg)
+				for i := range results {
+					var v trace.View
+					in.View(&results[i], &v)
+					if !reflect.DeepEqual(v, views[i]) {
+						t.Fatalf("%s: view %d differs:\nfrom result: %+v\ndecoded:     %+v", name, i, v, views[i])
+					}
 				}
 			}
 		}
 	}
-
-	for _, workers := range []int{1, 4} {
-		reg := ident.NewRegistry()
-		var plain, fused collected
-		_, err := Decode(context.Background(), bytes.NewReader(dump), Options{Workers: workers}, func(rs []trace.Result) error {
-			plain.results = append(plain.results, rs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Decode(context.Background(), bytes.NewReader(dump), Options{Workers: workers, Intern: reg}, func(rs []trace.Result) error {
-			fused.results = append(fused.results, rs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain.results) != len(fused.results) {
-			t.Fatalf("workers=%d: result counts differ: %d vs %d", workers, len(plain.results), len(fused.results))
-		}
-		for i := range plain.results {
-			if !resultsEqual(plain.results[i], fused.results[i]) {
-				t.Fatalf("workers=%d: result %d differs with fusion", workers, i)
-			}
-		}
-		for a := range want {
-			if _, ok := reg.LookupAddr(a); !ok {
-				t.Errorf("workers=%d: address %v not interned by fusion", workers, a)
-			}
-		}
-		// +1 for the reserved zero address.
-		if got := reg.Addrs(); got != len(want)+1 {
-			t.Errorf("workers=%d: registry holds %d addrs, want %d", workers, got, len(want)+1)
-		}
-	}
-}
-
-func resultsEqual(a, b trace.Result) bool {
-	if a.MsmID != b.MsmID || a.PrbID != b.PrbID || !a.Time.Equal(b.Time) ||
-		a.Src != b.Src || a.Dst != b.Dst || a.ParisID != b.ParisID || len(a.Hops) != len(b.Hops) {
-		return false
-	}
-	for i := range a.Hops {
-		if a.Hops[i].Index != b.Hops[i].Index || len(a.Hops[i].Replies) != len(b.Hops[i].Replies) {
-			return false
-		}
-		for j := range a.Hops[i].Replies {
-			if a.Hops[i].Replies[j] != b.Hops[i].Replies[j] {
-				return false
-			}
-		}
-	}
-	return true
 }

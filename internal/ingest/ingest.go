@@ -1,8 +1,10 @@
 // Package ingest is the streaming wire-format ingestion pipeline: it reads
 // RIPE Atlas-format NDJSON traceroute dumps (plain or gzip, single file,
-// stdin or multi-file) and decodes them into trace.Result batches — the
-// real-data twin of the internal/atlas measurement generator, and the
-// second parallel producer that can feed the sharded engine.
+// stdin or multi-file) and decodes them into batches — the real-data twin of
+// the internal/atlas measurement generator, and the second parallel producer
+// that can feed the sharded engine. One pipeline serves two decode targets:
+// trace.Result (Decode, File, Files: tools and tests) and interned
+// trace.View (DecodeViews, FilesViews: the analyzer's replay path).
 //
 // Parallel decoding preserves the determinism guarantee of the rest of the
 // pipeline: a single chunker goroutine cuts the line stream into
@@ -31,9 +33,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -112,16 +114,6 @@ type Options struct {
 	// On abort, the batch of the chunk containing the offending line is
 	// withheld, so consumers never observe results past an abort point.
 	OnError func(*LineError) error
-
-	// Intern, when non-nil, fuses address interning into the decode
-	// workers: every src/dst/from address is parsed and interned into this
-	// registry straight from its wire bytes (via ident.Interner.AddrBytes,
-	// one per-goroutine memo per worker), pre-warming the identity layer
-	// the extractors intern into while the bytes are already in cache.
-	// Decoded results are unchanged; the registry only gains entries —
-	// including source addresses the extractors never intern, so interned
-	// counts reported from it will run higher than without fusion.
-	Intern *ident.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -138,7 +130,16 @@ func (o Options) withDefaults() Options {
 // magic bytes), delivering them in input order as batches to fn. A non-nil
 // error from fn aborts the run and is returned.
 func Decode(ctx context.Context, r io.Reader, opts Options, fn func([]trace.Result) error) (Stats, error) {
-	return run(ctx, []source{{name: "<reader>", r: r}}, opts, fn)
+	return run(ctx, []source{{name: "<reader>", r: r}}, opts, newResultDecoder, fn)
+}
+
+// DecodeViews is Decode with interned views as the decode target: addresses
+// go from wire text to ids of reg inside the decode workers (one
+// ident.Interner each) and no trace.Result is built. Error policy,
+// validation, batch boundaries and Stats are those of Decode on the same
+// input. A batch's views share three column allocations.
+func DecodeViews(ctx context.Context, r io.Reader, opts Options, reg *ident.Registry, fn func([]trace.View) error) (Stats, error) {
+	return run(ctx, []source{{name: "<reader>", r: r}}, opts, viewDecoders(reg), fn)
 }
 
 // File decodes one dump file. Path "-" reads stdin; gzip is auto-detected
@@ -167,11 +168,21 @@ func SplitPaths(s string) []string {
 // only after the preceding files' results were delivered — the same
 // behavior as catting the files through one reader.
 func Files(ctx context.Context, paths []string, opts Options, fn func([]trace.Result) error) (Stats, error) {
+	return run(ctx, fileSources(paths), opts, newResultDecoder, fn)
+}
+
+// FilesViews is Files with interned views as the decode target (see
+// DecodeViews).
+func FilesViews(ctx context.Context, paths []string, opts Options, reg *ident.Registry, fn func([]trace.View) error) (Stats, error) {
+	return run(ctx, fileSources(paths), opts, viewDecoders(reg), fn)
+}
+
+func fileSources(paths []string) []source {
 	srcs := make([]source, len(paths))
 	for i, p := range paths {
 		srcs[i] = source{name: p}
 	}
-	return run(ctx, srcs, opts, fn)
+	return srcs
 }
 
 // source is one named input: either an already-open reader (Decode) or a
@@ -200,35 +211,82 @@ var chunkPool = sync.Pool{New: func() any { return new(lineChunk) }}
 
 // decodedChunk is a worker's output: the chunk's results in line order plus
 // any per-line failures, keyed by the chunk's sequence number for reorder.
-type decodedChunk struct {
+type decodedChunk[T any] struct {
 	seq     uint64
-	results []trace.Result
+	results []T
 	errs    []LineError
 }
 
-// newDecoder builds one decode worker's trace.Decoder: scratch state plus,
-// when interning fusion is on, a per-worker Interner memo over the shared
-// registry wired in as the decoder's address parser.
-func newDecoder(opts Options) *trace.Decoder {
-	d := new(trace.Decoder)
-	if opts.Intern != nil {
-		in := ident.NewInterner(opts.Intern)
-		d.ParseAddr = func(b []byte) (netip.Addr, error) {
-			_, a, err := in.AddrBytes(b)
-			return a, err
-		}
-	}
-	return d
+// lineDecoder is one decode worker's target, closed over the worker's private
+// state (scratch buffers, address memos). line decodes one wire line into
+// dst, applying Validate when asked; seal, when set, runs once per chunk over
+// the lines that decoded.
+type lineDecoder[T any] struct {
+	line func(line []byte, validate bool, dst *T) error
+	seal func(batch []T)
 }
 
-// decodeChunk decodes every line of c through the fast wire decoder (one
-// *trace.Decoder per worker; the differential fuzzer pins it equivalent to
-// the encoding/json reference that trace.Reader still uses). Results go
-// into a fresh slice — the consumer may retain delivered batches,
-// mirroring atlas.RunChunks — and failures (the chunker's read-level ones
-// plus decode ones) become LineErrors in line order.
-func decodeChunk(d *trace.Decoder, c *lineChunk, validate bool) ([]trace.Result, []LineError) {
-	results := make([]trace.Result, 0, len(c.ends))
+// newResultDecoder targets trace.Result through the fast wire decoder (the
+// differential fuzzer pins it equivalent to the encoding/json reference
+// that trace.Reader still uses).
+func newResultDecoder() lineDecoder[trace.Result] {
+	var dec trace.Decoder
+	return lineDecoder[trace.Result]{line: func(line []byte, validate bool, dst *trace.Result) error {
+		err := dec.Decode(line, dst)
+		if err == nil && validate {
+			err = dst.Validate()
+		}
+		return err
+	}}
+}
+
+// viewDecoders targets trace.View. Lines decode into a scratch view whose
+// columns are appended to chunk-long accumulators; seal copies those into
+// three exact-size, pointer-free allocations and points each view of the
+// batch at its share, so a delivered batch owns its memory.
+func viewDecoders(reg *ident.Registry) func() lineDecoder[trace.View] {
+	return func() lineDecoder[trace.View] {
+		var (
+			dec  trace.Decoder
+			in   = ident.NewInterner(reg)
+			v    trace.View
+			hops []trace.ViewHop
+			from []uint32
+			rtt  []float64
+		)
+		line := func(line []byte, validate bool, dst *trace.View) error {
+			err := dec.DecodeView(line, in.AddrText, &v)
+			if err == nil && validate {
+				err = v.Validate()
+			}
+			if err != nil {
+				return err
+			}
+			hops, from, rtt = append(hops, v.Hops...), append(from, v.From...), append(rtt, v.RTT...)
+			*dst = v // the columns still alias the scratch; seal reads their lengths
+			return nil
+		}
+		seal := func(batch []trace.View) {
+			h, f, r := slices.Clone(hops), slices.Clone(from), slices.Clone(rtt)
+			hops, from, rtt = hops[:0], from[:0], rtt[:0]
+			for i := range batch {
+				b := &batch[i]
+				nh, nr := len(b.Hops), len(b.From)
+				b.Hops, h = h[:nh:nh], h[nh:]
+				b.From, f = f[:nr:nr], f[nr:]
+				b.RTT, r = r[:nr:nr], r[nr:]
+			}
+		}
+		return lineDecoder[trace.View]{line, seal}
+	}
+}
+
+// decodeChunk decodes every line of c through the worker's lineDecoder.
+// Results go into a fresh slice — the consumer may retain delivered
+// batches, mirroring atlas.RunChunks — and failures (the chunker's
+// read-level ones plus decode ones) become LineErrors in line order.
+func decodeChunk[T any](d lineDecoder[T], c *lineChunk, validate bool) ([]T, []LineError) {
+	results := make([]T, 0, len(c.ends))
 	var errs []LineError
 	if len(c.errs) > 0 {
 		errs = append(errs, c.errs...)
@@ -237,16 +295,18 @@ func decodeChunk(d *trace.Decoder, c *lineChunk, validate bool) ([]trace.Result,
 	for i, end := range c.ends {
 		line := c.buf[start:end]
 		start = end
-		var res trace.Result
-		err := d.Decode(line, &res)
-		if err == nil && validate {
-			err = res.Validate()
-		}
-		if err != nil {
+		// In place: a local T would escape through the func value.
+		n := len(results)
+		results = results[:n+1]
+		if err := d.line(line, validate, &results[n]); err != nil {
+			var zero T
+			results[n] = zero
+			results = results[:n]
 			errs = append(errs, LineError{File: c.file, Line: c.lines[i], Err: err})
-			continue
 		}
-		results = append(results, res)
+	}
+	if d.seal != nil {
+		d.seal(results)
 	}
 	// Chunker and decode errors each arrive line-ascending; restore the
 	// global line order across the two lists (at most one error per line,
@@ -261,7 +321,7 @@ func decodeChunk(d *trace.Decoder, c *lineChunk, validate bool) ([]trace.Result,
 // batch to fn. It runs on the ordered stream — the caller's goroutine —
 // for every worker count, which is what makes abort/skip decisions and
 // Stats deterministic.
-func deliver(st *Stats, opts Options, results []trace.Result, errs []LineError, fn func([]trace.Result) error) error {
+func deliver[T any](st *Stats, opts Options, results []T, errs []LineError, fn func([]T) error) error {
 	for i := range errs {
 		if opts.OnError == nil {
 			return &errs[i]
@@ -452,24 +512,23 @@ func newChunk(file string) *lineChunk {
 	return c
 }
 
-func run(ctx context.Context, srcs []source, opts Options, fn func([]trace.Result) error) (Stats, error) {
+func run[T any](ctx context.Context, srcs []source, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
 	opts = opts.withDefaults()
 	ck := &chunker{srcs: srcs, size: opts.ChunkSize}
 	if opts.Workers == 1 {
-		return runSeq(ctx, ck, opts, fn)
+		return runSeq(ctx, ck, opts, newDec(), fn)
 	}
-	return runPar(ctx, ck, opts, fn)
+	return runPar(ctx, ck, opts, newDec, fn)
 }
 
 // runSeq is the inline path: chunk, decode and deliver on the caller's
 // goroutine. It shares the chunker and the delivery policy with runPar, so
 // the two paths cannot drift apart.
-func runSeq(ctx context.Context, ck *chunker, opts Options, fn func([]trace.Result) error) (Stats, error) {
+func runSeq[T any](ctx context.Context, ck *chunker, opts Options, dec lineDecoder[T], fn func([]T) error) (Stats, error) {
 	var (
 		st     Stats
 		runErr error
 	)
-	dec := newDecoder(opts)
 	ck.run(func(c *lineChunk) bool {
 		if err := ctx.Err(); err != nil {
 			runErr = err
@@ -502,13 +561,13 @@ func runSeq(ctx context.Context, ck *chunker, opts Options, fn func([]trace.Resu
 // sequential path. A window semaphore bounds in-flight chunks (and with
 // them the reorder buffer), back-pressuring the chunker when the consumer
 // is the bottleneck.
-func runPar(ctx context.Context, ck *chunker, opts Options, fn func([]trace.Result) error) (Stats, error) {
+func runPar[T any](ctx context.Context, ck *chunker, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
 	workers := opts.Workers
 	ctx2, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	tasks := make(chan *lineChunk, workers)
-	results := make(chan *decodedChunk, workers)
+	results := make(chan *decodedChunk[T], workers)
 	window := make(chan struct{}, 4*workers) // in-flight chunk bound
 
 	go func() {
@@ -535,9 +594,9 @@ func runPar(ctx context.Context, ck *chunker, opts Options, fn func([]trace.Resu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dec := newDecoder(opts)
+			dec := newDec()
 			for c := range tasks {
-				dc := &decodedChunk{seq: c.seq}
+				dc := &decodedChunk[T]{seq: c.seq}
 				dc.results, dc.errs = decodeChunk(dec, c, opts.Validate)
 				chunkPool.Put(c)
 				select {
@@ -559,7 +618,7 @@ func runPar(ctx context.Context, ck *chunker, opts Options, fn func([]trace.Resu
 		st      Stats
 		next    uint64
 		runErr  error
-		pending = make(map[uint64]*decodedChunk, 4*workers)
+		pending = make(map[uint64]*decodedChunk[T], 4*workers)
 	)
 	for dc := range results {
 		pending[dc.seq] = dc

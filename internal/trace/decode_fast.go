@@ -73,38 +73,29 @@ type pendAddr struct {
 	ref   strRef
 }
 
-// hopRange is one hop under construction: its TTL and the window of its
-// replies in the decoder's scratch reply buffer.
-type hopRange struct {
-	index      int
-	start, end int32
-}
-
 // Decoder decodes Atlas wire lines with reusable scratch state. The zero
 // value is ready to use; a Decoder is NOT safe for concurrent use — create
 // one per goroutine (internal/ingest gives each decode worker its own).
 //
-// Steady state, a Decoder performs two allocations per decoded line: the
-// Hops slice and one shared backing array for every hop's Replies.
-// Addresses are parsed at most once per distinct text form — repeats hit a
-// raw-bytes memo, netip.Addr values never round-trip through a string.
+// One scan serves two finishers. Decode builds a Result: two allocations
+// per line (the Hops slice, one backing array for every hop's Replies),
+// addresses parsed at most once per distinct text form. DecodeView builds a
+// View into the caller's columns and allocates nothing: addresses go from
+// wire text to ids through the caller's intern function.
 type Decoder struct {
-	// ParseAddr, when non-nil, replaces netip.ParseAddr for address fields
-	// (called once per distinct address text, behind the memo). It is the
-	// interning-fusion hook: ident.Interner.AddrBytes both parses and
-	// interns, so bytes go to AddrID with no intermediate Addr→string trip.
-	ParseAddr func([]byte) (netip.Addr, error)
-
 	data  []byte
 	pos   int
 	depth int
 
-	hops    []hopRange
+	hops    []ViewHop // windows into replies
 	replies []Reply
 	pend    []pendAddr
 	buf     []byte
 
 	addrs map[string]netip.Addr
+
+	prevText []byte // DecodeView: wire text of the last address interned on this line
+	prevID   uint32 // and its id
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
@@ -133,8 +124,10 @@ type topFields struct {
 	src, dst              strRef
 }
 
-// Decode decodes one Atlas wire line into dst. On error dst is untouched.
-func (d *Decoder) Decode(line []byte, dst *Result) error {
+// scan runs the single-pass scanner over line, leaving the scalar fields in
+// top and hops, replies and pending reply addresses in the decoder's scratch
+// buffers. errFallback means the line must go to the reference decoder.
+func (d *Decoder) scan(line []byte, top *topFields) error {
 	d.data, d.pos, d.depth = line, 0, 0
 	d.hops = d.hops[:0]
 	d.replies = d.replies[:0]
@@ -144,7 +137,6 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 		d.addrs = make(map[string]netip.Addr)
 	}
 
-	var top topFields
 	d.skipWS()
 	c, ok := d.peek()
 	switch {
@@ -157,20 +149,11 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 			return err
 		}
 	case c == '{':
-		handled, err := d.fastTop(&top)
+		handled, err := d.fastTop(top)
 		if !handled {
-			err = d.parseTop(&top)
+			err = d.parseTop(top)
 		}
 		if err != nil {
-			if err == errFallback {
-				// A duplicate hop/reply array key: encoding/json re-decodes
-				// the new array over the old one's backing elements,
-				// merging structs field-by-field. No real Atlas line has
-				// duplicate keys, so rather than carry wire-level merge
-				// state through the hot path, hand the whole line to the
-				// reference decoder — parity by construction.
-				return dst.UnmarshalJSON(line)
-			}
 			return err
 		}
 	default:
@@ -179,6 +162,18 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 	d.skipWS()
 	if d.pos != len(d.data) {
 		return d.errf("invalid character after top-level value")
+	}
+	return nil
+}
+
+// Decode decodes one Atlas wire line into dst. On error dst is untouched.
+func (d *Decoder) Decode(line []byte, dst *Result) error {
+	var top topFields
+	if err := d.scan(line, &top); err != nil {
+		if err == errFallback {
+			return dst.UnmarshalJSON(line)
+		}
+		return err
 	}
 
 	// The line is structurally sound; now resolve addresses in document
@@ -209,10 +204,10 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 	}
 	for i, hr := range d.hops {
 		reps := emptyReplies
-		if hr.end > hr.start {
-			reps = backing[hr.start:hr.end:hr.end]
+		if hr.End > hr.Start {
+			reps = backing[hr.Start:hr.End:hr.End]
 		}
-		hops[i] = Hop{Index: hr.index, Replies: reps}
+		hops[i] = Hop{Index: hr.TTL, Replies: reps}
 	}
 	*dst = Result{
 		MsmID:   top.msmID,
@@ -223,6 +218,52 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 		ParisID: top.parisID,
 		Hops:    hops,
 	}
+	return nil
+}
+
+// DecodeView decodes one Atlas wire line into v, reusing v's columns. It is
+// Decode without the Result: the same scan, the same accept or reject with
+// the same error on every input, and the view ident.Interner.View builds
+// from Decode's result — provided intern maps wire text to the id that
+// interner gives the parsed address and fails with netip.ParseAddr's error
+// otherwise (Interner.AddrText does). The source address is checked, not
+// interned: no detector keys on it. On error v's contents are unspecified.
+func (d *Decoder) DecodeView(line []byte, intern func([]byte) (uint32, error), v *View) error {
+	var top topFields
+	if err := d.scan(line, &top); err != nil {
+		if err != errFallback {
+			return err
+		}
+		var r Result
+		if err := r.UnmarshalJSON(line); err != nil {
+			return err
+		}
+		v.Fill(&r, func(a netip.Addr) uint32 {
+			id, _ := intern(a.AppendTo(nil)) // a parsed address renders to text that parses
+			return id
+		})
+		return nil
+	}
+	if _, err := d.resolveAddr(top.src, "src_addr"); err != nil {
+		return err
+	}
+	d.prevText = nil
+	dst, err := d.internAddr(top.dst, "dst_addr", intern)
+	if err != nil {
+		return err
+	}
+	v.Hops = append(v.Hops[:0], d.hops...)
+	v.From, v.RTT = v.From[:0], v.RTT[:0]
+	for i := range d.replies {
+		v.From = append(v.From, 0)
+		v.RTT = append(v.RTT, d.replies[i].RTT)
+	}
+	for _, p := range d.pend {
+		if v.From[p.reply], err = d.internAddr(p.ref, "from", intern); err != nil {
+			return err
+		}
+	}
+	v.Time, v.Prb, v.Dst = time.Unix(top.timestamp, 0).UTC(), top.prbID, dst
 	return nil
 }
 
@@ -256,9 +297,11 @@ func (d *Decoder) errf(format string, args ...any) error {
 }
 
 // errFallback is an internal signal: the line uses a JSON shape whose
-// encoding/json semantics the fast path deliberately does not model
-// (duplicate array-valued keys merge element structs), so Decode reruns the
-// line through the reference decoder.
+// encoding/json semantics the fast path deliberately does not model — a
+// duplicate hop/reply array key re-decodes the new array over the old one's
+// backing elements, merging structs field-by-field. No real Atlas line has
+// one, so rather than carry merge state through the hot path both finishers
+// rerun the line through the reference decoder: parity by construction.
 var errFallback = fmt.Errorf("trace: fast path fallback")
 
 func (d *Decoder) literal(s string) error {
@@ -745,20 +788,16 @@ func (d *Decoder) strField(ref *strRef, key string) error {
 	return nil
 }
 
-// resolveAddr turns a decoded string into a netip.Addr through the
-// raw-bytes memo, sanitizing invalid UTF-8 first (the oracle decodes
-// through a Go string, which replaces invalid sequences with U+FFFD).
+// resolveAddr turns a decoded string into a netip.Addr, sanitizing invalid
+// UTF-8 first (the oracle decodes through a Go string, which replaces
+// invalid sequences with U+FFFD). Dotted-quad addresses (the vast majority
+// of Atlas traffic) parse inline for less than a map probe costs; anything
+// else — IPv6, zones, malformed text — goes through the raw-bytes memo and
+// the full parser.
 func (d *Decoder) resolveAddr(ref strRef, field string) (netip.Addr, error) {
 	b := d.refBytes(ref)
-	if d.ParseAddr == nil {
-		// Dotted-quad addresses (the vast majority of Atlas traffic) parse
-		// inline for less than a map probe costs. Anything else — IPv6,
-		// zones, malformed text — goes through the memo and full parser.
-		// With an interning hook installed the memo stays authoritative, so
-		// the hook sees every distinct address exactly once.
-		if a, ok := parseV4(b); ok {
-			return a, nil
-		}
+	if v, ok := ParseV4(b); ok {
+		return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}), nil
 	}
 	if !utf8.Valid(b) {
 		b = d.sanitize(b)
@@ -766,13 +805,7 @@ func (d *Decoder) resolveAddr(ref strRef, field string) (netip.Addr, error) {
 	if a, ok := d.addrs[string(b)]; ok {
 		return a, nil
 	}
-	var a netip.Addr
-	var err error
-	if d.ParseAddr != nil {
-		a, err = d.ParseAddr(b)
-	} else {
-		a, err = netip.ParseAddr(string(b))
-	}
+	a, err := netip.ParseAddr(string(b))
 	if err != nil {
 		return netip.Addr{}, &AddrError{Field: field, Value: string(b), Err: err}
 	}
@@ -782,35 +815,52 @@ func (d *Decoder) resolveAddr(ref strRef, field string) (netip.Addr, error) {
 	return a, nil
 }
 
-// parseV4 parses a dotted-quad IPv4 address with netip.ParseAddr's exact
-// grammar: four decimal octets, one to three digits, no leading zeros,
-// each at most 255. ok=false means "not a clean dotted quad" — the caller
-// falls back to the full parser, which produces the canonical error.
-func parseV4(b []byte) (netip.Addr, bool) {
-	var q [4]byte
+// internAddr is resolveAddr for DecodeView: wire text to id through intern,
+// with the same sanitization and AddrError. A repeat of the text interned
+// just before on this line (a hop's second and third reply) keeps its id.
+func (d *Decoder) internAddr(ref strRef, field string, intern func([]byte) (uint32, error)) (uint32, error) {
+	b := d.refBytes(ref)
+	if len(d.prevText) > 0 && bytes.Equal(b, d.prevText) {
+		return d.prevID, nil
+	}
+	raw := b
+	if !utf8.Valid(b) {
+		b = d.sanitize(b)
+	}
+	id, err := intern(b)
+	if err != nil {
+		return 0, &AddrError{Field: field, Value: string(b), Err: err}
+	}
+	d.prevText, d.prevID = raw, id
+	return id, nil
+}
+
+// ParseV4 parses a dotted-quad IPv4 address into its big-endian value, with
+// netip.ParseAddr's exact grammar: four decimal octets, one to three
+// digits, no leading zeros, each at most 255. ok=false means "not a clean
+// dotted quad" — the caller falls back to the full parser, which produces
+// the canonical error.
+func ParseV4(b []byte) (v uint32, ok bool) {
 	i := 0
 	for f := 0; f < 4; f++ {
 		if f > 0 {
 			if i >= len(b) || b[i] != '.' {
-				return netip.Addr{}, false
+				return 0, false
 			}
 			i++
 		}
 		st := i
-		v := 0
+		o := uint32(0)
 		for i < len(b) && b[i] >= '0' && b[i] <= '9' && i-st < 3 {
-			v = v*10 + int(b[i]-'0')
+			o = o*10 + uint32(b[i]-'0')
 			i++
 		}
-		if i == st || (b[st] == '0' && i-st > 1) || v > 255 {
-			return netip.Addr{}, false
+		if i == st || (b[st] == '0' && i-st > 1) || o > 255 {
+			return 0, false
 		}
-		q[f] = byte(v)
+		v = v<<8 | o
 	}
-	if i != len(b) {
-		return netip.Addr{}, false
-	}
-	return netip.AddrFrom4(q), true
+	return v, i == len(b)
 }
 
 // ── objects ─────────────────────────────────────────────────────────────
@@ -1021,9 +1071,9 @@ func (d *Decoder) fastHop() (handled bool, err error) {
 	if !d.match(`{"hop":`) {
 		return false, nil
 	}
-	hr := hopRange{start: int32(len(d.replies))}
+	hr := ViewHop{Start: int32(len(d.replies))}
 	pendLen := len(d.pend)
-	if d.intField(&hr.index, "hop") != nil {
+	if d.intField(&hr.TTL, "hop") != nil {
 		d.pos = start
 		return false, nil
 	}
@@ -1046,14 +1096,14 @@ func (d *Decoder) fastHop() (handled bool, err error) {
 	if !d.match(`}`) {
 		// Extra or reordered members after the replies array: rewind,
 		// dropping whatever parseReplies appended to the scratch buffers.
-		d.replies = d.replies[:hr.start]
+		d.replies = d.replies[:hr.Start]
 		d.pend = d.pend[:pendLen]
 		d.depth--
 		d.pos = start
 		return false, nil
 	}
 	d.depth--
-	hr.end = int32(len(d.replies))
+	hr.End = int32(len(d.replies))
 	d.hops = append(d.hops, hr)
 	return true, nil
 }
@@ -1108,7 +1158,7 @@ func (d *Decoder) parseHops() error {
 			// null hop element: a zero hop with no replies.
 			if err = d.literal("null"); err == nil {
 				end := int32(len(d.replies))
-				d.hops = append(d.hops, hopRange{start: end, end: end})
+				d.hops = append(d.hops, ViewHop{Start: end, End: end})
 			}
 		default:
 			err = d.errf("cannot decode %q into a hop object", c)
@@ -1131,12 +1181,12 @@ func (d *Decoder) parseHop() error {
 	if err := d.push(); err != nil {
 		return err
 	}
-	hr := hopRange{start: int32(len(d.replies))}
+	hr := ViewHop{Start: int32(len(d.replies))}
 	d.skipWS()
 	if c, ok := d.peek(); ok && c == '}' {
 		d.pos++
 		d.depth--
-		hr.end = int32(len(d.replies))
+		hr.End = int32(len(d.replies))
 		d.hops = append(d.hops, hr)
 		return nil
 	}
@@ -1164,7 +1214,7 @@ func (d *Decoder) parseHop() error {
 		var err error
 		switch ki {
 		case 0:
-			err = d.intField(&hr.index, "hop")
+			err = d.intField(&hr.TTL, "hop")
 		case 1:
 			if seenReplies {
 				return errFallback
@@ -1182,7 +1232,7 @@ func (d *Decoder) parseHop() error {
 			return err
 		}
 		if !more {
-			hr.end = int32(len(d.replies))
+			hr.End = int32(len(d.replies))
 			d.hops = append(d.hops, hr)
 			return nil
 		}
@@ -1240,7 +1290,7 @@ func (d *Decoder) fastReply() bool {
 	return true
 }
 
-func (d *Decoder) parseReplies(hr *hopRange) error {
+func (d *Decoder) parseReplies(hr *ViewHop) error {
 	c, ok := d.peek()
 	if !ok {
 		return d.errf("unexpected end of input")

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -32,31 +33,13 @@ type Hop struct {
 // Responders returns the distinct responding addresses of the hop, in
 // first-seen order. Timeouts are skipped.
 func (h Hop) Responders() []netip.Addr {
-	return h.AppendResponders(nil)
-}
-
-// AppendResponders appends the distinct responding addresses of the hop to
-// dst in first-seen order and returns the extended slice. Passing a
-// stack-backed scratch slice (`var buf [8]netip.Addr; h.AppendResponders(buf[:0])`)
-// keeps the hot extraction path allocation-free.
-func (h Hop) AppendResponders(dst []netip.Addr) []netip.Addr {
-	base := len(dst)
+	var out []netip.Addr
 	for _, r := range h.Replies {
-		if r.Timeout || !r.From.IsValid() {
-			continue
-		}
-		dup := false
-		for _, a := range dst[base:] {
-			if a == r.From {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, r.From)
+		if !r.Timeout && r.From.IsValid() && !slices.Contains(out, r.From) {
+			out = append(out, r.From)
 		}
 	}
-	return dst
+	return out
 }
 
 // Unresponsive reports whether every packet of the hop timed out.
@@ -100,15 +83,22 @@ func (r Result) Validate() error {
 	if !r.Dst.IsValid() {
 		return errors.New("trace: result has invalid destination address")
 	}
-	if len(r.Hops) == 0 {
+	return checkHops(len(r.Hops), func(i int) int { return r.Hops[i].Index })
+}
+
+// checkHops is the hop half of Validate, shared with View.Validate: at least
+// one hop, TTLs strictly ascending from above zero.
+func checkHops(n int, ttl func(int) int) error {
+	if n == 0 {
 		return errors.New("trace: result has no hops")
 	}
 	prev := 0
-	for _, h := range r.Hops {
-		if h.Index <= prev {
-			return fmt.Errorf("trace: hop indices not ascending (%d after %d)", h.Index, prev)
+	for i := 0; i < n; i++ {
+		t := ttl(i)
+		if t <= prev {
+			return fmt.Errorf("trace: hop indices not ascending (%d after %d)", t, prev)
 		}
-		prev = h.Index
+		prev = t
 	}
 	return nil
 }
@@ -155,24 +145,15 @@ type AdjacentHopPair struct {
 
 // AdjacentPairs returns consecutive hop pairs with strictly consecutive TTL
 // indices (a hop missing from the result breaks adjacency, exactly as an
-// unresponsive router hides its links from the paper's delay analysis).
+// unresponsive router hides its links from the paper's delay analysis). The
+// extraction kernels (delay §4.2.1, forwarding §5.1) apply the same rule to
+// a View's hops; changing it means changing it there too.
 func (r Result) AdjacentPairs() []AdjacentHopPair {
 	var out []AdjacentHopPair
-	r.VisitAdjacentPairs(func(p AdjacentHopPair) {
-		out = append(out, p)
-	})
-	return out
-}
-
-// VisitAdjacentPairs calls fn for every consecutive hop pair with strictly
-// consecutive TTL indices, in hop order — AdjacentPairs without the slice
-// allocation. Note the extractors (delay §4.2.1, forwarding §5.1) apply
-// the same adjacency rule with their own index loops to keep scratch
-// buffers closure-free; changing the rule means changing it there too.
-func (r Result) VisitAdjacentPairs(fn func(AdjacentHopPair)) {
 	for i := 0; i+1 < len(r.Hops); i++ {
 		if r.Hops[i+1].Index == r.Hops[i].Index+1 {
-			fn(AdjacentHopPair{Near: r.Hops[i], Far: r.Hops[i+1]})
+			out = append(out, AdjacentHopPair{Near: r.Hops[i], Far: r.Hops[i+1]})
 		}
 	}
+	return out
 }
