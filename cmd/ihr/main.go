@@ -28,9 +28,7 @@
 // behind any load balancer form a horizontally scalable read tier. Adding
 // -store (plus -case for the run identity) bootstraps the replica from
 // local segment files — e.g. a writer directory on shared storage — so only
-// the bins missing from the files travel over the feed. -feed sizes the
-// writer's in-memory catch-up ring (deltas kept for ?since= replay before
-// falling back to the segment store or a full-state resync).
+// the bins missing from the files travel over the feed.
 //
 // Endpoints (see internal/serve for filters, pagination, ETag and SSE):
 //
@@ -105,7 +103,6 @@ func main() {
 	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence; reopening resumes past committed bins and adds /api/bins time travel")
 	evictIdle := flag.Int("evict-idle-bins", 0, "evict detector state for links/flows idle this many bins (0 = off, paper behaviour)")
 	follow := flag.String("follow", "", "writer base URL to replicate (e.g. http://writer:8080): run as a read replica tailing its feed instead of analyzing locally")
-	feedWindow := flag.Int("feed", 0, "replication feed catch-up window in deltas (0 = default 256)")
 	flag.Parse()
 
 	// All flag validation happens before the listener opens: a bad flag must
@@ -129,7 +126,7 @@ func main() {
 		if *input != "" {
 			log.Fatal("-follow and -input are mutually exclusive (a replica runs no analysis)")
 		}
-		runFollower(c, *follow, *addr, *storeDir, *feedWindow)
+		runFollower(c, *follow, *addr, *storeDir)
 		return
 	}
 
@@ -175,9 +172,6 @@ func main() {
 	} else {
 		pub = serve.NewPublisher(a, meta)
 	}
-	if *feedWindow > 0 {
-		pub.SetFeedWindow(*feedWindow)
-	}
 	srv := serve.NewServer(pub, serve.Options{Addr: *addr})
 
 	c.Platform.SetWorkers(*genWorkers)
@@ -196,11 +190,10 @@ func main() {
 // writer's replication feed and serve the rebuilt snapshots. With a store
 // directory the replica bootstraps from the local segment files first and
 // only tails the bins they are missing.
-func runFollower(c *experiments.Case, url, addr, storeDir string, feedWindow int) {
+func runFollower(c *experiments.Case, url, addr, storeDir string) {
 	opts := serve.FollowerOptions{
-		URL:        strings.TrimRight(url, "/"),
-		FeedWindow: feedWindow,
-		Logf:       log.Printf,
+		URL:  strings.TrimRight(url, "/"),
+		Logf: log.Printf,
 	}
 	if storeDir != "" {
 		opts.StoreDir = storeDir
@@ -264,6 +257,9 @@ func runAnalysis(a *core.Analyzer, pub *serve.Publisher, c *experiments.Case, in
 	a.Flush()
 	a.Close()
 	pub.Finish(err)
+	if n := a.Aggregator().DroppedStale(); n > 0 {
+		log.Printf("%d late alarms/bins rejected (closed bins are immutable)", n)
+	}
 	if err != nil {
 		log.Printf("analysis run FAILED: %v", err)
 		return

@@ -318,6 +318,9 @@ func run() error {
 	reg := a.Registry()
 	fmt.Printf("interned identities: %d addrs, %d links, %d flows, %d routers\n",
 		reg.Addrs(), reg.Links(), reg.Flows(), reg.Routers())
+	if n := a.Aggregator().DroppedStale(); n > 0 {
+		fmt.Printf("%d late alarms/bins rejected (closed bins are immutable)\n", n)
+	}
 	fmt.Printf("delay alarms: %d; forwarding alarms: %d\n\n",
 		len(a.DelayAlarms()), len(a.ForwardingAlarms()))
 

@@ -93,19 +93,14 @@ type Aggregator struct {
 	haveBin  bool
 
 	// inc is the incrementally maintained magnitude/event read model
-	// advanced by CloseBins (see incremental.go). The query methods answer
-	// from it when it covers the requested range.
-	inc incState
+	// advanced by CloseBins (see incremental.go); droppedStale counts the
+	// late mutations rejected because closed bins are immutable.
+	inc          incState
+	droppedStale int
 
 	// corr is the corroboration source ledger, populated only when
 	// cfg.Corroborate ≥ 2 (see corroborate.go).
 	corr map[corrTypeKey]*corrSet
-
-	// segmentBacked marks durable history as immutable and splits query
-	// fallbacks at the region boundary (see restore.go); droppedStale
-	// counts the out-of-order mutations rejected under that contract.
-	segmentBacked bool
-	droppedStale  int
 }
 
 // NewAggregator returns an Aggregator resolving addresses with the given
@@ -151,16 +146,8 @@ func (a *Aggregator) lookupASN(addr netip.Addr) (ipmap.ASN, bool) {
 func (a *Aggregator) ObserveBin(t time.Time) {
 	b := timeseries.Bin(t, a.cfg.BinSize)
 	if !a.haveBin || b.Before(a.firstBin) {
-		if a.haveBin && a.segmentBacked && b.Before(a.firstBin) {
-			// Segment-backed history is immutable: the span start is
-			// durable and cannot move backwards.
-			a.droppedStale++
-			return
-		}
-		// Moving the span start below the incremental region's origin
-		// changes every window; the region must be rebuilt.
-		if a.inc.advanced && b.Before(a.inc.start) {
-			a.inc.stale = true
+		if a.rejectLate(b) {
+			return // the span start of closed bins cannot move backwards
 		}
 		a.firstBin = b
 		a.haveBin = true
@@ -184,10 +171,9 @@ func (a *Aggregator) spanStart(s *timeseries.Series) time.Time {
 // groups", §6).
 func (a *Aggregator) AddDelayAlarm(al delay.Alarm) {
 	b := timeseries.Bin(al.Bin, a.cfg.BinSize)
-	if a.rejectStaleMutation(b) {
+	if a.rejectLate(b) {
 		return
 	}
-	a.markMutation(b)
 	asns := a.asnsOf(al.Link.Near, al.Link.Far)
 	for _, asn := range asns {
 		a.series(a.delaySeries, asn).Add(al.Bin, al.Deviation)
@@ -209,10 +195,9 @@ func (a *Aggregator) AddDelayAlarm(al delay.Alarm) {
 // mitigation. The unresponsive bucket has no address and is skipped.
 func (a *Aggregator) AddForwardingAlarm(al forwarding.Alarm) {
 	b := timeseries.Bin(al.Bin, a.cfg.BinSize)
-	if a.rejectStaleMutation(b) {
+	if a.rejectLate(b) {
 		return
 	}
-	a.markMutation(b)
 	for _, h := range al.Hops {
 		if h.Hop == forwarding.Unresponsive || !h.Hop.IsValid() {
 			continue
@@ -291,60 +276,37 @@ func (a *Aggregator) ForwardingSeries(asn ipmap.ASN) *timeseries.Series { return
 // DelayMagnitude computes the Eq 10 magnitude of an AS's delay series over
 // [from, to). Missing bins count as zero (a quiet hour is "no alarms").
 func (a *Aggregator) DelayMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {
-	s := a.delaySeries[asn]
-	if s == nil {
-		return nil
-	}
-	if pts, ok := a.cachedMagnitude(a.inc.delayMag[asn], from, to); ok {
-		return pts
-	}
-	if a.segmentBacked && a.inc.advanced {
-		return a.durableMagnitude(s, a.inc.delayMag[asn], from, to)
-	}
-	return s.MagnitudeSince(a.spanStart(s), from, to, a.cfg.Window)
+	return a.magnitude(a.delaySeries[asn], a.inc.delayMag[asn], from, to)
 }
 
 // ForwardingMagnitude computes the Eq 10 magnitude of an AS's forwarding
 // series over [from, to).
 func (a *Aggregator) ForwardingMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {
-	s := a.fwdSeries[asn]
-	if s == nil {
-		return nil
-	}
-	if pts, ok := a.cachedMagnitude(a.inc.fwdMag[asn], from, to); ok {
-		return pts
-	}
-	if a.segmentBacked && a.inc.advanced {
-		return a.durableMagnitude(s, a.inc.fwdMag[asn], from, to)
-	}
-	return s.MagnitudeSince(a.spanStart(s), from, to, a.cfg.Window)
+	return a.magnitude(a.fwdSeries[asn], a.inc.fwdMag[asn], from, to)
 }
 
-// Events scans every AS's two magnitude series over [from, to) and returns
-// the bins where |mag| ≥ Threshold, sorted by time then AS. Delay events
-// trigger on positive peaks (worse delays); forwarding events trigger on
-// both signs, matching the heavy left tail of Fig 5b.
+// Events returns the bins in [from, to) where an AS's |mag| ≥ Threshold,
+// sorted by time then AS. Delay events trigger on positive peaks (worse
+// delays); forwarding events trigger on both signs, matching the heavy left
+// tail of Fig 5b. Closed bins answer from the incremental event list; only
+// bins at or beyond validThrough (all of them, for an aggregator nobody
+// advanced) are scanned.
 func (a *Aggregator) Events(from, to time.Time) []Event {
-	if a.covers(to) {
-		return a.incrementalEvents(from, to)
+	if !a.inc.advanced {
+		return a.recomputeEvents(from, to)
 	}
-	if a.segmentBacked && a.inc.advanced && !a.inc.stale {
-		// Segment-backed: the region answers its part (cached events were
-		// derived from complete data at close time); only bins at or
-		// beyond validThrough recompute, and their windows stay within
-		// the retained raw horizon.
-		head := a.incrementalEvents(from, a.inc.validThrough)
-		tailFrom := from
-		if tailFrom.Before(a.inc.validThrough) {
-			tailFrom = a.inc.validThrough
+	out := a.incrementalEvents(from, to)
+	if timeseries.Bin(to, a.cfg.BinSize).After(a.inc.validThrough) {
+		if from.Before(a.inc.validThrough) {
+			from = a.inc.validThrough
 		}
-		return append(head, a.recomputeEvents(tailFrom, to)...)
+		out = append(out, a.recomputeEvents(from, to)...)
 	}
-	return a.recomputeEvents(from, to)
+	return out
 }
 
-// recomputeEvents is the original full scan: every AS's two magnitude
-// series over [from, to), thresholded and sorted.
+// recomputeEvents is the full scan: every AS's two magnitude series over
+// [from, to), thresholded and sorted.
 func (a *Aggregator) recomputeEvents(from, to time.Time) []Event {
 	var out []Event
 	for _, asn := range a.ASes() {

@@ -3,18 +3,22 @@ package events
 // Incremental magnitude/event maintenance: the serving layer (§8) closes
 // analysis bins one at a time and needs, after each close, the newly
 // detected events and the extended per-AS magnitude series — without
-// recomputing every AS over every bin the way Events does. CloseBins
-// advances a processed region [start, validThrough) bin by bin, appending
-// to per-AS magnitude slices and to one event list; the appended storage is
-// never mutated afterwards, so callers may publish prefixes of these slices
-// to concurrent readers while the aggregator keeps appending behind them.
+// recomputing every AS over every bin the way an un-advanced aggregator's
+// Events does. CloseBins advances a processed region [start, validThrough)
+// bin by bin, appending to per-AS magnitude slices and to one event list.
 //
-// The query methods (Events, DelayMagnitude, ForwardingMagnitude) answer
-// from the incremental region whenever it covers the requested range and
-// nothing invalidated it; otherwise they fall back to the original full
-// recomputation. Each incremental point is produced by the same
-// timeseries.MagnitudeSince code the recomputation uses, so both paths are
-// bit-identical.
+// Closed bins are immutable: the paper evaluates each bin once, in order,
+// so an alarm (or span-start move) landing below validThrough is rejected
+// and counted (DroppedStale). The appended storage is therefore never
+// mutated, and callers may publish prefixes of these slices to concurrent
+// readers while the aggregator keeps appending behind them.
+//
+// The query methods (Events, DelayMagnitude, ForwardingMagnitude) split at
+// the region boundary: bins inside the region answer from its cached
+// points and events, bins outside it recompute from the raw series. Each
+// cached point was produced by the same timeseries.MagnitudeSince code the
+// recomputation uses, so the two halves are bit-identical to a full
+// recompute. An aggregator nobody advanced answers by plain recomputation.
 
 import (
 	"sort"
@@ -25,12 +29,9 @@ import (
 )
 
 // incState is the incrementally maintained read model. All slices are
-// append-only while the state stays valid; a staleness rebuild allocates
-// fresh storage so previously published prefixes stay intact.
+// append-only.
 type incState struct {
 	advanced     bool
-	stale        bool   // an out-of-order mutation landed inside the region
-	gen          uint64 // bumped on every staleness rebuild
 	start        time.Time
 	validThrough time.Time // exclusive end of the processed region
 
@@ -39,19 +40,21 @@ type incState struct {
 	events   []Event
 }
 
-// markMutation records a series mutation at bin b: anything landing inside
-// the already-processed region (or moving the span start backwards)
-// invalidates the incremental state. Chronological pipelines never trigger
-// this; direct out-of-order use of the aggregator falls back to the
-// recomputation paths until the next CloseBins rebuilds.
-func (a *Aggregator) markMutation(b time.Time) {
-	if !a.inc.advanced || a.inc.stale {
-		return
+// rejectLate reports (and counts) a mutation at bin b that lands below the
+// processed region's end: closed bins are immutable. A span-start move
+// below the region's start is the same condition (start ≤ validThrough).
+// Before the first CloseBins nothing is closed and any order is accepted.
+func (a *Aggregator) rejectLate(b time.Time) bool {
+	if a.inc.advanced && b.Before(a.inc.validThrough) {
+		a.droppedStale++
+		return true
 	}
-	if b.Before(a.inc.validThrough) || b.Before(a.inc.start) {
-		a.inc.stale = true
-	}
+	return false
 }
+
+// DroppedStale counts the mutations rejectLate dropped: late alarms and
+// span-start moves into closed bins.
+func (a *Aggregator) DroppedStale() int { return a.droppedStale }
 
 // CloseBins advances the incremental region through every bin strictly
 // before upTo's bin, computing each covered AS's magnitude at each bin and
@@ -59,11 +62,6 @@ func (a *Aggregator) markMutation(b time.Time) {
 // call, in (bin, AS, type) order. Call it after all alarms of the closing
 // bin have been added (core.Analyzer.OnBinClose fires at exactly that
 // point).
-//
-// Caution: after a staleness rebuild every event is "appended by this
-// call", so the return value is the full re-derived history, not a delta.
-// Consumers mirroring the list incrementally should use IncrementalEvents
-// and resynchronize when its generation changes (serve.Publisher does).
 func (a *Aggregator) CloseBins(upTo time.Time) []Event {
 	return a.CloseBinsRecord(upTo, nil)
 }
@@ -73,22 +71,11 @@ func (a *Aggregator) CloseBins(upTo time.Time) []Event {
 // read model — the appended per-AS magnitude points (including zero
 // backfill) and the raw per-AS series sums of the processed bins, which a
 // restart needs to keep the magnitude windows exact. Raw sums are final
-// at close time: later writes into a closed bin would be out-of-order
-// mutations, which segment-backed aggregators reject.
+// at close time: later writes into a closed bin are rejected.
 func (a *Aggregator) CloseBinsRecord(upTo time.Time, d *CloseDelta) []Event {
 	end := timeseries.Bin(upTo, a.cfg.BinSize)
 	if d != nil {
 		*d = CloseDelta{FirstBin: a.firstBin}
-	}
-	if a.inc.stale {
-		// Rebuild from scratch with fresh storage: published prefixes of
-		// the old slices must keep their contents. Bumping the generation
-		// tells append-only mirrors (IncrementalEvents consumers) that
-		// their copy of the history is void.
-		if end.Before(a.inc.validThrough) {
-			end = a.inc.validThrough
-		}
-		a.inc = incState{gen: a.inc.gen + 1}
 	}
 	if !a.haveBin {
 		// Nothing observed yet (or a bare aggregator fed only alarms):
@@ -164,17 +151,9 @@ func (a *Aggregator) appendMag(pts []timeseries.Point, t time.Time, v float64) [
 	return append(pts, timeseries.Point{T: t, V: v})
 }
 
-// covers reports whether the incremental region can answer a query ending
-// at to (exclusive). Bins before the region's start carry no events and no
-// magnitudes under the recompute semantics either (their windows are empty,
-// yielding NaN), so only the upper bound constrains event coverage.
-func (a *Aggregator) covers(to time.Time) bool {
-	return a.inc.advanced && !a.inc.stale && !timeseries.Bin(to, a.cfg.BinSize).After(a.inc.validThrough)
-}
-
-// incrementalEvents answers Events(from, to) from the maintained event
-// list: the list is ordered by (bin, AS, type) — the same order the
-// recomputation sorts into — so the answer is one binary-searched subrange.
+// incrementalEvents returns the maintained events in [from, to): the list
+// is ordered by (bin, AS, type) — the same order the recomputation sorts
+// into — so the answer is one binary-searched subrange.
 func (a *Aggregator) incrementalEvents(from, to time.Time) []Event {
 	f := timeseries.Bin(from, a.cfg.BinSize)
 	t := timeseries.Bin(to, a.cfg.BinSize)
@@ -189,47 +168,47 @@ func (a *Aggregator) incrementalEvents(from, to time.Time) []Event {
 	return out
 }
 
-// cachedMagnitude answers a magnitude query from an AS's cached series when
-// the incremental region covers [from, to). ok=false sends the caller to
-// the recomputation path.
-func (a *Aggregator) cachedMagnitude(pts []timeseries.Point, from, to time.Time) ([]timeseries.Point, bool) {
-	if !a.inc.advanced || a.inc.stale {
-		return nil, false
+// magnitude answers a magnitude query over [from, to). Once the region is
+// advanced, the bins it covers come from the cache (each point was produced
+// from complete data at close time) and only the bins outside it recompute:
+// pre-region bins against their empty windows, bins at or beyond
+// validThrough from the raw series, whose windows reach back at most
+// cfg.Window — the horizon EvictBefore retains.
+func (a *Aggregator) magnitude(s *timeseries.Series, cached []timeseries.Point, from, to time.Time) []timeseries.Point {
+	if s == nil {
+		return nil
+	}
+	if !a.inc.advanced {
+		return s.MagnitudeSince(a.spanStart(s), from, to, a.cfg.Window)
 	}
 	f := timeseries.Bin(from, a.cfg.BinSize)
 	t := timeseries.Bin(to, a.cfg.BinSize)
-	if f.Before(a.inc.start) || t.After(a.inc.validThrough) {
-		return nil, false
+	lo, hi := f, t // the query ∩ the region
+	if lo.Before(a.inc.start) {
+		lo = a.inc.start
 	}
-	if !f.Before(t) {
-		return nil, true // empty range, as the recomputation returns
+	if hi.After(a.inc.validThrough) {
+		hi = a.inc.validThrough
 	}
-	i := int(f.Sub(a.inc.start) / a.cfg.BinSize)
-	j := int(t.Sub(a.inc.start) / a.cfg.BinSize)
-	if j > len(pts) {
-		// The AS gained its series after the last CloseBins; its cache has
-		// not caught up yet.
-		return nil, false
+	i := int(lo.Sub(a.inc.start) / a.cfg.BinSize)
+	j := int(hi.Sub(a.inc.start) / a.cfg.BinSize)
+	if !lo.Before(hi) || j > len(cached) {
+		// The query misses the region, or the AS gained its series after the
+		// last close and its cache lags — but then the series' entire
+		// history is still in memory and the recompute is exact.
+		return s.MagnitudeSince(a.firstBin, f, t, a.cfg.Window)
 	}
-	out := make([]timeseries.Point, j-i)
-	copy(out, pts[i:j])
-	return out, true
+	out := s.MagnitudeSince(a.firstBin, f, lo, a.cfg.Window)
+	out = append(out, cached[i:j]...)
+	return append(out, s.MagnitudeSince(a.firstBin, hi, t, a.cfg.Window)...)
 }
 
-// Generation returns the incremental region's rebuild generation: bumped
-// by every staleness rebuild and by RestoreIncremental at boot. The
-// replication feed (serve) stamps it on every delta so mirrors — local or
-// remote — know when their append-only copy of the history is void.
-func (a *Aggregator) Generation() uint64 { return a.inc.gen }
-
 // IncrementalEvents returns the incrementally accumulated event list as a
-// fixed-length prefix safe to publish to concurrent readers, plus the
-// rebuild generation. The list is append-only within one generation; a
-// staleness rebuild discards it and bumps the generation, so a consumer
-// mirroring the list must restart from scratch when gen changes.
-func (a *Aggregator) IncrementalEvents() (evs []Event, gen uint64) {
+// fixed-length prefix safe to publish to concurrent readers: later
+// CloseBins calls only append past it.
+func (a *Aggregator) IncrementalEvents() []Event {
 	e := a.inc.events
-	return e[:len(e):len(e)], a.inc.gen
+	return e[:len(e):len(e)]
 }
 
 // MagnitudeSnapshot returns a point-in-time view of the incrementally
@@ -238,11 +217,10 @@ func (a *Aggregator) IncrementalEvents() (evs []Event, gen uint64) {
 // region bounds (the event list is exposed by IncrementalEvents). The
 // returned data is safe to hand to concurrent readers while the analysis
 // goroutine keeps advancing the aggregator — later CloseBins calls only
-// append past the returned lengths (or allocate fresh storage on a
-// staleness rebuild). ok is false when the incremental region is unopened
-// or invalidated.
+// append past the returned lengths. ok is false while the incremental
+// region is unopened.
 func (a *Aggregator) MagnitudeSnapshot() (delayMag, fwdMag map[ipmap.ASN][]timeseries.Point, start, validThrough time.Time, ok bool) {
-	if !a.inc.advanced || a.inc.stale {
+	if !a.inc.advanced {
 		return nil, nil, time.Time{}, time.Time{}, false
 	}
 	delayMag = make(map[ipmap.ASN][]timeseries.Point, len(a.inc.delayMag))

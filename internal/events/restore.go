@@ -1,28 +1,12 @@
 package events
 
-// Segment-backed operation: when the serving layer persists every closed
-// bin to the segment store, the aggregator's pre-window history can be
-// evicted from memory and rebuilt at boot purely from segments. Two
-// contracts change in this mode:
-//
-//  1. Durable history is immutable. Out-of-order mutations — an alarm or
-//     span-start move landing below the region's validThrough — are
-//     rejected and counted instead of marking the region stale, because
-//     the staleness rebuild's from-scratch recompute assumes the raw
-//     series are complete back to bin zero, which is exactly what
-//     eviction takes away. Chronological pipelines (the only producers
-//     of store-backed aggregators) never hit this.
-//
-//  2. Query fallbacks split at the region boundary. Bins the incremental
-//     region covers answer from its cached points/events (produced from
-//     complete data at close time); only bins at or beyond validThrough
-//     recompute from the raw series — whose windows reach back at most
-//     cfg.Window, the exact horizon EvictBefore retains.
-//
-// RestoreIncremental bumps the region generation on boot, so the
-// generation-counter resync path mirrors (serve.Publisher) already use
-// for staleness rebuilds also covers "history now lives in segments":
-// any mirror state from before the restart is void.
+// Segment restore: when the serving layer persists every closed bin to the
+// segment store, the aggregator's pre-window history can be evicted from
+// memory (EvictBefore) and rebuilt at boot purely from segments
+// (RestoreIncremental). Both lean on the contracts of incremental.go:
+// closed bins are immutable, and queries recompute only bins at or beyond
+// validThrough — whose windows reach back at most cfg.Window, the exact
+// horizon EvictBefore retains.
 
 import (
 	"fmt"
@@ -68,9 +52,9 @@ type RestoredState struct {
 	FwdRaw       []ASPoint
 }
 
-// RestoreIncremental seeds a fresh aggregator from segment-derived state
-// and switches it to segment-backed mode. It must run before any alarm or
-// bin is observed; the restored region resumes advancing at ValidThrough.
+// RestoreIncremental seeds a fresh aggregator from segment-derived state.
+// It must run before any alarm or bin is observed; the restored region
+// resumes advancing at ValidThrough.
 // The maps and slices in rs are adopted, not copied — the caller must not
 // reuse them.
 func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
@@ -97,7 +81,6 @@ func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
 	}
 	a.inc = incState{
 		advanced:     true,
-		gen:          a.inc.gen + 1, // boot voids any pre-restart mirror
 		start:        first,
 		validThrough: through,
 		delayMag:     rs.DelayMag,
@@ -119,33 +102,7 @@ func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
 	for _, p := range rs.FwdRaw {
 		a.series(a.fwdSeries, p.ASN).Set(p.T, p.V)
 	}
-	a.segmentBacked = true
 	return nil
-}
-
-// SetSegmentBacked switches an aggregator (typically a fresh one in front
-// of an empty store) to segment-backed mode: durable history becomes
-// immutable and query fallbacks split at the region boundary.
-func (a *Aggregator) SetSegmentBacked() { a.segmentBacked = true }
-
-// SegmentBacked reports whether the aggregator is in segment-backed mode.
-func (a *Aggregator) SegmentBacked() bool { return a.segmentBacked }
-
-// DroppedStale counts mutations rejected under segment-backed immutable
-// history: out-of-order alarms and span-start moves below durable bins.
-func (a *Aggregator) DroppedStale() int { return a.droppedStale }
-
-// rejectStaleMutation reports (and counts) a mutation at bin b that a
-// segment-backed aggregator must drop: durable history is immutable.
-func (a *Aggregator) rejectStaleMutation(b time.Time) bool {
-	if !a.segmentBacked || !a.inc.advanced {
-		return false
-	}
-	if b.Before(a.inc.validThrough) || b.Before(a.inc.start) {
-		a.droppedStale++
-		return true
-	}
-	return false
 }
 
 // EvictBefore drops raw series bins strictly before the bin containing t
@@ -169,49 +126,4 @@ func (a *Aggregator) EvictBefore(t time.Time) int {
 		dropped += s.EvictBefore(cut)
 	}
 	return dropped
-}
-
-// durableMagnitude answers a magnitude query in segment-backed mode when
-// the plain region cache cannot (the range reaches outside the region):
-// pre-region bins recompute against their empty windows, region bins come
-// from the cache (bit-identical to a full-history recompute — each point
-// was produced from complete data at close time), and tail bins at or
-// beyond validThrough recompute from the raw series, whose windows stay
-// within the retained horizon.
-func (a *Aggregator) durableMagnitude(s *timeseries.Series, cached []timeseries.Point, from, to time.Time) []timeseries.Point {
-	f := timeseries.Bin(from, a.cfg.BinSize)
-	t := timeseries.Bin(to, a.cfg.BinSize)
-	var out []timeseries.Point
-	if f.Before(a.inc.start) {
-		// Bins before the span start score against empty windows; no raw
-		// history is consulted.
-		end := minBin(t, a.inc.start)
-		out = append(out, s.MagnitudeSince(a.firstBin, f, end, a.cfg.Window)...)
-		f = end
-	}
-	if f.Before(a.inc.validThrough) && f.Before(t) {
-		end := minBin(t, a.inc.validThrough)
-		i := int(f.Sub(a.inc.start) / a.cfg.BinSize)
-		j := int(end.Sub(a.inc.start) / a.cfg.BinSize)
-		if j <= len(cached) {
-			out = append(out, cached[i:j]...)
-		} else {
-			// The AS gained its series after the last close, so the cache
-			// lags — but then the series' entire history is still in
-			// memory and the recompute is exact.
-			out = append(out, s.MagnitudeSince(a.firstBin, f, end, a.cfg.Window)...)
-		}
-		f = end
-	}
-	if f.Before(t) {
-		out = append(out, s.MagnitudeSince(a.firstBin, f, t, a.cfg.Window)...)
-	}
-	return out
-}
-
-func minBin(a, b time.Time) time.Time {
-	if a.Before(b) {
-		return a
-	}
-	return b
 }

@@ -97,13 +97,12 @@ func restoredState(segs []segment, k int) RestoredState {
 	return rs
 }
 
-// TestRestoreMatchesUninterrupted is the staleness-fix regression test
-// (ISSUE 9 satellite): an aggregator restored at bin k from segment-
-// derived state — with history before the retained window living ONLY in
-// those segments — and driven over the remaining bins must answer every
-// query identically to the uninterrupted aggregator, including the
-// recompute fallbacks that previously assumed in-memory storage from bin
-// zero, and its generation counter must tell mirrors to resync.
+// TestRestoreMatchesUninterrupted: an aggregator restored at bin k from
+// segment-derived state — with history before the retained window living
+// ONLY in those segments — and driven over the remaining bins must answer
+// every query identically to the uninterrupted aggregator, including
+// queries reaching past the region, whose tail recompute must not assume
+// in-memory storage from bin zero.
 func TestRestoreMatchesUninterrupted(t *testing.T) {
 	const n = 24
 	start := t0
@@ -116,14 +115,11 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 		if err := a.RestoreIncremental(restoredState(segs, k)); err != nil {
 			t.Fatalf("k=%d: restore: %v", k, err)
 		}
-		if _, gen := a.IncrementalEvents(); gen == 0 {
-			t.Fatalf("k=%d: restore did not bump the region generation", k)
-		}
 		runPipeline(t, a, start, k, n)
 
 		// The incremental region itself.
-		wantEvs, _ := full.IncrementalEvents()
-		gotEvs, _ := a.IncrementalEvents()
+		wantEvs := full.IncrementalEvents()
+		gotEvs := a.IncrementalEvents()
 		if !reflect.DeepEqual(wantEvs, gotEvs) {
 			t.Fatalf("k=%d: incremental events differ\nwant %v\n got %v", k, wantEvs, gotEvs)
 		}
@@ -135,9 +131,9 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 		comparePointMaps(t, k, "delay", wd, gd)
 		comparePointMaps(t, k, "fwd", wf, gf)
 
-		// Covered queries and the fallback paths: a query ending past the
-		// region forces the durable recompute split — this is what used to
-		// recompute garbage when early raw bins live only in segments.
+		// Covered queries, and queries ending past the region, which split
+		// at validThrough: a whole-range recompute would read garbage here,
+		// because early raw bins live only in segments.
 		for _, to := range []time.Time{end, end.Add(3 * binHour)} {
 			want := full.Events(start, to)
 			got := a.Events(start, to)
@@ -198,39 +194,75 @@ func TestRestoreAfterEviction(t *testing.T) {
 	}
 }
 
-// TestSegmentBackedRejectsStaleMutations pins the immutable-history
-// contract: out-of-order alarms and span-start moves below durable bins
-// are dropped and counted, the region never goes stale, and the
-// generation is unchanged (mirrors keep their state).
+// TestSegmentBackedRejectsStaleMutations pins the closed-bins-are-immutable
+// contract for every aggregator that was advanced, store-restored or not: a
+// late alarm and a backwards span-start move after CloseBins are dropped
+// and counted, every query keeps answering like a reference aggregator
+// that never saw them, previously published prefixes are untouched, and
+// the next in-order close is fine. Before any CloseBins nothing is closed,
+// so out-of-order adds are still accepted (recompute semantics).
 func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 	const n = 12
-	full := NewAggregator(restoreConfig(), testTable(t))
-	segs := runPipeline(t, full, t0, 0, n)
-
-	a := NewAggregator(restoreConfig(), testTable(t))
-	if err := a.RestoreIncremental(restoredState(segs, n)); err != nil {
+	ref := NewAggregator(restoreConfig(), testTable(t))
+	segs := runPipeline(t, ref, t0, 0, n)
+	restored := NewAggregator(restoreConfig(), testTable(t))
+	if err := restored.RestoreIncremental(restoredState(segs, n)); err != nil {
 		t.Fatal(err)
 	}
-	_, gen0 := a.IncrementalEvents()
-	before := a.Events(t0, t0.Add(n*binHour))
+	live := NewAggregator(restoreConfig(), testTable(t))
+	runPipeline(t, live, t0, 0, n)
 
-	a.AddDelayAlarm(delayAlarm(t0.Add(2*binHour), "10.1.0.1", "10.2.0.1", 99))
-	a.ObserveBin(t0.Add(-5 * binHour))
-	if got := a.DroppedStale(); got != 2 {
-		t.Fatalf("DroppedStale = %d, want 2", got)
+	from, to := t0.Add(-2*binHour), t0.Add((n+2)*binHour) // straddles both region bounds
+	for name, a := range map[string]*Aggregator{"live": live, "restored": restored} {
+		dm, _, _, _, ok := a.MagnitudeSnapshot()
+		if !ok {
+			t.Fatalf("%s: no MagnitudeSnapshot after CloseBins", name)
+		}
+		published := append([]timeseries.Point(nil), dm[100]...)
+
+		a.AddDelayAlarm(delayAlarm(t0.Add(2*binHour), "10.1.0.1", "10.2.0.1", 99))
+		a.ObserveBin(t0.Add(-5 * binHour))
+		if got := a.DroppedStale(); got != 2 {
+			t.Fatalf("%s: DroppedStale = %d, want 2", name, got)
+		}
+		assertEventsEqual(t, name, a.Events(from, to), ref.Events(from, to))
+		for _, asn := range ref.ASes() {
+			if !pointsEqual(a.DelayMagnitude(asn, from, to), ref.DelayMagnitude(asn, from, to)) {
+				t.Fatalf("%s: AS%d magnitudes changed by a rejected mutation", name, asn)
+			}
+		}
+		if !pointsEqual(dm[100], published) {
+			t.Fatalf("%s: published magnitude prefix mutated", name)
+		}
+		// And the pipeline keeps going: the next in-order bin closes fine.
+		next := t0.Add(n * binHour)
+		a.ObserveBin(next)
+		a.AddDelayAlarm(delayAlarm(next, "10.1.0.1", "10.2.0.1", 1))
+		a.CloseBins(next.Add(binHour))
+		if _, _, _, thru, _ := a.MagnitudeSnapshot(); !thru.Equal(next.Add(binHour)) {
+			t.Fatalf("%s: region ends %v after the next close, want %v", name, thru, next.Add(binHour))
+		}
 	}
-	if _, gen := a.IncrementalEvents(); gen != gen0 {
-		t.Fatalf("stale mutation bumped generation %d → %d", gen0, gen)
+
+	// Never advanced: any order is accepted and answered by recomputation.
+	fwd, rev := NewAggregator(restoreConfig(), testTable(t)), NewAggregator(restoreConfig(), testTable(t))
+	for i := 0; i < n; i++ {
+		for a, h := range map[*Aggregator]int{fwd: i, rev: n - 1 - i} {
+			bin := t0.Add(time.Duration(h) * binHour)
+			a.ObserveBin(bin)
+			for _, dev := range binAlarms(h, n) {
+				a.AddDelayAlarm(delayAlarm(bin, "10.1.0.1", "10.2.0.1", dev))
+			}
+		}
 	}
-	after := a.Events(t0, t0.Add(n*binHour))
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("rejected mutation changed query results")
+	if rev.DroppedStale() != 0 {
+		t.Fatalf("un-advanced aggregator dropped %d out-of-order mutations", rev.DroppedStale())
 	}
-	// And the pipeline keeps going: the next in-order bin closes fine.
-	next := t0.Add(n * binHour)
-	a.ObserveBin(next)
-	a.AddDelayAlarm(delayAlarm(next, "10.1.0.1", "10.2.0.1", 1))
-	a.CloseBins(next.Add(binHour))
+	want := fwd.Events(from, to)
+	if len(want) == 0 {
+		t.Fatal("schedule produced no events; test is vacuous")
+	}
+	assertEventsEqual(t, "out-of-order before any close", rev.Events(from, to), want)
 }
 
 // TestRestoreRequiresFreshAggregator pins the restore preconditions.

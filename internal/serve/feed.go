@@ -4,27 +4,23 @@ package serve
 // snapshot producers — the local publisher, the segment-store boot path,
 // and the remote follower.
 //
-// The feed is the SSE stream of /api/stream promoted to a self-describing
-// protocol. One `hello` event opens every connection (protocol version,
-// aggregator generation, run metadata, current snapshot position), then one
-// `delta` event per snapshot publication. A client that already holds state
-// reconnects with ?since=SEQ and the server replays the missing deltas from
-// its in-memory window, synthesizes them from the segment store when the
-// window no longer reaches back far enough, or falls back to a single
-// `full` delta carrying the entire current state. A subscriber dropped for
-// falling behind receives a terminal `gap` event so it can distinguish
-// "resync needed" from "run complete".
+// The feed is the SSE stream of /api/stream: one `hello` event opens every
+// connection (protocol version, run metadata, current snapshot position),
+// then one `delta` event per snapshot publication. There are exactly two
+// delta kinds: an append (everything one publication added) and Full (the
+// entire current state, correct from any starting point). A client that
+// already holds state reconnects with ?since=SEQ and the server replays
+// the missing deltas (see feedLog.CatchUp) or, when they are not all
+// available, sends one Full delta. A subscriber dropped for falling behind
+// receives a terminal `gap` event so it can distinguish "resync needed"
+// from "run complete".
 //
 // Delta sequence numbers are the snapshot Seq: the initial publication is
 // seq 1 and the close of the k-th analysis bin publishes seq k+2, so
 // committed store record i always maps to delta seq i+2 regardless of
-// restarts. The generation is the aggregator's rebuild generation
-// (events.Generation), carried as bookkeeping; a delta that carries the
-// full re-derived event list and magnitude history (instead of an append)
-// says so explicitly with the Rebuild flag. Generation drift alone is NOT
-// a resync signal: a writer restart bumps the generation while the durable
-// history stays append-consistent, so a mirror that inferred "replace" from
-// a gen change would discard state that is still a valid prefix.
+// restarts. Closed bins are immutable (events.Aggregator rejects late
+// mutations), so history is append-only across publications and across
+// store-backed writer restarts: the same seq always means the same bytes.
 //
 // Byte-identity across the feed rests on JSON float round-tripping: Go
 // marshals float64 with the shortest representation that parses back to
@@ -44,13 +40,11 @@ import (
 
 // FeedProto is the replication feed protocol version carried by every
 // hello event. A follower refuses to track a writer speaking a different
-// version. Version 2 made the "carries the full re-derived history"
-// property explicit (Delta.Rebuild) instead of inferred from generation
-// drift.
-const FeedProto = 2
+// version.
+const FeedProto = 3
 
 // defaultFeedWindow is how many recent deltas the in-memory catch-up ring
-// retains (the -feed flag overrides it on the writer).
+// retains.
 const defaultFeedWindow = 256
 
 // MagRow is one per-AS magnitude point on the feed. Rows within one delta
@@ -64,14 +58,13 @@ type MagRow struct {
 }
 
 // Delta is one feed increment: everything one snapshot publication appended
-// since the previous one, stamped with the snapshot seq and the aggregator
-// generation. Alarm lists are partitioned by closing bin (exactly like the
-// segment store's records), so a delta replayed live and a delta
-// synthesized from a committed segment carry the same rows. A Full delta
-// replaces the mirror's entire state instead of appending.
+// since the previous one, stamped with the snapshot seq. Alarm lists are
+// partitioned by closing bin (exactly like the segment store's records), so
+// a delta replayed live and a delta synthesized from a committed segment
+// carry the same rows. A Full delta replaces the mirror's entire state
+// instead of appending.
 type Delta struct {
 	Seq     uint64    `json:"seq"`
-	Gen     uint64    `json:"gen"`
 	Bin     time.Time `json:"bin,omitzero"`
 	Results int       `json:"results"`
 
@@ -94,13 +87,6 @@ type Delta struct {
 	// the complete current state, not an increment.
 	Full bool `json:"full,omitempty"`
 
-	// Rebuild marks a live staleness rebuild upstream: Events, DelayMag and
-	// FwdMag are the full re-derived history (alarms stay appends). Only the
-	// writer's own bin-close delta for a rebuild sets it; store-synthesized
-	// catch-up deltas never do — durable history is append-consistent across
-	// writer restarts even though a restart bumps Gen.
-	Rebuild bool `json:"rebuild,omitempty"`
-
 	Done   bool   `json:"done"`
 	Failed bool   `json:"failed,omitempty"`
 	Err    string `json:"error,omitempty"`
@@ -114,7 +100,6 @@ type Delta struct {
 type helloJSON struct {
 	Proto       int       `json:"proto"`
 	Seq         uint64    `json:"seq"`
-	Gen         uint64    `json:"gen"`
 	Bin         time.Time `json:"bin,omitzero"`
 	Results     int       `json:"results"`
 	DelayAlarms int       `json:"delay_alarms"`
@@ -142,7 +127,7 @@ type gapJSON struct {
 func helloFor(snap *Snapshot) helloJSON {
 	return helloJSON{
 		Proto: FeedProto,
-		Seq:   snap.Seq, Gen: snap.evGen, Bin: snap.LastBin, Results: snap.Results,
+		Seq:   snap.Seq, Bin: snap.LastBin, Results: snap.Results,
 		DelayAlarms: len(snap.DelayAlarms), FwdAlarms: len(snap.FwdAlarms),
 		Events: len(snap.Events),
 		Done:   snap.Done, Failed: snap.Failed, Err: snap.Err,
@@ -221,7 +206,7 @@ func sortedMagRows(m map[ipmap.ASN][]timeseries.Point) []MagRow {
 func fullDelta(snap *Snapshot) Delta {
 	ids := snap.Identities
 	return Delta{
-		Seq: snap.Seq, Gen: snap.evGen, Bin: snap.LastBin, Results: snap.Results,
+		Seq: snap.Seq, Bin: snap.LastBin, Results: snap.Results,
 		DelayAlarms: snap.DelayAlarms, FwdAlarms: snap.FwdAlarms, Events: snap.Events,
 		MagStart: snap.MagStart, MagThrough: snap.MagEnd,
 		DelayMag: sortedMagRows(snap.delayMag), FwdMag: sortedMagRows(snap.fwdMag),
@@ -267,12 +252,10 @@ func appendWireEvents(dst []Event, rows []segstore.EventRow) []Event {
 // deltaFromRecord synthesizes the feed delta of one committed bin: record i
 // of the store is exactly what delta seq i+2 appended (the store partitions
 // alarms by closing bin, and live deltas use the same rule). Identities is
-// not persisted, so synthesized deltas leave it nil; gen is stamped by the
-// caller (the durable history is valid under the writer's current
-// generation — segment-backed aggregators never rebuild it).
-func deltaFromRecord(rec *segstore.BinRecord, seq, gen uint64, binSize time.Duration) Delta {
+// not persisted, so synthesized deltas leave it nil.
+func deltaFromRecord(rec *segstore.BinRecord, seq uint64, binSize time.Duration) Delta {
 	return Delta{
-		Seq: seq, Gen: gen, Bin: rec.Bin, Results: int(rec.Results),
+		Seq: seq, Bin: rec.Bin, Results: int(rec.Results),
 		DelayAlarms: appendDelayAlarms(nil, rec.Delay),
 		FwdAlarms:   appendFwdAlarms(nil, rec.Fwd),
 		Events:      appendWireEvents(nil, rec.Events),

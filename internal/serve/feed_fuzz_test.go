@@ -7,6 +7,26 @@ import (
 	"time"
 )
 
+// proto2Delta is a delta as a proto-2 writer encoded it: gen and rebuild are
+// unknown fields now.
+const proto2Delta = `{"seq":7,"gen":2,"bin":"2015-05-01T03:00:00Z","results":9,"delay_alarms":[],"fwd_alarms":[],"events":[],"rebuild":true,"done":false}`
+
+// TestFeedDecodeDropsProto2Fields: a proto-2-shaped delta decodes (unknown
+// fields are ignored, not an error) and re-encodes without them.
+func TestFeedDecodeDropsProto2Fields(t *testing.T) {
+	d, err := decodeDelta([]byte(proto2Delta))
+	if err != nil || d.Seq != 7 || d.Results != 9 {
+		t.Fatalf("proto-2 delta: %+v, err %v", d, err)
+	}
+	enc, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(enc, []byte("gen")) || bytes.Contains(enc, []byte("rebuild")) {
+		t.Fatalf("re-encoded delta still carries proto-2 fields: %s", enc)
+	}
+}
+
 // FuzzFeedDecode pins the follower's half of the feed codec: decodeDelta
 // (and decodeHello) must never panic on arbitrary bytes, and for any delta
 // decodeDelta accepts, encode∘decode is the identity on the encoded form —
@@ -16,9 +36,9 @@ func FuzzFeedDecode(f *testing.F) {
 	bin := time.Date(2015, 5, 1, 3, 0, 0, 0, time.UTC)
 	ids := Identities{Addrs: 46, Links: 69, Flows: 114, Routers: 39}
 	seeds := []Delta{
-		{Seq: 1, Gen: 0, Results: 0, DelayAlarms: []DelayAlarm{}, FwdAlarms: []FwdAlarm{}, Events: []Event{}},
+		{Seq: 1, Results: 0, DelayAlarms: []DelayAlarm{}, FwdAlarms: []FwdAlarm{}, Events: []Event{}},
 		{
-			Seq: 5, Gen: 2, Bin: bin, Results: 22272,
+			Seq: 5, Bin: bin, Results: 22272,
 			DelayAlarms: []DelayAlarm{{
 				Bin: bin, Link: "10.1.0.1>10.2.0.1",
 				MedianMS: 12.25, RefMS: 10, ShiftMS: 2.25, Deviation: 7.5,
@@ -35,7 +55,7 @@ func FuzzFeedDecode(f *testing.F) {
 			FwdMag:     []MagRow{{ASN: 2001, T: bin, V: -1.25}},
 			Identities: &ids,
 		},
-		{Seq: 98, Gen: 1, Bin: bin, Results: 7, Full: true, Done: true},
+		{Seq: 98, Bin: bin, Results: 7, Full: true, Done: true},
 		{Seq: 9, Failed: true, Err: "ingest: connection reset"},
 	}
 	for _, d := range seeds {
@@ -51,7 +71,8 @@ func FuzzFeedDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"seq":18446744073709551615,"gen":-1}`))
+	f.Add([]byte(`{"seq":18446744073709551615}`))
+	f.Add([]byte(proto2Delta))
 	f.Add([]byte(`{"bin":"not-a-time"}`))
 	f.Add([]byte{0xff, 0xfe, '{', '}'})
 

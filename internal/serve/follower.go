@@ -13,22 +13,18 @@ package serve
 //	              store is append-only), landing at seq n+1 for n records.
 //	connect     — GET {url}/api/stream?since={seq}. The hello validates the
 //	              protocol version and run identity and supplies Meta and
-//	              the bin size; a store-bootstrapped mirror adopts the
-//	              writer's generation here (durable history is valid under
-//	              any generation — segment-backed writers never rebuild it).
+//	              the bin size.
 //	tail        — apply each delta in seq order, publish a snapshot per
 //	              delta, re-broadcast on the follower's own feed (replicas
-//	              chain). Stale deltas (seq ≤ mirror's) are skipped.
+//	              chain). Stale appends (seq ≤ mirror's) are skipped; a Full
+//	              delta replaces the mirror whatever its seq.
 //	resync      — a seq gap, a `gap` event (dropped as too slow), or a
 //	              dropped connection returns to connect with since=seq; the
-//	              writer replays from its ring or store, or sends one Full
-//	              delta that replaces the whole mirror. Resync semantics
-//	              ride on the deltas themselves: a live staleness rebuild
-//	              arrives as a Rebuild delta carrying the full re-derived
-//	              event/magnitude history, while a writer restart merely
-//	              bumps the generation — its store-synthesized catch-up
-//	              deltas keep appending, because durable history survives
-//	              restarts as a valid prefix of the mirror's state.
+//	              writer replays the missing appends from its ring or store
+//	              (a restarted writer's committed history is a valid
+//	              extension of the mirror's prefix), or sends one Full
+//	              delta — also when the mirror is ahead of it, i.e. the
+//	              writer came back without its history.
 //	terminal    — a Done/Failed delta ends the run; Run returns nil.
 
 import (
@@ -39,7 +35,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,9 +65,6 @@ type FollowerOptions struct {
 	// attempts. Defaults 100ms / 5s.
 	ReconnectMin, ReconnectMax time.Duration
 
-	// FeedWindow sizes the follower's own downstream catch-up ring.
-	FeedWindow int
-
 	// Logf receives connection diagnostics. Default: discard.
 	Logf func(format string, args ...any)
 }
@@ -80,20 +72,14 @@ type FollowerOptions struct {
 // Follower tails a writer's replication feed and serves read-only
 // snapshots. It implements Source, so NewServer works on it unchanged.
 type Follower struct {
+	feedLog // downstream ring + the read-only bootstrap store, if any
+
 	opts FollowerOptions
 
 	// m is owned by the Run goroutine (and by NewFollower before Run
 	// starts); readers only touch the published snapshot.
 	m   mirror
 	cur atomic.Pointer[Snapshot]
-
-	bc *broadcaster
-
-	store    *segstore.Store
-	storeMu  sync.Mutex // serializes /api/bins reads (shared decode scratch)
-	binIndex []BinSummary
-
-	adoptGen bool // first hello after a file bootstrap adopts the writer's gen
 }
 
 // NewFollower builds a follower and, when StoreDir is set, bootstraps its
@@ -114,7 +100,7 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	f := &Follower{opts: opts, bc: newBroadcaster(opts.FeedWindow)}
+	f := &Follower{opts: opts, feedLog: feedLog{bc: newBroadcaster(), binSize: opts.BinSize}}
 	f.m.meta = opts.Meta
 	f.m.binSize = opts.BinSize
 	if opts.StoreDir != "" {
@@ -131,7 +117,6 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 		}
 		f.store = st
 		f.binIndex = bins
-		f.adoptGen = true
 	}
 	f.cur.Store(f.m.assemble())
 	return f, nil
@@ -144,42 +129,6 @@ func (f *Follower) Snapshot() *Snapshot { return f.cur.Load() }
 // Results returns the snapshot's result count (followers have no live
 // between-publish counter; the feed is the only result source).
 func (f *Follower) Results() int { return f.cur.Load().Results }
-
-// Subscribe registers a downstream feed subscriber (replicas chain: a
-// follower re-broadcasts every applied delta).
-func (f *Follower) Subscribe() *Subscription { return f.bc.subscribe() }
-
-// CloseSubscribers terminates the follower's downstream streams.
-func (f *Follower) CloseSubscribers() { f.bc.closeAll() }
-
-// CatchUp serves downstream ?since= requests from the follower's own ring.
-// Deeper history falls back to the handler's full-state delta.
-func (f *Follower) CatchUp(since, upTo uint64) ([]Delta, bool) {
-	return f.bc.catchUp(since, upTo)
-}
-
-// HasStore reports whether the follower bootstrapped from local segments.
-func (f *Follower) HasStore() bool { return f.store != nil }
-
-// StoreBins lists the bootstrap store's committed bins.
-func (f *Follower) StoreBins() ([]BinSummary, bool) {
-	if f.store == nil {
-		return nil, false
-	}
-	f.storeMu.Lock()
-	defer f.storeMu.Unlock()
-	return append([]BinSummary{}, f.binIndex...), true
-}
-
-// StoreBin decodes one committed bin from the bootstrap store.
-func (f *Follower) StoreBin(bin time.Time) (*BinPayload, bool, error) {
-	if f.store == nil {
-		return nil, false, nil
-	}
-	f.storeMu.Lock()
-	defer f.storeMu.Unlock()
-	return storeBinLookup(f.store, f.binIndex, bin, f.cur.Load().BinSize)
-}
 
 // errFeedGap asks the run loop to reconnect and resync via ?since=.
 var errFeedGap = errors.New("serve: feed gap")
@@ -199,7 +148,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	for {
 		seqBefore := f.m.seq
 		err := f.tail(ctx)
-		if f.m.seq > seqBefore {
+		if f.m.seq != seqBefore {
 			// The connection applied at least one delta: the feed is healthy
 			// again, so later transient flaps start from a fresh backoff
 			// instead of inheriting the max from flaps hours ago.
@@ -336,14 +285,6 @@ func (f *Follower) applyHello(payload []byte) error {
 	}
 	f.m.meta = Meta{Case: h.Case, Description: h.Description, Start: h.Start, End: h.End}
 	f.m.binSize = h.BinNS
-	if f.adoptGen {
-		// The file-bootstrapped history is durable and thus valid under the
-		// writer's current generation (segment-backed aggregators never
-		// rebuild committed history); adopt it so downstream hellos and
-		// ETags agree with the writer's before the first delta lands.
-		f.m.gen = h.Gen
-		f.adoptGen = false
-	}
 	f.cur.Store(f.m.assemble())
 	return nil
 }
@@ -356,14 +297,20 @@ func (f *Follower) applyDelta(payload []byte) (done bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("serve: decoding delta: %w", err)
 	}
-	if d.Seq <= f.m.seq {
+	switch {
+	case d.Full:
+		// Correct from any state, including a mirror ahead of a writer that
+		// came back without its history — there seq order means nothing.
+		if f.m.seq > 0 {
+			f.opts.Logf("serve: follower resynchronizing: full delta at seq %d replaces state at seq %d", d.Seq, f.m.seq)
+		}
+	case d.Seq <= f.m.seq:
 		return false, nil // already reflected (hello overlap on reconnect)
-	}
-	if !d.Full && d.Seq != f.m.seq+1 {
+	case d.Seq != f.m.seq+1:
 		return false, errFeedGap
 	}
 	f.m.apply(&d)
 	f.cur.Store(f.m.assemble())
-	f.bc.broadcast(d, true)
+	f.bc.broadcast(d)
 	return d.Done || d.Failed, nil
 }

@@ -66,8 +66,8 @@ type Source interface {
 	// CloseSubscribers terminates every feed stream (server shutdown).
 	CloseSubscribers()
 	// CatchUp returns the feed deltas covering (since, upTo], or ok=false
-	// when no catch-up source reaches back that far (the stream handler
-	// then sends one full-state delta).
+	// when they are not all available (the stream handler then sends one
+	// Full delta).
 	CatchUp(since, upTo uint64) ([]Delta, bool)
 	// StoreBins, StoreBin and HasStore expose the committed-segment index
 	// for /api/bins time travel.
@@ -462,8 +462,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if live := s.src.Results(); live > st.Results {
 		st.Results = live
 	}
-	// Mid-run the payload is (generation, seq, live results); polling
-	// between publications revalidates to 304 until any of them moves.
+	// Mid-run the payload is (seq, live results); polling between
+	// publications revalidates to 304 until either moves.
 	etag := etagFor(snap, fmt.Sprintf("status|%d", st.Results))
 	w.Header().Set("ETag", etag)
 	if match := r.Header.Get("If-None-Match"); match != "" && match == etag {
@@ -501,9 +501,8 @@ func (s *Server) handleMagnitude(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp magnitudeJSON
 	resp.Delay, resp.Forwarding = snap.Magnitude(ipmap.ASN(asn), from, to)
-	// (generation, seq, query) identifies the bytes for any snapshot —
-	// complete or mid-run — because snapshots are immutable and a rebuild
-	// that re-derives history always bumps the generation.
+	// (seq, query) identifies the bytes for any snapshot, complete or
+	// mid-run.
 	w.Header().Set("ETag", etagFor(snap, r.URL.RawQuery))
 	if match := r.Header.Get("If-None-Match"); match != "" && match == w.Header().Get("ETag") {
 		w.WriteHeader(http.StatusNotModified)
@@ -551,13 +550,13 @@ func (s *Server) handleBins(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, bins)
 }
 
-// etagFor derives a strong ETag for parameterized reads: snapshots are
-// immutable, so (generation, seq, query) identifies the bytes — on the
-// writer and on every follower, whose mirrors carry the same generation and
-// seq by construction.
+// etagFor derives a strong ETag for parameterized reads: history is
+// append-only — one bin per seq, closed bins immutable — so (seq, query)
+// identifies the bytes on the writer, on every follower, and across a
+// store-backed writer restart.
 func etagFor(snap *Snapshot, rawQuery string) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s", snap.evGen, snap.Seq, rawQuery)
+	fmt.Fprintf(h, "%d|%s", snap.Seq, rawQuery)
 	return fmt.Sprintf("\"%x\"", h.Sum64())
 }
 

@@ -7,9 +7,8 @@ package serve
 // feed deltas; the segment-store boot path drives it from committed
 // records via the same deltas. All three share the invariants that make
 // lock-free publication sound: slices only ever grow (snapshots hold
-// fixed-length prefixes), and a rebuild (Full or Rebuild delta, staleness
-// resync) allocates fresh storage instead of mutating what previous
-// snapshots still reference.
+// fixed-length prefixes), and a Full delta starts over on fresh storage
+// instead of mutating what previous snapshots still reference.
 
 import (
 	"fmt"
@@ -25,7 +24,6 @@ type mirror struct {
 	binSize time.Duration
 
 	seq     uint64
-	gen     uint64 // aggregator rebuild generation the mirrors track
 	lastBin time.Time
 	results int
 	idents  Identities
@@ -60,7 +58,6 @@ func (m *mirror) assemble() *Snapshot {
 		DelayAlarms: m.delay[:len(m.delay):len(m.delay)],
 		FwdAlarms:   m.fwd[:len(m.fwd):len(m.fwd)],
 		Events:      m.evs[:len(m.evs):len(m.evs)],
-		evGen:       m.gen,
 	}
 	if m.delayMag != nil || m.fwdMag != nil {
 		snap.delayMag = clipMag(m.delayMag)
@@ -80,74 +77,30 @@ func clipMag(src map[ipmap.ASN][]timeseries.Point) map[ipmap.ASN][]timeseries.Po
 
 // apply advances the mirror by one decoded feed delta. The caller has
 // already handled sequencing (skipping stale deltas, detecting gaps); apply
-// only interprets content:
-//
-//   - Full replaces the entire state.
-//   - Rebuild replaces the event list and magnitude history (the delta
-//     carries the full re-derivation) while alarms stay append-only —
-//     exactly how the writer's own mirrors resynchronize on a staleness
-//     rebuild.
-//   - Otherwise everything appends. Gen is adopted as bookkeeping either
-//     way: a gen change WITHOUT Rebuild (writer restart, store-synthesized
-//     catch-up) means the history stayed append-consistent, so treating it
-//     as a resync would silently discard the mirror's valid prefix.
-//   - A nil Identities means "keep the previous value" (store-synthesized
-//     deltas cannot carry it).
+// only interprets content: a Full delta starts the mirror over (run
+// identity aside), and then every delta — Full or not — appends. A nil
+// Identities means "keep the previous value" (store-synthesized deltas
+// cannot carry it).
 func (m *mirror) apply(d *Delta) {
-	switch {
-	case d.Full:
-		m.delay = append([]DelayAlarm(nil), d.DelayAlarms...)
-		m.fwd = append([]FwdAlarm(nil), d.FwdAlarms...)
-		m.evs = append([]Event(nil), d.Events...)
-		m.delayMag, m.fwdMag = nil, nil
-		m.magStart, m.magThrough = time.Time{}, time.Time{}
-		if !d.MagThrough.IsZero() {
+	if d.Full {
+		*m = mirror{meta: m.meta, binSize: m.binSize}
+	}
+	m.delay = append(m.delay, d.DelayAlarms...)
+	m.fwd = append(m.fwd, d.FwdAlarms...)
+	m.evs = append(m.evs, d.Events...)
+	if len(d.DelayMag) > 0 || len(d.FwdMag) > 0 || !d.MagThrough.IsZero() {
+		if m.delayMag == nil {
 			m.delayMag = make(map[ipmap.ASN][]timeseries.Point)
 			m.fwdMag = make(map[ipmap.ASN][]timeseries.Point)
-			applyMagRows(m.delayMag, d.DelayMag)
-			applyMagRows(m.fwdMag, d.FwdMag)
-			m.magStart, m.magThrough = d.MagStart, d.MagThrough
 		}
-		m.lastBin = d.Bin
-	case d.Rebuild:
-		// Staleness rebuild upstream: the event list and magnitude history
-		// were re-derived from scratch and this delta carries them whole.
-		// Fresh storage — published snapshots keep their old prefixes.
-		m.evs = append([]Event(nil), d.Events...)
-		m.delayMag = make(map[ipmap.ASN][]timeseries.Point)
-		m.fwdMag = make(map[ipmap.ASN][]timeseries.Point)
 		applyMagRows(m.delayMag, d.DelayMag)
 		applyMagRows(m.fwdMag, d.FwdMag)
-		if !d.MagThrough.IsZero() {
-			m.magStart, m.magThrough = d.MagStart, d.MagThrough
-		} else {
-			m.magStart, m.magThrough = time.Time{}, time.Time{}
-			m.delayMag, m.fwdMag = nil, nil
-		}
-		m.delay = append(m.delay, d.DelayAlarms...)
-		m.fwd = append(m.fwd, d.FwdAlarms...)
-		if !d.Bin.IsZero() {
-			m.lastBin = d.Bin
-		}
-	default:
-		m.delay = append(m.delay, d.DelayAlarms...)
-		m.fwd = append(m.fwd, d.FwdAlarms...)
-		m.evs = append(m.evs, d.Events...)
-		if len(d.DelayMag) > 0 || len(d.FwdMag) > 0 || !d.MagThrough.IsZero() {
-			if m.delayMag == nil {
-				m.delayMag = make(map[ipmap.ASN][]timeseries.Point)
-				m.fwdMag = make(map[ipmap.ASN][]timeseries.Point)
-			}
-			applyMagRows(m.delayMag, d.DelayMag)
-			applyMagRows(m.fwdMag, d.FwdMag)
-			m.magStart, m.magThrough = d.MagStart, d.MagThrough
-		}
-		if !d.Bin.IsZero() {
-			m.lastBin = d.Bin
-		}
+		m.magStart, m.magThrough = d.MagStart, d.MagThrough
+	}
+	if !d.Bin.IsZero() {
+		m.lastBin = d.Bin
 	}
 	m.seq = d.Seq
-	m.gen = d.Gen
 	m.results = d.Results
 	if d.Identities != nil {
 		m.idents = *d.Identities
@@ -182,7 +135,7 @@ func (m *mirror) restoreFromRecords(st *segstore.Store) ([]BinSummary, error) {
 		if err := st.Record(i, &rec); err != nil {
 			return nil, fmt.Errorf("serve: decoding committed segment %d: %w", i, err)
 		}
-		d := deltaFromRecord(&rec, uint64(i+2), m.gen, m.binSize)
+		d := deltaFromRecord(&rec, uint64(i+2), m.binSize)
 		m.apply(&d)
 		bins = append(bins, BinSummary{
 			Bin: rec.Bin, Results: int(rec.Results),

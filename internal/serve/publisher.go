@@ -14,10 +14,10 @@
 // lock at all.
 //
 // The alarm, event and magnitude slices inside consecutive snapshots share
-// their append-only backing arrays: the analysis side only ever appends
-// past the published lengths (and allocates fresh storage on the rare
-// staleness rebuild), so publishing is O(ASes) map copying, not a deep copy
-// of the accumulated history.
+// their append-only backing arrays: closed bins are immutable, so the
+// analysis side only ever appends past the published lengths, and
+// publishing is O(ASes) map copying, not a deep copy of the accumulated
+// history.
 //
 // Every publication also emits one Delta on the versioned replication feed
 // (see feed.go). A Follower (follower.go) rebuilds byte-identical snapshots
@@ -27,7 +27,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,23 +115,12 @@ type Snapshot struct {
 	MagStart, MagEnd time.Time
 	delayMag, fwdMag map[ipmap.ASN][]timeseries.Point
 
-	// evGen is the aggregator rebuild generation Events was mirrored
-	// under. On the writer a change between consecutive snapshots means the
-	// event history was re-derived; on a follower it can also mean the
-	// upstream writer restarted (the feed's Rebuild flag, not gen drift,
-	// distinguishes the two). Either way it keys ETag invalidation.
-	evGen uint64
-
 	encDelay, encFwd, encEvents, encStatus payloadCache
 }
 
 // Complete reports whether analysis has finished (successfully or not); a
 // complete snapshot never changes again.
 func (s *Snapshot) Complete() bool { return s.Done || s.Failed }
-
-// Gen returns the aggregator rebuild generation this snapshot was assembled
-// under (the generation stamped on feed deltas).
-func (s *Snapshot) Gen() uint64 { return s.evGen }
 
 // Magnitude returns the AS's magnitude series clipped to the published
 // region ∩ [from, to). Nil-series ASes yield empty slices.
@@ -169,11 +157,13 @@ func (s *Snapshot) magPoints(pts []timeseries.Point, from, to time.Time) []Point
 
 // Publisher is the writer role: it accumulates the read model on the
 // analysis goroutine (via the shared mirror), publishes immutable snapshots
-// and emits the replication feed. All methods except Snapshot, Results,
-// CatchUp, the store readers and the subscription API must run on the
-// analysis goroutine (they do — they are driven by the Analyzer's hooks and
-// the ingest loop).
+// and emits the replication feed. All methods except Snapshot, Results and
+// the embedded feedLog's (subscriptions, catch-up, store readers) must run
+// on the analysis goroutine (they do — they are driven by the Analyzer's
+// hooks and the ingest loop).
 type Publisher struct {
+	feedLog // ring + segment store (see store.go for the commit/boot paths)
+
 	m   mirror
 	a   *core.Analyzer
 	agg *events.Aggregator
@@ -188,21 +178,16 @@ type Publisher struct {
 	closeDelta         events.CloseDelta // per-close capture scratch
 	finished           bool
 
-	// Segment-store state (see store.go). storeMu serializes the analysis
-	// goroutine's commits with /api/bins and catch-up reads; everything else
-	// is written only at construction or on the analysis goroutine.
-	store          *segstore.Store
-	storeMu        sync.Mutex
+	// Segment-store commit state (see store.go): storeErr is guarded by
+	// storeMu, everything else is written only at construction or on the
+	// analysis goroutine.
 	storeErr       error
 	committedDelay int // prefix of p.m.delay already committed to segments
 	committedFwd   int
-	binIndex       []BinSummary
 	storeRec       segstore.BinRecord // reused per-commit encode scratch
 	floorResults   int                // durable result count; floor during warmup replay
 	resumedAt      time.Time          // resume cursor, when booted from segments
 	resumed        bool
-
-	bc *broadcaster
 }
 
 // NewPublisher wires a Publisher into the analyzer's alarm and bin-close
@@ -220,13 +205,10 @@ func NewPublisher(a *core.Analyzer, meta Meta) *Publisher {
 // (NewPublisherWithStore) restores the read model first so the first
 // published snapshot already carries the durable history.
 func newPublisher(a *core.Analyzer, meta Meta) *Publisher {
-	p := &Publisher{
-		a:   a,
-		agg: a.Aggregator(),
-		bc:  newBroadcaster(defaultFeedWindow),
-	}
+	p := &Publisher{a: a, agg: a.Aggregator()}
 	p.m.meta = meta
-	p.m.binSize = a.Aggregator().Config().BinSize
+	p.m.binSize = p.agg.Config().BinSize
+	p.feedLog = feedLog{bc: newBroadcaster(), binSize: p.m.binSize}
 	a.OnDelayAlarm = func(al delay.Alarm) {
 		p.m.delay = append(p.m.delay, DelayAlarm{
 			Bin: al.Bin, Link: al.Link.String(),
@@ -252,10 +234,6 @@ func newPublisher(a *core.Analyzer, meta Meta) *Publisher {
 	}
 	return p
 }
-
-// SetFeedWindow sets how many recent deltas the catch-up ring retains
-// (cmd -feed). Call before serving.
-func (p *Publisher) SetFeedWindow(n int) { p.bc.setWindow(n) }
 
 // ObserveResults records ingested results between bin closes so
 // /api/status stays fresh while a bin is still open. Safe to call from the
@@ -305,18 +283,10 @@ func (p *Publisher) Finish(err error) {
 	p.publish(time.Time{}, true, err, cd)
 }
 
-// syncEvents mirrors the aggregator's incremental event list into wire
-// form. The mirror is append-only within one aggregator generation; a
-// staleness rebuild bumps the generation, in which case the mirror restarts
-// with fresh storage (published snapshots keep their old prefixes) instead
-// of appending the re-derived history after the stale copy.
+// syncEvents appends the aggregator's new incremental events to the mirror
+// in wire form.
 func (p *Publisher) syncEvents() {
-	all, gen := p.agg.IncrementalEvents()
-	if gen != p.m.gen {
-		p.m.gen = gen
-		p.m.evs = nil
-	}
-	for _, e := range all[len(p.m.evs):] {
+	for _, e := range p.agg.IncrementalEvents()[len(p.m.evs):] {
 		p.m.evs = append(p.m.evs, Event{
 			ASN: e.ASN.String(), Bin: e.Bin, Type: e.Type.String(), Magnitude: e.Magnitude,
 		})
@@ -364,18 +334,13 @@ func (p *Publisher) publish(closedBin time.Time, final bool, runErr error, cd *e
 	p.cur.Store(snap)
 	p.results.Store(int64(snap.Results))
 
-	d := Delta{
-		Seq: snap.Seq, Gen: snap.evGen, Bin: closedBin, Results: snap.Results,
-		Done: snap.Done, Failed: snap.Failed, Err: snap.Err,
-		DelayAlarms: []DelayAlarm{}, FwdAlarms: []FwdAlarm{}, Events: []Event{},
-	}
 	if prev == nil {
-		// Degenerate first publication (fresh boot or store restore): no
-		// previous snapshot to diff against, so nothing travels; the feed's
-		// catch-up sources cover this state. Sent counters start at the
-		// published lengths so the next delta carries only newer rows.
+		// First publication (fresh boot or store restore): nobody can be
+		// subscribed yet and nothing travels — catch-up serves this seq as
+		// the empty initial delta or from the store's last record, never
+		// from the ring. Sent counters start at the published lengths so the
+		// next delta carries only newer rows.
 		p.sentDelay, p.sentFwd = len(snap.DelayAlarms), len(snap.FwdAlarms)
-		p.bc.broadcast(d, false)
 		return
 	}
 	// Alarms partition by closing bin (a batch spanning several closes
@@ -394,96 +359,20 @@ func (p *Publisher) publish(closedBin time.Time, final bool, runErr error, cd *e
 			nf++
 		}
 	}
-	d.DelayAlarms = snap.DelayAlarms[p.sentDelay:nd]
-	d.FwdAlarms = snap.FwdAlarms[p.sentFwd:nf]
-	p.sentDelay, p.sentFwd = nd, nf
-	if prev.evGen == snap.evGen {
-		d.Events = snap.Events[len(prev.Events):]
-	} else {
-		// The event history was rebuilt (out-of-order mutation):
-		// resynchronize subscribers with the full re-derived list. cd
-		// likewise carries the full re-derived magnitude history, so the
-		// delta is a complete events/magnitude resync on its own — marked
-		// Rebuild so mirrors replace instead of appending. (Gen drift alone
-		// does not mean this: a writer restart bumps the generation while
-		// the history stays append-consistent.)
-		d.Events = snap.Events
-		d.Rebuild = true
+	ids := snap.Identities
+	d := Delta{
+		Seq: snap.Seq, Bin: closedBin, Results: snap.Results,
+		Done: snap.Done, Failed: snap.Failed, Err: snap.Err,
+		DelayAlarms: snap.DelayAlarms[p.sentDelay:nd],
+		FwdAlarms:   snap.FwdAlarms[p.sentFwd:nf],
+		Events:      snap.Events[len(prev.Events):],
+		MagStart:    snap.MagStart, MagThrough: snap.MagEnd,
+		Identities: &ids,
 	}
+	p.sentDelay, p.sentFwd = nd, nf
 	if cd != nil {
 		d.DelayMag = magRows(cd.DelayMag)
 		d.FwdMag = magRows(cd.FwdMag)
 	}
-	d.MagStart, d.MagThrough = snap.MagStart, snap.MagEnd
-	ids := snap.Identities
-	d.Identities = &ids
-	p.bc.broadcast(d, true)
-}
-
-// Subscribe registers a feed subscriber. Cancel the subscription when the
-// consumer goes away; a subscriber that falls more than the buffer behind
-// is dropped with a gap mark (see Subscription.Gap) and resynchronizes via
-// ?since= catch-up.
-func (p *Publisher) Subscribe() *Subscription { return p.bc.subscribe() }
-
-// CloseSubscribers terminates every delta stream (server shutdown). New
-// Subscribe calls return an already-closed channel.
-func (p *Publisher) CloseSubscribers() { p.bc.closeAll() }
-
-// CatchUp returns the feed deltas covering (since, upTo], trying each
-// catch-up source in order: the in-memory ring (exact recent deltas), then
-// per-bin deltas synthesized from the segment store (record i ↔ seq i+2,
-// plus the synthetic empty seq-1 initial delta), with the newest seqs
-// topped up from the ring again. ok=false means neither source covers the
-// range — the caller falls back to a single full-state delta.
-//
-// Synthesized deltas are pure appends (never Rebuild) stamped with the
-// current generation as bookkeeping. That is correct for any client whose
-// state is a prefix of the durable history at seq `since` — including a
-// follower that tracked a previous incarnation of this writer: a restart
-// bumps the generation but never rewrites committed history (segment-backed
-// aggregators reject out-of-order mutations), so the missing bins are
-// exactly an append.
-func (p *Publisher) CatchUp(since, upTo uint64) ([]Delta, bool) {
-	if since >= upTo {
-		return nil, true
-	}
-	if ds, ok := p.bc.catchUp(since, upTo); ok {
-		return ds, true
-	}
-	if p.store == nil {
-		return nil, false
-	}
-	gen := p.cur.Load().evGen
-	p.storeMu.Lock()
-	n := uint64(len(p.binIndex))
-	storeHi := n + 1 // store covers seqs 1 (synthetic initial) .. n+1
-	if storeHi > upTo {
-		storeHi = upTo
-	}
-	out := make([]Delta, 0, storeHi-since)
-	var rec segstore.BinRecord
-	for s := since + 1; s <= storeHi; s++ {
-		if s == 1 {
-			out = append(out, Delta{
-				Seq: 1, Gen: gen,
-				DelayAlarms: []DelayAlarm{}, FwdAlarms: []FwdAlarm{}, Events: []Event{},
-			})
-			continue
-		}
-		if err := p.store.Record(int(s-2), &rec); err != nil {
-			p.storeMu.Unlock()
-			return nil, false
-		}
-		out = append(out, deltaFromRecord(&rec, s, gen, p.m.binSize))
-	}
-	p.storeMu.Unlock()
-	if storeHi == upTo {
-		return out, true
-	}
-	tail, ok := p.bc.catchUp(storeHi, upTo)
-	if !ok {
-		return nil, false
-	}
-	return append(out, tail...), true
+	p.bc.broadcast(d)
 }

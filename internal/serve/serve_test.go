@@ -14,6 +14,7 @@ import (
 	"pinpoint/internal/delay"
 	"pinpoint/internal/forwarding"
 	"pinpoint/internal/ipmap"
+	"pinpoint/internal/segstore"
 	"pinpoint/internal/stats"
 	"pinpoint/internal/trace"
 )
@@ -25,6 +26,12 @@ var t0 = time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
 // core makes, in the same order.
 func newTestPipeline(t *testing.T) (*core.Analyzer, *Publisher, *Server) {
 	t.Helper()
+	return newTestPipelineStore(t, nil)
+}
+
+// newTestPipelineStore is newTestPipeline committing to st when non-nil.
+func newTestPipelineStore(t *testing.T, st *segstore.Store) (*core.Analyzer, *Publisher, *Server) {
+	t.Helper()
 	var tbl ipmap.Table
 	tbl.MustAdd("10.1.0.0/16", 100)
 	tbl.MustAdd("10.2.0.0/16", 200)
@@ -33,12 +40,31 @@ func newTestPipeline(t *testing.T) (*core.Analyzer, *Publisher, *Server) {
 	cfg.Events.Threshold = 3
 	a := core.New(cfg, func(int) (ipmap.ASN, bool) { return 0, false }, &tbl)
 	t.Cleanup(a.Close)
-	pub := NewPublisher(a, Meta{
+	meta := Meta{
 		Case: "test", Description: "synthetic pipeline",
 		Start: t0, End: t0.Add(12 * time.Hour),
-	})
-	srv := NewServer(pub, Options{Logf: func(string, ...any) {}})
-	return a, pub, srv
+	}
+	var pub *Publisher
+	if st == nil {
+		pub = NewPublisher(a, meta)
+	} else {
+		var err error
+		if pub, err = NewPublisherWithStore(a, meta, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a, pub, NewServer(pub, Options{Logf: func(string, ...any) {}})
+}
+
+// setWindow resizes the catch-up ring (production keeps defaultFeedWindow);
+// tests shrink it to force store synthesis or the Full fallback.
+func (b *broadcaster) setWindow(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ringCap = n
+	if len(b.ring) > n {
+		b.ring = append([]Delta(nil), b.ring[len(b.ring)-n:]...)
+	}
 }
 
 func mkDelayAlarm(bin time.Time, near, far string, dev float64) delay.Alarm {
@@ -440,60 +466,5 @@ func TestETagRevalidation(t *testing.T) {
 	st := get(t, srv, "/api/status")
 	if setag := st.Header().Get("ETag"); setag == "" {
 		t.Error("terminal status has no ETag")
-	}
-}
-
-// Regression: an out-of-order alarm forces the aggregator to rebuild its
-// incremental event history, and CloseBins then returns the full
-// re-derived list. The publisher must resynchronize its wire-form mirror
-// instead of appending that list after the stale copy — no duplicate
-// events may ever reach a snapshot.
-func TestEventMirrorSurvivesStalenessRebuild(t *testing.T) {
-	a, pub, srv := newTestPipeline(t)
-	for h := 0; h <= 5; h++ {
-		bin := t0.Add(time.Duration(h) * time.Hour)
-		dev := 1.0
-		if h == 5 {
-			dev = 50 // event bin
-		}
-		closeBin(a, bin, []delay.Alarm{mkDelayAlarm(bin, "10.1.0.1", "10.2.0.1", dev)}, nil)
-	}
-	if got := len(pub.Snapshot().Events); got == 0 {
-		t.Fatal("no events before the rebuild; test is vacuous")
-	}
-	preRebuild := pub.Snapshot().Events
-
-	// An alarm landing in an already-processed bin marks the region stale;
-	// the next close rebuilds the whole history.
-	lateBin := t0.Add(2 * time.Hour)
-	bin6 := t0.Add(6 * time.Hour)
-	closeBin(a, bin6, []delay.Alarm{
-		mkDelayAlarm(lateBin, "10.1.0.1", "10.2.0.1", 40),
-		mkDelayAlarm(bin6, "10.1.0.1", "10.2.0.1", 1),
-	}, nil)
-	pub.Finish(nil)
-
-	var evs []Event
-	if err := json.Unmarshal(get(t, srv, "/api/events").Body.Bytes(), &evs); err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]bool)
-	for _, e := range evs {
-		key := e.ASN + e.Bin.String() + e.Type
-		if seen[key] {
-			t.Fatalf("duplicate event after rebuild: %+v\nfull list: %v", e, evs)
-		}
-		seen[key] = true
-	}
-	// The re-derived list matches a clean recomputation.
-	want := a.Aggregator().Events(t0, t0.Add(12*time.Hour))
-	if len(evs) != len(want) {
-		t.Fatalf("served %d events after rebuild, recompute has %d", len(evs), len(want))
-	}
-	// Pre-rebuild snapshots kept their own (old-generation) history.
-	for i, e := range preRebuild {
-		if e.Bin.After(t0.Add(5 * time.Hour)) {
-			t.Errorf("pre-rebuild snapshot event %d mutated: %+v", i, e)
-		}
 	}
 }

@@ -23,7 +23,7 @@ package serve
 //	uninterrupted one.
 //
 // The same record→wire conversions power the replication feed's catch-up
-// synthesis (Publisher.CatchUp) and a follower's local-file bootstrap
+// (feedLog.CatchUp) and a follower's local-file bootstrap
 // (mirror.restoreFromRecords): committed record i is exactly feed delta
 // seq i+2.
 //
@@ -83,7 +83,6 @@ func NewPublisherWithStore(a *core.Analyzer, meta Meta, st *segstore.Store) (*Pu
 		return nil, fmt.Errorf("serve: segment store does not support corroboration (Corroborate=%d)", c)
 	}
 	if st.Len() == 0 {
-		p.agg.SetSegmentBacked()
 		p.publish(time.Time{}, false, nil, nil)
 		return p, nil
 	}
@@ -104,9 +103,6 @@ func (p *Publisher) detachHooks() {
 
 // Store returns the attached segment store, if any.
 func (p *Publisher) Store() *segstore.Store { return p.store }
-
-// HasStore reports whether a segment store is attached (Source interface).
-func (p *Publisher) HasStore() bool { return p.store != nil }
 
 // Resumed reports whether this publisher booted from committed segments,
 // and if so the resume cursor: the first bin not covered by the store,
@@ -270,39 +266,36 @@ func (p *Publisher) restoreFromStore() error {
 	return nil
 }
 
+// HasStore reports whether a segment store is attached.
+func (l *feedLog) HasStore() bool { return l.store != nil }
+
 // StoreBins lists the committed bins, oldest first. ok is false when no
 // store is attached.
-func (p *Publisher) StoreBins() (bins []BinSummary, ok bool) {
-	if p.store == nil {
+func (l *feedLog) StoreBins() (bins []BinSummary, ok bool) {
+	if l.store == nil {
 		return nil, false
 	}
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
-	return append([]BinSummary{}, p.binIndex...), true
+	l.storeMu.Lock()
+	defer l.storeMu.Unlock()
+	return append([]BinSummary{}, l.binIndex...), true
 }
 
-// StoreBin decodes the committed segment of the given bin. found is false
-// when the bin is not committed (or no store is attached).
-func (p *Publisher) StoreBin(bin time.Time) (pl *BinPayload, found bool, err error) {
-	if p.store == nil {
+// StoreBin is the /api/bins?bin= body: it decodes the committed segment of
+// the given bin to the time-travel payload. found is false when the bin is
+// not committed (or no store is attached).
+func (l *feedLog) StoreBin(bin time.Time) (pl *BinPayload, found bool, err error) {
+	if l.store == nil {
 		return nil, false, nil
 	}
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
-	return storeBinLookup(p.store, p.binIndex, bin, p.m.binSize)
-}
-
-// storeBinLookup is the shared /api/bins?bin= body: locate the committed
-// record for a bin and decode it to the time-travel payload. The caller
-// holds whatever lock serializes access to the store's decode scratch.
-func storeBinLookup(st *segstore.Store, binIndex []BinSummary, bin time.Time, binSize time.Duration) (pl *BinPayload, found bool, err error) {
-	b := timeseries.Bin(bin, binSize)
-	i := sort.Search(len(binIndex), func(i int) bool { return !binIndex[i].Bin.Before(b) })
-	if i == len(binIndex) || !binIndex[i].Bin.Equal(b) {
+	l.storeMu.Lock()
+	defer l.storeMu.Unlock()
+	b := timeseries.Bin(bin, l.binSize)
+	i := sort.Search(len(l.binIndex), func(i int) bool { return !l.binIndex[i].Bin.Before(b) })
+	if i == len(l.binIndex) || !l.binIndex[i].Bin.Equal(b) {
 		return nil, false, nil
 	}
 	var rec segstore.BinRecord
-	if err := st.Record(i, &rec); err != nil {
+	if err := l.store.Record(i, &rec); err != nil {
 		return nil, true, fmt.Errorf("serve: decoding committed segment %d: %w", i, err)
 	}
 	pl = &BinPayload{

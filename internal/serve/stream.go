@@ -16,12 +16,13 @@ const sseHeartbeat = 15 * time.Second
 // one `delta` event per snapshot publication (bin close or run completion).
 //
 // A client holding state from an earlier connection passes ?since=SEQ; the
-// deltas covering (since, current] are replayed first — from the in-memory
-// ring, synthesized from the segment store, or as a single full-state
-// delta when neither reaches back far enough. The subscription is
-// registered before the snapshot is read, so no delta can fall between the
-// replay and the live stream; live deltas at or below the snapshot's seq
-// are skipped instead of duplicated.
+// deltas covering (since, current] are replayed first (Source.CatchUp), or
+// one Full delta when they are not all available — which includes a client
+// ahead of this server (since > current: the writer came back without its
+// history, and whatever the client holds is not a prefix of it). The
+// subscription is registered before the snapshot is read, so no delta can
+// fall between the replay and the live stream; live deltas at or below the
+// snapshot's seq are skipped instead of duplicated.
 //
 // A subscriber dropped for falling behind gets a terminal `gap` event with
 // the last delivered seq, so clients can tell "resync needed" (reconnect
@@ -55,11 +56,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !s.sseEvent(w, fl, "hello", helloFor(snap)) {
 		return
 	}
-	if haveSince && since < snap.Seq {
+	if haveSince && since != snap.Seq {
 		ds, ok := s.src.CatchUp(since, snap.Seq)
 		if !ok {
-			// Nothing reaches back to since: one full-state delta resyncs
-			// the client from any starting point.
+			// One full-state delta resyncs the client from any state.
 			ds = []Delta{fullDelta(snap)}
 		}
 		for _, d := range ds {
