@@ -13,6 +13,8 @@ import (
 
 	"pinpoint/internal/atlas"
 	"pinpoint/internal/core"
+	"pinpoint/internal/experiments"
+	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/trace"
 )
@@ -174,6 +176,51 @@ func BenchmarkServeReads(b *testing.B) {
 				p99 := lats[len(lats)*99/100]
 				b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns")
 				b.ReportMetric(float64(len(lats))/b.Elapsed().Seconds(), "reads/s")
+			}
+		})
+	}
+
+	// Per-endpoint handler cost on a completed ddos run (the quiet workload
+	// above raises no alarm, so its lists and series are empty): the request
+	// is built beforehand and the writer keeps nothing, so -benchmem's
+	// allocs/op are the handler's own (the CI bench-smoke line prints them).
+	c, err := experiments.NewCase("ddos", experiments.Quick)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := core.New(core.Config{}, c.Platform.ProbeASN, c.Net.Prefixes())
+	defer a.Close()
+	pub := NewPublisher(a, Meta{Case: c.Name, Start: c.Start, End: c.End})
+	err = c.Platform.RunChunks(context.Background(), c.Start, c.End, 0, func(rs []trace.Result) error {
+		a.ObserveBatch(rs)
+		return nil
+	})
+	a.Flush()
+	pub.Finish(err)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := NewServer(pub, Options{Logf: func(string, ...any) {}}).Handler()
+	asn := ipmap.ASN(1)
+	for k := range pub.Snapshot().delayMag {
+		asn = max(asn, k)
+	}
+	mag := fmt.Sprintf("/api/magnitude?asn=%d", uint32(asn))
+	for _, url := range []string{
+		mag,
+		mag + "&from=" + c.Start.Add(48*time.Hour).Format(time.RFC3339) + "&to=" + c.Start.Add(72*time.Hour).Format(time.RFC3339),
+		"/api/alarms/delay?limit=100",
+	} {
+		b.Run("endpoint="+url, func(b *testing.B) {
+			req := httptest.NewRequest("GET", url, nil)
+			w := &discardWriter{h: http.Header{}}
+			b.ReportAllocs()
+			for b.Loop() {
+				clear(w.h)
+				h.ServeHTTP(w, req)
+			}
+			if w.status != 0 {
+				b.Errorf("%s: status %d", url, w.status)
 			}
 		})
 	}

@@ -1,14 +1,16 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -144,10 +146,9 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return nil
 }
 
-// payloadCache lazily renders one endpoint's default payload for a
-// snapshot. Snapshots are immutable, so the render happens at most once per
-// snapshot per endpoint and is then served byte-for-byte, with an ETag
-// derived from the bytes.
+// payloadCache renders the terminal /api/status payload once: a complete
+// snapshot never changes again, so its bytes and the ETag derived from them
+// are served as they are from then on.
 type payloadCache struct {
 	once sync.Once
 	data []byte
@@ -157,11 +158,8 @@ type payloadCache struct {
 
 func (c *payloadCache) get(build func() any) ([]byte, string, error) {
 	c.once.Do(func() {
-		c.data, c.err = encodePayload(build())
-		if c.err == nil {
-			h := fnv.New64a()
-			h.Write(c.data)
-			c.etag = fmt.Sprintf("\"%x\"", h.Sum64())
+		if c.data, c.err = encodePayload(build()); c.err == nil {
+			c.etag = quoteETag(fnv1a(fnvOffset, c.data))
 		}
 	})
 	return c.data, c.etag, c.err
@@ -184,36 +182,44 @@ func encodePayload(v any) ([]byte, error) {
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	b, err := encodePayload(v)
 	if err != nil {
-		s.opts.Logf("serve: encoding response: %v", err)
-		http.Error(w, "response encoding failed", http.StatusInternalServerError)
+		s.encodeFailed(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	s.writeBody(w, b)
+}
+
+func (s *Server) encodeFailed(w http.ResponseWriter, err error) {
+	s.opts.Logf("serve: encoding response: %v", err)
+	http.Error(w, "response encoding failed", http.StatusInternalServerError)
+}
+
+// jsonContentType is the one Content-Type value of every JSON response,
+// shared (never appended to: len == cap) to spare a slice per response.
+var jsonContentType = []string{"application/json"}
+
+// writeBody writes a fully assembled JSON body as one response of known
+// length.
+func (s *Server) writeBody(w http.ResponseWriter, b []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	if _, err := w.Write(b); err != nil {
 		s.opts.Logf("serve: writing response: %v", err)
 	}
 }
 
-// serveCached serves a snapshot's pre-encoded default payload with strong
-// ETag revalidation. Snapshots are immutable, so the bytes-derived ETag is
-// valid mid-run too: it is stable across no-op polls of the same snapshot
-// and changes exactly when a bin close (or completion) publishes new bytes.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, snap *Snapshot, c *payloadCache, build func() any) {
-	b, etag, err := c.get(build)
-	if err != nil {
-		s.opts.Logf("serve: encoding response: %v", err)
-		http.Error(w, "response encoding failed", http.StatusInternalServerError)
-		return
-	}
+// notModified sets the response's ETag and, when the request's
+// If-None-Match names it, answers 304 and reports true. ETags identify
+// immutable bytes — a snapshot's, mid-run or complete — so they are stable
+// across no-op polls and change exactly when a publication changes the
+// payload.
+func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	w.Header().Set("ETag", etag)
-	if match := r.Header.Get("If-None-Match"); match != "" && match == etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	if !etagMatch(r.Header.Get("If-None-Match"), etag) {
+		return false
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(b); err != nil {
-		s.opts.Logf("serve: writing response: %v", err)
-	}
+	w.WriteHeader(http.StatusNotModified)
+	return true
 }
 
 // query is the parsed filter/pagination parameter set shared by the alarm
@@ -233,18 +239,49 @@ type query struct {
 }
 
 // anyFilter reports whether any narrowing filter is active (pagination
-// aside) — unfiltered, unpaged requests ride the pre-encoded payload.
-func (q query) anyFilter() bool {
+// aside) — unfiltered, unpaged requests ride the encoded stream.
+func (q *query) anyFilter() bool {
 	return q.haveFrom || q.haveTo || q.link != "" || q.router != "" || q.dst != "" ||
 		q.asn != "" || q.typ != "" || q.haveMinDev || q.haveMinRho || q.haveMinMag
 }
 
+// queryGet is url.Values.Get without building the map: the value of the
+// first well-formed pair of the raw query named key, unescaped, or "".
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(kv, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(kv, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// parseQuery reads the filter and pagination parameters off the request's
+// raw query, once per request. The string-valued parameters are filled in
+// even when a later one is rejected.
 func parseQuery(r *http.Request) (query, error) {
 	var q query
-	vals := r.URL.Query()
+	raw := r.URL.RawQuery
+	if raw == "" {
+		return q, nil
+	}
+	q.link = queryGet(raw, "link")
+	q.router = queryGet(raw, "router")
+	q.dst = queryGet(raw, "dst")
+	q.asn = queryGet(raw, "asn")
+	q.typ = queryGet(raw, "type")
 	var err error
 	parseT := func(key string) (time.Time, bool, error) {
-		s := vals.Get(key)
+		s := queryGet(raw, key)
 		if s == "" {
 			return time.Time{}, false, nil
 		}
@@ -261,7 +298,7 @@ func parseQuery(r *http.Request) (query, error) {
 		return q, err
 	}
 	parseF := func(key string) (float64, bool, error) {
-		s := vals.Get(key)
+		s := queryGet(raw, key)
 		if s == "" {
 			return 0, false, nil
 		}
@@ -280,19 +317,14 @@ func parseQuery(r *http.Request) (query, error) {
 	if q.minMag, q.haveMinMag, err = parseF("min_magnitude"); err != nil {
 		return q, err
 	}
-	q.link = vals.Get("link")
-	q.router = vals.Get("router")
-	q.dst = vals.Get("dst")
-	q.asn = vals.Get("asn")
-	q.typ = vals.Get("type")
-	if s := vals.Get("limit"); s != "" {
+	if s := queryGet(raw, "limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
 			return q, fmt.Errorf("invalid limit %q", s)
 		}
 		q.paged, q.limit = true, n
 	}
-	if s := vals.Get("cursor"); s != "" {
+	if s := queryGet(raw, "cursor"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			return q, fmt.Errorf("invalid cursor %q", s)
@@ -306,7 +338,7 @@ func parseQuery(r *http.Request) (query, error) {
 }
 
 // binMatch applies the shared [from, to) time filter.
-func (q query) binMatch(bin time.Time) bool {
+func (q *query) binMatch(bin time.Time) bool {
 	if q.haveFrom && bin.Before(q.from) {
 		return false
 	}
@@ -316,99 +348,136 @@ func (q query) binMatch(bin time.Time) bool {
 	return true
 }
 
-// page is the envelope of a paginated response. NextCursor is the index to
-// resume from; it is omitted on the final page. Cursors stay valid across
-// snapshots because the underlying slices are append-only.
-type page[T any] struct {
-	Items      []T    `json:"items"`
-	NextCursor string `json:"next_cursor,omitempty"`
+// finish answers a request whose body was assembled in a pooled buffer —
+// the body, or a clean 500 when a row failed to encode (nothing has been
+// written yet) — and recycles the buffer.
+func (s *Server) finish(w http.ResponseWriter, bp *[]byte, b []byte, err error) {
+	if err != nil {
+		s.encodeFailed(w, err)
+	} else {
+		s.writeBody(w, b)
+	}
+	*bp = b[:0]
+	bodyPool.Put(bp)
 }
 
-// filterPage scans all[cursor:] for matches. Unpaged: returns every match.
-// Paged: returns up to limit matches plus the cursor of the next match.
-func filterPage[T any](all []T, match func(T) bool, q query) page[T] {
-	out := page[T]{Items: []T{}}
-	i := q.cursor
-	if !q.paged {
-		i = 0
-	}
-	for ; i < len(all); i++ {
-		if !match(all[i]) {
-			continue
-		}
-		if q.paged && len(out.Items) == q.limit {
-			out.NextCursor = strconv.Itoa(i)
-			return out
-		}
-		out.Items = append(out.Items, all[i])
-	}
-	return out
-}
-
-// serveList is the shared alarm/event endpoint body: pre-encoded fast path
-// for the plain request, filter/paginate otherwise. The plain payload is a
-// bare array (the legacy wire shape, always [] instead of null when empty);
-// paged requests get the {items, next_cursor} envelope.
-func serveList[T any](s *Server, w http.ResponseWriter, r *http.Request, snap *Snapshot,
-	cache *payloadCache, all []T, match func(query, T) bool) {
+// serveList is the shared alarm/event endpoint body. The plain request is
+// the snapshot's prefix of the list's encoded stream between brackets — a
+// bare array, the legacy wire shape, [] when empty — under an ETag over
+// exactly those bytes. Filtered and paged requests walk the rows through the
+// same encoder instead.
+func serveList[T any](s *Server, w http.ResponseWriter, r *http.Request, st *stream, all []T,
+	enc rowEncoder[T], match func(*query, *T) bool) {
 	q, err := parseQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !q.anyFilter() && !q.paged {
-		s.serveCached(w, r, snap, cache, func() any {
-			if all == nil {
-				return []T{}
-			}
-			return all
-		})
+	if q.anyFilter() || q.paged {
+		bp := bodyPool.Get().(*[]byte)
+		b, err := appendMatches((*bp)[:0], all, q, enc, match)
+		s.finish(w, bp, b, err)
 		return
 	}
-	pg := filterPage(all, func(v T) bool { return match(q, v) }, q)
+	buf, marks, err := render(st, all, listIndent, enc)
+	if err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	if notModified(w, r, listETag(marks)) {
+		return
+	}
+	bp := bodyPool.Get().(*[]byte)
+	b := appendArray((*bp)[:0], span(buf, marks, 0, len(marks)), "")
+	s.finish(w, bp, append(b, '\n'), nil)
+}
+
+// appendMatches encodes the rows of all that match: every one, as a bare
+// array, when unpaged; when paged, up to q.limit of all[q.cursor:] in the
+// {items, next_cursor} envelope. next_cursor is the index of the next match
+// and is omitted on the final page; cursors stay valid across snapshots
+// because the lists are append-only.
+func appendMatches[T any](b []byte, all []T, q query, enc rowEncoder[T], match func(*query, *T) bool) ([]byte, error) {
+	ind, arrayInd, i := listIndent, "", 0
 	if q.paged {
-		s.writeJSON(w, pg)
-		return
+		ind, arrayInd, i = nestedIndent, listIndent, q.cursor
+		b = append(b, "{\n  \"items\": "...)
 	}
-	s.writeJSON(w, pg.Items)
+	b = append(b, '[')
+	next := -1
+	for n := 0; i < len(all); i++ {
+		if !match(&q, &all[i]) {
+			continue
+		}
+		if q.paged && n == q.limit {
+			next = i
+			break
+		}
+		if n > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = enc(b, ind, &all[i]); err != nil {
+			return b, err
+		}
+		n++
+	}
+	if b[len(b)-1] != '[' {
+		b = append(append(b, '\n'), arrayInd...)
+	}
+	b = append(b, ']')
+	if next >= 0 {
+		b = append(b, ",\n  \"next_cursor\": \""...)
+		b = append(strconv.AppendInt(b, int64(next), 10), '"')
+	}
+	if q.paged {
+		b = append(b, "\n}"...)
+	}
+	return append(b, '\n'), nil
 }
 
 func (s *Server) handleDelayAlarms(w http.ResponseWriter, r *http.Request) {
 	snap := s.src.Snapshot()
-	serveList(s, w, r, snap, &snap.encDelay, snap.DelayAlarms, func(q query, a DelayAlarm) bool {
-		if !q.binMatch(a.Bin) || (q.link != "" && a.Link != q.link) {
-			return false
-		}
-		return !q.haveMinDev || a.Deviation >= q.minDev
-	})
+	serveList(s, w, r, &snap.enc.delay, snap.DelayAlarms, appendDelayAlarmJSON, matchDelayAlarm)
 }
 
 func (s *Server) handleFwdAlarms(w http.ResponseWriter, r *http.Request) {
 	snap := s.src.Snapshot()
-	serveList(s, w, r, snap, &snap.encFwd, snap.FwdAlarms, func(q query, a FwdAlarm) bool {
-		if !q.binMatch(a.Bin) || (q.router != "" && a.Router != q.router) || (q.dst != "" && a.Dst != q.dst) {
-			return false
-		}
-		// ρ sits below τ < 0 when anomalous; "at most" is the natural knob.
-		return !q.haveMinRho || a.Rho <= q.minRho
-	})
+	serveList(s, w, r, &snap.enc.fwd, snap.FwdAlarms, appendFwdAlarmJSON, matchFwdAlarm)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	snap := s.src.Snapshot()
-	serveList(s, w, r, snap, &snap.encEvents, snap.Events, func(q query, e Event) bool {
-		if !q.binMatch(e.Bin) || (q.asn != "" && e.ASN != q.asn) || (q.typ != "" && e.Type != q.typ) {
-			return false
-		}
-		if !q.haveMinMag {
-			return true
-		}
-		m := e.Magnitude
-		if m < 0 {
-			m = -m
-		}
-		return m >= q.minMag
-	})
+	serveList(s, w, r, &snap.enc.events, snap.Events, appendEventJSON, matchEvent)
+}
+
+func matchDelayAlarm(q *query, a *DelayAlarm) bool {
+	if !q.binMatch(a.Bin) || (q.link != "" && a.Link != q.link) {
+		return false
+	}
+	return !q.haveMinDev || a.Deviation >= q.minDev
+}
+
+func matchFwdAlarm(q *query, a *FwdAlarm) bool {
+	if !q.binMatch(a.Bin) || (q.router != "" && a.Router != q.router) || (q.dst != "" && a.Dst != q.dst) {
+		return false
+	}
+	// ρ sits below τ < 0 when anomalous; "at most" is the natural knob.
+	return !q.haveMinRho || a.Rho <= q.minRho
+}
+
+func matchEvent(q *query, e *Event) bool {
+	if !q.binMatch(e.Bin) || (q.asn != "" && e.ASN != q.asn) || (q.typ != "" && e.Type != q.typ) {
+		return false
+	}
+	if !q.haveMinMag {
+		return true
+	}
+	m := e.Magnitude
+	if m < 0 {
+		m = -m
+	}
+	return m >= q.minMag
 }
 
 // statusJSON is the /api/status payload. Done means "finished
@@ -454,8 +523,12 @@ func (s *Server) statusOf(snap *Snapshot) statusJSON {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	snap := s.src.Snapshot()
 	if snap.Complete() {
-		// Terminal state: immutable, so the bytes-derived ETag applies.
-		s.serveCached(w, r, snap, &snap.encStatus, func() any { return s.statusOf(snap) })
+		b, etag, err := snap.encStatus.get(func() any { return s.statusOf(snap) })
+		if err != nil {
+			s.encodeFailed(w, err)
+		} else if !notModified(w, r, etag) {
+			s.writeBody(w, b)
+		}
 		return
 	}
 	st := s.statusOf(snap)
@@ -464,34 +537,31 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	// Mid-run the payload is (seq, live results); polling between
 	// publications revalidates to 304 until either moves.
-	etag := etagFor(snap, fmt.Sprintf("status|%d", st.Results))
-	w.Header().Set("ETag", etag)
-	if match := r.Header.Get("If-None-Match"); match != "" && match == etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	if !notModified(w, r, etagFor(snap.Seq, "status|"+strconv.Itoa(st.Results))) {
+		s.writeJSON(w, st)
 	}
-	s.writeJSON(w, st)
 }
 
-// magnitudeJSON always carries both families; a quiet AS gets two empty
-// arrays, never a bare {}.
-type magnitudeJSON struct {
-	Delay      []Point `json:"delay"`
-	Forwarding []Point `json:"forwarding"`
-}
-
+// handleMagnitude frames the two families of one AS — both keys always, a
+// quiet AS gets two empty arrays, never a bare {} — around the requested
+// row range of their encoded streams.
 func (s *Server) handleMagnitude(w http.ResponseWriter, r *http.Request) {
-	asn, err := strconv.ParseUint(r.URL.Query().Get("asn"), 10, 32)
+	q, qerr := parseQuery(r)
+	asn, err := strconv.ParseUint(q.asn, 10, 32)
 	if err != nil {
 		http.Error(w, "missing or invalid asn parameter", http.StatusBadRequest)
 		return
 	}
-	q, err := parseQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if qerr != nil {
+		http.Error(w, qerr.Error(), http.StatusBadRequest)
 		return
 	}
 	snap := s.src.Snapshot()
+	// (seq, query) identifies the bytes for any snapshot, complete or
+	// mid-run, so revalidation is settled before any row is looked at.
+	if notModified(w, r, etagFor(snap.Seq, r.URL.RawQuery)) {
+		return
+	}
 	from, to := snap.Meta.Start, snap.Meta.End
 	if q.haveFrom {
 		from = q.from
@@ -499,16 +569,17 @@ func (s *Server) handleMagnitude(w http.ResponseWriter, r *http.Request) {
 	if q.haveTo {
 		to = q.to
 	}
-	var resp magnitudeJSON
-	resp.Delay, resp.Forwarding = snap.Magnitude(ipmap.ASN(asn), from, to)
-	// (seq, query) identifies the bytes for any snapshot, complete or
-	// mid-run.
-	w.Header().Set("ETag", etagFor(snap, r.URL.RawQuery))
-	if match := r.Header.Get("If-None-Match"); match != "" && match == w.Header().Get("ETag") {
-		w.WriteHeader(http.StatusNotModified)
+	i, j := snap.magRange(from, to)
+	d, derr := snap.magRows(magKey{ipmap.ASN(asn), false}, i, j)
+	f, ferr := snap.magRows(magKey{ipmap.ASN(asn), true}, i, j)
+	if err := cmp.Or(derr, ferr); err != nil {
+		s.encodeFailed(w, err)
 		return
 	}
-	s.writeJSON(w, resp)
+	bp := bodyPool.Get().(*[]byte)
+	b := appendArray(append((*bp)[:0], "{\n  \"delay\": "...), d, listIndent)
+	b = appendArray(append(b, ",\n  \"forwarding\": "...), f, listIndent)
+	s.finish(w, bp, append(b, "\n}\n"...), nil)
 }
 
 // handleBins serves the segment store's committed-bin index, or — with
@@ -548,16 +619,6 @@ func (s *Server) handleBins(w http.ResponseWriter, r *http.Request) {
 		bins = []BinSummary{}
 	}
 	s.writeJSON(w, bins)
-}
-
-// etagFor derives a strong ETag for parameterized reads: history is
-// append-only — one bin per seq, closed bins immutable — so (seq, query)
-// identifies the bytes on the writer, on every follower, and across a
-// store-backed writer restart.
-func etagFor(snap *Snapshot, rawQuery string) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", snap.Seq, rawQuery)
-	return fmt.Sprintf("\"%x\"", h.Sum64())
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,7 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"pinpoint/internal/ipmap"
@@ -33,11 +34,15 @@ type mirror struct {
 	evs   []Event // wire-form mirror of the aggregator's event list
 
 	// Magnitude region: dense per-AS points over [magStart, magThrough).
-	// The writer swaps in the aggregator's own point-in-time maps; a
-	// follower appends feed rows into maps it owns. Either way assemble
-	// publishes fixed-length prefixes.
+	// The writer swaps in the aggregator's own point-in-time maps; apply
+	// swaps in extended copies. Either way the maps are never mutated once
+	// here, so snapshots share them as they are.
 	delayMag, fwdMag     map[ipmap.ASN][]timeseries.Point
 	magStart, magThrough time.Time
+
+	// enc holds the rows' encoded form (render.go), shared by every snapshot
+	// assembled from this mirror; a Full delta starts over with the mirror.
+	enc *streams
 
 	done, failed bool
 	errMsg       string
@@ -45,6 +50,9 @@ type mirror struct {
 
 // assemble builds the immutable snapshot of the mirror's current state.
 func (m *mirror) assemble() *Snapshot {
+	if m.enc == nil {
+		m.enc = &streams{mag: make(map[magKey]*stream)}
+	}
 	snap := &Snapshot{
 		Seq:         m.seq,
 		Meta:        m.meta,
@@ -58,21 +66,13 @@ func (m *mirror) assemble() *Snapshot {
 		DelayAlarms: m.delay[:len(m.delay):len(m.delay)],
 		FwdAlarms:   m.fwd[:len(m.fwd):len(m.fwd)],
 		Events:      m.evs[:len(m.evs):len(m.evs)],
+		enc:         m.enc,
 	}
 	if m.delayMag != nil || m.fwdMag != nil {
-		snap.delayMag = clipMag(m.delayMag)
-		snap.fwdMag = clipMag(m.fwdMag)
+		snap.delayMag, snap.fwdMag = m.delayMag, m.fwdMag
 		snap.MagStart, snap.MagEnd = m.magStart, m.magThrough
 	}
 	return snap
-}
-
-func clipMag(src map[ipmap.ASN][]timeseries.Point) map[ipmap.ASN][]timeseries.Point {
-	out := make(map[ipmap.ASN][]timeseries.Point, len(src))
-	for asn, pts := range src {
-		out[asn] = pts[:len(pts):len(pts)]
-	}
-	return out
 }
 
 // apply advances the mirror by one decoded feed delta. The caller has
@@ -89,12 +89,8 @@ func (m *mirror) apply(d *Delta) {
 	m.fwd = append(m.fwd, d.FwdAlarms...)
 	m.evs = append(m.evs, d.Events...)
 	if len(d.DelayMag) > 0 || len(d.FwdMag) > 0 || !d.MagThrough.IsZero() {
-		if m.delayMag == nil {
-			m.delayMag = make(map[ipmap.ASN][]timeseries.Point)
-			m.fwdMag = make(map[ipmap.ASN][]timeseries.Point)
-		}
-		applyMagRows(m.delayMag, d.DelayMag)
-		applyMagRows(m.fwdMag, d.FwdMag)
+		m.delayMag = extendMag(m.delayMag, d.DelayMag)
+		m.fwdMag = extendMag(m.fwdMag, d.FwdMag)
 		m.magStart, m.magThrough = d.MagStart, d.MagThrough
 	}
 	if !d.Bin.IsZero() {
@@ -114,11 +110,18 @@ func (m *mirror) apply(d *Delta) {
 	}
 }
 
-func applyMagRows(dst map[ipmap.ASN][]timeseries.Point, rows []MagRow) {
+// extendMag returns a copy of src with rows appended to their series: the
+// one per-delta map copy a published, concurrently read map costs. The
+// series' backing arrays are shared and only ever written past the lengths
+// src (and the snapshots holding it) can see.
+func extendMag(src map[ipmap.ASN][]timeseries.Point, rows []MagRow) map[ipmap.ASN][]timeseries.Point {
+	out := make(map[ipmap.ASN][]timeseries.Point, len(src))
+	maps.Copy(out, src)
 	for _, r := range rows {
 		asn := ipmap.ASN(r.ASN)
-		dst[asn] = append(dst[asn], timeseries.Point{T: r.T, V: r.V})
+		out[asn] = append(out[asn], timeseries.Point{T: r.T, V: r.V})
 	}
+	return out
 }
 
 // restoreFromRecords rebuilds the mirror from a segment store's committed

@@ -16,8 +16,8 @@
 // The alarm, event and magnitude slices inside consecutive snapshots share
 // their append-only backing arrays: closed bins are immutable, so the
 // analysis side only ever appends past the published lengths, and
-// publishing is O(ASes) map copying, not a deep copy of the accumulated
-// history.
+// publishing is the aggregator's O(ASes) clipped maps, not a deep copy of
+// the accumulated history.
 //
 // Every publication also emits one Delta on the versioned replication feed
 // (see feed.go). A Follower (follower.go) rebuilds byte-identical snapshots
@@ -92,9 +92,10 @@ type Meta struct {
 }
 
 // Snapshot is one immutable published state of the analysis. Everything a
-// handler needs is reachable from it without locks; the encoded-payload
-// caches fill lazily (sync.Once) on first use and are themselves immutable
-// afterwards.
+// handler needs is reachable from it without a lock shared with the
+// analysis side. The rows' encoded form lives in the mirror's streams
+// (render.go), which every snapshot of that mirror shares and reads a
+// prefix of.
 type Snapshot struct {
 	Seq        uint64
 	Meta       Meta
@@ -115,23 +116,19 @@ type Snapshot struct {
 	MagStart, MagEnd time.Time
 	delayMag, fwdMag map[ipmap.ASN][]timeseries.Point
 
-	encDelay, encFwd, encEvents, encStatus payloadCache
+	enc       *streams
+	encStatus payloadCache
 }
 
 // Complete reports whether analysis has finished (successfully or not); a
 // complete snapshot never changes again.
 func (s *Snapshot) Complete() bool { return s.Done || s.Failed }
 
-// Magnitude returns the AS's magnitude series clipped to the published
-// region ∩ [from, to). Nil-series ASes yield empty slices.
-func (s *Snapshot) Magnitude(asn ipmap.ASN, from, to time.Time) (delayPts, fwdPts []Point) {
-	return s.magPoints(s.delayMag[asn], from, to), s.magPoints(s.fwdMag[asn], from, to)
-}
-
-func (s *Snapshot) magPoints(pts []timeseries.Point, from, to time.Time) []Point {
-	out := []Point{}
+// magRange maps [from, to) ∩ the published region onto row indices of the
+// dense per-AS series, which all start at MagStart.
+func (s *Snapshot) magRange(from, to time.Time) (i, j int) {
 	if s.BinSize <= 0 || s.MagEnd.IsZero() {
-		return out
+		return 0, 0
 	}
 	f := timeseries.Bin(from, s.BinSize)
 	t := timeseries.Bin(to, s.BinSize)
@@ -142,17 +139,30 @@ func (s *Snapshot) magPoints(pts []timeseries.Point, from, to time.Time) []Point
 		t = s.MagEnd
 	}
 	if !f.Before(t) {
-		return out
+		return 0, 0
 	}
-	i := int(f.Sub(s.MagStart) / s.BinSize)
-	j := int(t.Sub(s.MagStart) / s.BinSize)
+	return int(f.Sub(s.MagStart) / s.BinSize), int(t.Sub(s.MagStart) / s.BinSize)
+}
+
+// magRows returns rows [i, j) of one magnitude series in encoded form, nil
+// when the AS has none there (a series-less AS, which any 32-bit number may
+// name, never gets a stream).
+func (s *Snapshot) magRows(k magKey, i, j int) ([]byte, error) {
+	pts := s.delayMag[k.asn]
+	if k.fwd {
+		pts = s.fwdMag[k.asn]
+	}
 	if j > len(pts) {
 		j = len(pts)
 	}
-	for ; i < j; i++ {
-		out = append(out, Point{T: pts[i].T, V: pts[i].V})
+	if i >= j {
+		return nil, nil
 	}
-	return out
+	buf, marks, err := render(s.enc.magnitude(k), pts[:j], nestedIndent, appendPointJSON)
+	if err != nil {
+		return nil, err
+	}
+	return span(buf, marks, i, j), nil
 }
 
 // Publisher is the writer role: it accumulates the read model on the

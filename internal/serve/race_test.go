@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"pinpoint/internal/atlas"
 	"pinpoint/internal/core"
+	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/trace"
 )
@@ -18,7 +21,7 @@ import (
 // TestConcurrentReadsDuringIngest hammers every endpoint from several
 // goroutines while the analysis goroutine ingests a live run — the
 // snapshot model's core claim, checked under -race in CI: handlers share
-// no lock with ObserveBatch, and every response is internally consistent.
+// no lock with ObserveBatch, and every response is exactly its snapshot's.
 func TestConcurrentReadsDuringIngest(t *testing.T) {
 	topo, err := netsim.Generate(netsim.TopoConfig{
 		Seed: 77, Tier1: 2, Transit: 5, Stub: 20,
@@ -62,13 +65,23 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 		runErr <- err
 	}()
 
+	// Every list, magnitude, ranged and paged body is compared with the
+	// oracle for the very snapshot it was served from (pinned), so readers
+	// racing stream extension against each other and against bin closes must
+	// still see exactly their snapshot's prefix.
+	from := start.Add(2 * time.Hour).Format(time.RFC3339)
+	to := start.Add(6 * time.Hour).Format(time.RFC3339)
 	urls := []string{
 		"/api/status",
 		"/api/alarms/delay",
 		"/api/alarms/forwarding",
 		"/api/events",
-		"/api/magnitude?asn=1",
+		"/api/magnitude?asn=%d",
+		"/api/magnitude?asn=%d&from=" + from + "&to=" + to,
+		"/api/magnitude?asn=%d&from=" + to,
 		"/api/alarms/delay?limit=5",
+		"/api/alarms/delay?limit=5&cursor=3",
+		"/api/events?limit=2&from=" + from,
 		"/",
 	}
 	var wg sync.WaitGroup
@@ -78,11 +91,24 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; !analysisDone.Load() || i < 50; i++ {
+				snap := pub.Snapshot()
 				url := urls[(g+i)%len(urls)]
-				rec := httptest.NewRecorder()
-				srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-				if rec.Code != 200 {
-					t.Errorf("%s: status %d", url, rec.Code)
+				if strings.Contains(url, "%d") {
+					asn := ipmap.ASN(1)
+					for k := range snap.delayMag {
+						asn = max(asn, k)
+					}
+					url = fmt.Sprintf(url, uint32(asn))
+				}
+				if url == "/" || url == "/api/status" {
+					if rec := getPinned(pub, snap, url); rec.Code != 200 {
+						t.Errorf("%s: status %d", url, rec.Code)
+						return
+					}
+				} else {
+					checkAgainstOracle(t, pub, snap, url)
+				}
+				if t.Failed() {
 					return
 				}
 				reads.Add(1)
@@ -98,6 +124,9 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 	}
 	if reads.Load() == 0 {
 		t.Fatal("no reads executed")
+	}
+	if fin := pub.Snapshot(); len(fin.DelayAlarms) == 0 || len(fin.delayMag) == 0 {
+		t.Fatalf("vacuous run: %d delay alarms, %d magnitude series", len(fin.DelayAlarms), len(fin.delayMag))
 	}
 
 	// After completion the served state is the full analysis.

@@ -2,10 +2,10 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"net/netip"
 	"strconv"
-	"unicode/utf8"
+
+	"pinpoint/internal/jsonenc"
 )
 
 // AppendResult appends the Atlas wire encoding of r to dst and returns the
@@ -74,84 +74,14 @@ func appendAddr(dst []byte, a netip.Addr) []byte {
 		dst = a.AppendTo(dst)
 		return append(dst, '"')
 	}
-	return appendJSONString(dst, a.AppendTo(make([]byte, 0, 64)))
+	return jsonenc.AppendString(dst, a.AppendTo(make([]byte, 0, 64)))
 }
 
-// appendRTT appends a float exactly as encoding/json does: shortest
-// representation, 'f' format except for magnitudes outside [1e-6, 1e21)
-// which use 'e' with the exponent's leading zero trimmed.
+// appendRTT appends a float exactly as encoding/json does.
 func appendRTT(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	dst, ok := jsonenc.AppendFloat(dst, f)
+	if !ok {
 		return dst, fmt.Errorf("trace: unsupported rtt value %v", f)
 	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
 	return dst, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends a quoted JSON string the way encoding/json's
-// encoder does with HTML escaping on: <, >, & and controls escaped,
-// \b \f \n \r \t shorthands, invalid UTF-8 replaced by a literal �
-// escape, U+2028/U+2029 escaped for JavaScript embedding.
-func appendJSONString(dst, src []byte) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(src); {
-		if b := src[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, src[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRune(src[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, src[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, src[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, src[start:]...)
-	return append(dst, '"')
 }
