@@ -36,7 +36,7 @@ func main() {
 	out := flag.String("out", "-", "results NDJSON output path (- for stdout; a .gz suffix compresses)")
 	flag.StringVar(out, "o", "-", "shorthand for -out")
 	metaPath := flag.String("meta", "", "metadata JSON output path (default <out>.meta.json)")
-	genWorkers := flag.Int("gen-workers", 1, "generator workers (0 = all CPUs, 1 = sequential)")
+	genWorkers := flag.Int("gen-workers", 1, "generator workers (0 = all CPUs, 1 = inline)")
 	flag.Parse()
 
 	scale, err := experiments.ParseScale(*scaleName)

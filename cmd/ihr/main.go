@@ -95,10 +95,10 @@ func main() {
 	caseName := flag.String("case", "ddos", "scenario: "+strings.Join(experiments.CaseNames, ", ")+" (with -input, supplies the metadata)")
 	scaleName := flag.String("scale", "quick", "workload scale: quick or full")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	workers := flag.Int("workers", 0, "analysis worker shards (0 = all CPUs, 1 = sequential)")
-	genWorkers := flag.Int("gen-workers", 0, "measurement generator workers (0 = all CPUs, 1 = sequential)")
+	workers := flag.Int("workers", 0, "analysis worker shards (0 = all CPUs, 1 = one inline shard)")
+	genWorkers := flag.Int("gen-workers", 0, "measurement generator workers (0 = all CPUs, 1 = inline)")
 	input := flag.String("input", "", "comma-separated NDJSON dump paths to analyze instead of live generation (.gz ok, - for stdin)")
-	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for -input (0 = all CPUs, 1 = sequential)")
+	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for -input (0 = all CPUs, 1 = inline)")
 	corroborate := flag.Int("corroborate", 0, "require this many distinct corroborating alarm sources per event (0 = off, paper behaviour)")
 	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence; reopening resumes past committed bins and adds /api/bins time travel")
 	evictIdle := flag.Int("evict-idle-bins", 0, "evict detector state for links/flows idle this many bins (0 = off, paper behaviour)")

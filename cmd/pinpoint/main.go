@@ -80,13 +80,13 @@ func run() error {
 	metaPath := flag.String("meta", "", "metadata JSON path (required for dump input unless -case)")
 	caseName := flag.String("case", "", "generate and analyze a scenario ("+strings.Join(experiments.CaseNames, ", ")+") — or, with -input, supply its metadata for a dump replay")
 	scaleName := flag.String("scale", "quick", "workload scale for -case: quick or full")
-	genWorkers := flag.Int("gen-workers", 0, "generator workers for -case (0 = all CPUs, 1 = sequential)")
-	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for dump input (0 = all CPUs, 1 = sequential)")
+	genWorkers := flag.Int("gen-workers", 0, "generator workers for -case (0 = all CPUs, 1 = inline)")
+	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for dump input (0 = all CPUs, 1 = inline)")
 	skipBad := flag.Bool("skip-bad", false, "tolerate undecodable dump lines (skipped count is reported) instead of aborting")
 	threshold := flag.Float64("threshold", 10, "event magnitude threshold")
 	window := flag.Duration("window", 7*24*time.Hour, "magnitude sliding window")
 	corroborate := flag.Int("corroborate", 0, "require this many distinct corroborating alarm sources per event (0 = off, paper behaviour)")
-	workers := flag.Int("workers", 0, "analysis worker shards (0 = all CPUs, 1 = sequential)")
+	workers := flag.Int("workers", 0, "analysis worker shards (0 = all CPUs, 1 = one inline shard)")
 	verbose := flag.Bool("v", false, "print every alarm")
 	topAS := flag.Int("top", 10, "number of ASes to summarize")
 	dotPath := flag.String("dot", "", "write the alarm graph (all components) as Graphviz DOT to this path")
@@ -215,7 +215,7 @@ func run() error {
 	}
 
 	// replay analyzes one or more NDJSON dumps through the parallel ingest
-	// pipeline (gzip auto-detected, ordered reorder-buffer delivery).
+	// pipeline (gzip auto-detected, delivery in input order).
 	replay := func(paths []string, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) error {
 		a = core.New(cfg, probeASN, table)
 		if err := attach(a); err != nil {

@@ -65,12 +65,9 @@ func main() {
 		}
 	}()
 
-	ctx := context.Background()
-	batches, errc := c.Platform.StreamBatches(ctx, c.Start, c.End, 0)
-	if err := analyzer.RunBatches(ctx, batches); err != nil {
-		log.Fatal(err)
-	}
-	if err := <-errc; err != nil {
+	// The fused pipeline: generator chunks are ingested on this goroutine
+	// as they are produced, and every bin close publishes.
+	if err := analyzer.RunPlatform(context.Background(), c.Platform, c.Start, c.End); err != nil {
 		pub.Finish(err)
 		log.Fatal(err)
 	}

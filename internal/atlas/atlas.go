@@ -10,10 +10,9 @@
 // Generation is deterministic and parallelizable: every (measurement,
 // probe, firing time) task is independently seeded via hash.Fold, an
 // incremental min-heap scheduler emits tasks in exact chronological order
-// using O(streams) memory, and with SetWorkers(n > 1) the tasks execute on
-// n goroutines while a sequence-numbered reorder buffer restores the
-// chronological stream — bit-identical to a sequential run for any worker
-// count.
+// using O(streams) memory, and the tasks execute on SetWorkers(n) workers of
+// one pipeline.Ordered call, which delivers them back in schedule order — the
+// stream is bit-identical for any worker count.
 package atlas
 
 import (
@@ -28,6 +27,7 @@ import (
 	"pinpoint/internal/hash"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
+	"pinpoint/internal/pipeline"
 	"pinpoint/internal/trace"
 )
 
@@ -97,7 +97,7 @@ type Platform struct {
 	probes  []Probe // dense: probes[i].ID == i+1
 	msms    []Measurement
 	nextID  int
-	workers int // generator goroutines; <= 1 is sequential
+	workers int // generator workers; 1 runs inline on the caller's goroutine
 }
 
 // NewPlatform returns an empty platform over the given network. The seed
@@ -115,10 +115,10 @@ func NewPlatform(n *netsim.Net, seed uint64, opts netsim.TracerouteOpts) *Platfo
 // Net returns the underlying network.
 func (p *Platform) Net() *netsim.Net { return p.net }
 
-// SetWorkers sets how many goroutines Run, RunChunks, Stream and
-// StreamBatches execute traceroutes on. n <= 0 means GOMAXPROCS; 1 (the
-// default) is sequential. Every task is independently seeded and a reorder
-// buffer restores chronological emission, so the result stream is
+// SetWorkers sets how many workers Run, RunChunks and Collect execute
+// traceroutes on. n <= 0 means GOMAXPROCS; 1 (the default) runs everything
+// inline on the caller's goroutine. Every task is independently seeded and
+// results are emitted in schedule order, so the result stream is
 // bit-identical for every worker count.
 func (p *Platform) SetWorkers(n int) {
 	if n <= 0 {
@@ -359,256 +359,122 @@ func (p *Platform) exec(sc *netsim.TracerouteScratch, pcg *rand.PCG, rng *rand.R
 
 // --- Running -------------------------------------------------------------
 
-// genChunkSize is how many tasks Run groups per unit of worker handoff when
-// parallel. Chunk boundaries never affect results (tasks are independently
-// seeded), only amortization.
+// genChunkSize is how many tasks Run groups per pipeline item. Chunk
+// boundaries never affect results (tasks are independently seeded), only
+// amortization.
 const genChunkSize = 64
+
+// DefaultBatchSize is the chunk size RunChunks uses when the caller passes 0.
+const DefaultBatchSize = 256
 
 // Run executes all scheduled measurements in [from, to) in chronological
 // order, invoking fn for each result. Returning a non-nil error from fn
 // aborts the run. Results are bit-identical for equal platform seeds,
 // regardless of SetWorkers.
 func (p *Platform) Run(from, to time.Time, fn func(trace.Result) error) error {
-	if p.workers > 1 {
-		return p.runPar(context.Background(), from, to, genChunkSize, true, func(rs []trace.Result) error {
-			for _, r := range rs {
-				if err := fn(r); err != nil {
-					return err
-				}
+	return p.run(context.Background(), from, to, genChunkSize, true, func(rs []trace.Result) error {
+		for _, r := range rs {
+			if err := fn(r); err != nil {
+				return err
 			}
-			return nil
-		})
-	}
-	return p.runSeq(from, to, fn)
-}
-
-func (p *Platform) runSeq(from, to time.Time, fn func(trace.Result) error) error {
-	sched, err := p.newScheduler(from, to)
-	if err != nil {
-		return err
-	}
-	// One PRNG reseeded per task, one scratch for every traceroute's
-	// working memory: the steady-state producer loop allocates only the
-	// emitted results.
-	pcg := rand.NewPCG(0, 0)
-	rng := rand.New(pcg)
-	var sc netsim.TracerouteScratch
-	for {
-		t, ok := sched.next()
-		if !ok {
-			return nil
 		}
-		res, err := p.exec(&sc, pcg, rng, t)
-		if err != nil {
-			return err
-		}
-		if err := fn(res); err != nil {
-			return err
-		}
-	}
+		return nil
+	})
 }
 
 // RunChunks executes the campaign like Run but delivers results in
 // chronological chunks of up to chunkSize (0 = DefaultBatchSize; the final
 // chunk may be short). Chunk boundaries depend only on chunkSize, so the
 // grouping — like the results — is identical for every worker count. The
-// chunks are freshly allocated; fn may retain them. This is the fused
-// producer API: core.Analyzer.RunPlatform feeds these chunks straight into
-// the sharded engine without an intermediate channel hop.
+// chunks are freshly allocated; fn may retain them. A canceled ctx stops the
+// run and is returned. This is the fused producer API:
+// core.Analyzer.RunPlatform feeds these chunks straight into the engine on
+// the goroutine that called it.
 func (p *Platform) RunChunks(ctx context.Context, from, to time.Time, chunkSize int, fn func([]trace.Result) error) error {
 	if chunkSize <= 0 {
 		chunkSize = DefaultBatchSize
 	}
-	if p.workers > 1 {
-		return p.runPar(ctx, from, to, chunkSize, false, fn)
-	}
-	chunk := make([]trace.Result, 0, chunkSize)
-	err := p.runSeq(from, to, func(r trace.Result) error {
-		chunk = append(chunk, r)
-		if len(chunk) >= chunkSize {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			out := chunk
-			chunk = make([]trace.Result, 0, chunkSize)
-			return fn(out)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(chunk) > 0 {
-		return fn(chunk)
-	}
-	return nil
+	return p.run(ctx, from, to, chunkSize, false, fn)
 }
 
-// taskChunk and resultChunk carry sequence numbers: the producer assigns
-// them in schedule order, workers execute out of order, and the emitter's
-// reorder buffer releases chunks strictly by sequence. tasks is the pooled
-// pointer itself so workers return it to the pool without allocating a new
-// slice header.
-type taskChunk struct {
-	seq   uint64
-	tasks *[]genTask
-}
-
+// resultChunk is one task chunk executed: on a task error, results holds
+// the tasks before the failing one.
 type resultChunk struct {
-	seq     uint64
 	results []trace.Result
-	err     error // first task error; results holds the tasks before it
+	err     error
 }
 
-// taskBufPool recycles producer task buffers once a worker has drained them.
+// taskBufPool recycles task chunks once a worker has executed them.
 var taskBufPool = sync.Pool{New: func() any { return new([]genTask) }}
 
-// runPar is the parallel producer: one scheduler goroutine cuts the
-// chronological task stream into fixed-size chunks, workers execute chunks
-// concurrently (each with its own PRNG and traceroute scratch), and the
-// caller's goroutine reorders completed chunks by sequence number and emits
-// them — so emission order, chunk grouping and every byte of every result
-// match the sequential path. A window semaphore bounds in-flight chunks,
-// back-pressuring the scheduler when emission (or the consumer behind it)
-// is the bottleneck.
-// emitPartial controls error-path parity with the sequential harnesses: Run
-// calls fn per result up to the failing task (emitPartial true), while
-// RunChunks discards the partially filled chunk an error interrupts
-// (emitPartial false) — either way the consumed stream is identical to the
-// corresponding sequential path.
-func (p *Platform) runPar(ctx context.Context, from, to time.Time, chunkSize int, emitPartial bool, emit func([]trace.Result) error) error {
+// run is the one generator loop, a pipeline.Ordered call: the producer (the
+// only goroutine touching the schedule heap) cuts the chronological task
+// stream into chunks of chunkSize, each worker executes chunks with its own
+// PRNG and traceroute scratch, and emit receives the executed chunks in
+// schedule order on the caller's goroutine — so emission order, chunk
+// grouping and every byte of every result are the same for every worker
+// count. emitPartial decides what a task error leaves behind: Run sees the
+// failing chunk's results up to the failing task (as if it had executed the
+// tasks one by one), RunChunks has that partially filled chunk withheld.
+func (p *Platform) run(ctx context.Context, from, to time.Time, chunkSize int, emitPartial bool, emit func([]trace.Result) error) error {
 	sched, err := p.newScheduler(from, to)
 	if err != nil {
 		return err
 	}
-	workers := p.workers
-	ctx2, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	tasks := make(chan taskChunk, workers)
-	results := make(chan resultChunk, workers)
-	window := make(chan struct{}, 4*workers) // in-flight chunk bound
-
-	// Producer: the only goroutine touching the schedule heap, so task
-	// order and chunk contents are deterministic regardless of workers.
-	go func() {
-		defer close(tasks)
-		var seq uint64
-		buf := taskBufPool.Get().(*[]genTask)
-		*buf = (*buf)[:0]
-		for {
-			t, ok := sched.next()
-			if !ok {
-				break
-			}
-			*buf = append(*buf, t)
-			if len(*buf) < chunkSize {
-				continue
-			}
-			select {
-			case window <- struct{}{}:
-			case <-ctx2.Done():
-				return
-			}
-			select {
-			case tasks <- taskChunk{seq: seq, tasks: buf}:
-			case <-ctx2.Done():
-				return
-			}
-			seq++
-			buf = taskBufPool.Get().(*[]genTask)
-			*buf = (*buf)[:0]
-		}
-		if len(*buf) == 0 {
-			taskBufPool.Put(buf)
-			return
-		}
-		select {
-		case window <- struct{}{}:
-		case <-ctx2.Done():
-			return
-		}
-		select {
-		case tasks <- taskChunk{seq: seq, tasks: buf}:
-		case <-ctx2.Done():
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pcg := rand.NewPCG(0, 0)
-			rng := rand.New(pcg)
-			var sc netsim.TracerouteScratch
-			for tc := range tasks {
-				rc := resultChunk{seq: tc.seq, results: make([]trace.Result, 0, len(*tc.tasks))}
-				for _, t := range *tc.tasks {
-					res, err := p.exec(&sc, pcg, rng, t)
-					if err != nil {
-						rc.err = err
+	return pipeline.Ordered(ctx, p.workers,
+		func(next func(*[]genTask) bool) {
+			for {
+				buf := taskBufPool.Get().(*[]genTask)
+				*buf = (*buf)[:0]
+				for len(*buf) < chunkSize {
+					t, ok := sched.next()
+					if !ok {
 						break
 					}
-					rc.results = append(rc.results, res)
+					*buf = append(*buf, t)
 				}
-				*tc.tasks = (*tc.tasks)[:0]
-				taskBufPool.Put(tc.tasks)
-				select {
-				case results <- rc:
-				case <-ctx2.Done():
+				if len(*buf) == 0 {
+					taskBufPool.Put(buf)
+					return
+				}
+				if !next(buf) {
 					return
 				}
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder and emit on the caller's goroutine. pending holds completed
-	// chunks that arrived ahead of sequence; its size is bounded by the
-	// window semaphore.
-	var (
-		next    uint64
-		runErr  error
-		pending = make(map[uint64]resultChunk, 4*workers)
-	)
-	for rc := range results {
-		pending[rc.seq] = rc
-		for runErr == nil {
-			c, ok := pending[next]
-			if !ok {
-				break
+		},
+		func() func(*[]genTask) resultChunk {
+			// One PRNG reseeded per task, one scratch for every traceroute's
+			// working memory: a worker allocates only the results it emits.
+			pcg := rand.NewPCG(0, 0)
+			rng := rand.New(pcg)
+			var sc netsim.TracerouteScratch
+			return func(tasks *[]genTask) resultChunk {
+				c := resultChunk{results: make([]trace.Result, 0, len(*tasks))}
+				for _, t := range *tasks {
+					res, err := p.exec(&sc, pcg, rng, t)
+					if err != nil {
+						c.err = err
+						break
+					}
+					c.results = append(c.results, res)
+				}
+				taskBufPool.Put(tasks)
+				return c
 			}
-			delete(pending, next)
-			next++
-			<-window // chunk leaves flight; scheduler may refill
+		},
+		func(c resultChunk) error {
 			if len(c.results) > 0 && (c.err == nil || emitPartial) {
 				if err := emit(c.results); err != nil {
-					runErr = err
+					return err
 				}
 			}
-			if runErr == nil && c.err != nil {
-				runErr = c.err
-			}
-		}
-		if runErr != nil {
-			cancel() // stop producer and workers; results will close
-		}
-	}
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-	return runErr
+			return c.err
+		})
 }
 
 // Collect runs the platform and gathers all results into a slice (intended
-// for tests and small experiments; long campaigns should use Run or Stream).
+// for tests and small experiments; long campaigns should use Run or
+// RunChunks).
 func (p *Platform) Collect(from, to time.Time) ([]trace.Result, error) {
 	var out []trace.Result
 	err := p.Run(from, to, func(r trace.Result) error {
@@ -616,63 +482,4 @@ func (p *Platform) Collect(from, to time.Time) ([]trace.Result, error) {
 		return nil
 	})
 	return out, err
-}
-
-// Stream runs the platform in a goroutine and delivers results over a
-// channel, mirroring the RIPE Atlas streaming API the paper's online
-// deployment consumes (§8). The channel closes when the run completes or
-// the context is canceled; a run error is delivered on the error channel
-// (buffered, at most one).
-func (p *Platform) Stream(ctx context.Context, from, to time.Time) (<-chan trace.Result, <-chan error) {
-	ch := make(chan trace.Result, 1024)
-	errc := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		defer close(errc)
-		err := p.Run(from, to, func(r trace.Result) error {
-			select {
-			case ch <- r:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		if err != nil && ctx.Err() == nil {
-			errc <- err
-		}
-	}()
-	return ch, errc
-}
-
-// DefaultBatchSize is the batch size RunChunks and StreamBatches use when
-// the caller passes 0.
-const DefaultBatchSize = 256
-
-// StreamBatches is Stream with batched delivery: results are grouped into
-// slices of up to batchSize (0 = DefaultBatchSize) so consumers pay one
-// channel synchronization per batch instead of per result — the overhead
-// that dominates once the sharded engine parallelizes the analysis itself.
-// Order within and across batches is the chronological Run order; the final
-// batch may be short. The channel closes when the run completes or the
-// context is canceled; a run error is delivered on the error channel
-// (buffered, at most one).
-func (p *Platform) StreamBatches(ctx context.Context, from, to time.Time, batchSize int) (<-chan []trace.Result, <-chan error) {
-	ch := make(chan []trace.Result, 8)
-	errc := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		defer close(errc)
-		err := p.RunChunks(ctx, from, to, batchSize, func(rs []trace.Result) error {
-			select {
-			case ch <- rs:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		if err != nil && ctx.Err() == nil {
-			errc <- err
-		}
-	}()
-	return ch, errc
 }

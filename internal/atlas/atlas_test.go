@@ -1,8 +1,6 @@
 package atlas
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
 
@@ -167,44 +165,6 @@ func TestAnchoringCadence(t *testing.T) {
 	}
 }
 
-func TestStreamDeliversAndCloses(t *testing.T) {
-	p, topo := testPlatform(t, 7)
-	p.AddBuiltin(topo.Roots[0].Addr)
-	ch, errc := p.Stream(context.Background(), from, from.Add(time.Hour))
-	n := 0
-	for range ch {
-		n++
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	if n != 16 {
-		t.Errorf("streamed %d results, want 16", n)
-	}
-}
-
-func TestStreamCancel(t *testing.T) {
-	p, topo := testPlatform(t, 8)
-	p.AddBuiltin(topo.Roots[0].Addr)
-	ctx, cancel := context.WithCancel(context.Background())
-	ch, errc := p.Stream(ctx, from, from.Add(240*time.Hour))
-	<-ch
-	cancel()
-	// Drain; channel must close promptly.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				<-errc
-				return
-			}
-		case <-deadline:
-			t.Fatal("stream did not close after cancel")
-		}
-	}
-}
-
 func TestRunChunkingBoundary(t *testing.T) {
 	// A run spanning a day boundary must not duplicate or drop firings.
 	p, topo := testPlatform(t, 9)
@@ -224,50 +184,5 @@ func TestRunChunkingBoundary(t *testing.T) {
 			t.Fatalf("duplicate firing %s", key)
 		}
 		seen[key] = true
-	}
-}
-
-func TestStreamBatchesMatchesCollect(t *testing.T) {
-	p, topo := testPlatform(t, 12)
-	p.AddBuiltin(topo.Roots[0].Addr)
-	want, err := p.Collect(from, from.Add(4*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, errc := p.StreamBatches(context.Background(), from, from.Add(4*time.Hour), 5)
-	var got []trace.Result
-	for batch := range ch {
-		if len(batch) == 0 || len(batch) > 5 {
-			t.Fatalf("batch size %d, want 1..5", len(batch))
-		}
-		got = append(got, batch...)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("batched stream delivered %d results, Collect %d, or order differs",
-			len(got), len(want))
-	}
-}
-
-func TestStreamBatchesCancel(t *testing.T) {
-	p, topo := testPlatform(t, 13)
-	p.AddBuiltin(topo.Roots[0].Addr)
-	ctx, cancel := context.WithCancel(context.Background())
-	ch, errc := p.StreamBatches(ctx, from, from.Add(240*time.Hour), 4)
-	<-ch
-	cancel()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				<-errc
-				return
-			}
-		case <-deadline:
-			t.Fatal("batched stream did not close after cancel")
-		}
 	}
 }

@@ -78,28 +78,33 @@ func TestRunChunksGroupingIdentical(t *testing.T) {
 	}
 }
 
-func TestStreamBatchesParallelMatchesSequential(t *testing.T) {
+// TestRunChunksMatchesCollect pins RunChunks' delivery contract against the
+// per-result path: for one worker and several, every chunk holds 1..chunkSize
+// results and the chunks concatenate to exactly the sequential Collect.
+func TestRunChunksMatchesCollect(t *testing.T) {
 	to := from.Add(3 * time.Hour)
-	seq := parallelPlatform(t, 33)
-	want, err := seq.Collect(from, to)
+	want, err := parallelPlatform(t, 33).Collect(from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := parallelPlatform(t, 33)
-	par.SetWorkers(4)
-	ch, errc := par.StreamBatches(context.Background(), from, to, 16)
-	var got []trace.Result
-	for batch := range ch {
-		if len(batch) == 0 || len(batch) > 16 {
-			t.Fatalf("batch size %d, want 1..16", len(batch))
+	for _, c := range []struct{ workers, chunkSize int }{{1, 5}, {4, 16}} {
+		p := parallelPlatform(t, 33)
+		p.SetWorkers(c.workers)
+		var got []trace.Result
+		err := p.RunChunks(context.Background(), from, to, c.chunkSize, func(rs []trace.Result) error {
+			if len(rs) == 0 || len(rs) > c.chunkSize {
+				t.Fatalf("workers=%d: chunk size %d, want 1..%d", c.workers, len(rs), c.chunkSize)
+			}
+			got = append(got, rs...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		got = append(got, batch...)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("parallel batched stream differs from sequential Collect")
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: chunked run delivered %d results, Collect %d, or order differs",
+				c.workers, len(got), len(want))
+		}
 	}
 }
 
@@ -124,20 +129,25 @@ func TestRunParallelFnErrorAborts(t *testing.T) {
 }
 
 func TestRunChunksParallelCancel(t *testing.T) {
-	p := parallelPlatform(t, 35)
-	p.SetWorkers(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	calls := 0
-	err := p.RunChunks(ctx, from, from.Add(1000*time.Hour), 8, func(rs []trace.Result) error {
-		calls++
-		if calls == 3 {
-			cancel()
+	for _, workers := range []int{1, 4} {
+		p := parallelPlatform(t, 35)
+		p.SetWorkers(workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		calls := 0
+		err := p.RunChunks(ctx, from, from.Add(1000*time.Hour), 8, func(rs []trace.Result) error {
+			calls++
+			if calls == 3 {
+				cancel()
+			}
+			return ctx.Err()
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		return ctx.Err()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		if calls != 3 {
+			t.Fatalf("workers=%d: fn called %d times, want 3 (nothing delivered after the cancel)", workers, calls)
+		}
 	}
 }
 

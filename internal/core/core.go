@@ -6,13 +6,13 @@
 // This is the engine behind cmd/pinpoint (offline analysis) and cmd/ihr
 // (the near-real-time Internet Health Report of §8).
 //
-// The Analyzer is a thin facade over two interchangeable detection
-// backends: the classic sequential detector pair (Workers ≤ 1) and the
-// sharded concurrent engine of internal/engine (Workers > 1). Both produce
-// bit-identical alarms, events and series; the engine simply spreads
-// ingestion and bin evaluation across cores. RunPlatform additionally
-// fuses a parallel atlas.Platform generator into the engine with no
-// intermediate channel hop — the full producer/consumer pipeline.
+// The Analyzer is a thin facade over one detection backend, the engine of
+// internal/engine: with Workers ≤ 1 its lone shard runs the detector pair
+// inline on the caller's goroutine, with more it spreads ingestion and bin
+// evaluation across cores — alarms, events and series are bit-identical for
+// every worker count. RunPlatform fuses an atlas.Platform generator into the
+// engine and RunReader/RunFiles a dump decoder, each with no intermediate
+// channel hop — the full producer/consumer pipeline.
 package core
 
 import (
@@ -46,16 +46,18 @@ type Config struct {
 	// streaming runs and consume alarms via the hooks instead.
 	RetainAlarms bool
 
-	// Workers selects the detection backend. 0 or 1 runs the exact legacy
-	// sequential path (two detectors on the caller's goroutine); > 1
-	// shards per-link and per-router state across that many concurrent
-	// workers, producing identical output (see internal/engine). Use
+	// Workers is the engine's shard count. 0 or 1 runs one shard inline
+	// (two detectors on the caller's goroutine); > 1 shards per-link and
+	// per-router state across that many concurrent workers, producing
+	// identical output (see internal/engine). Delay.Observer and
+	// Forwarding.Observer are then called from the shard goroutines: the
+	// calls are serialized, their cross-shard order is unspecified. Use
 	// AutoWorkers for GOMAXPROCS.
 	Workers int
 
 	// BatchSize tunes how many results the sharded engine extracts before
-	// handing work to the shards (0 = engine default). Ignored when
-	// Workers ≤ 1.
+	// handing work to the shards (0 = engine default), and is the chunk
+	// size RunPlatform, RunReader and RunFiles ask their producers for.
 	BatchSize int
 }
 
@@ -77,19 +79,19 @@ func (c Config) withDefaults() Config {
 	if c.Workers == AutoWorkers {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
+	c.Workers = max(c.Workers, 1)
 	return c
 }
 
 // Analyzer is the end-to-end pipeline. It must be driven from a single
-// goroutine (RunStream and RunBatches provide streaming harnesses); with
-// Workers > 1 the heavy lifting happens on the engine's shard goroutines
-// while alarms still surface on the calling goroutine, so the hook and
-// accessor semantics are unchanged.
+// goroutine; with Workers > 1 the heavy lifting happens on the engine's
+// shard goroutines while alarms still surface on the calling goroutine, so
+// the hook and accessor semantics are the same for every worker count.
 type Analyzer struct {
 	cfg Config
 
 	// reg is the analyzer-wide identity layer: extraction interns every
-	// address/link/flow/router through it, both detection backends index
+	// address/link/flow/router through it, the engine's detectors index
 	// their columnar state by its IDs, and the aggregator resolves alarm
 	// addresses to ASes through an ID-memoized cache. The Analyzer owns
 	// its lifecycle; it lives exactly as long as the Analyzer.
@@ -97,13 +99,7 @@ type Analyzer struct {
 
 	intern *ident.Interner // builds the one trace.View per Result both detectors read
 
-	// Sequential backend (Workers ≤ 1).
-	delayDet *delay.Detector
-	fwdDet   *forwarding.Detector
-
-	// Sharded backend (Workers > 1).
-	eng *engine.Engine
-
+	eng *engine.Engine // the detection backend
 	agg *events.Aggregator
 
 	delayAlarms []delay.Alarm
@@ -113,7 +109,7 @@ type Analyzer struct {
 
 	// Open-bin tracking for OnBinClose: mirrors the detectors' own bin
 	// bookkeeping so the facade knows when a close happened and for which
-	// bin, on both backends.
+	// bin.
 	binSize time.Duration
 	curBin  time.Time
 	haveBin bool
@@ -158,9 +154,16 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) *
 	cfg.Delay.Registry = reg
 	cfg.Forwarding.Registry = reg
 	a := &Analyzer{
-		cfg:     cfg,
-		reg:     reg,
-		intern:  ident.NewInterner(reg),
+		cfg:    cfg,
+		reg:    reg,
+		intern: ident.NewInterner(reg),
+		eng: engine.New(engine.Config{
+			Delay:      cfg.Delay,
+			Forwarding: cfg.Forwarding,
+			Workers:    cfg.Workers,
+			BatchSize:  cfg.BatchSize,
+			Registry:   reg,
+		}, probeASN),
 		agg:     events.NewAggregator(cfg.Events, table),
 		binSize: cfg.Delay.BinSize,
 	}
@@ -168,18 +171,6 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) *
 	// resolve AddrID→ASN through a memoized dense cache instead of walking
 	// the radix trie once per alarm.
 	a.agg.UseRegistry(reg)
-	if cfg.Workers > 1 {
-		a.eng = engine.New(engine.Config{
-			Delay:      cfg.Delay,
-			Forwarding: cfg.Forwarding,
-			Workers:    cfg.Workers,
-			BatchSize:  cfg.BatchSize,
-			Registry:   reg,
-		}, probeASN)
-	} else {
-		a.delayDet = delay.NewDetector(cfg.Delay, probeASN)
-		a.fwdDet = forwarding.NewDetector(cfg.Forwarding)
-	}
 	return a
 }
 
@@ -201,14 +192,9 @@ func (a *Analyzer) observeView(v *trace.View) {
 	a.dirty = true
 	a.agg.ObserveBin(v.Time)
 	closed, didClose := a.trackBin(v.Time)
-	if a.eng != nil {
-		da, fa := a.eng.ObserveView(v)
-		a.dispatchDelay(da)
-		a.dispatchFwd(fa)
-	} else {
-		a.dispatchDelay(a.delayDet.ObserveView(v))
-		a.dispatchFwd(a.fwdDet.ObserveView(v))
-	}
+	da, fa := a.eng.ObserveView(v)
+	a.dispatchDelay(da)
+	a.dispatchFwd(fa)
 	if didClose {
 		a.lastCloseResults = a.closedResults
 		a.binClosed(closed)
@@ -276,21 +262,16 @@ func (a *Analyzer) binClosed(bin time.Time) {
 
 // Flush closes the open bin in both detectors. Call at end of stream.
 // Flush is idempotent: a second call with no intervening Observe is a
-// no-op, so a deferred Flush after a canceled RunStream (which already
+// no-op, so a deferred Flush after a canceled RunPlatform (which already
 // flushed) cannot emit duplicate alarms.
 func (a *Analyzer) Flush() {
 	if !a.dirty {
 		return
 	}
 	a.dirty = false
-	if a.eng != nil {
-		da, fa := a.eng.Flush()
-		a.dispatchDelay(da)
-		a.dispatchFwd(fa)
-	} else {
-		a.dispatchDelay(a.delayDet.Flush())
-		a.dispatchFwd(a.fwdDet.Flush())
-	}
+	da, fa := a.eng.Flush()
+	a.dispatchDelay(da)
+	a.dispatchFwd(fa)
 	if a.haveBin {
 		closed := a.curBin
 		a.haveBin = false
@@ -301,14 +282,10 @@ func (a *Analyzer) Flush() {
 	}
 }
 
-// Close releases the sharded engine's worker goroutines (no-op on the
-// sequential path and when called twice). It does not flush; call Flush
-// first to evaluate a still-open bin.
-func (a *Analyzer) Close() {
-	if a.eng != nil {
-		a.eng.Close()
-	}
-}
+// Close releases the engine's shard goroutines (a one-worker engine has
+// none; calling it twice is a no-op). It does not flush; call Flush first to
+// evaluate a still-open bin.
+func (a *Analyzer) Close() { a.eng.Close() }
 
 func (a *Analyzer) dispatchDelay(alarms []delay.Alarm) {
 	for _, al := range alarms {
@@ -340,56 +317,14 @@ func (a *Analyzer) dispatchFwd(alarms []forwarding.Alarm) {
 	}
 }
 
-// RunStream consumes a result channel until it closes or the context is
-// canceled, then flushes. It returns the context's error when canceled.
-func (a *Analyzer) RunStream(ctx context.Context, results <-chan trace.Result) error {
-	for {
-		select {
-		case r, ok := <-results:
-			if !ok {
-				// A producer that closes its channel because ctx was
-				// canceled races ctx.Done() in this select.
-				a.Flush()
-				return ctx.Err()
-			}
-			a.Observe(r)
-		case <-ctx.Done():
-			a.Flush()
-			return ctx.Err()
-		}
-	}
-}
-
-// RunBatches consumes a channel of result batches (see
-// atlas.Platform.StreamBatches) until it closes or the context is
-// canceled, then flushes. Batch delivery amortizes channel overhead, which
-// matters once the sharded engine makes the detectors stop being the
-// bottleneck.
-func (a *Analyzer) RunBatches(ctx context.Context, batches <-chan []trace.Result) error {
-	for {
-		select {
-		case rs, ok := <-batches:
-			if !ok {
-				a.Flush()
-				return ctx.Err()
-			}
-			a.ObserveBatch(rs)
-		case <-ctx.Done():
-			a.Flush()
-			return ctx.Err()
-		}
-	}
-}
-
 // RunPlatform runs a measurement campaign through the fused pipeline: the
-// platform's generator workers produce chronologically reordered result
+// platform's generator workers produce chronologically ordered result
 // chunks which are ingested on this goroutine — extraction, interning and
-// shard routing happen directly on each chunk as it is emitted, with no
-// intermediate channel hop or relay goroutine between producer and engine
-// (compare StreamBatches + RunBatches, which pay one). Backpressure is
-// end-to-end: a slow engine stalls emission, which stalls the generator's
-// reorder window, which stalls its scheduler. Flush runs in all exit paths;
-// the context error is returned when canceled.
+// shard routing happen directly on each chunk as it is delivered, with no
+// intermediate channel hop or relay goroutine between producer and engine.
+// Backpressure is end-to-end: a slow engine stalls delivery, which stalls
+// the generator's in-flight window, which stalls its scheduler. Flush runs
+// in all exit paths; the context error is returned when canceled.
 func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to time.Time) error {
 	err := p.RunChunks(ctx, from, to, a.cfg.BatchSize, func(rs []trace.Result) error {
 		a.ObserveBatch(rs)
@@ -403,7 +338,7 @@ func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to 
 // traceroute dump from r (gzip auto-detected) through the parallel decoder
 // of internal/ingest — straight to interned views, no trace.Result is built
 // — and ingests every ordered batch on this goroutine: decode workers run
-// ahead within their reorder window while the engine ingests behind, with
+// ahead within their in-flight window while the engine ingests behind, with
 // the same determinism guarantee as the fused generator: analysis output is
 // bit-identical for every decode worker count. When opts.ChunkSize is 0 the
 // engine's batch size is used, so delivered batches match the extraction
@@ -456,53 +391,29 @@ func (a *Analyzer) Results() int { return a.results }
 // worker counts, so it is what the segment store records per bin.
 func (a *Analyzer) ResultsClosed() int { return a.lastCloseResults }
 
-// Workers returns the effective worker count of the detection backend
-// (1 for the sequential path).
-func (a *Analyzer) Workers() int {
-	if a.eng != nil {
-		return a.eng.Workers()
-	}
-	return 1
-}
+// Workers returns the engine's effective shard count.
+func (a *Analyzer) Workers() int { return a.eng.Workers() }
 
 // LinksSeen returns how many distinct links ever produced ∆ samples — the
 // paper's "we monitored delays for 262k IPv4 links" statistic — across all
 // workers.
-func (a *Analyzer) LinksSeen() int {
-	if a.eng != nil {
-		return a.eng.Stats().LinksSeen
-	}
-	return a.delayDet.LinksSeen()
-}
+func (a *Analyzer) LinksSeen() int { return a.eng.Stats().LinksSeen }
 
 // RoutersSeen returns how many distinct router addresses have forwarding
 // models (§5) across all workers.
-func (a *Analyzer) RoutersSeen() int {
-	if a.eng != nil {
-		return a.eng.Stats().RoutersSeen
-	}
-	return a.fwdDet.RoutersSeen()
-}
+func (a *Analyzer) RoutersSeen() int { return a.eng.Stats().RoutersSeen }
 
 // AvgNextHops returns the mean number of responsive next hops per
 // forwarding reference model across all workers.
-func (a *Analyzer) AvgNextHops() float64 {
-	if a.eng != nil {
-		return a.eng.Stats().AvgNextHops
-	}
-	return a.fwdDet.AvgNextHops()
-}
+func (a *Analyzer) AvgNextHops() float64 { return a.eng.Stats().AvgNextHops }
 
 // BinCloseStats returns cumulative bin-close kernel accounting from both
 // detectors, aggregated across workers (cmd/pinpoint's -binclose-stats
-// summary). On the sharded backend the durations sum shard CPU time, not
+// summary). With several workers the durations sum shard CPU time, not
 // elapsed time.
 func (a *Analyzer) BinCloseStats() (delay.CloseStats, forwarding.CloseStats) {
-	if a.eng != nil {
-		st := a.eng.Stats()
-		return st.DelayClose, st.FwdClose
-	}
-	return a.delayDet.CloseStats(), a.fwdDet.CloseStats()
+	st := a.eng.Stats()
+	return st.DelayClose, st.FwdClose
 }
 
 // DelayAlarms returns retained delay alarms (RetainAlarms must be set).
@@ -513,14 +424,6 @@ func (a *Analyzer) ForwardingAlarms() []forwarding.Alarm { return a.fwdAlarms }
 
 // Aggregator exposes the per-AS severity series and event detection.
 func (a *Analyzer) Aggregator() *events.Aggregator { return a.agg }
-
-// DelayDetector exposes the underlying §4 detector on the sequential path;
-// it is nil when Workers > 1 (use LinksSeen for cross-shard statistics).
-func (a *Analyzer) DelayDetector() *delay.Detector { return a.delayDet }
-
-// ForwardingDetector exposes the underlying §5 detector on the sequential
-// path; it is nil when Workers > 1 (use RoutersSeen / AvgNextHops).
-func (a *Analyzer) ForwardingDetector() *forwarding.Detector { return a.fwdDet }
 
 // Graph builds the alarm graph (Figs 8, 12) from the retained alarms within
 // [from, to).

@@ -134,48 +134,6 @@ func TestEndToEndDDoSDetection(t *testing.T) {
 	}
 }
 
-func TestRunStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	p, _, _, _ := buildAttack(t)
-	a := New(Config{RetainAlarms: true}, p.ProbeASN, p.Net().Prefixes())
-	ch, errc := p.Stream(context.Background(), start, start.Add(6*time.Hour))
-	if err := a.RunStream(context.Background(), ch); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if a.Results() == 0 {
-		t.Error("stream processed no results")
-	}
-}
-
-func TestRunStreamCancel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	p, _, _, _ := buildAttack(t)
-	a := New(Config{}, p.ProbeASN, p.Net().Prefixes())
-	ctx, cancel := context.WithCancel(context.Background())
-	// A campaign that cannot finish before the cancel: ten simulated days
-	// stream in under 50 ms, so ask for years (the scheduler is incremental).
-	ch, _ := p.Stream(ctx, start, start.Add(100000*time.Hour))
-	done := make(chan error, 1)
-	go func() { done <- a.RunStream(ctx, ch) }()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Errorf("RunStream error = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunStream did not return after cancel")
-	}
-}
-
 func TestAlarmHooks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -219,8 +177,8 @@ func TestFlushIdempotent(t *testing.T) {
 		if nd == 0 {
 			t.Fatalf("workers=%d: fixture produced no delay alarms", workers)
 		}
-		// The RunStream-cancel shape: a deferred Flush after an explicit
-		// one must not re-emit the closed bin's alarms.
+		// The canceled-run shape: a deferred Flush after an explicit one
+		// must not re-emit the closed bin's alarms.
 		a.Flush()
 		a.Flush()
 		if len(a.DelayAlarms()) != nd || len(a.ForwardingAlarms()) != nf {
@@ -236,26 +194,21 @@ func TestShardedFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	p, _, _, _ := buildAttack(t)
-	a := New(Config{Workers: 4}, p.ProbeASN, p.Net().Prefixes())
-	defer a.Close()
-	if a.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", a.Workers())
-	}
-	if a.DelayDetector() != nil || a.ForwardingDetector() != nil {
-		t.Error("sharded analyzer must not expose per-shard detectors")
-	}
-	ch, errc := p.StreamBatches(context.Background(), start, start.Add(6*time.Hour), 0)
-	if err := a.RunBatches(context.Background(), ch); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if a.Results() == 0 {
-		t.Error("batched stream processed no results")
-	}
-	if a.LinksSeen() == 0 || a.RoutersSeen() == 0 {
-		t.Errorf("stats empty: links=%d routers=%d", a.LinksSeen(), a.RoutersSeen())
+	for _, c := range []struct{ cfg, want int }{{0, 1}, {1, 1}, {4, 4}} {
+		p, _, _, _ := buildAttack(t)
+		a := New(Config{Workers: c.cfg}, p.ProbeASN, p.Net().Prefixes())
+		defer a.Close()
+		if a.Workers() != c.want {
+			t.Fatalf("Workers: %d: Workers() = %d, want %d", c.cfg, a.Workers(), c.want)
+		}
+		if err := a.RunPlatform(context.Background(), p, start, start.Add(6*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if a.Results() == 0 {
+			t.Errorf("Workers: %d: fused run processed no results", c.cfg)
+		}
+		if a.LinksSeen() == 0 || a.RoutersSeen() == 0 {
+			t.Errorf("Workers: %d: stats empty: links=%d routers=%d", c.cfg, a.LinksSeen(), a.RoutersSeen())
+		}
 	}
 }

@@ -61,14 +61,18 @@ type Config struct {
 	EvictIdleBins int
 
 	// Registry is the identity layer the detector interns links through.
-	// Leave nil for a private registry (the standalone sequential path);
-	// the sharded engine injects its shared registry here so the LinkIDs
+	// Leave nil for a private registry (a standalone detector);
+	// the engine injects its shared registry here so the LinkIDs
 	// on routed samples resolve in every shard.
 	Registry *ident.Registry
 
 	// Observer, when non-nil, receives every evaluated link-bin observation
 	// (after diversity filtering), anomalous or not. Experiment harnesses
-	// use it to regenerate the per-link panels of Figs 2, 7 and 11.
+	// use it to regenerate the per-link panels of Figs 2, 7 and 11. A lone
+	// detector calls it in link-key order within a bin; behind an engine
+	// with several workers every shard's detector calls it, from the shard
+	// goroutines: the engine serializes the calls (together with the
+	// forwarding Observer's), their cross-shard order is unspecified.
 	Observer func(Observation)
 
 	// SymmetricLink, when non-nil, marks links known to carry their return

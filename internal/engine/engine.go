@@ -1,20 +1,23 @@
-// Package engine shards the paper's two detectors across CPU cores while
-// producing output bit-identical to a single sequential detector pair.
+// Package engine is the detection backend: the paper's two detectors behind
+// one API, on one shard or sharded across CPU cores, with output
+// bit-identical to a single delay.Detector / forwarding.Detector pair for
+// every shard count.
 //
-// The pipeline is: the caller's goroutine turns each chronologically
-// ordered traceroute result into its interned trace.View once, extracts
-// per-link ∆ samples (delay.ExtractView, §4) and per-router next-hop
-// contributions (forwarding.ExtractView, §5) from it and routes them, by a
-// hash of the link respectively the router id, to one of N shards. Each shard owns a
-// private delay.Detector and forwarding.Detector fed through a bounded
-// batch channel, so map maintenance and — the expensive part — bin
-// evaluation (robust medians, Wilson CIs, Pearson correlations) run
-// concurrently across shards. When the stream crosses a bin boundary the
-// engine drains the in-flight batches, closes every shard's bin in
-// parallel, and merges the shard alarm slices deterministically (sorted by
-// bin, then link / router key — the exact order the sequential detector
-// emits). The merged slices are returned to the caller, which remains the
-// single writer into events.Aggregator.
+// An engine with one worker is that pair: it starts no goroutine and hands
+// each trace.View straight to its lone shard's two detectors on the caller's
+// goroutine. With more workers the caller's goroutine extracts per-link ∆
+// samples (delay.ExtractView, §4) and per-router next-hop contributions
+// (forwarding.ExtractView, §5) from each chronologically ordered view and
+// routes them, by a hash of the link respectively the router id, to one of N
+// shards. Each shard owns a private delay.Detector and forwarding.Detector
+// fed through a bounded batch channel, so map maintenance and — the
+// expensive part — bin evaluation (robust medians, Wilson CIs, Pearson
+// correlations) run concurrently across shards. When the stream crosses a
+// bin boundary the engine drains the in-flight batches, closes every shard's
+// bin in parallel, and merges the shard alarm slices deterministically
+// (sorted by bin, then link / router key — the exact order the sequential
+// detector emits). The merged slices are returned to the caller, which
+// remains the single writer into events.Aggregator.
 //
 // Determinism holds because (1) a link or router always hashes to the same
 // shard, so its state and sample order are those of a lone detector, (2)
@@ -51,10 +54,11 @@ type Config struct {
 	Delay      delay.Config
 	Forwarding forwarding.Config
 
-	// Workers is the shard count. 0 means GOMAXPROCS. The engine spawns
-	// one goroutine per shard; a 1-worker engine is still concurrent
-	// (extraction overlaps ingestion) but callers wanting the classic
-	// sequential path should use the detectors directly (core does).
+	// Workers is the shard count. 0 means GOMAXPROCS. With one worker the
+	// lone shard runs inline on the caller's goroutine; with more the engine
+	// spawns one goroutine per shard, and the detectors' Observer hooks are
+	// called from those goroutines — serialized by the engine, so a hook
+	// needs no locking of its own, but in an unspecified cross-shard order.
 	Workers int
 
 	// BatchSize is how many traceroute results are extracted before their
@@ -62,15 +66,15 @@ type Config struct {
 	// shard. 0 means 256.
 	BatchSize int
 
-	// QueueDepth bounds how many batches may be in flight per shard; a
-	// full queue back-pressures the caller. 0 means 8.
-	QueueDepth int
-
 	// Registry is the shared identity layer. Leave nil to let the engine
 	// create a private one; core injects the analyzer-wide registry here
 	// so aggregation can resolve alarm addresses through the same IDs.
 	Registry *ident.Registry
 }
+
+// shardQueue bounds how many batches may be in flight per shard; a full
+// queue back-pressures the caller.
+const shardQueue = 8
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -78,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
 	}
 	if c.Registry == nil {
 		c.Registry = ident.NewRegistry()
@@ -131,24 +132,31 @@ type shard struct {
 	eng      *Engine
 	delayDet *delay.Detector
 	fwdDet   *forwarding.Detector
-	ch       chan shardMsg
+	ch       chan shardMsg // nil on the lone shard of a one-worker engine
+}
+
+// sync is the shard's half of a barrier: with flush it closes the open bin,
+// and it always reports the detectors' statistics. It runs on the goroutine
+// that owns the detectors — the shard's, or the caller's on a lone shard.
+func (s *shard) sync(flush bool) shardResult {
+	var res shardResult
+	if flush {
+		res.delayAlarms = s.delayDet.Flush()
+		res.fwdAlarms = s.fwdDet.Flush()
+	}
+	res.linksSeen = s.delayDet.LinksSeen()
+	res.routersSeen = s.fwdDet.RoutersSeen()
+	res.refModels, res.refNextHops = s.fwdDet.RefStats()
+	res.delayClose = s.delayDet.CloseStats()
+	res.fwdClose = s.fwdDet.CloseStats()
+	return res
 }
 
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for msg := range s.ch {
 		if msg.reply != nil {
-			var res shardResult
-			if msg.flush {
-				res.delayAlarms = s.delayDet.Flush()
-				res.fwdAlarms = s.fwdDet.Flush()
-			}
-			res.linksSeen = s.delayDet.LinksSeen()
-			res.routersSeen = s.fwdDet.RoutersSeen()
-			res.refModels, res.refNextHops = s.fwdDet.RefStats()
-			res.delayClose = s.delayDet.CloseStats()
-			res.fwdClose = s.fwdDet.CloseStats()
-			msg.reply <- res
+			msg.reply <- s.sync(msg.flush)
 			continue
 		}
 		s.delayDet.BeginBin(msg.bin)
@@ -171,10 +179,10 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// Engine is the sharded analyzer. Like the detectors it replaces, it must
-// be driven from a single goroutine (Observe/Flush/stat calls); the
-// concurrency lives behind the shard channels. Close must be called to
-// release the shard goroutines.
+// Engine is the detection backend. Like the detectors it wraps, it must be
+// driven from a single goroutine (Observe/Flush/stat calls); the concurrency
+// lives behind the shard channels. Close must be called to release the
+// shard goroutines.
 type Engine struct {
 	cfg      Config
 	binSize  time.Duration
@@ -183,6 +191,7 @@ type Engine struct {
 	probeASN func(int) (ipmap.ASN, bool)
 
 	shards []*shard
+	lone   *shard // shards[0] of a one-worker engine, run inline; else nil
 	wg     sync.WaitGroup
 	reply  chan shardResult // reused for every synchronization barrier
 
@@ -226,19 +235,44 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Engine {
 		bufSamples:  make([][]delay.Sample, cfg.Workers),
 		bufContribs: make([][]forwarding.Contribution, cfg.Workers),
 	}
+	if cfg.Workers > 1 {
+		// Every shard closes its bin on its own goroutine and would call the
+		// caller's observers concurrently; one mutex makes the calls take
+		// turns, so a hook that fills a map stays correct when sharded.
+		var mu sync.Mutex
+		cfg.Delay.Observer = serialized(&mu, cfg.Delay.Observer)
+		cfg.Forwarding.Observer = serialized(&mu, cfg.Forwarding.Observer)
+	}
 	for i := range e.shards {
 		s := &shard{
 			eng:      e,
 			delayDet: delay.NewDetector(cfg.Delay, probeASN),
 			fwdDet:   forwarding.NewDetector(cfg.Forwarding),
-			ch:       make(chan shardMsg, cfg.QueueDepth),
 		}
 		e.shards[i] = s
-		e.wg.Add(1)
-		go s.run(&e.wg)
+		if cfg.Workers > 1 {
+			s.ch = make(chan shardMsg, shardQueue)
+			e.wg.Add(1)
+			go s.run(&e.wg)
+		}
+	}
+	if cfg.Workers == 1 {
+		e.lone = e.shards[0]
 	}
 	e.binSize = e.shards[0].delayDet.Config().BinSize
 	return e
+}
+
+// serialized returns fn guarded by mu (nil stays nil).
+func serialized[T any](mu *sync.Mutex, fn func(T)) func(T) {
+	if fn == nil {
+		return nil
+	}
+	return func(v T) {
+		mu.Lock()
+		defer mu.Unlock()
+		fn(v)
+	}
 }
 
 // Workers returns the effective shard count.
@@ -277,10 +311,14 @@ func (e *Engine) Observe(r trace.Result) ([]delay.Alarm, []forwarding.Alarm) {
 // the engine's registry (chronological order required, as for the
 // detectors). When the result opens a new bin, the previous bin is closed
 // across all shards in parallel and its merged alarms are returned in
-// exactly the order a sequential detector pair would have produced.
+// exactly the order a sequential detector pair would have produced. A lone
+// shard is that pair: its detectors take the view directly.
 func (e *Engine) ObserveView(v *trace.View) ([]delay.Alarm, []forwarding.Alarm) {
 	if e.closed {
 		return nil, nil
+	}
+	if s := e.lone; s != nil {
+		return s.delayDet.ObserveView(v), s.fwdDet.ObserveView(v)
 	}
 	bin := timeseries.Bin(v.Time, e.binSize)
 	var da []delay.Alarm
@@ -340,21 +378,19 @@ func (e *Engine) dispatch() {
 	e.pending = 0
 }
 
-// barrier drains the pipeline: pending buffers are dispatched, every shard
-// receives a synchronization request, and the replies are collected. With
-// flush set each shard also closes its open bin and reports the alarms;
-// the per-shard alarm runs are returned unmerged (reply-arrival order),
-// each already in the shard detector's sorted emission order.
-func (e *Engine) barrier(flush bool) (shardResult, [][]delay.Alarm, [][]forwarding.Alarm) {
-	e.dispatch()
-	for _, s := range e.shards {
-		s.ch <- shardMsg{reply: e.reply, flush: flush}
-	}
-	var agg shardResult
-	var daRuns [][]delay.Alarm
-	var faRuns [][]forwarding.Alarm
-	for range e.shards {
-		res := <-e.reply
+// barrier is the synchronization point with every shard: pending buffers are
+// dispatched, each shard runs sync — on its goroutine behind the batches
+// already queued, or right here on a lone shard — and the replies are folded
+// into lastStats. With flush set each shard also closes its open bin; the
+// per-shard alarm runs are returned unmerged (reply-arrival order), each
+// already in the shard detector's sorted emission order.
+func (e *Engine) barrier(flush bool) ([][]delay.Alarm, [][]forwarding.Alarm) {
+	var (
+		agg    shardResult
+		daRuns [][]delay.Alarm
+		faRuns [][]forwarding.Alarm
+	)
+	fold := func(res shardResult) {
 		if len(res.delayAlarms) > 0 {
 			daRuns = append(daRuns, res.delayAlarms)
 		}
@@ -375,6 +411,17 @@ func (e *Engine) barrier(flush bool) (shardResult, [][]delay.Alarm, [][]forwardi
 		agg.fwdClose.Dur += res.fwdClose.Dur
 		agg.fwdClose.Bins = max(agg.fwdClose.Bins, res.fwdClose.Bins)
 	}
+	if e.lone != nil {
+		fold(e.lone.sync(flush))
+	} else {
+		e.dispatch()
+		for _, s := range e.shards {
+			s.ch <- shardMsg{reply: e.reply, flush: flush}
+		}
+		for range e.shards {
+			fold(<-e.reply)
+		}
+	}
 	e.lastStats = Stats{
 		LinksSeen:   agg.linksSeen,
 		RoutersSeen: agg.routersSeen,
@@ -384,7 +431,7 @@ func (e *Engine) barrier(flush bool) (shardResult, [][]delay.Alarm, [][]forwardi
 	if agg.refModels > 0 {
 		e.lastStats.AvgNextHops = float64(agg.refNextHops) / float64(agg.refModels)
 	}
-	return agg, daRuns, faRuns
+	return daRuns, faRuns
 }
 
 // mergeRuns k-way merges per-shard alarm runs into one slice. Each run is
@@ -454,7 +501,7 @@ func cmpFwdAlarm(a, b forwarding.Alarm) int {
 // floating-point accumulation, hook order and retained-slice order
 // bit-identical.
 func (e *Engine) closeBin() ([]delay.Alarm, []forwarding.Alarm) {
-	_, daRuns, faRuns := e.barrier(true)
+	daRuns, faRuns := e.barrier(true)
 	return mergeRuns(daRuns, cmpDelayAlarm), mergeRuns(faRuns, cmpFwdAlarm)
 }
 
@@ -463,10 +510,6 @@ func (e *Engine) closeBin() ([]delay.Alarm, []forwarding.Alarm) {
 // After Close, Flush is a no-op.
 func (e *Engine) Flush() ([]delay.Alarm, []forwarding.Alarm) {
 	if e.closed {
-		return nil, nil
-	}
-	if !e.haveBin {
-		e.dispatch() // nothing buffered in practice, but keep the invariant
 		return nil, nil
 	}
 	e.haveBin = false
@@ -491,8 +534,10 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	for _, s := range e.shards {
-		close(s.ch)
+	if e.lone == nil {
+		for _, s := range e.shards {
+			close(s.ch)
+		}
+		e.wg.Wait()
 	}
-	e.wg.Wait()
 }

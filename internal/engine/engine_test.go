@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
@@ -274,22 +275,64 @@ func TestEngineStress(t *testing.T) {
 // last gathered stats), never panic on its closed shard channels.
 func TestUseAfterClose(t *testing.T) {
 	fx := fixture(t)
-	e := engine.New(engine.Config{Workers: 2}, fx.probeASN)
-	for _, r := range fx.results[:200] {
-		e.Observe(r)
-	}
-	e.Flush()
-	want := e.Stats()
-	e.Close()
+	for _, workers := range []int{1, 2} {
+		e := engine.New(engine.Config{Workers: workers}, fx.probeASN)
+		for _, r := range fx.results[:200] {
+			e.Observe(r)
+		}
+		e.Flush()
+		want := e.Stats()
+		e.Close()
 
-	if d, f := e.Observe(fx.results[0]); d != nil || f != nil {
-		t.Error("Observe after Close returned alarms")
+		if d, f := e.Observe(fx.results[0]); d != nil || f != nil {
+			t.Error("Observe after Close returned alarms")
+		}
+		if d, f := e.Flush(); d != nil || f != nil {
+			t.Error("Flush after Close returned alarms")
+		}
+		if got := e.Stats(); got != want {
+			t.Errorf("Stats after Close = %+v, want %+v", got, want)
+		}
+		e.Close() // still idempotent
 	}
-	if d, f := e.Flush(); d != nil || f != nil {
-		t.Error("Flush after Close returned alarms")
+}
+
+// TestObserversSerializedAcrossShards: the detectors' Observer hooks fire
+// during the bin close, which with several workers runs on every shard's
+// goroutine at once. The engine serializes the calls, so a plain map-filling
+// hook — what internal/experiments passes — is race-free (this test runs
+// under -race) and sees the same multiset of observations as one inline
+// shard; only their cross-shard order is unspecified.
+func TestObserversSerializedAcrossShards(t *testing.T) {
+	fx := fixture(t)
+	type linkBin struct {
+		link trace.LinkKey
+		bin  time.Time
 	}
-	if got := e.Stats(); got != want {
-		t.Errorf("Stats after Close = %+v, want %+v", got, want)
+	type flowBin struct {
+		router, dst netip.Addr
+		bin         time.Time
 	}
-	e.Close() // still idempotent
+	run := func(workers int) (map[linkBin]int, map[flowBin]int) {
+		links, flows := map[linkBin]int{}, map[flowBin]int{}
+		cfg := engine.Config{Workers: workers}
+		cfg.Delay.Observer = func(o delay.Observation) { links[linkBin{o.Link, o.Bin}]++ }
+		cfg.Forwarding.Observer = func(o forwarding.Observation) { flows[flowBin{o.Router, o.Dst, o.Bin}]++ }
+		e := engine.New(cfg, fx.probeASN)
+		defer e.Close()
+		e.ObserveBatch(fx.results)
+		e.Flush()
+		return links, flows
+	}
+	wantLinks, wantFlows := run(1)
+	if len(wantLinks) == 0 || len(wantFlows) == 0 {
+		t.Fatalf("weak fixture: %d link-bin / %d flow-bin observations", len(wantLinks), len(wantFlows))
+	}
+	gotLinks, gotFlows := run(4)
+	if !reflect.DeepEqual(wantLinks, gotLinks) {
+		t.Errorf("delay observations differ: %d link-bins at 4 workers, %d at 1", len(gotLinks), len(wantLinks))
+	}
+	if !reflect.DeepEqual(wantFlows, gotFlows) {
+		t.Errorf("forwarding observations differ: %d flow-bins at 4 workers, %d at 1", len(gotFlows), len(wantFlows))
+	}
 }

@@ -254,7 +254,7 @@ func Tab01AggregateStats(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	linksSeen := d.analyzer.DelayDetector().LinksSeen()
+	linksSeen := d.analyzer.LinksSeen()
 	linksEval := len(d.linksEvaluated)
 	linksAlarmed := len(d.linksAlarmed)
 	alarmFrac := 0.0
@@ -265,8 +265,8 @@ func Tab01AggregateStats(scale Scale) (*Report, error) {
 	if d.evaluations > 0 {
 		probesPerLink = float64(d.probesSum) / float64(d.evaluations)
 	}
-	routers := d.analyzer.ForwardingDetector().RoutersSeen()
-	avgHops := d.analyzer.ForwardingDetector().AvgNextHops()
+	routers := d.analyzer.RoutersSeen()
+	avgHops := d.analyzer.AvgNextHops()
 
 	var sb strings.Builder
 	sb.WriteString(report.Table([][]string{

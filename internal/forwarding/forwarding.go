@@ -59,13 +59,17 @@ type Config struct {
 	EvictIdleBins int
 
 	// Registry is the identity layer the detector interns flows through.
-	// Leave nil for a private registry (the standalone sequential path);
-	// the sharded engine injects its shared registry here so the FlowIDs
+	// Leave nil for a private registry (a standalone detector);
+	// the engine injects its shared registry here so the FlowIDs
 	// on routed contributions resolve in every shard.
 	Registry *ident.Registry
 
 	// Observer, when non-nil, receives every evaluated pattern (anomalous
 	// or not); experiment harnesses use it for Fig 13's per-AS series.
+	// Behind an engine with several workers every shard's detector calls
+	// it, from the shard goroutines: the engine serializes the calls
+	// (together with the delay Observer's), their cross-shard order is
+	// unspecified.
 	Observer func(Observation)
 }
 

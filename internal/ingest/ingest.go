@@ -7,12 +7,11 @@
 // trace.View (DecodeViews, FilesViews: the analyzer's replay path).
 //
 // Parallel decoding preserves the determinism guarantee of the rest of the
-// pipeline: a single chunker goroutine cuts the line stream into
-// sequence-numbered chunks of whole lines, N workers decode chunks
-// concurrently, and a window-bounded reorder buffer releases decoded
-// batches strictly in input order. The delivered stream — batch boundaries
-// included — is bit-identical to a sequential decode for every worker
-// count, because chunk cutting is a function of the input alone and a
+// pipeline. A run is one pipeline.Ordered call: the chunker cuts the line
+// stream into chunks of whole lines, Options.Workers workers decode chunks,
+// and the decoded batches are delivered strictly in input order. The
+// delivered stream — batch boundaries included — is bit-identical for every
+// worker count, because chunk cutting is a function of the input alone and a
 // line's decoded value is a function of that line alone — the per-worker
 // decoder state (address memo, scratch buffers) is pure memoization and
 // cannot leak across lines into the output.
@@ -41,6 +40,7 @@ import (
 	"sync"
 
 	"pinpoint/internal/ident"
+	"pinpoint/internal/pipeline"
 	"pinpoint/internal/trace"
 )
 
@@ -91,9 +91,9 @@ func (e *LineError) Unwrap() error { return e.Err }
 // Options configures an ingestion run. The zero value decodes with
 // GOMAXPROCS workers, engine-sized batches and a strict error policy.
 type Options struct {
-	// Workers is how many goroutines decode chunks concurrently. 0 means
-	// GOMAXPROCS; 1 decodes inline on the caller's goroutine with no
-	// goroutines at all. The delivered stream is identical for every value.
+	// Workers is how many workers decode chunks concurrently. 0 means
+	// GOMAXPROCS; 1 reads, decodes and delivers inline on the caller's
+	// goroutine. The delivered stream is identical for every value.
 	Workers int
 
 	// ChunkSize is how many non-blank lines are decoded per chunk; each
@@ -198,7 +198,6 @@ type source struct {
 // read-level per-line failures the chunker itself detected (oversized
 // lines); decode workers merge them with decode failures in line order.
 type lineChunk struct {
-	seq   uint64
 	file  string
 	buf   []byte // concatenated line payloads
 	ends  []int  // end offset of line i in buf
@@ -210,9 +209,8 @@ type lineChunk struct {
 var chunkPool = sync.Pool{New: func() any { return new(lineChunk) }}
 
 // decodedChunk is a worker's output: the chunk's results in line order plus
-// any per-line failures, keyed by the chunk's sequence number for reorder.
+// any per-line failures.
 type decodedChunk[T any] struct {
-	seq     uint64
 	results []T
 	errs    []LineError
 }
@@ -339,29 +337,22 @@ func deliver[T any](st *Stats, opts Options, results []T, errs []LineError, fn f
 }
 
 // chunker owns the read side: it opens sources, detects gzip, scans lines
-// and cuts sequence-numbered chunks. Exactly one goroutine runs it, so
-// chunk contents and sequence are a function of the input alone, never of
-// scheduling — the root of the worker-count equivalence guarantee.
+// and cuts chunks. Exactly one goroutine runs it, so chunk contents and
+// order are a function of the input alone, never of scheduling — the root of
+// the worker-count equivalence guarantee.
 type chunker struct {
 	srcs  []source
 	size  int
-	seq   uint64
 	lines int
 	bytes int64
 	err   error // first open/read error; reported after ordered delivery
 }
 
 // run scans all sources, calling emit for each cut chunk. emit returning
-// false stops the scan. Sequence numbers are assigned at emission, so the
-// emitted sequence is contiguous even when a source ends on an empty chunk.
+// false stops the scan.
 func (ck *chunker) run(emit func(*lineChunk) bool) {
-	numbered := func(c *lineChunk) bool {
-		c.seq = ck.seq
-		ck.seq++
-		return emit(c)
-	}
 	for _, src := range ck.srcs {
-		if !ck.scan(src, numbered) {
+		if !ck.scan(src, emit) {
 			return
 		}
 	}
@@ -512,141 +503,29 @@ func newChunk(file string) *lineChunk {
 	return c
 }
 
+// run is the one decode loop, a pipeline.Ordered call: the chunker produces,
+// each worker decodes chunks through its own lineDecoder, and deliver applies
+// the error policy and hands the batches to fn in input order on the caller's
+// goroutine. A canceled ctx is reported ahead of a read error.
 func run[T any](ctx context.Context, srcs []source, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
 	opts = opts.withDefaults()
 	ck := &chunker{srcs: srcs, size: opts.ChunkSize}
-	if opts.Workers == 1 {
-		return runSeq(ctx, ck, opts, newDec(), fn)
-	}
-	return runPar(ctx, ck, opts, newDec, fn)
-}
-
-// runSeq is the inline path: chunk, decode and deliver on the caller's
-// goroutine. It shares the chunker and the delivery policy with runPar, so
-// the two paths cannot drift apart.
-func runSeq[T any](ctx context.Context, ck *chunker, opts Options, dec lineDecoder[T], fn func([]T) error) (Stats, error) {
-	var (
-		st     Stats
-		runErr error
-	)
-	ck.run(func(c *lineChunk) bool {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			chunkPool.Put(c)
-			return false
-		}
-		results, errs := decodeChunk(dec, c, opts.Validate)
-		chunkPool.Put(c)
-		if err := deliver(&st, opts, results, errs, fn); err != nil {
-			runErr = err
-			return false
-		}
-		return true
-	})
-	st.Lines, st.Bytes = ck.lines, ck.bytes
-	if runErr == nil {
-		runErr = ck.err
-	}
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-	return st, runErr
-}
-
-// runPar is the parallel path, mirroring the atlas generator's topology in
-// the opposite direction: one chunker goroutine cuts sequence-numbered line
-// chunks, workers decode them concurrently, and the caller's goroutine
-// reorders completed chunks by sequence and delivers them — so delivery
-// order, batch grouping and every byte of every result match the
-// sequential path. A window semaphore bounds in-flight chunks (and with
-// them the reorder buffer), back-pressuring the chunker when the consumer
-// is the bottleneck.
-func runPar[T any](ctx context.Context, ck *chunker, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
-	workers := opts.Workers
-	ctx2, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	tasks := make(chan *lineChunk, workers)
-	results := make(chan *decodedChunk[T], workers)
-	window := make(chan struct{}, 4*workers) // in-flight chunk bound
-
-	go func() {
-		defer close(tasks)
-		ck.run(func(c *lineChunk) bool {
-			select {
-			case window <- struct{}{}:
-			case <-ctx2.Done():
-				chunkPool.Put(c)
-				return false
-			}
-			select {
-			case tasks <- c:
-				return true
-			case <-ctx2.Done():
-				chunkPool.Put(c)
-				return false
-			}
-		})
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	var st Stats
+	err := pipeline.Ordered(ctx, opts.Workers, ck.run,
+		func() func(*lineChunk) decodedChunk[T] {
 			dec := newDec()
-			for c := range tasks {
-				dc := &decodedChunk[T]{seq: c.seq}
-				dc.results, dc.errs = decodeChunk(dec, c, opts.Validate)
+			return func(c *lineChunk) decodedChunk[T] {
+				results, errs := decodeChunk(dec, c, opts.Validate)
 				chunkPool.Put(c)
-				select {
-				case results <- dc:
-				case <-ctx2.Done():
-					return
-				}
+				return decodedChunk[T]{results, errs}
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder and deliver on the caller's goroutine. pending holds chunks
-	// that decoded ahead of sequence; its size is bounded by the window.
-	var (
-		st      Stats
-		next    uint64
-		runErr  error
-		pending = make(map[uint64]*decodedChunk[T], 4*workers)
-	)
-	for dc := range results {
-		pending[dc.seq] = dc
-		for runErr == nil {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			<-window // chunk leaves flight; chunker may refill
-			if err := deliver(&st, opts, c.results, c.errs, fn); err != nil {
-				runErr = err
-			}
-		}
-		if runErr != nil {
-			cancel() // stop chunker and workers; results will close
-		}
-	}
-	// The chunker exited before tasks closed, which happened before the
-	// workers exited, which happened before results closed — so its
-	// counters and read error are safely visible here.
+		},
+		func(c decodedChunk[T]) error { return deliver(&st, opts, c.results, c.errs, fn) })
+	// Ordered returns after the chunker has exited, so its counters and read
+	// error are safely visible here.
 	st.Lines, st.Bytes = ck.lines, ck.bytes
-	if runErr == nil {
-		runErr = ck.err
+	if err == nil {
+		err = ck.err
 	}
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-	return st, runErr
+	return st, err
 }

@@ -133,7 +133,7 @@ func (p *Publisher) commitBin(bin time.Time, d *events.CloseDelta, evs []events.
 	rec.FirstBin = d.FirstBin
 	rec.Results = int64(p.a.ResultsClosed())
 	// The uncommitted mirror tails are bin-ordered (alarms surface in close
-	// order on both backends), but a batch spanning several closes appends
+	// order for every worker count), but a batch spanning several closes appends
 	// all its alarms before the first close hook fires — so commit only the
 	// prefix belonging to bins ≤ the closing bin, keeping each record's
 	// contents a property of the input stream, not of batch boundaries.

@@ -35,13 +35,15 @@
 //	analyzer.Flush()
 //	events := analyzer.Aggregator().Events(from, to)
 //
-// Setting Config.Workers (or AutoWorkers) shards the detectors across CPU
-// cores via internal/engine; the alarms, events and their order are
-// guaranteed identical to a sequential run. The measurement platform
-// parallelizes the same way (atlas.Platform.SetWorkers), and
+// Detection always runs on internal/engine: one shard inline on the
+// caller's goroutine by default, and setting Config.Workers (or AutoWorkers)
+// shards the detectors across CPU cores; the alarms, events and their order
+// are guaranteed identical for every worker count. The measurement platform
+// (atlas.Platform.SetWorkers) and the dump decoder (ingest.Options.Workers)
+// parallelize through one ordered pipeline (internal/pipeline), and
 // Analyzer.RunPlatform fuses generator workers and engine shards into one
-// backpressured pipeline. See DESIGN.md for the shard, merge and reorder
-// architecture.
+// backpressured pipeline. See DESIGN.md for the shard, merge and ordered
+// pipeline architecture.
 //
 // For serving results while analysis runs (§8), Analyzer.OnBinClose fires
 // after each bin's alarms are fully dispatched; internal/serve builds the
@@ -64,8 +66,8 @@ import (
 
 // Config bundles the pipeline configuration; the zero value uses the
 // paper's parameters (1-hour bins, z=1.96, ≥3 probe ASes, entropy > 0.5,
-// 1 ms minimum shift, τ=−0.25, one-week magnitude windows) on the
-// sequential path. Set Workers (or AutoWorkers) for the sharded engine.
+// 1 ms minimum shift, τ=−0.25, one-week magnitude windows) on one inline
+// engine shard. Set Workers (or AutoWorkers) to shard across CPUs.
 type Config = core.Config
 
 // AutoWorkers, assigned to Config.Workers, shards the analysis across all
