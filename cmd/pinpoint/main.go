@@ -330,8 +330,8 @@ func run() error {
 		if dc.Dur > 0 {
 			rate = float64(dc.Samples) / dc.Dur.Seconds()
 		}
-		fmt.Printf("bin-close: %d bins; %d link-bins (%d ∆ samples, %.3gM samples/s through the kernels, %v); %d flow-bins (%v); %d link / %d flow states evicted\n\n",
-			dc.Bins, dc.Links, dc.Samples, rate/1e6, dc.Dur.Round(time.Millisecond), fc.Flows, fc.Dur.Round(time.Millisecond),
+		fmt.Printf("bin-close: %d bins; %d link-bins, %d with probes dropped, %d more rejected (%d ∆ samples, %.3gM samples/s through the kernels, %v); %d flow-bins (%v); %d link / %d flow states evicted\n\n",
+			dc.Bins, dc.Links, dc.Dropped, dc.Rejected, dc.Samples, rate/1e6, dc.Dur.Round(time.Millisecond), fc.Flows, fc.Dur.Round(time.Millisecond),
 			dc.Evicted, fc.Evicted)
 	}
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"pinpoint/internal/timeseries"
+	"pinpoint/internal/trace"
 )
 
 // runWithBinHook runs the miniature attack platform for a short window and
@@ -117,6 +119,55 @@ func TestOnBinCloseDrivesIncrementalAggregator(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("event %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLateResultsFoldIntoOpenBin pins what the per-result open-bin range
+// check must preserve: a result stamped before the open bin is not dropped
+// and closes nothing — it is ingested into the open bin exactly as if it had
+// been stamped inside it, at every per-result site (aggregator span, facade
+// bin tracking, both detectors), one worker or several.
+func TestLateResultsFoldIntoOpenBin(t *testing.T) {
+	p, _, evStart, _ := buildAttack(t)
+	rs, err := p.Collect(evStart.Add(-6*time.Hour), evStart.Add(2*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := append([]trace.Result(nil), rs...)
+	moved := 0
+	for i := range late {
+		if i%5 == 0 && late[i].Time.Sub(rs[0].Time) > 2*time.Hour {
+			late[i].Time = late[i].Time.Add(-90 * time.Minute) // one or two bins back
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("fixture moved no result")
+	}
+	for _, workers := range []int{1, 3} {
+		run := func(in []trace.Result) (bins []time.Time, a *Analyzer) {
+			a = New(Config{RetainAlarms: true, Workers: workers}, p.ProbeASN, p.Net().Prefixes())
+			defer a.Close()
+			a.OnBinClose = func(bin time.Time) { bins = append(bins, bin) }
+			a.ObserveBatch(in)
+			a.Flush()
+			return bins, a
+		}
+		wantBins, want := run(rs)
+		gotBins, got := run(late)
+		if len(want.DelayAlarms()) == 0 {
+			t.Fatal("fixture raised no delay alarm")
+		}
+		if !reflect.DeepEqual(gotBins, wantBins) {
+			t.Errorf("workers=%d: late results changed the bin closes: %v, want %v", workers, gotBins, wantBins)
+		}
+		if !reflect.DeepEqual(got.DelayAlarms(), want.DelayAlarms()) || !reflect.DeepEqual(got.ForwardingAlarms(), want.ForwardingAlarms()) {
+			t.Errorf("workers=%d: late results changed the alarms: %d/%d, want %d/%d", workers,
+				len(got.DelayAlarms()), len(got.ForwardingAlarms()), len(want.DelayAlarms()), len(want.ForwardingAlarms()))
+		}
+		if got.Results() != want.Results() {
+			t.Errorf("workers=%d: %d results ingested, want %d", workers, got.Results(), want.Results())
 		}
 	}
 }

@@ -211,6 +211,10 @@ func (a *Analyzer) ObserveBatch(rs []trace.Result) {
 // trackBin advances the facade's open-bin marker to t's bin and reports
 // whether doing so closed a previous bin.
 func (a *Analyzer) trackBin(t time.Time) (closed time.Time, didClose bool) {
+	if a.haveBin && timeseries.InBin(t, a.curBin, a.binSize) {
+		a.openResults++
+		return closed, didClose
+	}
 	b := timeseries.Bin(t, a.binSize)
 	if a.haveBin && b.After(a.curBin) {
 		closed, didClose = a.curBin, true

@@ -363,6 +363,8 @@ type Detector struct {
 	// Cumulative bin-close accounting (CloseStats).
 	binsClosed    int
 	linksClosed   int
+	linksDropped  int
+	linksRejected int
 	kernelSamples int64
 	closeDur      time.Duration
 }
@@ -372,16 +374,21 @@ type Detector struct {
 // the cmd/pinpoint -binclose-stats summary so detector-side performance is
 // visible without a profiler.
 type CloseStats struct {
-	Bins    int           // bins closed
-	Links   int           // link-bins evaluated (after diversity filtering)
-	Samples int64         // ∆ samples fed through the median/CI kernels
-	Evicted int           // idle link states evicted (Config.EvictIdleBins)
-	Dur     time.Duration // wall time spent closing bins
+	Bins     int           // bins closed
+	Links    int           // link-bins evaluated (after diversity filtering)
+	Dropped  int           // link-bins §4.3 removed ≥ 1 probe from (survivors copied out)
+	Rejected int           // link-bins failing the MinASes criterion
+	Samples  int64         // ∆ samples fed through the median/CI kernels
+	Evicted  int           // idle link states evicted (Config.EvictIdleBins)
+	Dur      time.Duration // wall time spent closing bins
 }
 
 // CloseStats returns the detector's cumulative bin-close accounting.
 func (d *Detector) CloseStats() CloseStats {
-	return CloseStats{Bins: d.binsClosed, Links: d.linksClosed, Samples: d.kernelSamples, Evicted: d.evicted, Dur: d.closeDur}
+	return CloseStats{
+		Bins: d.binsClosed, Links: d.linksClosed, Dropped: d.linksDropped, Rejected: d.linksRejected,
+		Samples: d.kernelSamples, Evicted: d.evicted, Dur: d.closeDur,
+	}
 }
 
 // NewDetector returns a Detector with the given configuration; probeASN
@@ -426,12 +433,14 @@ func (d *Detector) Observe(r trace.Result) []Alarm {
 // returned. Results older than the current bin are folded into it (the
 // platform emits in order, so this only smooths jitter at bin edges).
 func (d *Detector) ObserveView(v *trace.View) []Alarm {
-	bin := timeseries.Bin(v.Time, d.cfg.BinSize)
 	var alarms []Alarm
-	if d.haveBin && bin.After(d.curBin) {
-		alarms = d.closeBin()
+	if !d.haveBin || !timeseries.InBin(v.Time, d.curBin, d.cfg.BinSize) {
+		bin := timeseries.Bin(v.Time, d.cfg.BinSize)
+		if d.haveBin && bin.After(d.curBin) {
+			alarms = d.closeBin()
+		}
+		d.BeginBin(bin)
 	}
-	d.BeginBin(bin)
 	if asn, ok := d.probeASN(v.Prb); ok {
 		d.runProbe, d.runASN = int32(v.Prb), asn
 		ExtractView(d.intern, v, d.ingestRun)
@@ -452,7 +461,8 @@ func (d *Detector) Flush() []Alarm {
 // BeginBin opens (or asserts) the bin the next IngestSample calls belong to.
 // It is the sharded engine's entry point: the engine closes bins explicitly
 // via Flush, so BeginBin never evaluates — it only moves the bin cursor
-// forward. Bins must be opened in chronological order.
+// forward. Bins are bin starts (timeseries.Bin), opened in chronological
+// order.
 func (d *Detector) BeginBin(bin time.Time) {
 	if !d.haveBin || bin.After(d.curBin) {
 		d.curBin = bin
@@ -609,17 +619,23 @@ func (d *Detector) closeBin() []Alarm {
 		ls := &d.links[d.slotOf[d.touched[ti]]]
 		key := ls.key
 		ord, groups := d.groupRuns(ls.runs)
-		var samples []float64
-		var ok bool
-		var probes, ases int
+		// The statistics below read the samples as a multiset, and the bin is
+		// over for this link: unless §4.3 removes a probe they reorder the
+		// link's own ∆ column in place, and only a link-bin that lost probes
+		// has its survivors copied out (filterDiversity).
+		samples := ls.deltas
+		probes, ases := len(groups), 0
 		if d.cfg.SymmetricLink != nil && d.cfg.SymmetricLink(key) {
-			samples, probes, ases = d.collectAll(ls, ord, groups)
-			ok = true
+			ases = d.countASes(groups)
 		} else {
 			d.reseed(key)
-			samples, probes, ases, ok = d.filterDiversity(ls, ord, groups)
+			var ok bool
+			if samples, probes, ases, ok = d.filterDiversity(ls, ord, groups); !ok {
+				d.linksRejected++
+				continue
+			}
 		}
-		if !ok || len(samples) < d.cfg.MinSamples {
+		if len(samples) < d.cfg.MinSamples {
 			continue
 		}
 		d.linksClosed++
@@ -786,8 +802,10 @@ func (d *Detector) reseed(key trace.LinkKey) {
 // MinASes distinct ASes, and the probe-per-AS distribution must have
 // normalized entropy above MinEntropy — otherwise probes are randomly
 // dropped from the most-represented AS until it does. It returns the
-// surviving ∆ samples (into the reusable scratch) and the contributing
-// probe/AS counts; ok is false when the link fails the AS-count criterion.
+// surviving ∆ samples — the link's own column when every probe survives,
+// which is every link-bin of both benchmark fixtures, else a copy in the
+// reusable scratch — and the contributing probe/AS counts; ok is false when
+// the link fails the AS-count criterion.
 // The dropping decisions are bit-identical to the map-based implementation:
 // per-AS probe lists are probe-ascending and the most-represented AS breaks
 // ties on the smallest ASN, so the PRNG sees the same draw sequence.
@@ -819,28 +837,13 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 	d.idxBuf = idx[:0]
 	d.bucketBuf = buckets[:0]
 
-	samples = d.samplesBuf[:0]
-	collect := func() []float64 {
-		for _, b := range buckets {
-			if len(b.groups) == 0 {
-				continue
-			}
-			ases++
-			for _, gi := range b.groups {
-				probes++
-				samples = ls.appendGroup(samples, ord, groups[gi])
-			}
-		}
-		d.samplesBuf = samples
-		return samples
-	}
-
 	if d.cfg.DisableDiversityFilter {
-		return collect(), probes, ases, true
+		return ls.deltas, len(groups), len(buckets), true
 	}
 	if len(buckets) < d.cfg.MinASes {
 		return nil, 0, 0, false
 	}
+	probes = len(groups)
 	counts := d.countsBuf[:0]
 	refresh := func() []int {
 		counts = counts[:0]
@@ -868,39 +871,36 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 		ids := buckets[maxB].groups
 		drop := d.rng.IntN(len(ids))
 		buckets[maxB].groups = append(ids[:drop], ids[drop+1:]...)
+		probes--
 	}
 	d.countsBuf = counts[:0]
-	return collect(), probes, ases, true
+	// The loop never empties a bucket, so every AS still contributes.
+	if probes == len(groups) {
+		return ls.deltas, probes, len(buckets), true
+	}
+	d.linksDropped++
+	samples = d.samplesBuf[:0]
+	for _, b := range buckets {
+		for _, gi := range b.groups {
+			samples = ls.appendGroup(samples, ord, groups[gi])
+		}
+	}
+	d.samplesBuf = samples
+	return samples, probes, len(buckets), true
 }
 
-// collectAll gathers every probe's samples without diversity filtering —
-// the symmetric-link path (§9 future work) where return-path ambiguity
-// does not exist.
-func (d *Detector) collectAll(ls *linkState, ord []int32, groups []probeGroup) (samples []float64, probes, ases int) {
-	samples = d.samplesBuf[:0]
-	var lastASN ipmap.ASN
+// countASes counts the distinct ASes among a link-bin's probe groups — the
+// symmetric-link path (§9 future work), where return-path ambiguity does not
+// exist and every probe is kept without diversity filtering.
+func (d *Detector) countASes(groups []probeGroup) int {
 	asnSeen := d.countsBuf[:0] // reuse as a tiny distinct-ASN scratch
 	for _, g := range groups {
-		probes++
-		if probes == 1 || g.asn != lastASN {
-			dup := false
-			for _, a := range asnSeen {
-				if ipmap.ASN(a) == g.asn {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				asnSeen = append(asnSeen, int(g.asn))
-			}
-			lastASN = g.asn
+		if !slices.Contains(asnSeen, int(g.asn)) {
+			asnSeen = append(asnSeen, int(g.asn))
 		}
-		samples = ls.appendGroup(samples, ord, g)
 	}
-	ases = len(asnSeen)
 	d.countsBuf = asnSeen[:0]
-	d.samplesBuf = samples
-	return samples, probes, ases
+	return len(asnSeen)
 }
 
 // Deviation computes d(∆) of Eq 6: the gap between the observed and

@@ -402,6 +402,8 @@ func (e *Engine) barrier(flush bool) ([][]delay.Alarm, [][]forwarding.Alarm) {
 		agg.refModels += res.refModels
 		agg.refNextHops += res.refNextHops
 		agg.delayClose.Links += res.delayClose.Links
+		agg.delayClose.Dropped += res.delayClose.Dropped
+		agg.delayClose.Rejected += res.delayClose.Rejected
 		agg.delayClose.Samples += res.delayClose.Samples
 		agg.delayClose.Evicted += res.delayClose.Evicted
 		agg.delayClose.Dur += res.delayClose.Dur

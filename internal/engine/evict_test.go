@@ -65,6 +65,11 @@ func TestEvictionDeterminism(t *testing.T) {
 			if got, want := sh.RoutersSeen(), seq.RoutersSeen(); got != want {
 				t.Errorf("RoutersSeen = %d, want %d", got, want)
 			}
+			// Per-link-bin close counts sum over the shard partition.
+			if sdc, _ := sh.BinCloseStats(); sdc.Links != dc.Links || sdc.Dropped != dc.Dropped ||
+				sdc.Rejected != dc.Rejected || sdc.Samples != dc.Samples {
+				t.Errorf("delay close stats = %+v, sequential %+v", sdc, dc)
+			}
 			if got, want := sh.AvgNextHops(), seq.AvgNextHops(); got != want {
 				t.Errorf("AvgNextHops = %v, want %v", got, want)
 			}

@@ -144,6 +144,9 @@ func (a *Aggregator) lookupASN(addr netip.Addr) (ipmap.ASN, bool) {
 // event still scores it against a week of quiet — without this, the first
 // alarm of a series would always score zero.
 func (a *Aggregator) ObserveBin(t time.Time) {
+	if a.haveBin && !t.Before(a.firstBin) {
+		return // firstBin is a bin start, so t's bin is not before it either
+	}
 	b := timeseries.Bin(t, a.cfg.BinSize)
 	if !a.haveBin || b.Before(a.firstBin) {
 		if a.rejectLate(b) {

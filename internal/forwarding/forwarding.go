@@ -381,12 +381,14 @@ func (d *Detector) Observe(r trace.Result) []Alarm {
 // the detector's registry), returning the previous bin's alarms when the
 // result crosses a bin boundary.
 func (d *Detector) ObserveView(v *trace.View) []Alarm {
-	bin := timeseries.Bin(v.Time, d.cfg.BinSize)
 	var alarms []Alarm
-	if d.haveBin && bin.After(d.curBin) {
-		alarms = d.closeBin()
+	if !d.haveBin || !timeseries.InBin(v.Time, d.curBin, d.cfg.BinSize) {
+		bin := timeseries.Bin(v.Time, d.cfg.BinSize)
+		if d.haveBin && bin.After(d.curBin) {
+			alarms = d.closeBin()
+		}
+		d.BeginBin(bin)
 	}
-	d.BeginBin(bin)
 	ExtractView(d.intern, v, d.IngestContribution)
 	return alarms
 }
@@ -404,7 +406,8 @@ func (d *Detector) Flush() []Alarm {
 // BeginBin opens (or asserts) the bin the next IngestContribution calls
 // belong to. It is the sharded engine's entry point: the engine closes bins
 // explicitly via Flush, so BeginBin never evaluates — it only moves the bin
-// cursor forward. Bins must be opened in chronological order.
+// cursor forward. Bins are bin starts (timeseries.Bin), opened in
+// chronological order.
 func (d *Detector) BeginBin(bin time.Time) {
 	if !d.haveBin || bin.After(d.curBin) {
 		d.curBin = bin

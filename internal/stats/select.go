@@ -4,13 +4,16 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"pinpoint/internal/hash"
 )
 
 // This file holds the selection kernels of the detectors' bin-close hot
 // path. Closing a bin needs three order statistics per link (the median and
 // the two Wilson-score rank bounds, §4.2.2); a full sort.Float64s is
-// O(n log n) per link-bin just to read three ranks, while Floyd–Rivest
-// selection finds them in O(n) expected time. The contract is strict:
+// O(n log n) per link-bin just to read three ranks, while a branch-free
+// quickselect over all of them finds them in O(n) expected time. The
+// contract is strict:
 // SelectKths places at every requested rank exactly the value an ascending
 // sort.Float64s would place there, so MedianWilsonSelect returns the same
 // MedianCI as MedianWilsonSorted on the sorted input — MedianWilsonSorted
@@ -48,8 +51,9 @@ func nanSweep(xs []float64) int {
 // SelectKths partially orders xs in place so that for every rank k in ks,
 // xs[k] holds the k-th smallest element — the value sort.Float64s would
 // put there — with xs[:k] ≤ xs[k] ≤ xs[k+1:] under the same NaN-first
-// order. Expected time is O(n · |ks|) with no allocation; ranks must be
-// valid indices into xs or SelectKths panics. When equivalent elements
+// order. Expected time is O(n log |ks|) — O(n) when the ranks sit close
+// together, as the Wilson ranks do — with no allocation; ranks must be valid
+// indices into xs or SelectKths panics. When equivalent elements
 // (duplicates, two NaN payloads, -0 vs +0) straddle a requested rank, the
 // value at the rank is equivalent under == (NaN position included) to the
 // oracle's, though not necessarily the same bit pattern — the detectors
@@ -65,12 +69,6 @@ func SelectKths(xs []float64, ks ...int) {
 		return
 	}
 	m := nanSweep(xs)
-	if len(ks) == 1 {
-		if ks[0] >= m {
-			floydRivest(xs, m, len(xs)-1, ks[0])
-		}
-		return
-	}
 	// Sort and dedupe the ranks (at most a handful: insertion sort).
 	var buf [8]int
 	sorted := append(buf[:0], ks...)
@@ -86,101 +84,124 @@ func SelectKths(xs []float64, ks ...int) {
 			uniq = append(uniq, k)
 		}
 	}
-	if len(uniq) > 0 {
-		multiSelect(xs, m, len(xs)-1, uniq)
-	}
+	var w selectWork
+	w.selectRanks(xs, m, len(xs)-1, uniq)
 }
 
-// multiSelect resolves an ascending list of ranks within xs[lo:hi+1]:
-// selecting the middle rank fully partitions the segment around it, so the
-// remaining ranks split into independent sub-segments (left recursed,
-// right handled by the loop — the deeper side shrinks geometrically).
-func multiSelect(xs []float64, lo, hi int, ks []int) {
-	for len(ks) > 0 {
-		if len(ks) == 1 {
-			floydRivest(xs, lo, hi, ks[0])
-			return
-		}
-		m := len(ks) / 2
-		k := ks[m]
-		floydRivest(xs, lo, hi, k)
-		if m > 0 {
-			multiSelect(xs, lo, k-1, ks[:m])
-		}
-		lo, ks = k+1, ks[m+1:]
+// selectWork counts what one selection cost: elements passed over by
+// partition and equal-sweep loops, and segments handed to the sort fallback.
+// It is one addition per round, and what the adversarial-input tests bound.
+type selectWork struct{ visited, fallbacks int }
+
+// b2i is 0 or 1 without a branch (the compiler emits SETcc for this shape).
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
 
-// floydRivest places the k-th smallest element of xs[lo:hi+1] at xs[k]
-// and partitions the segment around it. Callers guarantee the segment is
-// NaN-free (nanSweep ran), so plain < is the oracle's order here. This is the
-// classic SELECT of Floyd & Rivest (CACM '75): on large segments a small
-// recursively-selected sample brackets the target rank so the partition
-// pivot lands within O(√(n log n)) of it, giving n + min(k, n−k) + o(n)
-// expected comparisons. Selection is deterministic — no randomness — and a
-// round budget guards against adversarial inputs that defeat the sampled
-// pivots: past it the segment is handed to sort.Float64s, the oracle
+// selectRanks places, for every rank in the ascending duplicate-free ks
+// (all within [lo, hi]), the element an ascending sort of xs[lo:hi+1] would
+// put there, and partitions the segment around each. Callers guarantee the
+// segment is NaN-free (nanSweep ran), so plain < is the oracle's order here.
+// It is quickselect over all ranks at once: one partition serves every rank
+// still in the segment — the Wilson ranks sit within ~√n of the median, so
+// they share all but the last few rounds — and only a round that separates
+// ranks recurses (left part; the loop keeps the right).
+//
+// The partition is Lomuto's with the comparison folded into the index
+// arithmetic: every element is swapped to the boundary and the boundary
+// advances by b2i(x < p), so the loop body has no data-dependent branch. At
+// link-bin sizes (hundreds of samples) a branching partition mispredicts
+// every other comparison on live data, which cost more than the comparisons
+// themselves. A round that leaves less than an eighth of the segment below
+// the pivot — what duplicates of the pivot do, since they all stay above —
+// sweeps the pivot's equals next to it the same way, so all-equal and
+// few-valued inputs finish in a linear number of visits. Selection is
+// deterministic, and a round budget guards against inputs that defeat the
+// pivot choice: past it the segment is handed to sort.Float64s, the oracle
 // itself, so the equivalence contract holds trivially on every path.
-func floydRivest(xs []float64, lo, hi, k int) {
+func (w *selectWork) selectRanks(xs []float64, lo, hi int, ks []int) {
 	rounds := 0
 	maxRounds := 2*bits.Len(uint(hi-lo+1)) + 8
-	for hi > lo {
-		if hi-lo < 16 {
+	for len(ks) > 0 {
+		if hi-lo < 8 {
 			insertionSortFloat(xs, lo, hi)
 			return
 		}
 		if rounds++; rounds > maxRounds {
+			w.fallbacks++
 			sort.Float64s(xs[lo : hi+1])
 			return
 		}
-		if hi-lo > 600 {
-			// Sample bracketing: select the same rank inside a subrange
-			// sized ~n^(2/3) around the expected position, then use the
-			// now-exact xs[k] of the sample as the partition pivot below.
-			n := float64(hi - lo + 1)
-			i := float64(k - lo + 1)
-			z := math.Log(n)
-			s := 0.5 * math.Exp(2*z/3)
-			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
-			if i < n/2 {
-				sd = -sd
-			}
-			nlo := max(lo, int(float64(k)-i*s/n+sd))
-			nhi := min(hi, int(float64(k)+(n-i)*s/n+sd))
-			floydRivest(xs, nlo, nhi, k)
+		w.visited += hi - lo + 1
+		seg := xs[lo : hi+1]
+		p := pivot(seg)
+		// seg[0] == p; afterwards seg[1:j] < p ≤ seg[j:].
+		j := 1
+		for i := 1; i < len(seg); i++ {
+			x := seg[i]
+			seg[i] = seg[j]
+			seg[j] = x
+			j += b2i(x < p)
 		}
-		// Partition xs[lo:hi+1] around t = xs[k] (Hoare scheme with the
-		// boundary fix-up of Algorithm 489).
-		t := xs[k]
-		i, j := lo, hi
-		xs[lo], xs[k] = xs[k], xs[lo]
-		if t < xs[hi] {
-			xs[lo], xs[hi] = xs[hi], xs[lo]
-		}
-		for i < j {
-			xs[i], xs[j] = xs[j], xs[i]
-			i++
-			j--
-			for xs[i] < t {
-				i++
-			}
-			for t < xs[j] {
-				j--
+		j--
+		seg[0], seg[j] = seg[j], p
+		// seg[:j] < p, seg[j:e] == p, seg[e:] ≥ p (> p after a sweep).
+		e := j + 1
+		if j < len(seg)/8 {
+			w.visited += len(seg) - e
+			for i := e; i < len(seg); i++ {
+				x := seg[i]
+				seg[i] = seg[e]
+				seg[e] = x
+				e += b2i(x == p)
 			}
 		}
-		if xs[lo] == t {
-			xs[lo], xs[j] = xs[j], xs[lo]
-		} else {
-			j++
-			xs[j], xs[hi] = xs[hi], xs[j]
+		// Ranks inside [j, e) are placed; the rest split around it.
+		nl, nr := 0, len(ks)
+		for nl < len(ks) && ks[nl] < lo+j {
+			nl++
 		}
-		if j <= k {
-			lo = j + 1
+		for nr > nl && ks[nr-1] >= lo+e {
+			nr--
 		}
-		if k <= j {
-			hi = j - 1
+		left, right := ks[:nl], ks[nr:]
+		switch {
+		case len(right) == 0:
+			hi, ks = lo+j-1, left
+		case len(left) == 0:
+			lo, ks = lo+e, right
+		default:
+			w.selectRanks(xs, lo, lo+j-1, left)
+			lo, ks = lo+e, right
 		}
 	}
+}
+
+// pivot moves the median of three elements of seg to seg[0] and returns it.
+// The three sit at positions hashed from len(seg) — a fixed function of the
+// input, so selection stays deterministic — because the classic first,
+// middle and last are exactly what sorted, organ-pipe and sawtooth inputs
+// defeat once Lomuto's swaps have rotated them.
+func pivot(seg []float64) float64 {
+	n := uint64(len(seg))
+	h := hash.Mix64(n, n)
+	// Each 21-bit field of h is a fraction of the segment length.
+	at := func(f uint64) int { return int((f & (1<<21 - 1)) * n >> 21) }
+	a, b, c := at(h>>43), at(h>>22), at(h)
+	if seg[b] < seg[a] {
+		a, b = b, a
+	}
+	if seg[c] < seg[b] {
+		b = c
+		if seg[b] < seg[a] {
+			b = a
+		}
+	}
+	seg[0], seg[b] = seg[b], seg[0]
+	return seg[0]
 }
 
 // insertionSortFloat sorts a NaN-free xs[lo:hi+1] ascending.

@@ -107,7 +107,7 @@ func TestSelectKthsRankPanics(t *testing.T) {
 
 func TestSelectKthsLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 5000 // exercises the Floyd–Rivest sampling branch (> 600)
+	n := 5000
 	patterns := map[string]func(i int) float64{
 		"random":    func(int) float64 { return rng.NormFloat64() * 100 },
 		"sorted":    func(i int) float64 { return float64(i) },
@@ -130,6 +130,72 @@ func TestSelectKthsLarge(t *testing.T) {
 			for _, k := range ks {
 				if !feqt(got[k], want[k]) {
 					t.Fatalf("%s: rank %d = %v, want %v", name, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// adversarialShapes are the inputs that break a careless Lomuto partition:
+// duplicates of the pivot all land on one side (all-equal, two-valued,
+// sawtooth), and monotone or organ-pipe runs defeat a naive pivot choice.
+var adversarialShapes = []struct {
+	name string
+	gen  func(i, n int) float64
+}{
+	{"all-equal", func(i, n int) float64 { return 42 }},
+	{"two-valued", func(i, n int) float64 { return float64(i & 1) }},
+	{"two-blocks", func(i, n int) float64 { return float64(2 * i / n) }},
+	{"sorted", func(i, n int) float64 { return float64(i) }},
+	{"reverse", func(i, n int) float64 { return float64(n - i) }},
+	{"organ-pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
+	{"sawtooth", func(i, n int) float64 { return float64(i % 7) }},
+	{"long-sawtooth", func(i, n int) float64 { return float64(i % (n/4 + 1)) }},
+}
+
+var adversarialSizes = []int{47, 48, 600, 601, 4096}
+
+func adversarialInput(gen func(i, n int) float64, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = gen(i, n)
+	}
+	return xs
+}
+
+// TestSelectAdversarialWorkBound holds the kernel to linear work where a
+// Lomuto-style partition is weakest: at every Wilson rank set the selected
+// values equal the oracle's, the partition and equal-sweep loops pass over at
+// most 12·n elements, and the sort.Float64s fallback is never reached.
+func TestSelectAdversarialWorkBound(t *testing.T) {
+	for _, sh := range adversarialShapes {
+		for _, n := range adversarialSizes {
+			xs := adversarialInput(sh.gen, n)
+			want := append([]float64(nil), xs...)
+			sort.Float64s(want)
+			for _, z := range []float64{0, Z95, 10} {
+				lo, hi := wilsonRanks(n, z)
+				ks := []int{lo, (n - 1) / 2, n / 2, hi}
+				checkSelected(t, xs, ks...)
+
+				sort.Ints(ks)
+				uniq := ks[:1]
+				for _, k := range ks[1:] {
+					if k != uniq[len(uniq)-1] {
+						uniq = append(uniq, k)
+					}
+				}
+				got := append([]float64(nil), xs...)
+				var w selectWork
+				w.selectRanks(got, 0, n-1, uniq)
+				for _, k := range uniq {
+					if got[k] != want[k] {
+						t.Fatalf("%s n=%d z=%v: rank %d = %v, oracle %v", sh.name, n, z, k, got[k], want[k])
+					}
+				}
+				if w.fallbacks != 0 || w.visited > 12*n {
+					t.Errorf("%s n=%d z=%v: visited %d elements (bound %d), %d sort fallbacks",
+						sh.name, n, z, w.visited, 12*n, w.fallbacks)
 				}
 			}
 		}
@@ -226,6 +292,12 @@ func FuzzSelectVsSort(f *testing.F) {
 		seed(xs, 0, uint8(len(xs)))
 	}
 	seed([]float64{nan, nan, 1, 1, nan, ninf, pinf, ninf}, 3, 200)
+	// The adversarial shapes at n ≤ 601 are checked in under
+	// testdata/fuzz/FuzzSelectVsSort; a 4096-element seed file is 130 kB of
+	// \x00 escapes, so that size is seeded from here. Plain go test runs both.
+	for _, sh := range adversarialShapes {
+		seed(adversarialInput(sh.gen, 4096), 2, 200)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, r1, r2 uint8) {
 		n := len(data) / 8

@@ -16,6 +16,20 @@ func Bin(t time.Time, size time.Duration) time.Time {
 	return t.UTC().Truncate(size)
 }
 
+// InBin reports whether t falls in the bin [start, start+size): for a bin
+// start it is Bin(t, size).Equal(start), for the price of two integer range
+// checks (Truncate divides, and time.Time.Sub re-adds to detect overflow —
+// either costs more than the rest of a per-result bin test). The per-result
+// paths test their open bin with it and truncate only a result outside.
+func InBin(t, start time.Time, size time.Duration) bool {
+	s := t.Unix() - start.Unix()
+	if s < 0 || s > int64(size/time.Second) {
+		return false
+	}
+	d := time.Duration(s)*time.Second + time.Duration(t.Nanosecond()-start.Nanosecond())
+	return 0 <= d && d < size
+}
+
 // Point is one (time, value) pair of a series.
 type Point struct {
 	T time.Time

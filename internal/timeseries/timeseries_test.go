@@ -21,6 +21,31 @@ func TestBin(t *testing.T) {
 	}
 }
 
+// TestInBinMatchesBin pins the per-result fast path to the truncation it
+// replaces: for a bin start, InBin(t) ⇔ Bin(t) is that start — at both
+// edges, for late and far-off times (Sub saturates), other zones, the zero
+// time and sub-second bins.
+func TestInBinMatchesBin(t *testing.T) {
+	loc := time.FixedZone("X", -5*3600)
+	for _, size := range []time.Duration{time.Hour, 15 * time.Minute, 250 * time.Millisecond} {
+		start := Bin(time.Date(2015, 11, 30, 7, 42, 13, 500, time.UTC), size)
+		for _, off := range []time.Duration{
+			-1000 * time.Hour, -size, -1, 0, 1, size / 2, size - 1, size, size + 1, 1000 * time.Hour,
+		} {
+			for _, at := range []time.Time{start.Add(off), start.Add(off).In(loc)} {
+				if got, want := InBin(at, start, size), Bin(at, size).Equal(start); got != want {
+					t.Errorf("InBin(start%+v, size %v) = %v, Bin says %v", off, size, got, want)
+				}
+			}
+		}
+		for _, at := range []time.Time{{}, time.Unix(1<<40, 0)} {
+			if InBin(at, start, size) {
+				t.Errorf("InBin(%v) = true for bin %v", at, start)
+			}
+		}
+	}
+}
+
 func TestSeriesAddAccumulates(t *testing.T) {
 	s := New(time.Hour)
 	s.Add(t0.Add(10*time.Minute), 1.5)
