@@ -376,8 +376,10 @@ func run() error {
 
 	// Extend the incremental region to the query bound (quiet trailing bins
 	// included) so Events answers from the maintained cache.
-	agg.CloseBins(last.Add(time.Hour))
-	evs := agg.Events(timeseries.Bin(first, time.Hour).Add(*window/7), last.Add(time.Hour))
+	binSize := agg.Config().BinSize
+	end := last.Add(binSize)
+	agg.CloseBins(end)
+	evs := agg.Events(timeseries.Bin(first, binSize).Add(*window/7), end)
 	fmt.Printf("\nmajor events (|magnitude| ≥ %.0f):\n", *threshold)
 	if len(evs) == 0 {
 		fmt.Println("  none")
@@ -387,7 +389,7 @@ func run() error {
 	}
 
 	if *dotPath != "" {
-		g := a.Graph(first, last.Add(time.Hour))
+		g := a.Graph(first, end)
 		var around netip.Addr
 		if *dotAround != "" {
 			var err error

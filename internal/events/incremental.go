@@ -9,9 +9,9 @@ package events
 //
 // Closed bins are immutable: the paper evaluates each bin once, in order,
 // so an alarm (or span-start move) landing below validThrough is rejected
-// and counted (DroppedStale). The appended storage is therefore never
-// mutated, and callers may publish prefixes of these slices to concurrent
-// readers while the aggregator keeps appending behind them.
+// and counted (DroppedStale). What one advance appended is therefore final:
+// CloseBinsRecord hands it out once, and the serving layer's per-bin record
+// never has to be revised.
 //
 // The query methods (Events, DelayMagnitude, ForwardingMagnitude) split at
 // the region boundary: bins inside the region answer from its cached
@@ -203,33 +203,6 @@ func (a *Aggregator) magnitude(s *timeseries.Series, cached []timeseries.Point, 
 	return append(out, s.MagnitudeSince(a.firstBin, hi, t, a.cfg.Window)...)
 }
 
-// IncrementalEvents returns the incrementally accumulated event list as a
-// fixed-length prefix safe to publish to concurrent readers: later
-// CloseBins calls only append past it.
-func (a *Aggregator) IncrementalEvents() []Event {
-	e := a.inc.events
-	return e[:len(e):len(e)]
-}
-
-// MagnitudeSnapshot returns a point-in-time view of the incrementally
-// maintained magnitude read model: fresh maps whose slices are
-// fixed-length prefixes of the aggregator's append-only storage, plus the
-// region bounds (the event list is exposed by IncrementalEvents). The
-// returned data is safe to hand to concurrent readers while the analysis
-// goroutine keeps advancing the aggregator — later CloseBins calls only
-// append past the returned lengths. ok is false while the incremental
-// region is unopened.
-func (a *Aggregator) MagnitudeSnapshot() (delayMag, fwdMag map[ipmap.ASN][]timeseries.Point, start, validThrough time.Time, ok bool) {
-	if !a.inc.advanced {
-		return nil, nil, time.Time{}, time.Time{}, false
-	}
-	delayMag = make(map[ipmap.ASN][]timeseries.Point, len(a.inc.delayMag))
-	for asn, pts := range a.inc.delayMag {
-		delayMag[asn] = pts[:len(pts):len(pts)]
-	}
-	fwdMag = make(map[ipmap.ASN][]timeseries.Point, len(a.inc.fwdMag))
-	for asn, pts := range a.inc.fwdMag {
-		fwdMag[asn] = pts[:len(pts):len(pts)]
-	}
-	return delayMag, fwdMag, a.inc.start, a.inc.validThrough, true
-}
+// Through returns the exclusive end of the closed region — every bin before
+// it is final — or the zero time while the region is unopened.
+func (a *Aggregator) Through() time.Time { return a.inc.validThrough }

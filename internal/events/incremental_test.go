@@ -157,37 +157,3 @@ func assertEventsEqual(t *testing.T, label string, got, want []Event) {
 		}
 	}
 }
-
-func TestMagnitudeSnapshotPrefixStability(t *testing.T) {
-	half := eqSchedule[:5]
-	rest := eqSchedule[5:]
-	a := NewAggregator(Config{Window: 12 * time.Hour, Threshold: 3}, testTable(t))
-	feed := func(steps []feedStep) {
-		for _, st := range steps {
-			bin := t0.Add(time.Duration(st.bin) * time.Hour)
-			a.ObserveBin(bin)
-			for _, v := range st.delay {
-				a.AddDelayAlarm(delayAlarm(bin, "10.1.0.1", "10.2.0.1", v))
-			}
-			a.CloseBins(bin.Add(time.Hour))
-		}
-	}
-	feed(half)
-	dm, _, start, thru, ok := a.MagnitudeSnapshot()
-	if !ok {
-		t.Fatal("no snapshot after first half")
-	}
-	if !start.Equal(t0) || !thru.Equal(t0.Add(5*time.Hour)) {
-		t.Fatalf("region [%v, %v), want [%v, %v)", start, thru, t0, t0.Add(5*time.Hour))
-	}
-	saved := append([]timeseries.Point(nil), dm[100]...)
-	feed(rest) // appends behind the published prefix
-	for i, p := range saved {
-		if dm[100][i] != p {
-			t.Fatalf("prefix point %d changed after further closes: %v != %v", i, dm[100][i], p)
-		}
-	}
-	if _, _, _, thru2, _ := a.MagnitudeSnapshot(); !thru2.After(thru) {
-		t.Fatalf("region did not advance: %v", thru2)
-	}
-}

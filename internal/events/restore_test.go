@@ -117,19 +117,9 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 		}
 		runPipeline(t, a, start, k, n)
 
-		// The incremental region itself.
-		wantEvs := full.IncrementalEvents()
-		gotEvs := a.IncrementalEvents()
-		if !reflect.DeepEqual(wantEvs, gotEvs) {
-			t.Fatalf("k=%d: incremental events differ\nwant %v\n got %v", k, wantEvs, gotEvs)
+		if want, got := full.Through(), a.Through(); !want.Equal(end) || !got.Equal(want) {
+			t.Fatalf("k=%d: region ends %v, uninterrupted %v, want %v", k, got, want, end)
 		}
-		wd, wf, ws, wv, wok := full.MagnitudeSnapshot()
-		gd, gf, gs, gv, gok := a.MagnitudeSnapshot()
-		if !wok || !gok || !ws.Equal(gs) || !wv.Equal(gv) {
-			t.Fatalf("k=%d: snapshot bounds differ: %v %v %v %v %v %v", k, wok, gok, ws, gs, wv, gv)
-		}
-		comparePointMaps(t, k, "delay", wd, gd)
-		comparePointMaps(t, k, "fwd", wf, gf)
 
 		// Covered queries, and queries ending past the region, which split
 		// at validThrough: a whole-range recompute would read garbage here,
@@ -145,6 +135,11 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 				gotPts := a.DelayMagnitude(asn, start.Add(-2*binHour), to)
 				if !pointsEqual(wantPts, gotPts) {
 					t.Fatalf("k=%d to=%v AS%d: magnitudes differ\nwant %v\n got %v", k, to, asn, wantPts, gotPts)
+				}
+				wantPts = full.ForwardingMagnitude(asn, start.Add(-2*binHour), to)
+				gotPts = a.ForwardingMagnitude(asn, start.Add(-2*binHour), to)
+				if !pointsEqual(wantPts, gotPts) {
+					t.Fatalf("k=%d to=%v AS%d: forwarding magnitudes differ\nwant %v\n got %v", k, to, asn, wantPts, gotPts)
 				}
 			}
 		}
@@ -214,11 +209,11 @@ func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 
 	from, to := t0.Add(-2*binHour), t0.Add((n+2)*binHour) // straddles both region bounds
 	for name, a := range map[string]*Aggregator{"live": live, "restored": restored} {
-		dm, _, _, _, ok := a.MagnitudeSnapshot()
-		if !ok {
-			t.Fatalf("%s: no MagnitudeSnapshot after CloseBins", name)
+		closed := t0.Add(n * binHour)
+		if !a.Through().Equal(closed) {
+			t.Fatalf("%s: region ends %v after %d closes, want %v", name, a.Through(), n, closed)
 		}
-		published := append([]timeseries.Point(nil), dm[100]...)
+		published := a.DelayMagnitude(100, t0, closed)
 
 		a.AddDelayAlarm(delayAlarm(t0.Add(2*binHour), "10.1.0.1", "10.2.0.1", 99))
 		a.ObserveBin(t0.Add(-5 * binHour))
@@ -231,15 +226,15 @@ func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 				t.Fatalf("%s: AS%d magnitudes changed by a rejected mutation", name, asn)
 			}
 		}
-		if !pointsEqual(dm[100], published) {
-			t.Fatalf("%s: published magnitude prefix mutated", name)
+		if !pointsEqual(a.DelayMagnitude(100, t0, closed), published) {
+			t.Fatalf("%s: closed magnitude region mutated", name)
 		}
 		// And the pipeline keeps going: the next in-order bin closes fine.
 		next := t0.Add(n * binHour)
 		a.ObserveBin(next)
 		a.AddDelayAlarm(delayAlarm(next, "10.1.0.1", "10.2.0.1", 1))
 		a.CloseBins(next.Add(binHour))
-		if _, _, _, thru, _ := a.MagnitudeSnapshot(); !thru.Equal(next.Add(binHour)) {
+		if thru := a.Through(); !thru.Equal(next.Add(binHour)) {
 			t.Fatalf("%s: region ends %v after the next close, want %v", name, thru, next.Add(binHour))
 		}
 	}
@@ -277,18 +272,6 @@ func TestRestoreRequiresFreshAggregator(t *testing.T) {
 	b := NewAggregator(c, testTable(t))
 	if err := b.RestoreIncremental(RestoredState{FirstBin: t0, ValidThrough: t0}); err == nil {
 		t.Fatal("restore with corroboration enabled succeeded")
-	}
-}
-
-func comparePointMaps(t *testing.T, k int, what string, want, got map[ipmap.ASN][]timeseries.Point) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("k=%d: %s mag map sizes differ: %d vs %d", k, what, len(want), len(got))
-	}
-	for asn, w := range want {
-		if !pointsEqual(w, got[asn]) {
-			t.Fatalf("k=%d: %s mag for AS%d differs\nwant %v\n got %v", k, what, asn, w, got[asn])
-		}
 	}
 }
 

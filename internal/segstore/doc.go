@@ -1,7 +1,8 @@
 // Package segstore is the append-only on-disk segment store behind the
 // serving layer: one compact columnar segment per closed analysis bin,
-// holding exactly the wire-form state the snapshot publisher assembles —
-// the bin's delay/forwarding alarms, the per-AS event list, the per-AS
+// holding that bin's BinRecord — the one record the serving layer builds per
+// close and derives its feed delta and snapshots from: the bin's
+// delay/forwarding alarms in wire form, its per-AS events, the per-AS
 // magnitude points appended by the incremental close, and the raw per-AS
 // deviation/responsibility sums the magnitude window math needs.
 //

@@ -13,27 +13,29 @@ const (
 	FamilyFwd   = uint8(1)
 )
 
-// DelayRow is one delay-change alarm in wire form (strings exactly as the
-// serving layer publishes them, so restored payloads are byte-identical).
+// DelayRow is one §4 delay-change alarm in wire form: the row the serving
+// layer publishes (serve.DelayAlarm is this type, and the JSON tags are its
+// HTTP and feed payload), stored with its strings exactly as published so
+// restored payloads are byte-identical.
 type DelayRow struct {
-	Bin       time.Time
-	Link      string
-	MedianMS  float64
-	RefMS     float64
-	ShiftMS   float64
-	Deviation float64
-	Probes    int32
-	ASes      int32
+	Bin       time.Time `json:"bin"`
+	Link      string    `json:"link"`
+	MedianMS  float64   `json:"median_ms"`
+	RefMS     float64   `json:"reference_ms"`
+	ShiftMS   float64   `json:"shift_ms"`
+	Deviation float64   `json:"deviation"`
+	Probes    int32     `json:"probes"`
+	ASes      int32     `json:"ases"`
 }
 
-// FwdRow is one forwarding anomaly in wire form.
+// FwdRow is one §5 forwarding anomaly in wire form (serve.FwdAlarm).
 type FwdRow struct {
-	Bin    time.Time
-	Router string
-	Dst    string
-	TopHop string
-	Rho    float64
-	TopR   float64
+	Bin    time.Time `json:"bin"`
+	Router string    `json:"router"`
+	Dst    string    `json:"dst"`
+	Rho    float64   `json:"rho"`
+	TopHop string    `json:"top_hop"`
+	TopR   float64   `json:"top_responsibility"`
 }
 
 // EventRow is one per-AS event, stored numerically (ASN and event type are

@@ -170,7 +170,7 @@ func (l *feedLog) CatchUp(since, upTo uint64) ([]Delta, bool) {
 	for seq := since + 1; seq <= upTo; seq++ {
 		d, ok := l.bc.at(seq)
 		if !ok && seq == 1 {
-			d, ok = Delta{Seq: 1, DelayAlarms: []DelayAlarm{}, FwdAlarms: []FwdAlarm{}, Events: []Event{}}, true
+			d, ok = deltaFromRecord(&segstore.BinRecord{}, 1, l.binSize), true
 		}
 		if !ok && l.store != nil {
 			l.storeMu.Lock()

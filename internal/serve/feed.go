@@ -1,8 +1,10 @@
 package serve
 
-// The versioned replication feed: the wire contract shared by the three
-// snapshot producers — the local publisher, the segment-store boot path,
-// and the remote follower.
+// The versioned replication feed: the wire contract between a role that
+// publishes snapshots and the followers behind it. Every delta that is not
+// a whole-state resync is deltaFromRecord of one bin's segstore.BinRecord —
+// on the writer as the bin closes, on any role when catch-up reads the
+// record back from a store.
 //
 // The feed is the SSE stream of /api/stream: one `hello` event opens every
 // connection (protocol version, run metadata, current snapshot position),
@@ -20,7 +22,9 @@ package serve
 // committed store record i always maps to delta seq i+2 regardless of
 // restarts. Closed bins are immutable (events.Aggregator rejects late
 // mutations), so history is append-only across publications and across
-// store-backed writer restarts: the same seq always means the same bytes.
+// store-backed writer restarts, and a seq's delta is the same bytes live or
+// read back from its segment — the identity counters aside, which segments
+// do not persist.
 //
 // Byte-identity across the feed rests on JSON float round-tripping: Go
 // marshals float64 with the shortest representation that parses back to
@@ -58,11 +62,8 @@ type MagRow struct {
 }
 
 // Delta is one feed increment: everything one snapshot publication appended
-// since the previous one, stamped with the snapshot seq. Alarm lists are
-// partitioned by closing bin (exactly like the segment store's records), so
-// a delta replayed live and a delta synthesized from a committed segment
-// carry the same rows. A Full delta replaces the mirror's entire state
-// instead of appending.
+// since the previous one — one bin's record — stamped with the snapshot seq.
+// A Full delta replaces the mirror's entire state instead of appending.
 type Delta struct {
 	Seq     uint64    `json:"seq"`
 	Bin     time.Time `json:"bin,omitzero"`
@@ -156,23 +157,19 @@ func decodeHello(b []byte) (helloJSON, error) {
 	return h, nil
 }
 
-// magRows converts an events.CloseDelta point list to feed rows, preserving
-// the aggregator's deterministic (bin, AS) append order.
-func magRows(pts []events.ASPoint) []MagRow {
-	if len(pts) == 0 {
+// seriesMagRows filters a record's magnitude rows down to one family,
+// preserving stored order (which is the close's append order).
+func seriesMagRows(rows []segstore.SeriesRow, family uint8) []MagRow {
+	n := 0
+	for _, r := range rows {
+		if r.Family == family {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	rows := make([]MagRow, len(pts))
-	for i, pt := range pts {
-		rows[i] = MagRow{ASN: uint32(pt.ASN), T: pt.T, V: pt.V}
-	}
-	return rows
-}
-
-// magRowsFromSeries filters a committed segment's series rows down to one
-// family, preserving stored order (which is the close's append order).
-func magRowsFromSeries(rows []segstore.SeriesRow, family uint8) []MagRow {
-	var out []MagRow
+	out := make([]MagRow, 0, n) // exact: the feed ring retains it
 	for _, r := range rows {
 		if r.Family == family {
 			out = append(out, MagRow{ASN: r.ASN, T: r.Bin, V: r.V})
@@ -215,53 +212,29 @@ func fullDelta(snap *Snapshot) Delta {
 	}
 }
 
-// appendDelayAlarms converts committed segment rows back to wire form. The
-// strings were stored exactly as published, so the round trip is verbatim.
-func appendDelayAlarms(dst []DelayAlarm, rows []segstore.DelayRow) []DelayAlarm {
-	for _, r := range rows {
-		dst = append(dst, DelayAlarm{
-			Bin: r.Bin, Link: r.Link,
-			MedianMS: r.MedianMS, RefMS: r.RefMS,
-			ShiftMS: r.ShiftMS, Deviation: r.Deviation,
-			Probes: int(r.Probes), ASes: int(r.ASes),
-		})
+// deltaFromRecord is the feed delta of one bin's record: the only place an
+// append delta is built. The rows are copied — records are reused scratch,
+// deltas are retained by the ring and handed to subscribers — and the event
+// rows take their wire strings here. A record that closed no
+// bin (the seq-1 initial publication, a failed run's terminal one) extends
+// no magnitude region. Identities is not persisted, so it is left nil.
+func deltaFromRecord(rec *segstore.BinRecord, seq uint64, binSize time.Duration) Delta {
+	d := Delta{
+		Seq: seq, Bin: rec.Bin, Results: int(rec.Results),
+		DelayAlarms: append([]DelayAlarm{}, rec.Delay...),
+		FwdAlarms:   append([]FwdAlarm{}, rec.Fwd...),
+		Events:      make([]Event, 0, len(rec.Events)),
+		DelayMag:    seriesMagRows(rec.Mag, segstore.FamilyDelay),
+		FwdMag:      seriesMagRows(rec.Mag, segstore.FamilyFwd),
 	}
-	return dst
-}
-
-func appendFwdAlarms(dst []FwdAlarm, rows []segstore.FwdRow) []FwdAlarm {
-	for _, r := range rows {
-		dst = append(dst, FwdAlarm{
-			Bin: r.Bin, Router: r.Router, Dst: r.Dst,
-			Rho: r.Rho, TopHop: r.TopHop, TopR: r.TopR,
-		})
-	}
-	return dst
-}
-
-func appendWireEvents(dst []Event, rows []segstore.EventRow) []Event {
-	for _, r := range rows {
-		dst = append(dst, Event{
+	for _, r := range rec.Events {
+		d.Events = append(d.Events, Event{
 			ASN: ipmap.ASN(r.ASN).String(), Bin: r.Bin,
 			Type: events.Type(r.Type).String(), Magnitude: r.Magnitude,
 		})
 	}
-	return dst
-}
-
-// deltaFromRecord synthesizes the feed delta of one committed bin: record i
-// of the store is exactly what delta seq i+2 appended (the store partitions
-// alarms by closing bin, and live deltas use the same rule). Identities is
-// not persisted, so synthesized deltas leave it nil.
-func deltaFromRecord(rec *segstore.BinRecord, seq uint64, binSize time.Duration) Delta {
-	return Delta{
-		Seq: seq, Bin: rec.Bin, Results: int(rec.Results),
-		DelayAlarms: appendDelayAlarms(nil, rec.Delay),
-		FwdAlarms:   appendFwdAlarms(nil, rec.Fwd),
-		Events:      appendWireEvents(nil, rec.Events),
-		MagStart:    rec.FirstBin,
-		MagThrough:  rec.Bin.Add(binSize),
-		DelayMag:    magRowsFromSeries(rec.Mag, segstore.FamilyDelay),
-		FwdMag:      magRowsFromSeries(rec.Mag, segstore.FamilyFwd),
+	if !rec.Bin.IsZero() {
+		d.MagStart, d.MagThrough = rec.FirstBin, rec.Bin.Add(binSize)
 	}
+	return d
 }

@@ -111,7 +111,7 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: follower store bootstrap: %w", err)
 		}
-		bins, err := f.m.restoreFromRecords(st)
+		bins, err := f.m.restoreFromRecords(st, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -570,8 +570,8 @@ func (s *Server) handleMagnitude(w http.ResponseWriter, r *http.Request) {
 		to = q.to
 	}
 	i, j := snap.magRange(from, to)
-	d, derr := snap.magRows(magKey{ipmap.ASN(asn), false}, i, j)
-	f, ferr := snap.magRows(magKey{ipmap.ASN(asn), true}, i, j)
+	d, derr := snap.encodedMag(magKey{ipmap.ASN(asn), false}, i, j)
+	f, ferr := snap.encodedMag(magKey{ipmap.ASN(asn), true}, i, j)
 	if err := cmp.Or(derr, ferr); err != nil {
 		s.encodeFailed(w, err)
 		return

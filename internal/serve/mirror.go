@@ -1,14 +1,13 @@
 package serve
 
 // mirror is the snapshot-assembly core: the pure append-only read-model
-// state out of which every Snapshot is built, with no knowledge of where
-// its increments come from. The writer drives it from the analyzer's hooks
-// (alarm appends, bin closes); a follower drives it by applying decoded
-// feed deltas; the segment-store boot path drives it from committed
-// records via the same deltas. All three share the invariants that make
-// lock-free publication sound: slices only ever grow (snapshots hold
-// fixed-length prefixes), and a Full delta starts over on fresh storage
-// instead of mutating what previous snapshots still reference.
+// state out of which every Snapshot is built. It advances one way only, on
+// either role: apply, one feed delta at a time — the writer's own delta of
+// the bin it just closed, a follower's decoded ones, and at boot (both
+// roles) the deltas of a segment store's committed records. The invariants
+// that make lock-free publication sound live here: slices only ever grow
+// (snapshots hold fixed-length prefixes), and a Full delta starts over on
+// fresh storage instead of mutating what previous snapshots still reference.
 
 import (
 	"fmt"
@@ -31,12 +30,11 @@ type mirror struct {
 
 	delay []DelayAlarm // append-only; snapshots hold prefixes
 	fwd   []FwdAlarm
-	evs   []Event // wire-form mirror of the aggregator's event list
+	evs   []Event
 
 	// Magnitude region: dense per-AS points over [magStart, magThrough).
-	// The writer swaps in the aggregator's own point-in-time maps; apply
-	// swaps in extended copies. Either way the maps are never mutated once
-	// here, so snapshots share them as they are.
+	// apply swaps in extended copies of the maps and never mutates one that
+	// is here, so snapshots share them as they are.
 	delayMag, fwdMag     map[ipmap.ASN][]timeseries.Point
 	magStart, magThrough time.Time
 
@@ -79,8 +77,7 @@ func (m *mirror) assemble() *Snapshot {
 // already handled sequencing (skipping stale deltas, detecting gaps); apply
 // only interprets content: a Full delta starts the mirror over (run
 // identity aside), and then every delta — Full or not — appends. A nil
-// Identities means "keep the previous value" (store-synthesized deltas
-// cannot carry it).
+// Identities means "keep the previous value" (segments do not persist it).
 func (m *mirror) apply(d *Delta) {
 	if d.Full {
 		*m = mirror{meta: m.meta, binSize: m.binSize}
@@ -124,13 +121,13 @@ func extendMag(src map[ipmap.ASN][]timeseries.Point, rows []MagRow) map[ipmap.AS
 	return out
 }
 
-// restoreFromRecords rebuilds the mirror from a segment store's committed
-// records — the follower's local-file bootstrap, sharing the record→delta
-// conversion with the writer's catch-up synthesis. After n records the
-// mirror sits at seq n+1 (the same position the writer's own store boot
-// seeds), so a subsequent feed connection resumes with ?since=n+1. Returns
-// the /api/bins index alongside.
-func (m *mirror) restoreFromRecords(st *segstore.Store) ([]BinSummary, error) {
+// restoreFromRecords advances the mirror through a segment store's
+// committed records — the boot path of both roles. After n records the
+// mirror sits at seq n+1, where the run that wrote them stood, so a
+// follower's feed connection resumes with ?since=n+1. each, when non-nil,
+// also sees every decoded record (the writer seeds its aggregator from it).
+// Returns the /api/bins index alongside.
+func (m *mirror) restoreFromRecords(st *segstore.Store, each func(*segstore.BinRecord)) ([]BinSummary, error) {
 	n := st.Len()
 	bins := make([]BinSummary, 0, n)
 	var rec segstore.BinRecord
@@ -140,10 +137,10 @@ func (m *mirror) restoreFromRecords(st *segstore.Store) ([]BinSummary, error) {
 		}
 		d := deltaFromRecord(&rec, uint64(i+2), m.binSize)
 		m.apply(&d)
-		bins = append(bins, BinSummary{
-			Bin: rec.Bin, Results: int(rec.Results),
-			DelayAlarms: len(rec.Delay), FwdAlarms: len(rec.Fwd), Events: len(rec.Events),
-		})
+		bins = append(bins, summarize(&rec))
+		if each != nil {
+			each(&rec)
+		}
 	}
 	return bins, nil
 }

@@ -1,28 +1,24 @@
 // Package serve is the §8 serving layer of the Internet Health Report: a
 // snapshot-published read model plus HTTP API that decouples serving from
-// analysis, now split into a writer role and a replica role sharing one
+// analysis, split into a writer role and a replica role sharing one
 // snapshot-assembly core.
 //
-// The analysis goroutine owns all mutable state. On every engine bin close
-// (core.Analyzer.OnBinClose) and at the end of the run, the Publisher
-// assembles an immutable Snapshot — wire-form alarm slices, the
-// incrementally maintained per-AS magnitude series and event list from
-// internal/events, and status counters — and publishes it with a single
-// atomic.Pointer swap. HTTP handlers load the current snapshot and read it
-// without any locking: a slow or heavy reader can never stall ObserveBatch,
-// and a heavy batch can never stall readers, because the two sides share no
-// lock at all.
+// The analysis goroutine owns all mutable state. Every engine bin close
+// (core.Analyzer.OnBinClose), and the end of the run, yields one
+// segstore.BinRecord — everything that close contributed — and the record is
+// the only thing that moves: it is appended to the segment store when there
+// is one, turned into the feed Delta, applied to the writer's own mirror by
+// the same mirror.apply a Follower runs, published as an immutable Snapshot
+// with a single atomic.Pointer swap, and broadcast (see store.go, feed.go,
+// mirror.go). HTTP handlers load the current snapshot and read it without
+// any locking: a slow or heavy reader can never stall ObserveBatch, and a
+// heavy batch can never stall readers, because the two sides share no lock
+// at all.
 //
 // The alarm, event and magnitude slices inside consecutive snapshots share
-// their append-only backing arrays: closed bins are immutable, so the
-// analysis side only ever appends past the published lengths, and
-// publishing is the aggregator's O(ASes) clipped maps, not a deep copy of
-// the accumulated history.
-//
-// Every publication also emits one Delta on the versioned replication feed
-// (see feed.go). A Follower (follower.go) rebuilds byte-identical snapshots
-// purely from that feed — the same mirror type (mirror.go) drives both
-// roles, so the writer's and a replica's payloads agree to the byte.
+// their append-only backing arrays: closed bins are immutable, so a mirror
+// only ever appends past the published lengths, and publishing costs one
+// O(ASes) map copy, not a deep copy of the accumulated history.
 package serve
 
 import (
@@ -39,28 +35,13 @@ import (
 	"pinpoint/internal/timeseries"
 )
 
-// DelayAlarm is the wire form of a §4 delay-change alarm, field for field
-// the payload the pre-snapshot server emitted.
-type DelayAlarm struct {
-	Bin       time.Time `json:"bin"`
-	Link      string    `json:"link"`
-	MedianMS  float64   `json:"median_ms"`
-	RefMS     float64   `json:"reference_ms"`
-	ShiftMS   float64   `json:"shift_ms"`
-	Deviation float64   `json:"deviation"`
-	Probes    int       `json:"probes"`
-	ASes      int       `json:"ases"`
-}
-
-// FwdAlarm is the wire form of a §5 forwarding anomaly.
-type FwdAlarm struct {
-	Bin    time.Time `json:"bin"`
-	Router string    `json:"router"`
-	Dst    string    `json:"dst"`
-	Rho    float64   `json:"rho"`
-	TopHop string    `json:"top_hop"`
-	TopR   float64   `json:"top_responsibility"`
-}
+// DelayAlarm and FwdAlarm are the wire form of the §4 delay-change and §5
+// forwarding alarms — the very rows the segment store persists, field for
+// field the payload the pre-snapshot server emitted.
+type (
+	DelayAlarm = segstore.DelayRow
+	FwdAlarm   = segstore.FwdRow
+)
 
 // Event is the wire form of a §6 major event.
 type Event struct {
@@ -111,8 +92,8 @@ type Snapshot struct {
 	FwdAlarms   []FwdAlarm
 	Events      []Event
 
-	// Incremental magnitude region (see events.MagnitudeSnapshot): dense
-	// hourly points per AS over [MagStart, MagEnd).
+	// Incremental magnitude region: dense per-AS points, one per bin, over
+	// [MagStart, MagEnd).
 	MagStart, MagEnd time.Time
 	delayMag, fwdMag map[ipmap.ASN][]timeseries.Point
 
@@ -144,10 +125,10 @@ func (s *Snapshot) magRange(from, to time.Time) (i, j int) {
 	return int(f.Sub(s.MagStart) / s.BinSize), int(t.Sub(s.MagStart) / s.BinSize)
 }
 
-// magRows returns rows [i, j) of one magnitude series in encoded form, nil
-// when the AS has none there (a series-less AS, which any 32-bit number may
-// name, never gets a stream).
-func (s *Snapshot) magRows(k magKey, i, j int) ([]byte, error) {
+// encodedMag returns rows [i, j) of one magnitude series in encoded form,
+// nil when the AS has none there (a series-less AS, which any 32-bit number
+// may name, never gets a stream).
+func (s *Snapshot) encodedMag(k magKey, i, j int) ([]byte, error) {
 	pts := s.delayMag[k.asn]
 	if k.fwd {
 		pts = s.fwdMag[k.asn]
@@ -165,12 +146,12 @@ func (s *Snapshot) magRows(k magKey, i, j int) ([]byte, error) {
 	return span(buf, marks, i, j), nil
 }
 
-// Publisher is the writer role: it accumulates the read model on the
-// analysis goroutine (via the shared mirror), publishes immutable snapshots
-// and emits the replication feed. All methods except Snapshot, Results and
-// the embedded feedLog's (subscriptions, catch-up, store readers) must run
-// on the analysis goroutine (they do — they are driven by the Analyzer's
-// hooks and the ingest loop).
+// Publisher is the writer role: it turns every bin close into one
+// segstore.BinRecord on the analysis goroutine, advances its mirror with it,
+// publishes immutable snapshots and emits the replication feed. All methods
+// except Snapshot, Results and the embedded feedLog's (subscriptions,
+// catch-up, store readers) must run on the analysis goroutine (they do —
+// they are driven by the Analyzer's hooks and the ingest loop).
 type Publisher struct {
 	feedLog // ring + segment store (see store.go for the commit/boot paths)
 
@@ -181,23 +162,17 @@ type Publisher struct {
 	cur     atomic.Pointer[Snapshot]
 	results atomic.Int64 // live between publishes, for /api/status freshness
 
-	// sentDelay/sentFwd track the alarm prefixes already emitted on the
-	// feed. Deltas partition alarms by closing bin — the same rule commitBin
-	// uses — so live and store-synthesized deltas carry identical rows.
-	sentDelay, sentFwd int
-	closeDelta         events.CloseDelta // per-close capture scratch
-	finished           bool
+	// rec is the open bin's record: the alarm hooks append their wire rows to
+	// it — every alarm surfaces at its own bin's close, right before that
+	// bin's OnBinClose (core's TestAlarmsSurfaceAtTheirBinsClose) — the close
+	// fills in the rest, publish sends it on its way and empties it.
+	rec        segstore.BinRecord
+	closeDelta events.CloseDelta // per-close capture scratch
+	finished   bool
 
-	// Segment-store commit state (see store.go): storeErr is guarded by
-	// storeMu, everything else is written only at construction or on the
-	// analysis goroutine.
-	storeErr       error
-	committedDelay int // prefix of p.m.delay already committed to segments
-	committedFwd   int
-	storeRec       segstore.BinRecord // reused per-commit encode scratch
-	floorResults   int                // durable result count; floor during warmup replay
-	resumedAt      time.Time          // resume cursor, when booted from segments
-	resumed        bool
+	storeErr  error     // first commit failure; guarded by storeMu
+	resumedAt time.Time // resume cursor, when booted from segments
+	resumed   bool
 }
 
 // NewPublisher wires a Publisher into the analyzer's alarm and bin-close
@@ -206,43 +181,45 @@ type Publisher struct {
 // reassigned afterwards.
 func NewPublisher(a *core.Analyzer, meta Meta) *Publisher {
 	p := newPublisher(a, meta)
-	p.publish(time.Time{}, false, nil, nil)
+	p.attach()
 	return p
 }
 
-// newPublisher builds the publisher and installs the analyzer hooks, but
-// does not publish the initial snapshot: the segment-store boot path
-// (NewPublisherWithStore) restores the read model first so the first
-// published snapshot already carries the durable history.
+// newPublisher builds a publisher whose mirror sits at seq 1, the empty
+// initial publication of every run. It is inert until attach: the
+// segment-store boot path (NewPublisherWithStore) first moves the mirror
+// through the durable history, so the first published snapshot carries it.
 func newPublisher(a *core.Analyzer, meta Meta) *Publisher {
 	p := &Publisher{a: a, agg: a.Aggregator()}
-	p.m.meta = meta
-	p.m.binSize = p.agg.Config().BinSize
+	p.m = mirror{meta: meta, binSize: p.agg.Config().BinSize, seq: 1}
 	p.feedLog = feedLog{bc: newBroadcaster(), binSize: p.m.binSize}
-	a.OnDelayAlarm = func(al delay.Alarm) {
-		p.m.delay = append(p.m.delay, DelayAlarm{
+	return p
+}
+
+// attach publishes the boot snapshot and installs the analyzer hooks.
+func (p *Publisher) attach() {
+	p.cur.Store(p.m.assemble())
+	p.a.OnDelayAlarm = func(al delay.Alarm) {
+		p.rec.Delay = append(p.rec.Delay, DelayAlarm{
 			Bin: al.Bin, Link: al.Link.String(),
 			MedianMS: al.Observed.Median, RefMS: al.Reference.Median,
 			ShiftMS: al.DiffMS, Deviation: al.Deviation,
-			Probes: al.Probes, ASes: al.ASes,
+			Probes: int32(al.Probes), ASes: int32(al.ASes),
 		})
 	}
-	a.OnForwardingAlarm = func(al forwarding.Alarm) {
+	p.a.OnForwardingAlarm = func(al forwarding.Alarm) {
 		top, _ := al.MaxResponsibility()
-		p.m.fwd = append(p.m.fwd, FwdAlarm{
+		p.rec.Fwd = append(p.rec.Fwd, FwdAlarm{
 			Bin: al.Bin, Router: al.Router.String(), Dst: al.Dst.String(),
 			Rho: al.Rho, TopHop: top.Hop.String(), TopR: top.Responsibility,
 		})
 	}
-	a.OnBinClose = func(bin time.Time) {
-		evs := p.agg.CloseBinsRecord(bin.Add(p.m.binSize), &p.closeDelta)
-		p.syncEvents()
-		if p.store != nil {
-			p.commitBin(bin, &p.closeDelta, evs)
-		}
-		p.publish(bin, false, nil, &p.closeDelta)
+	p.a.OnBinClose = func(bin time.Time) {
+		p.closeBins(bin.Add(p.m.binSize))
+		p.rec.Bin = bin
+		p.rec.Results = int64(p.a.ResultsClosed())
+		p.publish(false, nil)
 	}
-	return p
 }
 
 // ObserveResults records ingested results between bin closes so
@@ -250,7 +227,8 @@ func newPublisher(a *core.Analyzer, meta Meta) *Publisher {
 // ingest goroutine.
 func (p *Publisher) ObserveResults(n int) { p.results.Add(int64(n)) }
 
-// Results returns the live ingested-result count.
+// Results returns the live ingested-result count, never below the published
+// snapshot's (a warm-up replay after a store boot recounts from zero).
 func (p *Publisher) Results() int {
 	n := int(p.results.Load())
 	if s := p.Snapshot(); s != nil && s.Results > n {
@@ -280,109 +258,81 @@ func (p *Publisher) Finish(err error) {
 			err = fmt.Errorf("segment store commit failed: %w", serr)
 		}
 	}
-	var cd *events.CloseDelta
 	if err == nil {
 		// The tail extension over empty bins is recomputed identically by any
-		// restart (its windows live inside the retained horizon), so it is
-		// not committed to the store — but its magnitude points do travel on
-		// the feed, so a follower ends with the same region.
-		p.agg.CloseBinsRecord(p.m.meta.End, &p.closeDelta)
-		p.syncEvents()
-		cd = &p.closeDelta
+		// restart (its windows live inside the retained horizon), so its
+		// record is not committed to the store — but it does travel on the
+		// feed, so a follower ends with the same region. Bin is the last one
+		// the region now covers.
+		p.closeBins(p.m.meta.End)
+		if thru := p.agg.Through(); !thru.IsZero() {
+			p.rec.Bin = thru.Add(-p.m.binSize)
+		}
 	}
-	p.publish(time.Time{}, true, err, cd)
+	// A run that failed during a store boot's warm-up replay has recounted
+	// fewer results than are durable.
+	p.rec.Results = int64(max(p.a.Results(), p.m.results))
+	p.publish(true, err)
 }
 
-// syncEvents appends the aggregator's new incremental events to the mirror
-// in wire form.
-func (p *Publisher) syncEvents() {
-	for _, e := range p.agg.IncrementalEvents()[len(p.m.evs):] {
-		p.m.evs = append(p.m.evs, Event{
-			ASN: e.ASN.String(), Bin: e.Bin, Type: e.Type.String(), Magnitude: e.Magnitude,
+// closeBins advances the aggregator's closed region to upTo and files what
+// that contributed — events, magnitude points, raw series sums — in the open
+// record.
+func (p *Publisher) closeBins(upTo time.Time) {
+	cd, rec := &p.closeDelta, &p.rec
+	for _, e := range p.agg.CloseBinsRecord(upTo, cd) {
+		rec.Events = append(rec.Events, segstore.EventRow{
+			Bin: e.Bin, ASN: uint32(e.ASN), Type: uint8(e.Type), Magnitude: e.Magnitude,
 		})
 	}
+	rec.FirstBin = cd.FirstBin
+	rec.Mag = appendSeriesRows(rec.Mag, cd.DelayMag, cd.FwdMag)
+	rec.Raw = appendSeriesRows(rec.Raw, cd.DelayRaw, cd.FwdRaw)
 }
 
-// publish assembles and swaps in the next snapshot, then broadcasts the
-// feed delta against the previous one. cd is the close's capture (nil for
-// the initial/restore publication and failed finishes) supplying the
-// delta's magnitude rows.
-func (p *Publisher) publish(closedBin time.Time, final bool, runErr error, cd *events.CloseDelta) {
-	prev := p.cur.Load()
-	p.m.seq++
-	reg := p.a.Registry()
-	res := p.a.Results()
-	if res < p.floorResults {
-		// Warmup replay after a segment-store boot recounts from zero; keep
-		// reporting the durable count until the replay catches up.
-		res = p.floorResults
+func appendSeriesRows(dst []segstore.SeriesRow, delayPts, fwdPts []events.ASPoint) []segstore.SeriesRow {
+	for _, pt := range delayPts {
+		dst = append(dst, segstore.SeriesRow{
+			Bin: pt.T, ASN: uint32(pt.ASN), Family: segstore.FamilyDelay, V: pt.V,
+		})
 	}
-	p.m.results = res
-	p.m.idents = Identities{
+	for _, pt := range fwdPts {
+		dst = append(dst, segstore.SeriesRow{
+			Bin: pt.T, ASN: uint32(pt.ASN), Family: segstore.FamilyFwd, V: pt.V,
+		})
+	}
+	return dst
+}
+
+// publish sends the open record on its one way out: the store (bin closes
+// only), the feed delta, the writer's own mirror — through the apply a
+// follower runs on the same delta — the snapshot swap, the broadcast. Only
+// what a segment does not persist is added to the delta here: the identity
+// counters, and on the terminal publication the run's outcome in place of a
+// closed bin.
+func (p *Publisher) publish(final bool, runErr error) {
+	rec := &p.rec
+	if !final && p.store != nil {
+		p.commit(rec)
+	}
+	d := deltaFromRecord(rec, p.m.seq+1, p.m.binSize)
+	reg := p.a.Registry()
+	d.Identities = &Identities{
 		Addrs: reg.Addrs(), Links: reg.Links(),
 		Flows: reg.Flows(), Routers: reg.Routers(),
 	}
-	if !closedBin.IsZero() {
-		p.m.lastBin = closedBin
-	}
 	if final {
+		d.Bin = time.Time{}
+		d.Done = runErr == nil
 		if runErr != nil {
-			p.m.failed = true
-			p.m.errMsg = runErr.Error()
-		} else {
-			p.m.done = true
+			d.Failed, d.Err = true, runErr.Error()
 		}
 	}
-	if dm, fm, start, thru, ok := p.agg.MagnitudeSnapshot(); ok {
-		p.m.delayMag, p.m.fwdMag = dm, fm
-		p.m.magStart, p.m.magThrough = start, thru
-	} else {
-		p.m.delayMag, p.m.fwdMag = nil, nil
-		p.m.magStart, p.m.magThrough = time.Time{}, time.Time{}
-	}
-	snap := p.m.assemble()
-	p.cur.Store(snap)
-	p.results.Store(int64(snap.Results))
-
-	if prev == nil {
-		// First publication (fresh boot or store restore): nobody can be
-		// subscribed yet and nothing travels — catch-up serves this seq as
-		// the empty initial delta or from the store's last record, never
-		// from the ring. Sent counters start at the published lengths so the
-		// next delta carries only newer rows.
-		p.sentDelay, p.sentFwd = len(snap.DelayAlarms), len(snap.FwdAlarms)
-		return
-	}
-	// Alarms partition by closing bin (a batch spanning several closes
-	// appends all its alarms before the first close hook fires); the final
-	// delta flushes whatever is still unsent. This keeps each delta's rows a
-	// property of the input stream, not of batch boundaries, so a delta
-	// synthesized from the committed segment is identical to the live one.
-	nd, nf := len(snap.DelayAlarms), len(snap.FwdAlarms)
-	if !final {
-		nd = p.sentDelay
-		for nd < len(snap.DelayAlarms) && !snap.DelayAlarms[nd].Bin.After(closedBin) {
-			nd++
-		}
-		nf = p.sentFwd
-		for nf < len(snap.FwdAlarms) && !snap.FwdAlarms[nf].Bin.After(closedBin) {
-			nf++
-		}
-	}
-	ids := snap.Identities
-	d := Delta{
-		Seq: snap.Seq, Bin: closedBin, Results: snap.Results,
-		Done: snap.Done, Failed: snap.Failed, Err: snap.Err,
-		DelayAlarms: snap.DelayAlarms[p.sentDelay:nd],
-		FwdAlarms:   snap.FwdAlarms[p.sentFwd:nf],
-		Events:      snap.Events[len(prev.Events):],
-		MagStart:    snap.MagStart, MagThrough: snap.MagEnd,
-		Identities: &ids,
-	}
-	p.sentDelay, p.sentFwd = nd, nf
-	if cd != nil {
-		d.DelayMag = magRows(cd.DelayMag)
-		d.FwdMag = magRows(cd.FwdMag)
-	}
+	p.m.apply(&d)
+	p.cur.Store(p.m.assemble())
 	p.bc.broadcast(d)
+	*rec = segstore.BinRecord{
+		Delay: rec.Delay[:0], Fwd: rec.Fwd[:0], Events: rec.Events[:0],
+		Mag: rec.Mag[:0], Raw: rec.Raw[:0],
+	}
 }

@@ -42,8 +42,8 @@ func appendDelayAlarmJSON(dst []byte, ind string, a *DelayAlarm) ([]byte, error)
 	e.float(`"reference_ms": `, a.RefMS)
 	e.float(`"shift_ms": `, a.ShiftMS)
 	e.float(`"deviation": `, a.Deviation)
-	e.int(`"probes": `, a.Probes)
-	e.int(`"ases": `, a.ASes)
+	e.int(`"probes": `, int(a.Probes))
+	e.int(`"ases": `, int(a.ASes))
 	return e.close()
 }
 

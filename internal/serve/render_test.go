@@ -185,7 +185,7 @@ func FuzzRenderDifferential(f *testing.F) {
 		if zone != 0 {
 			at = at.In(time.FixedZone("", zone))
 		}
-		da := DelayAlarm{Bin: at, Link: s1, MedianMS: f1, RefMS: f2, ShiftMS: f3, Deviation: f1, Probes: n, ASes: -n}
+		da := DelayAlarm{Bin: at, Link: s1, MedianMS: f1, RefMS: f2, ShiftMS: f3, Deviation: f1, Probes: int32(n), ASes: -int32(n)}
 		fa := FwdAlarm{Bin: at, Router: s1, Dst: s2, Rho: f1, TopHop: s3, TopR: f2}
 		ev := Event{ASN: s2, Bin: at, Type: s3, Magnitude: f3}
 		pt := timeseries.Point{T: at, V: f2}
@@ -531,7 +531,7 @@ func TestConcurrentReadersExtendSharedStreams(t *testing.T) {
 		bin := t0.Add(time.Duration(h) * time.Hour)
 		d := Delta{
 			Seq: uint64(h + 2), Bin: bin, MagStart: t0, MagThrough: bin.Add(time.Hour),
-			DelayAlarms: []DelayAlarm{{Bin: bin, Link: "a>b", Deviation: float64(h)}, {Bin: bin, Link: "c>d", Probes: h}},
+			DelayAlarms: []DelayAlarm{{Bin: bin, Link: "a>b", Deviation: float64(h)}, {Bin: bin, Link: "c>d", Probes: int32(h)}},
 			Events:      []Event{{ASN: "AS100", Bin: bin, Type: "delay-change", Magnitude: float64(h) / 3}},
 			DelayMag:    []MagRow{{ASN: 100, T: bin, V: float64(h) / 7}, {ASN: 200, T: bin, V: -float64(h)}},
 			FwdMag:      []MagRow{{ASN: 100, T: bin, V: 1 / float64(h+1)}},

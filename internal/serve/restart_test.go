@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -260,6 +261,91 @@ func runPlainCase(t *testing.T, name string, workers int) *Server {
 	a.Flush()
 	pub.Finish(nil)
 	return NewServer(pub, Options{Logf: func(string, ...any) {}})
+}
+
+// TestLiveDeltaEqualsStoreDelta pins "one seq, one payload": every bin-close
+// delta the writer broadcasts is, byte for byte, the delta catch-up reads
+// back from that bin's committed segment — identities aside, which segments
+// do not persist — so a follower that tailed live and one that caught up
+// from segments hold the same state at every seq, `results` included (the
+// live delta used to carry Analyzer.Results(), one ahead of the record's
+// ResultsClosed()).
+func TestLiveDeltaEqualsStoreDelta(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r := openStoreRun(t, "ddos", workers, t.TempDir())
+		sub := r.pub.Subscribe()
+		var live []Delta
+		err := r.c.Platform.RunChunks(context.Background(), r.c.Start, r.c.End, 0, func(rs []trace.Result) error {
+			r.a.ObserveBatch(rs)
+			for { // drain what this batch's closes broadcast; the subscription's buffer is finite
+				select {
+				case d := <-sub.C:
+					live = append(live, d)
+				default:
+					return nil
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live) < 3 || len(live) != r.st.Len() {
+			t.Fatalf("workers=%d: %d live deltas for %d committed bins", workers, len(live), r.st.Len())
+		}
+		var rec segstore.BinRecord
+		for _, d := range live {
+			if err := r.st.Record(int(d.Seq-2), &rec); err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(deltaFromRecord(&rec, d.Seq, time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Identities == nil {
+				t.Errorf("workers=%d seq %d: live delta carries no identities", workers, d.Seq)
+			}
+			d.Identities = nil
+			got, err := json.Marshal(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d seq %d: live delta differs from its segment's\nlive  %s\nstore %s", workers, d.Seq, got, want)
+			}
+		}
+		sub.Cancel()
+		r.close(t)
+	}
+}
+
+// TestPublisherResultsNeverOvercounts: the live counter is what the caller
+// reported through ObserveResults and nothing else — publishing a snapshot
+// mid-batch used to fold the analyzer's count in as well, and the batch was
+// then added on top.
+func TestPublisherResultsNeverOvercounts(t *testing.T) {
+	c, err := experiments.NewCase("ddos", experiments.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := core.New(core.Config{Workers: 2}, c.Platform.ProbeASN, c.Net.Prefixes())
+	defer a.Close()
+	pub := NewPublisher(a, Meta{Case: c.Name, Start: c.Start, End: c.End})
+	batches := 0
+	err = c.Platform.RunChunks(context.Background(), c.Start, c.End, 0, func(rs []trace.Result) error {
+		a.ObserveBatch(rs)
+		pub.ObserveResults(len(rs))
+		batches++
+		if got, want := pub.Results(), a.Results(); got != want {
+			t.Errorf("after batch %d: Publisher.Results() = %d, Analyzer.Results() = %d", batches, got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches < 3 || pub.Snapshot().Seq < 3 {
+		t.Fatalf("%d batches, seq %d; test is vacuous", batches, pub.Snapshot().Seq)
+	}
 }
 
 // TestBinsEndpoint pins the time-travel API: the index lists every
