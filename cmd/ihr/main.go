@@ -152,9 +152,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("-store: %v", err)
 		}
-		if rec := st.Recovery(); rec.TruncatedEntries > 0 || rec.TruncatedData > 0 {
-			log.Printf("store %s: discarded torn tail (%d manifest bytes, %d data bytes)",
-				*storeDir, rec.TruncatedEntries, rec.TruncatedData)
+		if rec := st.Recovery(); rec.Truncated > 0 {
+			log.Printf("store %s: discarded torn tail (%d bytes)", *storeDir, rec.Truncated)
 		}
 		pub, err = serve.NewPublisherWithStore(a, meta, st)
 		if err != nil {

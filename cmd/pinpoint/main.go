@@ -194,9 +194,8 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("-store: %w", err)
 		}
-		if rec := st.Recovery(); rec.TruncatedEntries > 0 || rec.TruncatedData > 0 {
-			fmt.Printf("store %s: discarded torn tail (%d manifest bytes, %d data bytes)\n",
-				*storeDir, rec.TruncatedEntries, rec.TruncatedData)
+		if rec := st.Recovery(); rec.Truncated > 0 {
+			fmt.Printf("store %s: discarded torn tail (%d bytes)\n", *storeDir, rec.Truncated)
 		}
 		pub, err = serve.NewPublisherWithStore(a, serve.Meta{
 			Case:        c.Name,

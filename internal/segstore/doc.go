@@ -8,35 +8,47 @@
 //
 // # Files and commit protocol
 //
-// A store directory holds two files:
+// A store directory holds one file:
 //
-//	segments.dat   16-byte header, then segment payloads back to back
-//	manifest.log   16-byte header, then fixed 32-byte committed entries
+//	segments.dat   16-byte header {magic, format version 2}, then frames
+//	               [32-byte entry | segment payload] back to back
 //
-// A commit is strictly ordered:
+// The entry is {payload offset, length, payload CRC-32C, bin, entry magic,
+// entry CRC-32C}; the offset is the frame's own, so a frame that was
+// shifted or copied elsewhere is invalid. A commit encodes entry and
+// payload into one buffer and issues
 //
-//  1. append the encoded segment payload to segments.dat
-//  2. fsync segments.dat
-//  3. append a 32-byte manifest entry {offset, length, payload CRC-32C,
-//     bin, entry magic, entry CRC-32C} to manifest.log
-//  4. fsync manifest.log
+//  1. one WriteAt of the frame at the committed tail
+//  2. one fsync
 //
-// The manifest is the commit record: a segment exists if and only if a
-// valid manifest entry describes it. Because the payload is durable
-// before its entry is written, a crash at ANY byte of the sequence
-// leaves either (a) a data tail no entry points at, or (b) a torn or
-// missing manifest entry — both recoverable.
+// and the bin is durable when Append returns. A segment exists if and only
+// if a valid entry sits in front of a payload matching that entry's
+// CRC-32C. Nothing orders the entry against its payload on disk, and
+// nothing needs to: write-back may land any subset of a torn frame's
+// pages, but recovery checksums every payload against its entry, so a
+// frame counts only when all of it arrived. (Format version 1 kept the
+// entries in a second file and spent a second fsync ordering "payload
+// before entry" — a guarantee the CRC check already gave.) The first
+// failed write or sync poisons the Store: the kernel's view of those pages
+// is undefined, so every later Append returns the same error, and the way
+// forward is to reopen, which recovers the committed prefix.
+//
+// A version-1 directory is refused by the header's version check and left
+// untouched. There is no migration and no second reader: the store holds
+// the output of a deterministic run that can be repeated into an empty
+// directory, which is cheaper than carrying two formats.
 //
 // # Recovery state machine
 //
-// Open scans manifest entries in order and stops at the first invalid
-// one: short entry, bad entry magic or entry CRC, non-contiguous offset,
-// entry pointing past the end of segments.dat, non-increasing bin, or a
-// payload whose CRC-32C does not match. Everything before the cut is the
-// committed prefix; everything after — the torn manifest tail and the
-// unreferenced data tail — is truncated away, both files are fsynced,
-// and appends resume at the truncated tails. Recovery is idempotent: a
-// crash during recovery truncation just re-runs it on the next open.
+// Open reads the file once, front to back, frame by frame, and stops at
+// the first that fails: fewer than 32 bytes left, bad entry magic or
+// entry CRC, an offset that is not the frame's own, a payload running
+// past the end of the file, a non-increasing bin, or a payload whose
+// CRC-32C does not match. Everything before the cut is the committed
+// prefix; everything after is truncated away in one truncate and one
+// fsync, and appends resume there. Recovery is idempotent: a crash during
+// the truncation just re-runs it on the next open. A read-only open does
+// the same walk and truncates nothing.
 //
 // # Reads
 //
@@ -51,6 +63,8 @@
 // The store runs on a narrow FS/File interface. DirFS is the real
 // os-backed implementation; MemFS is an in-memory implementation whose
 // write/sync journal lets the crash-injection harness replay a commit up
-// to every byte offset and sync point and prove each cut recovers to
-// exactly the committed prefix.
+// to every byte offset and sync point — and with any leading part of the
+// frame missing while the rest landed — and prove each state recovers to
+// exactly the committed prefix. The same interface takes a test-only
+// wrapper that fails or short-writes the n-th operation.
 package segstore

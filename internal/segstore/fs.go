@@ -73,8 +73,8 @@ func (d *dirFS) OpenFile(name string) (File, error) {
 	}
 	if os.IsNotExist(statErr) {
 		// A freshly created file is only durable once its directory entry
-		// is synced; without this a post-crash open could see an empty
-		// directory with a stale manifest elsewhere.
+		// is synced; without this a crash could lose the file itself
+		// after commits into it were acknowledged as durable.
 		if err := syncDir(d.dir); err != nil {
 			f.Close()
 			return nil, err
@@ -204,9 +204,9 @@ func JournalCost(ops []Op) int {
 // apply in order while budget lasts; a write caught by the cut applies
 // only its first remaining-budget bytes; everything after is dropped.
 // Combined with enumerating budget = 0..JournalCost(ops), this
-// materializes every crash state the ordered commit protocol can expose
-// (later states — e.g. a torn manifest entry — only exist because every
-// earlier sync completed).
+// materializes every crash state that is a prefix of the journal; states
+// where a write's tail landed without its head (write-back is not ordered
+// within one write) are built by the hole-cut test on top of it.
 func ApplyOps(m *MemFS, ops []Op, budget int) {
 	for _, op := range ops {
 		if budget <= 0 {

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,25 +12,28 @@ import (
 
 const (
 	dataName = "segments.dat"
-	manName  = "manifest.log"
 
 	fileHeaderSize = 16
 	entrySize      = 32
 	entryMagic     = uint32(0x314E414D) // "MAN1"
 
-	formatVersion = uint32(1)
+	// Version 1 kept the entries in a second file, manifest.log. A v1
+	// directory is refused, untouched: the store is a cache of a run that
+	// can be repeated, so there is no migration and no second reader.
+	formatVersion = uint32(2)
 )
 
 var (
 	dataMagic = [8]byte{'P', 'P', 'S', 'E', 'G', 'D', 'A', 'T'}
-	manMagic  = [8]byte{'P', 'P', 'S', 'E', 'G', 'M', 'A', 'N'}
 
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+	errVersion = errors.New("segstore: unsupported format version")
 )
 
-// entry is one committed manifest record.
+// entry is the 32-byte commit record in front of each payload.
 type entry struct {
-	off    int64  // payload offset in segments.dat
+	off    int64  // payload offset in segments.dat (its own frame: entry offset + entrySize)
 	length uint32 // payload length
 	crc    uint32 // CRC-32C of the payload
 	bin    int64  // bin unix seconds
@@ -37,23 +41,20 @@ type entry struct {
 
 // RecoveryInfo describes what Open found and repaired.
 type RecoveryInfo struct {
-	Bins             int   // committed segments recovered
-	TruncatedEntries int64 // manifest bytes dropped (torn/invalid tail)
-	TruncatedData    int64 // data bytes dropped (unreferenced tail)
+	Bins      int   // committed segments recovered
+	Truncated int64 // bytes dropped after the last valid frame (torn tail)
 }
 
 // Store is an open segment store. It is not safe for concurrent use; the
 // publisher serializes commits on the analysis goroutine.
 type Store struct {
-	fsys     FS
 	data     File
-	man      File
 	entries  []entry
-	dataEnd  int64 // end offset of the committed data prefix
-	buf      []byte
-	scratch  []byte
+	dataEnd  int64  // end offset of the committed prefix
+	buf      []byte // Append's frame; the copying read fallback's payload
 	mm       []byte // read-only mmap of segments.dat, if available
 	rec      RecoveryInfo
+	failed   error // first Append I/O error; sticky
 	readonly bool
 }
 
@@ -81,8 +82,8 @@ func OpenReadOnly(dir string) (*Store, error) {
 }
 
 // OpenFS opens a store on an arbitrary filesystem, running recovery: the
-// committed prefix is whatever the manifest validates; any torn tail in
-// either file is truncated away.
+// committed prefix is the longest run of valid frames; a torn tail is
+// truncated away.
 func OpenFS(fsys FS) (*Store, error) {
 	return openFS(fsys, false)
 }
@@ -93,39 +94,35 @@ func OpenFSReadOnly(fsys FS) (*Store, error) {
 }
 
 func openFS(fsys FS, readonly bool) (*Store, error) {
-	s := &Store{fsys: fsys, readonly: readonly}
+	s := &Store{readonly: readonly}
 	var err error
 	if s.data, err = fsys.OpenFile(dataName); err != nil {
 		return nil, err
 	}
-	if s.man, err = fsys.OpenFile(manName); err != nil {
-		s.data.Close()
-		return nil, err
-	}
 	if err := s.recover(); err != nil {
 		s.data.Close()
-		s.man.Close()
 		return nil, err
 	}
 	s.remap()
 	return s, nil
 }
 
-// initHeader validates or (re)writes a 16-byte file header. A file shorter
-// than one header cannot hold any committed state (headers are synced at
-// creation before any commit), so a torn header resets the file — or, on a
-// read-only open, just means an empty committed prefix.
-func initHeader(f File, magic [8]byte, readonly bool) (int64, error) {
+// initHeader validates or (re)writes the 16-byte file header and returns
+// the file size. A file shorter than one header cannot hold any committed
+// state (the header is synced at creation before any commit), so a torn
+// header resets the file — or, on a read-only open, just means an empty
+// committed prefix.
+func initHeader(f File, readonly bool) (int64, error) {
 	size, err := f.Size()
 	if err != nil {
 		return 0, err
 	}
+	var hdr [fileHeaderSize]byte
 	if size < fileHeaderSize {
 		if readonly {
 			return fileHeaderSize, nil
 		}
-		var hdr [fileHeaderSize]byte
-		copy(hdr[:], magic[:])
+		copy(hdr[:], dataMagic[:])
 		binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
 		if err := f.Truncate(0); err != nil {
 			return 0, err
@@ -138,102 +135,69 @@ func initHeader(f File, magic [8]byte, readonly bool) (int64, error) {
 		}
 		return fileHeaderSize, nil
 	}
-	var hdr [fileHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return 0, err
 	}
-	if [8]byte(hdr[:8]) != magic {
+	if [8]byte(hdr[:8]) != dataMagic {
 		return 0, fmt.Errorf("segstore: %q is not a segment store file", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		return 0, fmt.Errorf("segstore: unsupported format version %d", v)
+		return 0, fmt.Errorf("%w %d: this build reads only version %d and does not migrate; use an empty directory",
+			errVersion, v, formatVersion)
 	}
 	return size, nil
 }
 
-// recover scans the manifest, validates each entry against the data file,
-// and truncates both files to the committed prefix.
+// recover walks the frames front to back in one sequential read, stops at
+// the first one that does not validate, and truncates the file there.
 func (s *Store) recover() error {
-	dataSize, err := initHeader(s.data, dataMagic, s.readonly)
-	if err != nil {
-		return err
-	}
-	manSize, err := initHeader(s.man, manMagic, s.readonly)
+	size, err := initHeader(s.data, s.readonly)
 	if err != nil {
 		return err
 	}
 
-	nEntries := (manSize - fileHeaderSize) / entrySize
-	raw := make([]byte, nEntries*entrySize)
-	if len(raw) > 0 {
-		if _, err := readFull(s.man, raw, fileHeaderSize); err != nil {
-			return fmt.Errorf("segstore: reading manifest: %w", err)
-		}
-	}
-
-	expectOff := int64(fileHeaderSize)
+	body := size - fileHeaderSize
+	r := bufio.NewReaderSize(io.NewSectionReader(s.data, fileHeaderSize, body), int(min(body, 64<<10)))
+	pos := int64(fileHeaderSize)
 	lastBin := int64(-1 << 62)
-	for i := int64(0); i < nEntries; i++ {
-		eb := raw[i*entrySize : (i+1)*entrySize]
-		e, ok := parseEntry(eb)
-		if !ok {
+	var eb [entrySize]byte
+	for pos+entrySize <= size {
+		if _, err := io.ReadFull(r, eb[:]); err != nil {
+			return fmt.Errorf("segstore: reading entry at %d: %w", pos, err)
+		}
+		e, ok := parseEntry(eb[:])
+		if !ok || e.off != pos+entrySize || e.off+int64(e.length) > size || e.bin <= lastBin {
 			break
 		}
-		if e.off != expectOff || e.off+int64(e.length) > dataSize {
-			break
+		s.buf = grow(s.buf, int(e.length))
+		if _, err := io.ReadFull(r, s.buf); err != nil {
+			return fmt.Errorf("segstore: reading segment at %d: %w", e.off, err)
 		}
-		if e.bin <= lastBin {
-			break
-		}
-		payload, err := s.readPayload(e)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break
-			}
-			return err
-		}
-		if crc32.Checksum(payload, castagnoli) != e.crc {
+		if crc32.Checksum(s.buf, castagnoli) != e.crc {
 			break
 		}
 		s.entries = append(s.entries, e)
-		expectOff = e.off + int64(e.length)
+		pos = e.off + int64(e.length)
 		lastBin = e.bin
 	}
 
-	s.dataEnd = expectOff
-	s.rec = RecoveryInfo{
-		Bins:             len(s.entries),
-		TruncatedEntries: manSize - (fileHeaderSize + int64(len(s.entries))*entrySize),
-		TruncatedData:    dataSize - s.dataEnd,
-	}
-	// Truncate the torn tails so appends resume on a clean prefix. This is
+	s.dataEnd = pos
+	s.rec = RecoveryInfo{Bins: len(s.entries), Truncated: size - pos}
+	// Truncate the torn tail so appends resume on a clean prefix. This is
 	// idempotent: a crash mid-truncation leaves a (shorter) torn tail the
 	// next open truncates again. A read-only open never truncates: the torn
 	// tail is simply outside the served prefix (and on a live writer's
 	// directory it is usually not torn at all, just newer than this open).
-	if s.readonly {
+	if s.readonly || s.rec.Truncated == 0 {
 		return nil
 	}
-	if s.rec.TruncatedEntries > 0 {
-		if err := s.man.Truncate(fileHeaderSize + int64(len(s.entries))*entrySize); err != nil {
-			return err
-		}
-		if err := s.man.Sync(); err != nil {
-			return err
-		}
+	if err := s.data.Truncate(pos); err != nil {
+		return err
 	}
-	if s.rec.TruncatedData > 0 {
-		if err := s.data.Truncate(s.dataEnd); err != nil {
-			return err
-		}
-		if err := s.data.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.data.Sync()
 }
 
-// parseEntry validates the fixed 32-byte manifest entry layout:
+// parseEntry validates the fixed 32-byte entry layout:
 // off u64 | len u32 | payload crc u32 | bin i64 | magic u32 | entry crc u32.
 func parseEntry(b []byte) (entry, bool) {
 	if binary.LittleEndian.Uint32(b[24:]) != entryMagic {
@@ -278,37 +242,39 @@ func (s *Store) LastBin() (time.Time, bool) {
 	return unixUTC(s.entries[len(s.entries)-1].bin), true
 }
 
-// Append commits one closed bin: payload write, data fsync, manifest entry
-// write, manifest fsync. On return the record is durable. Bins must be
-// strictly increasing.
+// Append commits one closed bin as one frame — entry, then payload — in one
+// write and one fsync. On return the record is durable. Bins must be
+// strictly increasing. After a failed write or sync the kernel's view of
+// those pages is undefined (a retried fsync can report success for data it
+// dropped), so the first such error is sticky: every later Append returns
+// it. Reads keep working; reopening recovers the committed prefix.
 func (s *Store) Append(rec *BinRecord) error {
 	if s.readonly {
 		return errors.New("segstore: store is open read-only")
+	}
+	if s.failed != nil {
+		return s.failed
 	}
 	if len(s.entries) > 0 && rec.Bin.Unix() <= s.entries[len(s.entries)-1].bin {
 		return fmt.Errorf("segstore: bin %s not after last committed bin %s",
 			rec.Bin.UTC().Format(time.RFC3339), unixUTC(s.entries[len(s.entries)-1].bin).Format(time.RFC3339))
 	}
-	s.buf = AppendRecord(s.buf[:0], rec)
+	s.buf = AppendRecord(grow(s.buf, entrySize), rec)
+	payload := s.buf[entrySize:]
 	e := entry{
-		off:    s.dataEnd,
-		length: uint32(len(s.buf)),
-		crc:    crc32.Checksum(s.buf, castagnoli),
+		off:    s.dataEnd + entrySize,
+		length: uint32(len(payload)),
+		crc:    crc32.Checksum(payload, castagnoli),
 		bin:    rec.Bin.Unix(),
 	}
-	if _, err := s.data.WriteAt(s.buf, e.off); err != nil {
-		return fmt.Errorf("segstore: writing segment: %w", err)
+	appendEntry(s.buf[:0], e)
+	if _, err := s.data.WriteAt(s.buf, s.dataEnd); err != nil {
+		s.failed = fmt.Errorf("segstore: writing segment: %w", err)
+		return s.failed
 	}
 	if err := s.data.Sync(); err != nil {
-		return fmt.Errorf("segstore: syncing segment: %w", err)
-	}
-	s.scratch = appendEntry(s.scratch[:0], e)
-	manOff := fileHeaderSize + int64(len(s.entries))*entrySize
-	if _, err := s.man.WriteAt(s.scratch, manOff); err != nil {
-		return fmt.Errorf("segstore: writing manifest entry: %w", err)
-	}
-	if err := s.man.Sync(); err != nil {
-		return fmt.Errorf("segstore: syncing manifest: %w", err)
+		s.failed = fmt.Errorf("segstore: syncing segment: %w", err)
+		return s.failed
 	}
 	s.entries = append(s.entries, e)
 	s.dataEnd = e.off + int64(e.length)
@@ -321,33 +287,19 @@ func (s *Store) Append(rec *BinRecord) error {
 func (s *Store) Payload(i int) ([]byte, error) {
 	e := s.entries[i]
 	end := e.off + int64(e.length)
+	if end > int64(len(s.mm)) {
+		// Segment beyond the mapped window (appended since the last remap):
+		// try growing the map once, then fall back to a copying read.
+		s.remap()
+	}
 	if end <= int64(len(s.mm)) {
 		return s.mm[e.off:end:end], nil
 	}
-	// Segment beyond the mapped window (appended since the last remap):
-	// try growing the map once, then fall back to a copying read.
-	s.remap()
-	if end <= int64(len(s.mm)) {
-		return s.mm[e.off:end:end], nil
-	}
-	if cap(s.scratch) < int(e.length) {
-		s.scratch = make([]byte, e.length)
-	}
-	s.scratch = s.scratch[:e.length]
-	if _, err := readFull(s.data, s.scratch, e.off); err != nil {
+	s.buf = grow(s.buf, int(e.length))
+	if _, err := readFull(s.data, s.buf, e.off); err != nil {
 		return nil, fmt.Errorf("segstore: reading segment %d: %w", i, err)
 	}
-	return s.scratch, nil
-}
-
-// readPayload reads a payload during recovery (no mmap yet).
-func (s *Store) readPayload(e entry) ([]byte, error) {
-	if cap(s.scratch) < int(e.length) {
-		s.scratch = make([]byte, e.length)
-	}
-	s.scratch = s.scratch[:e.length]
-	_, err := readFull(s.data, s.scratch, e.off)
-	return s.scratch, err
+	return s.buf, nil
 }
 
 // Record decodes committed segment i into rec, reusing rec's slices.
@@ -378,7 +330,7 @@ func (s *Store) remap() {
 	}
 }
 
-// Close releases the files. It does not sync: every Append already left
+// Close releases the file. It does not sync: every Append already left
 // the store durable.
 func (s *Store) Close() error {
 	if s.mm != nil {
@@ -387,17 +339,21 @@ func (s *Store) Close() error {
 		}
 		s.mm = nil
 	}
-	err := s.data.Close()
-	if err2 := s.man.Close(); err == nil {
-		err = err2
-	}
-	return err
+	return s.data.Close()
 }
 
 // mmapper is the optional zero-copy read fast path a File may provide.
 type mmapper interface {
 	mmap(size int64) ([]byte, error)
 	munmap(b []byte)
+}
+
+// grow returns b resized to n bytes, reallocating only when it must.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }
 
 func readFull(f File, p []byte, off int64) (int, error) {

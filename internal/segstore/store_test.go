@@ -2,8 +2,13 @@ package segstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -154,7 +159,7 @@ func TestStoreAppendReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ri := st.Recovery(); ri.Bins != 6 || ri.TruncatedData != 0 || ri.TruncatedEntries != 0 {
+			if ri := st.Recovery(); ri.Bins != 6 || ri.Truncated != 0 {
 				t.Fatalf("clean reopen recovery = %+v", ri)
 			}
 			for _, rec := range recs[6:] {
@@ -202,11 +207,11 @@ func checkStore(t *testing.T, st *Store, want []*BinRecord) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	enc := AppendRecord(nil, synthRecord(5))
 	cases := map[string][]byte{
-		"empty":      {},
-		"short":      enc[:3],
-		"bad magic":  append([]byte{1, 2, 3, 4}, enc[4:]...),
-		"truncated":  enc[:len(enc)-1],
-		"trailing":   append(append([]byte{}, enc...), 0),
+		"empty":     {},
+		"short":     enc[:3],
+		"bad magic": append([]byte{1, 2, 3, 4}, enc[4:]...),
+		"truncated": enc[:len(enc)-1],
+		"trailing":  append(append([]byte{}, enc...), 0),
 		// Counts start at byte 32 (after magic, flags, bin, firstBin, results).
 		"huge count": func() []byte { b := append([]byte{}, enc...); b[32] = 0xff; b[33] = 0xff; b[34] = 0xff; return b }(),
 	}
@@ -237,5 +242,56 @@ func TestForeignFileRejected(t *testing.T) {
 	f.WriteAt([]byte("this is definitely not a segment store file"), 0)
 	if _, err := OpenFS(fs); err == nil {
 		t.Fatal("open of a foreign file succeeded")
+	}
+}
+
+// TestV1DirectoryRefused: a directory written by format version 1 (a
+// segments.dat of bare payloads plus a manifest.log of entries) fails both
+// opens with the version error and is left exactly as it was — nothing
+// truncated, nothing rewritten, nothing created.
+func TestV1DirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	v1Header := func(magic string) []byte {
+		hdr := make([]byte, fileHeaderSize)
+		copy(hdr, magic)
+		binary.LittleEndian.PutUint32(hdr[8:], 1)
+		return hdr
+	}
+	payload := AppendRecord(nil, synthRecord(1))
+	want := map[string][]byte{
+		dataName: append(v1Header("PPSEGDAT"), payload...),
+		"manifest.log": appendEntry(v1Header("PPSEGMAN"), entry{
+			off: fileHeaderSize, length: uint32(len(payload)),
+			crc: crc32.Checksum(payload, castagnoli), bin: synthRecord(1).Bin.Unix(),
+		}),
+	}
+	for name, b := range want {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if st, err := Open(dir); !errors.Is(err, errVersion) {
+		t.Fatalf("Open of a v1 directory: store %v, error %v; want the version error", st, err)
+	}
+	if st, err := OpenReadOnly(dir); !errors.Is(err, errVersion) {
+		t.Fatalf("OpenReadOnly of a v1 directory: store %v, error %v; want the version error", st, err)
+	}
+
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != len(want) {
+		t.Fatalf("directory holds %d files after the refused opens, want %d: %v", len(des), len(want), des)
+	}
+	for name, b := range want {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("%s modified by a refused open", name)
+		}
 	}
 }

@@ -114,17 +114,22 @@ func capturePayloads(t *testing.T, srv *Server, urls []string) map[string][]byte
 	return out
 }
 
-func storeFiles(t *testing.T, dir string) map[string][]byte {
+// storeFile returns the bytes of the store's one file, segments.dat, and
+// fails if the directory holds anything else.
+func storeFile(t *testing.T, dir string) []byte {
 	t.Helper()
-	out := map[string][]byte{}
-	for _, name := range []string{"segments.dat", "manifest.log"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = b
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	if len(des) != 1 || des[0].Name() != "segments.dat" {
+		t.Fatalf("store directory %s holds %v, want only segments.dat", dir, des)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "segments.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestRestartEquivalence is the ISSUE 9 acceptance test: run the quick
@@ -132,7 +137,7 @@ func storeFiles(t *testing.T, dir string) map[string][]byte {
 // after bin k, boot a fresh pipeline from the store and finish the run —
 // the completed-run API payloads must be byte-identical to the
 // uninterrupted run's for several k and for different worker counts, and
-// so must the store files themselves. A baseline without any store pins
+// so must the store file itself. A baseline without any store pins
 // that store mode does not perturb the analysis output.
 func TestRestartEquivalence(t *testing.T) {
 	const caseName = "ddos"
@@ -150,7 +155,7 @@ func TestRestartEquivalence(t *testing.T) {
 	}
 	want := capturePayloads(t, base.srv, urls)
 	base.close(t)
-	wantFiles := storeFiles(t, filepath.Join(baseDir, "base"))
+	wantFile := storeFile(t, filepath.Join(baseDir, "base"))
 
 	// Store mode must not perturb the analysis: the same run without a
 	// store serves the same bytes (minus the store-only /api/bins).
@@ -228,11 +233,8 @@ func TestRestartEquivalence(t *testing.T) {
 				}
 			}
 			r.close(t)
-			for name, wantB := range wantFiles {
-				if gotB := storeFiles(t, dir)[name]; !bytes.Equal(gotB, wantB) {
-					t.Errorf("%s differs from the uninterrupted run's (%d vs %d bytes)",
-						name, len(gotB), len(wantB))
-				}
+			if got := storeFile(t, dir); !bytes.Equal(got, wantFile) {
+				t.Errorf("segments.dat differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(wantFile))
 			}
 		})
 	}

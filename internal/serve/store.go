@@ -17,10 +17,11 @@ package serve
 // events.RestoreIncremental seeds the aggregator with; the analyzer gets a
 // resume cursor at the first uncovered bin.
 //
-// A store commit failure is recorded, stops further commits (the manifest
-// must stay a prefix of the run), and surfaces through Finish as a failed
-// run. /api/bins reads decode committed segments directly, giving
-// time-travel to any closed bin's exact contribution.
+// A store commit failure is recorded, stops further commits (the store
+// must stay a prefix of the run, and itself refuses appends after a failed
+// one), and surfaces through Finish as a failed run. /api/bins reads decode
+// committed segments directly, giving time-travel to any closed bin's exact
+// contribution.
 
 import (
 	"fmt"
