@@ -50,7 +50,7 @@ type FlowID uint32
 // forwarding state per router and the detector tracks per-router facts.
 type RouterID uint32
 
-// pairKey packs two 32-bit IDs into one map key; pair interning therefore
+// pairKey packs two 32-bit IDs into one 64-bit key; pair interning therefore
 // hashes 8 bytes instead of two 24-byte netip.Addrs.
 type pairKey uint64
 
@@ -283,12 +283,67 @@ func GrowTable[T any](s []T, n int, fill T) []T {
 	return s
 }
 
+// pairTable is a flat open-addressing table from a 64-bit key to a 32-bit
+// id: a multiplicative hash picks the home slot, collisions probe linearly,
+// and the slot array doubles past 3/4 full. A hit is one multiply and,
+// usually, one slot read — no hashing call, no bucket walk. The Interner
+// keys its IPv4 addresses, links and flows through it.
+type pairTable struct {
+	slots []pairSlot // power-of-two length
+	shift uint       // 64 - log2(len(slots)): the hash's top bits index the slots
+	n     int        // occupied slots
+}
+
+// pairSlot holds one key and its id+1, so the zero slot is the empty one.
+// Registry ids are dense counts of interned entities, far below 2³²−1.
+type pairSlot struct {
+	key uint64
+	id1 uint32
+}
+
+const pairTableBits = 4 // a fresh table has 1<<pairTableBits slots
+
+func newPairTable() pairTable {
+	return pairTable{slots: make([]pairSlot, 1<<pairTableBits), shift: 64 - pairTableBits}
+}
+
+// slot returns k's slot, or the empty slot where k belongs.
+func (t *pairTable) slot(k uint64) *pairSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := k * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.id1 == 0 || s.key == k {
+			return s
+		}
+	}
+}
+
+// get returns k's id.
+func (t *pairTable) get(k uint64) (uint32, bool) {
+	s := t.slot(k)
+	return s.id1 - 1, s.id1 != 0
+}
+
+// put records id for k, which must be absent.
+func (t *pairTable) put(k uint64, id uint32) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots, t.shift = make([]pairSlot, 2*len(old)), t.shift-1
+		for _, s := range old {
+			if s.id1 != 0 {
+				*t.slot(s.key) = s
+			}
+		}
+	}
+	*t.slot(k) = pairSlot{key: k, id1: id + 1}
+	t.n++
+}
+
 // Interner is a single-goroutine memo in front of a shared Registry. The
 // extraction hot path interns every address of every reply; paying two
 // atomic operations per lookup (the registry's RWMutex fast path) costs
-// more than the map hit itself. An Interner gives the owning goroutine
-// plain non-atomic map hits and falls through to the locked registry only
-// on first sight of an entity, so steady-state interning is lock-free
+// more than the lookup itself. An Interner gives the owning goroutine
+// plain non-atomic table hits and falls through to the locked registry
+// only on first sight of an entity, so steady-state interning is lock-free
 // while the registry stays safe for every other goroutine.
 //
 // An Interner is NOT safe for concurrent use; create one per extracting
@@ -296,10 +351,10 @@ func GrowTable[T any](s []T, n int, fill T) []T {
 // construction (the registry assigns them).
 type Interner struct {
 	reg   *Registry
-	v4    map[uint32]AddrID     // IPv4 addresses by big-endian value: a 4-byte key
+	v4    pairTable             // IPv4 addresses by big-endian value
 	addrs map[netip.Addr]AddrID // every other address
-	links map[pairKey]LinkID
-	flows map[pairKey]FlowID
+	links pairTable
+	flows pairTable
 
 	routerOf []RouterID // by AddrID, dense; noRouter until first asked
 	scratch  trace.View // see ScratchView
@@ -323,10 +378,10 @@ const noRouter = ^RouterID(0)
 func NewInterner(reg *Registry) *Interner {
 	return &Interner{
 		reg:   reg,
-		v4:    make(map[uint32]AddrID),
+		v4:    newPairTable(),
 		addrs: map[netip.Addr]AddrID{{}: ZeroAddr},
-		links: make(map[pairKey]LinkID),
-		flows: make(map[pairKey]FlowID),
+		links: newPairTable(),
+		flows: newPairTable(),
 	}
 }
 
@@ -341,7 +396,7 @@ func (in *Interner) Addr(a netip.Addr) AddrID {
 	var id AddrID
 	if a.Is4() {
 		a4 := a.As4()
-		id = in.addr4(binary.BigEndian.Uint32(a4[:]))
+		id = AddrID(in.AddrV4(binary.BigEndian.Uint32(a4[:])))
 	} else {
 		var ok bool
 		if id, ok = in.addrs[a]; !ok {
@@ -353,22 +408,24 @@ func (in *Interner) Addr(a netip.Addr) AddrID {
 	return id
 }
 
-// addr4 interns the IPv4 address with big-endian value k.
-func (in *Interner) addr4(k uint32) AddrID {
-	id, ok := in.v4[k]
+// AddrV4 interns the IPv4 address with big-endian value v: the id Addr
+// gives that address, without forming it. With AddrText it makes an
+// Interner the trace.AddrInterner that trace.Decoder.DecodeView wants.
+func (in *Interner) AddrV4(v uint32) uint32 {
+	id, ok := in.v4.get(uint64(v))
 	if !ok {
-		id = in.reg.Addr(netip.AddrFrom4([4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}))
-		in.v4[k] = id
+		id = uint32(in.reg.Addr(netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})))
+		in.v4.put(uint64(v), id)
 	}
 	return id
 }
 
 // AddrText interns an address from its wire text — the id Addr gives the
-// parsed address, or netip.ParseAddr's error: what trace.Decoder.DecodeView
-// wants. A dotted quad costs one 4-byte map probe and forms no netip.Addr.
+// parsed address, or netip.ParseAddr's error. A dotted quad is AddrV4 of
+// its value and forms no netip.Addr.
 func (in *Interner) AddrText(b []byte) (uint32, error) {
-	if k, ok := trace.ParseV4(b); ok {
-		return uint32(in.addr4(k)), nil
+	if v, ok := trace.ParseV4(b); ok {
+		return in.AddrV4(v), nil
 	}
 	a, err := netip.ParseAddr(string(b))
 	if err != nil {
@@ -398,13 +455,13 @@ func (in *Interner) Link(near, far AddrID) LinkID {
 	if in.memoLinkSet && k == in.memoLink {
 		return in.memoLinkID
 	}
-	id, ok := in.links[k]
+	id, ok := in.links.get(uint64(k))
 	if !ok {
-		id = in.reg.Link(near, far)
-		in.links[k] = id
+		id = uint32(in.reg.Link(near, far))
+		in.links.put(uint64(k), id)
 	}
-	in.memoLink, in.memoLinkID, in.memoLinkSet = k, id, true
-	return id
+	in.memoLink, in.memoLinkID, in.memoLinkSet = k, LinkID(id), true
+	return LinkID(id)
 }
 
 // Flow interns the (router, destination) pair through the memo.
@@ -413,13 +470,13 @@ func (in *Interner) Flow(router, dst AddrID) FlowID {
 	if in.memoFlowSet && k == in.memoFlow {
 		return in.memoFlowID
 	}
-	id, ok := in.flows[k]
+	id, ok := in.flows.get(uint64(k))
 	if !ok {
-		id = in.reg.Flow(router, dst)
-		in.flows[k] = id
+		id = uint32(in.reg.Flow(router, dst))
+		in.flows.put(uint64(k), id)
 	}
-	in.memoFlow, in.memoFlowID, in.memoFlowSet = k, id, true
-	return id
+	in.memoFlow, in.memoFlowID, in.memoFlowSet = k, FlowID(id), true
+	return FlowID(id)
 }
 
 // Router interns an address into the router ID space through the memo.

@@ -2,6 +2,7 @@ package ident
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"testing"
@@ -189,6 +190,112 @@ func TestInternerMatchesRegistry(t *testing.T) {
 	// Memo hits must not re-consult the registry's counts.
 	if g.Addrs() != 201 {
 		t.Fatalf("Addrs = %d, want 201", g.Addrs())
+	}
+}
+
+// TestInternerTablesMatchRegistry drives 200k seeded pairs through two
+// Interners over one Registry, twice — misses, then hits — and holds every
+// Link, Flow and AddrV4 id to the registry's. The pairs mix ZeroAddr, ids
+// near 2³²−1, keys that share their low 32 bits or differ only in their
+// top bits, and dense small ids; the tables grow through more than ten
+// doublings on the way.
+func TestInternerTablesMatchRegistry(t *testing.T) {
+	g := NewRegistry()
+	ins := [2]*Interner{NewInterner(g), NewInterner(g)}
+	rng := rand.New(rand.NewPCG(26, 1))
+	id := func() AddrID {
+		switch rng.IntN(5) {
+		case 0:
+			return ZeroAddr
+		case 1:
+			return ^AddrID(0) - AddrID(rng.IntN(4))
+		case 2:
+			return AddrID(rng.IntN(16)) << 28
+		case 3:
+			return AddrID(rng.Uint32())
+		}
+		return AddrID(rng.IntN(1 << 12))
+	}
+	const n = 200_000
+	type pair struct{ a, b AddrID }
+	pairs := make([]pair, n)
+	for i := range pairs {
+		pairs[i] = pair{id(), id()}
+		if i%7 == 0 { // the low 32 bits of the previous key, new high bits
+			pairs[i].b = pairs[max(i-1, 0)].b
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, p := range pairs {
+			in := ins[(i+pass)%2]
+			if got, want := in.Link(p.a, p.b), g.Link(p.a, p.b); got != want {
+				t.Fatalf("pass %d: Link(%d, %d) = %d, registry says %d", pass, p.a, p.b, got, want)
+			}
+			if got, want := in.Flow(p.b, p.a), g.Flow(p.b, p.a); got != want {
+				t.Fatalf("pass %d: Flow(%d, %d) = %d, registry says %d", pass, p.b, p.a, got, want)
+			}
+			v := uint32(p.a ^ p.b)
+			if got, want := in.AddrV4(v), g.Addr(netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})); got != uint32(want) {
+				t.Fatalf("pass %d: AddrV4(%#x) = %d, registry says %d", pass, v, got, want)
+			}
+		}
+	}
+	for _, in := range ins {
+		for _, tab := range []*pairTable{&in.v4, &in.links, &in.flows} {
+			if len(tab.slots) < 1<<(pairTableBits+10) {
+				t.Errorf("a table ended at %d slots: fewer than ten doublings", len(tab.slots))
+			}
+		}
+	}
+}
+
+// TestInternerHitsAllocationFree pins warm Link, Flow and AddrV4 hits —
+// table hits, not memo hits — at zero allocations.
+func TestInternerHitsAllocationFree(t *testing.T) {
+	in := NewInterner(NewRegistry())
+	const n = 1000
+	for i := 0; i < n; i++ {
+		in.Link(AddrID(i), AddrID(i+1))
+		in.Flow(AddrID(i), AddrID(i+1))
+		in.AddrV4(uint32(i))
+	}
+	i := 0
+	for name, hit := range map[string]func(){
+		"Link":   func() { in.Link(AddrID(i), AddrID(i+1)) },
+		"Flow":   func() { in.Flow(AddrID(i), AddrID(i+1)) },
+		"AddrV4": func() { in.AddrV4(uint32(i)) },
+	} {
+		if a := testing.AllocsPerRun(n, func() { i = (i + 1) % n; hit() }); a != 0 {
+			t.Errorf("warm %s hit allocates %v times, want 0", name, a)
+		}
+	}
+}
+
+// BenchmarkInternerPairs is the replay hot path's interning half: warm
+// Link and Flow table hits over about as many entries as the replay
+// fixture holds (1 055 links, 3 790 flows), each op one of each.
+func BenchmarkInternerPairs(b *testing.B) {
+	in := NewInterner(NewRegistry())
+	rng := rand.New(rand.NewPCG(1, 2))
+	links := make([][2]AddrID, 1055)
+	flows := make([][2]AddrID, 3790)
+	for _, ps := range [][][2]AddrID{links, flows} {
+		for i := range ps {
+			ps[i] = [2]AddrID{AddrID(rng.IntN(2000)), AddrID(rng.IntN(2000))}
+		}
+	}
+	for _, p := range links {
+		in.Link(p[0], p[1])
+	}
+	for _, p := range flows {
+		in.Flow(p[0], p[1])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, f := links[i%len(links)], flows[i%len(flows)]
+		in.Link(l[0], l[1])
+		in.Flow(f[0], f[1])
 	}
 }
 

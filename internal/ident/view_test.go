@@ -2,8 +2,10 @@ package ident
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,66 +61,159 @@ var viewSeeds = []string{
 	`{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":1}]},{"hop":4294967298,"result":[{"from":"4.4.4.4","rtt":2}]}]}`,
 }
 
+// quadLine is a canonical line with one hop whose replies come from froms,
+// in order.
+func quadLine(froms ...string) string {
+	var b strings.Builder
+	b.WriteString(`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[`)
+	for i, from := range froms {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"from":"%s","rtt":%d.25}`, from, i+1)
+	}
+	b.WriteString(`]}]}`)
+	return b.String()
+}
+
+// quadSeeds are the canonical-shape lines where the scan's fused
+// dotted-quad parse could go wrong: text that is almost a quad, a quad
+// that is not the whole text, repeats that extend or cut the previous
+// reply's text, and a line cut right after a quad. The first reply of each
+// parses cleanly, so what follows it also meets the reuse check.
+var quadSeeds = []string{
+	quadLine("1.2.3.4", "01.2.3.4"),
+	quadLine("1.2.3.4", "1.2.3.256"),
+	quadLine("1.2.3.4", "1.2.3"),
+	quadLine("1.2.3.4", "1.2.3.4.5"),
+	quadLine("1.2.3.4", "1.2.3.4 "),
+	quadLine("1.2.3.4", `1\u002e2.3.4`, "1.2.3.4"),
+	quadLine("1.2.3.4", "::ffff:1.2.3.4", "1.2.3.4"),
+	quadLine("3.3.3.3", "3.3.3.33", "3.3.3.3"),
+	quadLine("3.3.3.33", "3.3.3.3", "3.3.3.33"),
+	quadLine("255.255.255.255", "255.255.255.25", "255.255.255.255"),
+	strings.TrimSuffix(quadLine("1.2.3.4", "5.6.7.8"), `","rtt":2.25}]}]}`),
+}
+
+// fixtureLine has the replay fixture's shape: full-precision RTTs, three
+// replies per hop, one timeout.
+const fixtureLine = `{"msm_id":5002,"prb_id":6,"timestamp":1448668802,"src_addr":"10.11.189.1","dst_addr":"10.11.184.200","paris_id":13,"result":[` +
+	`{"hop":1,"result":[{"from":"10.11.189.2","rtt":4.024202446952091},{"from":"10.11.189.2","rtt":4.136615178837078},{"from":"10.11.189.2","rtt":3.91525660057784}]},` +
+	`{"hop":2,"result":[{"from":"10.7.211.3","rtt":14.25895880372297},{"x":"*"},{"from":"10.7.211.3","rtt":13.715442491062804}]},` +
+	`{"hop":3,"result":[{"from":"10.7.211.1","rtt":22.512964441805615},{"from":"10.7.211.1","rtt":21.7921169918171},{"from":"10.7.211.1","rtt":21.86374056177855}]},` +
+	`{"hop":4,"result":[{"from":"10.11.184.1","rtt":26.57813396469501},{"from":"10.11.184.1","rtt":26.591371729804514},{"from":"10.11.184.1","rtt":26.32383302803167}]},` +
+	`{"hop":5,"result":[{"from":"10.11.184.200","rtt":31.249051875889162},{"from":"10.11.184.200","rtt":31.204861304467467},{"from":"10.11.184.200","rtt":31.2768870643264}]}]}`
+
+// checkViewProducers asserts that Decoder.DecodeView and Interner.View over
+// Decoder.Decode accept or reject line together — with the same error
+// text, so the same document-order precedence and the same AddrError — and
+// build equal views once ids are resolved back to addresses.
+func checkViewProducers(t *testing.T, line []byte) {
+	t.Helper()
+	var dec trace.Decoder
+	wantIn, gotIn := NewInterner(NewRegistry()), NewInterner(NewRegistry())
+	var r trace.Result
+	var want, got trace.View
+	wantErr := dec.Decode(line, &r)
+	gotErr := dec.DecodeView(line, gotIn, &got)
+	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("accept/reject mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		var a, b *trace.AddrError
+		if errors.As(wantErr, &a) != errors.As(gotErr, &b) {
+			t.Fatalf("AddrError mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
+		}
+		return
+	}
+	wantIn.View(&r, &want)
+	w, g := resolve(wantIn.Registry(), &want), resolve(gotIn.Registry(), &got)
+	if !reflect.DeepEqual(w, g) {
+		t.Fatalf("views differ:\ninput: %q\nInterner.View(Decode): %+v\nDecodeView:            %+v", line, w, g)
+	}
+	// Ids resolve one to one: a view built from the result over the
+	// decode side's own registry is the decoded view, id for id.
+	gotIn.View(&r, &want)
+	if want.Dst != got.Dst || !reflect.DeepEqual(append([]uint32{}, want.From...), append([]uint32{}, got.From...)) {
+		t.Fatalf("ids differ over one registry:\ninput: %q\nInterner.View(Decode): %+v\nDecodeView:            %+v", line, want, got)
+	}
+}
+
 // FuzzDecodeViewDifferential pins the two producers of a View to each
-// other: on every input, Decoder.DecodeView and Interner.View over
-// Decoder.Decode accept or reject together — with the same error text, so
-// the same document-order precedence and the same AddrError — and build
-// equal views once ids are resolved back to addresses.
+// other on every input (checkViewProducers).
 func FuzzDecodeViewDifferential(f *testing.F) {
-	for _, s := range viewSeeds {
+	for _, s := range append(append(viewSeeds, quadSeeds...), fixtureLine) {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var dec trace.Decoder
-		wantIn, gotIn := NewInterner(NewRegistry()), NewInterner(NewRegistry())
-		var r trace.Result
-		var want, got trace.View
-		wantErr := dec.Decode(line, &r)
-		gotErr := dec.DecodeView(line, gotIn.AddrText, &got)
-		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("accept/reject mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
+	f.Fuzz(checkViewProducers)
+}
+
+// TestQuadEdges runs the quad seeds through both contracts: Decode ≡ the
+// encoding/json oracle, and DecodeView ≡ Interner.View over Decode.
+func TestQuadEdges(t *testing.T) {
+	for _, line := range append(quadSeeds, fixtureLine) {
+		var want, got trace.Result
+		wantErr := want.UnmarshalJSON([]byte(line))
+		gotErr := new(trace.Decoder).Decode([]byte(line), &got)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("accept/reject mismatch:\ninput: %q\noracle: %v\nDecode: %v", line, wantErr, gotErr)
 		}
-		if wantErr != nil {
-			var a, b *trace.AddrError
-			if errors.As(wantErr, &a) != errors.As(gotErr, &b) {
-				t.Fatalf("AddrError mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
-			}
-			return
+		var wantAddr, gotAddr *trace.AddrError
+		if errors.As(wantErr, &wantAddr) != errors.As(gotErr, &gotAddr) ||
+			(wantAddr != nil && (wantAddr.Field != gotAddr.Field || wantAddr.Value != gotAddr.Value)) {
+			t.Fatalf("AddrError mismatch:\ninput: %q\noracle: %v\nDecode: %v", line, wantErr, gotErr)
 		}
-		wantIn.View(&r, &want)
-		w, g := resolve(wantIn.Registry(), &want), resolve(gotIn.Registry(), &got)
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("views differ:\ninput: %q\nInterner.View(Decode): %+v\nDecodeView:            %+v", line, w, g)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("results differ:\ninput: %q\noracle: %+v\nDecode: %+v", line, want, got)
 		}
-		// Ids resolve one to one: a view built from the result over the
-		// decode side's own registry is the decoded view, id for id.
-		gotIn.View(&r, &want)
-		if want.Dst != got.Dst || !reflect.DeepEqual(append([]uint32{}, want.From...), append([]uint32{}, got.From...)) {
-			t.Fatalf("ids differ over one registry:\ninput: %q\nInterner.View(Decode): %+v\nDecodeView:            %+v", line, want, got)
-		}
-	})
+		checkViewProducers(t, []byte(line))
+	}
 }
 
 // TestViewProducersAllocationFree pins both producers at zero allocations
 // once their scratch is warm.
 func TestViewProducersAllocationFree(t *testing.T) {
-	line := []byte(`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52},{"from":"10.0.0.254","rtt":0.6},{"x":"*"}]},{"hop":2,"result":[{"from":"10.0.1.254","rtt":1.25},{"from":"193.0.14.129","rtt":2}]}]}`)
-	var dec trace.Decoder
-	in := NewInterner(NewRegistry())
-	var r trace.Result
-	var v trace.View
-	if err := dec.Decode(line, &r); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() { in.View(&r, &v) }); n != 0 {
-		t.Errorf("Interner.View allocates %v times per result, want 0", n)
-	}
-	decode := func() {
-		if err := dec.DecodeView(line, in.AddrText, &v); err != nil {
+	for _, line := range [][]byte{
+		[]byte(`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52},{"from":"10.0.0.254","rtt":0.6},{"x":"*"}]},{"hop":2,"result":[{"from":"10.0.1.254","rtt":1.25},{"from":"193.0.14.129","rtt":2}]}]}`),
+		[]byte(fixtureLine),
+	} {
+		var dec trace.Decoder
+		in := NewInterner(NewRegistry())
+		var r trace.Result
+		var v trace.View
+		if err := dec.Decode(line, &r); err != nil {
 			t.Fatal(err)
 		}
+		if n := testing.AllocsPerRun(100, func() { in.View(&r, &v) }); n != 0 {
+			t.Errorf("Interner.View allocates %v times per result, want 0", n)
+		}
+		decode := func() {
+			if err := dec.DecodeView(line, in, &v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, decode); n != 0 {
+			t.Errorf("Decoder.DecodeView allocates %v times per line, want 0", n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, decode); n != 0 {
-		t.Errorf("Decoder.DecodeView allocates %v times per line, want 0", n)
+}
+
+// BenchmarkDecodeView is the replay hot path's decode half on a
+// fixture-shaped line, interning into a warm Interner.
+func BenchmarkDecodeView(b *testing.B) {
+	line := []byte(fixtureLine)
+	var dec trace.Decoder
+	in := NewInterner(NewRegistry())
+	var v trace.View
+	if err := dec.DecodeView(line, in, &v); err != nil { // warm the columns and the interner
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(line)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dec.DecodeView(line, in, &v); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

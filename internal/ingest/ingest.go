@@ -253,7 +253,7 @@ func viewDecoders(reg *ident.Registry) func() lineDecoder[trace.View] {
 			rtt  []float64
 		)
 		line := func(line []byte, validate bool, dst *trace.View) error {
-			err := dec.DecodeView(line, in.AddrText, &v)
+			err := dec.DecodeView(line, in, &v)
 			if err == nil && validate {
 				err = v.Validate()
 			}

@@ -64,12 +64,16 @@ type strRef struct {
 	buf    bool
 }
 
-// pendAddr is a "from" address awaiting post-scan parsing. Addresses
-// resolve only after the whole line scanned cleanly, mirroring
-// encoding/json's validate-then-walk order (a syntax error anywhere in the
-// line beats an address error earlier in it).
+// pendAddr is a "from" address of a kept reply. A dotted quad parsed during
+// the scan (quad set) carries its big-endian value v; any other text waits
+// as ref for post-scan parsing, which resolves addresses only after the
+// whole line scanned cleanly, mirroring encoding/json's validate-then-walk
+// order (a syntax error anywhere in the line beats an address error earlier
+// in it). A parsed quad cannot fail, so it cannot reorder those errors.
 type pendAddr struct {
 	reply int32
+	v     uint32
+	quad  bool
 	ref   strRef
 }
 
@@ -80,19 +84,25 @@ type pendAddr struct {
 // One scan serves two finishers. Decode builds a Result: two allocations
 // per line (the Hops slice, one backing array for every hop's Replies),
 // addresses parsed at most once per distinct text form. DecodeView builds a
-// View into the caller's columns and allocates nothing: addresses go from
-// wire text to ids through the caller's intern function.
+// View into the caller's columns and allocates nothing: addresses go to ids
+// through the caller's AddrInterner.
 type Decoder struct {
 	data  []byte
 	pos   int
 	depth int
 
-	hops    []ViewHop // windows into replies
-	replies []Reply
-	pend    []pendAddr
-	buf     []byte
+	hops []ViewHop  // windows into rtts
+	rtts []float64  // one per reply: its RTT, 0 for a timeout
+	pend []pendAddr // one per kept reply; every other reply is a timeout
+	buf  []byte
 
 	addrs map[string]netip.Addr
+
+	// The last dotted-quad "from" the scan parsed: its text and closing
+	// quote, and its value. A reply whose text repeats those bytes reuses
+	// the value; the key is the bytes themselves, so it never goes stale.
+	quadText lit16
+	quadV    uint32
 
 	prevText []byte // DecodeView: wire text of the last address interned on this line
 	prevID   uint32 // and its id
@@ -125,12 +135,13 @@ type topFields struct {
 }
 
 // scan runs the single-pass scanner over line, leaving the scalar fields in
-// top and hops, replies and pending reply addresses in the decoder's scratch
-// buffers. errFallback means the line must go to the reference decoder.
+// top and the hops, reply RTTs and kept replies' addresses in the decoder's
+// scratch buffers. errFallback means the line must go to the reference
+// decoder.
 func (d *Decoder) scan(line []byte, top *topFields) error {
 	d.data, d.pos, d.depth = line, 0, 0
 	d.hops = d.hops[:0]
-	d.replies = d.replies[:0]
+	d.rtts = d.rtts[:0]
 	d.pend = d.pend[:0]
 	d.buf = d.buf[:0]
 	if d.addrs == nil {
@@ -186,22 +197,25 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range d.pend {
-		a, err := d.resolveAddr(p.ref, "from")
-		if err != nil {
-			return err
-		}
-		d.replies[p.reply].From = a
-	}
-
 	// Materialize: one backing array shared by every hop's replies (the
 	// second and last steady-state allocation besides the Hops slice).
-	hops := make([]Hop, len(d.hops))
 	var backing []Reply
-	if len(d.replies) > 0 {
-		backing = make([]Reply, len(d.replies))
-		copy(backing, d.replies)
+	if len(d.rtts) > 0 {
+		backing = make([]Reply, len(d.rtts))
+		for i := range backing {
+			backing[i].Timeout = true
+		}
 	}
+	for _, p := range d.pend {
+		a := addrV4(p.v)
+		if !p.quad {
+			if a, err = d.resolveAddr(p.ref, "from"); err != nil {
+				return err
+			}
+		}
+		backing[p.reply] = Reply{From: a, RTT: d.rtts[p.reply]}
+	}
+	hops := make([]Hop, len(d.hops))
 	for i, hr := range d.hops {
 		reps := emptyReplies
 		if hr.End > hr.Start {
@@ -221,14 +235,22 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 	return nil
 }
 
+// AddrInterner maps addresses to ids for DecodeView: AddrText from wire
+// text, failing with netip.ParseAddr's error on text that does not parse,
+// and AddrV4 from a dotted quad's big-endian value, agreeing with AddrText
+// on that quad's text. ident.Interner is the implementation.
+type AddrInterner interface {
+	AddrText(b []byte) (uint32, error)
+	AddrV4(v uint32) uint32
+}
+
 // DecodeView decodes one Atlas wire line into v, reusing v's columns. It is
 // Decode without the Result: the same scan, the same accept or reject with
 // the same error on every input, and the view ident.Interner.View builds
-// from Decode's result — provided intern maps wire text to the id that
-// interner gives the parsed address and fails with netip.ParseAddr's error
-// otherwise (Interner.AddrText does). The source address is checked, not
-// interned: no detector keys on it. On error v's contents are unspecified.
-func (d *Decoder) DecodeView(line []byte, intern func([]byte) (uint32, error), v *View) error {
+// from Decode's result when in is that interner. The source address is
+// checked, not interned: no detector keys on it. On error v's contents are
+// unspecified.
+func (d *Decoder) DecodeView(line []byte, in AddrInterner, v *View) error {
 	var top topFields
 	if err := d.scan(line, &top); err != nil {
 		if err != errFallback {
@@ -239,7 +261,7 @@ func (d *Decoder) DecodeView(line []byte, intern func([]byte) (uint32, error), v
 			return err
 		}
 		v.Fill(&r, func(a netip.Addr) uint32 {
-			id, _ := intern(a.AppendTo(nil)) // a parsed address renders to text that parses
+			id, _ := in.AddrText(a.AppendTo(nil)) // a parsed address renders to text that parses
 			return id
 		})
 		return nil
@@ -248,20 +270,30 @@ func (d *Decoder) DecodeView(line []byte, intern func([]byte) (uint32, error), v
 		return err
 	}
 	d.prevText = nil
-	dst, err := d.internAddr(top.dst, "dst_addr", intern)
+	dst, err := d.internAddr(top.dst, "dst_addr", in)
 	if err != nil {
 		return err
 	}
 	v.Hops = append(v.Hops[:0], d.hops...)
-	v.From, v.RTT = v.From[:0], v.RTT[:0]
-	for i := range d.replies {
+	v.RTT = append(v.RTT[:0], d.rtts...)
+	v.From = v.From[:0]
+	for range d.rtts {
 		v.From = append(v.From, 0)
-		v.RTT = append(v.RTT, d.replies[i].RTT)
 	}
+	// A quad interns by value. lastID 0, the View's no-address id that
+	// AddrV4 never returns, marks lastV unset.
+	var lastV, lastID uint32
 	for _, p := range d.pend {
-		if v.From[p.reply], err = d.internAddr(p.ref, "from", intern); err != nil {
-			return err
+		if !p.quad {
+			if v.From[p.reply], err = d.internAddr(p.ref, "from", in); err != nil {
+				return err
+			}
+			continue
 		}
+		if p.v != lastV || lastID == 0 {
+			lastV, lastID = p.v, in.AddrV4(p.v)
+		}
+		v.From[p.reply] = lastID
 	}
 	v.Time, v.Prb, v.Dst = time.Unix(top.timestamp, 0).UTC(), top.prbID, dst
 	return nil
@@ -312,21 +344,76 @@ func (d *Decoder) literal(s string) error {
 	return d.errf("invalid literal, expected %s", s)
 }
 
-// Canonical member literals, in the order our encoder (and real Atlas
-// dumps) writes them; index i dispatches like *KeyIndex returning i.
+// lit16 is a byte string of at most 16 bytes as the two masked
+// little-endian words that a 16-byte window starting with it loads to, so
+// testing for it is two loads, two ANDs and two compares.
+type lit16 struct {
+	w, m [2]uint64
+	n    int
+}
+
+// litOf is the lit16 of b[:n]; b must hold 16 bytes and n ≤ 16.
+func litOf(b []byte, n int) lit16 {
+	m0, m1 := lowBytes(min(n, 8)), lowBytes(max(n-8, 0))
+	return lit16{
+		w: [2]uint64{binary.LittleEndian.Uint64(b) & m0, binary.LittleEndian.Uint64(b[8:]) & m1},
+		m: [2]uint64{m0, m1},
+		n: n,
+	}
+}
+
+// lowBytes masks the low k ≤ 8 bytes of a word.
+func lowBytes(k int) uint64 { return ^uint64(0) >> (64 - 8*k) }
+
+// prefixes reports whether b, which must hold 16 bytes, starts with l.
+func (l *lit16) prefixes(b []byte) bool {
+	return binary.LittleEndian.Uint64(b)&l.m[0] == l.w[0] && binary.LittleEndian.Uint64(b[8:])&l.m[1] == l.w[1]
+}
+
+func mkLit(s string) lit16 {
+	var b [16]byte
+	copy(b[:], s)
+	return litOf(b[:], len(s))
+}
+
+// The canonical shape's literals, in the order our encoder (and real Atlas
+// dumps) writes them. The fast shapes (fastTop, fastHop, fastReply) match
+// whole members with their separators; the generic member loops probe the
+// bare keys, key i dispatching like the *KeyIndex switch returning i.
 var (
-	topCanon   = [...]string{`"msm_id":`, `"prb_id":`, `"timestamp":`, `"src_addr":`, `"dst_addr":`, `"paris_id":`, `"result":`}
-	hopCanon   = [...]string{`"hop":`, `"result":`}
-	replyCanon = [...]string{`"from":`, `"rtt":`, `"x":`}
+	msmIDLit     = mkLit(`{"msm_id":`)
+	prbIDLit     = mkLit(`,"prb_id":`)
+	timestampLit = mkLit(`,"timestamp":`)
+	srcAddrLit   = mkLit(`,"src_addr":`)
+	dstAddrLit   = mkLit(`,"dst_addr":`)
+	parisIDLit   = mkLit(`,"paris_id":`)
+	resultLit    = mkLit(`,"result":`)
+	hopLit       = mkLit(`{"hop":`)
+	timeoutLit   = mkLit(`{"x":"*"}`)
+	fromLit      = mkLit(`{"from":"`)
+	rttLit       = mkLit(`,"rtt":`)
+	closeLit     = mkLit(`}`)
+
+	topCanon   = [...]lit16{mkLit(`"msm_id":`), mkLit(`"prb_id":`), mkLit(`"timestamp":`), mkLit(`"src_addr":`), mkLit(`"dst_addr":`), mkLit(`"paris_id":`), mkLit(`"result":`)}
+	hopCanon   = [...]lit16{mkLit(`"hop":`), mkLit(`"result":`)}
+	replyCanon = [...]lit16{mkLit(`"from":`), mkLit(`"rtt":`), mkLit(`"x":`)}
 )
 
-// match advances past lit when the input continues with exactly lit.
-func (d *Decoder) match(lit string) bool {
-	if len(d.data)-d.pos >= len(lit) && string(d.data[d.pos:d.pos+len(lit)]) == lit {
-		d.pos += len(lit)
-		return true
+// match advances past l when the input continues with exactly l. Within 16
+// bytes of the line's end it tests a zero-padded copy of the rest: no
+// literal holds a zero byte, so the padding never passes for one.
+func (d *Decoder) match(l *lit16) bool {
+	rest := d.data[d.pos:]
+	if len(rest) < 16 {
+		var pad [16]byte
+		copy(pad[:], rest)
+		rest = pad[:]
 	}
-	return false
+	if !l.prefixes(rest) {
+		return false
+	}
+	d.pos += l.n
+	return true
 }
 
 func (d *Decoder) push() error {
@@ -797,7 +884,7 @@ func (d *Decoder) strField(ref *strRef, key string) error {
 func (d *Decoder) resolveAddr(ref strRef, field string) (netip.Addr, error) {
 	b := d.refBytes(ref)
 	if v, ok := ParseV4(b); ok {
-		return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}), nil
+		return addrV4(v), nil
 	}
 	if !utf8.Valid(b) {
 		b = d.sanitize(b)
@@ -815,10 +902,10 @@ func (d *Decoder) resolveAddr(ref strRef, field string) (netip.Addr, error) {
 	return a, nil
 }
 
-// internAddr is resolveAddr for DecodeView: wire text to id through intern,
-// with the same sanitization and AddrError. A repeat of the text interned
-// just before on this line (a hop's second and third reply) keeps its id.
-func (d *Decoder) internAddr(ref strRef, field string, intern func([]byte) (uint32, error)) (uint32, error) {
+// internAddr is resolveAddr for DecodeView: wire text to id through
+// in.AddrText, with the same sanitization and AddrError. A repeat of the
+// text interned just before on this line keeps its id.
+func (d *Decoder) internAddr(ref strRef, field string, in AddrInterner) (uint32, error) {
 	b := d.refBytes(ref)
 	if len(d.prevText) > 0 && bytes.Equal(b, d.prevText) {
 		return d.prevID, nil
@@ -827,7 +914,7 @@ func (d *Decoder) internAddr(ref strRef, field string, intern func([]byte) (uint
 	if !utf8.Valid(b) {
 		b = d.sanitize(b)
 	}
-	id, err := intern(b)
+	id, err := in.AddrText(b)
 	if err != nil {
 		return 0, &AddrError{Field: field, Value: string(b), Err: err}
 	}
@@ -835,32 +922,56 @@ func (d *Decoder) internAddr(ref strRef, field string, intern func([]byte) (uint
 	return id, nil
 }
 
+func addrV4(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+}
+
 // ParseV4 parses a dotted-quad IPv4 address into its big-endian value, with
-// netip.ParseAddr's exact grammar: four decimal octets, one to three
-// digits, no leading zeros, each at most 255. ok=false means "not a clean
+// netip.ParseAddr's exact grammar (see quad). ok=false means "not a clean
 // dotted quad" — the caller falls back to the full parser, which produces
 // the canonical error.
 func ParseV4(b []byte) (v uint32, ok bool) {
+	v, n, ok := quad(b)
+	return v, ok && n == len(b)
+}
+
+// quad parses the dotted-quad IPv4 address b starts with into its
+// big-endian value and its length in bytes: four decimal octets, one to
+// three digits, no leading zeros, each at most 255 — netip.ParseAddr's
+// grammar. It is the decoder's one quad grammar: ParseV4 requires the
+// quad to be all of b, the scan requires a closing quote right after it.
+func quad(b []byte) (v uint32, n int, ok bool) {
 	i := 0
-	for f := 0; f < 4; f++ {
-		if f > 0 {
-			if i >= len(b) || b[i] != '.' {
-				return 0, false
-			}
-			i++
+	for f := 0; ; f++ {
+		// An octet: a digit, then up to two more unless the first is 0.
+		if i >= len(b) || b[i]-'0' > 9 {
+			return 0, 0, false
 		}
-		st := i
-		o := uint32(0)
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' && i-st < 3 {
+		o := uint32(b[i] - '0')
+		i++
+		if i < len(b) && b[i]-'0' <= 9 {
+			if o == 0 {
+				return 0, 0, false
+			}
 			o = o*10 + uint32(b[i]-'0')
 			i++
+			if i < len(b) && b[i]-'0' <= 9 {
+				o = o*10 + uint32(b[i]-'0')
+				i++
+			}
 		}
-		if i == st || (b[st] == '0' && i-st > 1) || o > 255 {
-			return 0, false
+		if o > 255 {
+			return 0, 0, false
 		}
 		v = v<<8 | o
+		if f == 3 {
+			return v, i, true
+		}
+		if i >= len(b) || b[i] != '.' {
+			return 0, 0, false
+		}
+		i++
 	}
-	return v, i == len(b)
 }
 
 // ── objects ─────────────────────────────────────────────────────────────
@@ -871,13 +982,12 @@ var (
 	replyKeys = [][]byte{[]byte("from"), []byte("rtt"), []byte("x"), []byte("ttl"), []byte("size"), []byte("late"), []byte("err")}
 )
 
-// keyIndex matches a decoded key against a known set the way encoding/json
-// matches struct fields: exact first, then case-insensitively (Unicode
-// simple folding). -1 means unknown — the value is skipped structurally.
-// The key dispatchers switch on string(key) inline — the compiler elides
-// that conversion, whereas passing it through a func value would force a
-// heap copy per key. Exact match first (the hot path for machine-written
-// dumps), then the case-insensitive scan encoding/json falls back to.
+// foldIndex is the index of the first of known that key equals under
+// Unicode simple case folding — how encoding/json matches a key no field
+// name equals exactly — or -1 for an unknown key, whose value is skipped
+// structurally. topKeyIndex, hopKeyIndex and replyKeyIndex try the exact
+// names first, in a switch on string(key) (the compiler elides that
+// conversion), and fall back to foldIndex.
 func foldIndex(key []byte, known [][]byte) int {
 	for i, k := range known {
 		if bytes.EqualFold(key, k) {
@@ -946,19 +1056,19 @@ func replyKeyIndex(key []byte) int {
 // handled=false, leaving parseTop to do the generic walk.
 func (d *Decoder) fastTop(t *topFields) (handled bool, err error) {
 	start := d.pos
-	ok := d.match(`{"msm_id":`) &&
+	ok := d.match(&msmIDLit) &&
 		d.intField(&t.msmID, "msm_id") == nil &&
-		d.match(`,"prb_id":`) &&
+		d.match(&prbIDLit) &&
 		d.intField(&t.prbID, "prb_id") == nil &&
-		d.match(`,"timestamp":`) &&
+		d.match(&timestampLit) &&
 		d.int64Field(&t.timestamp, "timestamp") == nil &&
-		d.match(`,"src_addr":`) &&
+		d.match(&srcAddrLit) &&
 		d.strField(&t.src, "src_addr") == nil &&
-		d.match(`,"dst_addr":`) &&
+		d.match(&dstAddrLit) &&
 		d.strField(&t.dst, "dst_addr") == nil &&
-		d.match(`,"paris_id":`) &&
+		d.match(&parisIDLit) &&
 		d.intField(&t.parisID, "paris_id") == nil &&
-		d.match(`,"result":`)
+		d.match(&resultLit)
 	if !ok {
 		d.pos = start
 		return false, nil
@@ -971,11 +1081,11 @@ func (d *Decoder) fastTop(t *topFields) (handled bool, err error) {
 	if err := d.parseHops(); err != nil {
 		return true, err
 	}
-	if !d.match(`}`) {
+	if !d.match(&closeLit) {
 		// Extra members after the hop array: rewind and drop everything
 		// the array parse appended.
 		d.hops = d.hops[:0]
-		d.replies = d.replies[:0]
+		d.rtts = d.rtts[:0]
 		d.pend = d.pend[:0]
 		d.depth--
 		d.pos = start
@@ -1000,13 +1110,13 @@ func (d *Decoder) parseTop(t *topFields) error {
 	next := 0
 	for {
 		// Canonical-order probe: our own encoder (and real Atlas dumps)
-		// write keys in a fixed order, so one memcmp of `"key":` replaces
+		// write keys in a fixed order, so one match of `"key":` replaces
 		// the generic string scan plus dispatch. Any miss — reordered,
 		// escaped or unknown keys — falls back to scanKey (which skips
 		// whitespace itself, so the probe needs none on the hot path).
 		ki := -1
 		for j := next; j < len(topCanon); j++ {
-			if d.match(topCanon[j]) {
+			if d.match(&topCanon[j]) {
 				ki, next = j, j+1
 				d.skipWS()
 				break
@@ -1058,8 +1168,6 @@ func (d *Decoder) parseTop(t *topFields) error {
 	}
 }
 
-// parseHops parses the top-level "result" array (called at most once per
-// line — duplicates take the fallback path).
 // fastHop attempts the canonical hop shape {"hop":N,"result":[…]}. It
 // reports handled=true once the shape is committed (the replies array has
 // begun parsing): from then on any failure is the same failure the generic
@@ -1068,16 +1176,16 @@ func (d *Decoder) parseTop(t *topFields) error {
 // handled=false.
 func (d *Decoder) fastHop() (handled bool, err error) {
 	start := d.pos
-	if !d.match(`{"hop":`) {
+	if !d.match(&hopLit) {
 		return false, nil
 	}
-	hr := ViewHop{Start: int32(len(d.replies))}
+	hr := ViewHop{Start: int32(len(d.rtts))}
 	pendLen := len(d.pend)
 	if d.intField(&hr.TTL, "hop") != nil {
 		d.pos = start
 		return false, nil
 	}
-	if !d.match(`,"result":`) {
+	if !d.match(&resultLit) {
 		d.pos = start
 		return false, nil
 	}
@@ -1093,21 +1201,23 @@ func (d *Decoder) fastHop() (handled bool, err error) {
 	if err := d.parseReplies(&hr); err != nil {
 		return true, err
 	}
-	if !d.match(`}`) {
+	if !d.match(&closeLit) {
 		// Extra or reordered members after the replies array: rewind,
 		// dropping whatever parseReplies appended to the scratch buffers.
-		d.replies = d.replies[:hr.Start]
+		d.rtts = d.rtts[:hr.Start]
 		d.pend = d.pend[:pendLen]
 		d.depth--
 		d.pos = start
 		return false, nil
 	}
 	d.depth--
-	hr.End = int32(len(d.replies))
+	hr.End = int32(len(d.rtts))
 	d.hops = append(d.hops, hr)
 	return true, nil
 }
 
+// parseHops parses the top-level "result" array (called at most once per
+// line — duplicates take the fallback path).
 func (d *Decoder) parseHops() error {
 	c, ok := d.peek()
 	if !ok {
@@ -1157,7 +1267,7 @@ func (d *Decoder) parseHops() error {
 		case 'n':
 			// null hop element: a zero hop with no replies.
 			if err = d.literal("null"); err == nil {
-				end := int32(len(d.replies))
+				end := int32(len(d.rtts))
 				d.hops = append(d.hops, ViewHop{Start: end, End: end})
 			}
 		default:
@@ -1181,12 +1291,12 @@ func (d *Decoder) parseHop() error {
 	if err := d.push(); err != nil {
 		return err
 	}
-	hr := ViewHop{Start: int32(len(d.replies))}
+	hr := ViewHop{Start: int32(len(d.rtts))}
 	d.skipWS()
 	if c, ok := d.peek(); ok && c == '}' {
 		d.pos++
 		d.depth--
-		hr.End = int32(len(d.replies))
+		hr.End = int32(len(d.rtts))
 		d.hops = append(d.hops, hr)
 		return nil
 	}
@@ -1195,7 +1305,7 @@ func (d *Decoder) parseHop() error {
 	for {
 		ki := -1
 		for j := next; j < len(hopCanon); j++ {
-			if d.match(hopCanon[j]) {
+			if d.match(&hopCanon[j]) {
 				ki, next = j, j+1
 				d.skipWS()
 				break
@@ -1232,19 +1342,20 @@ func (d *Decoder) parseHop() error {
 			return err
 		}
 		if !more {
-			hr.End = int32(len(d.replies))
+			hr.End = int32(len(d.rtts))
 			d.hops = append(d.hops, hr)
 			return nil
 		}
 	}
 }
 
-// parseReplies parses one hop's "result" array (parseHop guarantees it is
-// called at most once per hop — duplicates take the fallback path).
 // fastReply attempts the two canonical reply shapes — {"from":"…","rtt":N}
-// and {"x":"*"} — consuming the whole object on success. On any mismatch it
-// rewinds and reports false, leaving the generic member loop to parse (or
-// reject) the element with identical semantics.
+// and {"x":"*"} — consuming the whole object on success. A "from" that is
+// a clean dotted quad followed by its closing quote is parsed in the same
+// pass (fromQuad); any other text is scanned as a string for post-scan
+// parsing. On any mismatch it rewinds and reports false, leaving the
+// generic member loop to parse (or reject) the element with identical
+// semantics.
 func (d *Decoder) fastReply() bool {
 	// The reply object is one nesting level; its canonical shapes hold no
 	// nested values, so the level is only observable at the depth limit —
@@ -1253,20 +1364,24 @@ func (d *Decoder) fastReply() bool {
 		return false
 	}
 	start := d.pos
-	if d.match(`{"x":"*"}`) {
-		d.replies = append(d.replies, Reply{Timeout: true})
+	if d.match(&timeoutLit) {
+		d.rtts = append(d.rtts, 0)
 		return true
 	}
-	if !d.match(`{"from":"`) {
+	if !d.match(&fromLit) {
 		return false
 	}
-	d.pos-- // scanString expects the cursor on the opening quote
-	from, err := d.scanString()
-	if err != nil {
-		d.pos = start
-		return false
+	p := pendAddr{reply: int32(len(d.rtts))}
+	p.v, p.quad = d.fromQuad()
+	if !p.quad {
+		d.pos-- // scanString expects the cursor on the opening quote
+		var err error
+		if p.ref, err = d.scanString(); err != nil {
+			d.pos = start
+			return false
+		}
 	}
-	if !d.match(`,"rtt":`) {
+	if !d.match(&rttLit) {
 		d.pos = start
 		return false
 	}
@@ -1276,20 +1391,45 @@ func (d *Decoder) fastReply() bool {
 		d.pos = start
 		return false
 	}
-	if !d.match(`}`) {
+	if !d.match(&closeLit) {
 		d.pos = start
 		return false
 	}
 	// parseReply's finish() semantics with no x, err or extra members seen.
-	if from.n == 0 || !hasRTT || rtt < 0 {
-		d.replies = append(d.replies, Reply{Timeout: true})
+	if (!p.quad && p.ref.n == 0) || !hasRTT || rtt < 0 {
+		d.rtts = append(d.rtts, 0)
 		return true
 	}
-	d.pend = append(d.pend, pendAddr{reply: int32(len(d.replies)), ref: from})
-	d.replies = append(d.replies, Reply{RTT: rtt})
+	d.pend = append(d.pend, p)
+	d.rtts = append(d.rtts, rtt)
 	return true
 }
 
+// fromQuad consumes a dotted-quad "from" text and its closing quote at the
+// cursor, returning the quad's value. A text whose bytes and quote repeat
+// the last quad's reuses its value. ok=false leaves the cursor where it
+// was: the text is not a clean quad ending in a quote, or the line has
+// fewer than 16 bytes left.
+func (d *Decoder) fromQuad() (v uint32, ok bool) {
+	rest := d.data[d.pos:]
+	if len(rest) < 16 {
+		return 0, false
+	}
+	if d.quadText.n != 0 && d.quadText.prefixes(rest) {
+		d.pos += d.quadText.n
+		return d.quadV, true
+	}
+	v, n, ok := quad(rest)
+	if !ok || rest[n] != '"' { // a quad is at most 15 bytes
+		return 0, false
+	}
+	d.quadText, d.quadV = litOf(rest, n+1), v
+	d.pos += n + 1
+	return v, true
+}
+
+// parseReplies parses one hop's "result" array (parseHop guarantees it is
+// called at most once per hop — duplicates take the fallback path).
 func (d *Decoder) parseReplies(hr *ViewHop) error {
 	c, ok := d.peek()
 	if !ok {
@@ -1338,7 +1478,7 @@ func (d *Decoder) parseReplies(hr *ViewHop) error {
 			// null reply element: the zero reply, which degrades to a
 			// timeout (no address, no RTT).
 			if err = d.literal("null"); err == nil {
-				d.replies = append(d.replies, Reply{Timeout: true})
+				d.rtts = append(d.rtts, 0)
 			}
 		default:
 			err = d.errf("cannot decode %q into a reply object", c)
@@ -1375,11 +1515,11 @@ func (d *Decoder) parseReply() error {
 		// RTT (late packets, ICMP errors) or a negative-RTT clock
 		// artifact all degrade to a timeout rather than rejecting.
 		if xPresent || errSeen || from.n == 0 || !hasRTT || rtt < 0 {
-			d.replies = append(d.replies, Reply{Timeout: true})
+			d.rtts = append(d.rtts, 0)
 			return
 		}
-		d.pend = append(d.pend, pendAddr{reply: int32(len(d.replies)), ref: from})
-		d.replies = append(d.replies, Reply{RTT: rtt})
+		d.pend = append(d.pend, pendAddr{reply: int32(len(d.rtts)), ref: from})
+		d.rtts = append(d.rtts, rtt)
 	}
 	d.skipWS()
 	if c, ok := d.peek(); ok && c == '}' {
@@ -1392,7 +1532,7 @@ func (d *Decoder) parseReply() error {
 	for {
 		ki := -1
 		for j := next; j < len(replyCanon); j++ {
-			if d.match(replyCanon[j]) {
+			if d.match(&replyCanon[j]) {
 				ki, next = j, j+1
 				d.skipWS()
 				break
@@ -1477,14 +1617,22 @@ func (d *Decoder) rttField(rtt *float64, has *bool) error {
 		if i < len(data) && data[i] == '.' {
 			fs := i + 1
 			i = fs
-			// Full-precision RTTs carry ~14 fraction digits: take them
-			// eight at a time (one SWAR validate + evaluate per chunk)
-			// before the byte-wise tail.
-			for i+8 <= len(data) && nd+8 <= 19 && isEightDigits(binary.LittleEndian.Uint64(data[i:])) {
-				mant = mant*100000000 + parseEightDigits(binary.LittleEndian.Uint64(data[i:]))
-				nd += 8
-				exp -= 8
-				i += 8
+			// Full-precision RTTs carry ~14 fraction digits: take them up
+			// to eight at a time (one SWAR count + evaluate per chunk),
+			// bytewise only within 8 bytes of the line's end.
+			for i+8 <= len(data) && nd < 19 {
+				w := binary.LittleEndian.Uint64(data[i:])
+				k := min(digitRun(w), 19-nd)
+				if k == 0 {
+					break
+				}
+				mant = mant*pow10u[k] + parseDigits(w, k)
+				nd += k
+				exp -= k
+				i += k
+				if k < 8 {
+					break
+				}
 			}
 			for i < len(data) && data[i] >= '0' && data[i] <= '9' && nd < 19 {
 				mant = mant*10 + uint64(data[i]-'0')

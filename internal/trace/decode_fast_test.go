@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -158,6 +159,48 @@ func TestDecodeFastValues(t *testing.T) {
 	}
 	if r.Src.Zone() != "😀" {
 		t.Fatalf("zone = %q, want the surrogate pair decoded", r.Src.Zone())
+	}
+}
+
+// TestQuadGrammar pins the one dotted-quad grammar to netip.ParseAddr: over
+// random near-quads — three to five runs of zero to four digits, mostly
+// dot-separated, sometimes with a trailing byte — ParseV4 accepts exactly
+// what netip.ParseAddr parses, with the same value, and quad's prefix is
+// the quad ParseV4 reads on its own.
+func TestQuadGrammar(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	b := make([]byte, 0, 32)
+	quads, prefixes := 0, 0
+	for n := 0; n < 1_000_000; n++ {
+		b = b[:0]
+		for f := 3 + rng.IntN(3); f > 0; f-- {
+			for k := rng.IntN(5); k > 0; k-- {
+				b = append(b, '0'+byte(rng.IntN(10)))
+			}
+			if f > 1 {
+				b = append(b, "..........x"[rng.IntN(11)])
+			}
+		}
+		if rng.IntN(2) == 0 {
+			b = append(b, "\" .0x"[rng.IntN(5)])
+		}
+		v, ok := ParseV4(b)
+		a, err := netip.ParseAddr(string(b))
+		if ok != (err == nil) || (ok && addrV4(v) != a) {
+			t.Fatalf("ParseV4(%q) = %#x, %v; netip.ParseAddr: %v, %v", b, v, ok, a, err)
+		}
+		if qv, qn, qok := quad(b); qok {
+			if pv, pok := ParseV4(b[:qn]); !pok || pv != qv {
+				t.Fatalf("quad(%q) = %#x over %d bytes, but ParseV4 of them = %#x, %v", b, qv, qn, pv, pok)
+			}
+			prefixes++
+		}
+		if ok {
+			quads++
+		}
+	}
+	if quads < 1000 || prefixes < 2*quads {
+		t.Errorf("the sample hit %d whole quads and %d quad prefixes: too few to pin the grammar", quads, prefixes)
 	}
 }
 

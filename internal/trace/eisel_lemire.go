@@ -199,12 +199,25 @@ var pow10wide = [...][2]uint64{
 	{0x9670B12B7F410000, 0xAF298D050E4395D6}, // 1e48
 }
 
-// isEightDigits reports whether all eight bytes of a little-endian-loaded
-// chunk are ASCII digits: the high nibble of every byte must be 3 and
-// adding 6 must not carry into it (rules out ':'–'?').
-func isEightDigits(chunk uint64) bool {
-	return (chunk&0xF0F0F0F0F0F0F0F0)|
-		(((chunk+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4) == 0x3333333333333333
+// digitRun counts the ASCII digits a little-endian-loaded chunk starts
+// with, 0 to 8. A byte is a digit when its high nibble is 3 and adding 6
+// does not carry into it (rules out ':'–'?'); the per-byte add carries out
+// of a byte only above 0xF9, a non-digit, so it can disturb only bytes
+// after the run.
+func digitRun(chunk uint64) int {
+	nonDigit := ((chunk & 0xF0F0F0F0F0F0F0F0) |
+		(((chunk + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4)) ^ 0x3333333333333333
+	return bits.TrailingZeros64(nonDigit) >> 3
+}
+
+// pow10u holds 10^k for the k ≤ 8 digits one chunk contributes.
+var pow10u = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// parseDigits evaluates the first k (1 to 8) digits of a chunk: shifted
+// to its top and padded below with '0's, they are eight digits of the same
+// value.
+func parseDigits(chunk uint64, k int) uint64 {
+	return parseEightDigits(chunk<<(64-8*k) | 0x3030303030303030>>(8*k))
 }
 
 // parseEightDigits evaluates eight ASCII digits (lowest-addressed byte =

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -97,20 +98,62 @@ func TestEiselLemireDifferential(t *testing.T) {
 	}
 }
 
+// TestDigitRun pins the SWAR digit-run kernel against a byte loop: every
+// run length 0–8 followed by every byte value (including the 0xFA–0xFF
+// bytes whose +6 carries into the next byte), with random digits and a
+// random tail, must count the run exactly, and parseDigits must evaluate
+// it exactly.
+func TestDigitRun(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	var b [8]byte
+	for k := 0; k <= 8; k++ {
+		for stop := 0; stop < 256; stop++ {
+			if k < 8 && stop >= '0' && stop <= '9' {
+				continue
+			}
+			for rep := 0; rep < 4; rep++ {
+				for i := range b {
+					b[i] = byte(rng.Uint32())
+				}
+				want := uint64(0)
+				for i := 0; i < k; i++ {
+					b[i] = '0' + byte(rng.IntN(10))
+					want = want*10 + uint64(b[i]-'0')
+				}
+				if k < 8 {
+					b[k] = byte(stop)
+				}
+				w := binary.LittleEndian.Uint64(b[:])
+				if got := digitRun(w); got != k {
+					t.Fatalf("digitRun(%q) = %d, want %d", b, got, k)
+				}
+				if k > 0 {
+					if got := parseDigits(w, k); got != want {
+						t.Fatalf("parseDigits(%q, %d) = %d, want %d", b, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRTTLongMantissa feeds full-precision 'g'-formatted RTTs through the
-// whole decoder (the rttField 16–19 digit path) against encoding/json.
+// whole decoder (the rttField 16–19 digit path) against encoding/json, at
+// the end of a line and mid-line, where the digits go by SWAR chunks.
 func TestRTTLongMantissa(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	for n := 0; n < 2000; n++ {
 		rtt := rng.Float64() * 300 // typical RTT magnitudes, full precision
-		line := fmt.Sprintf(`{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":%s}]}]}`,
+		line := fmt.Sprintf(`{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":%[1]s},{"from":"10.0.0.2","rtt":%[1]s}]}]}`,
 			strconv.FormatFloat(rtt, 'g', -1, 64))
 		r, err := assertDifferential(t, line)
 		if err != nil {
 			t.Fatalf("decode %q: %v", line, err)
 		}
-		if got := r.Hops[0].Replies[0].RTT; math.Float64bits(got) != math.Float64bits(rtt) {
-			t.Fatalf("rtt mismatch for %q: decoded %v want %v", line, got, rtt)
+		for _, rep := range r.Hops[0].Replies {
+			if got := rep.RTT; math.Float64bits(got) != math.Float64bits(rtt) {
+				t.Fatalf("rtt mismatch for %q: decoded %v want %v", line, got, rtt)
+			}
 		}
 	}
 }

@@ -4,23 +4,32 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// FuzzDecodeResult fuzzes the Atlas wire decoder with two invariants:
-//
-//  1. the decoder never panics — malformed input must fail with an error,
-//     and artifact-laden input (timeouts, late/err packets, missing RTTs)
-//     must degrade per the documented leniency rules, and
-//  2. whatever the decoder accepts it round-trips: encoding the decoded
-//     result and decoding it again yields the identical structure (decode
-//     is a normalization, so decode∘encode is the identity on its image).
-//
-// The checked-in corpus under testdata/fuzz/FuzzDecodeResult holds lines
-// drawn from atlasgen output; the seeds below add hand-written artifact
-// cases from real-dump pathologies.
-// fuzzSeeds are shared by FuzzDecodeResult and FuzzDecodeDifferential.
+// quadLine is a canonical line with one hop whose replies come from froms,
+// in order.
+func quadLine(froms ...string) string {
+	var b strings.Builder
+	b.WriteString(`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[`)
+	for i, from := range froms {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"from":"%s","rtt":%d.25}`, from, i+1)
+	}
+	b.WriteString(`]}]}`)
+	return b.String()
+}
+
+// fuzzSeeds are shared by FuzzDecodeResult and FuzzDecodeDifferential: the
+// checked-in corpora under testdata/fuzz hold lines drawn from atlasgen
+// output; these add hand-written artifact cases from real-dump
+// pathologies, and the canonical-shape lines where the scan's fused
+// dotted-quad parse could go wrong.
 func fuzzSeeds() []string {
 	return []string{
 		// Canonical atlasgen-style line.
@@ -42,9 +51,31 @@ func fuzzSeeds() []string {
 		// edge territory.
 		`{"SRC_ADDR":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":1.25e1,"x":null}]}],"result":[]}`,
 		`{"src_addr":"fe80::1%eth😀","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":0.30000000000000004}]}]}`,
+		// Canonical shapes around the scan's fused dotted-quad parse: text
+		// that is almost a quad, a quad that is not the whole text, repeats
+		// that extend or cut the previous reply's text, a truncated line.
+		quadLine("1.2.3.4", "01.2.3.4"),
+		quadLine("1.2.3.4", "1.2.3.256"),
+		quadLine("1.2.3.4", "1.2.3"),
+		quadLine("1.2.3.4", "1.2.3.4.5"),
+		quadLine("1.2.3.4", "1.2.3.4 "),
+		quadLine("1.2.3.4", `1\u002e2.3.4`, "1.2.3.4"),
+		quadLine("1.2.3.4", "::ffff:1.2.3.4", "1.2.3.4"),
+		quadLine("3.3.3.3", "3.3.3.33", "3.3.3.3"),
+		quadLine("3.3.3.33", "3.3.3.3", "3.3.3.33"),
+		quadLine("255.255.255.255", "255.255.255.25", "255.255.255.255"),
+		strings.TrimSuffix(quadLine("1.2.3.4", "5.6.7.8"), `","rtt":2.25}]}]}`),
 	}
 }
 
+// FuzzDecodeResult fuzzes the Atlas wire decoder with two invariants:
+//
+//  1. the decoder never panics — malformed input must fail with an error,
+//     and artifact-laden input (timeouts, late/err packets, missing RTTs)
+//     must degrade per the documented leniency rules, and
+//  2. whatever the decoder accepts it round-trips: encoding the decoded
+//     result and decoding it again yields the identical structure (decode
+//     is a normalization, so decode∘encode is the identity on its image).
 func FuzzDecodeResult(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add([]byte(s))
