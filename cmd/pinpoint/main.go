@@ -139,17 +139,6 @@ func run() error {
 	cfg.Delay.EvictIdleBins = *evictIdle
 	cfg.Forwarding.EvictIdleBins = *evictIdle
 
-	// hookIncremental advances the aggregator's incremental magnitude/event
-	// read model as each bin closes, spreading §6 event extraction across
-	// the run; the final Events query is then a cache filter instead of an
-	// O(ASes × bins × window) recomputation.
-	hookIncremental := func(a *core.Analyzer) {
-		binSize := a.Aggregator().Config().BinSize
-		a.OnBinClose = func(bin time.Time) {
-			a.Aggregator().CloseBins(bin.Add(binSize))
-		}
-	}
-
 	var (
 		a           *core.Analyzer
 		first, last time.Time
@@ -180,14 +169,12 @@ func run() error {
 	}
 
 	// attach wires per-close processing: with -store, a headless publisher
-	// owns the close hook (committing each bin to the segment store and
-	// advancing the incremental region); otherwise the plain incremental
-	// hook runs. The publisher serves no HTTP here — it is the commit and
-	// resume machinery shared with cmd/ihr.
+	// owns the close hook and commits each bin to the segment store. The
+	// publisher serves no HTTP here — it is the commit and resume machinery
+	// shared with cmd/ihr.
 	var pub *serve.Publisher
 	attach := func(a *core.Analyzer) error {
 		if *storeDir == "" {
-			hookIncremental(a)
 			return nil
 		}
 		st, err := segstore.Open(*storeDir)
@@ -373,11 +360,8 @@ func run() error {
 	}
 	fmt.Print(report.Table(rows))
 
-	// Extend the incremental region to the query bound (quiet trailing bins
-	// included) so Events answers from the maintained cache.
 	binSize := agg.Config().BinSize
 	end := last.Add(binSize)
-	agg.CloseBins(end)
 	evs := agg.Events(timeseries.Bin(first, binSize).Add(*window/7), end)
 	fmt.Printf("\nmajor events (|magnitude| ≥ %.0f):\n", *threshold)
 	if len(evs) == 0 {

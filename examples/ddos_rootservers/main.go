@@ -9,8 +9,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"net/netip"
 	"os"
+	"slices"
 	"time"
 
 	"pinpoint"
@@ -66,7 +68,8 @@ func main() {
 		perLink[k] = c0
 	}
 	rows := [][]string{{"last-hop link to root", "alarms attack 1", "alarms attack 2"}}
-	for k, v := range perLink {
+	for _, k := range slices.Sorted(maps.Keys(perLink)) {
+		v := perLink[k]
 		rows = append(rows, []string{k, fmt.Sprintf("%d", v[0]), fmt.Sprintf("%d", v[1])})
 	}
 	fmt.Println(report.Table(rows))

@@ -10,7 +10,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"net/netip"
+	"slices"
 	"time"
 
 	"pinpoint"
@@ -78,8 +80,8 @@ func main() {
 	}
 	fmt.Printf("unresponsive peering-LAN pairs during the outage: %d\n", len(pairs))
 	rows := [][]string{{"pair (router > LAN next hop)", "Σ responsibility"}}
-	for k, v := range pairs {
-		rows = append(rows, []string{k, fmt.Sprintf("%.2f", v)})
+	for _, k := range slices.Sorted(maps.Keys(pairs)) {
+		rows = append(rows, []string{k, fmt.Sprintf("%.2f", pairs[k])})
 	}
 	fmt.Print(report.Table(rows))
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"pinpoint"
@@ -60,13 +62,14 @@ func main() {
 	for asn, dev := range totals {
 		hits = append(hits, hit{asn, dev})
 	}
-	for i := 0; i < len(hits); i++ {
-		for j := i + 1; j < len(hits); j++ {
-			if hits[j].dev > hits[i].dev {
-				hits[i], hits[j] = hits[j], hits[i]
-			}
+	// Largest deviation first; equal totals rank by AS number, so the table
+	// does not depend on map order.
+	slices.SortFunc(hits, func(a, b hit) int {
+		if c := cmp.Compare(b.dev, a.dev); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.asn, b.asn)
+	})
 	rows := [][]string{{"AS", "Σ deviation during leak"}}
 	for i, h := range hits {
 		if i >= 5 {

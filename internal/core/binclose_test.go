@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"pinpoint/internal/events"
 	"pinpoint/internal/timeseries"
 	"pinpoint/internal/trace"
 )
@@ -21,7 +23,7 @@ func runWithBinHook(t *testing.T, workers int, hours int) (bins []time.Time, ala
 	a = New(cfg, p.ProbeASN, p.Net().Prefixes())
 	defer a.Close()
 	alarmsAtClose = make(map[time.Time]int)
-	a.OnBinClose = func(bin time.Time) {
+	a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) {
 		bins = append(bins, bin)
 		alarmsAtClose[bin] = len(a.DelayAlarms()) + len(a.ForwardingAlarms())
 		for _, al := range a.DelayAlarms() {
@@ -86,39 +88,78 @@ func TestOnBinCloseShardedMatchesSequential(t *testing.T) {
 }
 
 // TestOnBinCloseDrivesIncrementalAggregator pins the contract the serving
-// layer depends on: advancing the aggregator's incremental region from the
-// hook yields the same events as a plain run's full recomputation.
+// layer depends on: the analyzer closes its aggregator at every bin close,
+// and what that built answers every query exactly like a bare aggregator fed
+// the run's alarms and closed once at the end — over a range reaching one
+// bin before the span start and three past the closed region — while the
+// events handed to OnBinClose concatenate to the closed region's list.
 func TestOnBinCloseDrivesIncrementalAggregator(t *testing.T) {
-	p1, _, _, _ := buildAttack(t)
-	cfg := Config{}
+	p, _, evStart, evEnd := buildAttack(t)
+	cfg := Config{RetainAlarms: true}
 	cfg.Events.Window = 4 * time.Hour
 	cfg.Events.Threshold = 3
-	end := start.Add(8 * time.Hour)
 
-	inc := New(cfg, p1.ProbeASN, p1.Net().Prefixes())
-	defer inc.Close()
-	inc.OnBinClose = func(bin time.Time) {
-		inc.Aggregator().CloseBins(bin.Add(time.Hour))
+	a := New(cfg, p.ProbeASN, p.Net().Prefixes())
+	defer a.Close()
+	var firstBin time.Time
+	var hooked []events.Event
+	a.OnBinClose = func(bin time.Time, evs []events.Event, d *events.CloseDelta) {
+		if firstBin.IsZero() {
+			firstBin = d.FirstBin
+		}
+		hooked = append(hooked, evs...)
 	}
-	if err := inc.RunPlatform(context.Background(), p1, start, end); err != nil {
+	from, to := evStart.Add(-12*time.Hour), evEnd.Add(4*time.Hour)
+	if err := a.RunPlatform(context.Background(), p, from, to); err != nil {
 		t.Fatal(err)
 	}
-
+	agg := a.Aggregator()
+	through := agg.Through()
+	if len(hooked) == 0 || through.IsZero() {
+		t.Fatalf("%d events through %v; test is vacuous", len(hooked), through)
+	}
+	// The close does not depend on anyone listening.
 	p2, _, _, _ := buildAttack(t)
-	ref := New(cfg, p2.ProbeASN, p2.Net().Prefixes())
-	defer ref.Close()
-	if err := ref.RunPlatform(context.Background(), p2, start, end); err != nil {
+	plain := New(cfg, p2.ProbeASN, p2.Net().Prefixes())
+	defer plain.Close()
+	if err := plain.RunPlatform(context.Background(), p2, from, to); err != nil {
 		t.Fatal(err)
 	}
-
-	got := inc.Aggregator().Events(start, end)
-	want := ref.Aggregator().Events(start, end)
-	if len(got) != len(want) {
-		t.Fatalf("incremental run: %d events, plain run: %d\ngot %v\nwant %v", len(got), len(want), got, want)
+	if got := plain.Aggregator().Through(); !got.Equal(through) {
+		t.Errorf("without OnBinClose the region ends %v, want %v", got, through)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], want[i])
+
+	ref := events.NewAggregator(agg.Config(), p.Net().Prefixes())
+	ref.ObserveBin(firstBin)
+	for _, al := range a.DelayAlarms() {
+		ref.AddDelayAlarm(al)
+	}
+	for _, al := range a.ForwardingAlarms() {
+		ref.AddForwardingAlarm(al)
+	}
+	ref.CloseBins(through, nil)
+
+	from, to = firstBin.Add(-time.Hour), through.Add(3*time.Hour)
+	if got, want := agg.Events(from, to), ref.Events(from, to); !reflect.DeepEqual(got, want) {
+		t.Errorf("Events differ\ngot  %v\nwant %v", got, want)
+	}
+	if got := agg.Events(firstBin, through); !reflect.DeepEqual(hooked, got) {
+		t.Errorf("OnBinClose events differ from the closed region's\nhooked %v\nEvents %v", hooked, got)
+	}
+	for _, asn := range ref.ASes() {
+		for name, mag := range map[string]func(*events.Aggregator) []timeseries.Point{
+			"delay": func(g *events.Aggregator) []timeseries.Point { return g.DelayMagnitude(asn, from, to) },
+			"fwd":   func(g *events.Aggregator) []timeseries.Point { return g.ForwardingMagnitude(asn, from, to) },
+		} {
+			got, want := mag(agg), mag(ref)
+			same := len(got) == len(want)
+			for i := 0; same && i < len(want); i++ {
+				// Bins before the span start have empty windows: NaN in both.
+				same = got[i].T.Equal(want[i].T) && math.Float64bits(got[i].V) == math.Float64bits(want[i].V)
+			}
+			if !same {
+				t.Errorf("%s %s magnitudes differ\ngot  %v\nwant %v", asn, name, got, want)
+			}
 		}
 	}
 }
@@ -149,7 +190,7 @@ func TestLateResultsFoldIntoOpenBin(t *testing.T) {
 		run := func(in []trace.Result) (bins []time.Time, a *Analyzer) {
 			a = New(Config{RetainAlarms: true, Workers: workers}, p.ProbeASN, p.Net().Prefixes())
 			defer a.Close()
-			a.OnBinClose = func(bin time.Time) { bins = append(bins, bin) }
+			a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) { bins = append(bins, bin) }
 			a.ObserveBatch(in)
 			a.Flush()
 			return bins, a

@@ -132,13 +132,14 @@ type Analyzer struct {
 
 	// OnBinClose, when non-nil, is invoked with each closed bin's start
 	// time after every alarm of that bin has been dispatched (hooks run,
-	// aggregator updated, retained slices appended). Closes happen when a
-	// result opens a later bin and at Flush. This is the publication point
-	// for snapshot-based serving layers (internal/serve): at the moment the
-	// hook runs, the aggregator holds the complete alarm record of the
-	// closed bin, so Aggregator.CloseBins(bin+binSize) extends the
-	// incremental magnitude/event read model consistently.
-	OnBinClose func(bin time.Time)
+	// retained slices appended) and the aggregator has closed the bin
+	// (Aggregator.CloseBins): evs are the events that close appended and d
+	// everything else it contributed to the read model. Closes happen when
+	// a result opens a later bin and at Flush. This is the publication
+	// point for snapshot-based serving layers (internal/serve). evs and d
+	// are only valid during the call.
+	OnBinClose func(bin time.Time, evs []events.Event, d *events.CloseDelta)
+	closeDelta events.CloseDelta // OnBinClose's d, reused across closes
 
 	// resumeAt, when warming is set, is the restart cursor: the first bin
 	// NOT yet covered by durable history (see SetResumeCursor).
@@ -236,7 +237,8 @@ func (a *Analyzer) trackBin(t time.Time) (closed time.Time, didClose bool) {
 // forwarding models — none of which is snapshotted) bit-identically, but
 // everything already covered by durable history is suppressed — alarms
 // whose bin starts before t are not dispatched (no aggregator feed, no
-// retention, no hooks) and OnBinClose does not fire for bins before t.
+// retention, no hooks), and bins before t neither close in the aggregator
+// (the restore already holds them) nor fire OnBinClose.
 // Results are still counted. From bin t on, the pipeline behaves exactly
 // as an uninterrupted run: same alarms, same closes, same bytes.
 //
@@ -250,6 +252,8 @@ func (a *Analyzer) SetResumeCursor(t time.Time) {
 	a.warming = true
 }
 
+// binClosed closes bin in the aggregator — every bin close and Flush ends
+// here — and publishes it through OnBinClose.
 func (a *Analyzer) binClosed(bin time.Time) {
 	if a.warming {
 		if bin.Before(a.resumeAt) {
@@ -259,9 +263,12 @@ func (a *Analyzer) binClosed(bin time.Time) {
 		// dispatched by now, so the per-alarm filter can stand down.
 		a.warming = false
 	}
-	if a.OnBinClose != nil {
-		a.OnBinClose(bin)
+	if a.OnBinClose == nil {
+		a.agg.CloseBins(bin.Add(a.binSize), nil)
+		return
 	}
+	evs := a.agg.CloseBins(bin.Add(a.binSize), &a.closeDelta)
+	a.OnBinClose(bin, evs, &a.closeDelta)
 }
 
 // Flush closes the open bin in both detectors. Call at end of stream.

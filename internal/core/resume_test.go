@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pinpoint/internal/events"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/trace"
 )
@@ -23,7 +24,7 @@ func TestResumeCursorSuppressesDurableCloses(t *testing.T) {
 		a := New(Config{Workers: workers}, noASN, &ipmap.Table{})
 		a.SetResumeCursor(start.Add(cursor * time.Hour))
 		var closes []time.Time
-		a.OnBinClose = func(bin time.Time) { closes = append(closes, bin) }
+		a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) { closes = append(closes, bin) }
 
 		var rs []trace.Result
 		for i := 0; i < bins; i++ {

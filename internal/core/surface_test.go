@@ -8,6 +8,7 @@ import (
 
 	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
+	"pinpoint/internal/events"
 	"pinpoint/internal/experiments"
 	"pinpoint/internal/forwarding"
 )
@@ -52,7 +53,7 @@ func TestAlarmsSurfaceAtTheirBinsClose(t *testing.T) {
 			alarms, closes := 0, 0
 			a.OnDelayAlarm = func(al delay.Alarm) { pending = append(pending, al.Bin) }
 			a.OnForwardingAlarm = func(al forwarding.Alarm) { pending = append(pending, al.Bin) }
-			a.OnBinClose = func(bin time.Time) {
+			a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) {
 				if bin.Before(cursor) {
 					t.Errorf("OnBinClose(%v) fired below the resume cursor %v", bin, cursor)
 				}

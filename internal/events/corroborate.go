@@ -10,11 +10,10 @@ package events
 // vantage points or spread over many detour interfaces at once.
 //
 // The pass is a pure filter over event emission: series and magnitudes are
-// untouched, and both detection paths (the Events recomputation and the
-// incremental CloseBins advance) consult the same corroborated() predicate,
-// so incremental and recomputed event lists stay bit-identical. With
-// Corroborate < 2 (the default) nothing is recorded and nothing is
-// filtered — existing golden outputs are unchanged.
+// untouched, and the one per-bin evaluation (evalBin, run by CloseBins and
+// by queries outside the closed region) consults corroborated() for every
+// threshold crossing. With Corroborate < 2 (the default) nothing is
+// recorded and nothing is filtered — existing golden outputs are unchanged.
 
 import (
 	"net/netip"
@@ -121,7 +120,7 @@ func (a *Aggregator) corroborated(asn ipmap.ASN, typ Type, bin time.Time, mag fl
 	}
 	// Count sources first seen at or before the dip bin: identical whether
 	// evaluated mid-stream (CloseBins, alarms so far all ≤ b by the
-	// chronological contract) or after the fact (Events recompute).
+	// chronological contract) or after the fact (a query past the region).
 	n := 0
 	for _, fb := range cs.first {
 		if fb <= b {

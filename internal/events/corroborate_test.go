@@ -142,8 +142,8 @@ func TestCorroborationDipLedger(t *testing.T) {
 }
 
 // TestCorroborationIncrementalMatchesRecompute: with corroboration on, the
-// incremental CloseBins path and the from-scratch Events recomputation must
-// agree event for event — the predicate is shared and the dip ledger is
+// closed region and the from-scratch recomputeEvents oracle must agree
+// event for event — the predicate is shared and the dip ledger is
 // order-insensitive for chronological feeds.
 func TestCorroborationIncrementalMatchesRecompute(t *testing.T) {
 	cfg := Config{Window: 12 * time.Hour, Threshold: 3, Corroborate: 2}
@@ -171,7 +171,7 @@ func TestCorroborationIncrementalMatchesRecompute(t *testing.T) {
 				a.AddDelayAlarm(delayAlarm(bin, "10.1.0.1", "10.2.0.1", 0.5))
 			}
 			if inc {
-				deltas = append(deltas, a.CloseBins(bin.Add(time.Hour))...)
+				deltas = append(deltas, a.CloseBins(bin.Add(time.Hour), nil)...)
 			}
 		}
 		return deltas
@@ -182,10 +182,11 @@ func TestCorroborationIncrementalMatchesRecompute(t *testing.T) {
 	schedule(refAgg, false)
 
 	from, to := t0, t0.Add(17*time.Hour)
-	want := refAgg.Events(from, to)
+	want := refAgg.recomputeEvents(from, to)
 	if len(want) == 0 {
 		t.Fatal("schedule produced no events under corroboration; test is vacuous")
 	}
+	assertEventsEqual(t, "un-advanced vs recompute", refAgg.Events(from, to), want)
 	assertEventsEqual(t, "incremental vs recompute", incAgg.Events(from, to), want)
 	assertEventsEqual(t, "deltas vs recompute", deltas, want)
 	// The demoted single-source bin must appear in neither list.

@@ -92,9 +92,9 @@ type Aggregator struct {
 	firstBin time.Time
 	haveBin  bool
 
-	// inc is the incrementally maintained magnitude/event read model
-	// advanced by CloseBins (see incremental.go); droppedStale counts the
-	// late mutations rejected because closed bins are immutable.
+	// inc is the closed region's magnitude/event read model, advanced by
+	// CloseBins (see incremental.go); droppedStale counts the late
+	// mutations rejected because closed bins are immutable.
 	inc          incState
 	droppedStale int
 
@@ -111,6 +111,9 @@ func NewAggregator(cfg Config, table *ipmap.Table) *Aggregator {
 		table:       table,
 		delaySeries: make(map[ipmap.ASN]*timeseries.Series),
 		fwdSeries:   make(map[ipmap.ASN]*timeseries.Series),
+		inc: incState{mag: [2]map[ipmap.ASN][]timeseries.Point{
+			make(map[ipmap.ASN][]timeseries.Point), make(map[ipmap.ASN][]timeseries.Point),
+		}},
 	}
 }
 
@@ -155,17 +158,6 @@ func (a *Aggregator) ObserveBin(t time.Time) {
 		a.firstBin = b
 		a.haveBin = true
 	}
-}
-
-func (a *Aggregator) spanStart(s *timeseries.Series) time.Time {
-	if a.haveBin {
-		return a.firstBin
-	}
-	first, _, ok := s.Span()
-	if !ok {
-		return time.Time{}
-	}
-	return first
 }
 
 // AddDelayAlarm accumulates a delay-change alarm: its deviation d(∆) is
@@ -279,67 +271,13 @@ func (a *Aggregator) ForwardingSeries(asn ipmap.ASN) *timeseries.Series { return
 // DelayMagnitude computes the Eq 10 magnitude of an AS's delay series over
 // [from, to). Missing bins count as zero (a quiet hour is "no alarms").
 func (a *Aggregator) DelayMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {
-	return a.magnitude(a.delaySeries[asn], a.inc.delayMag[asn], from, to)
+	return a.magnitude(a.delaySeries[asn], a.inc.mag[DelayChange][asn], from, to)
 }
 
 // ForwardingMagnitude computes the Eq 10 magnitude of an AS's forwarding
 // series over [from, to).
 func (a *Aggregator) ForwardingMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {
-	return a.magnitude(a.fwdSeries[asn], a.inc.fwdMag[asn], from, to)
-}
-
-// Events returns the bins in [from, to) where an AS's |mag| ≥ Threshold,
-// sorted by time then AS. Delay events trigger on positive peaks (worse
-// delays); forwarding events trigger on both signs, matching the heavy left
-// tail of Fig 5b. Closed bins answer from the incremental event list; only
-// bins at or beyond validThrough (all of them, for an aggregator nobody
-// advanced) are scanned.
-func (a *Aggregator) Events(from, to time.Time) []Event {
-	if !a.inc.advanced {
-		return a.recomputeEvents(from, to)
-	}
-	out := a.incrementalEvents(from, to)
-	if timeseries.Bin(to, a.cfg.BinSize).After(a.inc.validThrough) {
-		if from.Before(a.inc.validThrough) {
-			from = a.inc.validThrough
-		}
-		out = append(out, a.recomputeEvents(from, to)...)
-	}
-	return out
-}
-
-// recomputeEvents is the full scan: every AS's two magnitude series over
-// [from, to), thresholded and sorted.
-func (a *Aggregator) recomputeEvents(from, to time.Time) []Event {
-	var out []Event
-	for _, asn := range a.ASes() {
-		for _, p := range a.DelayMagnitude(asn, from, to) {
-			if p.V >= a.cfg.Threshold && a.corroborated(asn, DelayChange, p.T, p.V) {
-				out = append(out, Event{ASN: asn, Bin: p.T, Type: DelayChange, Magnitude: p.V})
-			}
-		}
-		for _, p := range a.ForwardingMagnitude(asn, from, to) {
-			if (p.V >= a.cfg.Threshold || p.V <= -a.cfg.Threshold) && a.corroborated(asn, ForwardingAnomaly, p.T, p.V) {
-				out = append(out, Event{ASN: asn, Bin: p.T, Type: ForwardingAnomaly, Magnitude: p.V})
-			}
-		}
-	}
-	// (Bin, ASN, Type) is a total order here — each AS contributes at most
-	// one event per (bin, type) — so the type-specialized unstable sort
-	// needs no further tiebreak to be deterministic.
-	slices.SortFunc(out, func(a, b Event) int {
-		if c := a.Bin.Compare(b.Bin); c != 0 {
-			return c
-		}
-		if a.ASN != b.ASN {
-			if a.ASN < b.ASN {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Type) - int(b.Type)
-	})
-	return out
+	return a.magnitude(a.fwdSeries[asn], a.inc.mag[ForwardingAnomaly][asn], from, to)
 }
 
 // String implements fmt.Stringer.

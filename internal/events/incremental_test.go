@@ -1,7 +1,9 @@
 package events
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,10 +19,45 @@ type feedStep struct {
 	fwdASN string // hop address for fwd responsibilities; default AS100
 }
 
+// recomputeEvents is the full scan: every AS's two magnitude series over
+// [from, to), thresholded and sorted.
+func (a *Aggregator) recomputeEvents(from, to time.Time) []Event {
+	var out []Event
+	for _, asn := range a.ASes() {
+		for _, p := range a.DelayMagnitude(asn, from, to) {
+			if p.V >= a.cfg.Threshold && a.corroborated(asn, DelayChange, p.T, p.V) {
+				out = append(out, Event{ASN: asn, Bin: p.T, Type: DelayChange, Magnitude: p.V})
+			}
+		}
+		for _, p := range a.ForwardingMagnitude(asn, from, to) {
+			if (p.V >= a.cfg.Threshold || p.V <= -a.cfg.Threshold) && a.corroborated(asn, ForwardingAnomaly, p.T, p.V) {
+				out = append(out, Event{ASN: asn, Bin: p.T, Type: ForwardingAnomaly, Magnitude: p.V})
+			}
+		}
+	}
+	// (Bin, ASN, Type) is a total order here — each AS contributes at most
+	// one event per (bin, type) — so the type-specialized unstable sort
+	// needs no further tiebreak to be deterministic.
+	slices.SortFunc(out, func(a, b Event) int {
+		if c := a.Bin.Compare(b.Bin); c != 0 {
+			return c
+		}
+		if a.ASN != b.ASN {
+			if a.ASN < b.ASN {
+				return -1
+			}
+			return 1
+		}
+		return int(a.Type) - int(b.Type)
+	})
+	return out
+}
+
 // runSchedule feeds the schedule chronologically. When inc is true it
-// advances the incremental region after each bin, exactly as
-// core.Analyzer.OnBinClose drives it; deltas accumulate into the returned
-// slice.
+// closes each bin after feeding it, exactly as core.Analyzer does; deltas
+// accumulate into the returned slice. An aggregator fed with inc false is
+// never closed, so recomputeEvents on it is an independent reference: its
+// magnitudes come straight from the raw series.
 func runSchedule(t *testing.T, steps []feedStep, inc bool) (*Aggregator, []Event) {
 	t.Helper()
 	a := NewAggregator(Config{Window: 12 * time.Hour, Threshold: 3}, testTable(t))
@@ -45,7 +82,7 @@ func runSchedule(t *testing.T, steps []feedStep, inc bool) (*Aggregator, []Event
 			})
 		}
 		if inc {
-			deltas = append(deltas, a.CloseBins(bin.Add(time.Hour))...)
+			deltas = append(deltas, a.CloseBins(bin.Add(time.Hour), nil)...)
 		}
 	}
 	return a, deltas
@@ -72,10 +109,11 @@ func TestIncrementalEventsMatchRecompute(t *testing.T) {
 	refAgg, _ := runSchedule(t, eqSchedule, false)
 
 	from, to := t0, t0.Add(13*time.Hour)
-	want := refAgg.Events(from, to)
+	want := refAgg.recomputeEvents(from, to)
 	if len(want) == 0 {
 		t.Fatal("schedule produced no events; test is vacuous")
 	}
+	assertEventsEqual(t, "un-advanced Events", refAgg.Events(from, to), want)
 	got := incAgg.Events(from, to) // covered → served from the region
 	if len(got) != len(want) {
 		t.Fatalf("incremental Events len=%d, recompute len=%d\ngot %v\nwant %v", len(got), len(want), got, want)
@@ -123,28 +161,48 @@ func TestIncrementalMagnitudesMatchRecompute(t *testing.T) {
 func TestIncrementalSubrangeQueries(t *testing.T) {
 	incAgg, _ := runSchedule(t, eqSchedule, true)
 	refAgg, _ := runSchedule(t, eqSchedule, false)
-	// Sub-windows of the covered region must match the recompute too.
-	for _, w := range [][2]int{{0, 13}, {3, 6}, {4, 5}, {5, 5}, {9, 13}} {
+	// Sub-windows of the covered region must match the recompute too, as
+	// must windows reaching before the span start (no events there) or past
+	// the region (those bins are evaluated, not cached), and a reversed
+	// window (from after to: bin 4 holds the first event) is empty.
+	for _, w := range [][2]int{{0, 13}, {3, 6}, {3, 4}, {4, 5}, {5, 5}, {9, 12}, {9, 13}, {5, 4}, {-2, 3}, {0, 20}, {-2, 20}} {
 		from, to := t0.Add(time.Duration(w[0])*time.Hour), t0.Add(time.Duration(w[1])*time.Hour)
-		want := refAgg.Events(from, to)
-		got := incAgg.Events(from, to)
-		if len(got) != len(want) {
-			t.Fatalf("window %v: incremental %d events, recompute %d", w, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("window %v event %d: got %+v, want %+v", w, i, got[i], want[i])
-			}
-		}
-	}
-	// A query past the region recomputes only the tail and still agrees.
-	from, to := t0, t0.Add(20*time.Hour)
-	want := refAgg.Events(from, to)
-	got := incAgg.Events(from, to)
-	if len(got) != len(want) {
-		t.Fatalf("uncovered window: incremental %d events, recompute %d", len(got), len(want))
+		label := fmt.Sprintf("window %v", w)
+		want := refAgg.recomputeEvents(from, to)
+		assertEventsEqual(t, label, incAgg.Events(from, to), want)
+		assertEventsEqual(t, label+" un-advanced", refAgg.Events(from, to), want)
 	}
 }
+
+// An aggregator never told its span start windows each AS from its own
+// first alarm: the bins before it are not phantom zeros, so a first alarm
+// scores 0 against itself and raises no event.
+func TestBareAggregatorWindowsFromFirstAlarm(t *testing.T) {
+	a := NewAggregator(Config{Window: 12 * time.Hour, Threshold: 3}, testTable(t))
+	a.AddDelayAlarm(delayAlarm(t0.Add(3*time.Hour), "10.1.0.1", "10.2.0.1", 40))
+	a.AddDelayAlarm(delayAlarm(t0.Add(4*time.Hour), "10.1.0.1", "10.2.0.1", 1))
+	from, to := t0, t0.Add(8*time.Hour)
+	for _, asn := range a.ASes() {
+		got := a.DelayMagnitude(asn, from, to)
+		want := a.delaySeries[asn].Magnitude(from, to, a.cfg.Window)
+		if len(got) != len(want) {
+			t.Fatalf("AS%d: %d points, want %d", asn, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].T.Equal(want[i].T) || !sameMag(got[i].V, want[i].V) {
+				t.Errorf("AS%d point %d: got %v, want %v", asn, i, got[i], want[i])
+			}
+		}
+		if v := got[3].V; v != 0 {
+			t.Errorf("AS%d first alarm magnitude %v, want 0", asn, v)
+		}
+	}
+	if evs := a.Events(from, to); len(evs) != 0 {
+		t.Errorf("events %v, want none", evs)
+	}
+}
+
+func sameMag(x, y float64) bool { return x == y || x != x && y != y }
 
 func assertEventsEqual(t *testing.T, label string, got, want []Event) {
 	t.Helper()

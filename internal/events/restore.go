@@ -4,9 +4,9 @@ package events
 // segment store, the aggregator's pre-window history can be evicted from
 // memory (EvictBefore) and rebuilt at boot purely from segments
 // (RestoreIncremental). Both lean on the contracts of incremental.go:
-// closed bins are immutable, and queries recompute only bins at or beyond
-// validThrough — whose windows reach back at most cfg.Window, the exact
-// horizon EvictBefore retains.
+// closed bins are immutable, and queries evaluate only bins outside the
+// closed region — whose windows reach back no further than
+// validThrough − cfg.Window, the exact horizon EvictBefore retains.
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ type ASPoint struct {
 	V   float64
 }
 
-// CloseDelta is everything one CloseBinsRecord advance contributed to the
+// CloseDelta is everything one CloseBins advance contributed to the
 // read model, in wire-ready form for the segment store.
 type CloseDelta struct {
 	FirstBin time.Time // analysis span start at close time
@@ -58,7 +58,7 @@ type RestoredState struct {
 // The maps and slices in rs are adopted, not copied — the caller must not
 // reuse them.
 func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
-	if a.haveBin || a.inc.advanced || len(a.delaySeries) > 0 || len(a.fwdSeries) > 0 {
+	if a.haveBin || len(a.delaySeries) > 0 || len(a.fwdSeries) > 0 {
 		return fmt.Errorf("events: RestoreIncremental on a non-fresh aggregator")
 	}
 	if a.cfg.Corroborate >= 2 {
@@ -73,19 +73,13 @@ func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
 	}
 	a.firstBin = first
 	a.haveBin = true
-	if rs.DelayMag == nil {
-		rs.DelayMag = make(map[ipmap.ASN][]timeseries.Point)
+	a.inc.validThrough = through
+	a.inc.events = rs.Events
+	if rs.DelayMag != nil {
+		a.inc.mag[DelayChange] = rs.DelayMag
 	}
-	if rs.FwdMag == nil {
-		rs.FwdMag = make(map[ipmap.ASN][]timeseries.Point)
-	}
-	a.inc = incState{
-		advanced:     true,
-		start:        first,
-		validThrough: through,
-		delayMag:     rs.DelayMag,
-		fwdMag:       rs.FwdMag,
-		events:       rs.Events,
+	if rs.FwdMag != nil {
+		a.inc.mag[ForwardingAnomaly] = rs.FwdMag
 	}
 	// Every AS the region tracks must own a live series again — CloseBins
 	// only extends the magnitude cache of ASes whose series exist — and
@@ -108,15 +102,14 @@ func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
 // EvictBefore drops raw series bins strictly before the bin containing t
 // from every per-AS series, clamped so no window the magnitude math can
 // still compute — (validThrough−Window, ∞) for the next closes and query
-// tails — ever crosses the eviction horizon. The cached region points and
-// event list are unaffected: they are the durable read model. Returns the
-// number of series bins dropped.
+// tails — ever crosses the eviction horizon (an aggregator nobody closed
+// evicts nothing). The cached region points and event list are unaffected:
+// they are the durable read model. Returns the number of series bins
+// dropped.
 func (a *Aggregator) EvictBefore(t time.Time) int {
 	cut := timeseries.Bin(t, a.cfg.BinSize)
-	if a.inc.advanced {
-		if floor := a.inc.validThrough.Add(-a.cfg.Window); cut.After(floor) {
-			cut = floor
-		}
+	if floor := a.inc.validThrough.Add(-a.cfg.Window); cut.After(floor) {
+		cut = floor
 	}
 	dropped := 0
 	for _, s := range a.delaySeries {

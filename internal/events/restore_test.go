@@ -59,7 +59,7 @@ func runPipeline(t *testing.T, a *Aggregator, start time.Time, from, n int) []se
 			a.AddDelayAlarm(delayAlarm(bin, near, far, dev))
 		}
 		var d CloseDelta
-		evs := a.CloseBinsRecord(bin.Add(binHour), &d)
+		evs := a.CloseBins(bin.Add(binHour), &d)
 		segs = append(segs, segment{bin: bin, delta: d, evs: append([]Event(nil), evs...)})
 	}
 	return segs
@@ -171,7 +171,7 @@ func TestRestoreAfterEviction(t *testing.T) {
 			}
 			a.AddDelayAlarm(delayAlarm(bin, near, far, dev))
 		}
-		a.CloseBins(bin.Add(binHour))
+		a.CloseBins(bin.Add(binHour), nil)
 		evicted += a.EvictBefore(bin) // clamped internally to the window
 	}
 	if got, want := a.Events(start, end), full.Events(start, end); !reflect.DeepEqual(got, want) {
@@ -233,7 +233,7 @@ func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 		next := t0.Add(n * binHour)
 		a.ObserveBin(next)
 		a.AddDelayAlarm(delayAlarm(next, "10.1.0.1", "10.2.0.1", 1))
-		a.CloseBins(next.Add(binHour))
+		a.CloseBins(next.Add(binHour), nil)
 		if thru := a.Through(); !thru.Equal(next.Add(binHour)) {
 			t.Fatalf("%s: region ends %v after the next close, want %v", name, thru, next.Add(binHour))
 		}

@@ -202,8 +202,8 @@ func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, 
 }
 
 // scoreEvents replays retained alarms into a fresh aggregator under the
-// given config, detects events through the incremental CloseBins path (the
-// path corroboration must ride in production), and scores the event bins
+// given config, detects events with the same per-bin evaluation core runs
+// at every bin close (corroboration included), and scores the event bins
 // against the case's ground-truth windows.
 func scoreEvents(c *Case, dal []delay.Alarm, fal []forwarding.Alarm, evCfg events.Config, slackBins int) RobustScore {
 	agg := events.NewAggregator(evCfg, c.Net.Prefixes())
@@ -215,7 +215,6 @@ func scoreEvents(c *Case, dal []delay.Alarm, fal []forwarding.Alarm, evCfg event
 		agg.AddForwardingAlarm(al)
 	}
 	binSize := agg.Config().BinSize
-	agg.CloseBins(c.End.Add(binSize))
 	// Skip the first day: magnitudes over a nearly-empty window are noise in
 	// every configuration, and no case schedules its disruption that early.
 	evs := agg.Events(c.Start.Add(24*time.Hour), c.End.Add(binSize))

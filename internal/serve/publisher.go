@@ -166,9 +166,8 @@ type Publisher struct {
 	// it — every alarm surfaces at its own bin's close, right before that
 	// bin's OnBinClose (core's TestAlarmsSurfaceAtTheirBinsClose) — the close
 	// fills in the rest, publish sends it on its way and empties it.
-	rec        segstore.BinRecord
-	closeDelta events.CloseDelta // per-close capture scratch
-	finished   bool
+	rec      segstore.BinRecord
+	finished bool
 
 	storeErr  error     // first commit failure; guarded by storeMu
 	resumedAt time.Time // resume cursor, when booted from segments
@@ -214,8 +213,8 @@ func (p *Publisher) attach() {
 			Rho: al.Rho, TopHop: top.Hop.String(), TopR: top.Responsibility,
 		})
 	}
-	p.a.OnBinClose = func(bin time.Time) {
-		p.closeBins(bin.Add(p.m.binSize))
+	p.a.OnBinClose = func(bin time.Time, evs []events.Event, cd *events.CloseDelta) {
+		p.file(evs, cd)
 		p.rec.Bin = bin
 		p.rec.Results = int64(p.a.ResultsClosed())
 		p.publish(false, nil)
@@ -240,11 +239,11 @@ func (p *Publisher) Results() int {
 // Snapshot returns the current published snapshot. It is never nil.
 func (p *Publisher) Snapshot() *Snapshot { return p.cur.Load() }
 
-// Finish publishes the terminal snapshot: on success the incremental
-// event/magnitude region is extended through the display window's end (so
-// a completed run answers exactly like a full recomputation over
-// [Start, End)), on failure the error is recorded and surfaced. Must be
-// called on the analysis goroutine after the final Flush; it is idempotent.
+// Finish publishes the terminal snapshot: on success the aggregator's
+// closed region is extended through the display window's end (so a
+// completed run's read model covers [Start, End)), on failure the error is
+// recorded and surfaced. Must be called on the analysis goroutine after the
+// final Flush; it is idempotent.
 func (p *Publisher) Finish(err error) {
 	if p.finished {
 		return
@@ -264,7 +263,8 @@ func (p *Publisher) Finish(err error) {
 		// record is not committed to the store — but it does travel on the
 		// feed, so a follower ends with the same region. Bin is the last one
 		// the region now covers.
-		p.closeBins(p.m.meta.End)
+		var cd events.CloseDelta
+		p.file(p.agg.CloseBins(p.m.meta.End, &cd), &cd)
 		if thru := p.agg.Through(); !thru.IsZero() {
 			p.rec.Bin = thru.Add(-p.m.binSize)
 		}
@@ -275,12 +275,11 @@ func (p *Publisher) Finish(err error) {
 	p.publish(true, err)
 }
 
-// closeBins advances the aggregator's closed region to upTo and files what
-// that contributed — events, magnitude points, raw series sums — in the open
-// record.
-func (p *Publisher) closeBins(upTo time.Time) {
-	cd, rec := &p.closeDelta, &p.rec
-	for _, e := range p.agg.CloseBinsRecord(upTo, cd) {
+// file records what one close of the aggregator contributed — events,
+// magnitude points, raw series sums — in the open record.
+func (p *Publisher) file(evs []events.Event, cd *events.CloseDelta) {
+	rec := &p.rec
+	for _, e := range evs {
 		rec.Events = append(rec.Events, segstore.EventRow{
 			Bin: e.Bin, ASN: uint32(e.ASN), Type: uint8(e.Type), Magnitude: e.Magnitude,
 		})

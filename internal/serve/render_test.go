@@ -16,6 +16,7 @@ import (
 
 	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
+	"pinpoint/internal/events"
 	"pinpoint/internal/experiments"
 	"pinpoint/internal/forwarding"
 	"pinpoint/internal/ipmap"
@@ -410,8 +411,8 @@ func TestRowsRenderedOnce(t *testing.T) {
 	}
 	var old []*Snapshot
 	publish := a.OnBinClose
-	a.OnBinClose = func(bin time.Time) {
-		publish(bin)
+	a.OnBinClose = func(bin time.Time, evs []events.Event, d *events.CloseDelta) {
+		publish(bin, evs, d)
 		snap := pub.Snapshot()
 		readAll(snap)
 		if snap.Seq%10 == 0 {

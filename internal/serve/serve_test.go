@@ -12,6 +12,7 @@ import (
 
 	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
+	"pinpoint/internal/events"
 	"pinpoint/internal/forwarding"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/segstore"
@@ -88,7 +89,8 @@ func mkFwdAlarm(bin time.Time, router string, rho float64) forwarding.Alarm {
 }
 
 // closeBin replays exactly what core does when a bin closes: aggregator
-// updates and alarm hooks first, then OnBinClose.
+// updates and alarm hooks first, then the aggregator's close, then
+// OnBinClose.
 func closeBin(a *core.Analyzer, bin time.Time, das []delay.Alarm, fas []forwarding.Alarm) {
 	agg := a.Aggregator()
 	agg.ObserveBin(bin)
@@ -100,7 +102,8 @@ func closeBin(a *core.Analyzer, bin time.Time, das []delay.Alarm, fas []forwardi
 		agg.AddForwardingAlarm(al)
 		a.OnForwardingAlarm(al)
 	}
-	a.OnBinClose(bin)
+	var d events.CloseDelta
+	a.OnBinClose(bin, agg.CloseBins(bin.Add(agg.Config().BinSize), &d), &d)
 }
 
 func get(t *testing.T, srv *Server, url string, hdr ...string) *httptest.ResponseRecorder {

@@ -45,10 +45,12 @@
 // backpressured pipeline. See DESIGN.md for the shard, merge and ordered
 // pipeline architecture.
 //
-// For serving results while analysis runs (§8), Analyzer.OnBinClose fires
-// after each bin's alarms are fully dispatched; internal/serve builds the
-// Internet Health Report's snapshot-published read model and HTTP API on
-// that hook (see cmd/ihr and examples/streaming_ihr).
+// The analyzer closes its aggregator at every bin close, so §6 events and
+// magnitudes of closed bins are computed once, as the bin closes, and
+// queries over them read the result. For serving results while analysis
+// runs (§8), Analyzer.OnBinClose then fires with that close's events;
+// internal/serve builds the Internet Health Report's snapshot-published read
+// model and HTTP API on that hook (see cmd/ihr and examples/streaming_ihr).
 //
 // See examples/ for complete programs, including the paper's three case
 // studies; `go test -bench=.` regenerates the paper-versus-measured record.
