@@ -1,7 +1,6 @@
-// Command experiments regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the index) and prints each report with its
-// paper-vs-measured claim checks. The output of `-scale full` is the source
-// of EXPERIMENTS.md.
+// Command experiments regenerates the paper's tables and figures (the index
+// is experiments.Registry) and prints each report with its
+// paper-vs-measured claim checks.
 //
 // Usage:
 //

@@ -66,7 +66,6 @@ import (
 	"pinpoint/internal/ingest"
 	"pinpoint/internal/segstore"
 	"pinpoint/internal/serve"
-	"pinpoint/internal/trace"
 )
 
 // runtimeWorkers resolves the 0 = all-CPUs flag convention for reporting.
@@ -239,21 +238,16 @@ func runAnalysis(a *core.Analyzer, pub *serve.Publisher, c *experiments.Case, in
 	t0 := time.Now()
 	var err error
 	var producer string
+	observe := func(n int, _, _ time.Time) { pub.ObserveResults(n) }
 	if len(inputPaths) > 0 {
 		var st ingest.Stats
-		st, err = a.RunFiles(context.Background(), inputPaths, ingest.Options{Workers: decodeWorkers},
-			func(n int, _, _ time.Time) { pub.ObserveResults(n) })
+		st, err = a.RunFiles(context.Background(), inputPaths, ingest.Options{Workers: decodeWorkers}, observe)
 		producer = fmt.Sprintf("%d decode workers, %d dump lines (%d decoded, %d skipped)",
 			runtimeWorkers(decodeWorkers), st.Lines, st.Results, st.Skipped)
 	} else {
-		err = c.Platform.RunChunks(context.Background(), c.Start, c.End, 0, func(rs []trace.Result) error {
-			a.ObserveBatch(rs)
-			pub.ObserveResults(len(rs))
-			return nil
-		})
+		err = a.RunPlatform(context.Background(), c.Platform, c.Start, c.End, observe)
 		producer = fmt.Sprintf("%d generator workers", c.Platform.Workers())
 	}
-	a.Flush()
 	a.Close()
 	pub.Finish(err)
 	if n := a.Aggregator().DroppedStale(); n > 0 {

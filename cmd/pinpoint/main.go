@@ -63,6 +63,22 @@ func splitPaths(s string) ([]string, error) {
 	return out, nil
 }
 
+// parseDotAround validates -dot-around against -dot before any analysis
+// runs. The zero Addr (no -dot-around) draws every component.
+func parseDotAround(dotPath, around string) (netip.Addr, error) {
+	if around == "" {
+		return netip.Addr{}, nil
+	}
+	if dotPath == "" {
+		return netip.Addr{}, errors.New("-dot-around requires -dot")
+	}
+	addr, err := netip.ParseAddr(around)
+	if err != nil {
+		return netip.Addr{}, fmt.Errorf("-dot-around: %w", err)
+	}
+	return addr, nil
+}
+
 // main only parses the exit status; the whole run lives in run() so its
 // defers — crucially StopCPUProfile and the -memprofile writer — fire on
 // every error path instead of being skipped by log.Fatal's os.Exit.
@@ -166,6 +182,10 @@ func run() error {
 		// Resuming replays the deterministic input from the start; only a
 		// case supplies the run window the store's resume cursor needs.
 		return errors.New("-store requires -case")
+	}
+	around, err := parseDotAround(*dotPath, *dotAround)
+	if err != nil {
+		return err
 	}
 
 	// attach wires per-close processing: with -store, a headless publisher
@@ -373,14 +393,6 @@ func run() error {
 
 	if *dotPath != "" {
 		g := a.Graph(first, end)
-		var around netip.Addr
-		if *dotAround != "" {
-			var err error
-			around, err = netip.ParseAddr(*dotAround)
-			if err != nil {
-				return fmt.Errorf("-dot-around: %w", err)
-			}
-		}
 		f, err := os.Create(*dotPath)
 		if err != nil {
 			return err

@@ -336,9 +336,15 @@ func (a *Analyzer) dispatchFwd(alarms []forwarding.Alarm) {
 // Backpressure is end-to-end: a slow engine stalls delivery, which stalls
 // the generator's in-flight window, which stalls its scheduler. Flush runs
 // in all exit paths; the context error is returned when canceled.
-func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to time.Time) error {
+//
+// Optional onBatch observers run after each chunk is ingested, as in
+// RunReader.
+func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to time.Time, onBatch ...func(n int, first, last time.Time)) error {
 	err := p.RunChunks(ctx, from, to, a.cfg.BatchSize, func(rs []trace.Result) error {
 		a.ObserveBatch(rs)
+		for _, ob := range onBatch {
+			ob(len(rs), rs[0].Time, rs[len(rs)-1].Time)
+		}
 		return nil
 	})
 	a.Flush()

@@ -30,12 +30,18 @@ func TestRunPlatformFusedMatchesSequential(t *testing.T) {
 	p2.SetWorkers(3)
 	fused := New(Config{RetainAlarms: true, Workers: 2}, p2.ProbeASN, p2.Net().Prefixes())
 	defer fused.Close()
-	if err := fused.RunPlatform(context.Background(), p2, start, end); err != nil {
+	observed, last := 0, time.Time{}
+	if err := fused.RunPlatform(context.Background(), p2, start, end, func(n int, first, batchLast time.Time) {
+		if first.Before(last) || batchLast.Before(first) {
+			t.Errorf("batch [%v, %v] out of order after %v", first, batchLast, last)
+		}
+		observed, last = observed+n, batchLast
+	}); err != nil {
 		t.Fatal(err)
 	}
 
-	if base.Results() == 0 || fused.Results() != base.Results() {
-		t.Fatalf("results: fused %d, sequential %d", fused.Results(), base.Results())
+	if base.Results() == 0 || fused.Results() != base.Results() || observed != base.Results() {
+		t.Fatalf("results: fused %d (observers saw %d), sequential %d", fused.Results(), observed, base.Results())
 	}
 	if !reflect.DeepEqual(base.DelayAlarms(), fused.DelayAlarms()) {
 		t.Errorf("delay alarms differ: fused %d, sequential %d",

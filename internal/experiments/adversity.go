@@ -8,26 +8,17 @@ import (
 	"pinpoint/internal/netsim"
 )
 
-// Adversity-suite cases: three disruption shapes beyond the paper's §7
-// trio, built for measuring detector robustness (see robust.go). Each is
-// planned against quiet routing — like the DDoS and leak cases — and
-// carries ground-truth EventWindows.
+// Adversity-suite plans: three disruption shapes beyond the paper's §7
+// trio, built for measuring detector robustness (see robust.go). Their
+// catalogue rows carry the ground-truth windows.
 
-// buildAnycastCase injects an anycast catchment shift: every root instance
+// planAnycastCase injects an anycast catchment shift: every root instance
 // except the least-served one has its site link rerouted away (weight ×
 // 1e6) for three hours — the BGP-withdrawal shape of a botched anycast
 // maintenance, where one surviving site suddenly absorbs the entire probe
 // population. Forward paths toward the root change for nearly every probe
 // and RTTs jump to the (farther) surviving instance.
-func buildAnycastCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net, error) {
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20150901))
-	if err != nil {
-		return nil, nil, err
-	}
-	quiet, err := topo.Build(nil)
-	if err != nil {
-		return nil, nil, err
-	}
+func planAnycastCase(topo *netsim.Topo, quiet *netsim.Net, _ Scale) ([]netsim.Event, caseRoles, error) {
 	root := topo.Roots[0]
 	// Keep the least-served instance (smallest quiet catchment) so the
 	// withdrawal moves the largest possible probe population.
@@ -50,24 +41,15 @@ func buildAnycastCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.
 			Start:        anycastShiftStart, End: anycastShiftEnd,
 		})
 	}
-	topo.Builder.SetArtifacts(art)
-	n, err := topo.Build(netsim.NewScenario(evs...))
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, n, nil
+	return evs, caseRoles{}, nil
 }
 
-// buildIXPFailCase injects an IXP failover: every peering-LAN link of the
+// planIXPFailCase injects an IXP failover: every peering-LAN link of the
 // first exchange goes administratively down, so member-to-member traffic
 // reroutes through transit. Unlike the §7.3 "ixp" case (blackhole +
 // silence: pure loss, no routing reaction) this one is route-affecting —
 // the LAN hops vanish from paths and the detours carry a delay signal.
-func buildIXPFailCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net, error) {
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20150715))
-	if err != nil {
-		return nil, nil, err
-	}
+func planIXPFailCase(topo *netsim.Topo, _ *netsim.Net, _ Scale) ([]netsim.Event, caseRoles, error) {
 	ixp := topo.IXPs[0]
 	var evs []netsim.Event
 	for a := 0; a < len(ixp.Ifaces); a++ {
@@ -79,33 +61,20 @@ func buildIXPFailCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.
 			})
 		}
 	}
-	topo.Builder.SetArtifacts(art)
-	n, err := topo.Build(netsim.NewScenario(evs...))
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, n, nil
+	return evs, caseRoles{}, nil
 }
 
-// buildFiberCase injects a partial fiber degradation with asymmetric return
+// planFiberCase injects a partial fiber degradation with asymmetric return
 // paths: the busiest inter-AS backbone direction (found by walking
 // quiet-routing forward paths from every probe to every target) gains 18 ms
 // and 2% loss in that direction only. Replies riding the healthy reverse
 // direction are untouched, so only traces whose *forward* leg crosses the
 // sick fiber see the shift — the asymmetry the differential-RTT method is
 // built to survive.
-func buildFiberCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net, error) {
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20151020))
-	if err != nil {
-		return nil, nil, err
-	}
-	quiet, err := topo.Build(nil)
-	if err != nil {
-		return nil, nil, err
-	}
+func planFiberCase(topo *netsim.Topo, quiet *netsim.Net, _ Scale) ([]netsim.Event, caseRoles, error) {
 	from, to, ok := busiestBackboneLink(quiet, topo, fiberHistoryStart)
 	if !ok {
-		return nil, nil, fmt.Errorf("experiments: fiber case found no inter-AS backbone link in use")
+		return nil, caseRoles{}, fmt.Errorf("experiments: fiber case found no inter-AS backbone link in use")
 	}
 	evs := []netsim.Event{
 		{
@@ -115,12 +84,7 @@ func buildFiberCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Ne
 			Start: fiberStart, End: fiberEnd,
 		},
 	}
-	topo.Builder.SetArtifacts(art)
-	n, err := topo.Build(netsim.NewScenario(evs...))
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, n, nil
+	return evs, caseRoles{}, nil
 }
 
 // busiestBackboneLink walks quiet forward paths from every probe site to

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pinpoint/internal/trace"
 )
@@ -26,6 +27,14 @@ func TestNewCaseAllNames(t *testing.T) {
 			}
 			if name != "quiet" && len(c.EventWindows) == 0 {
 				t.Error("case study should declare its event windows")
+			}
+			// The robustness scoring skips each run's first day, so every
+			// disruption must start after it and end within the run.
+			for _, w := range c.EventWindows {
+				if w[0].Before(c.Start.Add(24*time.Hour)) || w[1].After(c.End) || !w[1].After(w[0]) {
+					t.Errorf("event window %v–%v outside [start+24h, end) = [%v, %v)",
+						w[0], w[1], c.Start.Add(24*time.Hour), c.End)
+				}
 			}
 			// The platform must actually produce results.
 			n := 0

@@ -1,10 +1,11 @@
-// Package experiments contains one harness per table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the full index). Each harness
-// builds its workload, runs the detection pipeline, prints the rows/series
-// the paper's artifact shows, and checks the paper's qualitative claims —
-// who wins, what peaks where, which shapes hold. Absolute values from the
-// paper's 2.8-billion-traceroute dataset are reported side by side with the
-// scaled measurement, never asserted as equal.
+// Package experiments contains the case catalogue (case.go) and one
+// harness per table and figure of the paper's evaluation (Registry is the
+// index). Each harness builds its workload, runs the detection pipeline,
+// prints the rows/series the paper's artifact shows, and checks the paper's
+// qualitative claims — who wins, what peaks where, which shapes hold.
+// Absolute values from the paper's 2.8-billion-traceroute dataset are
+// reported side by side with the scaled measurement, never asserted as
+// equal.
 package experiments
 
 import (
@@ -54,7 +55,7 @@ type Claim struct {
 
 // Report is the output of one experiment harness.
 type Report struct {
-	ID      string // DESIGN.md experiment id, e.g. "F2"
+	ID      string // Registry id, e.g. "F2"
 	Title   string
 	Scale   Scale
 	Text    string             // human-readable rendering (tables, plots)
@@ -109,7 +110,8 @@ type Experiment struct {
 	Run   func(Scale) (*Report, error)
 }
 
-// Registry lists every experiment in DESIGN.md order.
+// Registry lists every experiment in paper order: figures, tables, then
+// ablations.
 var Registry = []Experiment{
 	{ID: "F2", Title: "Fig 2: median differential RTT stability", Run: Fig02MedianStability},
 	{ID: "F3", Title: "Fig 3: normality of median vs mean differential RTT", Run: Fig03Normality},

@@ -3,71 +3,31 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
 	"pinpoint/internal/stats"
+	"pinpoint/internal/timeseries"
 	"pinpoint/internal/trace"
 )
 
-// longRunData is the shared outcome of the "campaign" run standing in for
-// the paper's 8-month dataset: a multi-week measurement with a handful of
-// injected disruptions of all three kinds, used by F5 and T1.
-type longRunData struct {
-	topo     *netsim.Topo
-	analyzer *core.Analyzer
-	start    time.Time
-	end      time.Time
-	analysis time.Time // first bin with a full magnitude window behind it
-
-	delayMags []float64 // hourly delay magnitudes pooled over all ASes
-	fwdMags   []float64 // hourly forwarding magnitudes pooled over all ASes
-
-	linksEvaluated map[trace.LinkKey]int // link → evaluated bins
-	linksAlarmed   map[trace.LinkKey]int
-	probesSum      int // Σ probes over evaluations (for the mean)
-	evaluations    int
-	asCount        int // distinct ASes pooled into the magnitude sets
+// campaign is the row of the run standing in for the paper's 8-month
+// dataset: a multi-week measurement with a handful of injected disruptions
+// of all three kinds, used by F5 and T1. It is not in the catalogue, so no
+// CLI and no robustness cell runs it.
+var campaign = caseSpec{
+	name: "campaign", seed: 20150501,
+	history: baselineStart, end: baselineStart.Add(5 * 24 * time.Hour), fullEnd: baselineStart.Add(18 * 24 * time.Hour),
+	planQuiet: true, plan: planCampaign,
 }
 
-var longMemo = struct {
-	sync.Mutex
-	runs map[Scale]*longRunData
-}{runs: map[Scale]*longRunData{}}
-
-func runLong(scale Scale) (*longRunData, error) {
-	longMemo.Lock()
-	defer longMemo.Unlock()
-	if d, ok := longMemo.runs[scale]; ok {
-		return d, nil
-	}
-
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20150501))
-	if err != nil {
-		return nil, err
-	}
-	start := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
-	days := 18
-	if scale == Quick {
-		days = 5
-	}
-	end := start.Add(time.Duration(days) * 24 * time.Hour)
-	analysis := start.Add(48 * time.Hour)
-	if scale == Full {
-		analysis = start.Add(7 * 24 * time.Hour)
-	}
-
-	// A handful of disruptions spread across the campaign, one per family,
-	// planned against quiet routing so they land on traversed links.
-	quiet, err := topo.Build(nil)
-	if err != nil {
-		return nil, err
-	}
+// planCampaign spreads a handful of disruptions across the campaign, one
+// per family, planned against quiet routing so they land on traversed links.
+func planCampaign(topo *netsim.Topo, quiet *netsim.Net, scale Scale) ([]netsim.Event, caseRoles, error) {
+	start := baselineStart
 	div := linkDiversity(quiet, topo.ProbeSites(), topo.Targets(), start)
 	rank := rankTransitByDiversity(quiet, topo, div)
 	link0, _ := bestIntraASLink(quiet, topo.Transit[rank[0]], div)
@@ -109,71 +69,29 @@ func runLong(scale Scale) (*longRunData, error) {
 		addCongestion("c1", link0.From, link0.To, 3, 13, 2, 120)
 		ixpDark(4, 9, 2)
 	}
+	return evs, caseRoles{}, nil
+}
 
-	n, err := topo.Build(netsim.NewScenario(evs...))
-	if err != nil {
-		return nil, err
-	}
+// linkStats tallies the campaign's delay observations for T1.
+type linkStats struct {
+	evaluated map[trace.LinkKey]int // link → evaluated bins
+	alarmed   map[trace.LinkKey]int
+	probesSum int // Σ probes over evaluations (for the mean)
+	evals     int
+}
 
-	d := &longRunData{
-		topo: topo, start: start, end: end, analysis: analysis,
-		linksEvaluated: make(map[trace.LinkKey]int),
-		linksAlarmed:   make(map[trace.LinkKey]int),
-	}
-	p := newCasePlatform(n, topo, 20150501)
-	cfg := core.Config{RetainAlarms: true}
-	cfg.Delay.Observer = func(o delay.Observation) {
-		d.linksEvaluated[o.Link]++
-		if o.Anomalous {
-			d.linksAlarmed[o.Link]++
-		}
-		d.probesSum += o.Probes
-		d.evaluations++
-	}
-	a := core.New(cfg, p.ProbeASN, n.Prefixes())
-	if err := p.Run(start, end, func(r trace.Result) error {
-		a.Observe(r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	a.Flush()
-	d.analyzer = a
-
-	// Pool hourly magnitudes over EVERY monitored AS, exactly as the paper
-	// does over its 1060 ASes: quiet ASes contribute zero-magnitude hours,
-	// which is what puts ~97% of the mass below 1 in Fig 5a.
-	seen := map[ipmap.ASN]struct{}{}
-	var allASes []ipmap.ASN
-	for _, e := range n.Prefixes().Entries() {
-		if _, dup := seen[e.ASN]; dup {
-			continue
-		}
-		seen[e.ASN] = struct{}{}
-		allASes = append(allASes, e.ASN)
-	}
-	bins := int(end.Sub(analysis) / time.Hour)
-	for _, asn := range allASes {
-		dm := a.Aggregator().DelayMagnitude(asn, analysis, end)
-		if dm == nil {
-			d.delayMags = append(d.delayMags, make([]float64, bins)...)
-		} else {
-			for _, pt := range dm {
-				d.delayMags = append(d.delayMags, pt.V)
+func runLong(scale Scale) (*caseRun[linkStats], error) {
+	return runCase(&campaign, scale, func(_ *Case, st *linkStats) func(delay.Observation) {
+		st.evaluated, st.alarmed = map[trace.LinkKey]int{}, map[trace.LinkKey]int{}
+		return func(o delay.Observation) {
+			st.evaluated[o.Link]++
+			if o.Anomalous {
+				st.alarmed[o.Link]++
 			}
+			st.probesSum += o.Probes
+			st.evals++
 		}
-		fm := a.Aggregator().ForwardingMagnitude(asn, analysis, end)
-		if fm == nil {
-			d.fwdMags = append(d.fwdMags, make([]float64, bins)...)
-		} else {
-			for _, pt := range fm {
-				d.fwdMags = append(d.fwdMags, pt.V)
-			}
-		}
-	}
-	d.asCount = len(allASes)
-	longMemo.runs[scale] = d
-	return d, nil
+	})
 }
 
 // Fig05MagnitudeDistributions regenerates Fig 5: (a) the CCDF of hourly
@@ -185,23 +103,52 @@ func Fig05MagnitudeDistributions(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	below1 := stats.FractionBelow(d.delayMags, 1)
-	maxMag := stats.Max(d.delayMags)
-	minFwd := stats.Min(d.fwdMags)
+	// The first bin with a full magnitude window behind it.
+	analysis := d.Start.Add(48 * time.Hour)
+	if scale == Full {
+		analysis = d.Start.Add(7 * 24 * time.Hour)
+	}
+	// Pool hourly magnitudes over EVERY monitored AS, exactly as the paper
+	// does over its 1060 ASes: quiet ASes contribute zero-magnitude hours,
+	// which is what puts ~97% of the mass below 1 in Fig 5a.
+	seen := map[ipmap.ASN]struct{}{}
+	var delayMags, fwdMags []float64
+	bins := int(d.End.Sub(analysis) / time.Hour)
+	pool := func(dst []float64, mags []timeseries.Point) []float64 {
+		if mags == nil {
+			return append(dst, make([]float64, bins)...)
+		}
+		for _, pt := range mags {
+			dst = append(dst, pt.V)
+		}
+		return dst
+	}
+	for _, e := range d.Net.Prefixes().Entries() {
+		if _, dup := seen[e.ASN]; dup {
+			continue
+		}
+		seen[e.ASN] = struct{}{}
+		delayMags = pool(delayMags, d.a.Aggregator().DelayMagnitude(e.ASN, analysis, d.End))
+		fwdMags = pool(fwdMags, d.a.Aggregator().ForwardingMagnitude(e.ASN, analysis, d.End))
+	}
+
+	below1 := stats.FractionBelow(delayMags, 1)
+	maxMag := stats.Max(delayMags)
+	minFwd := stats.Min(fwdMags)
 	fwdBelowMinus10 := 0
-	for _, v := range d.fwdMags {
+	for _, v := range fwdMags {
 		if v < -10 {
 			fwdBelowMinus10++
 		}
 	}
-	fwdFrac := float64(fwdBelowMinus10) / float64(len(d.fwdMags))
+	fwdFrac := float64(fwdBelowMinus10) / float64(len(fwdMags))
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Pooled hourly magnitudes over %d ASes (%d with alarms), %d delay points, %d forwarding points\n\n",
-		d.asCount, len(d.analyzer.Aggregator().ASes()), len(d.delayMags), len(d.fwdMags))
-	sb.WriteString(report.Histogram("Fig 5a analog: delay magnitude distribution", clampRange(d.delayMags, -5, 30), 12))
+		len(seen), len(d.a.Aggregator().ASes()), len(delayMags), len(fwdMags))
+	sb.WriteString(report.Histogram("Fig 5a analog: delay magnitude distribution", clampRange(delayMags, -5, 30), 12))
 	sb.WriteString("\n")
-	sb.WriteString(report.Histogram("Fig 5b analog: forwarding magnitude distribution", clampRange(d.fwdMags, -30, 5), 12))
+	sb.WriteString(report.Histogram("Fig 5b analog: forwarding magnitude distribution", clampRange(fwdMags, -30, 5), 12))
 	sb.WriteString("\n")
 	sb.WriteString(report.Table([][]string{
 		{"statistic", "measured", "paper"},
@@ -219,8 +166,8 @@ func Fig05MagnitudeDistributions(scale Scale) (*Report, error) {
 			"delay_max":     maxMag,
 			"fwd_min":       minFwd,
 			"fwd_below_-10": fwdFrac,
-			"delay_points":  float64(len(d.delayMags)),
-			"fwd_points":    float64(len(d.fwdMags)),
+			"delay_points":  float64(len(delayMags)),
+			"fwd_points":    float64(len(fwdMags)),
 		},
 	}
 	r.Claims = []Claim{
@@ -254,19 +201,19 @@ func Tab01AggregateStats(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	linksSeen := d.analyzer.LinksSeen()
-	linksEval := len(d.linksEvaluated)
-	linksAlarmed := len(d.linksAlarmed)
+	linksSeen := d.a.LinksSeen()
+	linksEval := len(d.state.evaluated)
+	linksAlarmed := len(d.state.alarmed)
 	alarmFrac := 0.0
 	if linksEval > 0 {
 		alarmFrac = float64(linksAlarmed) / float64(linksEval)
 	}
 	probesPerLink := 0.0
-	if d.evaluations > 0 {
-		probesPerLink = float64(d.probesSum) / float64(d.evaluations)
+	if d.state.evals > 0 {
+		probesPerLink = float64(d.state.probesSum) / float64(d.state.evals)
 	}
-	routers := d.analyzer.RoutersSeen()
-	avgHops := d.analyzer.AvgNextHops()
+	routers := d.a.RoutersSeen()
+	avgHops := d.a.AvgNextHops()
 
 	var sb strings.Builder
 	sb.WriteString(report.Table([][]string{

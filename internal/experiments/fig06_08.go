@@ -3,108 +3,32 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"pinpoint/internal/atlas"
-	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
 	"pinpoint/internal/trace"
 )
 
-// ddosData is the shared outcome of the §7.1 DDoS run, reused by F6–F8.
-type ddosData struct {
-	topo     *netsim.Topo
-	analyzer *core.Analyzer
-	tracked  map[trace.LinkKey][]delay.Observation
-	rootASN  string
-	start    time.Time
-	// tracked link roles
-	linkBoth, linkFirstOnly, linkSpared, linkUpstream trace.LinkKey
-}
-
-var ddosMemo = struct {
-	sync.Mutex
-	runs map[Scale]*ddosData
-}{runs: map[Scale]*ddosData{}}
-
-// buildDDoSCase generates the topology, plans the attack against quiet
-// routing, and builds the scenario-laden network (with the given artifact
-// mix baked in). Shared with cmd tools and examples via NewCase.
-func buildDDoSCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net, ddosPlan, error) {
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20151130))
-	if err != nil {
-		return nil, nil, ddosPlan{}, err
-	}
-	quiet, err := topo.Build(nil)
-	if err != nil {
-		return nil, nil, ddosPlan{}, err
-	}
+// planDDoSCase plans the §7.1 attack against quiet routing (see planDDoS
+// and ddosScenario) and names the Fig 7 links.
+func planDDoSCase(topo *netsim.Topo, quiet *netsim.Net, _ Scale) ([]netsim.Event, caseRoles, error) {
 	plan := planDDoS(quiet, topo, ddosHistoryStart)
-	topo.Builder.SetArtifacts(art)
-	n, err := topo.Build(netsim.NewScenario(ddosScenario(topo, plan)...))
-	if err != nil {
-		return nil, nil, ddosPlan{}, err
+	root := topo.Roots[0]
+	instance := func(i int) trace.LinkKey {
+		return trace.LinkKey{Near: quiet.Router(root.Sites[i]).Addr, Far: root.Addr}
 	}
-	return topo, n, plan, nil
+	roles := caseRoles{both: instance(plan.both), firstOnly: instance(plan.firstOnly), spared: instance(plan.spared)}
+	if plan.haveUpstream {
+		roles.upstream = addrLink(quiet, plan.upstream)
+	}
+	return ddosScenario(topo, plan), roles, nil
 }
 
-func runDDoS(scale Scale) (*ddosData, error) {
-	ddosMemo.Lock()
-	defer ddosMemo.Unlock()
-	if d, ok := ddosMemo.runs[scale]; ok {
-		return d, nil
-	}
-
-	topo, n, plan, err := buildDDoSCase(scale, netsim.Artifacts{})
-	if err != nil {
-		return nil, err
-	}
-	root := topo.Roots[0]
-
-	d := &ddosData{
-		topo:    topo,
-		tracked: make(map[trace.LinkKey][]delay.Observation),
-		start:   quickHistory(scale, ddosHistoryStart, ddosAttack1Start),
-	}
-	link := func(i int) trace.LinkKey {
-		return trace.LinkKey{Near: n.Router(root.Sites[i]).Addr, Far: root.Addr}
-	}
-	d.linkBoth = link(plan.both)
-	d.linkFirstOnly = link(plan.firstOnly)
-	d.linkSpared = link(plan.spared)
-	if plan.haveUpstream {
-		d.linkUpstream = trace.LinkKey{
-			Near: n.Router(plan.upstream.From).Addr,
-			Far:  n.Router(plan.upstream.To).Addr,
-		}
-	}
-	trackedKeys := map[trace.LinkKey]bool{
-		d.linkBoth: true, d.linkFirstOnly: true, d.linkSpared: true, d.linkUpstream: true,
-	}
-
-	p := newCasePlatform(n, topo, 20151130)
-
-	cfg := core.Config{RetainAlarms: true}
-	cfg.Delay.Observer = func(o delay.Observation) {
-		if trackedKeys[o.Link] {
-			d.tracked[o.Link] = append(d.tracked[o.Link], o)
-		}
-	}
-	a := core.New(cfg, p.ProbeASN, n.Prefixes())
-	if err := p.Run(d.start, ddosEnd, func(r trace.Result) error {
-		a.Observe(r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	a.Flush()
-	d.analyzer = a
-	d.rootASN = root.ASN.String()
-	ddosMemo.runs[scale] = d
-	return d, nil
+// runDDoS is the §7.1 run shared by F6–F8 and the Fig 8 graph.
+func runDDoS(scale Scale) (*caseRun[roleObs], error) {
+	return runCase(caseRow("ddos"), scale, watchRoles)
 }
 
 // Fig06KrootMagnitude regenerates Fig 6: the delay-change magnitude of the
@@ -115,8 +39,8 @@ func Fig06KrootMagnitude(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := d.topo.Roots[0]
-	mags := d.analyzer.Aggregator().DelayMagnitude(root.ASN, d.start.Add(24*time.Hour), ddosEnd)
+	root := d.Topo.Roots[0]
+	mags := d.a.Aggregator().DelayMagnitude(root.ASN, d.Start.Add(24*time.Hour), ddosEnd)
 
 	inWin := func(t time.Time) int {
 		if !t.Before(ddosAttack1Start) && t.Before(ddosAttack1End) {
@@ -188,10 +112,10 @@ func Fig07PerLinkDelays(scale Scale) (*Report, error) {
 		key  trace.LinkKey
 	}
 	roles := []role{
-		{"hit by both attacks (Fig 7a)", d.linkBoth},
-		{"hit by first attack only (Fig 7c)", d.linkFirstOnly},
-		{"spared instance (Fig 7b)", d.linkSpared},
-		{"upstream of attacked site (Fig 7e)", d.linkUpstream},
+		{"hit by both attacks (Fig 7a)", d.roles.both},
+		{"hit by first attack only (Fig 7c)", d.roles.firstOnly},
+		{"spared instance (Fig 7b)", d.roles.spared},
+		{"upstream of attacked site (Fig 7e)", d.roles.upstream},
 	}
 
 	alarmsIn := func(obs []delay.Observation, s, e time.Time) int {
@@ -208,7 +132,7 @@ func Fig07PerLinkDelays(scale Scale) (*Report, error) {
 	rows := [][]string{{"link role", "bins", "alarms attack1", "alarms attack2", "alarms quiet"}}
 	counts := map[string][3]int{}
 	for _, rl := range roles {
-		obs := d.tracked[rl.key]
+		obs := d.state[rl.key]
 		a1 := alarmsIn(obs, ddosAttack1Start, ddosAttack1End)
 		a2 := alarmsIn(obs, ddosAttack2Start, ddosAttack2End)
 		tot := 0
@@ -284,18 +208,18 @@ func Fig08AlarmGraph(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := d.topo.Roots[0]
+	root := d.Topo.Roots[0]
 
-	g := d.analyzer.Graph(ddosAttack1Start, ddosAttack1End)
+	g := d.a.Graph(ddosAttack1Start, ddosAttack1End)
 	nodes := g.ComponentNodes(root.Addr)
 	edges := g.Component(root.Addr)
 
 	rootAlarms := 0
-	for _, al := range d.analyzer.DelayAlarms() {
+	for _, al := range d.a.DelayAlarms() {
 		if al.Bin.Before(ddosAttack1Start) || !al.Bin.Before(ddosAttack1End) {
 			continue
 		}
-		for _, rt := range d.topo.Roots {
+		for _, rt := range d.Topo.Roots {
 			if al.Link.Near == rt.Addr || al.Link.Far == rt.Addr {
 				rootAlarms++
 				break
@@ -339,25 +263,6 @@ func Fig08AlarmGraph(scale Scale) (*Report, error) {
 		},
 	}
 	return r, nil
-}
-
-// newCasePlatform attaches probes to all stub sites and registers builtin
-// measurements toward every root plus anchoring measurements toward every
-// anchor (10 probes per anchor, mirroring the paper's probe/anchor ratio).
-func newCasePlatform(n *netsim.Net, topo *netsim.Topo, seed uint64) *atlas.Platform {
-	p := atlas.NewPlatform(n, seed, netsim.TracerouteOpts{})
-	probes := p.AddProbes(topo.ProbeSites())
-	for _, rt := range topo.Roots {
-		p.AddBuiltin(rt.Addr)
-	}
-	for i, an := range topo.Anchors {
-		var ids []int
-		for j := 0; j < 10 && j < len(probes); j++ {
-			ids = append(ids, probes[(i*7+j)%len(probes)].ID)
-		}
-		p.AddAnchoring(an.Addr, ids)
-	}
-	return p
 }
 
 func maxf(a, b float64) float64 {

@@ -3,33 +3,14 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
 	"pinpoint/internal/trace"
 )
-
-// leakData is the shared outcome of the §7.2 route-leak run (F9–F12).
-type leakData struct {
-	topo     *netsim.Topo
-	analyzer *core.Analyzer
-	victim0  ipmap.ASN // the paper's AS3549 (Level3 Global Crossing) analog
-	victim1  ipmap.ASN // the paper's AS3356 (Level3 Communications) analog
-	tracked  map[trace.LinkKey][]delay.Observation
-	linkA    trace.LinkKey // congested for the whole leak window (Fig 11a)
-	linkB    trace.LinkKey // loss first hour, congestion second (Fig 11b)
-	start    time.Time
-}
-
-var leakMemo = struct {
-	sync.Mutex
-	runs map[Scale]*leakData
-}{runs: map[Scale]*leakData{}}
 
 // leakScenario injects the route leak on diversity-chosen victims: traffic
 // attraction via rerouting of the first victim's uplinks plus congestion
@@ -128,90 +109,26 @@ func leakScenario(v0, v1 netsim.ASInfo, leaker *netsim.ASInfo, linkA, linkB dirL
 	return evs
 }
 
-// leakSelection records the diversity-chosen actors of the leak case.
-type leakSelection struct {
-	v0, v1       netsim.ASInfo
-	linkA, linkB dirLink
-}
-
-// buildLeakCase generates the topology, picks victims by quiet-routing
-// diversity, and builds the scenario-laden network.
-func buildLeakCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net, leakSelection, error) {
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20150612))
-	if err != nil {
-		return nil, nil, leakSelection{}, err
-	}
-	// Plan against quiet routing: victims are the transit ASes whose
-	// internal links see the most probe-AS-diverse traffic.
-	quiet, err := topo.Build(nil)
-	if err != nil {
-		return nil, nil, leakSelection{}, err
-	}
+// planLeakCase picks the leak's actors by quiet-routing diversity: the
+// victims are the transit ASes whose internal links see the most
+// probe-AS-diverse traffic, and linkA/linkB their busiest internal links.
+func planLeakCase(topo *netsim.Topo, quiet *netsim.Net, _ Scale) ([]netsim.Event, caseRoles, error) {
 	div := linkDiversity(quiet, topo.ProbeSites(), topo.Targets(), leakHistoryStart)
 	rank := rankTransitByDiversity(quiet, topo, div)
-	sel := leakSelection{v0: topo.Transit[rank[0]], v1: topo.Transit[rank[1]]}
+	v0, v1 := topo.Transit[rank[0]], topo.Transit[rank[1]]
 	var leaker *netsim.ASInfo
 	if len(rank) > 2 {
 		leaker = &topo.Transit[rank[2]]
 	}
-	sel.linkA, _ = bestIntraASLink(quiet, sel.v0, div)
-	sel.linkB, _ = bestIntraASLink(quiet, sel.v1, div)
-	ingress0 := ingressLinks(quiet, sel.v0)
-	ingress1 := ingressLinks(quiet, sel.v1)
-
-	topo.Builder.SetArtifacts(art)
-	n, err := topo.Build(netsim.NewScenario(
-		leakScenario(sel.v0, sel.v1, leaker, sel.linkA, sel.linkB, ingress0, ingress1)...))
-	if err != nil {
-		return nil, nil, leakSelection{}, err
-	}
-	return topo, n, sel, nil
+	linkA, _ := bestIntraASLink(quiet, v0, div)
+	linkB, _ := bestIntraASLink(quiet, v1, div)
+	roles := caseRoles{victims: [2]ipmap.ASN{v0.ASN, v1.ASN}, linkA: addrLink(quiet, linkA), linkB: addrLink(quiet, linkB)}
+	return leakScenario(v0, v1, leaker, linkA, linkB, ingressLinks(quiet, v0), ingressLinks(quiet, v1)), roles, nil
 }
 
-func runLeak(scale Scale) (*leakData, error) {
-	leakMemo.Lock()
-	defer leakMemo.Unlock()
-	if d, ok := leakMemo.runs[scale]; ok {
-		return d, nil
-	}
-
-	topo, n, sel, err := buildLeakCase(scale, netsim.Artifacts{})
-	if err != nil {
-		return nil, err
-	}
-	v0, v1 := sel.v0, sel.v1
-	linkA, linkB := sel.linkA, sel.linkB
-
-	d := &leakData{
-		topo: topo, victim0: v0.ASN, victim1: v1.ASN,
-		tracked: make(map[trace.LinkKey][]delay.Observation),
-		start:   quickHistory(scale, leakHistoryStart, leakStart),
-	}
-	d.linkA = trace.LinkKey{Near: n.Router(linkA.From).Addr, Far: n.Router(linkA.To).Addr}
-	d.linkB = trace.LinkKey{Near: n.Router(linkB.From).Addr, Far: n.Router(linkB.To).Addr}
-	trackedKeys := map[trace.LinkKey]bool{
-		d.linkA: true, d.linkA.Reverse(): true,
-		d.linkB: true, d.linkB.Reverse(): true,
-	}
-
-	p := newCasePlatform(n, topo, 20150612)
-	cfg := core.Config{RetainAlarms: true}
-	cfg.Delay.Observer = func(o delay.Observation) {
-		if trackedKeys[o.Link] {
-			d.tracked[o.Link] = append(d.tracked[o.Link], o)
-		}
-	}
-	a := core.New(cfg, p.ProbeASN, n.Prefixes())
-	if err := p.Run(d.start, leakRunEnd, func(r trace.Result) error {
-		a.Observe(r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	a.Flush()
-	d.analyzer = a
-	leakMemo.runs[scale] = d
-	return d, nil
+// runLeak is the §7.2 run shared by F9–F12 and the Fig 12 graph.
+func runLeak(scale Scale) (*caseRun[roleObs], error) {
+	return runCase(caseRow("leak"), scale, watchRoles)
 }
 
 // Fig09LeakDelayMagnitude regenerates Fig 9: delay-change magnitude for the
@@ -224,8 +141,8 @@ func Fig09LeakDelayMagnitude(scale Scale) (*Report, error) {
 	var sb strings.Builder
 	metrics := map[string]float64{}
 	claims := []Claim{}
-	for i, asn := range []ipmap.ASN{d.victim0, d.victim1} {
-		mags := d.analyzer.Aggregator().DelayMagnitude(asn, d.start.Add(24*time.Hour), leakRunEnd)
+	for i, asn := range d.roles.victims {
+		mags := d.a.Aggregator().DelayMagnitude(asn, d.Start.Add(24*time.Hour), leakRunEnd)
 		var inPeak, outPeak float64
 		for _, p := range mags {
 			if !p.T.Before(leakStart) && p.T.Before(leakEnd) {
@@ -262,8 +179,8 @@ func Fig10LeakForwardingMagnitude(scale Scale) (*Report, error) {
 	var sb strings.Builder
 	metrics := map[string]float64{}
 	claims := []Claim{}
-	for i, asn := range []ipmap.ASN{d.victim0, d.victim1} {
-		mags := d.analyzer.Aggregator().ForwardingMagnitude(asn, d.start.Add(24*time.Hour), leakRunEnd)
+	for i, asn := range d.roles.victims {
+		mags := d.a.Aggregator().ForwardingMagnitude(asn, d.Start.Add(24*time.Hour), leakRunEnd)
 		inMin, outMin := 0.0, 0.0
 		for _, p := range mags {
 			if !p.T.Before(leakStart) && p.T.Before(leakEnd) {
@@ -302,17 +219,18 @@ func Fig11LeakLinks(scale Scale) (*Report, error) {
 	}
 
 	obsFor := func(k trace.LinkKey) []delay.Observation {
-		if len(d.tracked[k]) >= len(d.tracked[k.Reverse()]) {
-			return d.tracked[k]
+		if len(d.state[k]) >= len(d.state[k.Reverse()]) {
+			return d.state[k]
 		}
-		return d.tracked[k.Reverse()]
+		return d.state[k.Reverse()]
 	}
 	within := func(o delay.Observation, s, e time.Time) bool {
 		return !o.Bin.Before(s) && o.Bin.Before(e)
 	}
 
-	obsA := obsFor(d.linkA)
-	obsB := obsFor(d.linkB)
+	linkA, linkB := d.roles.linkA, d.roles.linkB
+	obsA := obsFor(linkA)
+	obsB := obsFor(linkB)
 
 	var aAlarms int
 	var aShift float64
@@ -336,14 +254,14 @@ func Fig11LeakLinks(scale Scale) (*Report, error) {
 	}
 	// Forwarding anomalies naming linkB's near end during the loss hour.
 	bFwd := 0
-	for _, al := range d.analyzer.ForwardingAlarms() {
+	for _, al := range d.a.ForwardingAlarms() {
 		if !al.Bin.Before(leakStart) && al.Bin.Before(leakStart.Add(time.Hour)) {
-			if al.Router == d.linkB.Near || al.Router == d.linkB.Far {
+			if al.Router == linkB.Near || al.Router == linkB.Far {
 				bFwd++
 				continue
 			}
 			for _, h := range al.Hops {
-				if h.Hop == d.linkB.Near || h.Hop == d.linkB.Far {
+				if h.Hop == linkB.Near || h.Hop == linkB.Far {
 					bFwd++
 					break
 				}
@@ -354,8 +272,8 @@ func Fig11LeakLinks(scale Scale) (*Report, error) {
 	var sb strings.Builder
 	sb.WriteString(report.Table([][]string{
 		{"link", "role", "observed bins", "alarm bins in window", "max median shift"},
-		{d.linkA.String(), "congested 09–11h (Fig 11a)", fmt.Sprintf("%d", len(obsA)), fmt.Sprintf("%d", aAlarms), report.MS(aShift)},
-		{d.linkB.String(), "loss 09–10h, congested 10–11h (Fig 11b)", fmt.Sprintf("%d", len(obsB)), fmt.Sprintf("%d", bSecondHourAlarms), "—"},
+		{linkA.String(), "congested 09–11h (Fig 11a)", fmt.Sprintf("%d", len(obsA)), fmt.Sprintf("%d", aAlarms), report.MS(aShift)},
+		{linkB.String(), "loss 09–10h, congested 10–11h (Fig 11b)", fmt.Sprintf("%d", len(obsB)), fmt.Sprintf("%d", bSecondHourAlarms), "—"},
 	}))
 	fmt.Fprintf(&sb, "\nlink B evaluated bins during the loss hour: %d (loss starves the delay detector)\n", bFirstHourObs)
 	fmt.Fprintf(&sb, "forwarding alarms naming link B's ends during the loss hour: %d\n", bFwd)
@@ -408,9 +326,9 @@ func Fig12LeakGraph(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := d.analyzer.Graph(leakStart, leakEnd)
-	nodes := g.ComponentNodes(d.linkA.Near)
-	edges := g.Component(d.linkA.Near)
+	g := d.a.Graph(leakStart, leakEnd)
+	nodes := g.ComponentNodes(d.roles.linkA.Near)
+	edges := g.Component(d.roles.linkA.Near)
 	flagged := 0
 	for _, n := range nodes {
 		if g.Flagged(n) {

@@ -4,39 +4,18 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 	"time"
 
-	"pinpoint/internal/core"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
-	"pinpoint/internal/trace"
 )
 
-// ixpData is the shared outcome of the §7.3 IXP-outage run.
-type ixpData struct {
-	topo     *netsim.Topo
-	analyzer *core.Analyzer
-	prefix   netip.Prefix
-	start    time.Time
-}
-
-var ixpMemo = struct {
-	sync.Mutex
-	runs map[Scale]*ixpData
-}{runs: map[Scale]*ixpData{}}
-
-// buildIXPCase generates the topology and injects the LAN-wide fault.
-func buildIXPCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net, error) {
-	topo, err := netsim.Generate(caseTopoConfig(scale, 20150513))
-	if err != nil {
-		return nil, nil, err
-	}
-	ixp := topo.IXPs[0]
+// planIXPCase injects the LAN-wide fault of the §7.3 outage.
+func planIXPCase(topo *netsim.Topo, _ *netsim.Net, _ Scale) ([]netsim.Event, caseRoles, error) {
 	// The technical fault: the whole peering LAN stops switching packets
 	// and stops answering traceroute — every member interface goes dark.
 	var evs []netsim.Event
-	for _, iface := range ixp.Ifaces {
+	for _, iface := range topo.IXPs[0].Ifaces {
 		evs = append(evs,
 			netsim.Event{
 				Name: "ixp-blackhole", Kind: netsim.EventBlackhole, Router: iface,
@@ -48,44 +27,7 @@ func buildIXPCase(scale Scale, art netsim.Artifacts) (*netsim.Topo, *netsim.Net,
 			},
 		)
 	}
-	topo.Builder.SetArtifacts(art)
-	n, err := topo.Build(netsim.NewScenario(evs...))
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, n, nil
-}
-
-func runIXP(scale Scale) (*ixpData, error) {
-	ixpMemo.Lock()
-	defer ixpMemo.Unlock()
-	if d, ok := ixpMemo.runs[scale]; ok {
-		return d, nil
-	}
-
-	topo, n, err := buildIXPCase(scale, netsim.Artifacts{})
-	if err != nil {
-		return nil, err
-	}
-	ixp := topo.IXPs[0]
-
-	d := &ixpData{
-		topo:   topo,
-		prefix: netip.MustParsePrefix(ixp.Prefix),
-		start:  quickHistory(scale, ixpHistoryStart, ixpOutageStart),
-	}
-	p := newCasePlatform(n, topo, 20150513)
-	a := core.New(core.Config{RetainAlarms: true}, p.ProbeASN, n.Prefixes())
-	if err := p.Run(d.start, ixpRunEnd, func(r trace.Result) error {
-		a.Observe(r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	a.Flush()
-	d.analyzer = a
-	ixpMemo.runs[scale] = d
-	return d, nil
+	return evs, caseRoles{}, nil
 }
 
 // Fig13IXPOutage regenerates Fig 13: the outage is invisible to the delay
@@ -93,14 +35,15 @@ func runIXP(scale Scale) (*ixpData, error) {
 // peering-LAN AS dips sharply; unresponsive IP pairs identify the peers
 // that could not exchange traffic (paper: 770 pairs).
 func Fig13IXPOutage(scale Scale) (*Report, error) {
-	d, err := runIXP(scale)
+	d, err := runCase[struct{}](caseRow("ixp"), scale, nil)
 	if err != nil {
 		return nil, err
 	}
-	ixp := d.topo.IXPs[0]
+	ixp := d.Topo.IXPs[0]
+	lan := netip.MustParsePrefix(ixp.Prefix)
 
-	fwdMags := d.analyzer.Aggregator().ForwardingMagnitude(ixp.ASN, d.start.Add(24*time.Hour), ixpRunEnd)
-	delayMags := d.analyzer.Aggregator().DelayMagnitude(ixp.ASN, d.start.Add(24*time.Hour), ixpRunEnd)
+	fwdMags := d.a.Aggregator().ForwardingMagnitude(ixp.ASN, d.Start.Add(24*time.Hour), ixpRunEnd)
+	delayMags := d.a.Aggregator().DelayMagnitude(ixp.ASN, d.Start.Add(24*time.Hour), ixpRunEnd)
 
 	inWin := func(t time.Time) bool { return !t.Before(ixpOutageStart) && t.Before(ixpOutageEnd) }
 	fwdMin, fwdMinOut := 0.0, 0.0
@@ -123,12 +66,12 @@ func Fig13IXPOutage(scale Scale) (*Report, error) {
 	// "770 IP pairs related to the AMS-IX peering LAN became unresponsive":
 	// distinct (router, LAN next hop) pairs devalued during the outage.
 	pairs := map[string]struct{}{}
-	for _, al := range d.analyzer.ForwardingAlarms() {
+	for _, al := range d.a.ForwardingAlarms() {
 		if !inWin(al.Bin) {
 			continue
 		}
 		for _, h := range al.Hops {
-			if h.Hop.IsValid() && d.prefix.Contains(h.Hop) && h.Responsibility < 0 {
+			if h.Hop.IsValid() && lan.Contains(h.Hop) && h.Responsibility < 0 {
 				pairs[al.Router.String()+">"+h.Hop.String()] = struct{}{}
 			}
 		}

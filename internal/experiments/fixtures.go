@@ -133,9 +133,12 @@ func buildCogentLink(seed uint64, nProbes int, outlierProb float64, congestStart
 	return f, nil
 }
 
-// Timeline anchors shared by the case-study harnesses. Dates mirror the
-// paper's events (2015).
+// Timeline anchors of the catalogue's cases. Dates mirror the paper's
+// events (2015).
 var (
+	// The quiet baseline and the F5/T1 campaign start here.
+	baselineStart = time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
+
 	ddosHistoryStart = time.Date(2015, 11, 23, 0, 0, 0, 0, time.UTC)
 	ddosAttack1Start = time.Date(2015, 11, 30, 7, 0, 0, 0, time.UTC)
 	ddosAttack1End   = time.Date(2015, 11, 30, 9, 30, 0, 0, time.UTC)
@@ -185,15 +188,6 @@ func caseTopoConfig(scale Scale, seed uint64) netsim.TopoConfig {
 		RoutersPerTier1: 5, IXPs: 2, IXPMembers: 8,
 		Roots: 3, RootInstances: 6, Anchors: 8,
 	}
-}
-
-// quickHistory shortens the pre-event history at Quick scale so the test
-// suite stays fast; the magnitude window clamps accordingly.
-func quickHistory(scale Scale, fullStart time.Time, event time.Time) time.Time {
-	if scale == Quick {
-		return event.Add(-48 * time.Hour).Truncate(24 * time.Hour)
-	}
-	return fullStart
 }
 
 // ddosScenario injects the §7.1 attack using the catchment-aware plan:

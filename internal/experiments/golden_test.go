@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -18,7 +17,7 @@ import (
 	"pinpoint/internal/forwarding"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden case snapshots under testdata/")
+var update = flag.Bool("update", false, "rewrite the golden snapshots and reports under testdata/")
 
 // goldenSnapshot is the serialized end-to-end output of one fixed-seed case
 // run: every delay alarm, every forwarding alarm, and the detected events.
@@ -52,11 +51,11 @@ func TestGoldenCaseOutputs(t *testing.T) {
 			cfg := core.Config{RetainAlarms: true, Workers: 2}
 			cfg.Events.Threshold = 3
 			cfg.Events.Window = 24 * time.Hour
-			a := core.New(cfg, c.Platform.ProbeASN, c.Net.Prefixes())
-			defer a.Close()
-			if err := a.RunPlatform(context.Background(), c.Platform, c.Start, c.End); err != nil {
+			a, err := analyze(c, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			defer a.Close()
 
 			snap := goldenSnapshot{
 				Case:             c.Name,
@@ -71,27 +70,32 @@ func TestGoldenCaseOutputs(t *testing.T) {
 				t.Fatal(err)
 			}
 			got = append(got, '\n')
-
-			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", name))
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d delay alarms, %d forwarding alarms, %d events)",
-					path, len(snap.DelayAlarms), len(snap.ForwardingAlarms), len(snap.Events))
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run `go test ./internal/experiments -run TestGolden -update`): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("output diverged from %s:\n%s\nrun with -update if the change is intended", path, firstDiff(want, got))
-			}
+			checkGolden(t, fmt.Sprintf("golden_%s.json", name), got)
 		})
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/experiments -update`): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output diverged from %s:\n%s\nrun with -update if the change is intended", path, firstDiff(want, got))
 	}
 }
 

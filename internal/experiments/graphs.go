@@ -16,13 +16,13 @@ func WriteCaseGraphs(scale Scale, create func(name string) (*os.File, error)) er
 	if err != nil {
 		return err
 	}
-	root := d.topo.Roots[0]
+	root := d.Topo.Roots[0]
 	anycast := map[netip.Addr]bool{}
-	for _, rt := range d.topo.Roots {
+	for _, rt := range d.Topo.Roots {
 		anycast[rt.Addr] = true
 	}
 	if err := writeDOT(create, "fig08_ddos.dot", func(w io.Writer) error {
-		return d.analyzer.Graph(ddosAttack1Start, ddosAttack1End).WriteDOT(w, root.Addr, anycast)
+		return d.a.Graph(ddosAttack1Start, ddosAttack1End).WriteDOT(w, root.Addr, anycast)
 	}); err != nil {
 		return err
 	}
@@ -32,7 +32,7 @@ func WriteCaseGraphs(scale Scale, create func(name string) (*os.File, error)) er
 		return err
 	}
 	return writeDOT(create, "fig12_leak.dot", func(w io.Writer) error {
-		return l.analyzer.Graph(leakStart, leakEnd).WriteDOT(w, l.linkA.Near, nil)
+		return l.a.Graph(leakStart, leakEnd).WriteDOT(w, l.roles.linkA.Near, nil)
 	})
 }
 

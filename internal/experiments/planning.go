@@ -7,6 +7,7 @@ import (
 
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
+	"pinpoint/internal/trace"
 )
 
 // Scenario planning: case-study events must land on links the probes
@@ -17,6 +18,11 @@ import (
 
 // dirLink is a directed router pair.
 type dirLink struct{ From, To netsim.RouterID }
+
+// addrLink is l as the detectors key it, by interface address.
+func addrLink(n *netsim.Net, l dirLink) trace.LinkKey {
+	return trace.LinkKey{Near: n.Router(l.From).Addr, Far: n.Router(l.To).Addr}
+}
 
 // linkDiversity returns, for every directed link on a forward path from a
 // probe site to a target, the set of probe ASes traversing it.

@@ -9,7 +9,6 @@ import (
 	"pinpoint/internal/events"
 	"pinpoint/internal/forwarding"
 	"pinpoint/internal/netsim"
-	"pinpoint/internal/trace"
 )
 
 // Robustness harness: run every case under every measurement-artifact mix,
@@ -176,22 +175,16 @@ func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, 
 		return nil, err
 	}
 	c.Platform.SetWorkers(cfg.Workers)
-	coreCfg := core.Config{RetainAlarms: true, Workers: cfg.Workers, Events: evCfg}
-	a := core.New(coreCfg, c.Platform.ProbeASN, c.Net.Prefixes())
-	results := 0
-	if err := c.Platform.Run(c.Start, c.End, func(r trace.Result) error {
-		results++
-		a.Observe(r)
-		return nil
-	}); err != nil {
+	a, err := analyze(c, core.Config{RetainAlarms: true, Workers: cfg.Workers, Events: evCfg})
+	if err != nil {
 		return nil, err
 	}
-	a.Flush()
+	defer a.Close()
 	dal, fal := a.DelayAlarms(), a.ForwardingAlarms()
 
 	cell := &RobustCell{
 		Case: name, Mix: mix.Name,
-		Results: results, DelayAlarms: len(dal), FwdAlarms: len(fal),
+		Results: a.Results(), DelayAlarms: len(dal), FwdAlarms: len(fal),
 	}
 	base := evCfg
 	corr := evCfg
@@ -216,7 +209,8 @@ func scoreEvents(c *Case, dal []delay.Alarm, fal []forwarding.Alarm, evCfg event
 	}
 	binSize := agg.Config().BinSize
 	// Skip the first day: magnitudes over a nearly-empty window are noise in
-	// every configuration, and no case schedules its disruption that early.
+	// every configuration, and no case schedules its disruption that early
+	// (TestNewCaseAllNames holds every catalogue row to it).
 	evs := agg.Events(c.Start.Add(24*time.Hour), c.End.Add(binSize))
 	return scoreAgainstWindows(evs, c.EventWindows, binSize, slackBins)
 }

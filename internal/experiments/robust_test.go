@@ -61,15 +61,11 @@ func TestQuietCaseFalsePositiveFloor(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Platform.SetWorkers(2)
-			a := core.New(core.Config{RetainAlarms: true, Workers: 2, Events: evCfg},
-				c.Platform.ProbeASN, c.Net.Prefixes())
-			if err := c.Platform.Run(c.Start, c.End, func(r trace.Result) error {
-				a.Observe(r)
-				return nil
-			}); err != nil {
+			a, err := analyze(c, core.Config{RetainAlarms: true, Workers: 2, Events: evCfg})
+			if err != nil {
 				t.Fatal(err)
 			}
-			a.Flush()
+			defer a.Close()
 			dal, fal := a.DelayAlarms(), a.ForwardingAlarms()
 			if !mix.Art.Enabled() {
 				if len(dal) != 0 || len(fal) != 0 {
