@@ -98,7 +98,6 @@ func main() {
 	genWorkers := flag.Int("gen-workers", 0, "measurement generator workers (0 = all CPUs, 1 = inline)")
 	input := flag.String("input", "", "comma-separated NDJSON dump paths to analyze instead of live generation (.gz ok, - for stdin)")
 	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for -input (0 = all CPUs, 1 = inline)")
-	corroborate := flag.Int("corroborate", 0, "require this many distinct corroborating alarm sources per event (0 = off, paper behaviour)")
 	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence; reopening resumes past committed bins and adds /api/bins time travel")
 	evictIdle := flag.Int("evict-idle-bins", 0, "evict detector state for links/flows idle this many bins (0 = off, paper behaviour)")
 	follow := flag.String("follow", "", "writer base URL to replicate (e.g. http://writer:8080): run as a read replica tailing its feed instead of analyzing locally")
@@ -133,7 +132,6 @@ func main() {
 	if cfg.Workers == 0 {
 		cfg.Workers = core.AutoWorkers
 	}
-	cfg.Events.Corroborate = *corroborate
 	cfg.Delay = delay.Config{EvictIdleBins: *evictIdle}
 	cfg.Forwarding = forwarding.Config{EvictIdleBins: *evictIdle}
 	// No RetainAlarms: the publisher keeps the wire-form record, so the

@@ -8,8 +8,9 @@
 // atlasgen) through the parallel ingest pipeline, with the case supplying
 // the probe and prefix metadata — no sidecar file needed.
 //
-// Dumps may be gzip-compressed (auto-detected), read from stdin (-), and
-// -input accepts a comma-separated list replayed as one stream.
+// Dumps may be gzip-compressed (auto-detected), read from stdin (-, the
+// default without -case), and -input accepts a comma-separated list
+// replayed as one stream.
 // -cpuprofile/-memprofile write pprof profiles of the whole run for field
 // profiling of ingest.
 //
@@ -22,7 +23,7 @@
 //
 // Usage:
 //
-//	pinpoint -in ddos.ndjson -meta ddos.ndjson.meta.json
+//	pinpoint -input ddos.ndjson -meta ddos.ndjson.meta.json
 //	atlasgen -case leak | pinpoint -meta leak.meta.json
 //	pinpoint -case ddos -scale quick -gen-workers 4 -workers 4
 //	pinpoint -case ddos -input ddos.ndjson.gz -decode-workers 4
@@ -91,8 +92,7 @@ func main() {
 }
 
 func run() error {
-	in := flag.String("in", "-", "results NDJSON input path (- for stdin; gzip auto-detected)")
-	input := flag.String("input", "", "comma-separated dump paths to replay (NDJSON, .gz ok, - for stdin); with -case the case supplies the metadata")
+	input := flag.String("input", "", "comma-separated dump paths to replay (NDJSON, .gz ok, - for stdin; default stdin unless -case); with -case the case supplies the metadata")
 	metaPath := flag.String("meta", "", "metadata JSON path (required for dump input unless -case)")
 	caseName := flag.String("case", "", "generate and analyze a scenario ("+strings.Join(experiments.CaseNames, ", ")+") — or, with -input, supply its metadata for a dump replay")
 	scaleName := flag.String("scale", "quick", "workload scale for -case: quick or full")
@@ -101,7 +101,6 @@ func run() error {
 	skipBad := flag.Bool("skip-bad", false, "tolerate undecodable dump lines (skipped count is reported) instead of aborting")
 	threshold := flag.Float64("threshold", 10, "event magnitude threshold")
 	window := flag.Duration("window", 7*24*time.Hour, "magnitude sliding window")
-	corroborate := flag.Int("corroborate", 0, "require this many distinct corroborating alarm sources per event (0 = off, paper behaviour)")
 	workers := flag.Int("workers", 0, "analysis worker shards (0 = all CPUs, 1 = one inline shard)")
 	verbose := flag.Bool("v", false, "print every alarm")
 	topAS := flag.Int("top", 10, "number of ASes to summarize")
@@ -151,7 +150,6 @@ func run() error {
 	}
 	cfg.Events.Threshold = *threshold
 	cfg.Events.Window = *window
-	cfg.Events.Corroborate = *corroborate
 	cfg.Delay.EvictIdleBins = *evictIdle
 	cfg.Forwarding.EvictIdleBins = *evictIdle
 
@@ -172,12 +170,6 @@ func run() error {
 		}
 	}
 
-	if *input != "" && *in != "-" {
-		return errors.New("-in and -input are mutually exclusive; list every dump in -input")
-	}
-	if c != nil && *in != "-" {
-		return errors.New("-case generates its own data; use -input to replay a dump of the case")
-	}
 	if *storeDir != "" && c == nil {
 		// Resuming replays the deterministic input from the start; only a
 		// case supplies the run window the store's resume cursor needs.
@@ -291,7 +283,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		paths := []string{*in}
+		paths := []string{"-"}
 		if *input != "" {
 			if paths, err = splitPaths(*input); err != nil {
 				return err

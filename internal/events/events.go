@@ -14,7 +14,6 @@ import (
 
 	"pinpoint/internal/delay"
 	"pinpoint/internal/forwarding"
-	"pinpoint/internal/hash"
 	"pinpoint/internal/ident"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/timeseries"
@@ -25,14 +24,6 @@ type Config struct {
 	BinSize   time.Duration // must match the detectors'; default 1 hour
 	Window    time.Duration // magnitude window; paper: one week
 	Threshold float64       // |mag| at or above this is an event; default 10
-
-	// Corroborate, when ≥ 2, enables the empathy-style corroboration pass
-	// (see corroborate.go): an event is reported only when alarms from at
-	// least this many distinct sources (links or probe ASes for delay,
-	// implicated next-hop interfaces for forwarding) agree. 0 (the
-	// default) keeps the paper's §6 behaviour exactly — magnitudes and
-	// golden outputs are unchanged.
-	Corroborate int
 }
 
 func (c Config) withDefaults() Config {
@@ -97,10 +88,6 @@ type Aggregator struct {
 	// mutations rejected because closed bins are immutable.
 	inc          incState
 	droppedStale int
-
-	// corr is the corroboration source ledger, populated only when
-	// cfg.Corroborate ≥ 2 (see corroborate.go).
-	corr map[corrTypeKey]*corrSet
 }
 
 // NewAggregator returns an Aggregator resolving addresses with the given
@@ -172,14 +159,6 @@ func (a *Aggregator) AddDelayAlarm(al delay.Alarm) {
 	asns := a.asnsOf(al.Link.Near, al.Link.Far)
 	for _, asn := range asns {
 		a.series(a.delaySeries, asn).Add(al.Bin, al.Deviation)
-		if a.cfg.Corroborate >= 2 {
-			// One delay alarm aggregates many probes over one link: the
-			// link is the corroboration source and the alarm's probe-AS
-			// count is its own vantage diversity.
-			a.recordSource(asn, DelayChange, al.Bin,
-				hash.Fold(0xd31a_11, corrAddrHash(al.Link.Near), corrAddrHash(al.Link.Far)),
-				al.ASes, true)
-		}
 	}
 }
 
@@ -202,16 +181,6 @@ func (a *Aggregator) AddForwardingAlarm(al forwarding.Alarm) {
 			continue
 		}
 		a.series(a.fwdSeries, asn).Add(al.Bin, h.Responsibility)
-		if a.cfg.Corroborate >= 2 {
-			// The implicated next-hop interface is the corroboration
-			// source — it is whose responsibility lands in this AS's
-			// series. A genuine reroute spreads flows over several
-			// distinct detour hops; a lying router's forged surge funnels
-			// through its one stale address. Only newly-used (positive)
-			// hops corroborate a surge; hops of either sign enter the
-			// history ledger that backs dip corroboration.
-			a.recordSource(asn, ForwardingAnomaly, al.Bin, corrAddrHash(h.Hop), 1, h.Responsibility > 0)
-		}
 	}
 }
 

@@ -95,8 +95,8 @@ func (a *Aggregator) CloseBins(upTo time.Time, d *CloseDelta) []Event {
 	return a.inc.events[firstNew:len(a.inc.events):len(a.inc.events)]
 }
 
-// evalBin is §6's evaluation of bin t: each AS's two Eq 10 magnitudes, the
-// threshold test and corroboration. asns must be sorted, so the events it
+// evalBin is §6's evaluation of bin t: each AS's two Eq 10 magnitudes and
+// the threshold test. asns must be sorted, so the events it
 // appends to out come in (bin, AS, type) order. keep, when non-nil,
 // receives every magnitude computed.
 func (a *Aggregator) evalBin(t time.Time, asns []ipmap.ASN, out []Event, keep func(ipmap.ASN, Type, *timeseries.Series, float64)) []Event {
@@ -113,8 +113,7 @@ func (a *Aggregator) evalBin(t time.Time, asns []ipmap.ASN, out []Event, keep fu
 			// Delay events trigger on positive peaks (worse delays);
 			// forwarding events on both signs, matching the heavy left tail
 			// of Fig 5b.
-			hit := v >= a.cfg.Threshold || typ == ForwardingAnomaly && v <= -a.cfg.Threshold
-			if hit && a.corroborated(asn, typ, t, v) {
+			if v >= a.cfg.Threshold || typ == ForwardingAnomaly && v <= -a.cfg.Threshold {
 				out = append(out, Event{ASN: asn, Bin: t, Type: typ, Magnitude: v})
 			}
 		}

@@ -25,12 +25,12 @@ func (a *Aggregator) recomputeEvents(from, to time.Time) []Event {
 	var out []Event
 	for _, asn := range a.ASes() {
 		for _, p := range a.DelayMagnitude(asn, from, to) {
-			if p.V >= a.cfg.Threshold && a.corroborated(asn, DelayChange, p.T, p.V) {
+			if p.V >= a.cfg.Threshold {
 				out = append(out, Event{ASN: asn, Bin: p.T, Type: DelayChange, Magnitude: p.V})
 			}
 		}
 		for _, p := range a.ForwardingMagnitude(asn, from, to) {
-			if (p.V >= a.cfg.Threshold || p.V <= -a.cfg.Threshold) && a.corroborated(asn, ForwardingAnomaly, p.T, p.V) {
+			if p.V >= a.cfg.Threshold || p.V <= -a.cfg.Threshold {
 				out = append(out, Event{ASN: asn, Bin: p.T, Type: ForwardingAnomaly, Magnitude: p.V})
 			}
 		}

@@ -61,11 +61,6 @@ func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
 	if a.haveBin || len(a.delaySeries) > 0 || len(a.fwdSeries) > 0 {
 		return fmt.Errorf("events: RestoreIncremental on a non-fresh aggregator")
 	}
-	if a.cfg.Corroborate >= 2 {
-		// The corroboration source ledger is not persisted; restoring
-		// without it would silently drop corroborated events.
-		return fmt.Errorf("events: corroboration (Corroborate=%d) does not support segment restore", a.cfg.Corroborate)
-	}
 	first := timeseries.Bin(rs.FirstBin, a.cfg.BinSize)
 	through := timeseries.Bin(rs.ValidThrough, a.cfg.BinSize)
 	if through.Before(first) {

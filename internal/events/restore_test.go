@@ -267,12 +267,6 @@ func TestRestoreRequiresFreshAggregator(t *testing.T) {
 	if err := a.RestoreIncremental(RestoredState{FirstBin: t0, ValidThrough: t0}); err == nil {
 		t.Fatal("restore on a non-fresh aggregator succeeded")
 	}
-	c := restoreConfig()
-	c.Corroborate = 2
-	b := NewAggregator(c, testTable(t))
-	if err := b.RestoreIncremental(RestoredState{FirstBin: t0, ValidThrough: t0}); err == nil {
-		t.Fatal("restore with corroboration enabled succeeded")
-	}
 }
 
 // pointsEqual compares point slices treating NaN == NaN (empty windows

@@ -5,18 +5,13 @@ import (
 	"time"
 
 	"pinpoint/internal/core"
-	"pinpoint/internal/delay"
 	"pinpoint/internal/events"
-	"pinpoint/internal/forwarding"
 	"pinpoint/internal/netsim"
 )
 
-// Robustness harness: run every case under every measurement-artifact mix,
-// score detected events against the ground-truth EventWindows, and measure
-// what the corroboration pass buys — the precision/recall evidence behind
-// BENCH_robust.json. One platform run per (case, mix) feeds two event
-// scorings (corroboration off and on) by replaying the retained alarms, so
-// the ablation compares identical inputs.
+// Robustness harness: run every case under every measurement-artifact mix
+// and score the events the analyzer detected against the ground-truth
+// EventWindows — the precision/recall evidence behind BENCH_robust.json.
 
 // ArtifactMix is one named artifact configuration of the robustness grid.
 type ArtifactMix struct {
@@ -57,44 +52,37 @@ type RobustCell struct {
 	Results     int         `json:"results"`
 	DelayAlarms int         `json:"delay_alarms"`
 	FwdAlarms   int         `json:"fwd_alarms"`
-	Base        RobustScore `json:"base"`         // corroboration off
-	Corroborate RobustScore `json:"corroborated"` // corroboration on (K = CorroborateK)
+	Base        RobustScore `json:"base"`
 }
 
-// RobustSummary aggregates the ablation across the grid: true positives on
-// clean runs must survive corroboration; false positives on artifact-laden
-// runs should drop.
+// RobustSummary aggregates the grid: true positives and windows hit on
+// clean runs, false positives on artifact-laden runs.
 type RobustSummary struct {
 	CleanTruePosBase    int `json:"clean_true_pos_base"`
-	CleanTruePosCorr    int `json:"clean_true_pos_corroborated"`
 	CleanWindowsHitBase int `json:"clean_windows_hit_base"`
-	CleanWindowsHitCorr int `json:"clean_windows_hit_corroborated"`
 	ArtFalsePosBase     int `json:"artifact_false_pos_base"`
-	ArtFalsePosCorr     int `json:"artifact_false_pos_corroborated"`
 }
 
 // RobustReport is the BENCH_robust.json payload.
 type RobustReport struct {
-	Scale        string        `json:"scale"`
-	Threshold    float64       `json:"threshold"`
-	WindowHours  float64       `json:"window_hours"`
-	CorroborateK int           `json:"corroborate_k"`
-	SlackBins    int           `json:"slack_bins"`
-	Workers      int           `json:"workers"`
-	WarmupHours  float64       `json:"warmup_hours"`
-	Mixes        []ArtifactMix `json:"mixes"`
-	Cells        []RobustCell  `json:"cells"`
-	Summary      RobustSummary `json:"summary"`
+	Scale       string        `json:"scale"`
+	Threshold   float64       `json:"threshold"`
+	WindowHours float64       `json:"window_hours"`
+	SlackBins   int           `json:"slack_bins"`
+	Workers     int           `json:"workers"`
+	WarmupHours float64       `json:"warmup_hours"`
+	Mixes       []ArtifactMix `json:"mixes"`
+	Cells       []RobustCell  `json:"cells"`
+	Summary     RobustSummary `json:"summary"`
 }
 
 // RobustConfig parameterizes RunRobustness. The zero value takes the
 // defaults noted per field.
 type RobustConfig struct {
-	Cases        []string      // default: all of CaseNames
-	Mixes        []ArtifactMix // default: ArtifactMixes()
-	Workers      int           // platform + analyzer workers; default 2
-	CorroborateK int           // corroboration K for the ablation; default 2
-	SlackBins    int           // event-to-window matching slack; default 1
+	Cases     []string      // default: all of CaseNames
+	Mixes     []ArtifactMix // default: ArtifactMixes()
+	Workers   int           // platform + analyzer workers; default 2
+	SlackBins int           // event-to-window matching slack; default 1
 }
 
 func (c RobustConfig) withDefaults() RobustConfig {
@@ -106,9 +94,6 @@ func (c RobustConfig) withDefaults() RobustConfig {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.CorroborateK == 0 {
-		c.CorroborateK = 2
 	}
 	if c.SlackBins == 0 {
 		c.SlackBins = 1
@@ -131,14 +116,13 @@ func RunRobustness(scale Scale, cfg RobustConfig) (*RobustReport, error) {
 	cfg = cfg.withDefaults()
 	evCfg := robustEventsConfig(scale)
 	rep := &RobustReport{
-		Scale:        scale.String(),
-		Threshold:    evCfg.Threshold,
-		WindowHours:  evCfg.Window.Hours(),
-		CorroborateK: cfg.CorroborateK,
-		SlackBins:    cfg.SlackBins,
-		Workers:      cfg.Workers,
-		WarmupHours:  24,
-		Mixes:        cfg.Mixes,
+		Scale:       scale.String(),
+		Threshold:   evCfg.Threshold,
+		WindowHours: evCfg.Window.Hours(),
+		SlackBins:   cfg.SlackBins,
+		Workers:     cfg.Workers,
+		WarmupHours: 24,
+		Mixes:       cfg.Mixes,
 	}
 	if rep.Threshold == 0 {
 		rep.Threshold = 10 // events.Config default
@@ -155,20 +139,17 @@ func RunRobustness(scale Scale, cfg RobustConfig) (*RobustReport, error) {
 			rep.Cells = append(rep.Cells, *cell)
 			if mix.Name == "clean" || !mix.Art.Enabled() {
 				rep.Summary.CleanTruePosBase += cell.Base.TruePos
-				rep.Summary.CleanTruePosCorr += cell.Corroborate.TruePos
 				rep.Summary.CleanWindowsHitBase += cell.Base.WindowsHit
-				rep.Summary.CleanWindowsHitCorr += cell.Corroborate.WindowsHit
 			} else {
 				rep.Summary.ArtFalsePosBase += cell.Base.FalsePos
-				rep.Summary.ArtFalsePosCorr += cell.Corroborate.FalsePos
 			}
 		}
 	}
 	return rep, nil
 }
 
-// runRobustCell runs one (case, mix): generate + analyze once with retained
-// alarms, then score events with corroboration off and on.
+// runRobustCell runs one (case, mix): generate + analyze once, then score
+// the events the analyzer's own aggregator detected.
 func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, evCfg events.Config) (*RobustCell, error) {
 	c, err := NewCaseArtifacts(name, scale, mix.Art)
 	if err != nil {
@@ -180,33 +161,18 @@ func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, 
 		return nil, err
 	}
 	defer a.Close()
-	dal, fal := a.DelayAlarms(), a.ForwardingAlarms()
-
-	cell := &RobustCell{
+	return &RobustCell{
 		Case: name, Mix: mix.Name,
-		Results: a.Results(), DelayAlarms: len(dal), FwdAlarms: len(fal),
-	}
-	base := evCfg
-	corr := evCfg
-	corr.Corroborate = cfg.CorroborateK
-	cell.Base = scoreEvents(c, dal, fal, base, cfg.SlackBins)
-	cell.Corroborate = scoreEvents(c, dal, fal, corr, cfg.SlackBins)
-	return cell, nil
+		Results: a.Results(), DelayAlarms: len(a.DelayAlarms()), FwdAlarms: len(a.ForwardingAlarms()),
+		Base: scoreEvents(c, a, cfg.SlackBins),
+	}, nil
 }
 
-// scoreEvents replays retained alarms into a fresh aggregator under the
-// given config, detects events with the same per-bin evaluation core runs
-// at every bin close (corroboration included), and scores the event bins
-// against the case's ground-truth windows.
-func scoreEvents(c *Case, dal []delay.Alarm, fal []forwarding.Alarm, evCfg events.Config, slackBins int) RobustScore {
-	agg := events.NewAggregator(evCfg, c.Net.Prefixes())
-	agg.ObserveBin(c.Start)
-	for _, al := range dal {
-		agg.AddDelayAlarm(al)
-	}
-	for _, al := range fal {
-		agg.AddForwardingAlarm(al)
-	}
+// scoreEvents scores the events of the analyzer's aggregator — closed at
+// every bin close, so already evaluated — against the case's ground-truth
+// windows.
+func scoreEvents(c *Case, a *core.Analyzer, slackBins int) RobustScore {
+	agg := a.Aggregator()
 	binSize := agg.Config().BinSize
 	// Skip the first day: magnitudes over a nearly-empty window are noise in
 	// every configuration, and no case schedules its disruption that early

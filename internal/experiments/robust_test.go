@@ -73,7 +73,7 @@ func TestQuietCaseFalsePositiveFloor(t *testing.T) {
 						len(dal), len(fal))
 				}
 			}
-			score := scoreEvents(c, dal, fal, evCfg, 1)
+			score := scoreEvents(c, a, 1)
 			if score.Events != 0 {
 				t.Errorf("mix %s: quiet run produced %d events, want 0 (%d delay alarms, %d fwd alarms)",
 					mix.Name, score.Events, len(dal), len(fal))
@@ -103,22 +103,16 @@ func TestRunRobustnessSmoke(t *testing.T) {
 		if cell.Results == 0 {
 			t.Errorf("cell %s/%s: zero results", cell.Case, cell.Mix)
 		}
-		for _, s := range []RobustScore{cell.Base, cell.Corroborate} {
-			if s.TruePos+s.FalsePos != s.Events {
-				t.Errorf("cell %s/%s: TP %d + FP %d != events %d", cell.Case, cell.Mix, s.TruePos, s.FalsePos, s.Events)
-			}
-			if s.Precision < 0 || s.Precision > 1 || s.Recall < 0 || s.Recall > 1 {
-				t.Errorf("cell %s/%s: precision %v / recall %v outside [0,1]", cell.Case, cell.Mix, s.Precision, s.Recall)
-			}
+		s := cell.Base
+		if s.TruePos+s.FalsePos != s.Events {
+			t.Errorf("cell %s/%s: TP %d + FP %d != events %d", cell.Case, cell.Mix, s.TruePos, s.FalsePos, s.Events)
 		}
-		// Corroboration only ever demotes: it cannot create events.
-		if cell.Corroborate.Events > cell.Base.Events {
-			t.Errorf("cell %s/%s: corroboration added events (%d > %d)",
-				cell.Case, cell.Mix, cell.Corroborate.Events, cell.Base.Events)
+		if s.Precision < 0 || s.Precision > 1 || s.Recall < 0 || s.Recall > 1 {
+			t.Errorf("cell %s/%s: precision %v / recall %v outside [0,1]", cell.Case, cell.Mix, s.Precision, s.Recall)
 		}
 	}
 	// The quiet case has no ground-truth windows; nothing contributes TPs.
-	if rep.Summary.CleanTruePosBase != 0 || rep.Summary.ArtFalsePosBase < rep.Summary.ArtFalsePosCorr {
+	if rep.Summary.CleanTruePosBase != 0 || rep.Summary.CleanWindowsHitBase != 0 {
 		t.Errorf("summary inconsistent: %+v", rep.Summary)
 	}
 	buf, err := json.Marshal(rep)
@@ -132,7 +126,7 @@ func TestRunRobustnessSmoke(t *testing.T) {
 }
 
 // BenchmarkRobustCell measures one artifact-laden (case, mix) cell end to
-// end — generation, analysis, and the double event scoring. CI's bench-smoke
+// end — generation, analysis, and event scoring. CI's bench-smoke
 // runs this as the robustness-harness regression canary.
 func BenchmarkRobustCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -51,8 +51,8 @@ type Artifacts struct {
 	// belongs to no live router, allocated at Build from a neighboring
 	// AS's prefix (an old peering allocation) so the hop is misattributed
 	// across an AS boundary. Bursty by construction — one lying router
-	// pollutes a whole analysis bin from a single source, exactly the
-	// shape the corroboration pass is meant to demote.
+	// pollutes a whole analysis bin from a single source, a false
+	// positive the robustness grid's lying and storm mixes count.
 	LyingHopProb float64
 
 	// AliasProb selects routers (by hash) that answer from a second

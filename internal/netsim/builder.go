@@ -434,9 +434,8 @@ func (b *Builder) Build(scenario *Scenario) (*Net, error) {
 		// misattributes the hop across an AS boundary. A live neighbor's
 		// address would be silently discarded by the analyzers' self-loop
 		// filters; a dedicated cross-AS address makes the burst visible as
-		// a forged pattern change in the wrong AS — exactly the
-		// single-source false positive the corroboration pass exists to
-		// demote. Routers in unregistered or exhausted ASes fall back to
+		// a forged pattern change in the wrong AS, a single-source false
+		// positive. Routers in unregistered or exhausted ASes fall back to
 		// their own address (the artifact is a no-op there).
 		n.staleAddr = b.allocStale()
 	}

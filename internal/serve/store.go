@@ -67,18 +67,9 @@ type BinPayload struct {
 // model from its segments. After a boot the caller must replay the run's
 // input from the start — the analyzer's resume cursor (Resumed) suppresses
 // everything already durable, so the replay only rebuilds detector state.
-//
-// Aggregator corroboration (events.Config.Corroborate ≥ 2) is rejected:
-// its source ledger is not persisted, so a restore would silently change
-// results.
 func NewPublisherWithStore(a *core.Analyzer, meta Meta, st *segstore.Store) (*Publisher, error) {
 	p := newPublisher(a, meta)
 	p.store = st
-	if c := p.agg.Config().Corroborate; c >= 2 {
-		// Rejected even on a fresh store: the resulting segments could never
-		// be restored from.
-		return nil, fmt.Errorf("serve: segment store does not support corroboration (Corroborate=%d)", c)
-	}
 	if st.Len() > 0 {
 		if err := p.restoreFromStore(); err != nil {
 			return nil, err
