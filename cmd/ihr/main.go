@@ -60,9 +60,7 @@ import (
 	"time"
 
 	"pinpoint/internal/core"
-	"pinpoint/internal/delay"
 	"pinpoint/internal/experiments"
-	"pinpoint/internal/forwarding"
 	"pinpoint/internal/ingest"
 	"pinpoint/internal/segstore"
 	"pinpoint/internal/serve"
@@ -99,7 +97,6 @@ func main() {
 	input := flag.String("input", "", "comma-separated NDJSON dump paths to analyze instead of live generation (.gz ok, - for stdin)")
 	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for -input (0 = all CPUs, 1 = inline)")
 	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence; reopening resumes past committed bins and adds /api/bins time travel")
-	evictIdle := flag.Int("evict-idle-bins", 0, "evict detector state for links/flows idle this many bins (0 = off, paper behaviour)")
 	follow := flag.String("follow", "", "writer base URL to replicate (e.g. http://writer:8080): run as a read replica tailing its feed instead of analyzing locally")
 	flag.Parse()
 
@@ -132,8 +129,6 @@ func main() {
 	if cfg.Workers == 0 {
 		cfg.Workers = core.AutoWorkers
 	}
-	cfg.Delay = delay.Config{EvictIdleBins: *evictIdle}
-	cfg.Forwarding = forwarding.Config{EvictIdleBins: *evictIdle}
 	// No RetainAlarms: the publisher keeps the wire-form record, so the
 	// analyzer does not need a second in-memory copy.
 	a := core.New(cfg, c.Platform.ProbeASN, c.Net.Prefixes())

@@ -17,9 +17,7 @@
 // With -store DIR (requires -case) every closed bin is committed to an
 // append-only segment store (internal/segstore) as the run progresses; a
 // rerun with the same directory resumes past the committed bins, replaying
-// the earlier deterministic input as warmup only. -evict-idle-bins bounds
-// detector memory by evicting per-link/per-flow state idle beyond the
-// threshold (a fidelity tradeoff; off by default).
+// the earlier deterministic input as warmup only.
 //
 // Usage:
 //
@@ -80,6 +78,20 @@ func parseDotAround(dotPath, around string) (netip.Addr, error) {
 	return addr, nil
 }
 
+// checkEventFlags validates -threshold and -window before any analysis
+// runs: the aggregator would read a zero threshold as its default and a
+// negative one as "every bin is an event", and a window shorter than one
+// bin holds no magnitude history.
+func checkEventFlags(threshold float64, window, bin time.Duration) error {
+	if threshold <= 0 {
+		return fmt.Errorf("-threshold %v: must be positive", threshold)
+	}
+	if window < bin {
+		return fmt.Errorf("-window %v: must be at least one bin (%v)", window, bin)
+	}
+	return nil
+}
+
 // main only parses the exit status; the whole run lives in run() so its
 // defers — crucially StopCPUProfile and the -memprofile writer — fire on
 // every error path instead of being skipped by log.Fatal's os.Exit.
@@ -110,7 +122,6 @@ func run() error {
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit, after a GC) to this path")
 	binCloseStats := flag.Bool("binclose-stats", false, "print bin-close kernel throughput (bins/links/flows closed, samples/s) after the run")
 	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence (requires -case); reopening resumes past committed bins, reporting post-resume alarms only")
-	evictIdle := flag.Int("evict-idle-bins", 0, "evict detector state for links/flows idle this many bins (0 = off, paper behaviour)")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -148,10 +159,11 @@ func run() error {
 	if cfg.Workers == 0 {
 		cfg.Workers = core.AutoWorkers
 	}
+	if err := checkEventFlags(*threshold, *window, cfg.BinSize()); err != nil {
+		return err
+	}
 	cfg.Events.Threshold = *threshold
 	cfg.Events.Window = *window
-	cfg.Delay.EvictIdleBins = *evictIdle
-	cfg.Forwarding.EvictIdleBins = *evictIdle
 
 	var (
 		a           *core.Analyzer
@@ -328,9 +340,8 @@ func run() error {
 		if dc.Dur > 0 {
 			rate = float64(dc.Samples) / dc.Dur.Seconds()
 		}
-		fmt.Printf("bin-close: %d bins; %d link-bins, %d with probes dropped, %d more rejected (%d ∆ samples, %.3gM samples/s through the kernels, %v); %d flow-bins (%v); %d link / %d flow states evicted\n\n",
-			dc.Bins, dc.Links, dc.Dropped, dc.Rejected, dc.Samples, rate/1e6, dc.Dur.Round(time.Millisecond), fc.Flows, fc.Dur.Round(time.Millisecond),
-			dc.Evicted, fc.Evicted)
+		fmt.Printf("bin-close: %d bins; %d link-bins, %d with probes dropped, %d more rejected (%d ∆ samples, %.3gM samples/s through the kernels, %v); %d flow-bins (%v)\n\n",
+			dc.Bins, dc.Links, dc.Dropped, dc.Rejected, dc.Samples, rate/1e6, dc.Dur.Round(time.Millisecond), fc.Flows, fc.Dur.Round(time.Millisecond))
 	}
 
 	if *verbose {

@@ -3,7 +3,30 @@ package main
 import (
 	"net/netip"
 	"testing"
+	"time"
 )
+
+func TestCheckEventFlagsRejectsBadValues(t *testing.T) {
+	const bin = time.Hour
+	for _, tc := range []struct {
+		threshold float64
+		window    time.Duration
+		ok        bool
+	}{
+		{10, 7 * 24 * time.Hour, true},
+		{0.5, bin, true},
+		{0, 7 * 24 * time.Hour, false},  // the aggregator would read 0 as its default
+		{-5, 7 * 24 * time.Hour, false}, // every bin would be an event
+		{10, 0, false},                  // the aggregator would read 0 as a week
+		{10, -time.Hour, false},
+		{10, bin - time.Second, false},
+	} {
+		err := checkEventFlags(tc.threshold, tc.window, bin)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkEventFlags(%v, %v) = %v, want ok=%v", tc.threshold, tc.window, err, tc.ok)
+		}
+	}
+}
 
 func TestParseDotAroundRejectsBadFlags(t *testing.T) {
 	for _, bad := range []struct{ dot, around string }{

@@ -47,19 +47,6 @@ type Config struct {
 	MinDiffMS  float64       // minimum median gap to report; paper: 1 ms
 	Seed       uint64        // seeds the random probe dropping of §4.3
 
-	// EvictIdleBins, when positive, evicts a link's per-link state (sample
-	// buffers and smoothed reference) once the link has produced no samples
-	// for that many consecutive bins, bounding detector memory on long runs
-	// with churning link populations. Eviction is an explicit fidelity
-	// tradeoff: a link returning after the idle window restarts reference
-	// warmup exactly as a never-seen link would, so alarms it would have
-	// raised against the old reference are lost. The decision depends only
-	// on the link's own sample history (bin timestamps, not close counts),
-	// so any shard layout evicts identically and sharded output stays
-	// bit-identical to sequential output. 0 (the default) disables eviction,
-	// preserving the paper's unbounded-memory behavior.
-	EvictIdleBins int
-
 	// Registry is the identity layer the detector interns links through.
 	// Leave nil for a private registry (a standalone detector);
 	// the engine injects its shared registry here so the LinkIDs
@@ -262,22 +249,17 @@ type probeRun struct {
 // touches the link, so steady-state ingestion reuses the same backing
 // arrays; runs tile deltas in arrival order. The reverse-resolved key is
 // cached here at slot creation (a LinkID's address pair never changes), so
-// bin close never goes back to the registry. With EvictIdleBins set, idle
-// slots are reclaimed onto a free list (dead marks a reclaimed slot);
-// lastBin records the bin the link last produced a sample in, the sole
-// input to the eviction decision.
+// bin close never goes back to the registry. A slot lives for the whole
+// run: like the paper, the detector keeps every link's reference.
 type linkState struct {
-	epoch   uint32        // bin epoch of the deltas/runs buffers
-	deltas  []float64     // this bin's ∆ samples, arrival order
-	runs    []probeRun    // who contributed which stretch of deltas
-	dead    bool          // slot reclaimed, waiting on the free list
-	hasRef  bool          // ref initialized (link passed filtering once)
-	isV4    bool          // both addresses are 4-byte: key64 is valid
-	id      ident.LinkID  // owning link, to clear slotOf on eviction
-	lastBin int64         // UnixNano of the bin the link last appeared in
-	key     trace.LinkKey // reverse-resolved (Near, Far), cached once
-	key64   uint64        // big-endian-packed (Near, Far) for the radix close order
-	ref     linkRef
+	epoch  uint32        // bin epoch of the deltas/runs buffers
+	deltas []float64     // this bin's ∆ samples, arrival order
+	runs   []probeRun    // who contributed which stretch of deltas
+	hasRef bool          // ref initialized (link passed filtering once)
+	isV4   bool          // both addresses are 4-byte: key64 is valid
+	key    trace.LinkKey // reverse-resolved (Near, Far), cached once
+	key64  uint64        // big-endian-packed (Near, Far) for the radix close order
+	ref    linkRef
 }
 
 // probeGroup is one probe's runs in the probe-sorted run order of one
@@ -322,20 +304,9 @@ type Detector struct {
 	// table (slotOf: LinkID → index into links, −1 when unowned; 4 bytes
 	// per global ID) keeps the ~200-byte linkState records scaled to the
 	// links this detector actually ingests.
-	slotOf    []int32
-	links     []linkState
-	touched   []ident.LinkID // links with samples in the open bin
-	linkSeen  []bool         // per-LinkID: ever counted in linksSeen (survives eviction)
-	linksSeen int
-
-	// Idle-state eviction (Config.EvictIdleBins). evictAfter is the idle
-	// threshold in nanoseconds (0 = disabled); freeSlots are reclaimed link
-	// slots awaiting reuse. The authoritative staleness check runs at touch
-	// time against lastBin, so the close-time sweep is pure memory
-	// reclamation and cannot change output.
-	evictAfter int64
-	freeSlots  []int32
-	evicted    int
+	slotOf  []int32
+	links   []linkState
+	touched []ident.LinkID // links with samples in the open bin
 
 	// The probe ObserveView is ingesting runs for.
 	runProbe int32
@@ -379,7 +350,6 @@ type CloseStats struct {
 	Dropped  int           // link-bins §4.3 removed ≥ 1 probe from (survivors copied out)
 	Rejected int           // link-bins failing the MinASes criterion
 	Samples  int64         // ∆ samples fed through the median/CI kernels
-	Evicted  int           // idle link states evicted (Config.EvictIdleBins)
 	Dur      time.Duration // wall time spent closing bins
 }
 
@@ -387,7 +357,7 @@ type CloseStats struct {
 func (d *Detector) CloseStats() CloseStats {
 	return CloseStats{
 		Bins: d.binsClosed, Links: d.linksClosed, Dropped: d.linksDropped, Rejected: d.linksRejected,
-		Samples: d.kernelSamples, Evicted: d.evicted, Dur: d.closeDur,
+		Samples: d.kernelSamples, Dur: d.closeDur,
 	}
 }
 
@@ -397,7 +367,7 @@ func (d *Detector) CloseStats() CloseStats {
 func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 	cfg = cfg.withDefaults()
 	pcg := rand.NewPCG(cfg.Seed, 0x5ca1ab1e)
-	d := &Detector{
+	return &Detector{
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		intern:   ident.NewInterner(cfg.Registry),
@@ -406,10 +376,6 @@ func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 		rng:      rand.New(pcg),
 		epoch:    1,
 	}
-	if cfg.EvictIdleBins > 0 {
-		d.evictAfter = int64(cfg.EvictIdleBins) * cfg.BinSize.Nanoseconds()
-	}
-	return d
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -419,8 +385,9 @@ func (d *Detector) Config() Config { return d.cfg }
 func (d *Detector) Registry() *ident.Registry { return d.reg }
 
 // LinksSeen returns how many distinct links ever produced ∆ samples — the
-// paper's "we monitored delays for 262k IPv4 links" statistic.
-func (d *Detector) LinksSeen() int { return d.linksSeen }
+// paper's "we monitored delays for 262k IPv4 links" statistic. Every link
+// gets its slot on its first sample and keeps it, so this is the slot count.
+func (d *Detector) LinksSeen() int { return len(d.links) }
 
 // Observe is ObserveView over the detector's scratch view.
 func (d *Detector) Observe(r trace.Result) []Alarm {
@@ -513,14 +480,11 @@ func (ls *linkState) extendRun(probe int32, asn ipmap.ASN) {
 
 // touch returns the link's state for the open bin: it creates the slot on
 // first sight and, on the link's first sample of a bin, resets the bin
-// buffers and does the eviction and links-seen bookkeeping.
+// buffers.
 func (d *Detector) touch(link ident.LinkID) *linkState {
 	li := int(link)
 	if li >= len(d.slotOf) {
 		d.slotOf = ident.GrowTable(d.slotOf, li+1, -1)
-	}
-	if li >= len(d.linkSeen) {
-		d.linkSeen = ident.GrowTable(d.linkSeen, li+1, false)
 	}
 	si := d.slotOf[li]
 	if si < 0 {
@@ -529,20 +493,14 @@ func (d *Detector) touch(link ident.LinkID) *linkState {
 		// read lock, and the packed big-endian form drives the radix close
 		// order for IPv4 links.
 		key := d.reg.LinkKeyOf(link)
-		st := linkState{key: key, id: link}
+		st := linkState{key: key}
 		if key.Near.Is4() && key.Far.Is4() {
 			n4, f4 := key.Near.As4(), key.Far.As4()
 			st.key64 = uint64(binary.BigEndian.Uint32(n4[:]))<<32 | uint64(binary.BigEndian.Uint32(f4[:]))
 			st.isV4 = true
 		}
-		if n := len(d.freeSlots); n > 0 {
-			si = d.freeSlots[n-1]
-			d.freeSlots = d.freeSlots[:n-1]
-			d.links[si] = st
-		} else {
-			si = int32(len(d.links))
-			d.links = append(d.links, st)
-		}
+		si = int32(len(d.links))
+		d.links = append(d.links, st)
 		d.slotOf[li] = si
 	}
 	ls := &d.links[si]
@@ -551,22 +509,6 @@ func (d *Detector) touch(link ident.LinkID) *linkState {
 		ls.deltas = ls.deltas[:0]
 		ls.runs = ls.runs[:0]
 		d.touched = append(d.touched, link)
-		bin := d.curBin.UnixNano()
-		// Touch-time staleness is the authoritative eviction semantics: a
-		// link idle for more than EvictIdleBins full bins restarts from a
-		// cold reference, exactly as if the close-time sweep had reclaimed
-		// the slot. Because the check reads only (this bin, last sample
-		// bin), every shard layout decides identically.
-		if d.evictAfter > 0 && ls.hasRef && bin-ls.lastBin > d.evictAfter {
-			ls.hasRef = false
-			ls.ref = linkRef{}
-			d.evicted++
-		}
-		ls.lastBin = bin
-		if !d.linkSeen[li] {
-			d.linkSeen[li] = true
-			d.linksSeen++
-		}
 	}
 	return ls
 }
@@ -701,28 +643,6 @@ func (d *Detector) closeBin() []Alarm {
 		// Step 5: update the reference with the latest values. The small α
 		// keeps anomalous bins from dragging the reference along.
 		ref.observe(obs)
-	}
-
-	// Idle-state sweep: reclaim slots whose link has produced no samples for
-	// EvictIdleBins consecutive bins (ending at the bin just closed). The
-	// sweep frees the dominant memory — sample buffers and references — and
-	// returns the slot to the free list; a returning link recreates it from
-	// scratch. It is strictly weaker than the touch-time check above (an
-	// evicted link's earliest possible return is one bin later, which the
-	// touch check also resets), so reclamation timing can never change
-	// output — only when memory is released.
-	if d.evictAfter > 0 {
-		cb := d.curBin.UnixNano()
-		for si := range d.links {
-			ls := &d.links[si]
-			if ls.dead || cb-ls.lastBin < d.evictAfter {
-				continue
-			}
-			d.slotOf[ls.id] = -1
-			*ls = linkState{dead: true}
-			d.freeSlots = append(d.freeSlots, int32(si))
-			d.evicted++
-		}
 	}
 
 	d.closeKeys = keys64[:0]

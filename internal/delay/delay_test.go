@@ -139,6 +139,23 @@ func TestDetectsDelayShift(t *testing.T) {
 	}
 }
 
+// TestNoEvictionByDefault pins the paper behavior (§4.2.4): a link keeps
+// its smoothed reference across an idle gap of any length, so a shifted
+// return bin alarms immediately.
+func TestNoEvictionByDefault(t *testing.T) {
+	d := NewDetector(Config{Seed: 1}, testASN)
+	rng := rand.New(rand.NewPCG(9, 9))
+	for bin := 0; bin < 6; bin++ {
+		feedBin(d, bin, 30, 0, rng)
+	}
+	alarms := feedBin(d, 10, 30, 10, rng)
+	alarms = append(alarms, feedBin(d, 11, 30, 0, rng)...)
+	alarms = append(alarms, d.Flush()...)
+	if len(alarms) != 1 {
+		t.Fatalf("alarms = %d, want 1 (reference retained across the gap)", len(alarms))
+	}
+}
+
 func TestSmallShiftBelow1msNotReported(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(3, 3))

@@ -405,11 +405,9 @@ func (e *Engine) barrier(flush bool) ([][]delay.Alarm, [][]forwarding.Alarm) {
 		agg.delayClose.Dropped += res.delayClose.Dropped
 		agg.delayClose.Rejected += res.delayClose.Rejected
 		agg.delayClose.Samples += res.delayClose.Samples
-		agg.delayClose.Evicted += res.delayClose.Evicted
 		agg.delayClose.Dur += res.delayClose.Dur
 		agg.delayClose.Bins = max(agg.delayClose.Bins, res.delayClose.Bins)
 		agg.fwdClose.Flows += res.fwdClose.Flows
-		agg.fwdClose.Evicted += res.fwdClose.Evicted
 		agg.fwdClose.Dur += res.fwdClose.Dur
 		agg.fwdClose.Bins = max(agg.fwdClose.Bins, res.fwdClose.Bins)
 	}

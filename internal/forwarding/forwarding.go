@@ -48,16 +48,6 @@ type Config struct {
 	// The paper does not state a value; default 9 (three traceroutes).
 	MinPackets int
 
-	// EvictIdleBins, when positive, evicts a flow's per-flow state (pattern
-	// buffer and smoothed reference) once the flow has produced no packets
-	// for that many consecutive bins, bounding detector memory on long runs.
-	// Like the delay detector's knob it is a fidelity tradeoff — a returning
-	// flow reseeds its reference from scratch — and the decision depends
-	// only on the flow's own packet history, so sharded output stays
-	// bit-identical to sequential output. 0 (the default) disables eviction,
-	// preserving the paper's unbounded-memory behavior.
-	EvictIdleBins int
-
 	// Registry is the identity layer the detector interns flows through.
 	// Leave nil for a private registry (a standalone detector);
 	// the engine injects its shared registry here so the FlowIDs
@@ -217,19 +207,18 @@ func ExtractView(in *ident.Interner, v *trace.View, fn func(Contribution)) {
 // cur vector is truncated (capacity kept) when a new bin first touches the
 // flow; ref is the smoothed reference, nil until seeded. The reverse-
 // resolved (router, dst) addresses are cached at slot creation — a FlowID's
-// pair never changes — so bin close never goes back to the registry.
+// pair never changes — so bin close never goes back to the registry. A slot
+// lives for the whole run: like the paper, the detector keeps every flow's
+// reference.
 type flowState struct {
-	epoch   uint32
-	hasRef  bool
-	isV4    bool         // both addresses are 4-byte: key64 is valid
-	dead    bool         // slot reclaimed, waiting on the free list
-	id      ident.FlowID // owning flow, to clear slotOf on eviction
-	lastBin int64        // UnixNano of the bin the flow last appeared in
-	router  netip.Addr   // reverse-resolved, cached once
-	dst     netip.Addr
-	key64   uint64     // big-endian-packed (router, dst) for the radix close order
-	cur     []hopCount // this bin's pattern
-	ref     []hopCount // smoothed reference (Eq 8)
+	epoch  uint32
+	hasRef bool
+	isV4   bool       // both addresses are 4-byte: key64 is valid
+	router netip.Addr // reverse-resolved, cached once
+	dst    netip.Addr
+	key64  uint64     // big-endian-packed (router, dst) for the radix close order
+	cur    []hopCount // this bin's pattern
+	ref    []hopCount // smoothed reference (Eq 8)
 }
 
 // Detector is the streaming forwarding-anomaly detector. Feed
@@ -257,21 +246,11 @@ type Detector struct {
 	routerSeen  []bool // indexed by ident.RouterID
 	routersSeen int
 
-	// Reference statistics, maintained incrementally: reference hops are
-	// only ever added (absent hops decay toward zero but stay), so the
-	// counters never need a rescan — eviction decrements them when it
-	// destroys a reference.
+	// Reference statistics, maintained incrementally: references are never
+	// dropped and reference hops are only ever added (absent hops decay
+	// toward zero but stay), so the counters never need a rescan.
 	refModels   int
 	refNextHops int
-
-	// Idle-state eviction (Config.EvictIdleBins), mirroring the delay
-	// detector: evictAfter is the idle threshold in nanoseconds (0 =
-	// disabled), freeSlots are reclaimed flow slots awaiting reuse. The
-	// authoritative staleness check runs at touch time, so the close-time
-	// sweep is pure memory reclamation.
-	evictAfter int64
-	freeSlots  []int32
-	evicted    int
 
 	// Bin-close scratch, reused across bins so steady-state close is
 	// alloc-free: the flow close-order permutation (closeKeys/closeOrd +
@@ -296,15 +275,14 @@ type Detector struct {
 // delay.CloseStats: how many patterns were evaluated against their
 // reference and how long closing took.
 type CloseStats struct {
-	Bins    int           // bins closed
-	Flows   int           // flow-bins evaluated against a reference
-	Evicted int           // idle flow states evicted (Config.EvictIdleBins)
-	Dur     time.Duration // wall time spent closing bins
+	Bins  int           // bins closed
+	Flows int           // flow-bins evaluated against a reference
+	Dur   time.Duration // wall time spent closing bins
 }
 
 // CloseStats returns the detector's cumulative bin-close accounting.
 func (d *Detector) CloseStats() CloseStats {
-	return CloseStats{Bins: d.binsClosed, Flows: d.flowsClosed, Evicted: d.evicted, Dur: d.closeDur}
+	return CloseStats{Bins: d.binsClosed, Flows: d.flowsClosed, Dur: d.closeDur}
 }
 
 // unionHop is one next hop in the union of a bin's pattern and reference,
@@ -317,16 +295,12 @@ type unionHop struct {
 // NewDetector returns a Detector with the given configuration.
 func NewDetector(cfg Config) *Detector {
 	cfg = cfg.withDefaults()
-	d := &Detector{
+	return &Detector{
 		cfg:    cfg,
 		reg:    cfg.Registry,
 		intern: ident.NewInterner(cfg.Registry),
 		epoch:  1,
 	}
-	if cfg.EvictIdleBins > 0 {
-		d.evictAfter = int64(cfg.EvictIdleBins) * cfg.BinSize.Nanoseconds()
-	}
-	return d
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -430,20 +404,14 @@ func (d *Detector) IngestContribution(c Contribution) {
 		// Resolve the address pair once, at slot creation; bin close reads
 		// the cached addresses and radix-sorts IPv4 flows by the packed key.
 		router, dst := d.reg.FlowAddrsOf(c.Flow)
-		st := flowState{router: router, dst: dst, id: c.Flow}
+		st := flowState{router: router, dst: dst}
 		if router.Is4() && dst.Is4() {
 			r4, d4 := router.As4(), dst.As4()
 			st.key64 = uint64(binary.BigEndian.Uint32(r4[:]))<<32 | uint64(binary.BigEndian.Uint32(d4[:]))
 			st.isV4 = true
 		}
-		if n := len(d.freeSlots); n > 0 {
-			si = d.freeSlots[n-1]
-			d.freeSlots = d.freeSlots[:n-1]
-			d.flows[si] = st
-		} else {
-			si = int32(len(d.flows))
-			d.flows = append(d.flows, st)
-		}
+		si = int32(len(d.flows))
+		d.flows = append(d.flows, st)
 		d.slotOf[fi] = si
 	}
 	fs := &d.flows[si]
@@ -451,16 +419,6 @@ func (d *Detector) IngestContribution(c Contribution) {
 		fs.epoch = d.epoch
 		fs.cur = fs.cur[:0]
 		d.touched = append(d.touched, c.Flow)
-		bin := d.curBin.UnixNano()
-		// Touch-time staleness is the authoritative eviction semantics (see
-		// the delay detector): a flow idle for more than EvictIdleBins full
-		// bins reseeds from scratch, exactly as if the close-time sweep had
-		// reclaimed the slot.
-		if d.evictAfter > 0 && fs.hasRef && bin-fs.lastBin > d.evictAfter {
-			d.dropRef(fs)
-			d.evicted++
-		}
-		fs.lastBin = bin
 		ri := int(c.Router)
 		if ri >= len(d.routerSeen) {
 			d.routerSeen = ident.GrowTable(d.routerSeen, ri+1, false)
@@ -480,23 +438,6 @@ func (d *Detector) IngestContribution(c Contribution) {
 		}
 	}
 	fs.cur = append(fs.cur, hopCount{hop: c.Hop, v: c.W})
-}
-
-// dropRef destroys a flow's smoothed reference, keeping the incremental
-// reference statistics (refModels/refNextHops) exact: the counters are
-// normally append-only, so eviction is the one path that decrements them.
-func (d *Detector) dropRef(fs *flowState) {
-	if !fs.hasRef {
-		return
-	}
-	d.refModels--
-	for _, h := range fs.ref {
-		if h.hop != ident.ZeroAddr {
-			d.refNextHops--
-		}
-	}
-	fs.hasRef = false
-	fs.ref = fs.ref[:0]
 }
 
 // closeBin evaluates every pattern of the bin against its reference and
@@ -609,26 +550,6 @@ func (d *Detector) closeBin() []Alarm {
 				}
 			}
 			fs.ref[i].v = d.cfg.Alpha*cv + (1-d.cfg.Alpha)*fs.ref[i].v
-		}
-	}
-
-	// Idle-state sweep, mirroring the delay detector: reclaim slots whose
-	// flow has produced no packets for EvictIdleBins consecutive bins. The
-	// sweep is strictly weaker than the touch-time check above (a reclaimed
-	// flow's earliest return is one bin later, which the touch check also
-	// resets), so reclamation timing never changes output.
-	if d.evictAfter > 0 {
-		cb := d.curBin.UnixNano()
-		for si := range d.flows {
-			fs := &d.flows[si]
-			if fs.dead || cb-fs.lastBin < d.evictAfter {
-				continue
-			}
-			d.dropRef(fs)
-			d.slotOf[fs.id] = -1
-			*fs = flowState{dead: true}
-			d.freeSlots = append(d.freeSlots, int32(si))
-			d.evicted++
 		}
 	}
 

@@ -164,6 +164,21 @@ func TestDetectsNextHopSwap(t *testing.T) {
 	}
 }
 
+// TestFlowNoEvictionByDefault pins the paper behavior (§5.1): a flow keeps
+// its reference across an idle gap of any length, so a next-hop swap on the
+// return bin alarms immediately.
+func TestFlowNoEvictionByDefault(t *testing.T) {
+	d := NewDetector(Config{})
+	for bin := 0; bin < 6; bin++ {
+		feed(d, bin, 10, 0)
+	}
+	alarms := feed(d, 10, 0, 10)
+	alarms = append(alarms, d.Flush()...)
+	if len(alarms) != 1 {
+		t.Fatalf("alarms = %d, want 1 (reference retained across the gap)", len(alarms))
+	}
+}
+
 func TestDetectsPacketLoss(t *testing.T) {
 	// The AMS-IX shape (§7.3): next hops stop responding, packets vanish
 	// into the unresponsive bucket, responsibility of the real hop goes

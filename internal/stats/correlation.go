@@ -27,18 +27,3 @@ func Pearson(x, y []float64) float64 {
 	}
 	return sxy / math.Sqrt(sxx*syy)
 }
-
-// Covariance returns the population covariance of two equal-length vectors,
-// or NaN if the lengths differ or are zero.
-func Covariance(x, y []float64) float64 {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	var s float64
-	for i := 0; i < n; i++ {
-		s += (x[i] - mx) * (y[i] - my)
-	}
-	return s / float64(n)
-}

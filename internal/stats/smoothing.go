@@ -10,7 +10,7 @@ package stats
 //
 // The paper seeds the reference with the median of the first three
 // observations (§4.2.4); Warmup controls that behaviour. The zero value is
-// unusable — construct with NewEWMA.
+// unusable — construct with MakeEWMA.
 type EWMA struct {
 	Alpha float64
 
@@ -21,21 +21,13 @@ type EWMA struct {
 	haveInit bool
 }
 
-// NewEWMA returns an EWMA with the given smoothing factor α ∈ (0, 1) and
+// MakeEWMA returns an EWMA with the given smoothing factor α ∈ (0, 1) and
 // warm-up length. With warmup == n > 0 the first n observations are buffered
 // and their median becomes the initial reference value m̄₀; subsequent
 // observations update it exponentially. With warmup ≤ 1 the first
-// observation becomes m̄₀ directly.
-func NewEWMA(alpha float64, warmup int) *EWMA {
-	if warmup < 1 {
-		warmup = 1
-	}
-	return &EWMA{Alpha: alpha, warmupN: warmup}
-}
-
-// MakeEWMA is NewEWMA by value, for embedding in columnar detector state
-// (flat arrays of per-link references) without a pointer indirection per
-// smoothed component.
+// observation becomes m̄₀ directly. It returns a value, for embedding in
+// columnar detector state (flat arrays of per-link references) without a
+// pointer indirection per smoothed component.
 func MakeEWMA(alpha float64, warmup int) EWMA {
 	if warmup < 1 {
 		warmup = 1

@@ -161,7 +161,7 @@ func TestMagnitude(t *testing.T) {
 }
 
 func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.1, 3)
+	e := MakeEWMA(0.1, 3)
 	// During warm-up, reference is the running median.
 	if got := e.Observe(10); got != 10 {
 		t.Errorf("warmup 1 = %v, want 10", got)
@@ -187,7 +187,7 @@ func TestEWMA(t *testing.T) {
 }
 
 func TestEWMAWarmupClamp(t *testing.T) {
-	e := NewEWMA(0.5, 0) // clamps to 1
+	e := MakeEWMA(0.5, 0) // clamps to 1
 	e.Observe(4)
 	if !e.Primed() {
 		t.Error("warmup ≤ 1 should prime after first observation")
