@@ -42,6 +42,32 @@ func parseRobustCases(s string) ([]string, error) {
 	return cases, nil
 }
 
+// parseRunList parses the -run list: "all" (the default) or an empty list
+// selects every experiment. Otherwise empty segments are dropped, and a
+// list naming no experiment, or an unknown one, is a flag error caught before
+// any experiment runs. The selection keeps Registry order.
+func parseRunList(s string) ([]experiments.Experiment, error) {
+	if s == "all" || s == "" {
+		return experiments.Registry, nil
+	}
+	ids := ingest.SplitPaths(s)
+	if len(ids) == 0 {
+		return nil, errors.New("-run lists no experiments")
+	}
+	for _, id := range ids {
+		if _, ok := experiments.ByID(id); !ok {
+			return nil, fmt.Errorf("-run: unknown experiment %q", id)
+		}
+	}
+	var sel []experiments.Experiment
+	for _, e := range experiments.Registry {
+		if slices.Contains(ids, e.ID) {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
@@ -85,30 +111,18 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	all := *runList == "all" || *runList == ""
-	if !all {
-		for _, id := range strings.Split(*runList, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	selected, err := parseRunList(*runList)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	failures := 0
-	ran := 0
-	for _, e := range experiments.Registry {
-		if !all && !want[e.ID] {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		rep, err := e.Run(scale)
 		if err != nil {
 			log.Fatalf("%s: %v", e.ID, err)
 		}
 		fmt.Println(rep.Render())
 		failures += len(rep.Failed())
-	}
-	if ran == 0 {
-		log.Fatalf("no experiments matched %q", *runList)
 	}
 
 	if *dotDir != "" {
@@ -126,5 +140,5 @@ func main() {
 	if failures > 0 {
 		log.Fatalf("%d paper claims failed", failures)
 	}
-	fmt.Printf("all paper claims hold (%d experiments, %s scale)\n", ran, scale)
+	fmt.Printf("all paper claims hold (%d experiments, %s scale)\n", len(selected), scale)
 }

@@ -23,7 +23,7 @@ import (
 // (dropping), too few ASes (rejection) and a single probe; negative,
 // duplicate-heavy and ±Inf ∆s; probes returning to a link (several runs per
 // probe); level shifts that raise alarms — each under the paper's
-// configuration, SymmetricLink, DisableDiversityFilter and UseMeanCI.
+// configuration, DisableDiversityFilter and UseMeanCI.
 
 // goldenASN gives every AS room for 1000 probes, so one AS can dominate.
 func goldenASN(id int) (ipmap.ASN, bool) { return ipmap.ASN(101 + id/1000), true }
@@ -114,7 +114,6 @@ var closeBinGoldenConfigs = []struct {
 	want string
 }{
 	{"paper", Config{Seed: 7}, "ffb2b67edc53930ee92018b12eb95628e037fd49fd6f7b5777562f2207cda573"},
-	{"symmetric", Config{Seed: 7, MinSamples: 1, SymmetricLink: func(k trace.LinkKey) bool { return k.Near.As4()[2]%2 == 1 }}, "73abe12754042ccc65467d27dda5cfbb1b2738dfba847d5ccba8d98856dc19c5"},
 	{"nofilter", Config{Seed: 7, MinSamples: 1, DisableDiversityFilter: true}, "1797ef1438917818ea1e7bf35050fc621e17265693d72b8d5a15bc9b61717f4a"},
 	{"meanci", Config{Seed: 7, UseMeanCI: true}, "b85781aca6e5a2434846429c4e08b259e03feeb12ed86b6c2bf0aa8e9e35d376"},
 	{"meanci-nofilter", Config{Seed: 7, UseMeanCI: true, DisableDiversityFilter: true}, "d30d9d46f63f2eaefbac4d6f4575870ecefe7983e409e23c7f4733ed8d07b0d3"},

@@ -34,17 +34,27 @@ import (
 	"pinpoint/internal/trace"
 )
 
-// Config parameterizes the detector. NewDetector fills zero fields with the
-// paper's values.
+// The paper's detection parameters (§4.2–§4.3); no caller varies them.
+const (
+	z          = stats.Z95 // normal quantile for the CIs: 95 %
+	warmupBins = 3         // bins whose median seeds the reference
+	minASes    = 3         // probe-diversity criterion 1
+	minEntropy = 0.5       // probe-diversity criterion 2: normalized entropy above this
+	minDiffMS  = 1.0       // minimum median gap to report, in ms
+
+	// alpha is the exponential smoothing factor. The paper only says "a
+	// small α value is preferable" (§4.2.4). 0.01 keeps a 2-hour, +100 ms
+	// event from dragging the reference more than a couple of ms, which
+	// bounds the post-event recovery tail of low-deviation alarms while
+	// still adapting to genuine level shifts within a few days.
+	alpha = 0.01
+)
+
+// Config parameterizes the detector. NewDetector fills a zero BinSize,
+// MinSamples or Registry with the default noted on the field.
 type Config struct {
 	BinSize    time.Duration // analysis bin; paper: 1 hour
-	Z          float64       // normal quantile for CIs; paper: 1.96 (95%)
-	Alpha      float64       // exponential smoothing factor; paper: "small"
-	WarmupBins int           // bins whose median seeds the reference; paper: 3
-	MinASes    int           // probe-diversity criterion 1; paper: 3
-	MinEntropy float64       // probe-diversity criterion 2; paper: 0.5
 	MinSamples int           // minimum ∆ samples per link-bin; Appendix B: 9
-	MinDiffMS  float64       // minimum median gap to report; paper: 1 ms
 	Seed       uint64        // seeds the random probe dropping of §4.3
 
 	// Registry is the identity layer the detector interns links through.
@@ -62,15 +72,6 @@ type Config struct {
 	// forwarding Observer's), their cross-shard order is unspecified.
 	Observer func(Observation)
 
-	// SymmetricLink, when non-nil, marks links known to carry their return
-	// traffic on the same physical path (Eq 4: ∆ = δAB + δBA, no
-	// return-path ambiguity). For such links the probe-diversity
-	// constraint is released, as §9 proposes for future work: any probe
-	// count is accepted because every probe's ε is the link's own reverse
-	// delay. Asserting symmetry is the caller's responsibility — the paper
-	// notes there is no general technique for it yet.
-	SymmetricLink func(trace.LinkKey) bool
-
 	// Ablation knobs — NOT part of the paper's method; they implement the
 	// baselines §4.2.2 and §4.3 argue against, for the A1/A2 benches.
 
@@ -87,31 +88,8 @@ func (c Config) withDefaults() Config {
 	if c.BinSize == 0 {
 		c.BinSize = time.Hour
 	}
-	if c.Z == 0 {
-		c.Z = stats.Z95
-	}
-	if c.Alpha == 0 {
-		// The paper only says "a small α value is preferable" (§4.2.4).
-		// 0.01 keeps a 2-hour, +100 ms event from dragging the reference
-		// more than a couple of ms, which bounds the post-event recovery
-		// tail of low-deviation alarms while still adapting to genuine
-		// level shifts within a few days.
-		c.Alpha = 0.01
-	}
-	if c.WarmupBins == 0 {
-		c.WarmupBins = 3
-	}
-	if c.MinASes == 0 {
-		c.MinASes = 3
-	}
-	if c.MinEntropy == 0 {
-		c.MinEntropy = 0.5
-	}
 	if c.MinSamples == 0 {
 		c.MinSamples = 9
-	}
-	if c.MinDiffMS == 0 {
-		c.MinDiffMS = 1.0
 	}
 	if c.Registry == nil {
 		c.Registry = ident.NewRegistry()
@@ -348,7 +326,7 @@ type CloseStats struct {
 	Bins     int           // bins closed
 	Links    int           // link-bins evaluated (after diversity filtering)
 	Dropped  int           // link-bins §4.3 removed ≥ 1 probe from (survivors copied out)
-	Rejected int           // link-bins failing the MinASes criterion
+	Rejected int           // link-bins failing the minASes criterion
 	Samples  int64         // ∆ samples fed through the median/CI kernels
 	Dur      time.Duration // wall time spent closing bins
 }
@@ -565,17 +543,11 @@ func (d *Detector) closeBin() []Alarm {
 		// over for this link: unless §4.3 removes a probe they reorder the
 		// link's own ∆ column in place, and only a link-bin that lost probes
 		// has its survivors copied out (filterDiversity).
-		samples := ls.deltas
-		probes, ases := len(groups), 0
-		if d.cfg.SymmetricLink != nil && d.cfg.SymmetricLink(key) {
-			ases = d.countASes(groups)
-		} else {
-			d.reseed(key)
-			var ok bool
-			if samples, probes, ases, ok = d.filterDiversity(ls, ord, groups); !ok {
-				d.linksRejected++
-				continue
-			}
+		d.reseed(key)
+		samples, probes, ases, ok := d.filterDiversity(ls, ord, groups)
+		if !ok {
+			d.linksRejected++
+			continue
 		}
 		if len(samples) < d.cfg.MinSamples {
 			continue
@@ -588,20 +560,20 @@ func (d *Detector) closeBin() []Alarm {
 			// keep the historical full sort so its summation order (and thus
 			// its rounding) stays bit-identical.
 			sort.Float64s(samples)
-			obs = stats.MeanCI(samples, d.cfg.Z)
+			obs = stats.MeanCI(samples, z)
 		} else {
 			// Three order statistics, selected in O(n) — same MedianCI the
 			// sorted path produced (stats.MedianWilsonSorted stays as the
 			// fuzz-pinned oracle).
-			obs = stats.MedianWilsonSelect(samples, d.cfg.Z)
+			obs = stats.MedianWilsonSelect(samples, z)
 		}
 
 		if !ls.hasRef {
 			ls.hasRef = true
 			ls.ref = linkRef{
-				median: stats.MakeEWMA(d.cfg.Alpha, d.cfg.WarmupBins),
-				lower:  stats.MakeEWMA(d.cfg.Alpha, d.cfg.WarmupBins),
-				upper:  stats.MakeEWMA(d.cfg.Alpha, d.cfg.WarmupBins),
+				median: stats.MakeEWMA(alpha, warmupBins),
+				lower:  stats.MakeEWMA(alpha, warmupBins),
+				upper:  stats.MakeEWMA(alpha, warmupBins),
 			}
 		}
 		ref := &ls.ref
@@ -613,8 +585,8 @@ func (d *Detector) closeBin() []Alarm {
 			deviation = Deviation(obs, refCI)
 			diff := math.Abs(obs.Median - refCI.Median)
 			// Report only non-overlapping CIs with a median gap of at
-			// least MinDiffMS (§4.2.3's 1 ms rule of thumb).
-			if deviation > 0 && diff >= d.cfg.MinDiffMS {
+			// least minDiffMS (§4.2.3's 1 ms rule of thumb).
+			if deviation > 0 && diff >= minDiffMS {
 				anomalous = true
 				alarms = append(alarms, Alarm{
 					Bin:       d.curBin,
@@ -719,8 +691,8 @@ func (d *Detector) reseed(key trace.LinkKey) {
 }
 
 // filterDiversity applies §4.3: the link must be observed from at least
-// MinASes distinct ASes, and the probe-per-AS distribution must have
-// normalized entropy above MinEntropy — otherwise probes are randomly
+// minASes distinct ASes, and the probe-per-AS distribution must have
+// normalized entropy above minEntropy — otherwise probes are randomly
 // dropped from the most-represented AS until it does. It returns the
 // surviving ∆ samples — the link's own column when every probe survives,
 // which is every link-bin of both benchmark fixtures, else a copy in the
@@ -760,7 +732,7 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 	if d.cfg.DisableDiversityFilter {
 		return ls.deltas, len(groups), len(buckets), true
 	}
-	if len(buckets) < d.cfg.MinASes {
+	if len(buckets) < minASes {
 		return nil, 0, 0, false
 	}
 	probes = len(groups)
@@ -772,7 +744,7 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 		}
 		return counts
 	}
-	for stats.NormalizedEntropy(refresh()) <= d.cfg.MinEntropy {
+	for stats.NormalizedEntropy(refresh()) <= minEntropy {
 		// Find the most-represented AS (deterministic tie-break on ASN:
 		// buckets are ASN-ascending and the comparison is strict).
 		maxB := -1
@@ -807,20 +779,6 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 	}
 	d.samplesBuf = samples
 	return samples, probes, len(buckets), true
-}
-
-// countASes counts the distinct ASes among a link-bin's probe groups — the
-// symmetric-link path (§9 future work), where return-path ambiguity does not
-// exist and every probe is kept without diversity filtering.
-func (d *Detector) countASes(groups []probeGroup) int {
-	asnSeen := d.countsBuf[:0] // reuse as a tiny distinct-ASN scratch
-	for _, g := range groups {
-		if !slices.Contains(asnSeen, int(g.asn)) {
-			asnSeen = append(asnSeen, int(g.asn))
-		}
-	}
-	d.countsBuf = asnSeen[:0]
-	return len(asnSeen)
 }
 
 // Deviation computes d(∆) of Eq 6: the gap between the observed and

@@ -82,11 +82,14 @@ func TestDeviationEq6(t *testing.T) {
 }
 
 func TestDefaultsMatchPaper(t *testing.T) {
-	d := NewDetector(Config{}, testASN)
-	cfg := d.Config()
-	if cfg.BinSize != time.Hour || cfg.Z != 1.96 || cfg.MinASes != 3 ||
-		cfg.MinEntropy != 0.5 || cfg.MinDiffMS != 1.0 || cfg.WarmupBins != 3 {
+	cfg := NewDetector(Config{}, testASN).Config()
+	if cfg.BinSize != time.Hour || cfg.MinSamples != 9 {
 		t.Errorf("defaults = %+v", cfg)
+	}
+	if z != 1.96 || alpha != 0.01 || warmupBins != 3 || minASes != 3 ||
+		minEntropy != 0.5 || minDiffMS != 1.0 {
+		t.Errorf("constants: z=%v alpha=%v warmupBins=%d minASes=%d minEntropy=%v minDiffMS=%v",
+			z, alpha, warmupBins, minASes, minEntropy, minDiffMS)
 	}
 }
 

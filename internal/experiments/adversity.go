@@ -91,7 +91,7 @@ func planFiberCase(topo *netsim.Topo, quiet *netsim.Net, _ Scale) ([]netsim.Even
 // every target over a few Paris flow ids and returns the most-traversed
 // directed router pair crossing between two core (tier-1 or transit) ASes.
 // The delay detector only evaluates links measured by at least three
-// distinct probe ASes (MinASes), so the census ranks pairs by probe-site
+// distinct probe ASes (§4.3), so the census ranks pairs by probe-site
 // diversity first and raw crossings second; a degraded link nobody can
 // triangulate would make the case undetectable by construction.
 func busiestBackboneLink(n *netsim.Net, topo *netsim.Topo, at time.Time) (from, to netsim.RouterID, ok bool) {

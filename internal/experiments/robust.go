@@ -76,13 +76,17 @@ type RobustReport struct {
 	Summary     RobustSummary `json:"summary"`
 }
 
+// slackBins is the event-to-window matching slack: detector output lands on
+// bin edges, so a disruption ending mid-bin legitimately scores in the
+// closing bin.
+const slackBins = 1
+
 // RobustConfig parameterizes RunRobustness. The zero value takes the
 // defaults noted per field.
 type RobustConfig struct {
-	Cases     []string      // default: all of CaseNames
-	Mixes     []ArtifactMix // default: ArtifactMixes()
-	Workers   int           // platform + analyzer workers; default 2
-	SlackBins int           // event-to-window matching slack; default 1
+	Cases   []string      // default: all of CaseNames
+	Mixes   []ArtifactMix // default: ArtifactMixes()
+	Workers int           // platform + analyzer workers; default 2
 }
 
 func (c RobustConfig) withDefaults() RobustConfig {
@@ -94,9 +98,6 @@ func (c RobustConfig) withDefaults() RobustConfig {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.SlackBins == 0 {
-		c.SlackBins = 1
 	}
 	return c
 }
@@ -119,7 +120,7 @@ func RunRobustness(scale Scale, cfg RobustConfig) (*RobustReport, error) {
 		Scale:       scale.String(),
 		Threshold:   evCfg.Threshold,
 		WindowHours: evCfg.Window.Hours(),
-		SlackBins:   cfg.SlackBins,
+		SlackBins:   slackBins,
 		Workers:     cfg.Workers,
 		WarmupHours: 24,
 		Mixes:       cfg.Mixes,
@@ -164,28 +165,27 @@ func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, 
 	return &RobustCell{
 		Case: name, Mix: mix.Name,
 		Results: a.Results(), DelayAlarms: len(a.DelayAlarms()), FwdAlarms: len(a.ForwardingAlarms()),
-		Base: scoreEvents(c, a, cfg.SlackBins),
+		Base: scoreEvents(c, a),
 	}, nil
 }
 
 // scoreEvents scores the events of the analyzer's aggregator — closed at
 // every bin close, so already evaluated — against the case's ground-truth
 // windows.
-func scoreEvents(c *Case, a *core.Analyzer, slackBins int) RobustScore {
+func scoreEvents(c *Case, a *core.Analyzer) RobustScore {
 	agg := a.Aggregator()
 	binSize := agg.Config().BinSize
 	// Skip the first day: magnitudes over a nearly-empty window are noise in
 	// every configuration, and no case schedules its disruption that early
 	// (TestNewCaseAllNames holds every catalogue row to it).
 	evs := agg.Events(c.Start.Add(24*time.Hour), c.End.Add(binSize))
-	return scoreAgainstWindows(evs, c.EventWindows, binSize, slackBins)
+	return scoreAgainstWindows(evs, c.EventWindows, binSize)
 }
 
 // scoreAgainstWindows computes the precision/recall cell from detected
 // events and ground-truth windows, with slackBins bins of slack around each
-// window (detector output lands on bin edges; a disruption ending mid-bin
-// legitimately scores in the closing bin).
-func scoreAgainstWindows(evs []events.Event, windows [][2]time.Time, binSize time.Duration, slackBins int) RobustScore {
+// window.
+func scoreAgainstWindows(evs []events.Event, windows [][2]time.Time, binSize time.Duration) RobustScore {
 	slack := time.Duration(slackBins) * binSize
 	s := RobustScore{Events: len(evs), Windows: len(windows)}
 	hit := make([]bool, len(windows))

@@ -73,7 +73,7 @@ func TestQuietCaseFalsePositiveFloor(t *testing.T) {
 						len(dal), len(fal))
 				}
 			}
-			score := scoreEvents(c, a, 1)
+			score := scoreEvents(c, a)
 			if score.Events != 0 {
 				t.Errorf("mix %s: quiet run produced %d events, want 0 (%d delay alarms, %d fwd alarms)",
 					mix.Name, score.Events, len(dal), len(fal))

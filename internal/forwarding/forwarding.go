@@ -35,18 +35,21 @@ import (
 // ident.ZeroAddr.
 var Unresponsive = netip.Addr{}
 
-// Config parameterizes the detector. NewDetector fills zero fields with the
-// paper's values where the paper gives one (τ = −0.25), and with
-// conservative defaults documented per field where it does not.
+// The forwarding model's parameters; no caller varies them.
+const (
+	alpha = 0.01  // exponential smoothing factor: "small α", §5.1, mirroring the delay detector
+	tau   = -0.25 // anomaly threshold on ρ, §5.2.1
+
+	// minPackets is the minimum number of packets a (router, target)
+	// pattern needs in a bin to be evaluated; tiny vectors make Pearson
+	// meaningless. The paper does not state a value: 9 is three traceroutes.
+	minPackets = 9
+)
+
+// Config parameterizes the detector. NewDetector fills a zero BinSize or
+// Registry with the default noted on the field.
 type Config struct {
 	BinSize time.Duration // analysis bin; paper: 1 hour
-	Alpha   float64       // exponential smoothing factor; paper: "small"
-	Tau     float64       // anomaly threshold on ρ; paper: −0.25
-
-	// MinPackets is the minimum number of packets a (router, target) pattern
-	// needs in a bin to be evaluated; tiny vectors make Pearson meaningless.
-	// The paper does not state a value; default 9 (three traceroutes).
-	MinPackets int
 
 	// Registry is the identity layer the detector interns flows through.
 	// Leave nil for a private registry (a standalone detector);
@@ -66,15 +69,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BinSize == 0 {
 		c.BinSize = time.Hour
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.01 // "small α", §5.1, mirroring the delay detector
-	}
-	if c.Tau == 0 {
-		c.Tau = -0.25
-	}
-	if c.MinPackets == 0 {
-		c.MinPackets = 9
 	}
 	if c.Registry == nil {
 		c.Registry = ident.NewRegistry()
@@ -491,10 +485,10 @@ func (d *Detector) closeBin() []Alarm {
 			total += h.v
 		}
 
-		if fs.hasRef && total >= float64(d.cfg.MinPackets) {
+		if fs.hasRef && total >= minPackets {
 			d.flowsClosed++
 			rho, scores := d.compare(cur, fs.ref)
-			anomalous := !math.IsNaN(rho) && rho < d.cfg.Tau
+			anomalous := !math.IsNaN(rho) && rho < tau
 			if anomalous {
 				alarms = append(alarms, Alarm{
 					Bin:    d.curBin,
@@ -549,7 +543,7 @@ func (d *Detector) closeBin() []Alarm {
 					break
 				}
 			}
-			fs.ref[i].v = d.cfg.Alpha*cv + (1-d.cfg.Alpha)*fs.ref[i].v
+			fs.ref[i].v = alpha*cv + (1-alpha)*fs.ref[i].v
 		}
 	}
 
@@ -665,7 +659,7 @@ func (d *Detector) compare(cur, ref []hopCount) (rho float64, scores []HopScore)
 		}
 	}
 	rho, absDiff, f, fbar := scoreUnion(union, d.fBuf, d.fbarBuf, &d.usort)
-	if !math.IsNaN(rho) && rho < d.cfg.Tau {
+	if !math.IsNaN(rho) && rho < tau {
 		scores = unionScores(union, rho, absDiff)
 	}
 	d.unionBuf = union[:0]

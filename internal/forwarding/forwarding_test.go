@@ -243,7 +243,7 @@ func TestPerDestinationModels(t *testing.T) {
 
 func TestMinPacketsGate(t *testing.T) {
 	evaluated := 0
-	d := NewDetector(Config{MinPackets: 9, Observer: func(Observation) { evaluated++ }})
+	d := NewDetector(Config{Observer: func(Observation) { evaluated++ }})
 	// Bin 0 seeds the reference; bin 1 has only one traceroute (3 packets,
 	// below the gate) → not evaluated.
 	feed(d, 0, 5, 0)
@@ -279,8 +279,17 @@ func TestECMPSplitWeights(t *testing.T) {
 	}
 }
 
+func TestDefaultsMatchPaper(t *testing.T) {
+	if cfg := NewDetector(Config{}).Config(); cfg.BinSize != time.Hour {
+		t.Errorf("defaults = %+v", cfg)
+	}
+	if alpha != 0.01 || tau != -0.25 || minPackets != 9 {
+		t.Errorf("constants: alpha=%v tau=%v minPackets=%d", alpha, tau, minPackets)
+	}
+}
+
 func TestReferenceDecaysUnseenHops(t *testing.T) {
-	d := NewDetector(Config{Alpha: 0.5})
+	d := NewDetector(Config{})
 	feed(d, 0, 4, 4)
 	feed(d, 1, 8, 0) // B disappears
 	d.Flush()

@@ -141,7 +141,7 @@ func (b *Builder) addRouter(asn ipmap.ASN, name string, addr netip.Addr, opts Ro
 // per direction, default spike noise, loss 0.0005.
 type LinkOpts struct {
 	DelayMS     float64 // one-way base delay, required (> 0)
-	JitterMS    float64
+	JitterMS    float64 // both dirs
 	WeightAB    float64 // routing weight A→B
 	WeightBA    float64 // routing weight B→A
 	Loss        float64
@@ -150,7 +150,6 @@ type LinkOpts struct {
 	OutlierProb float64 // rare huge measurement-error spikes (both dirs)
 	OutlierMS   float64
 	DelayBAMS   float64 // one-way base delay B→A; 0 → same as DelayMS
-	JitterBAMS  float64 // jitter B→A; 0 → same as JitterMS
 }
 
 // Link connects two routers with a bidirectional link and returns the edge
@@ -181,10 +180,6 @@ func (b *Builder) Link(a, z RouterID, opts LinkOpts) (ab, ba EdgeID) {
 	delayBA := opts.DelayBAMS
 	if delayBA == 0 {
 		delayBA = opts.DelayMS
-	}
-	jitBA := opts.JitterBAMS
-	if jitBA == 0 {
-		jitBA = jit
 	}
 	wAB, wBA := opts.WeightAB, opts.WeightBA
 	if wAB == 0 {
@@ -219,7 +214,7 @@ func (b *Builder) Link(a, z RouterID, opts LinkOpts) (ab, ba EdgeID) {
 		return id
 	}
 	ab = mk(a, z, opts.DelayMS, jit, wAB)
-	ba = mk(z, a, delayBA, jitBA, wBA)
+	ba = mk(z, a, delayBA, jit, wBA)
 	return ab, ba
 }
 

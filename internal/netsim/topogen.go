@@ -8,6 +8,12 @@ import (
 	"pinpoint/internal/ipmap"
 )
 
+// Routers per mid-tier transit AS and per stub AS.
+const (
+	routersPerTransit = 3
+	routersPerStub    = 2
+)
+
 // TopoConfig parameterizes the random Internet-like topology generator.
 // Zero fields take the defaults noted on each field.
 type TopoConfig struct {
@@ -23,9 +29,7 @@ type TopoConfig struct {
 	Transit int // number of mid-tier transit ASes; default 10
 	Stub    int // number of stub (probe-hosting) ASes; default 30
 
-	RoutersPerTier1   int // backbone routers per tier-1; default 5
-	RoutersPerTransit int // default 3
-	RoutersPerStub    int // default 2
+	RoutersPerTier1 int // backbone routers per tier-1; default 5
 
 	IXPs          int // number of exchange points; default 1
 	IXPMembers    int // member ASes per IXP (from transit+tier1); default 8
@@ -44,8 +48,6 @@ func (c TopoConfig) withDefaults() TopoConfig {
 	def(&c.Transit, 10)
 	def(&c.Stub, 30)
 	def(&c.RoutersPerTier1, 5)
-	def(&c.RoutersPerTransit, 3)
-	def(&c.RoutersPerStub, 2)
 	def(&c.IXPs, 1)
 	def(&c.IXPMembers, 8)
 	def(&c.Roots, 3)
@@ -262,7 +264,7 @@ func Generate(cfg TopoConfig) (*Topo, error) {
 		name := fmt.Sprintf("TR-%d", i)
 		b.AS(asn, name, plan.asPrefix(asn))
 		info := ASInfo{ASN: asn, Name: name}
-		for r := 0; r < cfg.RoutersPerTransit; r++ {
+		for r := 0; r < routersPerTransit; r++ {
 			id := b.Router(asn, fmt.Sprintf("%s-r%d", name, r), RouterOpts{})
 			info.Routers = append(info.Routers, id)
 			if r > 0 {
@@ -302,7 +304,7 @@ func Generate(cfg TopoConfig) (*Topo, error) {
 		name := fmt.Sprintf("ST-%d", i)
 		b.AS(asn, name, plan.asPrefix(asn))
 		info := ASInfo{ASN: asn, Name: name}
-		for r := 0; r < cfg.RoutersPerStub; r++ {
+		for r := 0; r < routersPerStub; r++ {
 			id := b.Router(asn, fmt.Sprintf("%s-r%d", name, r), RouterOpts{})
 			info.Routers = append(info.Routers, id)
 			if r > 0 {

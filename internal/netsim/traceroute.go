@@ -9,29 +9,28 @@ import (
 	"pinpoint/internal/trace"
 )
 
+// The traceroute engine's fixed parameters: Atlas's TTL limit, and the
+// std-dev of probe-side measurement noise.
+const (
+	maxTTL  = 30
+	noiseMS = 0.05
+)
+
 // TracerouteOpts controls the traceroute engine. The zero value is replaced
-// by Defaults (3 packets per hop, TTL limit 30, gap limit 4, 0.05 ms
-// measurement noise) — the Atlas-like behaviour the paper's dataset has.
+// by Defaults (3 packets per hop, gap limit 4) — the Atlas-like behaviour
+// the paper's dataset has.
 type TracerouteOpts struct {
-	MaxTTL        int
 	PacketsPerHop int
-	GapLimit      int     // consecutive unresponsive hops before giving up
-	NoiseMS       float64 // std-dev of probe-side measurement noise
+	GapLimit      int // consecutive unresponsive hops before giving up
 }
 
 // Defaults fills zero fields with the default options.
 func (o TracerouteOpts) Defaults() TracerouteOpts {
-	if o.MaxTTL == 0 {
-		o.MaxTTL = 30
-	}
 	if o.PacketsPerHop == 0 {
 		o.PacketsPerHop = 3
 	}
 	if o.GapLimit == 0 {
 		o.GapLimit = 4
-	}
-	if o.NoiseMS == 0 {
-		o.NoiseMS = 0.05
 	}
 	return o
 }
@@ -171,11 +170,11 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	// Reserve the worst-case reply capacity up front so every hop's Replies
 	// subslices one stable backing array (no mid-run growth, no aliasing of
 	// two generations).
-	if need := opts.MaxTTL * opts.PacketsPerHop; cap(sc.replies) < need {
+	if need := maxTTL * opts.PacketsPerHop; cap(sc.replies) < need {
 		sc.replies = make([]trace.Reply, 0, need)
 	}
-	if cap(sc.hops) < opts.MaxTTL {
-		sc.hops = make([]trace.Hop, 0, opts.MaxTTL)
+	if cap(sc.hops) < maxTTL {
+		sc.hops = make([]trace.Hop, 0, maxTTL)
 	}
 	sc.replies = sc.replies[:0]
 	sc.hops = sc.hops[:0]
@@ -205,7 +204,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 
 	gap := 0
 	hopPath, hopAt, flipEpoch := sc.path, at, epoch
-	for i := 1; i <= opts.MaxTTL; i++ {
+	for i := 1; i <= maxTTL; i++ {
 		if slow {
 			// A slow trace: hop i fires later than hop i-1. When a
 			// route-affecting boundary falls inside the trace, the remaining
@@ -350,7 +349,7 @@ func (n *Net) probeHop(sc *TracerouteScratch, leg []step, retLeg *returnLeg, ret
 	if !ok {
 		return trace.Reply{Timeout: true}
 	}
-	rtt := fwdMS + retMS + rng.ExpFloat64()*router.SlowPathMS + rng.NormFloat64()*opts.NoiseMS
+	rtt := fwdMS + retMS + rng.ExpFloat64()*router.SlowPathMS + rng.NormFloat64()*noiseMS
 	if rtt < 0.01 {
 		rtt = 0.01
 	}

@@ -57,10 +57,6 @@ type FollowerOptions struct {
 	Meta    Meta
 	BinSize time.Duration
 
-	// Client is the HTTP client used to dial the feed. Default: a client
-	// without timeout (the stream is long-lived).
-	Client *http.Client
-
 	// ReconnectMin/Max bound the exponential backoff between connection
 	// attempts. Defaults 100ms / 5s.
 	ReconnectMin, ReconnectMax time.Duration
@@ -87,9 +83,6 @@ type Follower struct {
 func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.URL == "" {
 		return nil, errors.New("serve: follower needs a writer URL")
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
 	}
 	if opts.ReconnectMin <= 0 {
 		opts.ReconnectMin = 100 * time.Millisecond
@@ -192,7 +185,8 @@ func (f *Follower) tail(ctx context.Context) error {
 	if err != nil {
 		return &permanentError{err}
 	}
-	resp, err := f.opts.Client.Do(req)
+	// The default client has no timeout: the stream is long-lived.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

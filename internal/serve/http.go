@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -17,14 +18,19 @@ import (
 	"pinpoint/internal/ipmap"
 )
 
+// The HTTP server's timeouts. There is no WriteTimeout: /api/stream is
+// long-lived by design. Slow plain readers are bounded by the snapshot model
+// instead — they can only stall themselves.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 5 * time.Second // in-flight requests' drain time at shutdown
+)
+
 // Options configures the HTTP server. Zero values get production defaults.
 type Options struct {
 	Addr string // listen address; default ":8080"
-
-	ReadHeaderTimeout time.Duration // default 5s
-	ReadTimeout       time.Duration // default 10s
-	IdleTimeout       time.Duration // default 2m
-	ShutdownGrace     time.Duration // default 5s
 
 	// Logf receives serving diagnostics (encode/write failures, lifecycle).
 	// Default log.Printf.
@@ -34,18 +40,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Addr == "" {
 		o.Addr = ":8080"
-	}
-	if o.ReadHeaderTimeout == 0 {
-		o.ReadHeaderTimeout = 5 * time.Second
-	}
-	if o.ReadTimeout == 0 {
-		o.ReadTimeout = 10 * time.Second
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
-	if o.ShutdownGrace == 0 {
-		o.ShutdownGrace = 5 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -113,19 +107,16 @@ func NewServer(src Source, opts Options) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // ListenAndServe serves until ctx is canceled, then shuts down gracefully:
-// in-flight requests get ShutdownGrace to finish, SSE streams are released
+// in-flight requests get shutdownGrace to finish, SSE streams are released
 // by closing their subscriptions. A closed listener after cancellation is
 // reported as nil.
 func (s *Server) ListenAndServe(ctx context.Context) error {
 	srv := &http.Server{
 		Addr:              s.opts.Addr,
 		Handler:           s.mux,
-		ReadHeaderTimeout: s.opts.ReadHeaderTimeout,
-		ReadTimeout:       s.opts.ReadTimeout,
-		// No WriteTimeout: /api/stream is long-lived by design. Slow plain
-		// readers are bounded by the snapshot model instead — they can only
-		// stall themselves.
-		IdleTimeout: s.opts.IdleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
@@ -135,7 +126,7 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	s.src.CloseSubscribers() // unblock SSE handlers so Shutdown can drain
-	grace, cancel := context.WithTimeout(context.Background(), s.opts.ShutdownGrace)
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := srv.Shutdown(grace); err != nil {
 		return err
@@ -305,6 +296,11 @@ func parseQuery(r *http.Request) (query, error) {
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, false, fmt.Errorf("invalid %s: %v", key, err)
+		}
+		if math.IsNaN(f) {
+			// Every comparison with NaN is false: the filter would drop
+			// every row and answer an empty 200.
+			return 0, false, fmt.Errorf("invalid %s: NaN", key)
 		}
 		return f, true, nil
 	}

@@ -382,6 +382,9 @@ func TestFiltersAndPagination(t *testing.T) {
 		"/api/alarms/delay?cursor=-1",
 		"/api/events?min_magnitude=big",
 		"/api/magnitude?asn=100&to=notatime",
+		"/api/alarms/delay?min_deviation=NaN",
+		"/api/alarms/forwarding?max_rho=NaN",
+		"/api/events?min_magnitude=NaN",
 	} {
 		if rec := get(t, srv, bad); rec.Code != 400 {
 			t.Errorf("%s: status %d, want 400", bad, rec.Code)

@@ -34,14 +34,3 @@ func Magnitude(x float64, ref []float64) float64 {
 	}
 	return (x - Median(ref)) / (1 + MADScale*MAD(ref))
 }
-
-// Trimmed returns a copy of xs with the fraction trim removed from each tail
-// (after sorting). trim ∈ [0, 0.5). Used by diagnostics, not the detectors.
-func Trimmed(xs []float64, trim float64) []float64 {
-	if trim < 0 || trim >= 0.5 || len(xs) == 0 {
-		return sortedCopy(xs)
-	}
-	s := sortedCopy(xs)
-	k := int(trim * float64(len(s)))
-	return s[k : len(s)-k]
-}

@@ -14,11 +14,10 @@ package stats
 type EWMA struct {
 	Alpha float64
 
-	warmup   []float64
-	warmupN  int
-	value    float64
-	primed   bool
-	haveInit bool
+	warmup  []float64
+	warmupN int
+	value   float64
+	primed  bool
 }
 
 // MakeEWMA returns an EWMA with the given smoothing factor α ∈ (0, 1) and
@@ -42,7 +41,6 @@ func (e *EWMA) Observe(x float64) float64 {
 	if !e.primed {
 		e.warmup = append(e.warmup, x)
 		e.value = Median(e.warmup)
-		e.haveInit = true
 		if len(e.warmup) >= e.warmupN {
 			e.primed = true
 			e.warmup = nil
@@ -53,21 +51,9 @@ func (e *EWMA) Observe(x float64) float64 {
 	return e.value
 }
 
-// Value returns the current reference value. Ready reports whether at least
-// one observation has been made.
+// Value returns the current reference value.
 func (e *EWMA) Value() float64 { return e.value }
-
-// Ready reports whether the EWMA has seen at least one observation.
-func (e *EWMA) Ready() bool { return e.haveInit }
 
 // Primed reports whether the warm-up phase has completed and the reference
 // is now updated exponentially.
 func (e *EWMA) Primed() bool { return e.primed }
-
-// SmoothInto updates ref ← α·cur + (1−α)·ref element-wise over two vectors of
-// equal length. It is the vector form of Eq 8 used by the forwarding model.
-func SmoothInto(ref, cur []float64, alpha float64) {
-	for i := range ref {
-		ref[i] = alpha*cur[i] + (1-alpha)*ref[i]
-	}
-}

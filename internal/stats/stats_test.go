@@ -196,26 +196,3 @@ func TestEWMAWarmupClamp(t *testing.T) {
 		t.Errorf("got %v, want 6", got)
 	}
 }
-
-func TestSmoothInto(t *testing.T) {
-	ref := []float64{10, 100, 0}
-	cur := []float64{20, 0, 50}
-	SmoothInto(ref, cur, 0.1)
-	want := []float64{11, 90, 5}
-	for i := range ref {
-		if !almostEqual(ref[i], want[i], 1e-12) {
-			t.Errorf("SmoothInto[%d] = %v, want %v", i, ref[i], want[i])
-		}
-	}
-}
-
-func TestTrimmed(t *testing.T) {
-	xs := []float64{100, 1, 2, 3, 4, 5, 6, 7, 8, -50}
-	tr := Trimmed(xs, 0.1)
-	if len(tr) != 8 {
-		t.Fatalf("Trimmed len = %d, want 8", len(tr))
-	}
-	if tr[0] != 1 || tr[len(tr)-1] != 8 {
-		t.Errorf("Trimmed = %v, extremes should be removed", tr)
-	}
-}

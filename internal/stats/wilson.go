@@ -49,9 +49,6 @@ type MedianCI struct {
 // Valid reports whether the interval was computed from at least one sample.
 func (ci MedianCI) Valid() bool { return ci.N > 0 }
 
-// Width returns Upper − Lower, the uncertainty of the median estimate.
-func (ci MedianCI) Width() float64 { return ci.Upper - ci.Lower }
-
 // Overlaps reports whether two confidence intervals intersect. Following
 // Schenker & Gentleman (cited in §4.2.3), non-overlap is the paper's
 // criterion for a statistically significant median difference.
