@@ -24,7 +24,7 @@ type DelayModel struct {
 
 // Sample draws one delay observation with extraMS added to the base (used
 // for scenario-injected congestion).
-func (d DelayModel) Sample(rng *rand.Rand, extraMS float64) float64 {
+func (d *DelayModel) Sample(rng *rand.Rand, extraMS float64) float64 {
 	v := d.BaseMS + extraMS
 	if d.JitterMS > 0 {
 		v += math.Abs(rng.NormFloat64()) * d.JitterMS

@@ -26,5 +26,6 @@
 //     address, which is how the paper observes "23 unique IP pairs
 //     containing the K-root server address".
 //   - A Scenario is a set of timed events; route-affecting events partition
-//     time into epochs, and shortest-path trees are cached per epoch.
+//     time into epochs. Shortest-path trees are cached per epoch, and each
+//     traceroute's route plan per (probe, destination, Paris id, epoch).
 package netsim

@@ -47,10 +47,13 @@ type Edge struct {
 }
 
 // Net is an immutable simulated network. Build one with a Builder and then
-// query it concurrently; route trees are cached per (root, epoch) in an
-// immutable copy-on-write map, so steady-state lookups are lock-free — the
-// parallel measurement generator hits this cache from every worker on every
-// traceroute, and a mutex here shows up immediately in profiles.
+// query it concurrently. Two caches fill as traceroutes run, and steady-state
+// reads of both are lock-free — the parallel measurement generator hits them
+// from every worker on every traceroute, and a mutex here shows up
+// immediately in profiles. Route trees are cached per (root, epoch) in an
+// immutable copy-on-write map; route plans (see plan) per (probe, dst,
+// Paris id, epoch) in a sync.Map, so a traceroute walks no path its plan
+// already holds.
 //
 // Everything a traceroute needs that does not depend on its PRNG is laid out
 // for array access: trees name the next-hop edge (not just the router), and
@@ -82,6 +85,7 @@ type Net struct {
 
 	treeMu  sync.Mutex                              // serializes cache misses
 	trees   atomic.Pointer[map[treeKey]*towardTree] // immutable snapshot
+	plans   sync.Map                                // planKey → *plan
 	scratch sync.Pool                               // *TracerouteScratch for Traceroute
 }
 

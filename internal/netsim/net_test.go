@@ -367,3 +367,17 @@ func TestGapLimitTruncates(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeTracerouteOptionsRejected: Defaults fills only zeros, so a
+// negative packet count (a hop of zero replies) or gap limit (stop at the
+// first unresponsive hop) would silently distort every result.
+func TestNegativeTracerouteOptionsRejected(t *testing.T) {
+	n, ids := lineTopology(t, nil)
+	var sc TracerouteScratch
+	rng := rand.New(rand.NewPCG(1, 1))
+	for _, opts := range []TracerouteOpts{{PacketsPerHop: -1}, {GapLimit: -1}, {PacketsPerHop: -3, GapLimit: 2}} {
+		if res, err := n.TracerouteInto(&sc, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rng, opts); err == nil {
+			t.Errorf("%+v accepted: %d hops", opts, len(res.Hops))
+		}
+	}
+}

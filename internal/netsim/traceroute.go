@@ -16,9 +16,9 @@ const (
 	noiseMS = 0.05
 )
 
-// TracerouteOpts controls the traceroute engine. The zero value is replaced
+// TracerouteOpts controls the traceroute engine. Zero fields are replaced
 // by Defaults (3 packets per hop, gap limit 4) — the Atlas-like behaviour
-// the paper's dataset has.
+// the paper's dataset has — and TracerouteInto rejects negative ones.
 type TracerouteOpts struct {
 	PacketsPerHop int
 	GapLimit      int // consecutive unresponsive hops before giving up
@@ -35,17 +35,16 @@ func (o TracerouteOpts) Defaults() TracerouteOpts {
 	return o
 }
 
-// TracerouteScratch holds the working memory of one traceroute: the path
-// walks, the compiled legs, and the backing arrays for the result's hops and
-// replies. A scratch is single-owner (one goroutine at a time); the parallel
-// measurement generator keeps one per worker. Buffers grow to the campaign's
-// high-water mark and are then reused, making steady-state traceroutes
-// allocation-free on the simulation side.
+// TracerouteScratch holds the working memory of one traceroute: the legs
+// compiled at a hop's instant (for plans a scenario event touches, and for
+// slow hops off the plan's route), and the backing arrays for the result's
+// hops and replies. A scratch is single-owner (one goroutine at a time); the
+// parallel measurement generator keeps one per worker. Buffers grow to the
+// campaign's high-water mark and are then reused, making steady-state
+// traceroutes allocation-free on the simulation side.
 type TracerouteScratch struct {
-	path     []EdgeID      // forward path from the probe
-	altPath  []EdgeID      // multipath-artifact alternate path
 	flipPath []EdgeID      // route-flip-artifact recomputed path
-	retPath  []EdgeID      // return-path walk being compiled
+	retPath  []EdgeID      // return-path walk of a hop off the plan's route
 	fwd, alt []step        // forward legs compiled for the current hop's instant
 	ret      [2]returnLeg  // the current hop's return legs: from the fwd and the alt target
 	hops     []trace.Hop   // reused hop headers
@@ -53,10 +52,12 @@ type TracerouteScratch struct {
 }
 
 // step is one link crossing with everything that does not depend on the PRNG
-// resolved for one instant: the link's delay model and scenario modifiers,
-// and the scenario state of the router at its far end.
+// resolved for one instant: the link (whose delay model cross samples in
+// place), its scenario modifiers, and the scenario state of the router at
+// its far end. It holds no pointer, so the garbage collector never scans the
+// steps a plan keeps.
 type step struct {
-	delay  *DelayModel
+	edge   EdgeID
 	extra  float64 // scenario congestion, ms
 	loss   float64 // baseline + scenario loss probability
 	drop   float64 // far-end router's blackhole probability
@@ -65,9 +66,11 @@ type step struct {
 	silent bool // far-end router generates no ICMP
 }
 
-// returnLeg is the compiled path of the ICMP replies of one hop's router.
+// returnLeg is the compiled path of the ICMP replies of one hop's router:
+// a static plan's steps, or buf compiled at the hop's instant.
 type returnLeg struct {
 	steps []step
+	buf   []step
 	hop   int  // TTL the leg was resolved for (0: none)
 	ok    bool // the replying router can reach the probe
 }
@@ -77,7 +80,7 @@ func (n *Net) compile(dst []step, path []EdgeID, at time.Time) []step {
 	dst = dst[:0]
 	for _, eid := range path {
 		e := &n.edges[eid]
-		s := step{delay: &e.Delay, loss: e.Loss, to: e.To}
+		s := step{edge: eid, loss: e.Loss, to: e.To}
 		if evs := n.linkEvents[eid]; evs != nil {
 			var loss float64
 			s.extra, loss, s.down = linkState(evs, at)
@@ -95,13 +98,13 @@ func (n *Net) compile(dst []step, path []EdgeID, at time.Time) []step {
 // or ok=false when it is lost: every link in order (a down link or a lost
 // coin ends it), then the blackhole coin of each transit router — the far
 // end of every link but the last. This draw order is pinned by the goldens.
-func cross(leg []step, rng *rand.Rand) (ms float64, ok bool) {
+func (n *Net) cross(leg []step, rng *rand.Rand) (ms float64, ok bool) {
 	for i := range leg {
 		s := &leg[i]
 		if s.down || s.loss > 0 && rng.Float64() < s.loss {
 			return 0, false
 		}
-		ms += s.delay.Sample(rng, s.extra)
+		ms += n.edges[s.edge].Delay.Sample(rng, s.extra)
 	}
 	for i := 0; i+1 < len(leg); i++ {
 		if d := leg[i].drop; d > 0 && rng.Float64() < d {
@@ -141,23 +144,25 @@ func (n *Net) route(probe RouterID, dst netip.Addr, epoch uint64) (fwd *towardTr
 // core; use Traceroute or TracerouteWith when the result must own its
 // memory.
 //
-// The route is compiled once: paths are walked per trace, scenario state is
-// resolved per hop instant (forward legs) and per (hop, replying router)
-// (return legs), and the per-packet loop only samples over the compiled
-// steps. The order of PRNG draws is a contract (see cross and Artifacts).
+// The route comes from the trace's plan, walked once per (probe, dst, Paris
+// id, routing epoch): a trace whose plan no scenario event touches samples
+// over the plan's compiled steps; otherwise the plan's walks are compiled
+// per hop instant (forward legs) and per (hop, replying router) (return
+// legs). The per-packet loop only samples. The order of PRNG draws is a
+// contract (see cross and Artifacts).
 func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Addr, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) (trace.Result, error) {
+	if opts.PacketsPerHop < 0 || opts.GapLimit < 0 {
+		return trace.Result{}, fmt.Errorf("netsim: negative traceroute option (PacketsPerHop %d, GapLimit %d)", opts.PacketsPerHop, opts.GapLimit)
+	}
 	opts = opts.Defaults()
 	if !validRouter(probe, len(n.routers)) {
 		return trace.Result{}, fmt.Errorf("netsim: traceroute from unknown router %d", probe)
 	}
 	epoch := n.scenario.EpochKey(at)
-	fwd, serviceHop, ok := n.route(probe, dst, epoch)
-	if !ok {
-		return trace.Result{}, fmt.Errorf("netsim: traceroute to unknown destination %v", dst)
+	p, err := n.plan(probe, dst, parisID, epoch)
+	if err != nil {
+		return trace.Result{}, err
 	}
-	var reached bool
-	sc.path, reached = n.walk(fwd, sc.path[:0], probe, flowOf(parisID))
-	ret := n.towardTree(probe, epoch)
 
 	res := trace.Result{
 		PrbID:   int(probe),
@@ -186,14 +191,6 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	// must stay byte-identical to builds that never attached Artifacts.
 	art := n.artifacts
 	useArt := art.Enabled()
-	multipath := useArt && art.multipathFlow(probe, dst, parisID)
-	if multipath {
-		// A hash-selected flow crosses a load balancer that ignores the
-		// Paris flow identifier: packets split over a second path (walked
-		// with a perturbed flow selector), mixing two real paths' routers
-		// within single TTLs.
-		sc.altPath, _ = n.walk(fwd, sc.altPath[:0], probe, flowOf(parisID+1))
-	}
 	slow := false
 	if useArt && art.RouteFlipProb > 0 {
 		// One coin per trace, drawn whenever the artifact is on (never
@@ -203,7 +200,8 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	}
 
 	gap := 0
-	hopPath, hopAt, flipEpoch := sc.path, at, epoch
+	fwdLeg, altLeg := p.fwdSteps, p.altSteps
+	hopPath, fwdRet, hopAt, flipEpoch := p.path, p.fwdRet, at, epoch
 	for i := 1; i <= maxTTL; i++ {
 		if slow {
 			// A slow trace: hop i fires later than hop i-1. When a
@@ -213,29 +211,35 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 			hopAt = at.Add(time.Duration(i-1) * RouteFlipHopStall)
 			if e2 := n.scenario.EpochKey(hopAt); e2 != flipEpoch {
 				flipEpoch = e2
-				sc.flipPath, _ = n.walk(n.towardTree(fwd.root, e2), sc.flipPath[:0], probe, flowOf(parisID))
-				hopPath = sc.flipPath
+				sc.flipPath, _ = n.walk(n.towardTree(p.fwd.root, e2), sc.flipPath[:0], probe, flowOf(parisID))
+				hopPath, fwdRet = sc.flipPath, nil
 			}
 		}
 		if slow || i == 1 {
 			// One compile serves a whole trace, except that every hop of a
-			// slow trace has its own instant.
-			sc.fwd = n.compile(sc.fwd, hopPath, hopAt)
-			if multipath {
-				sc.alt = n.compile(sc.alt, sc.altPath, hopAt)
+			// slow trace has its own instant. A static plan's legs are
+			// already compiled, unless a slow trace left its route (fwdRet
+			// nil).
+			if !p.static || fwdRet == nil {
+				sc.fwd = n.compile(sc.fwd, hopPath, hopAt)
+				fwdLeg = sc.fwd
+			}
+			if p.multipath && !p.static {
+				sc.alt = n.compile(sc.alt, p.altPath, hopAt)
+				altLeg = sc.alt
 			}
 		}
 		hopStart := len(sc.replies)
-		for p := 0; p < opts.PacketsPerHop; p++ {
-			leg, retLeg := sc.fwd, &sc.ret[0]
-			if multipath && rng.Uint64()&1 == 1 {
-				leg, retLeg = sc.alt, &sc.ret[1]
+		for k := 0; k < opts.PacketsPerHop; k++ {
+			leg, rets, retLeg := fwdLeg, fwdRet, &sc.ret[0]
+			if p.multipath && rng.Uint64()&1 == 1 {
+				leg, rets, retLeg = altLeg, p.altRet, &sc.ret[1]
 			}
 			// Beyond the routable path (a routing dead end) the packet
 			// vanishes.
 			reply := trace.Reply{Timeout: true}
 			if i <= len(leg) {
-				reply = n.probeHop(sc, leg[:i], retLeg, ret, dst, serviceHop, hopAt, parisID, rng, opts)
+				reply = n.probeHop(sc, p, leg[:i], rets, retLeg, hopAt, rng)
 			}
 			sc.replies = append(sc.replies, reply)
 		}
@@ -244,7 +248,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 
 		// Loop control keys on the base path: an artifact can change what a
 		// hop reports, never how far the probe walks.
-		if reached && i == len(sc.path) {
+		if p.reached && i == len(p.path) {
 			break
 		}
 		if hop.Unresponsive() {
@@ -316,12 +320,14 @@ func (n *Net) Traceroute(probe RouterID, dst netip.Addr, at time.Time, parisID i
 
 // probeHop simulates one packet probing the hop at the end of the forward
 // leg and returns the resulting reply or timeout. The hop's return leg is
-// walked and compiled by the first packet that needs it and reused by the
-// hop's other packets.
-func (n *Net) probeHop(sc *TracerouteScratch, leg []step, retLeg *returnLeg, ret *towardTree, dst netip.Addr, serviceHop RouterID, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) trace.Reply {
+// resolved by the first packet that needs it and reused by the hop's other
+// packets: the plan's compiled steps, the plan's walk (rets) compiled at
+// the hop's instant, or — for a slow hop off the plan's route, rets nil — a
+// walk of the plan's return tree.
+func (n *Net) probeHop(sc *TracerouteScratch, p *plan, leg []step, rets []returnWalk, retLeg *returnLeg, at time.Time, rng *rand.Rand) trace.Reply {
 	// Forward leg: the links up to the hop, then the transit routers
 	// (strictly between probe and target), which may blackhole.
-	fwdMS, ok := cross(leg, rng)
+	fwdMS, ok := n.cross(leg, rng)
 	if !ok {
 		return trace.Reply{Timeout: true}
 	}
@@ -339,13 +345,24 @@ func (n *Net) probeHop(sc *TracerouteScratch, leg []step, retLeg *returnLeg, ret
 	// of the trace's start but with the scenario state of the hop's instant.
 	if retLeg.hop != len(leg) {
 		retLeg.hop = len(leg)
-		sc.retPath, retLeg.ok = n.walk(ret, sc.retPath[:0], target, returnFlow(target))
-		retLeg.steps = n.compile(retLeg.steps, sc.retPath, at)
+		switch {
+		case rets == nil:
+			sc.retPath, retLeg.ok = n.walk(p.ret, sc.retPath[:0], target, returnFlow(target))
+			retLeg.buf = n.compile(retLeg.buf, sc.retPath, at)
+			retLeg.steps = retLeg.buf
+		case p.static:
+			w := rets[len(leg)-1]
+			retLeg.steps, retLeg.ok = p.retSteps[w.start:w.end], w.ok
+		default:
+			w := rets[len(leg)-1]
+			retLeg.buf = n.compile(retLeg.buf, p.retPath[w.start:w.end], at)
+			retLeg.steps, retLeg.ok = retLeg.buf, w.ok
+		}
 	}
 	if !retLeg.ok {
 		return trace.Reply{Timeout: true}
 	}
-	retMS, ok := cross(retLeg.steps, rng)
+	retMS, ok := n.cross(retLeg.steps, rng)
 	if !ok {
 		return trace.Reply{Timeout: true}
 	}
@@ -359,13 +376,13 @@ func (n *Net) probeHop(sc *TracerouteScratch, leg []step, retLeg *returnLeg, ret
 	// router answers half its flows from a second interface address.
 	if n.staleAddr != nil && n.artifacts.lyingRouter(target, at) {
 		from = n.staleAddr[target]
-	} else if n.aliases != nil && n.artifacts.aliasedReply(target, parisID) {
+	} else if n.aliases != nil && n.artifacts.aliasedReply(target, p.parisID) {
 		if al := n.aliases[target]; al.IsValid() {
 			from = al
 		}
 	}
-	if target == serviceHop {
-		from = dst
+	if target == p.serviceHop {
+		from = p.dst
 	}
 	return trace.Reply{From: from, RTT: rtt}
 }

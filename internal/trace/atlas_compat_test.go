@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -47,32 +46,5 @@ func TestDecodeRealAtlasShape(t *testing.T) {
 	}
 	if timeouts != 2 {
 		t.Errorf("hop2 timeouts = %d, want 2 (err + missing rtt)", timeouts)
-	}
-}
-
-func TestReadArrayEnvelope(t *testing.T) {
-	one := mustLine(t)
-	data := "[" + one + ",\n" + one + "]"
-	rs, err := ReadArray(strings.NewReader(data))
-	if err != nil {
-		t.Fatalf("ReadArray: %v", err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	if rs[0].MsmID != 5001 {
-		t.Errorf("MsmID = %d", rs[0].MsmID)
-	}
-}
-
-func TestReadArrayErrors(t *testing.T) {
-	if _, err := ReadArray(strings.NewReader(`{"not":"array"}`)); err == nil {
-		t.Error("object accepted as array")
-	}
-	if _, err := ReadArray(strings.NewReader(`[{"src_addr":"bad"}]`)); err == nil {
-		t.Error("bad element accepted")
-	}
-	if _, err := ReadArray(strings.NewReader(``)); err == nil {
-		t.Error("empty input accepted")
 	}
 }

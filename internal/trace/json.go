@@ -140,33 +140,6 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ReadArray decodes results from a single JSON array — the envelope the
-// RIPE Atlas REST API returns for measurement downloads, as opposed to the
-// JSONL stream format. Invalid elements abort with an error identifying the
-// element index.
-func ReadArray(r io.Reader) ([]Result, error) {
-	dec := json.NewDecoder(r)
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading array: %w", err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return nil, fmt.Errorf("trace: expected JSON array, got %v", tok)
-	}
-	var out []Result
-	for dec.More() {
-		var res Result
-		if err := dec.Decode(&res); err != nil {
-			return nil, fmt.Errorf("trace: array element %d: %w", len(out), err)
-		}
-		out = append(out, res)
-	}
-	if _, err := dec.Token(); err != nil {
-		return nil, fmt.Errorf("trace: closing array: %w", err)
-	}
-	return out, nil
-}
-
 // Writer writes results as JSON Lines.
 type Writer struct {
 	bw  *bufio.Writer
