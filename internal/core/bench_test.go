@@ -16,8 +16,22 @@ import (
 // disk → chunked parallel decode → delay/forwarding detectors → event
 // aggregation — per decode worker count. This is the end-to-end view of
 // the BenchmarkIngest decode speedup: the same campaign the round-trip
-// tests replay, written once to a plain NDJSON file.
+// tests replay, written once to a plain NDJSON file. Its warm
+// sub-benchmark is one replay pass of packedReplay's dump on one decode
+// worker and the sequential backend; with -benchmem, allocs/op against
+// results/op is the rate TestRunFilesAllocationsPerChunk bounds.
 func BenchmarkRunFiles(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
+		pass := packedReplay(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		results := 0
+		for i := 0; i < b.N; i++ {
+			results = pass().Results
+		}
+		b.ReportMetric(float64(results), "results/op")
+	})
+
 	p, _, _, _ := buildAttack(b)
 	end := start.Add(72 * time.Hour) // covers the injected 48h..50h attack
 

@@ -167,18 +167,26 @@ func TestOnBinCloseDrivesIncrementalAggregator(t *testing.T) {
 // TestLateResultsFoldIntoOpenBin pins what the per-result open-bin range
 // check must preserve: a result stamped before the open bin is not dropped
 // and closes nothing — it is ingested into the open bin exactly as if it had
-// been stamped inside it, at every per-result site (aggregator span, facade
-// bin tracking, both detectors), one worker or several.
+// been stamped inside it, at every per-result site (aggregator span, the
+// engine's clock, both detectors), one worker or several. The per-bin
+// result count the segment store records (ResultsClosed at each close) is
+// the in-order stream's too.
 func TestLateResultsFoldIntoOpenBin(t *testing.T) {
 	p, _, evStart, _ := buildAttack(t)
 	rs, err := p.Collect(evStart.Add(-6*time.Hour), evStart.Add(2*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A result that opens its bin stays put: moved back, it would fold into
+	// the bin before, and that bin's close would come one result later and
+	// rightly count it there.
+	opens := func(i int) bool {
+		return i == 0 || timeseries.Bin(rs[i].Time, time.Hour).After(timeseries.Bin(rs[i-1].Time, time.Hour))
+	}
 	late := append([]trace.Result(nil), rs...)
 	moved := 0
 	for i := range late {
-		if i%5 == 0 && late[i].Time.Sub(rs[0].Time) > 2*time.Hour {
+		if i%5 == 0 && !opens(i) && late[i].Time.Sub(rs[0].Time) > 2*time.Hour {
 			late[i].Time = late[i].Time.Add(-90 * time.Minute) // one or two bins back
 			moved++
 		}
@@ -187,21 +195,30 @@ func TestLateResultsFoldIntoOpenBin(t *testing.T) {
 		t.Fatal("fixture moved no result")
 	}
 	for _, workers := range []int{1, 3} {
-		run := func(in []trace.Result) (bins []time.Time, a *Analyzer) {
+		run := func(in []trace.Result) (bins []time.Time, closedCounts []int, a *Analyzer) {
 			a = New(Config{RetainAlarms: true, Workers: workers}, p.ProbeASN, p.Net().Prefixes())
 			defer a.Close()
-			a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) { bins = append(bins, bin) }
+			a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) {
+				bins = append(bins, bin)
+				closedCounts = append(closedCounts, a.ResultsClosed())
+			}
 			a.ObserveBatch(in)
 			a.Flush()
-			return bins, a
+			return bins, closedCounts, a
 		}
-		wantBins, want := run(rs)
-		gotBins, got := run(late)
+		wantBins, wantCounts, want := run(rs)
+		gotBins, gotCounts, got := run(late)
 		if len(want.DelayAlarms()) == 0 {
 			t.Fatal("fixture raised no delay alarm")
 		}
 		if !reflect.DeepEqual(gotBins, wantBins) {
 			t.Errorf("workers=%d: late results changed the bin closes: %v, want %v", workers, gotBins, wantBins)
+		}
+		if !reflect.DeepEqual(gotCounts, wantCounts) {
+			t.Errorf("workers=%d: late results changed ResultsClosed at the closes: %v, want %v", workers, gotCounts, wantCounts)
+		}
+		if n := len(wantCounts); n == 0 || wantCounts[n-1] != want.Results() {
+			t.Errorf("workers=%d: ResultsClosed at the last close %v, want every result (%d)", workers, wantCounts, want.Results())
 		}
 		if !reflect.DeepEqual(got.DelayAlarms(), want.DelayAlarms()) || !reflect.DeepEqual(got.ForwardingAlarms(), want.ForwardingAlarms()) {
 			t.Errorf("workers=%d: late results changed the alarms: %d/%d, want %d/%d", workers,

@@ -11,13 +11,12 @@
 // inline on the caller's goroutine, with more it spreads ingestion and bin
 // evaluation across cores — alarms, events and series are bit-identical for
 // every worker count. RunPlatform fuses an atlas.Platform generator into the
-// engine and RunReader/RunFiles a dump decoder, each with no intermediate
-// channel hop — the full producer/consumer pipeline.
+// engine and RunFiles a dump decoder, each with no intermediate channel hop
+// — the full producer/consumer pipeline.
 package core
 
 import (
 	"context"
-	"io"
 	"runtime"
 	"time"
 
@@ -57,7 +56,7 @@ type Config struct {
 
 	// BatchSize tunes how many results the sharded engine extracts before
 	// handing work to the shards (0 = engine default), and is the chunk
-	// size RunPlatform, RunReader and RunFiles ask their producers for.
+	// size RunPlatform and RunFiles ask their producers for.
 	BatchSize int
 }
 
@@ -104,26 +103,16 @@ type Analyzer struct {
 
 	delayAlarms []delay.Alarm
 	fwdAlarms   []forwarding.Alarm
-	results     int
-	dirty       bool // observations since the last Flush
+	binSize     time.Duration
 
-	// Open-bin tracking for OnBinClose: mirrors the detectors' own bin
-	// bookkeeping so the facade knows when a close happened and for which
-	// bin.
-	binSize time.Duration
-	curBin  time.Time
-	haveBin bool
-
-	// Per-bin result accounting: openResults counts results observed in the
-	// open bin, closedResults the results in all closed bins, and
-	// lastCloseResults the closedResults value captured at the moment the
-	// most recent close was detected. The split is a property of the input
-	// stream alone — batch boundaries and worker counts do not move it —
-	// which is what makes the segment store's per-bin records byte-identical
-	// across configurations.
-	openResults      int
-	closedResults    int
-	lastCloseResults int
+	// results counts the results observed, and resultsClosed the results
+	// that came before the most recent close: before the result whose
+	// arrival closed the bin, or all of them at Flush. Which result closes a
+	// bin is a property of the input stream alone — batch boundaries and
+	// worker counts do not move it — which is what makes the segment store's
+	// per-bin records byte-identical across configurations.
+	results       int
+	resultsClosed int
 
 	// OnDelayAlarm and OnForwardingAlarm, when non-nil, are invoked for
 	// every alarm as its bin closes (the near-real-time reporting path).
@@ -190,14 +179,12 @@ func (a *Analyzer) Observe(r trace.Result) {
 // wire, and read by both detectors.
 func (a *Analyzer) observeView(v *trace.View) {
 	a.results++
-	a.dirty = true
 	a.agg.ObserveBin(v.Time)
-	closed, didClose := a.trackBin(v.Time)
-	da, fa := a.eng.ObserveView(v)
+	da, fa, closed, ok := a.eng.ObserveView(v)
 	a.dispatchDelay(da)
 	a.dispatchFwd(fa)
-	if didClose {
-		a.lastCloseResults = a.closedResults
+	if ok {
+		a.resultsClosed = a.results - 1
 		a.binClosed(closed)
 	}
 }
@@ -207,28 +194,6 @@ func (a *Analyzer) ObserveBatch(rs []trace.Result) {
 	for i := range rs {
 		a.Observe(rs[i])
 	}
-}
-
-// trackBin advances the facade's open-bin marker to t's bin and reports
-// whether doing so closed a previous bin.
-func (a *Analyzer) trackBin(t time.Time) (closed time.Time, didClose bool) {
-	if a.haveBin && timeseries.InBin(t, a.curBin, a.binSize) {
-		a.openResults++
-		return closed, didClose
-	}
-	b := timeseries.Bin(t, a.binSize)
-	if a.haveBin && b.After(a.curBin) {
-		closed, didClose = a.curBin, true
-	}
-	if !a.haveBin || b.After(a.curBin) {
-		a.curBin, a.haveBin = b, true
-	}
-	if didClose {
-		a.closedResults += a.openResults
-		a.openResults = 0
-	}
-	a.openResults++
-	return closed, didClose
 }
 
 // SetResumeCursor arms warmup-replay mode for a restart from durable
@@ -272,23 +237,16 @@ func (a *Analyzer) binClosed(bin time.Time) {
 }
 
 // Flush closes the open bin in both detectors. Call at end of stream.
-// Flush is idempotent: a second call with no intervening Observe is a
-// no-op, so a deferred Flush after a canceled RunPlatform (which already
-// flushed) cannot emit duplicate alarms.
+// Flush is idempotent: the engine has no open bin left, so a second call
+// with no intervening Observe is a no-op, and a deferred Flush after a
+// canceled RunPlatform (which already flushed) cannot emit duplicate
+// alarms.
 func (a *Analyzer) Flush() {
-	if !a.dirty {
-		return
-	}
-	a.dirty = false
-	da, fa := a.eng.Flush()
+	da, fa, closed, ok := a.eng.Flush()
 	a.dispatchDelay(da)
 	a.dispatchFwd(fa)
-	if a.haveBin {
-		closed := a.curBin
-		a.haveBin = false
-		a.closedResults += a.openResults
-		a.openResults = 0
-		a.lastCloseResults = a.closedResults
+	if ok {
+		a.resultsClosed = a.results
 		a.binClosed(closed)
 	}
 }
@@ -338,7 +296,7 @@ func (a *Analyzer) dispatchFwd(alarms []forwarding.Alarm) {
 // in all exit paths; the context error is returned when canceled.
 //
 // Optional onBatch observers run after each chunk is ingested, as in
-// RunReader.
+// RunFiles.
 func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to time.Time, onBatch ...func(n int, first, last time.Time)) error {
 	err := p.RunChunks(ctx, from, to, a.cfg.BatchSize, func(rs []trace.Result) error {
 		a.ObserveBatch(rs)
@@ -351,8 +309,9 @@ func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to 
 	return err
 }
 
-// RunReader is the ingestion twin of RunPlatform: it streams an NDJSON
-// traceroute dump from r (gzip auto-detected) through the parallel decoder
+// RunFiles is the ingestion twin of RunPlatform: it replays one or more
+// NDJSON traceroute dump files in order as a single logical stream ("-"
+// reads stdin; gzip is auto-detected per file) through the parallel decoder
 // of internal/ingest — straight to interned views, no trace.Result is built
 // — and ingests every ordered batch on this goroutine: decode workers run
 // ahead within their in-flight window while the engine ingests behind, with
@@ -364,29 +323,11 @@ func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to 
 //
 // Optional onBatch observers run after each batch is ingested, with the
 // batch's result count and its first and last result timestamps.
-func (a *Analyzer) RunReader(ctx context.Context, r io.Reader, opts ingest.Options, onBatch ...func(n int, first, last time.Time)) (ingest.Stats, error) {
-	return a.runIngest(opts, onBatch, func(o ingest.Options, fn func([]trace.View) error) (ingest.Stats, error) {
-		return ingest.DecodeViews(ctx, r, o, a.reg, fn)
-	})
-}
-
-// RunFiles is RunReader over one or more dump files replayed in order as a
-// single logical stream ("-" reads stdin; gzip is auto-detected per file).
 func (a *Analyzer) RunFiles(ctx context.Context, paths []string, opts ingest.Options, onBatch ...func(n int, first, last time.Time)) (ingest.Stats, error) {
-	return a.runIngest(opts, onBatch, func(o ingest.Options, fn func([]trace.View) error) (ingest.Stats, error) {
-		return ingest.FilesViews(ctx, paths, o, a.reg, fn)
-	})
-}
-
-// runIngest is the single implementation behind RunReader and RunFiles:
-// engine-sized batches, ingestion + observers per ordered batch, Flush on
-// every exit path.
-func (a *Analyzer) runIngest(opts ingest.Options, onBatch []func(int, time.Time, time.Time),
-	decode func(ingest.Options, func([]trace.View) error) (ingest.Stats, error)) (ingest.Stats, error) {
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = a.cfg.BatchSize // 0 falls through to ingest's default
 	}
-	st, err := decode(opts, func(vs []trace.View) error {
+	st, err := ingest.FilesViews(ctx, paths, opts, a.reg, func(vs []trace.View) error {
 		for i := range vs {
 			a.observeView(&vs[i])
 		}
@@ -402,11 +343,12 @@ func (a *Analyzer) runIngest(opts ingest.Options, onBatch []func(int, time.Time,
 // Results returns how many traceroute results have been ingested.
 func (a *Analyzer) Results() int { return a.results }
 
-// ResultsClosed returns the number of results observed in bins up to and
-// including the most recently closed one, as captured when that close was
-// detected. Unlike Results it is invariant under batch boundaries and
-// worker counts, so it is what the segment store records per bin.
-func (a *Analyzer) ResultsClosed() int { return a.lastCloseResults }
+// ResultsClosed returns the number of results observed before the most
+// recent close: before the result that closed the bin, or every result
+// when Flush closed it. Unlike Results it is invariant under batch
+// boundaries and worker counts, so it is what the segment store records
+// per bin.
+func (a *Analyzer) ResultsClosed() int { return a.resultsClosed }
 
 // Workers returns the engine's effective shard count.
 func (a *Analyzer) Workers() int { return a.eng.Workers() }

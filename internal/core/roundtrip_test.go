@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -13,13 +14,13 @@ import (
 	"pinpoint/internal/trace"
 )
 
-// TestRunReaderRoundTripMatchesFused is the ingestion pipeline's headline
+// TestRunFilesRoundTripMatchesFused is the ingestion pipeline's headline
 // correctness property: generate → encode to the Atlas NDJSON wire format
 // (gzipped, like a real dump) → decode through the parallel ingest pipeline
 // → analyze must produce alarms, statistics and events bit-identical to the
 // direct fused RunPlatform run on the same seed and case, for every decode
 // worker count.
-func TestRunReaderRoundTripMatchesFused(t *testing.T) {
+func TestRunFilesRoundTripMatchesFused(t *testing.T) {
 	end := start.Add(72 * time.Hour) // covers the injected 48h..50h attack
 
 	// Direct fused run: parallel generator straight into the sharded engine.
@@ -58,10 +59,11 @@ func TestRunReaderRoundTripMatchesFused(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	path := dumpFile(t, dump.Bytes())
 
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		replay := New(cfg, p2.ProbeASN, p2.Net().Prefixes())
-		st, err := replay.RunReader(context.Background(), bytes.NewReader(dump.Bytes()),
+		st, err := replay.RunFiles(context.Background(), []string{path},
 			ingest.Options{Workers: workers})
 		if err != nil {
 			replay.Close()
@@ -93,7 +95,7 @@ func TestRunReaderRoundTripMatchesFused(t *testing.T) {
 
 // TestRunFilesSplitDumpMatchesSingle replays the same campaign split across
 // two dump files (one gzipped) and asserts the multi-file stream analyzes
-// identically to the single-reader stream.
+// identically to the single-file stream.
 func TestRunFilesSplitDumpMatchesSingle(t *testing.T) {
 	end := start.Add(24 * time.Hour)
 	p, _, _, _ := buildAttack(t)
@@ -138,8 +140,8 @@ func TestRunFilesSplitDumpMatchesSingle(t *testing.T) {
 
 	single := New(Config{RetainAlarms: true, Workers: 2}, p.ProbeASN, p.Net().Prefixes())
 	defer single.Close()
-	if _, err := single.RunReader(context.Background(),
-		bytes.NewReader(encode(all, false)), ingest.Options{Workers: 2}); err != nil {
+	if _, err := single.RunFiles(context.Background(),
+		[]string{dumpFile(t, encode(all, false))}, ingest.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,9 +160,18 @@ func TestRunFilesSplitDumpMatchesSingle(t *testing.T) {
 	}
 }
 
-func writeFile(t *testing.T, path string, data []byte) {
+func writeFile(t testing.TB, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dumpFile writes data to a fresh file in t's temporary directory and
+// returns its path, for RunFiles.
+func dumpFile(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "dump.ndjson")
+	writeFile(t, path, data)
+	return path
 }

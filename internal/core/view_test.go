@@ -34,15 +34,16 @@ func attackDump(t testing.TB, hours int) (dump []byte, probeASN func(int) (ipmap
 	return buf.Bytes(), p.ProbeASN, p.Net().Prefixes()
 }
 
-// TestRunReaderViewEquivalence is the worker-equivalence property of the
+// TestRunFilesViewEquivalence is the worker-equivalence property of the
 // replay path, which decodes wire lines straight to interned views inside
 // the decode workers: for 1, 2, 4 and 8 decode workers and for the
-// sequential and the sharded backend, RunReader over one dump yields
+// sequential and the sharded backend, RunFiles over one dump yields
 // identical alarms, events and ingest.Stats. Over a dump with bad lines it
-// stops where ingest.Decode stops — same LineError, same batch withheld —
+// stops where ingest.Files stops — same LineError, same batch withheld —
 // with Validate on and off.
-func TestRunReaderViewEquivalence(t *testing.T) {
+func TestRunFilesViewEquivalence(t *testing.T) {
 	dump, probeASN, table := attackDump(t, 72) // covers the injected 48h..50h attack
+	path := dumpFile(t, dump)
 	cfg := Config{RetainAlarms: true}
 	cfg.Events.Threshold = 3
 	cfg.Events.Window = 24 * time.Hour
@@ -59,7 +60,7 @@ func TestRunReaderViewEquivalence(t *testing.T) {
 	for _, cfg.Workers = range []int{1, 4} {
 		for _, decoders := range []int{1, 2, 4, 8} {
 			a := New(cfg, probeASN, table)
-			st, err := a.RunReader(context.Background(), bytes.NewReader(dump), ingest.Options{Workers: decoders})
+			st, err := a.RunFiles(context.Background(), []string{path}, ingest.Options{Workers: decoders})
 			if err != nil {
 				t.Fatalf("workers=%d decoders=%d: %v", cfg.Workers, decoders, err)
 			}
@@ -84,20 +85,20 @@ func TestRunReaderViewEquivalence(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(string(dump), "\n"), "\n")
 	lines[299] = `{"prb_id":1,"timestamp":1,"src_addr":"10.0.0.1","dst_addr":"10.0.0.2","result":[{"hop":2,"result":[{"x":"*"}]},{"hop":1,"result":[]}]}`
 	lines[699] = "not json"
-	bad := []byte(strings.Join(lines, "\n") + "\n")
+	bad := []string{dumpFile(t, []byte(strings.Join(lines, "\n")+"\n"))}
 	for _, validate := range []bool{false, true} {
 		wantN := 0
-		_, err := ingest.Decode(context.Background(), bytes.NewReader(bad), ingest.Options{Workers: 1, Validate: validate},
+		_, err := ingest.Files(context.Background(), bad, ingest.Options{Workers: 1, Validate: validate},
 			func(rs []trace.Result) error { wantN += len(rs); return nil })
 		var wantLE *ingest.LineError
 		if !errors.As(err, &wantLE) || wantLE.Line != map[bool]int{false: 700, true: 300}[validate] {
-			t.Fatalf("validate=%t: ingest.Decode stopped with %v", validate, err)
+			t.Fatalf("validate=%t: ingest.Files stopped with %v", validate, err)
 		}
 		for _, cfg.Workers = range []int{1, 4} {
 			for _, decoders := range []int{1, 2, 4, 8} {
 				a := New(cfg, probeASN, table)
 				gotN := 0
-				_, err := a.RunReader(context.Background(), bytes.NewReader(bad), ingest.Options{Workers: decoders, Validate: validate},
+				_, err := a.RunFiles(context.Background(), bad, ingest.Options{Workers: decoders, Validate: validate},
 					func(n int, _, _ time.Time) { gotN += n })
 				a.Close()
 				var le *ingest.LineError
@@ -123,7 +124,7 @@ func TestWideHopNumbersNotAdjacent(t *testing.T) {
 		line := `{"prb_id":1,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"10.0.9.9","result":[` +
 			`{"hop":1,"result":[{"from":"10.0.1.1","rtt":1}]},{"hop":` + hop + `,"result":[{"from":"10.0.2.1","rtt":2}]}]}` + "\n"
 		a := New(Config{}, func(int) (ipmap.ASN, bool) { return 64500, true }, new(ipmap.Table))
-		if _, err := a.RunReader(context.Background(), strings.NewReader(line), ingest.Options{Workers: 1}); err != nil {
+		if _, err := a.RunFiles(context.Background(), []string{dumpFile(t, []byte(line))}, ingest.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if got := a.LinksSeen() == 1 && a.RoutersSeen() == 1; got != adjacent {
@@ -133,7 +134,7 @@ func TestWideHopNumbersNotAdjacent(t *testing.T) {
 }
 
 // packedReplay builds a dump that packs a day of the buildAttack campaign,
-// six times over, into two bins — so bin closes and reader set-up are noise
+// six times over, into two bins — so bin closes and file set-up are noise
 // next to its 23 chunks — and returns one replay pass of it through an
 // Analyzer that has already seen it once: link and flow slots, bin buffers
 // and interner maps warm.
@@ -156,9 +157,10 @@ func packedReplay(t testing.TB) (pass func() ingest.Stats) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	path := []string{dumpFile(t, buf.Bytes())}
 	a := New(Config{}, p.ProbeASN, p.Net().Prefixes())
 	pass = func() ingest.Stats {
-		st, err := a.RunReader(context.Background(), bytes.NewReader(buf.Bytes()), ingest.Options{Workers: 1})
+		st, err := a.RunFiles(context.Background(), path, ingest.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +170,14 @@ func packedReplay(t testing.TB) (pass func() ingest.Stats) {
 	return pass
 }
 
-// TestRunReaderAllocationsPerChunk pins the replay path's allocation rate:
-// with detector state warm, a pass over an in-memory dump allocates a small
+// TestRunFilesAllocationsPerChunk pins the replay path's allocation rate:
+// with detector state warm, a pass over a dump file allocates a small
 // constant per 256-line chunk (the batch's view slice and its three
 // columns; about ten with the line-chunk buffers the garbage collector takes
 // from ingest's pool, about twenty under the race detector, which makes that
 // pool lossy) — not per line, as the two allocations of every decoded Result
 // were.
-func TestRunReaderAllocationsPerChunk(t *testing.T) {
+func TestRunFilesAllocationsPerChunk(t *testing.T) {
 	pass := packedReplay(t)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -188,18 +190,4 @@ func TestRunReaderAllocationsPerChunk(t *testing.T) {
 		t.Errorf("replay allocates %.1f times per %d-line chunk over %d chunks, want a small constant (a Result per line would be %d)",
 			perChunk, ingest.DefaultChunkSize, chunks, 2*ingest.DefaultChunkSize)
 	}
-}
-
-// BenchmarkRunReader is one warm replay pass over the same in-memory dump on
-// one decode worker and the sequential backend; with -benchmem, allocs/op
-// against results/op is the rate TestRunReaderAllocationsPerChunk bounds.
-func BenchmarkRunReader(b *testing.B) {
-	pass := packedReplay(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	results := 0
-	for i := 0; i < b.N; i++ {
-		results = pass().Results
-	}
-	b.ReportMetric(float64(results), "results/op")
 }

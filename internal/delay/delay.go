@@ -273,9 +273,8 @@ type Detector struct {
 	pcg *rand.PCG
 	rng *rand.Rand
 
-	curBin  time.Time
-	haveBin bool
-	epoch   uint32 // distinguishes the open bin's entries from stale ones
+	clock timeseries.Clock
+	epoch uint32 // distinguishes the open bin's entries from stale ones
 
 	// Columnar state. LinkIDs are global to the registry while a sharded
 	// detector owns only ~1/W of the links, so a dense per-detector slot
@@ -352,6 +351,7 @@ func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 		probeASN: probeASN,
 		pcg:      pcg,
 		rng:      rand.New(pcg),
+		clock:    timeseries.NewClock(cfg.BinSize),
 		epoch:    1,
 	}
 }
@@ -373,18 +373,13 @@ func (d *Detector) Observe(r trace.Result) []Alarm {
 }
 
 // ObserveView ingests one traceroute result in its interned form (ids from
-// the detector's registry). When the result's bin is newer
-// than the current one, the current bin is evaluated first and its alarms
-// returned. Results older than the current bin are folded into it (the
-// platform emits in order, so this only smooths jitter at bin edges).
+// the detector's registry). When the result's bin is newer than the open
+// one, the open bin is evaluated first and its alarms returned. Results
+// older than the open bin are folded into it (timeseries.Clock).
 func (d *Detector) ObserveView(v *trace.View) []Alarm {
 	var alarms []Alarm
-	if !d.haveBin || !timeseries.InBin(v.Time, d.curBin, d.cfg.BinSize) {
-		bin := timeseries.Bin(v.Time, d.cfg.BinSize)
-		if d.haveBin && bin.After(d.curBin) {
-			alarms = d.closeBin()
-		}
-		d.BeginBin(bin)
+	if closed, ok := d.clock.Advance(v.Time); ok {
+		alarms = d.closeBin(closed)
 	}
 	if asn, ok := d.probeASN(v.Prb); ok {
 		d.runProbe, d.runASN = int32(v.Prb), asn
@@ -395,25 +390,17 @@ func (d *Detector) ObserveView(v *trace.View) []Alarm {
 
 // Flush evaluates and clears the currently open bin. Call at end of stream.
 func (d *Detector) Flush() []Alarm {
-	if !d.haveBin {
-		return nil
+	if closed, ok := d.clock.Close(); ok {
+		return d.closeBin(closed)
 	}
-	alarms := d.closeBin()
-	d.haveBin = false
-	return alarms
+	return nil
 }
 
-// BeginBin opens (or asserts) the bin the next IngestSample calls belong to.
-// It is the sharded engine's entry point: the engine closes bins explicitly
-// via Flush, so BeginBin never evaluates — it only moves the bin cursor
-// forward. Bins are bin starts (timeseries.Bin), opened in chronological
-// order.
-func (d *Detector) BeginBin(bin time.Time) {
-	if !d.haveBin || bin.After(d.curBin) {
-		d.curBin = bin
-		d.haveBin = true
-	}
-}
+// BeginBin opens the bin the next IngestSample calls belong to, when it is
+// later than the open one. It is the sharded engine's entry point: the
+// engine's clock decides closes and the engine calls Flush, so BeginBin
+// never evaluates. Bins are bin starts (timeseries.Bin).
+func (d *Detector) BeginBin(bin time.Time) { d.clock.Begin(bin) }
 
 // IngestSample folds one extracted ∆ sample into the open bin. Together with
 // BeginBin and Flush it forms the shard-scoped API: an engine shard feeds
@@ -491,8 +478,9 @@ func (d *Detector) touch(link ident.LinkID) *linkState {
 	return ls
 }
 
-// closeBin runs steps 2–5 of §4.2 on the accumulated bin and resets it.
-func (d *Detector) closeBin() []Alarm {
+// closeBin runs steps 2–5 of §4.2 on the accumulated bin, which starts at
+// bin, and resets it.
+func (d *Detector) closeBin(bin time.Time) []Alarm {
 	t0 := time.Now()
 	var alarms []Alarm
 	// Deterministic iteration: links are evaluated in (Near, Far) address
@@ -543,7 +531,7 @@ func (d *Detector) closeBin() []Alarm {
 		// over for this link: unless §4.3 removes a probe they reorder the
 		// link's own ∆ column in place, and only a link-bin that lost probes
 		// has its survivors copied out (filterDiversity).
-		d.reseed(key)
+		d.reseed(key, bin)
 		samples, probes, ases, ok := d.filterDiversity(ls, ord, groups)
 		if !ok {
 			d.linksRejected++
@@ -589,7 +577,7 @@ func (d *Detector) closeBin() []Alarm {
 			if deviation > 0 && diff >= minDiffMS {
 				anomalous = true
 				alarms = append(alarms, Alarm{
-					Bin:       d.curBin,
+					Bin:       bin,
 					Link:      key,
 					Observed:  obs,
 					Reference: refCI,
@@ -602,7 +590,7 @@ func (d *Detector) closeBin() []Alarm {
 		}
 		if d.cfg.Observer != nil {
 			d.cfg.Observer(Observation{
-				Bin:       d.curBin,
+				Bin:       bin,
 				Link:      key,
 				Observed:  obs,
 				Reference: refCI,
@@ -678,8 +666,8 @@ func (ls *linkState) appendGroup(samples []float64, ord []int32, g probeGroup) [
 // reseed rebinds the probe-dropping PRNG to the (link, bin) about to be
 // evaluated. The stream position never leaks into the draw sequence, so any
 // partition of links across detectors reproduces the same decisions.
-func (d *Detector) reseed(key trace.LinkKey) {
-	h1 := hash.Mix64(hash.Mix64(d.cfg.Seed, uint64(d.curBin.Unix())), 0x5ca1ab1e)
+func (d *Detector) reseed(key trace.LinkKey, bin time.Time) {
+	h1 := hash.Mix64(hash.Mix64(d.cfg.Seed, uint64(bin.Unix())), 0x5ca1ab1e)
 	h2 := d.cfg.Seed
 	near := key.Near.As16()
 	far := key.Far.As16()

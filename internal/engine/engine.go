@@ -3,13 +3,15 @@
 // bit-identical to a single delay.Detector / forwarding.Detector pair for
 // every shard count.
 //
-// An engine with one worker is that pair: it starts no goroutine and hands
-// each trace.View straight to its lone shard's two detectors on the caller's
-// goroutine. With more workers the caller's goroutine extracts per-link ∆
-// samples (delay.ExtractView, §4) and per-router next-hop contributions
-// (forwarding.ExtractView, §5) from each chronologically ordered view and
-// routes them, by a hash of the link respectively the router id, to one of N
-// shards. Each shard owns a private delay.Detector and forwarding.Detector
+// One timeseries.Clock, the engine's for every worker count, decides when a
+// bin closes, and every close runs the same barrier. An engine with one
+// worker is that detector pair: it starts no goroutine, hands each
+// trace.View straight to its lone shard's two detectors on the caller's
+// goroutine, and flushes them inline at a close. With more workers the
+// caller's goroutine extracts per-link ∆ samples (delay.ExtractView, §4) and
+// per-router next-hop contributions (forwarding.ExtractView, §5) from each
+// chronologically ordered view and routes them, by a hash of the link
+// respectively the router id, to one of N shards. Each shard owns a private delay.Detector and forwarding.Detector
 // fed through a bounded batch channel, so map maintenance and — the
 // expensive part — bin evaluation (robust medians, Wilson CIs, Pearson
 // correlations) run concurrently across shards. When the stream crosses a
@@ -185,7 +187,6 @@ func (s *shard) run(wg *sync.WaitGroup) {
 // shard goroutines.
 type Engine struct {
 	cfg      Config
-	binSize  time.Duration
 	reg      *ident.Registry
 	intern   *ident.Interner // dispatcher-owned memo over reg
 	probeASN func(int) (ipmap.ASN, bool)
@@ -195,10 +196,16 @@ type Engine struct {
 	wg     sync.WaitGroup
 	reply  chan shardResult // reused for every synchronization barrier
 
-	curBin    time.Time
-	haveBin   bool
+	// clock is the stream's open bin, for every worker count: its closes
+	// are the engine's closes, and shard detectors only follow it.
+	clock     timeseries.Clock
 	closed    bool
 	lastStats Stats // refreshed at every barrier; served after Close
+
+	// The barrier's per-shard alarm runs, reused across closes so a close
+	// allocates nothing beyond what the detectors return.
+	daRuns [][]delay.Alarm
+	faRuns [][]forwarding.Alarm
 
 	// Per-shard buffers the caller's goroutine fills during extraction and
 	// hands off once pending reaches BatchSize results.
@@ -259,7 +266,7 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Engine {
 	if cfg.Workers == 1 {
 		e.lone = e.shards[0]
 	}
-	e.binSize = e.shards[0].delayDet.Config().BinSize
+	e.clock = timeseries.NewClock(e.shards[0].delayDet.Config().BinSize)
 	return e
 }
 
@@ -302,33 +309,32 @@ func (e *Engine) routeContribution(c forwarding.Contribution) {
 	e.bufContribs[i] = append(e.bufContribs[i], c)
 }
 
-// Observe is ObserveView over the dispatcher's scratch view.
+// Observe is ObserveView over the dispatcher's scratch view, without the
+// closed bin.
 func (e *Engine) Observe(r trace.Result) ([]delay.Alarm, []forwarding.Alarm) {
-	return e.ObserveView(e.intern.ScratchView(&r))
+	da, fa, _, _ := e.ObserveView(e.intern.ScratchView(&r))
+	return da, fa
 }
 
 // ObserveView ingests one traceroute result in its interned form, ids from
 // the engine's registry (chronological order required, as for the
-// detectors). When the result opens a new bin, the previous bin is closed
-// across all shards in parallel and its merged alarms are returned in
-// exactly the order a sequential detector pair would have produced. A lone
-// shard is that pair: its detectors take the view directly.
-func (e *Engine) ObserveView(v *trace.View) ([]delay.Alarm, []forwarding.Alarm) {
+// detectors). When the result opens a later bin (timeseries.Clock), the
+// open bin is closed across all shards in parallel: ObserveView returns it
+// with ok set, and its merged alarms in exactly the order a sequential
+// detector pair would have produced. A lone shard is that pair: after the
+// engine's clock has had its say, its detectors take the view directly.
+func (e *Engine) ObserveView(v *trace.View) (da []delay.Alarm, fa []forwarding.Alarm, closed time.Time, ok bool) {
 	if e.closed {
-		return nil, nil
+		return nil, nil, closed, false
+	}
+	if closed, ok = e.clock.Advance(v.Time); ok {
+		da, fa = e.closeBin(closed)
 	}
 	if s := e.lone; s != nil {
-		return s.delayDet.ObserveView(v), s.fwdDet.ObserveView(v)
-	}
-	bin := timeseries.Bin(v.Time, e.binSize)
-	var da []delay.Alarm
-	var fa []forwarding.Alarm
-	if e.haveBin && bin.After(e.curBin) {
-		da, fa = e.closeBin()
-	}
-	if !e.haveBin || bin.After(e.curBin) {
-		e.curBin = bin
-		e.haveBin = true
+		// Their bin never closes here: the close above flushed it.
+		s.delayDet.ObserveView(v)
+		s.fwdDet.ObserveView(v)
+		return da, fa, closed, ok
 	}
 	if asn, ok := e.probeASN(v.Prb); ok {
 		e.probe, e.asn = int32(v.Prb), asn
@@ -337,9 +343,10 @@ func (e *Engine) ObserveView(v *trace.View) ([]delay.Alarm, []forwarding.Alarm) 
 	forwarding.ExtractView(e.intern, v, e.routeContribution)
 	e.pending++
 	if e.pending >= e.cfg.BatchSize {
-		e.dispatch()
+		open, _ := e.clock.Open()
+		e.dispatch(open)
 	}
-	return da, fa
+	return da, fa, closed, ok
 }
 
 // ObserveBatch ingests a slice of chronologically ordered results,
@@ -355,15 +362,15 @@ func (e *Engine) ObserveBatch(rs []trace.Result) ([]delay.Alarm, []forwarding.Al
 	return da, fa
 }
 
-// dispatch hands the filled per-shard buffers to the shard channels. Each
-// shard receives its batch tagged with the open bin; channel FIFO order
+// dispatch hands the filled per-shard buffers to the shard channels, tagged
+// with bin, the bin their results were ingested in; channel FIFO order
 // preserves the per-link sample order of a sequential run.
-func (e *Engine) dispatch() {
+func (e *Engine) dispatch(bin time.Time) {
 	for i, s := range e.shards {
 		if len(e.bufSamples[i]) == 0 && len(e.bufContribs[i]) == 0 {
 			continue
 		}
-		s.ch <- shardMsg{bin: e.curBin, samples: e.bufSamples[i], contribs: e.bufContribs[i]}
+		s.ch <- shardMsg{bin: bin, samples: e.bufSamples[i], contribs: e.bufContribs[i]}
 		if v, ok := e.samplePool.Get().(*[]delay.Sample); ok {
 			e.bufSamples[i] = (*v)[:0]
 		} else {
@@ -379,23 +386,21 @@ func (e *Engine) dispatch() {
 }
 
 // barrier is the synchronization point with every shard: pending buffers are
-// dispatched, each shard runs sync — on its goroutine behind the batches
-// already queued, or right here on a lone shard — and the replies are folded
-// into lastStats. With flush set each shard also closes its open bin; the
-// per-shard alarm runs are returned unmerged (reply-arrival order), each
-// already in the shard detector's sorted emission order.
-func (e *Engine) barrier(flush bool) ([][]delay.Alarm, [][]forwarding.Alarm) {
-	var (
-		agg    shardResult
-		daRuns [][]delay.Alarm
-		faRuns [][]forwarding.Alarm
-	)
+// dispatched tagged with bin, each shard runs sync — on its goroutine behind
+// the batches already queued, or right here on a lone shard — and the
+// replies are folded into lastStats. With flush set each shard also closes
+// its open bin; the per-shard alarm runs are left unmerged in e.daRuns and
+// e.faRuns (reply-arrival order), each already in the shard detector's
+// sorted emission order.
+func (e *Engine) barrier(bin time.Time, flush bool) {
+	var agg shardResult
+	e.daRuns, e.faRuns = e.daRuns[:0], e.faRuns[:0]
 	fold := func(res shardResult) {
 		if len(res.delayAlarms) > 0 {
-			daRuns = append(daRuns, res.delayAlarms)
+			e.daRuns = append(e.daRuns, res.delayAlarms)
 		}
 		if len(res.fwdAlarms) > 0 {
-			faRuns = append(faRuns, res.fwdAlarms)
+			e.faRuns = append(e.faRuns, res.fwdAlarms)
 		}
 		agg.linksSeen += res.linksSeen
 		agg.routersSeen += res.routersSeen
@@ -414,7 +419,7 @@ func (e *Engine) barrier(flush bool) ([][]delay.Alarm, [][]forwarding.Alarm) {
 	if e.lone != nil {
 		fold(e.lone.sync(flush))
 	} else {
-		e.dispatch()
+		e.dispatch(bin)
 		for _, s := range e.shards {
 			s.ch <- shardMsg{reply: e.reply, flush: flush}
 		}
@@ -431,7 +436,6 @@ func (e *Engine) barrier(flush bool) ([][]delay.Alarm, [][]forwarding.Alarm) {
 	if agg.refModels > 0 {
 		e.lastStats.AvgNextHops = float64(agg.refNextHops) / float64(agg.refModels)
 	}
-	return daRuns, faRuns
 }
 
 // mergeRuns k-way merges per-shard alarm runs into one slice. Each run is
@@ -492,7 +496,8 @@ func cmpFwdAlarm(a, b forwarding.Alarm) int {
 	return a.Dst.Compare(b.Dst)
 }
 
-// closeBin closes the open bin on every shard in parallel and merges the
+// closeBin closes bin, the clock's just-closed bin, on every shard in
+// parallel — the batches still pending belong to it — and merges the
 // per-shard alarm runs into the sequential order: by bin, then link
 // (Near, Far) for delay and (Router, Dst) for forwarding. Within one close
 // all alarms share a bin and each shard's run is already key-sorted, so
@@ -500,20 +505,26 @@ func cmpFwdAlarm(a, b forwarding.Alarm) int {
 // close loop emits — which keeps the downstream aggregator's
 // floating-point accumulation, hook order and retained-slice order
 // bit-identical.
-func (e *Engine) closeBin() ([]delay.Alarm, []forwarding.Alarm) {
-	daRuns, faRuns := e.barrier(true)
-	return mergeRuns(daRuns, cmpDelayAlarm), mergeRuns(faRuns, cmpFwdAlarm)
+func (e *Engine) closeBin(bin time.Time) ([]delay.Alarm, []forwarding.Alarm) {
+	e.barrier(bin, true)
+	da, fa := mergeRuns(e.daRuns, cmpDelayAlarm), mergeRuns(e.faRuns, cmpFwdAlarm)
+	clear(e.daRuns)
+	clear(e.faRuns)
+	return da, fa
 }
 
-// Flush closes the open bin (if any) across all shards and returns the
-// merged alarms. The engine stays usable: a later Observe opens a new bin.
-// After Close, Flush is a no-op.
-func (e *Engine) Flush() ([]delay.Alarm, []forwarding.Alarm) {
+// Flush closes the open bin, if any, across all shards: it returns the bin
+// with ok set and the merged alarms. The engine stays usable: a later
+// Observe opens a new bin. With no bin open, and after Close, Flush is a
+// no-op.
+func (e *Engine) Flush() (da []delay.Alarm, fa []forwarding.Alarm, closed time.Time, ok bool) {
 	if e.closed {
-		return nil, nil
+		return nil, nil, closed, false
 	}
-	e.haveBin = false
-	return e.closeBin()
+	if closed, ok = e.clock.Close(); ok {
+		da, fa = e.closeBin(closed)
+	}
+	return da, fa, closed, ok
 }
 
 // Stats synchronizes with all shards and returns engine-wide detector
@@ -523,7 +534,8 @@ func (e *Engine) Stats() Stats {
 	if e.closed {
 		return e.lastStats
 	}
-	e.barrier(false)
+	open, _ := e.clock.Open()
+	e.barrier(open, false)
 	return e.lastStats
 }
 

@@ -219,7 +219,10 @@ func TestEngineDirect(t *testing.T) {
 		da += len(d)
 		fa += len(f)
 	}
-	d, f := e.Flush()
+	d, f, _, ok := e.Flush()
+	if !ok {
+		t.Error("Flush closed no bin")
+	}
 	da += len(d)
 	fa += len(f)
 	if da == 0 || fa == 0 {
@@ -232,8 +235,8 @@ func TestEngineDirect(t *testing.T) {
 	}
 
 	// Flush closed the bin; a second Flush must yield nothing.
-	if d, f := e.Flush(); len(d) != 0 || len(f) != 0 {
-		t.Errorf("second Flush returned %d/%d alarms, want none", len(d), len(f))
+	if d, f, _, ok := e.Flush(); ok || len(d) != 0 || len(f) != 0 {
+		t.Errorf("second Flush closed a bin (%t) with %d/%d alarms, want none", ok, len(d), len(f))
 	}
 
 	// The engine must accept a new stream after Flush.
@@ -287,8 +290,8 @@ func TestUseAfterClose(t *testing.T) {
 		if d, f := e.Observe(fx.results[0]); d != nil || f != nil {
 			t.Error("Observe after Close returned alarms")
 		}
-		if d, f := e.Flush(); d != nil || f != nil {
-			t.Error("Flush after Close returned alarms")
+		if d, f, _, ok := e.Flush(); ok || d != nil || f != nil {
+			t.Error("Flush after Close closed a bin")
 		}
 		if got := e.Stats(); got != want {
 			t.Errorf("Stats after Close = %+v, want %+v", got, want)

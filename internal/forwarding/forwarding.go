@@ -224,9 +224,8 @@ type Detector struct {
 	reg    *ident.Registry
 	intern *ident.Interner
 
-	curBin  time.Time
-	haveBin bool
-	epoch   uint32
+	clock timeseries.Clock
+	epoch uint32
 
 	// Columnar state. FlowIDs are global to the registry while a sharded
 	// detector owns only ~1/W of the flows, so a dense per-detector slot
@@ -293,6 +292,7 @@ func NewDetector(cfg Config) *Detector {
 		cfg:    cfg,
 		reg:    cfg.Registry,
 		intern: ident.NewInterner(cfg.Registry),
+		clock:  timeseries.NewClock(cfg.BinSize),
 		epoch:  1,
 	}
 }
@@ -347,15 +347,11 @@ func (d *Detector) Observe(r trace.Result) []Alarm {
 
 // ObserveView ingests one traceroute result in its interned form (ids from
 // the detector's registry), returning the previous bin's alarms when the
-// result crosses a bin boundary.
+// result crosses a bin boundary (timeseries.Clock).
 func (d *Detector) ObserveView(v *trace.View) []Alarm {
 	var alarms []Alarm
-	if !d.haveBin || !timeseries.InBin(v.Time, d.curBin, d.cfg.BinSize) {
-		bin := timeseries.Bin(v.Time, d.cfg.BinSize)
-		if d.haveBin && bin.After(d.curBin) {
-			alarms = d.closeBin()
-		}
-		d.BeginBin(bin)
+	if closed, ok := d.clock.Advance(v.Time); ok {
+		alarms = d.closeBin(closed)
 	}
 	ExtractView(d.intern, v, d.IngestContribution)
 	return alarms
@@ -363,25 +359,17 @@ func (d *Detector) ObserveView(v *trace.View) []Alarm {
 
 // Flush evaluates and clears the currently open bin.
 func (d *Detector) Flush() []Alarm {
-	if !d.haveBin {
-		return nil
+	if closed, ok := d.clock.Close(); ok {
+		return d.closeBin(closed)
 	}
-	alarms := d.closeBin()
-	d.haveBin = false
-	return alarms
+	return nil
 }
 
-// BeginBin opens (or asserts) the bin the next IngestContribution calls
-// belong to. It is the sharded engine's entry point: the engine closes bins
-// explicitly via Flush, so BeginBin never evaluates — it only moves the bin
-// cursor forward. Bins are bin starts (timeseries.Bin), opened in
-// chronological order.
-func (d *Detector) BeginBin(bin time.Time) {
-	if !d.haveBin || bin.After(d.curBin) {
-		d.curBin = bin
-		d.haveBin = true
-	}
-}
+// BeginBin opens the bin the next IngestContribution calls belong to, when
+// it is later than the open one. It is the sharded engine's entry point:
+// the engine's clock decides closes and the engine calls Flush, so BeginBin
+// never evaluates. Bins are bin starts (timeseries.Bin).
+func (d *Detector) BeginBin(bin time.Time) { d.clock.Begin(bin) }
 
 // IngestContribution folds one extracted contribution into the open bin.
 // Together with BeginBin and Flush it forms the shard-scoped API: an engine
@@ -434,9 +422,9 @@ func (d *Detector) IngestContribution(c Contribution) {
 	fs.cur = append(fs.cur, hopCount{hop: c.Hop, v: c.W})
 }
 
-// closeBin evaluates every pattern of the bin against its reference and
-// then folds the bin into the reference (Eq 8).
-func (d *Detector) closeBin() []Alarm {
+// closeBin evaluates every pattern of the bin starting at bin against its
+// reference and then folds the bin into the reference (Eq 8).
+func (d *Detector) closeBin(bin time.Time) []Alarm {
 	t0 := time.Now()
 	var alarms []Alarm
 	// Deterministic iteration: flows are evaluated in (router, dst) address
@@ -491,7 +479,7 @@ func (d *Detector) closeBin() []Alarm {
 			anomalous := !math.IsNaN(rho) && rho < tau
 			if anomalous {
 				alarms = append(alarms, Alarm{
-					Bin:    d.curBin,
+					Bin:    bin,
 					Router: fs.router,
 					Dst:    fs.dst,
 					Rho:    rho,
@@ -500,7 +488,7 @@ func (d *Detector) closeBin() []Alarm {
 			}
 			if d.cfg.Observer != nil {
 				d.cfg.Observer(Observation{
-					Bin: d.curBin, Router: fs.router, Dst: fs.dst,
+					Bin: bin, Router: fs.router, Dst: fs.dst,
 					Rho: rho, Anomalous: anomalous, Packets: total,
 				})
 			}

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -113,16 +112,16 @@ func TestOversizedLineNumberParityWithReader(t *testing.T) {
 
 // TestViewsMatchResults pins the view decode target to the Result one: over
 // a dump with blank lines, an undecodable line and a line that only
-// Validate rejects, DecodeViews delivers — for every worker count, strict
+// Validate rejects, FilesViews delivers — for every worker count, strict
 // or lenient, Validate on or off — the same batches, the same Stats and the
-// same LineErrors as Decode, and each view is the one ident.Interner.View
+// same LineErrors as Files, and each view is the one ident.Interner.View
 // builds from the corresponding Result.
 func TestViewsMatchResults(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(string(encodeDump(t, makeResults(600), 0)), "\n"), "\n")
 	lines[100] = "not json"
 	lines[333] = `{"src_addr":"10.0.0.1","dst_addr":"10.0.0.2","result":[{"hop":2,"result":[{"x":"*"}]},{"hop":1,"result":[]}]}`
 	lines[40] += "\n\n"
-	dump := []byte(strings.Join(lines, "\n") + "\n")
+	paths := dumpFiles(t, []byte(strings.Join(lines, "\n")+"\n"))
 
 	type outcome struct {
 		batches []int
@@ -146,7 +145,7 @@ func TestViewsMatchResults(t *testing.T) {
 					return opts
 				}
 				var results []trace.Result
-				st, err := Decode(context.Background(), bytes.NewReader(dump), opts(&want), func(rs []trace.Result) error {
+				st, err := Files(context.Background(), paths, opts(&want), func(rs []trace.Result) error {
 					results = append(results, rs...)
 					want.batches = append(want.batches, len(rs))
 					return nil
@@ -155,7 +154,7 @@ func TestViewsMatchResults(t *testing.T) {
 
 				reg := ident.NewRegistry()
 				var views []trace.View
-				st, err = DecodeViews(context.Background(), bytes.NewReader(dump), opts(&got), reg, func(vs []trace.View) error {
+				st, err = FilesViews(context.Background(), paths, opts(&got), reg, func(vs []trace.View) error {
 					views = append(views, vs...)
 					got.batches = append(got.batches, len(vs))
 					return nil

@@ -3,8 +3,8 @@
 // stdin or multi-file) and decodes them into batches — the real-data twin of
 // the internal/atlas measurement generator, and the second parallel producer
 // that can feed the sharded engine. One pipeline serves two decode targets:
-// trace.Result (Decode, File, Files: tools and tests) and interned
-// trace.View (DecodeViews, FilesViews: the analyzer's replay path).
+// trace.Result (Files: tools and tests) and interned trace.View
+// (FilesViews: the analyzer's replay path).
 //
 // Parallel decoding preserves the determinism guarantee of the rest of the
 // pipeline. A run is one pipeline.Ordered call: the chunker cuts the line
@@ -75,7 +75,7 @@ type Stats struct {
 
 // LineError locates a decode (or validation) failure in the input stream.
 type LineError struct {
-	File string // input name ("-" for stdin, "<reader>" for Decode)
+	File string // input path ("-" for stdin)
 	Line int    // 1-based line number within File
 	Err  error
 }
@@ -126,28 +126,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Decode streams NDJSON traceroute results from r (gzip auto-detected by
-// magic bytes), delivering them in input order as batches to fn. A non-nil
-// error from fn aborts the run and is returned.
-func Decode(ctx context.Context, r io.Reader, opts Options, fn func([]trace.Result) error) (Stats, error) {
-	return run(ctx, []source{{name: "<reader>", r: r}}, opts, newResultDecoder, fn)
-}
-
-// DecodeViews is Decode with interned views as the decode target: addresses
-// go from wire text to ids of reg inside the decode workers (one
-// ident.Interner each) and no trace.Result is built. Error policy,
-// validation, batch boundaries and Stats are those of Decode on the same
-// input. A batch's views share three column allocations.
-func DecodeViews(ctx context.Context, r io.Reader, opts Options, reg *ident.Registry, fn func([]trace.View) error) (Stats, error) {
-	return run(ctx, []source{{name: "<reader>", r: r}}, opts, viewDecoders(reg), fn)
-}
-
-// File decodes one dump file. Path "-" reads stdin; gzip is auto-detected
-// regardless of the file name.
-func File(ctx context.Context, path string, opts Options, fn func([]trace.Result) error) (Stats, error) {
-	return Files(ctx, []string{path}, opts, fn)
-}
-
 // SplitPaths splits a comma-separated dump-path list (the CLIs' -input
 // syntax), trimming whitespace and dropping empty segments so a trailing
 // comma cannot become an opaque open("") failure mid-run. The result may
@@ -162,34 +140,24 @@ func SplitPaths(s string) []string {
 	return out
 }
 
-// Files decodes several dumps in order as one logical stream (per-file
-// gzip detection, per-file line numbering in errors). Files are opened
+// Files decodes several dumps in order as one logical stream, delivering
+// the results in input order as batches to fn (per-file gzip detection by
+// magic bytes, per-file line numbering in errors; path "-" reads stdin). A
+// non-nil error from fn aborts the run and is returned. Files are opened
 // lazily as the stream reaches them, so an unreadable later file surfaces
 // only after the preceding files' results were delivered — the same
 // behavior as catting the files through one reader.
 func Files(ctx context.Context, paths []string, opts Options, fn func([]trace.Result) error) (Stats, error) {
-	return run(ctx, fileSources(paths), opts, newResultDecoder, fn)
+	return run(ctx, paths, opts, newResultDecoder, fn)
 }
 
-// FilesViews is Files with interned views as the decode target (see
-// DecodeViews).
+// FilesViews is Files with interned views as the decode target: addresses
+// go from wire text to ids of reg inside the decode workers (one
+// ident.Interner each) and no trace.Result is built. Error policy,
+// validation, batch boundaries and Stats are those of Files on the same
+// input. A batch's views share three column allocations.
 func FilesViews(ctx context.Context, paths []string, opts Options, reg *ident.Registry, fn func([]trace.View) error) (Stats, error) {
-	return run(ctx, fileSources(paths), opts, viewDecoders(reg), fn)
-}
-
-func fileSources(paths []string) []source {
-	srcs := make([]source, len(paths))
-	for i, p := range paths {
-		srcs[i] = source{name: p}
-	}
-	return srcs
-}
-
-// source is one named input: either an already-open reader (Decode) or a
-// path the chunker opens when the stream reaches it.
-type source struct {
-	name string
-	r    io.Reader
+	return run(ctx, paths, opts, viewDecoders(reg), fn)
 }
 
 // lineChunk is the unit of worker handoff: up to ChunkSize non-blank lines
@@ -336,74 +304,71 @@ func deliver[T any](st *Stats, opts Options, results []T, errs []LineError, fn f
 	return fn(results)
 }
 
-// chunker owns the read side: it opens sources, detects gzip, scans lines
+// chunker owns the read side: it opens files, detects gzip, scans lines
 // and cuts chunks. Exactly one goroutine runs it, so chunk contents and
 // order are a function of the input alone, never of scheduling — the root of
 // the worker-count equivalence guarantee.
 type chunker struct {
-	srcs  []source
+	paths []string
 	size  int
 	lines int
 	bytes int64
 	err   error // first open/read error; reported after ordered delivery
 }
 
-// run scans all sources, calling emit for each cut chunk. emit returning
+// run scans all files, calling emit for each cut chunk. emit returning
 // false stops the scan.
 func (ck *chunker) run(emit func(*lineChunk) bool) {
-	for _, src := range ck.srcs {
-		if !ck.scan(src, emit) {
+	for _, path := range ck.paths {
+		if !ck.scan(path, emit) {
 			return
 		}
 	}
 }
 
-// scan chunks one source. It returns false when emission was stopped or a
-// read error ended the stream; complete lines scanned before a read error
-// are still emitted (the error surfaces after their ordered delivery).
-func (ck *chunker) scan(src source, emit func(*lineChunk) bool) bool {
-	r := src.r
+// scan chunks one file ("-" is stdin). It returns false when emission was
+// stopped or a read error ended the stream; complete lines scanned before a
+// read error are still emitted (the error surfaces after their ordered
+// delivery).
+func (ck *chunker) scan(path string, emit func(*lineChunk) bool) bool {
+	var r io.Reader = os.Stdin
 	var closers []io.Closer
 	defer func() {
 		for _, c := range closers {
 			c.Close()
 		}
 	}()
-	if r == nil {
-		if src.name == "-" {
-			r = os.Stdin
-		} else {
-			f, err := os.Open(src.name)
-			if err != nil {
-				ck.err = fmt.Errorf("ingest: %w", err)
-				return false
-			}
-			closers = append(closers, f)
-			r = f
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			ck.err = fmt.Errorf("ingest: %w", err)
+			return false
 		}
+		closers = append(closers, f)
+		r = f
 	}
 	// One buffered reader serves both the gzip magic peek and, for plain
-	// sources, line scanning itself — no second copy through a nested
+	// files, line scanning itself — no second copy through a nested
 	// bufio on the chunker, the pipeline's serial stage. Only decompressed
 	// gzip output needs its own line buffer.
 	lr := bufio.NewReaderSize(r, 256*1024)
 	if magic, err := lr.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(lr)
 		if err != nil {
-			ck.err = fmt.Errorf("ingest: %s: %w", src.name, err)
+			ck.err = fmt.Errorf("ingest: %s: %w", path, err)
 			return false
 		}
 		closers = append(closers, zr)
 		lr = bufio.NewReaderSize(zr, 256*1024)
 	}
 	line := 0
-	c := newChunk(src.name)
+	c := newChunk(path)
 	flush := func() bool {
 		if len(c.ends) == 0 && len(c.errs) == 0 {
 			return true
 		}
 		out := c
-		c = newChunk(src.name)
+		c = newChunk(path)
 		return emit(out)
 	}
 	full := func() bool { return len(c.ends) >= ck.size || len(c.errs) >= ck.size }
@@ -429,7 +394,7 @@ func (ck *chunker) scan(src source, emit func(*lineChunk) bool) bool {
 			line++
 			ck.lines++
 			ck.bytes += drained
-			c.errs = append(c.errs, LineError{File: src.name, Line: line, Err: ErrLineTooLong})
+			c.errs = append(c.errs, LineError{File: path, Line: line, Err: ErrLineTooLong})
 			if full() && !flush() {
 				chunkPool.Put(c)
 				return false
@@ -438,7 +403,7 @@ func (ck *chunker) scan(src source, emit func(*lineChunk) bool) bool {
 				break
 			}
 			if rerr != nil {
-				ck.err = fmt.Errorf("ingest: %s: %w", src.name, rerr)
+				ck.err = fmt.Errorf("ingest: %s: %w", path, rerr)
 				break
 			}
 			continue
@@ -448,7 +413,7 @@ func (ck *chunker) scan(src source, emit func(*lineChunk) bool) bool {
 			// the trailing fragment is not a complete line — drop it so the
 			// stream error surfaces instead of a phantom JSON failure on a
 			// line that never existed in the input.
-			ck.err = fmt.Errorf("ingest: %s: %w", src.name, rerr)
+			ck.err = fmt.Errorf("ingest: %s: %w", path, rerr)
 			break
 		}
 		b := frag
@@ -469,7 +434,7 @@ func (ck *chunker) scan(src source, emit func(*lineChunk) bool) bool {
 			if len(b) > MaxLineBytes {
 				// The final fragment pushed the line over the limit (the
 				// in-flight check above only fires between buffer refills).
-				c.errs = append(c.errs, LineError{File: src.name, Line: line, Err: ErrLineTooLong})
+				c.errs = append(c.errs, LineError{File: path, Line: line, Err: ErrLineTooLong})
 			} else if len(b) > 0 {
 				c.buf = append(c.buf, b...)
 				c.ends = append(c.ends, len(c.buf))
@@ -507,9 +472,9 @@ func newChunk(file string) *lineChunk {
 // each worker decodes chunks through its own lineDecoder, and deliver applies
 // the error policy and hands the batches to fn in input order on the caller's
 // goroutine. A canceled ctx is reported ahead of a read error.
-func run[T any](ctx context.Context, srcs []source, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
+func run[T any](ctx context.Context, paths []string, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
 	opts = opts.withDefaults()
-	ck := &chunker{srcs: srcs, size: opts.ChunkSize}
+	ck := &chunker{paths: paths, size: opts.ChunkSize}
 	var st Stats
 	err := pipeline.Ordered(ctx, opts.Workers, ck.run,
 		func() func(*lineChunk) decodedChunk[T] {

@@ -7,7 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -69,6 +69,21 @@ func encodeDump(t *testing.T, rs []trace.Result, blankEvery int) []byte {
 	return buf.Bytes()
 }
 
+// dumpFiles writes each data to its own file in t's temporary directory and
+// returns their paths, in order.
+func dumpFiles(t testing.TB, data ...[]byte) []string {
+	t.Helper()
+	dir := t.TempDir()
+	paths := make([]string, len(data))
+	for i, d := range data {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("part%d.ndjson", i))
+		if err := os.WriteFile(paths[i], d, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
 func gzipBytes(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -90,13 +105,13 @@ type collected struct {
 func collect(t *testing.T, data []byte, opts Options) (collected, Stats) {
 	t.Helper()
 	var c collected
-	st, err := Decode(context.Background(), bytes.NewReader(data), opts, func(rs []trace.Result) error {
+	st, err := Files(context.Background(), dumpFiles(t, data), opts, func(rs []trace.Result) error {
 		c.results = append(c.results, rs...)
 		c.batches = append(c.batches, len(rs))
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Decode(workers=%d): %v", opts.Workers, err)
+		t.Fatalf("Files(workers=%d): %v", opts.Workers, err)
 	}
 	return c, st
 }
@@ -221,7 +236,7 @@ func TestDefaultPolicyAbortsWithLineError(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		var got []trace.Result
-		_, err := Decode(context.Background(), bytes.NewReader(dump), Options{Workers: workers, ChunkSize: 8},
+		_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: workers, ChunkSize: 8},
 			func(rs []trace.Result) error {
 				got = append(got, rs...)
 				return nil
@@ -247,7 +262,7 @@ func TestDefaultPolicyAbortsWithLineError(t *testing.T) {
 func TestOnErrorAbort(t *testing.T) {
 	dump := []byte("junk\n")
 	sentinel := errors.New("stop here")
-	_, err := Decode(context.Background(), bytes.NewReader(dump), Options{Workers: 2,
+	_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: 2,
 		OnError: func(*LineError) error { return sentinel },
 	}, func([]trace.Result) error { return nil })
 	if !errors.Is(err, sentinel) {
@@ -258,7 +273,7 @@ func TestOnErrorAbort(t *testing.T) {
 func TestValidateRejectsStructurallyInvalid(t *testing.T) {
 	// Decodes fine but hop indices are not ascending.
 	line := `{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":2,"result":[{"x":"*"}]},{"hop":1,"result":[{"x":"*"}]}]}`
-	_, err := Decode(context.Background(), strings.NewReader(line+"\n"), Options{Workers: 1, Validate: true},
+	_, err := Files(context.Background(), dumpFiles(t, []byte(line+"\n")), Options{Workers: 1, Validate: true},
 		func([]trace.Result) error { return nil })
 	var le *LineError
 	if !errors.As(err, &le) {
@@ -268,7 +283,7 @@ func TestValidateRejectsStructurallyInvalid(t *testing.T) {
 		t.Errorf("unexpected validation error: %v", le.Err)
 	}
 	// Without Validate the same line is accepted.
-	if _, err := Decode(context.Background(), strings.NewReader(line+"\n"), Options{Workers: 1},
+	if _, err := Files(context.Background(), dumpFiles(t, []byte(line+"\n")), Options{Workers: 1},
 		func([]trace.Result) error { return nil }); err != nil {
 		t.Errorf("non-validating decode rejected the line: %v", err)
 	}
@@ -279,7 +294,7 @@ func TestConsumerErrorAborts(t *testing.T) {
 	sentinel := errors.New("consumer says no")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		_, err := Decode(context.Background(), bytes.NewReader(dump), Options{Workers: workers, ChunkSize: 16},
+		_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: workers, ChunkSize: 16},
 			func([]trace.Result) error {
 				calls++
 				if calls == 2 {
@@ -301,7 +316,7 @@ func TestContextCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := Decode(ctx, bytes.NewReader(dump), Options{Workers: workers},
+		_, err := Files(ctx, dumpFiles(t, dump), Options{Workers: workers},
 			func([]trace.Result) error { return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -311,7 +326,7 @@ func TestContextCancel(t *testing.T) {
 
 func TestEmptyAndBlankInput(t *testing.T) {
 	for _, input := range []string{"", "\n\n\n"} {
-		st, err := Decode(context.Background(), strings.NewReader(input), Options{Workers: 2},
+		st, err := Files(context.Background(), dumpFiles(t, []byte(input)), Options{Workers: 2},
 			func([]trace.Result) error {
 				t.Fatal("fn called for empty input")
 				return nil
@@ -325,27 +340,25 @@ func TestEmptyAndBlankInput(t *testing.T) {
 	}
 }
 
+// TestReadErrorSurfacesAfterDeliveredResults reads a directory after a
+// dump: it opens, and its first read fails.
 func TestReadErrorSurfacesAfterDeliveredResults(t *testing.T) {
 	orig := makeResults(20)
-	dump := encodeDump(t, orig, 0)
-	failing := io.MultiReader(bytes.NewReader(dump), &errReader{})
+	dir := t.TempDir()
 	var got []trace.Result
-	_, err := Decode(context.Background(), failing, Options{Workers: 2, ChunkSize: 4},
+	_, err := Files(context.Background(), append(dumpFiles(t, encodeDump(t, orig, 0)), dir), Options{Workers: 2, ChunkSize: 4},
 		func(rs []trace.Result) error {
 			got = append(got, rs...)
 			return nil
 		})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want wrapped read error", err)
+	var pe *fs.PathError
+	if !errors.As(err, &pe) || pe.Op != "read" || pe.Path != dir {
+		t.Fatalf("err = %v, want wrapped read error on %s", err, dir)
 	}
 	if !reflect.DeepEqual(got, orig) {
 		t.Errorf("results scanned before the read error were not delivered (%d/%d)", len(got), len(orig))
 	}
 }
-
-type errReader struct{}
-
-func (*errReader) Read([]byte) (int, error) { return 0, errors.New("boom") }
 
 // TestOversizedLineSkippable pins the lenient-policy contract for lines
 // beyond MaxLineBytes: the line is drained (the stream stays aligned on
@@ -362,7 +375,7 @@ func TestOversizedLineSkippable(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var got []trace.Result
 		var lineErrs []LineError
-		st, err := Decode(context.Background(), bytes.NewReader(dump),
+		st, err := Files(context.Background(), dumpFiles(t, dump),
 			Options{Workers: workers, ChunkSize: 4, OnError: func(le *LineError) error {
 				lineErrs = append(lineErrs, *le)
 				return nil
@@ -387,7 +400,7 @@ func TestOversizedLineSkippable(t *testing.T) {
 	}
 
 	// Default strict policy: abort, typed.
-	_, err := Decode(context.Background(), bytes.NewReader(dump), Options{Workers: 2},
+	_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: 2},
 		func([]trace.Result) error { return nil })
 	if !errors.Is(err, ErrLineTooLong) {
 		t.Fatalf("strict policy err = %v, want ErrLineTooLong", err)
@@ -395,7 +408,7 @@ func TestOversizedLineSkippable(t *testing.T) {
 }
 
 func TestFileStdinDash(t *testing.T) {
-	// File("-") must read stdin; substitute a pipe for the test.
+	// Path "-" must read stdin; substitute a pipe for the test.
 	orig := makeResults(10)
 	dump := encodeDump(t, orig, 0)
 	r, w, err := os.Pipe()
@@ -410,7 +423,7 @@ func TestFileStdinDash(t *testing.T) {
 		w.Close()
 	}()
 	var got []trace.Result
-	st, err := File(context.Background(), "-", Options{Workers: 2}, func(rs []trace.Result) error {
+	st, err := Files(context.Background(), []string{"-"}, Options{Workers: 2}, func(rs []trace.Result) error {
 		got = append(got, rs...)
 		return nil
 	})
@@ -452,7 +465,7 @@ func TestTruncatedGzipSurfacesReadError(t *testing.T) {
 	trunc := gz[:len(gz)-500]
 	for _, workers := range []int{1, 4} {
 		var got []trace.Result
-		_, err := Decode(context.Background(), bytes.NewReader(trunc), Options{Workers: workers},
+		_, err := Files(context.Background(), dumpFiles(t, trunc), Options{Workers: workers},
 			func(rs []trace.Result) error {
 				got = append(got, rs...)
 				return nil
@@ -488,7 +501,7 @@ func TestSplitPaths(t *testing.T) {
 
 func TestCorruptGzip(t *testing.T) {
 	data := append([]byte{0x1f, 0x8b}, []byte("definitely not a gzip stream")...)
-	_, err := Decode(context.Background(), bytes.NewReader(data), Options{Workers: 2},
+	_, err := Files(context.Background(), dumpFiles(t, data), Options{Workers: 2},
 		func([]trace.Result) error { return nil })
 	if err == nil {
 		t.Fatal("corrupt gzip accepted")
@@ -511,7 +524,7 @@ func TestLenientStatsDeterministic(t *testing.T) {
 	skip := func(*LineError) error { return nil }
 	var ref Stats
 	for i, workers := range []int{1, 2, 8} {
-		st, err := Decode(context.Background(), bytes.NewReader(corrupted),
+		st, err := Files(context.Background(), dumpFiles(t, corrupted),
 			Options{Workers: workers, ChunkSize: 32, OnError: skip},
 			func([]trace.Result) error { return nil })
 		if err != nil {

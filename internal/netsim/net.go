@@ -98,26 +98,6 @@ func (n *Net) NumEdges() int { return len(n.edges) }
 // Router returns the router with the given id.
 func (n *Net) Router(id RouterID) Router { return n.routers[id] }
 
-// RouterByAddr resolves an interface address to its router.
-func (n *Net) RouterByAddr(a netip.Addr) (Router, bool) {
-	id, ok := n.byAddr[a]
-	if !ok {
-		return Router{}, false
-	}
-	return n.routers[id], true
-}
-
-// RouterByName resolves a router by its symbolic name (linear scan; intended
-// for tests and scenario construction, not hot paths).
-func (n *Net) RouterByName(name string) (Router, bool) {
-	for _, r := range n.routers {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Router{}, false
-}
-
 // Prefixes returns the IP→AS table announced by the simulated network.
 // The detectors use it for alarm aggregation exactly as the paper uses BGP
 // data.
@@ -130,20 +110,6 @@ func (n *Net) Scenario() *Scenario { return n.scenario }
 // Artifacts returns the measurement-artifact configuration baked in at
 // Build (the zero value when none was set).
 func (n *Net) Artifacts() Artifacts { return n.artifacts }
-
-// RouterAlias returns the alias (second interface) address of a router, or
-// an invalid address when the router has none. Aliases exist only on nets
-// built with Artifacts.AliasProb > 0.
-func (n *Net) RouterAlias(id RouterID) netip.Addr {
-	if n.aliases == nil || !validRouter(id, len(n.aliases)) {
-		return netip.Addr{}
-	}
-	return n.aliases[id]
-}
-
-// ServiceInstances returns the routers hosting the given service address
-// (one for unicast services, several for anycast).
-func (n *Net) ServiceInstances(addr netip.Addr) []RouterID { return n.services[addr] }
 
 // Services returns all service addresses in deterministic (insertion-free,
 // sorted-string) order.

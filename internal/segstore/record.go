@@ -82,7 +82,6 @@ const (
 	minFwdRow    = 8 + 2*8 + 3*2
 	minEventRow  = 8 + 4 + 1 + 8
 	minSeriesRow = 8 + 4 + 1 + 8
-	headerSize   = 4 + 4 + 3*8 + 5*4
 )
 
 // CorruptError reports segment bytes that cannot be decoded. Every decode
@@ -459,6 +458,8 @@ func growSeries(s []SeriesRow, n int) []SeriesRow {
 type reader struct {
 	b   []byte
 	off int
+
+	claimed int64 // bytes the row counts read so far need at least
 }
 
 func (r *reader) need(n int) error {
@@ -522,15 +523,17 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// count reads a row count and rejects counts that could not possibly fit
-// in the remaining bytes, so hostile headers cannot trigger huge
-// allocations before the per-field bounds checks run.
+// count reads a row count and rejects it unless the rows of every count
+// read so far, each at its minimal size, fit in the bytes left, so a
+// hostile header cannot trigger allocations beyond a small multiple of the
+// payload before the per-field bounds checks run.
 func (r *reader) count(minRow int) (int, error) {
 	v, err := r.u32()
 	if err != nil {
 		return 0, err
 	}
-	if int64(v)*int64(minRow) > int64(len(r.b)) {
+	r.claimed += int64(v) * int64(minRow)
+	if r.claimed > int64(len(r.b)-r.off) {
 		return 0, corrupt(r.off-4, "count %d exceeds payload capacity", v)
 	}
 	return int(v), nil

@@ -88,11 +88,6 @@ func OpenFS(fsys FS) (*Store, error) {
 	return openFS(fsys, false)
 }
 
-// OpenFSReadOnly is OpenReadOnly on an arbitrary filesystem.
-func OpenFSReadOnly(fsys FS) (*Store, error) {
-	return openFS(fsys, true)
-}
-
 func openFS(fsys FS, readonly bool) (*Store, error) {
 	s := &Store{readonly: readonly}
 	var err error

@@ -228,6 +228,33 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsCountsThatFitOnlyAlone pins that the row counts are
+// checked together: on a 1 MiB payload each of the five counts claims the
+// whole payload at its row kind's minimal size, which each count alone
+// fits. Decoding must stop inside the header's count fields, before any
+// row is allocated, not at the payload's end after allocating rows for
+// five payloads.
+func TestDecodeRejectsCountsThatFitOnlyAlone(t *testing.T) {
+	b := make([]byte, 1<<20)
+	binary.LittleEndian.PutUint32(b, payloadMagic)
+	// Counts start at byte 32 (after magic, flags, bin, firstBin, results).
+	for i, minRow := range []int{minDelayRow, minFwdRow, minEventRow, minSeriesRow, minSeriesRow} {
+		binary.LittleEndian.PutUint32(b[32+4*i:], uint32(len(b)/minRow))
+	}
+	var rec BinRecord
+	err := DecodeRecord(b, &rec)
+	var ce *CorruptError
+	if !asCorrupt(err, &ce) {
+		t.Fatalf("error %v is not a *CorruptError", err)
+	}
+	if ce.Offset >= 52 {
+		t.Errorf("decode failed at byte %d (%v), want inside the count fields (< 52)", ce.Offset, err)
+	}
+	if cap(rec.Delay)+cap(rec.Fwd)+cap(rec.Events)+cap(rec.Mag)+cap(rec.Raw) != 0 {
+		t.Errorf("rows allocated before the counts were rejected")
+	}
+}
+
 func asCorrupt(err error, target **CorruptError) bool {
 	ce, ok := err.(*CorruptError)
 	if ok {

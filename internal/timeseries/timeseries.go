@@ -1,7 +1,8 @@
 // Package timeseries provides the time-binning and sliding-window machinery
 // shared by the detectors: truncating timestamps to analysis bins (1 hour in
-// the paper), accumulating per-bin values into series, and computing the
-// one-week sliding median/MAD magnitude of §6 (Eq 10).
+// the paper), deciding when a stream's open bin closes (Clock), accumulating
+// per-bin values into series, and computing the one-week sliding median/MAD
+// magnitude of §6 (Eq 10).
 package timeseries
 
 import (
@@ -19,8 +20,8 @@ func Bin(t time.Time, size time.Duration) time.Time {
 // InBin reports whether t falls in the bin [start, start+size): for a bin
 // start it is Bin(t, size).Equal(start), for the price of two integer range
 // checks (Truncate divides, and time.Time.Sub re-adds to detect overflow —
-// either costs more than the rest of a per-result bin test). The per-result
-// paths test their open bin with it and truncate only a result outside.
+// either costs more than the rest of a per-result bin test). Clock.Advance
+// tests its open bin with it and truncates only a time outside.
 func InBin(t, start time.Time, size time.Duration) bool {
 	s := t.Unix() - start.Unix()
 	if s < 0 || s > int64(size/time.Second) {
@@ -28,6 +29,58 @@ func InBin(t, start time.Time, size time.Duration) bool {
 	}
 	d := time.Duration(s)*time.Second + time.Duration(t.Nanosecond()-start.Nanosecond())
 	return 0 <= d && d < size
+}
+
+// Clock is the open bin of a chronological stream, the one place that
+// decides when a bin closes: a time in a later bin closes the open bin and
+// opens its own, and a time in an earlier bin folds into the open bin. The
+// detectors and the engine each keep one; the zero value is unusable,
+// construct with NewClock.
+type Clock struct {
+	size time.Duration
+	open time.Time
+	has  bool
+}
+
+// NewClock returns a clock of the given bin size with no bin open.
+func NewClock(size time.Duration) Clock { return Clock{size: size} }
+
+// Advance places t: with no bin open it opens t's bin, and when t lies in a
+// later bin than the open one it closes the open bin, returns it with
+// ok set, and opens t's bin. A time in the open bin or an earlier one
+// changes nothing.
+func (c *Clock) Advance(t time.Time) (closed time.Time, ok bool) {
+	if c.has && InBin(t, c.open, c.size) {
+		return closed, false
+	}
+	b := Bin(t, c.size)
+	if c.has && !b.After(c.open) {
+		return closed, false
+	}
+	closed, ok = c.open, c.has
+	c.open, c.has = b, true
+	return closed, ok
+}
+
+// Close ends the stream: it returns the open bin, if any, and leaves no bin
+// open, so the next Advance opens a fresh one.
+func (c *Clock) Close() (closed time.Time, ok bool) {
+	closed, ok = c.open, c.has
+	c.open, c.has = time.Time{}, false
+	return closed, ok
+}
+
+// Open returns the open bin; ok is false when none is.
+func (c *Clock) Open() (bin time.Time, ok bool) { return c.open, c.has }
+
+// Begin opens bin (a bin start) when no bin is open or bin is later than the
+// open one, without reporting a close; an earlier bin changes nothing. A
+// detector behind a dispatcher follows the dispatcher's clock with it and
+// closes only when told to.
+func (c *Clock) Begin(bin time.Time) {
+	if !c.has || bin.After(c.open) {
+		c.open, c.has = bin, true
+	}
 }
 
 // Point is one (time, value) pair of a series.

@@ -46,6 +46,65 @@ func TestInBinMatchesBin(t *testing.T) {
 	}
 }
 
+// TestClock walks one clock through every case of the bin rule: the first
+// time opens its bin, a time in the open bin or an earlier one folds into
+// it, a later bin closes the open one, Close ends the stream and the next
+// time reopens, and Begin only moves forward without reporting a close.
+func TestClock(t *testing.T) {
+	h := func(n float64) time.Time { return t0.Add(time.Duration(n * float64(time.Hour))) }
+	const (
+		advance = iota
+		closeOp
+		begin
+	)
+	steps := []struct {
+		name    string
+		op      int
+		at      time.Time // Begin takes bin starts
+		closed  time.Time // with ok
+		ok      bool
+		open    time.Time // with hasOpen, after the step
+		hasOpen bool
+	}{
+		{name: "first time opens its bin", op: advance, at: h(2.5), open: h(2), hasOpen: true},
+		{name: "in-bin", op: advance, at: h(2.99), open: h(2), hasOpen: true},
+		{name: "earlier bin folds", op: advance, at: h(0.5), open: h(2), hasOpen: true},
+		{name: "later bin closes", op: advance, at: h(3), closed: h(2), ok: true, open: h(3), hasOpen: true},
+		{name: "skipped bins close only the open one", op: advance, at: h(7.25), closed: h(3), ok: true, open: h(7), hasOpen: true},
+		{name: "close ends the stream", op: closeOp, closed: h(7), ok: true},
+		{name: "close again is empty", op: closeOp},
+		{name: "reopen after close, even earlier", op: advance, at: h(4.5), open: h(4), hasOpen: true},
+		{name: "begin an earlier bin is ignored", op: begin, at: h(1), open: h(4), hasOpen: true},
+		{name: "begin the open bin is ignored", op: begin, at: h(4), open: h(4), hasOpen: true},
+		{name: "begin moves forward without a close", op: begin, at: h(6), open: h(6), hasOpen: true},
+		{name: "advance after begin", op: advance, at: h(6.5), open: h(6), hasOpen: true},
+		{name: "close after begin", op: closeOp, closed: h(6), ok: true},
+		{name: "begin with no bin open", op: begin, at: h(1), open: h(1), hasOpen: true},
+	}
+	c := NewClock(time.Hour)
+	if _, ok := c.Open(); ok {
+		t.Fatal("a new clock has a bin open")
+	}
+	for _, s := range steps {
+		var closed time.Time
+		var ok bool
+		switch s.op {
+		case advance:
+			closed, ok = c.Advance(s.at)
+		case closeOp:
+			closed, ok = c.Close()
+		case begin:
+			c.Begin(s.at)
+		}
+		if ok != s.ok || (ok && !closed.Equal(s.closed)) {
+			t.Errorf("%s: closed %v/%t, want %v/%t", s.name, closed, ok, s.closed, s.ok)
+		}
+		if open, has := c.Open(); has != s.hasOpen || (has && !open.Equal(s.open)) {
+			t.Errorf("%s: open %v/%t, want %v/%t", s.name, open, has, s.open, s.hasOpen)
+		}
+	}
+}
+
 func TestSeriesAddAccumulates(t *testing.T) {
 	s := New(time.Hour)
 	s.Add(t0.Add(10*time.Minute), 1.5)

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"net/netip"
 	"strconv"
-	"sync"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -106,19 +105,6 @@ type Decoder struct {
 
 	prevText []byte // DecodeView: wire text of the last address interned on this line
 	prevID   uint32 // and its id
-}
-
-var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
-
-// DecodeResult decodes one Atlas wire line into dst using a pooled Decoder.
-// On error dst is left untouched. Callers decoding streams should hold
-// their own Decoder and call its Decode method instead, which also keeps
-// the address memo goroutine-local.
-func DecodeResult(line []byte, dst *Result) error {
-	d := decoderPool.Get().(*Decoder)
-	err := d.Decode(line, dst)
-	decoderPool.Put(d)
-	return err
 }
 
 // emptyReplies backs every hop with no replies, so decoded hops always

@@ -19,8 +19,9 @@ func assertDifferential(t *testing.T, line string) (Result, error) {
 	t.Helper()
 	var want Result
 	oracleErr := json.Unmarshal([]byte(line), &want)
+	var d Decoder
 	var got Result
-	fastErr := DecodeResult([]byte(line), &got)
+	fastErr := d.Decode([]byte(line), &got)
 
 	if (oracleErr == nil) != (fastErr == nil) {
 		t.Fatalf("accept/reject mismatch:\noracle: %v\nfast:   %v", oracleErr, fastErr)

@@ -113,8 +113,9 @@ func FuzzDecodeDifferential(f *testing.F) {
 		var want Result
 		oracleErr := json.Unmarshal(data, &want)
 
+		var d Decoder
 		var got Result
-		fastErr := DecodeResult(data, &got)
+		fastErr := d.Decode(data, &got)
 
 		if (oracleErr == nil) != (fastErr == nil) {
 			t.Fatalf("accept/reject mismatch:\ninput: %q\noracle: %v\nfast:   %v", data, oracleErr, fastErr)
