@@ -59,6 +59,12 @@ var viewSeeds = []string{
 	`{"src_addr":"1.1.1.1","dst_addr":"","result":[]}`,
 	// Hop numbers that differ only above bit 31 must not become adjacent.
 	`{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":1}]},{"hop":4294967298,"result":[{"from":"4.4.4.4","rtt":2}]}]}`,
+	// Canonical lines with a hop, a prb_id and a reply ttl of 2³²+k: on
+	// 32-bit platforms encoding/json rejects them, and they must not
+	// decode wrapped to k.
+	`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52}]},{"hop":4294967298,"result":[{"from":"10.0.1.254","rtt":1.5}]}]}`,
+	`{"msm_id":5001,"prb_id":4294967338,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52}]}]}`,
+	`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","ttl":4294967359,"rtt":0.52}]}]}`,
 }
 
 // quadLine is a canonical line with one hop whose replies come from froms,
@@ -104,18 +110,34 @@ const fixtureLine = `{"msm_id":5002,"prb_id":6,"timestamp":1448668802,"src_addr"
 	`{"hop":4,"result":[{"from":"10.11.184.1","rtt":26.57813396469501},{"from":"10.11.184.1","rtt":26.591371729804514},{"from":"10.11.184.1","rtt":26.32383302803167}]},` +
 	`{"hop":5,"result":[{"from":"10.11.184.200","rtt":31.249051875889162},{"from":"10.11.184.200","rtt":31.204861304467467},{"from":"10.11.184.200","rtt":31.2768870643264}]}]}`
 
-// checkViewProducers asserts that Decoder.DecodeView and Interner.View over
-// Decoder.Decode accept or reject line together — with the same error
-// text, so the same document-order precedence and the same AddrError — and
-// build equal views once ids are resolved back to addresses.
+// atlasLine has a real RIPE Atlas result's shape: Atlas key order, the
+// top-level members the detectors never read (fw, lts, endtime, proto,
+// msm_name, ...), ttl and size on every reply, Atlas's three-decimal RTTs.
+// Its top-level object and its replies go through the member walker.
+const atlasLine = `{"fw":4790,"lts":19,"endtime":1448866803,"dst_name":"193.0.14.129","dst_addr":"193.0.14.129","src_addr":"10.0.0.1","proto":"ICMP","af":4,"size":48,"paris_id":3,"result":[` +
+	`{"hop":1,"result":[{"from":"10.0.0.254","ttl":255,"size":28,"rtt":0.523},{"from":"10.0.0.254","ttl":255,"size":28,"rtt":0.61},{"from":"10.0.0.254","ttl":255,"size":28,"rtt":0.498}]},` +
+	`{"hop":2,"result":[{"from":"172.16.0.1","ttl":254,"size":28,"rtt":5.214},{"x":"*"},{"from":"172.16.0.1","ttl":254,"size":28,"rtt":5.177}]},` +
+	`{"hop":3,"result":[{"from":"62.40.98.1","ttl":253,"size":68,"rtt":12.905},{"from":"62.40.98.1","ttl":253,"size":68,"rtt":12.874},{"from":"62.40.98.1","ttl":253,"size":68,"rtt":13.02}]},` +
+	`{"hop":4,"result":[{"from":"193.0.14.129","ttl":60,"size":28,"rtt":14.331},{"from":"193.0.14.129","ttl":60,"size":28,"rtt":14.29},{"from":"193.0.14.129","ttl":60,"size":28,"rtt":14.402}]}` +
+	`],"msm_id":5001,"prb_id":42,"timestamp":1448866800,"msm_name":"Traceroute","from":"85.1.2.3","type":"traceroute","group_id":5001}`
+
+// checkViewProducers asserts that Decoder.DecodeView, Interner.View over
+// Decoder.Decode and the reference decoder Result.UnmarshalJSON accept or
+// reject line together — with the reference decoder's error text, so the
+// same document-order precedence and the same AddrError — and that the two
+// views are equal once ids are resolved back to addresses.
 func checkViewProducers(t *testing.T, line []byte) {
 	t.Helper()
 	var dec trace.Decoder
 	wantIn, gotIn := NewInterner(NewRegistry()), NewInterner(NewRegistry())
 	var r trace.Result
 	var want, got trace.View
+	refErr := new(trace.Result).UnmarshalJSON(line)
 	wantErr := dec.Decode(line, &r)
 	gotErr := dec.DecodeView(line, gotIn, &got)
+	if (refErr == nil) != (wantErr == nil) || (refErr != nil && refErr.Error() != wantErr.Error()) {
+		t.Fatalf("accept/reject mismatch:\ninput: %q\nreference: %v\nDecode:    %v", line, refErr, wantErr)
+	}
 	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 		t.Fatalf("accept/reject mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
 	}
@@ -176,6 +198,7 @@ func TestViewProducersAllocationFree(t *testing.T) {
 	for _, line := range [][]byte{
 		[]byte(`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52},{"from":"10.0.0.254","rtt":0.6},{"x":"*"}]},{"hop":2,"result":[{"from":"10.0.1.254","rtt":1.25},{"from":"193.0.14.129","rtt":2}]}]}`),
 		[]byte(fixtureLine),
+		[]byte(atlasLine),
 	} {
 		var dec trace.Decoder
 		in := NewInterner(NewRegistry())
@@ -198,22 +221,27 @@ func TestViewProducersAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeView is the replay hot path's decode half on a
-// fixture-shaped line, interning into a warm Interner.
+// BenchmarkDecodeView is the replay hot path's decode half, interning into
+// a warm Interner: on a fixture-shaped line (the canonical shape) and on a
+// real-Atlas-shaped one (the member walker).
 func BenchmarkDecodeView(b *testing.B) {
-	line := []byte(fixtureLine)
-	var dec trace.Decoder
-	in := NewInterner(NewRegistry())
-	var v trace.View
-	if err := dec.DecodeView(line, in, &v); err != nil { // warm the columns and the interner
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(line)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dec.DecodeView(line, in, &v); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct{ name, line string }{{"fixture", fixtureLine}, {"atlas", atlasLine}} {
+		b.Run(bc.name, func(b *testing.B) {
+			line := []byte(bc.line)
+			var dec trace.Decoder
+			in := NewInterner(NewRegistry())
+			var v trace.View
+			if err := dec.DecodeView(line, in, &v); err != nil { // warm the columns and the interner
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := dec.DecodeView(line, in, &v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

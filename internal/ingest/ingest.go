@@ -17,8 +17,10 @@
 // cannot leak across lines into the output.
 //
 // Real dumps are full of measurement artifacts (timeouts, late and error
-// packets, replies without RTTs); the per-reply leniency lives in
-// trace.Result's wire decoder, while this package's error policy
+// packets, replies without RTTs). The per-reply leniency lives in package
+// trace: Result.UnmarshalJSON defines it, and trace.Decoder's fast path
+// applies the same rules or declines the line to it, so every decode
+// error is Result.UnmarshalJSON's. This package's error policy
 // (Options.OnError) governs whole lines that fail to decode at all:
 // by default the first bad line aborts the stream with a *LineError, or a
 // caller-supplied hook may count/log and skip it. Policy decisions are made

@@ -43,10 +43,11 @@ func assertDifferential(t *testing.T, line string) (Result, error) {
 }
 
 // TestDecodeFastArtifacts mirrors TestDecodeArtifacts for the fast path:
-// every artifact line from the reference suite, plus fast-path-specific
-// edge territory (escapes, surrogate pairs, exponent-form numbers,
-// duplicate and out-of-order keys, truncations), decoded by both decoders
-// and asserted equal.
+// every artifact line from the reference suite, plus edge territory
+// decoded by both decoders and asserted equal. The member walker decodes
+// out-of-order, duplicate scalar and unknown keys; escapes, surrogate
+// pairs, exponent-form numbers, null, folded keys, duplicate arrays and
+// truncations are lines the fast path declines to the reference decoder.
 func TestDecodeFastArtifacts(t *testing.T) {
 	lines := []struct {
 		name string
@@ -117,11 +118,11 @@ func TestDecodeFastArtifacts(t *testing.T) {
 		{"space after hop result", `{"msm_id":1,"prb_id":2,"timestamp":3,"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","paris_id":4,"result":[{"hop":1,"result": [{"from":"3.3.3.3","rtt":1},{"x":"*"}]}]}`},
 		{"newline after hop result", "{\"msm_id\":1,\"prb_id\":2,\"timestamp\":3,\"src_addr\":\"1.1.1.1\",\"dst_addr\":\"2.2.2.2\",\"paris_id\":4,\"result\":[{\"hop\":1,\"result\":\n\t[{\"x\":\"*\"}]}]}"},
 	}
-	// Regression: the fast-shape probes count the object braces they
-	// consume, so the 10000-level nesting limit trips on the same inputs as
-	// the oracle. The deep array sits 5 levels in (top object, hop array,
-	// hop object, reply array, reply object): 9995 arrays touch the limit
-	// exactly, 9996 exceed it.
+	// The 10000-level nesting limit is the reference decoder's: the fast
+	// path declines a skipped member nested past maxSkipDepth. The deep
+	// array sits 5 levels in (top object, hop array, hop object, reply
+	// array, reply object): 9995 arrays touch the limit exactly, 9996
+	// exceed it.
 	for _, n := range []int{9995, 9996} {
 		lines = append(lines, struct {
 			name string

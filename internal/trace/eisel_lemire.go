@@ -2,18 +2,16 @@ package trace
 
 // Eisel–Lemire float conversion for the decoder's long-mantissa numbers.
 //
-// The Clinger fast case in toFloat/rttField handles mantissas of up to 15
-// digits with one exact multiply or divide, but Atlas dumps written by
+// The Clinger fast case in rttField handles mantissas of up to 15 digits
+// with one exact divide, but Atlas dumps written by
 // strconv.AppendFloat(.., 'g', -1, 64) routinely carry 16–17 significant
-// digits, and those used to fall back to strconv.ParseFloat — re-scanning
-// digits the decoder had already accumulated and allocating a string for
-// the call. eiselLemire64 converts the already-scanned (mantissa, exp10)
+// digits. eiselLemire64 converts the already-scanned (mantissa, exp10)
 // pair directly: one 128-bit multiply against a truncated power of ten,
 // with an explicit ok=false whenever the truncated product cannot prove
-// the rounding direction. Ambiguous cases (and |exp10| outside the table)
-// still go to ParseFloat, so the result is bit-identical to the oracle on
-// every path; FuzzDecodeDifferential and TestEiselLemireDifferential pin
-// that equivalence.
+// the rounding direction. The decoder declines those rare lines to the
+// reference decoder, so an accepted RTT is bit-identical to
+// strconv.ParseFloat's; FuzzDecodeDifferential and
+// TestEiselLemireDifferential pin that equivalence.
 
 import (
 	"math"
@@ -27,7 +25,7 @@ const (
 
 // eiselLemire64 returns the correctly-rounded float64 value of
 // ±man × 10^exp10, or ok=false when correct rounding cannot be decided
-// from the 128-bit truncated power (caller falls back to ParseFloat).
+// from the 128-bit truncated power (the decoder then declines the line).
 // man must be the full untruncated decimal mantissa (≤ 19 digits).
 func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	if man == 0 {
@@ -86,7 +84,7 @@ func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 		retExp2++
 	}
 
-	// Subnormal or overflow: rare, let ParseFloat handle them.
+	// Subnormal or overflow: rare, left to the reference decoder.
 	if retExp2-1 >= 0x7FF-1 {
 		return 0, false
 	}

@@ -50,7 +50,7 @@ func checkEL(t *testing.T, man uint64, exp10 int, neg bool) {
 	t.Helper()
 	f, ok := eiselLemire64(man, exp10, neg)
 	if !ok {
-		return // declared ambiguous: caller falls back to ParseFloat
+		return // declared ambiguous: the decoder declines the line
 	}
 	s := strconv.FormatUint(man, 10) + "e" + strconv.Itoa(exp10)
 	if neg {
@@ -77,7 +77,7 @@ func TestEiselLemireDifferential(t *testing.T) {
 		1<<53 - 1, 1 << 53, 1<<53 + 1,
 		1<<63 - 1, 1 << 63, 1<<63 + 1,
 		^uint64(0), ^uint64(0) - 1,
-		9999999999999999999, // 19 nines: largest scanNumber mantissa
+		9999999999999999999, // 19 nines: largest rttField mantissa
 		1000000000000000000,
 		5404319552844595, // 0.6 × 2^53-ish tie neighbourhood
 	}

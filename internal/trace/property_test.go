@@ -2,8 +2,10 @@ package trace
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -92,5 +94,67 @@ func TestStructuralProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the fast path decodes every line our encoder writes, with no
+// decline. A decline would still decode correctly, through the reference
+// decoder, so only this test notices replay lines taking a path 10–20×
+// slower. The lines vary randomResult with IPv6 responders, empty hops and
+// the RTT forms a dump carries: full precision, Atlas's three decimals,
+// 0.01 ms and full-precision values just above it.
+func TestEncoderOutputNeverDeclines(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 35))
+	var d Decoder
+	for n := 0; n < 2000; n++ {
+		r := randomResult(rng)
+		for i := range r.Hops {
+			h := &r.Hops[i]
+			if rng.IntN(10) == 0 {
+				h.Replies = nil
+			}
+			for j := range h.Replies {
+				rep := &h.Replies[j]
+				if rep.Timeout {
+					continue
+				}
+				if rng.IntN(4) == 0 {
+					var a [16]byte
+					for k := range a {
+						a[k] = byte(rng.IntN(256))
+					}
+					a[0], a[1] = 0x20, 0x01
+					rep.From = netip.AddrFrom16(a)
+				}
+				switch rng.IntN(4) {
+				case 0:
+					rep.RTT = math.Round(rep.RTT*1000) / 1000
+				case 1:
+					rep.RTT = 0.01
+				case 2:
+					rep.RTT = 0.01 + rng.Float64()*0.09
+				}
+			}
+		}
+		line, err := AppendResult(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top topFields
+		if !d.scan(line, &top) {
+			t.Fatalf("scan declines our encoder's line %s", line)
+		}
+		var got Result
+		if !d.decode(line, &got) {
+			t.Fatalf("decode declines our encoder's line %s", line)
+		}
+		for i := range r.Hops {
+			if r.Hops[i].Replies == nil {
+				r.Hops[i].Replies = []Reply{}
+			}
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("line %s\ndecodes to %+v\nwant       %+v", line, got, r)
+		}
 	}
 }
