@@ -7,10 +7,12 @@ import (
 
 	"pinpoint/internal/ident"
 	"pinpoint/internal/stats"
+	"pinpoint/internal/trace"
 )
 
-// BenchmarkObserve measures per-result ingestion cost (sample extraction
-// into the per-link accumulators) — the streaming hot path.
+// BenchmarkObserve measures per-result ingestion through Observe,
+// building each trace.Result in the loop: its allocations per op are the
+// Result's, not the detector's (BenchmarkObserveView is the gated path).
 func BenchmarkObserve(b *testing.B) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -42,10 +44,43 @@ func BenchmarkCloseBin(b *testing.B) {
 	}
 }
 
+// BenchmarkObserveView measures steady-state ingestion: pre-built views of
+// 30 probes cycle through hourly bins, each 300 results long, so an op is
+// one result's extraction into the open bin's log plus its share of the
+// closes. The distribution never changes, so no bin alarms and no Result is
+// built: it must run with 0 allocs/op.
+func BenchmarkObserveView(b *testing.B) {
+	d := NewDetector(Config{Seed: 1}, testASN)
+	rng := rand.New(rand.NewPCG(1, 1))
+	views := make([]trace.View, 30)
+	for i := range views {
+		r := mkResult(i+1, t0, 5, 7, rng)
+		d.intern.View(&r, &views[i])
+	}
+	i := 0
+	observe := func() {
+		v := &views[i%len(views)]
+		v.Time = t0.Add(time.Duration(i/300) * time.Hour)
+		if alarms := d.ObserveView(v); len(alarms) != 0 {
+			b.Fatalf("steady-state views raised %d alarms", len(alarms))
+		}
+		i++
+	}
+	for i < 4*300 {
+		observe() // warm the log, the slots and every close scratch buffer
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		observe()
+	}
+}
+
 // BenchmarkBinClose measures steady-state bin evaluation: a warmed
-// detector re-ingests one pre-extracted per-bin sample batch and closes
-// the bin, exercising the radix close order, probe grouping, diversity
-// filtering, and the selection kernel with every scratch buffer warm.
+// detector re-ingests one pre-recorded per-bin log and closes the bin,
+// exercising the grouping of records by link, the column rebuild, the radix
+// close order, probe grouping, diversity filtering, and the selection
+// kernel with every scratch buffer warm.
 // The batch is alarm-free by construction (identical distribution every
 // bin), so this is the detector's quiet-network floor — it must run with
 // 0 allocs/op.
@@ -53,17 +88,24 @@ func BenchmarkBinClose(b *testing.B) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(3, 3))
 	in := ident.NewInterner(d.Registry())
-	var batch []Sample
+	var batch Log
+	var rec Recorder
 	for p := 1; p <= 60; p++ {
 		r := mkResult(p, t0, 5, 7, rng)
-		ExtractSamples(in, r, testASN, func(s Sample) { batch = append(batch, s) })
+		asn, _ := testASN(p)
+		rec.Begin(int32(p), asn)
+		ExtractView(in, in.ScratchView(&r), func(link ident.LinkID, near float64, far []float64) {
+			rec.Record(&batch, link, near, far)
+		})
+	}
+	samples := 0
+	for _, r := range batch.recs {
+		samples += int(r.far) * int(r.near)
 	}
 	bin := t0
 	run := func() []Alarm {
 		d.BeginBin(bin)
-		for _, s := range batch {
-			d.IngestSample(s)
-		}
+		d.IngestLog(&batch)
 		bin = bin.Add(time.Hour)
 		return d.Flush()
 	}
@@ -77,7 +119,7 @@ func BenchmarkBinClose(b *testing.B) {
 			b.Fatalf("steady-state fixture emitted %d alarms", len(alarms))
 		}
 	}
-	b.ReportMetric(float64(len(batch)*b.N)/b.Elapsed().Seconds(), "samples/s")
+	b.ReportMetric(float64(samples*b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
 func BenchmarkDeviation(b *testing.B) {

@@ -108,6 +108,19 @@ func (l *goldenLink) samples(out []Sample, bin int) []Sample {
 	return out
 }
 
+// logSamples appends samples to l as one-∆ records: far − near = ∆ − 0 is
+// ∆ bit for bit (−0 included), so a detector ingesting l sees exactly these
+// samples, each probe's consecutive ones as one run.
+func logSamples(l *Log, samples []Sample) {
+	far := make([]float64, len(samples))
+	var r Recorder
+	for i, s := range samples {
+		far[i] = s.Delta
+		r.Begin(s.Probe, s.ASN)
+		r.Record(l, s.Link, 0, far[i:i+1])
+	}
+}
+
 var closeBinGoldenConfigs = []struct {
 	name string
 	cfg  Config
@@ -160,15 +173,16 @@ func TestCloseBinGolden(t *testing.T) {
 			d := NewDetector(cfg, goldenASN)
 			links := goldenLinks(d.Registry())
 			var batch []Sample
+			var log Log
 			for bin := 0; bin < 6; bin++ {
 				d.BeginBin(t0.Add(time.Duration(bin) * time.Hour))
 				batch = batch[:0]
 				for i := range links {
 					batch = links[i].samples(batch, bin)
 				}
-				for _, s := range batch {
-					d.IngestSample(s)
-				}
+				log.Reset()
+				logSamples(&log, batch)
+				d.IngestLog(&log)
 				for _, a := range d.Flush() {
 					buf = append(buf[:0], 'a')
 					head(a.Bin, a.Link)
@@ -198,9 +212,9 @@ func TestCloseBinGolden(t *testing.T) {
 }
 
 // TestBinCloseAllocationFree is the pin BenchmarkBinClose only reports: on
-// a warmed detector, re-ingesting a bin's samples and closing it allocates
+// a warmed detector, re-ingesting a bin's log and closing it allocates
 // nothing — on a link that keeps every probe (selection runs in place on the
-// link's own ∆ column) and on one §4.3 drops probes from (the copy path).
+// rebuilt ∆ column) and on one §4.3 drops probes from (the copy path).
 func TestBinCloseAllocationFree(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, goldenASN)
 	var batch []Sample
@@ -209,12 +223,12 @@ func TestBinCloseAllocationFree(t *testing.T) {
 			batch = l.samples(batch, 0)
 		}
 	}
+	var log Log
+	logSamples(&log, batch)
 	bin := t0
 	run := func() {
 		d.BeginBin(bin)
-		for _, s := range batch { // the same samples every bin: no alarms, no growth
-			d.IngestSample(s)
-		}
+		d.IngestLog(&log) // the same records every bin: no alarms, no growth
 		bin = bin.Add(time.Hour)
 		if alarms := d.Flush(); len(alarms) != 0 {
 			t.Fatalf("steady fixture raised %d alarms", len(alarms))

@@ -7,15 +7,14 @@
 // deviation score d(∆) of Eq 6 (§4.2.3).
 //
 // The hot path flows interned IDs, not addresses: extraction walks a
-// trace.View, interns every (near, far) pair through ident.Registry once
-// and emits ∆ samples tagged with a dense LinkID; the detector keeps
-// columnar per-link state in flat slices indexed by that ID. A link-bin is
-// a column of ∆ values plus one 16-byte run per stretch of samples from one
-// probe (§4.2.1's "one to nine" samples arrive back to back), both reusing
-// their capacity across bins. Steady-state ingestion therefore performs no
-// map writes and no allocations; addresses reappear only at bin close, where
-// links are evaluated in reverse-resolved (Near, Far) order so the emitted
-// alarms are bit-identical to the pre-ID implementation.
+// trace.View and interns every (near, far) pair through ident.Registry
+// once. The detector records each traceroute's link RTTs once, in arrival
+// order, in one open-bin Log (§4.2.1's "one to nine" ∆s of a probe and link
+// come from at most six RTTs), and builds a link's ∆ column only when the
+// bin closes. Steady-state ingestion therefore touches no per-link state,
+// writes no map and allocates nothing; addresses reappear only at bin close,
+// where links are evaluated in reverse-resolved (Near, Far) order so the
+// emitted alarms are bit-identical to the pre-ID implementation.
 package delay
 
 import (
@@ -60,7 +59,7 @@ type Config struct {
 	// Registry is the identity layer the detector interns links through.
 	// Leave nil for a private registry (a standalone detector);
 	// the engine injects its shared registry here so the LinkIDs
-	// on routed samples resolve in every shard.
+	// on routed records resolve in every shard.
 	Registry *ident.Registry
 
 	// Observer, when non-nil, receives every evaluated link-bin observation
@@ -128,7 +127,7 @@ type probeASNFunc func(int) (ipmap.ASN, bool)
 
 // linkRef is the smoothed normal reference of one link: the median and the
 // CI bounds are each tracked with the same exponential smoothing (§4.2.4).
-// It is embedded by value in the columnar link state.
+// It is embedded by value in the link's slot.
 type linkRef struct {
 	median stats.EWMA
 	lower  stats.EWMA
@@ -150,9 +149,8 @@ func (r *linkRef) observe(ci stats.MedianCI) {
 
 // Sample is one differential-RTT contribution (§4.2.1) extracted from a
 // traceroute result: the ∆ of one (near, far) reply combination, tagged with
-// the probe and its AS. It is what the sharded engine routes (it hashes the
-// interned LinkID to pick the shard owning the link), not what a detector
-// stores: IngestSample folds one probe's consecutive samples into a run.
+// the probe and its AS. It is ExtractSamples' unit; detectors and the
+// sharded engine move Log records instead.
 type Sample struct {
 	Link  ident.LinkID
 	Probe int32
@@ -191,8 +189,8 @@ func ExtractSamples(in *ident.Interner, r trace.Result, probeASN func(int) (ipma
 func ExtractView(in *ident.Interner, v *trace.View, fn func(link ident.LinkID, near float64, far []float64)) {
 	for hi := 0; hi+1 < len(v.Hops); hi++ {
 		near, far := v.Hops[hi], v.Hops[hi+1]
-		if far.TTL != near.TTL+1 {
-			continue
+		if near.TTL >= far.TTL || far.TTL != near.TTL+1 {
+			continue // not adjacent, also when TTL+1 wraps
 		}
 		for i := near.Start; i < near.End; i++ {
 			a := v.From[i]
@@ -214,25 +212,22 @@ func ExtractView(in *ident.Interner, v *trace.View, fn func(link ident.LinkID, n
 	}
 }
 
-// probeRun is one probe's stretch of a link-bin's ∆ column, deltas[start:end].
-// A probe returning to the link after another's samples opens a new run.
+// probeRun is one probe's stretch of a link-bin's rebuilt ∆ column,
+// column[start:end]. A probe returning to the link after another's samples
+// opens a new run.
 type probeRun struct {
 	probe      int32
 	asn        ipmap.ASN
 	start, end int32
 }
 
-// linkState is the columnar per-link record, indexed by ident.LinkID. The
-// deltas and runs buffers are truncated (capacity kept) when a new bin first
-// touches the link, so steady-state ingestion reuses the same backing
-// arrays; runs tile deltas in arrival order. The reverse-resolved key is
-// cached here at slot creation (a LinkID's address pair never changes), so
-// bin close never goes back to the registry. A slot lives for the whole
-// run: like the paper, the detector keeps every link's reference.
+// linkState is the per-link record a slot holds: the link's identity and
+// its reference, never its samples (those live in the open bin's Log). The
+// reverse-resolved key is cached at slot creation (a LinkID's address pair
+// never changes), so bin close never goes back to the registry. Slots are
+// created outside ingestion, when a bin closes, and live for the whole run:
+// like the paper, the detector keeps every link's reference.
 type linkState struct {
-	epoch  uint32        // bin epoch of the deltas/runs buffers
-	deltas []float64     // this bin's ∆ samples, arrival order
-	runs   []probeRun    // who contributed which stretch of deltas
 	hasRef bool          // ref initialized (link passed filtering once)
 	isV4   bool          // both addresses are 4-byte: key64 is valid
 	key    trace.LinkKey // reverse-resolved (Near, Far), cached once
@@ -274,31 +269,40 @@ type Detector struct {
 	rng *rand.Rand
 
 	clock timeseries.Clock
-	epoch uint32 // distinguishes the open bin's entries from stale ones
 
-	// Columnar state. LinkIDs are global to the registry while a sharded
+	// The open bin: every record ObserveView and IngestLog appended since
+	// the last close, and the merge state of the view being extracted.
+	log Log
+	rec Recorder
+
+	// Per-link state. LinkIDs are global to the registry while a sharded
 	// detector owns only ~1/W of the links, so a dense per-detector slot
 	// table (slotOf: LinkID → index into links, −1 when unowned; 4 bytes
-	// per global ID) keeps the ~200-byte linkState records scaled to the
-	// links this detector actually ingests.
+	// per global ID) keeps the linkState records scaled to the links this
+	// detector actually ingests. log.recs[:slotted] have their slots.
 	slotOf  []int32
 	links   []linkState
-	touched []ident.LinkID // links with samples in the open bin
-
-	// The probe ObserveView is ingesting runs for.
-	runProbe int32
-	runASN   ipmap.ASN
+	slotted int
 
 	// Bin-close scratch, reused across bins so steady-state close is
-	// alloc-free. closeKeys/closeOrd (+ their radix ping-pong buffers) hold
-	// the link close-order permutation and stay live across the whole link
-	// loop; lkeyBuf/ltmpBuf are the per-link radix scratch reused by
-	// groupRuns and filterDiversity (their decoded permutations land in
-	// ordBuf/idxBuf, so the key buffers are dead between uses).
+	// alloc-free. groupLog's buffers (slotRecs is indexed by slot and zero
+	// between closes; closeKeys/closeSlots plus their radix ping-pong
+	// buffers order the bin's links) stay live across the whole link loop,
+	// as do recBuf/colBuf/runBuf, one link's gathered records, rebuilt ∆
+	// column and probe runs.
+	// lkeyBuf/ltmpBuf are the per-link radix scratch reused by groupRuns and
+	// filterDiversity (their decoded permutations land in ordBuf/idxBuf, so
+	// the key buffers are dead between uses).
+	slotRecs   []int32
 	closeKeys  []uint64
-	closeOrd   []int32
+	closeSlots []int32
 	closeTmpK  []uint64
 	closeTmpV  []int32
+	closeEnds  []int32
+	recOrd     []int32
+	recBuf     []record
+	colBuf     []float64
+	runBuf     []probeRun
 	lkeyBuf    []uint64
 	ltmpBuf    []uint64
 	ordBuf     []int32
@@ -324,7 +328,7 @@ type Detector struct {
 type CloseStats struct {
 	Bins     int           // bins closed
 	Links    int           // link-bins evaluated (after diversity filtering)
-	Dropped  int           // link-bins §4.3 removed ≥ 1 probe from (survivors copied out)
+	Dropped  int           // link-bins §4.3 removed ≥ 1 probe from (survivors gathered into scratch)
 	Rejected int           // link-bins failing the minASes criterion
 	Samples  int64         // ∆ samples fed through the median/CI kernels
 	Dur      time.Duration // wall time spent closing bins
@@ -352,7 +356,6 @@ func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 		pcg:      pcg,
 		rng:      rand.New(pcg),
 		clock:    timeseries.NewClock(cfg.BinSize),
-		epoch:    1,
 	}
 }
 
@@ -364,8 +367,14 @@ func (d *Detector) Registry() *ident.Registry { return d.reg }
 
 // LinksSeen returns how many distinct links ever produced ∆ samples — the
 // paper's "we monitored delays for 262k IPv4 links" statistic. Every link
-// gets its slot on its first sample and keeps it, so this is the slot count.
-func (d *Detector) LinksSeen() int { return len(d.links) }
+// keeps its slot once it has one, so this is the slot count after the open
+// bin's links have theirs.
+func (d *Detector) LinksSeen() int {
+	for ; d.slotted < len(d.log.recs); d.slotted++ {
+		d.slot(d.log.recs[d.slotted].link)
+	}
+	return len(d.links)
+}
 
 // Observe is ObserveView over the detector's scratch view.
 func (d *Detector) Observe(r trace.Result) []Alarm {
@@ -382,10 +391,15 @@ func (d *Detector) ObserveView(v *trace.View) []Alarm {
 		alarms = d.closeBin(closed)
 	}
 	if asn, ok := d.probeASN(v.Prb); ok {
-		d.runProbe, d.runASN = int32(v.Prb), asn
-		ExtractView(d.intern, v, d.ingestRun)
+		d.rec.Begin(int32(v.Prb), asn)
+		ExtractView(d.intern, v, d.logRTTs)
 	}
 	return alarms
+}
+
+// logRTTs is ObserveView's sink: one callback joins the open bin's log.
+func (d *Detector) logRTTs(link ident.LinkID, near float64, far []float64) {
+	d.rec.Record(&d.log, link, near, far)
 }
 
 // Flush evaluates and clears the currently open bin. Call at end of stream.
@@ -396,143 +410,181 @@ func (d *Detector) Flush() []Alarm {
 	return nil
 }
 
-// BeginBin opens the bin the next IngestSample calls belong to, when it is
+// BeginBin opens the bin the next IngestLog calls belong to, when it is
 // later than the open one. It is the sharded engine's entry point: the
 // engine's clock decides closes and the engine calls Flush, so BeginBin
 // never evaluates. Bins are bin starts (timeseries.Bin).
 func (d *Detector) BeginBin(bin time.Time) { d.clock.Begin(bin) }
 
-// IngestSample folds one extracted ∆ sample into the open bin. Together with
-// BeginBin and Flush it forms the shard-scoped API: an engine shard feeds
-// only the samples whose link hashes to it, and the per-(link, bin) seeded
+// IngestLog appends l, records of the open bin, to the detector's log.
+// Together with BeginBin and Flush it forms the shard-scoped API: an engine
+// shard is handed the records of the links that hash to it, filled by the
+// same Recorder rule ObserveView applies, and the per-(link, bin) seeded
 // probe dropping guarantees the shard reproduces exactly what a single
-// detector would have decided for that link. Consecutive samples of one
-// probe extend one run, so shards get ObserveView's link-bin layout. In
-// steady state this is one epoch check and appends into recycled buffers —
-// no map, no alloc.
-func (d *Detector) IngestSample(s Sample) {
-	ls := d.touch(s.Link)
-	ls.deltas = append(ls.deltas, s.Delta)
-	ls.extendRun(s.Probe, s.ASN)
-}
+// detector would have decided for those links. In steady state this is two
+// copies into recycled buffers — no per-link state, no map, no alloc.
+func (d *Detector) IngestLog(l *Log) { d.log.appendLog(l) }
 
-// ingestRun is ObserveView's sink: ∆ samples far[k] − near of one link from
-// the probe in runProbe, behind one slot lookup.
-func (d *Detector) ingestRun(link ident.LinkID, near float64, far []float64) {
-	ls := d.touch(link)
-	deltas := ls.deltas
-	for _, f := range far {
-		deltas = append(deltas, f-near)
-	}
-	ls.deltas = deltas
-	ls.extendRun(d.runProbe, d.runASN)
-}
-
-// extendRun attributes the deltas appended since the last run's end to
-// probe, growing that run when it is the same probe's.
-func (ls *linkState) extendRun(probe int32, asn ipmap.ASN) {
-	n := len(ls.runs)
-	if n == 0 || ls.runs[n-1].probe != probe {
-		start := int32(0)
-		if n > 0 {
-			start = ls.runs[n-1].end
-		}
-		ls.runs = append(ls.runs, probeRun{probe: probe, asn: asn, start: start})
-		n++
-	}
-	ls.runs[n-1].end = int32(len(ls.deltas))
-}
-
-// touch returns the link's state for the open bin: it creates the slot on
-// first sight and, on the link's first sample of a bin, resets the bin
-// buffers.
-func (d *Detector) touch(link ident.LinkID) *linkState {
+// slot returns the link's slot, creating it on first sight.
+func (d *Detector) slot(link ident.LinkID) int32 {
 	li := int(link)
 	if li >= len(d.slotOf) {
 		d.slotOf = ident.GrowTable(d.slotOf, li+1, -1)
 	}
-	si := d.slotOf[li]
-	if si < 0 {
-		// Resolve the address pair once, at slot creation: every later bin
-		// close reads the cached key instead of going through the registry's
-		// read lock, and the packed big-endian form drives the radix close
-		// order for IPv4 links.
-		key := d.reg.LinkKeyOf(link)
-		st := linkState{key: key}
-		if key.Near.Is4() && key.Far.Is4() {
-			n4, f4 := key.Near.As4(), key.Far.As4()
-			st.key64 = uint64(binary.BigEndian.Uint32(n4[:]))<<32 | uint64(binary.BigEndian.Uint32(f4[:]))
-			st.isV4 = true
-		}
-		si = int32(len(d.links))
-		d.links = append(d.links, st)
-		d.slotOf[li] = si
+	if si := d.slotOf[li]; si >= 0 {
+		return si
 	}
-	ls := &d.links[si]
-	if ls.epoch != d.epoch {
-		ls.epoch = d.epoch
-		ls.deltas = ls.deltas[:0]
-		ls.runs = ls.runs[:0]
-		d.touched = append(d.touched, link)
+	// Resolve the address pair once, at slot creation: every later bin
+	// close reads the cached key instead of going through the registry's
+	// read lock, and the packed big-endian form drives the radix close
+	// order for IPv4 links.
+	key := d.reg.LinkKeyOf(link)
+	st := linkState{key: key}
+	if key.Near.Is4() && key.Far.Is4() {
+		n4, f4 := key.Near.As4(), key.Far.As4()
+		st.key64 = uint64(binary.BigEndian.Uint32(n4[:]))<<32 | uint64(binary.BigEndian.Uint32(f4[:]))
+		st.isV4 = true
 	}
-	return ls
+	si := int32(len(d.links))
+	d.links = append(d.links, st)
+	d.slotRecs = append(d.slotRecs, 0)
+	d.slotOf[li] = si
+	return si
 }
 
-// closeBin runs steps 2–5 of §4.2 on the accumulated bin, which starts at
-// bin, and resets it.
-func (d *Detector) closeBin(bin time.Time) []Alarm {
-	t0 := time.Now()
-	var alarms []Alarm
-	// Deterministic iteration: links are evaluated in (Near, Far) address
-	// order. The probe-dropping step consumes randomness keyed per link, and
-	// downstream consumers accumulate floats in emission order, so the close
-	// order must stay exactly the address order the pre-ID detector used —
-	// never the (run-dependent) ID order. When every touched link is IPv4
-	// (the normal case) the order comes from a radix sort over packed
-	// big-endian (Near, Far) keys: two Is4 addresses compare by their 4-byte
-	// big-endian value under netip.Addr.Compare (same BitLen, same v4-mapped
-	// prefix), so uint64 key order ≡ the comparison order, and distinct
-	// LinkIDs always pack to distinct keys. Any non-IPv4 link falls back to
-	// the comparison sort on the cached keys.
-	keys64 := d.closeKeys[:0]
-	order := d.closeOrd[:0]
+// groupLog groups the open bin's records by link with a stable counting
+// sort. It returns the bin's links as slots in close order, and ord, the
+// record indices grouped accordingly: link k's records, in arrival order,
+// are ord[ends[k-1]:ends[k]] (from 0 for k = 0).
+//
+// The close order is (Near, Far) address order. The probe-dropping step
+// consumes randomness keyed per link, and downstream consumers accumulate
+// floats in emission order, so it must stay exactly the address order the
+// pre-ID detector used — never the (run-dependent) ID order. When every
+// link is IPv4 (the normal case) the order comes from a radix sort over
+// packed big-endian (Near, Far) keys: two Is4 addresses compare by their
+// 4-byte big-endian value under netip.Addr.Compare (same BitLen, same
+// v4-mapped prefix), so uint64 key order ≡ the comparison order, and
+// distinct LinkIDs always pack to distinct keys. Any non-IPv4 link falls
+// back to the comparison sort on the cached keys.
+func (d *Detector) groupLog() (slots, ends, ord []int32) {
+	recs := d.log.recs
+	slots = d.closeSlots[:0]
+	for i := range recs {
+		si := d.slot(recs[i].link)
+		if d.slotRecs[si] == 0 {
+			slots = append(slots, si)
+		}
+		d.slotRecs[si]++
+	}
+
+	keys := d.closeKeys[:0]
 	allV4 := true
-	for i, id := range d.touched {
-		ls := &d.links[d.slotOf[id]]
+	for _, si := range slots {
+		ls := &d.links[si]
 		if !ls.isV4 {
 			allV4 = false
 			break
 		}
-		keys64 = append(keys64, ls.key64)
-		order = append(order, int32(i))
+		keys = append(keys, ls.key64)
 	}
 	if allV4 {
-		d.closeTmpK, d.closeTmpV = stats.RadixSortUint64Pairs(keys64, order, d.closeTmpK, d.closeTmpV)
+		d.closeTmpK, d.closeTmpV = stats.RadixSortUint64Pairs(keys, slots, d.closeTmpK, d.closeTmpV)
 	} else {
-		order = order[:0]
-		for i := range d.touched {
-			order = append(order, int32(i))
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			ka := &d.links[d.slotOf[d.touched[a]]].key
-			kb := &d.links[d.slotOf[d.touched[b]]].key
+		slices.SortFunc(slots, func(a, b int32) int {
+			ka, kb := &d.links[a].key, &d.links[b].key
 			if c := ka.Near.Compare(kb.Near); c != 0 {
 				return c
 			}
 			return ka.Far.Compare(kb.Far)
 		})
 	}
+	d.closeKeys, d.closeSlots = keys[:0], slots[:0]
 
-	for _, ti := range order {
-		ls := &d.links[d.slotOf[d.touched[ti]]]
+	// Each link's first position in ord, then the placement pass leaves
+	// slotRecs at each link's end; reading it resets it for the next bin.
+	n := int32(0)
+	for _, si := range slots {
+		c := d.slotRecs[si]
+		d.slotRecs[si] = n
+		n += c
+	}
+	ord = grow(d.recOrd[:0], len(recs))[:len(recs)]
+	for i := range recs {
+		si := d.slotOf[recs[i].link]
+		ord[d.slotRecs[si]] = int32(i)
+		d.slotRecs[si]++
+	}
+	ends = d.closeEnds[:0]
+	for _, si := range slots {
+		ends = append(ends, d.slotRecs[si])
+		d.slotRecs[si] = 0
+	}
+	d.closeEnds, d.recOrd = ends[:0], ord[:0]
+	return slots, ends, ord
+}
+
+// column rebuilds one link-bin's ∆ column and probe runs from its records
+// (log indices, arrival order) into reused scratch: far − near, near-major,
+// the sequence ExtractView's callbacks described, so the column is element
+// for element the one arrival-order ingestion of every ∆ would have built.
+// The rebuild is on the close's critical path, and a link's records lie
+// scattered over the log: they are gathered first, so their loads do not
+// wait on each other, and the 3×3 hop pair (Atlas's three packets per hop)
+// is unrolled.
+func (d *Detector) column(ord []int32) ([]float64, []probeRun) {
+	recs := d.recBuf[:0]
+	for _, ri := range ord {
+		recs = append(recs, d.log.recs[ri])
+	}
+	d.recBuf = recs
+	vals := d.log.vals
+	col, runs := d.colBuf[:0], d.runBuf[:0]
+	for i := range recs {
+		r := &recs[i]
+		start := int32(len(col))
+		farAt, nearAt := int(r.off), int(r.off)+int(r.far)
+		far, nears := vals[farAt:nearAt], vals[nearAt:nearAt+int(r.near)]
+		if len(far) == 3 && len(nears) == 3 {
+			n0, n1, n2 := nears[0], nears[1], nears[2]
+			col = append(col, far[0]-n0, far[1]-n0, far[2]-n0, far[0]-n1, far[1]-n1, far[2]-n1, far[0]-n2, far[1]-n2, far[2]-n2)
+		} else {
+			col = slices.Grow(col, len(far)*len(nears))
+			for _, near := range nears {
+				for _, f := range far {
+					col = append(col, f-near)
+				}
+			}
+		}
+		if n := len(runs); n == 0 || runs[n-1].probe != r.probe {
+			runs = append(runs, probeRun{probe: r.probe, asn: r.asn, start: start})
+		}
+		runs[len(runs)-1].end = int32(len(col))
+	}
+	d.colBuf, d.runBuf = col, runs
+	return col, runs
+}
+
+// closeBin runs steps 2–5 of §4.2 on the open bin, which starts at bin:
+// it groups the log by link, rebuilds each link's ∆ column and evaluates
+// it, then empties the log.
+func (d *Detector) closeBin(bin time.Time) []Alarm {
+	t0 := time.Now()
+	var alarms []Alarm
+	slots, ends, ord := d.groupLog()
+	lo := int32(0)
+	for k, si := range slots {
+		ls := &d.links[si]
 		key := ls.key
-		ord, groups := d.groupRuns(ls.runs)
-		// The statistics below read the samples as a multiset, and the bin is
-		// over for this link: unless §4.3 removes a probe they reorder the
-		// link's own ∆ column in place, and only a link-bin that lost probes
-		// has its survivors copied out (filterDiversity).
+		col, runs := d.column(ord[lo:ends[k]])
+		lo = ends[k]
+		rord, groups := d.groupRuns(runs)
+		// The statistics below read the samples as a multiset: unless §4.3
+		// removes a probe they reorder the rebuilt column in place, and only
+		// a link-bin that lost probes has its survivors gathered into a
+		// second scratch (filterDiversity).
 		d.reseed(key, bin)
-		samples, probes, ases, ok := d.filterDiversity(ls, ord, groups)
+		samples, probes, ases, ok := d.filterDiversity(col, runs, rord, groups)
 		if !ok {
 			d.linksRejected++
 			continue
@@ -605,10 +657,8 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		ref.observe(obs)
 	}
 
-	d.closeKeys = keys64[:0]
-	d.closeOrd = order[:0]
-	d.touched = d.touched[:0]
-	d.epoch++
+	d.log.Reset()
+	d.slotted = 0
 	d.binsClosed++
 	d.closeDur += time.Since(t0)
 	return alarms
@@ -655,10 +705,10 @@ func (d *Detector) groupRuns(runs []probeRun) ([]int32, []probeGroup) {
 }
 
 // appendGroup appends one probe group's ∆ samples, in arrival order.
-func (ls *linkState) appendGroup(samples []float64, ord []int32, g probeGroup) []float64 {
+func appendGroup(samples, col []float64, runs []probeRun, ord []int32, g probeGroup) []float64 {
 	for _, ri := range ord[g.start:g.end] {
-		r := ls.runs[ri]
-		samples = append(samples, ls.deltas[r.start:r.end]...)
+		r := runs[ri]
+		samples = append(samples, col[r.start:r.end]...)
 	}
 	return samples
 }
@@ -682,14 +732,14 @@ func (d *Detector) reseed(key trace.LinkKey, bin time.Time) {
 // minASes distinct ASes, and the probe-per-AS distribution must have
 // normalized entropy above minEntropy — otherwise probes are randomly
 // dropped from the most-represented AS until it does. It returns the
-// surviving ∆ samples — the link's own column when every probe survives,
-// which is every link-bin of both benchmark fixtures, else a copy in the
+// surviving ∆ samples — col itself when every probe survives, which is
+// every link-bin of both benchmark fixtures, else a copy in a second
 // reusable scratch — and the contributing probe/AS counts; ok is false when
 // the link fails the AS-count criterion.
 // The dropping decisions are bit-identical to the map-based implementation:
 // per-AS probe lists are probe-ascending and the most-represented AS breaks
 // ties on the smallest ASN, so the PRNG sees the same draw sequence.
-func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGroup) (samples []float64, probes, ases int, ok bool) {
+func (d *Detector) filterDiversity(col []float64, runs []probeRun, ord []int32, groups []probeGroup) (samples []float64, probes, ases int, ok bool) {
 	// Bucket the probe groups per AS, ASN-ascending. Group indices within a
 	// bucket are probe-ascending because groups already are: the radix key
 	// packs (uint32 ASN, group index) so key order is exactly the old
@@ -718,7 +768,7 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 	d.bucketBuf = buckets[:0]
 
 	if d.cfg.DisableDiversityFilter {
-		return ls.deltas, len(groups), len(buckets), true
+		return col, len(groups), len(buckets), true
 	}
 	if len(buckets) < minASes {
 		return nil, 0, 0, false
@@ -756,13 +806,13 @@ func (d *Detector) filterDiversity(ls *linkState, ord []int32, groups []probeGro
 	d.countsBuf = counts[:0]
 	// The loop never empties a bucket, so every AS still contributes.
 	if probes == len(groups) {
-		return ls.deltas, probes, len(buckets), true
+		return col, probes, len(buckets), true
 	}
 	d.linksDropped++
 	samples = d.samplesBuf[:0]
 	for _, b := range buckets {
 		for _, gi := range b.groups {
-			samples = ls.appendGroup(samples, ord, groups[gi])
+			samples = appendGroup(samples, col, runs, ord, groups[gi])
 		}
 	}
 	d.samplesBuf = samples

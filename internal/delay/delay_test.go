@@ -1,8 +1,11 @@
 package delay
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -227,18 +230,76 @@ func TestEntropyDropsDominantAS(t *testing.T) {
 	}
 }
 
+// linkBin is one link's open bin as the next close rebuilds it.
+type linkBin struct {
+	col  []float64
+	runs []probeRun
+}
+
+// openBins rebuilds every link-bin of d's open log, keyed by link, without
+// closing the bin.
+func openBins(d *Detector) map[trace.LinkKey]linkBin {
+	out := map[trace.LinkKey]linkBin{}
+	slots, ends, ord := d.groupLog()
+	lo := int32(0)
+	for k, si := range slots {
+		col, runs := d.column(ord[lo:ends[k]])
+		lo = ends[k]
+		out[d.links[si].key] = linkBin{slices.Clone(col), slices.Clone(runs)}
+	}
+	return out
+}
+
 func TestUpToNineSamplesPerProbe(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(6, 6))
-	d.Observe(mkResult(1, t0, 5, 7, rng))
-	li, ok := d.reg.LookupLink(trace.LinkKey{Near: nearA, Far: farB})
-	if !ok || int(li) >= len(d.slotOf) || d.slotOf[li] < 0 || d.links[d.slotOf[li]].epoch != d.epoch {
+	r := mkResult(1, t0, 5, 7, rng)
+	d.Observe(r)
+	if recs, vals := d.log.Len(); recs != 1 || vals != 6 {
+		t.Errorf("log holds %d records over %d RTTs, want the 3×3 hop pair as one record of 6", recs, vals)
+	}
+	lb, ok := openBins(d)[trace.LinkKey{Near: nearA, Far: farB}]
+	if !ok {
 		t.Fatal("no samples extracted")
 	}
-	ls := &d.links[d.slotOf[li]]
-	if len(ls.runs) != 1 || ls.runs[0].probe != 1 || ls.runs[0].start != 0 || ls.runs[0].end != 9 || len(ls.deltas) != 9 {
-		t.Errorf("link-bin = %d deltas in runs %+v, want one run of 9 from probe 1 (3×3 combinations)", len(ls.deltas), ls.runs)
+	var want []float64
+	for _, near := range r.Hops[0].Replies {
+		for _, far := range r.Hops[1].Replies {
+			want = append(want, far.RTT-near.RTT)
+		}
 	}
+	if !slices.Equal(lb.col, want) {
+		t.Errorf("∆ column = %v, want far − near, near-major: %v", lb.col, want)
+	}
+	if len(lb.runs) != 1 || lb.runs[0] != (probeRun{probe: 1, asn: 101, start: 0, end: 9}) {
+		t.Errorf("runs = %+v, want one run of 9 from probe 1 (3×3 combinations)", lb.runs)
+	}
+}
+
+// TestWrappedHopNumbersNotPaired: hop numbers MaxInt then MinInt pass
+// far == near+1 by wrapping; they are not adjacent, so the line yields no
+// ∆ (on the wire path the decoder takes both numbers as they are).
+func TestWrappedHopNumbersNotPaired(t *testing.T) {
+	line := fmt.Sprintf(`{"msm_id":5001,"prb_id":1,"timestamp":1433116800,"src_addr":"192.0.2.1","dst_addr":"198.51.100.1","result":[`+
+		`{"hop":%d,"result":[{"from":"10.0.0.2","rtt":1.5}]},{"hop":%d,"result":[{"from":"10.0.0.3","rtt":9.5}]}]}`, math.MaxInt, math.MinInt)
+	d := NewDetector(Config{Seed: 1}, testASN)
+	var v trace.View
+	if err := new(trace.Decoder).DecodeView([]byte(line), d.intern, &v); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Hops) != 2 {
+		t.Fatalf("decoded %d hops, want 2", len(v.Hops))
+	}
+	d.ObserveView(&v)
+	var r trace.Result
+	if err := r.UnmarshalJSON([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	d.Observe(r)
+	if n, _ := d.log.Len(); n != 0 {
+		t.Errorf("wrapped hop numbers formed a link: %d records", n)
+	}
+	ExtractSamples(d.intern, r, testASN, func(s Sample) { t.Errorf("wrapped hop numbers yielded ∆ %v", s.Delta) })
 }
 
 func TestTimeoutsAndSelfPairsSkipped(t *testing.T) {
@@ -252,8 +313,8 @@ func TestTimeoutsAndSelfPairsSkipped(t *testing.T) {
 		},
 	}
 	d.Observe(r)
-	if len(d.touched) != 0 {
-		t.Errorf("self-pair (same addr both hops) extracted: %v", d.touched)
+	if n, _ := d.log.Len(); n != 0 {
+		t.Errorf("self-pair (same addr both hops) extracted: %d records", n)
 	}
 }
 
@@ -268,8 +329,8 @@ func TestNonAdjacentHopsNotPaired(t *testing.T) {
 		},
 	}
 	d.Observe(r)
-	if len(d.touched) != 0 {
-		t.Errorf("non-adjacent hops paired: %v", d.touched)
+	if n, _ := d.log.Len(); n != 0 {
+		t.Errorf("non-adjacent hops paired: %d records", n)
 	}
 }
 
@@ -277,7 +338,7 @@ func TestUnknownProbeIgnored(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(7, 7))
 	d.Observe(mkResult(-5, t0, 5, 7, rng))
-	if len(d.touched) != 0 {
+	if n, _ := d.log.Len(); n != 0 {
 		t.Error("result from unknown probe ingested")
 	}
 }
@@ -365,8 +426,8 @@ func almostEq(a, b, eps float64) bool {
 }
 
 // TestObserveViewAllocationFree pins steady-state view ingestion at zero
-// allocations: once a link has its slot and its bin buffers have grown,
-// ObserveView appends into recycled memory only.
+// allocations: once the open bin's log has grown, ObserveView appends into
+// recycled memory only.
 func TestObserveViewAllocationFree(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(8, 8))
@@ -375,7 +436,7 @@ func TestObserveViewAllocationFree(t *testing.T) {
 	r := mkResult(1, t0, 5, 7, rng)
 	d.intern.View(&r, &v)
 	for i := 0; i < 300; i++ {
-		ingest() // grow the link's ∆ and run buffers past what the next bin needs
+		ingest() // grow the log past what the next bin needs
 	}
 	r = mkResult(2, t0.Add(time.Hour), 5, 7, rng)
 	d.intern.View(&r, &v)

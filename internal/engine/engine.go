@@ -8,11 +8,14 @@
 // worker is that detector pair: it starts no goroutine, hands each
 // trace.View straight to its lone shard's two detectors on the caller's
 // goroutine, and flushes them inline at a close. With more workers the
-// caller's goroutine extracts per-link ∆ samples (delay.ExtractView, §4) and
-// per-router next-hop contributions (forwarding.ExtractView, §5) from each
-// chronologically ordered view and routes them, by a hash of the link
-// respectively the router id, to one of N shards. Each shard owns a private delay.Detector and forwarding.Detector
-// fed through a bounded batch channel, so map maintenance and — the
+// caller's goroutine extracts each chronologically ordered view's link RTTs
+// (delay.ExtractView, §4) and per-router next-hop contributions
+// (forwarding.ExtractView, §5) and routes them, by a hash of the link
+// respectively the router id, to one of N shards: link RTTs as delay.Log
+// records, under the merge rule a lone detector's own log applies
+// (delay.Recorder), so the shards' logs together hold exactly its records.
+// Each shard owns a private delay.Detector and forwarding.Detector fed
+// through a bounded batch channel, so the columns' rebuild and — the
 // expensive part — bin evaluation (robust medians, Wilson CIs, Pearson
 // correlations) run concurrently across shards. When the stream crosses a
 // bin boundary the engine drains the in-flight batches, closes every shard's
@@ -22,18 +25,19 @@
 // remains the single writer into events.Aggregator.
 //
 // Determinism holds because (1) a link or router always hashes to the same
-// shard, so its state and sample order are those of a lone detector, (2)
+// shard, so its state and record order are those of a lone detector, (2)
 // the §4.3 random probe dropping is seeded per (link, bin) inside
 // delay.Detector rather than from a shared stream, and (3) the merge sort
 // restores the global key order the sequential close produces.
 //
 // The engine owns (or is handed) one ident.Registry shared by extraction
 // and every shard detector: the caller's goroutine interns addresses,
-// links, flows and routers while extracting, and the samples cross the
-// shard channels as dense uint32 IDs. Shard routing hashes one uint32
-// instead of two 16-byte addresses, and the shard detectors index their
-// columnar state by the same IDs. Alarms resurface with reverse-resolved
-// addresses, so the deterministic merge is unchanged.
+// links, flows and routers while extracting, and records and contributions
+// cross the shard channels tagged with dense uint32 IDs. Shard routing
+// hashes one uint32 instead of two 16-byte addresses, and the shard
+// detectors index their per-link and per-flow state by the same IDs.
+// Alarms resurface with reverse-resolved addresses, so the deterministic
+// merge is unchanged.
 package engine
 
 import (
@@ -111,7 +115,7 @@ type Stats struct {
 // close the open bin and report alarms plus stats.
 type shardMsg struct {
 	bin      time.Time
-	samples  []delay.Sample
+	log      *delay.Log
 	contribs []forwarding.Contribution
 
 	reply chan shardResult
@@ -163,18 +167,15 @@ func (s *shard) run(wg *sync.WaitGroup) {
 		}
 		s.delayDet.BeginBin(msg.bin)
 		s.fwdDet.BeginBin(msg.bin)
-		for _, smp := range msg.samples {
-			s.delayDet.IngestSample(smp)
-		}
+		s.delayDet.IngestLog(msg.log)
 		for _, c := range msg.contribs {
 			s.fwdDet.IngestContribution(c)
 		}
-		// Recycle the consumed batch slices; the dispatcher refills them
-		// instead of growing fresh ones, keeping steady-state ingestion
+		// Recycle the consumed batches; the dispatcher refills them instead
+		// of growing fresh ones, keeping steady-state ingestion
 		// allocation-free on the routing path.
-		if msg.samples != nil {
-			s.eng.samplePool.Put(&msg.samples)
-		}
+		msg.log.Reset()
+		s.eng.logPool.Put(msg.log)
 		if msg.contribs != nil {
 			s.eng.contribPool.Put(&msg.contribs)
 		}
@@ -209,18 +210,17 @@ type Engine struct {
 
 	// Per-shard buffers the caller's goroutine fills during extraction and
 	// hands off once pending reaches BatchSize results.
-	bufSamples  [][]delay.Sample
+	bufLogs     []*delay.Log
 	bufContribs [][]forwarding.Contribution
 	pending     int
 
-	// The probe whose samples routeSamples is routing.
-	probe int32
-	asn   ipmap.ASN
+	// The merge state of the view routeRTTs is routing.
+	rec delay.Recorder
 
-	// Batch slices cycle between the dispatcher and the shards: a shard
-	// puts a consumed slice back once it has ingested it, and dispatch
-	// prefers a recycled slice over allocating.
-	samplePool  sync.Pool
+	// Batches cycle between the dispatcher and the shards: a shard puts a
+	// consumed one back once it has ingested it, and dispatch prefers a
+	// recycled one over allocating.
+	logPool     sync.Pool
 	contribPool sync.Pool
 }
 
@@ -239,7 +239,7 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Engine {
 		probeASN:    probeASN,
 		shards:      make([]*shard, cfg.Workers),
 		reply:       make(chan shardResult, cfg.Workers),
-		bufSamples:  make([][]delay.Sample, cfg.Workers),
+		bufLogs:     make([]*delay.Log, cfg.Workers),
 		bufContribs: make([][]forwarding.Contribution, cfg.Workers),
 	}
 	if cfg.Workers > 1 {
@@ -258,6 +258,7 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Engine {
 		}
 		e.shards[i] = s
 		if cfg.Workers > 1 {
+			e.bufLogs[i] = new(delay.Log)
 			s.ch = make(chan shardMsg, shardQueue)
 			e.wg.Add(1)
 			go s.run(&e.wg)
@@ -297,11 +298,8 @@ func (e *Engine) shardFor(id uint32) int {
 	return int(hash.Mix64(uint64(id), 0x1d) % uint64(len(e.shards)))
 }
 
-func (e *Engine) routeSamples(link ident.LinkID, near float64, far []float64) {
-	i := e.shardFor(uint32(link))
-	for _, f := range far {
-		e.bufSamples[i] = append(e.bufSamples[i], delay.Sample{Link: link, Probe: e.probe, ASN: e.asn, Delta: f - near})
-	}
+func (e *Engine) routeRTTs(link ident.LinkID, near float64, far []float64) {
+	e.rec.Record(e.bufLogs[e.shardFor(uint32(link))], link, near, far)
 }
 
 func (e *Engine) routeContribution(c forwarding.Contribution) {
@@ -337,8 +335,8 @@ func (e *Engine) ObserveView(v *trace.View) (da []delay.Alarm, fa []forwarding.A
 		return da, fa, closed, ok
 	}
 	if asn, ok := e.probeASN(v.Prb); ok {
-		e.probe, e.asn = int32(v.Prb), asn
-		delay.ExtractView(e.intern, v, e.routeSamples)
+		e.rec.Begin(int32(v.Prb), asn)
+		delay.ExtractView(e.intern, v, e.routeRTTs)
 	}
 	forwarding.ExtractView(e.intern, v, e.routeContribution)
 	e.pending++
@@ -364,17 +362,17 @@ func (e *Engine) ObserveBatch(rs []trace.Result) ([]delay.Alarm, []forwarding.Al
 
 // dispatch hands the filled per-shard buffers to the shard channels, tagged
 // with bin, the bin their results were ingested in; channel FIFO order
-// preserves the per-link sample order of a sequential run.
+// preserves the per-link record order of a sequential run.
 func (e *Engine) dispatch(bin time.Time) {
 	for i, s := range e.shards {
-		if len(e.bufSamples[i]) == 0 && len(e.bufContribs[i]) == 0 {
+		if recs, _ := e.bufLogs[i].Len(); recs == 0 && len(e.bufContribs[i]) == 0 {
 			continue
 		}
-		s.ch <- shardMsg{bin: bin, samples: e.bufSamples[i], contribs: e.bufContribs[i]}
-		if v, ok := e.samplePool.Get().(*[]delay.Sample); ok {
-			e.bufSamples[i] = (*v)[:0]
+		s.ch <- shardMsg{bin: bin, log: e.bufLogs[i], contribs: e.bufContribs[i]}
+		if v, ok := e.logPool.Get().(*delay.Log); ok {
+			e.bufLogs[i] = v
 		} else {
-			e.bufSamples[i] = nil
+			e.bufLogs[i] = new(delay.Log)
 		}
 		if v, ok := e.contribPool.Get().(*[]forwarding.Contribution); ok {
 			e.bufContribs[i] = (*v)[:0]

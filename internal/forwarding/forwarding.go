@@ -166,8 +166,8 @@ func ExtractView(in *ident.Interner, v *trace.View, fn func(Contribution)) {
 	dst := ident.AddrID(v.Dst)
 	for hi := 0; hi+1 < len(v.Hops); hi++ {
 		near, far := v.Hops[hi], v.Hops[hi+1]
-		if far.TTL != near.TTL+1 {
-			continue
+		if near.TTL >= far.TTL || far.TTL != near.TTL+1 {
+			continue // not adjacent, also when TTL+1 wraps
 		}
 		// Distinct near responders, first-seen order. Atlas sends three
 		// packets per hop, so the stack buffer covers every realistic result.

@@ -1,11 +1,13 @@
 package forwarding
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"testing"
 	"time"
 
+	"pinpoint/internal/ident"
 	"pinpoint/internal/trace"
 )
 
@@ -323,4 +325,24 @@ func TestObserveViewAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(200, ingest); n != 0 {
 		t.Errorf("ObserveView allocates %v times per result, want 0", n)
 	}
+}
+
+// TestWrappedHopNumbersNotPaired: hop numbers MaxInt then MinInt pass
+// far == near+1 by wrapping; they are not adjacent, so the line (decoded as
+// it is, both ways) contributes nothing.
+func TestWrappedHopNumbersNotPaired(t *testing.T) {
+	line := fmt.Sprintf(`{"msm_id":5001,"prb_id":1,"timestamp":1433116800,"src_addr":"192.0.2.1","dst_addr":"198.51.100.1","result":[`+
+		`{"hop":%d,"result":[{"from":"10.0.0.2","rtt":1.5}]},{"hop":%d,"result":[{"from":"10.0.0.3","rtt":9.5}]}]}`, math.MaxInt, math.MinInt)
+	in := ident.NewInterner(ident.NewRegistry())
+	var v trace.View
+	if err := new(trace.Decoder).DecodeView([]byte(line), in, &v); err != nil {
+		t.Fatal(err)
+	}
+	var r trace.Result
+	if err := r.UnmarshalJSON([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	fn := func(c Contribution) { t.Errorf("wrapped hop numbers contributed %+v", c) }
+	ExtractView(in, &v, fn)
+	ExtractContributions(in, r, fn)
 }

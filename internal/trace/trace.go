@@ -151,7 +151,8 @@ type AdjacentHopPair struct {
 func (r Result) AdjacentPairs() []AdjacentHopPair {
 	var out []AdjacentHopPair
 	for i := 0; i+1 < len(r.Hops); i++ {
-		if r.Hops[i+1].Index == r.Hops[i].Index+1 {
+		near, far := r.Hops[i].Index, r.Hops[i+1].Index
+		if near < far && far == near+1 { // near < far: Index+1 wraps at MaxInt
 			out = append(out, AdjacentHopPair{Near: r.Hops[i], Far: r.Hops[i+1]})
 		}
 	}

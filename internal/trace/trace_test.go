@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -141,5 +143,23 @@ func TestAdjacentPairs(t *testing.T) {
 	pairs = r.AdjacentPairs()
 	if len(pairs) != 1 || pairs[0].Near.Index != 5 {
 		t.Errorf("gapped AdjacentPairs = %+v", pairs)
+	}
+}
+
+// TestWrappedHopNumbersNotPaired: hop numbers MaxInt then MinInt pass
+// far == near+1 by wrapping; they are not adjacent. DecodeView takes the
+// line's numbers as they are, so the wrap reaches every consumer.
+func TestWrappedHopNumbersNotPaired(t *testing.T) {
+	line := fmt.Sprintf(`{"msm_id":5001,"prb_id":1,"timestamp":1433116800,"src_addr":"192.0.2.1","dst_addr":"198.51.100.1","result":[`+
+		`{"hop":%d,"result":[{"from":"10.0.0.2","rtt":1.5}]},{"hop":%d,"result":[{"from":"10.0.0.3","rtt":9.5}]}]}`, math.MaxInt, math.MinInt)
+	var r Result
+	if err := r.UnmarshalJSON([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Hops) != 2 || r.Hops[0].Index != math.MaxInt || r.Hops[1].Index != math.MinInt {
+		t.Fatalf("decoded hops %+v", r.Hops)
+	}
+	if pairs := r.AdjacentPairs(); len(pairs) != 0 {
+		t.Errorf("wrapped hop numbers paired: %+v", pairs)
 	}
 }
