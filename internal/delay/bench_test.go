@@ -77,10 +77,11 @@ func BenchmarkObserveView(b *testing.B) {
 }
 
 // BenchmarkBinClose measures steady-state bin evaluation: a warmed
-// detector re-ingests one pre-recorded per-bin log and closes the bin,
-// exercising the grouping of records by link, the column rebuild, the radix
-// close order, probe grouping, diversity filtering, and the selection
-// kernel with every scratch buffer warm.
+// detector re-ingests one pre-recorded per-bin log over a shared column (a
+// sharded engine shard's path) and closes the bin, exercising the grouping
+// of records by link, the column rebuild, the radix close order, probe
+// grouping, diversity filtering, and the selection kernel with every
+// scratch buffer warm.
 // The batch is alarm-free by construction (identical distribution every
 // bin), so this is the detector's quiet-network floor — it must run with
 // 0 allocs/op.
@@ -88,19 +89,22 @@ func BenchmarkBinClose(b *testing.B) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(3, 3))
 	in := ident.NewInterner(d.Registry())
+	var col Column
 	var batch Log
 	var rec Recorder
 	for p := 1; p <= 60; p++ {
 		r := mkResult(p, t0, 5, 7, rng)
 		asn, _ := testASN(p)
-		rec.Begin(int32(p), asn)
-		ExtractView(in, in.ScratchView(&r), func(link ident.LinkID, near float64, far []float64) {
-			rec.Record(&batch, link, near, far)
+		v := in.ScratchView(&r)
+		rec.Begin(&col, v, asn)
+		ExtractView(in, v, func(link ident.LinkID, i, j, k int) {
+			rec.Record(&batch, link, i, j, k)
 		})
 	}
+	d.ShareColumn(&col)
 	samples := 0
 	for _, r := range batch.recs {
-		samples += int(r.far) * int(r.near)
+		samples += int(r.nFar) * int(r.nNear)
 	}
 	bin := t0
 	run := func() []Alarm {

@@ -108,16 +108,16 @@ func (l *goldenLink) samples(out []Sample, bin int) []Sample {
 	return out
 }
 
-// logSamples appends samples to l as one-∆ records: far − near = ∆ − 0 is
-// ∆ bit for bit (−0 included), so a detector ingesting l sees exactly these
-// samples, each probe's consecutive ones as one run.
-func logSamples(l *Log, samples []Sample) {
-	far := make([]float64, len(samples))
+// logSamples appends samples to l as one-∆ records over c, each a view of
+// one near RTT 0 and one far RTT ∆: far − near = ∆ − 0 is ∆ bit for bit
+// (−0 included), so a detector ingesting l sees exactly these samples, each
+// probe's consecutive ones as one run.
+func logSamples(c *Column, l *Log, samples []Sample) {
 	var r Recorder
-	for i, s := range samples {
-		far[i] = s.Delta
-		r.Begin(s.Probe, s.ASN)
-		r.Record(l, s.Link, 0, far[i:i+1])
+	for _, s := range samples {
+		v := trace.View{Prb: int(s.Probe), RTT: []float64{0, s.Delta}}
+		r.Begin(c, &v, s.ASN)
+		r.Record(l, s.Link, 0, 1, 2)
 	}
 }
 
@@ -173,15 +173,18 @@ func TestCloseBinGolden(t *testing.T) {
 			d := NewDetector(cfg, goldenASN)
 			links := goldenLinks(d.Registry())
 			var batch []Sample
+			var col Column
 			var log Log
+			d.ShareColumn(&col)
 			for bin := 0; bin < 6; bin++ {
 				d.BeginBin(t0.Add(time.Duration(bin) * time.Hour))
 				batch = batch[:0]
 				for i := range links {
 					batch = links[i].samples(batch, bin)
 				}
+				col.Reset()
 				log.Reset()
-				logSamples(&log, batch)
+				logSamples(&col, &log, batch)
 				d.IngestLog(&log)
 				for _, a := range d.Flush() {
 					buf = append(buf[:0], 'a')
@@ -212,9 +215,10 @@ func TestCloseBinGolden(t *testing.T) {
 }
 
 // TestBinCloseAllocationFree is the pin BenchmarkBinClose only reports: on
-// a warmed detector, re-ingesting a bin's log and closing it allocates
-// nothing — on a link that keeps every probe (selection runs in place on the
-// rebuilt ∆ column) and on one §4.3 drops probes from (the copy path).
+// a warmed detector, re-ingesting a bin's log over a shared column and
+// closing it allocates nothing — on a link that keeps every probe
+// (selection runs in place on the rebuilt ∆ column) and on one §4.3 drops
+// probes from (the copy path).
 func TestBinCloseAllocationFree(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, goldenASN)
 	var batch []Sample
@@ -223,8 +227,10 @@ func TestBinCloseAllocationFree(t *testing.T) {
 			batch = l.samples(batch, 0)
 		}
 	}
+	var col Column
 	var log Log
-	logSamples(&log, batch)
+	logSamples(&col, &log, batch)
+	d.ShareColumn(&col)
 	bin := t0
 	run := func() {
 		d.BeginBin(bin)

@@ -8,11 +8,13 @@
 //
 // The hot path flows interned IDs, not addresses: extraction walks a
 // trace.View and interns every (near, far) pair through ident.Registry
-// once. The detector records each traceroute's link RTTs once, in arrival
-// order, in one open-bin Log (§4.2.1's "one to nine" ∆s of a probe and link
-// come from at most six RTTs), and builds a link's ∆ column only when the
-// bin closes. Steady-state ingestion therefore touches no per-link state,
-// writes no map and allocates nothing; addresses reappear only at bin close,
+// once. The detector keeps each traceroute's RTT column once, in arrival
+// order, in one open-bin Column, and one Log record per link and far
+// stretch that points into it (§4.2.1's "one to nine" ∆s of a probe and
+// link come from at most six RTTs, which neighbouring links share), and
+// builds a link's ∆ column only when the bin closes. Steady-state
+// ingestion therefore touches no per-link state, writes no map and
+// allocates nothing; addresses reappear only at bin close,
 // where links are evaluated in reverse-resolved (Near, Far) order so the
 // emitted alarms are bit-identical to the pre-ID implementation.
 package delay
@@ -150,7 +152,7 @@ func (r *linkRef) observe(ci stats.MedianCI) {
 // Sample is one differential-RTT contribution (§4.2.1) extracted from a
 // traceroute result: the ∆ of one (near, far) reply combination, tagged with
 // the probe and its AS. It is ExtractSamples' unit; detectors and the
-// sharded engine move Log records instead.
+// sharded engine keep Column RTTs and Log records instead.
 type Sample struct {
 	Link  ident.LinkID
 	Probe int32
@@ -170,9 +172,11 @@ func ExtractSamples(in *ident.Interner, r trace.Result, probeASN func(int) (ipma
 		return
 	}
 	s := Sample{Probe: int32(r.PrbID), ASN: asn}
-	ExtractView(in, in.ScratchView(&r), func(link ident.LinkID, near float64, far []float64) {
+	v := in.ScratchView(&r)
+	ExtractView(in, v, func(link ident.LinkID, i, j, k int) {
 		s.Link = link
-		for _, f := range far {
+		near := v.RTT[i]
+		for _, f := range v.RTT[j:k] {
 			s.Delta = f - near
 			fn(s)
 		}
@@ -182,11 +186,11 @@ func ExtractSamples(in *ident.Interner, r trace.Result, probeASN func(int) (ipma
 // ExtractView is the extraction kernel. For every pair of hops with
 // consecutive TTLs it visits the (near reply, far reply) combinations
 // near-major, skipping timeouts and self-loops, and calls fn once per near
-// reply and stretch of far replies from one responder: the ∆ samples of link
-// are far[k] − near, in order. Links are interned through the caller's
-// Interner, whose registry must have issued the view's ids; the kernel owns
-// no other state.
-func ExtractView(in *ident.Interner, v *trace.View, fn func(link ident.LinkID, near float64, far []float64)) {
+// reply i and stretch [j, k) of far replies from one responder, as indices
+// into v's reply columns: the ∆ samples of link are v.RTT[j:k] − v.RTT[i],
+// in order. Links are interned through the caller's Interner, whose
+// registry must have issued the view's ids; the kernel owns no other state.
+func ExtractView(in *ident.Interner, v *trace.View, fn func(link ident.LinkID, i, j, k int)) {
 	for hi := 0; hi+1 < len(v.Hops); hi++ {
 		near, far := v.Hops[hi], v.Hops[hi+1]
 		if near.TTL >= far.TTL || far.TTL != near.TTL+1 {
@@ -204,7 +208,7 @@ func ExtractView(in *ident.Interner, v *trace.View, fn func(link ident.LinkID, n
 					k++
 				}
 				if b != 0 && b != a {
-					fn(in.Link(ident.AddrID(a), ident.AddrID(b)), v.RTT[i], v.RTT[j:k])
+					fn(in.Link(ident.AddrID(a), ident.AddrID(b)), int(i), int(j), int(k))
 				}
 				j = k
 			}
@@ -222,7 +226,7 @@ type probeRun struct {
 }
 
 // linkState is the per-link record a slot holds: the link's identity and
-// its reference, never its samples (those live in the open bin's Log). The
+// its reference, never its samples (those live in the open bin's Column). The
 // reverse-resolved key is cached at slot creation (a LinkID's address pair
 // never changes), so bin close never goes back to the registry. Slots are
 // created outside ingestion, when a bin closes, and live for the whole run:
@@ -271,8 +275,11 @@ type Detector struct {
 	clock timeseries.Clock
 
 	// The open bin: every record ObserveView and IngestLog appended since
-	// the last close, and the merge state of the view being extracted.
+	// the last close, the column they point into (own, or the engine's
+	// after ShareColumn), and the merge state of the view being extracted.
 	log Log
+	own Column
+	col *Column
 	rec Recorder
 
 	// Per-link state. LinkIDs are global to the registry while a sharded
@@ -348,7 +355,7 @@ func (d *Detector) CloseStats() CloseStats {
 func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 	cfg = cfg.withDefaults()
 	pcg := rand.NewPCG(cfg.Seed, 0x5ca1ab1e)
-	return &Detector{
+	d := &Detector{
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		intern:   ident.NewInterner(cfg.Registry),
@@ -357,6 +364,8 @@ func NewDetector(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Detector {
 		rng:      rand.New(pcg),
 		clock:    timeseries.NewClock(cfg.BinSize),
 	}
+	d.col = &d.own
+	return d
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -391,15 +400,15 @@ func (d *Detector) ObserveView(v *trace.View) []Alarm {
 		alarms = d.closeBin(closed)
 	}
 	if asn, ok := d.probeASN(v.Prb); ok {
-		d.rec.Begin(int32(v.Prb), asn)
+		d.rec.Begin(d.col, v, asn)
 		ExtractView(d.intern, v, d.logRTTs)
 	}
 	return alarms
 }
 
 // logRTTs is ObserveView's sink: one callback joins the open bin's log.
-func (d *Detector) logRTTs(link ident.LinkID, near float64, far []float64) {
-	d.rec.Record(&d.log, link, near, far)
+func (d *Detector) logRTTs(link ident.LinkID, i, j, k int) {
+	d.rec.Record(&d.log, link, i, j, k)
 }
 
 // Flush evaluates and clears the currently open bin. Call at end of stream.
@@ -416,14 +425,23 @@ func (d *Detector) Flush() []Alarm {
 // never evaluates. Bins are bin starts (timeseries.Bin).
 func (d *Detector) BeginBin(bin time.Time) { d.clock.Begin(bin) }
 
-// IngestLog appends l, records of the open bin, to the detector's log.
-// Together with BeginBin and Flush it forms the shard-scoped API: an engine
-// shard is handed the records of the links that hash to it, filled by the
-// same Recorder rule ObserveView applies, and the per-(link, bin) seeded
-// probe dropping guarantees the shard reproduces exactly what a single
-// detector would have decided for those links. In steady state this is two
-// copies into recycled buffers — no per-link state, no map, no alloc.
-func (d *Detector) IngestLog(l *Log) { d.log.appendLog(l) }
+// IngestLog appends l, records of the open bin over the detector's column
+// (ShareColumn), to its log. Together with ShareColumn, BeginBin and Flush
+// it forms the shard-scoped API: an engine shard is handed the records of
+// the links that hash to it, filled by the same Recorder rule ObserveView
+// applies, and the per-(link, bin) seeded probe dropping guarantees the
+// shard reproduces exactly what a single detector would have decided for
+// those links. In steady state this is one copy of 20-byte records into a
+// recycled buffer — no RTT, no per-link state, no map, no alloc.
+func (d *Detector) IngestLog(l *Log) { d.log.recs = append(grow(d.log.recs, len(l.recs)), l.recs...) }
+
+// ShareColumn makes c the column the detector's records point into, in
+// place of its own: the sharded engine fills one column for all its shards
+// and hands them only records. The detector reads c only while it closes a
+// bin; the caller must not write c from a record's IngestLog until that
+// bin's Flush returns, and resets it afterwards — the detector resets only
+// its own column.
+func (d *Detector) ShareColumn(c *Column) { d.col = c }
 
 // slot returns the link's slot, creating it on first sight.
 func (d *Detector) slot(link ident.LinkID) int32 {
@@ -538,13 +556,13 @@ func (d *Detector) column(ord []int32) ([]float64, []probeRun) {
 		recs = append(recs, d.log.recs[ri])
 	}
 	d.recBuf = recs
-	vals := d.log.vals
+	rtts, heads := d.col.rtts, d.col.heads
 	col, runs := d.colBuf[:0], d.runBuf[:0]
 	for i := range recs {
 		r := &recs[i]
 		start := int32(len(col))
-		farAt, nearAt := int(r.off), int(r.off)+int(r.far)
-		far, nears := vals[farAt:nearAt], vals[nearAt:nearAt+int(r.near)]
+		far := rtts[r.far : r.far+uint32(r.nFar)]
+		nears := rtts[r.near : r.near+uint32(r.nNear)]
 		if len(far) == 3 && len(nears) == 3 {
 			n0, n1, n2 := nears[0], nears[1], nears[2]
 			col = append(col, far[0]-n0, far[1]-n0, far[2]-n0, far[0]-n1, far[1]-n1, far[2]-n1, far[0]-n2, far[1]-n2, far[2]-n2)
@@ -556,8 +574,8 @@ func (d *Detector) column(ord []int32) ([]float64, []probeRun) {
 				}
 			}
 		}
-		if n := len(runs); n == 0 || runs[n-1].probe != r.probe {
-			runs = append(runs, probeRun{probe: r.probe, asn: r.asn, start: start})
+		if h := heads[r.view]; len(runs) == 0 || runs[len(runs)-1].probe != h.probe {
+			runs = append(runs, probeRun{probe: h.probe, asn: h.asn, start: start})
 		}
 		runs[len(runs)-1].end = int32(len(col))
 	}
@@ -567,7 +585,7 @@ func (d *Detector) column(ord []int32) ([]float64, []probeRun) {
 
 // closeBin runs steps 2–5 of §4.2 on the open bin, which starts at bin:
 // it groups the log by link, rebuilds each link's ∆ column and evaluates
-// it, then empties the log.
+// it, then empties the log and its own column.
 func (d *Detector) closeBin(bin time.Time) []Alarm {
 	t0 := time.Now()
 	var alarms []Alarm
@@ -658,6 +676,7 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 	}
 
 	d.log.Reset()
+	d.own.Reset()
 	d.slotted = 0
 	d.binsClosed++
 	d.closeDur += time.Since(t0)

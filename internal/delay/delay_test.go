@@ -255,8 +255,8 @@ func TestUpToNineSamplesPerProbe(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	r := mkResult(1, t0, 5, 7, rng)
 	d.Observe(r)
-	if recs, vals := d.log.Len(); recs != 1 || vals != 6 {
-		t.Errorf("log holds %d records over %d RTTs, want the 3×3 hop pair as one record of 6", recs, vals)
+	if recs, rtts := d.log.Len(), len(d.col.rtts); recs != 1 || rtts != 6 {
+		t.Errorf("log holds %d records over %d RTTs, want the 3×3 hop pair as one record over the view's 6", recs, rtts)
 	}
 	lb, ok := openBins(d)[trace.LinkKey{Near: nearA, Far: farB}]
 	if !ok {
@@ -296,7 +296,7 @@ func TestWrappedHopNumbersNotPaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Observe(r)
-	if n, _ := d.log.Len(); n != 0 {
+	if n := d.log.Len(); n != 0 {
 		t.Errorf("wrapped hop numbers formed a link: %d records", n)
 	}
 	ExtractSamples(d.intern, r, testASN, func(s Sample) { t.Errorf("wrapped hop numbers yielded ∆ %v", s.Delta) })
@@ -313,7 +313,7 @@ func TestTimeoutsAndSelfPairsSkipped(t *testing.T) {
 		},
 	}
 	d.Observe(r)
-	if n, _ := d.log.Len(); n != 0 {
+	if n := d.log.Len(); n != 0 {
 		t.Errorf("self-pair (same addr both hops) extracted: %d records", n)
 	}
 }
@@ -329,7 +329,7 @@ func TestNonAdjacentHopsNotPaired(t *testing.T) {
 		},
 	}
 	d.Observe(r)
-	if n, _ := d.log.Len(); n != 0 {
+	if n := d.log.Len(); n != 0 {
 		t.Errorf("non-adjacent hops paired: %d records", n)
 	}
 }
@@ -338,7 +338,7 @@ func TestUnknownProbeIgnored(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(7, 7))
 	d.Observe(mkResult(-5, t0, 5, 7, rng))
-	if n, _ := d.log.Len(); n != 0 {
+	if n := d.log.Len(); n != 0 {
 		t.Error("result from unknown probe ingested")
 	}
 }
@@ -426,8 +426,8 @@ func almostEq(a, b, eps float64) bool {
 }
 
 // TestObserveViewAllocationFree pins steady-state view ingestion at zero
-// allocations: once the open bin's log has grown, ObserveView appends into
-// recycled memory only.
+// allocations: once the open bin's column and log have grown, ObserveView
+// appends into recycled memory only.
 func TestObserveViewAllocationFree(t *testing.T) {
 	d := NewDetector(Config{Seed: 1}, testASN)
 	rng := rand.New(rand.NewPCG(8, 8))

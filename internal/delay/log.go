@@ -5,105 +5,127 @@ import (
 
 	"pinpoint/internal/ident"
 	"pinpoint/internal/ipmap"
+	"pinpoint/internal/trace"
 )
 
-// Log is an open bin's differential-RTT input in arrival order. It holds
-// one record per (view, link, far stretch) over one flat column of RTTs:
-// the stretch's far RTTs, then every near RTT paired with them. The ∆
-// samples of a record are far[k] − near[i], near-major — the sequence
-// ExtractView's callbacks describe one near reply at a time — so the common
-// 3×3 hop pair is one record and six RTTs instead of nine ∆s. A Detector
-// keeps one Log for its open bin and builds a link's ∆ column only when the
-// bin closes; the sharded engine fills one Log per shard and hands it over
-// whole (Detector.IngestLog).
-type Log struct {
-	recs []record
-	vals []float64
+// Column is an open bin's RTTs in arrival order: the RTT column of every
+// view that yields a record, once, and one probe header per such view. The
+// RTTs of hop h are the far side of link (h−1, h) and the near side of link
+// (h, h+1), so records of both links point at the same values. A Detector
+// fills its own Column; the sharded engine fills one for every shard, and its
+// shard detectors read it at close (Detector.ShareColumn).
+type Column struct {
+	rtts  []float64
+	heads []viewHead
 }
 
-// record is one (view, link, far stretch) of a Log: vals[off:off+far] are
-// the far RTTs and the near values after them the near RTTs paired with
-// them, in arrival order.
-type record struct {
-	link  ident.LinkID
+// viewHead is the probe of one view in a Column.
+type viewHead struct {
 	probe int32
 	asn   ipmap.ASN
-	off   uint32
-	far   uint16
-	near  uint16
 }
 
-// Len returns how many records and RTT values the log holds.
-func (l *Log) Len() (records, values int) { return len(l.recs), len(l.vals) }
+// Reset empties the column, keeping its capacity.
+func (c *Column) Reset() { c.rtts, c.heads = c.rtts[:0], c.heads[:0] }
+
+// Log is an open bin's differential-RTT records in arrival order, one per
+// (view, link, far stretch, run of consecutive near replies). A record holds
+// no RTT: it points into a Column, whose rtts[far:far+nFar] are the far RTTs
+// and rtts[near:near+nNear] the near RTTs. Its ∆ samples are far[k] −
+// near[i], near-major — the sequence ExtractView's callbacks describe — so
+// the common 3×3 hop pair is one record of 20 bytes instead of nine ∆s. A
+// Detector builds a link's ∆ column from its Log only when the bin closes;
+// the sharded engine routes each record to the Log of its link's shard.
+type Log struct {
+	recs []record
+}
+
+// record is one (view, link, far stretch, near run) of a Log: offsets into
+// the Column's RTTs and the index of the view's header.
+type record struct {
+	link  ident.LinkID
+	view  uint32
+	far   uint32
+	near  uint32
+	nFar  uint16
+	nNear uint16
+}
+
+// Len returns how many records the log holds.
+func (l *Log) Len() int { return len(l.recs) }
 
 // Reset empties the log, keeping its capacity.
-func (l *Log) Reset() { l.recs, l.vals = l.recs[:0], l.vals[:0] }
+func (l *Log) Reset() { l.recs = l.recs[:0] }
 
-// add opens a record of far with its first near RTT.
-func (l *Log) add(r *Recorder, link ident.LinkID, near float64, far []float64) {
-	off := len(l.vals)
-	l.vals = append(append(grow(l.vals, len(far)+1), far...), near)
-	l.recs = append(grow(l.recs, 1), record{
-		link: link, probe: r.probe, asn: r.asn,
-		off: uint32(off), far: uint16(len(far)), near: 1,
-	})
-}
-
-// appendLog appends src's records, rebased onto the log's RTT column.
-func (l *Log) appendLog(src *Log) {
-	base := uint32(len(l.vals))
-	l.recs = grow(l.recs, len(src.recs))
-	for _, r := range src.recs {
-		r.off += base
-		l.recs = append(l.recs, r)
-	}
-	l.vals = append(grow(l.vals, len(src.vals)), src.vals...)
-}
-
-// grow returns s with room for n more elements. It grows by a quarter,
-// not by append's doubling: an open-bin log keeps its peak capacity for the
-// whole run, so its slack is state the detector retains.
+// grow returns s with room for n more elements. It grows by an eighth,
+// not by append's doubling: an open bin's column and log keep their peak
+// capacity for the whole run, so their slack is state the detector
+// retains, while the copies a small step costs are paid only while bins
+// still grow.
 func grow[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
 	c := len(s) + n
-	return append(make([]T, 0, max(c+c/4, 64)), s...)
+	return append(make([]T, 0, max(c+c/8, 64)), s...)
 }
 
-// Recorder appends the ExtractView callbacks of one view at a time to
-// Logs. A callback that repeats the previous callback's link and far
-// stretch — the next near reply of the same responder — adds its near RTT
-// to the previous record; any other callback opens a record. The rule reads
-// the callback sequence, not a log, so routing each callback to the log of
-// its link's shard yields, in total, exactly the records one log would hold.
+// Recorder turns the ExtractView callbacks of one view at a time into Log
+// records over a Column. The view's RTT column and header join the Column
+// at its first callback, so a view that yields no record leaves nothing. A
+// callback that repeats the previous callback's link and far stretch, with
+// the next near reply in the view's column, extends the previous record;
+// any other callback opens one. The rule reads the callback sequence, not
+// a log, so routing each callback to the log of its link's shard yields, in
+// total, exactly the records one log would hold.
 type Recorder struct {
-	probe int32
-	asn   ipmap.ASN
-	link  ident.LinkID
-	far   *float64 // the previous callback's first far RTT; nil at a view's start
+	col  *Column
+	rtt  []float64 // the view's RTT column
+	head viewHead
+	base int // offset of rtt[0] in col.rtts; −1 until the view's first record
+	view uint32
+
+	// The previous callback of the view: its link, far stretch start and
+	// near reply. far < 0 lets no callback join.
+	link      ident.LinkID
+	far, near int
 }
 
-// Begin starts a view from probe, whose AS is asn.
-func (r *Recorder) Begin(probe int32, asn ipmap.ASN) { *r = Recorder{probe: probe, asn: asn} }
+// Begin starts view v, whose probe's AS is asn, over col.
+func (r *Recorder) Begin(col *Column, v *trace.View, asn ipmap.ASN) {
+	*r = Recorder{col: col, rtt: v.RTT, head: viewHead{int32(v.Prb), asn}, base: -1, far: -1}
+}
 
-// Record appends one ExtractView callback of the current view to l, the
-// log that also took the callbacks of link before it.
-func (r *Recorder) Record(l *Log, link ident.LinkID, near float64, far []float64) {
-	if r.far == &far[0] && r.link == link && l.recs[len(l.recs)-1].near < math.MaxUint16 {
-		l.vals = append(grow(l.vals, 1), near)
-		l.recs[len(l.recs)-1].near++
+// Record appends one ExtractView callback of the current view — near reply
+// i, far stretch [j, k) — to l, the log that also took the callbacks of
+// link before it.
+func (r *Recorder) Record(l *Log, link ident.LinkID, i, j, k int) {
+	if r.base < 0 {
+		r.base, r.view = len(r.col.rtts), uint32(len(r.col.heads))
+		r.col.rtts = append(grow(r.col.rtts, len(r.rtt)), r.rtt...)
+		r.col.heads = append(grow(r.col.heads, 1), r.head)
+	} else if j == r.far && i == r.near+1 && link == r.link && l.recs[len(l.recs)-1].nNear < math.MaxUint16 {
+		l.recs[len(l.recs)-1].nNear++
+		r.near = i
 		return
 	}
-	r.link, r.far = link, &far[0]
-	if len(far) > math.MaxUint16 {
+	r.link, r.far, r.near = link, j, i
+	if k-j > math.MaxUint16 {
 		// One record per chunk, far[:m] − near then far[m:] − near: the same
-		// ∆s in the same order, but no later near RTT may join them.
-		r.far = nil
-		for len(far) > math.MaxUint16 {
-			l.add(r, link, near, far[:math.MaxUint16])
-			far = far[math.MaxUint16:]
+		// ∆s in the same order, but no later near reply may join them.
+		r.far = -1
+		for ; k-j > math.MaxUint16; j += math.MaxUint16 {
+			r.add(l, link, i, j, j+math.MaxUint16)
 		}
 	}
-	l.add(r, link, near, far)
+	r.add(l, link, i, j, k)
+}
+
+// add opens a record of far stretch [j, k) with near reply i.
+func (r *Recorder) add(l *Log, link ident.LinkID, i, j, k int) {
+	l.recs = append(grow(l.recs, 1), record{
+		link: link, view: r.view,
+		far: uint32(r.base + j), near: uint32(r.base + i),
+		nFar: uint16(k - j), nNear: 1,
+	})
 }

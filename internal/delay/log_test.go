@@ -6,24 +6,36 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pinpoint/internal/hash"
 	"pinpoint/internal/ident"
 	"pinpoint/internal/trace"
 )
 
-// TestShardLogsMatchOneLog is the log's representation invariant: routing
-// every callback of the extraction corpus to the log of its link's shard
-// (the engine's rule), at W = 2, 3 and 4, yields in total the records and
-// RTTs of one detector's own log, and every rebuilt ∆ column and probe run
-// list is the one that detector rebuilds.
+// TestShardLogsMatchOneLog is the open bin's representation invariant.
+// Routing every callback of the extraction corpus to the log of its link's
+// shard (the engine's rule), at W = 1 to 4, over one column that every
+// shard detector shares, yields in total one detector's records; the column
+// holds the RTTs of every contributing view exactly once, and no shard holds
+// an RTT of its own; every rebuilt ∆ column and probe run list is the one
+// that detector rebuilds, and that detector's ∆ columns are ExtractSamples'.
 func TestShardLogsMatchOneLog(t *testing.T) {
 	rs, probeASN := extractCorpus(t)
 	reg := ident.NewRegistry()
 	in := ident.NewInterner(reg)
 	views := make([]trace.View, len(rs))
+	wantRTTs, wantViews := 0, 0
 	for i := range rs {
-		in.View(&rs[i], &views[i])
+		v := &views[i]
+		in.View(&rs[i], v)
+		contributes := false
+		if _, ok := probeASN(v.Prb); ok {
+			ExtractView(in, v, func(ident.LinkID, int, int, int) { contributes = true })
+		}
+		if contributes {
+			wantRTTs, wantViews = wantRTTs+len(v.RTT), wantViews+1
+		}
 	}
 	cfg := Config{BinSize: 24 * time.Hour, Registry: reg} // one bin holds the corpus
 
@@ -31,14 +43,17 @@ func TestShardLogsMatchOneLog(t *testing.T) {
 	for i := range views {
 		one.ObserveView(&views[i])
 	}
-	wantRecs, wantVals := one.log.Len()
+	wantRecs := one.log.Len()
+	if rtts, heads := len(one.col.rtts), len(one.col.heads); rtts != wantRTTs || heads != wantViews {
+		t.Errorf("one detector's column holds %d RTTs of %d views, want %d of %d", rtts, heads, wantRTTs, wantViews)
+	}
 	want := openBins(one)
-	if wantRecs == 0 || len(want) < 100 {
-		t.Fatalf("corpus filled %d records on %d links", wantRecs, len(want))
+	if wantRecs == 0 || len(want) < 100 || wantViews == len(views) {
+		t.Fatalf("corpus filled %d records on %d links from %d of %d views", wantRecs, len(want), wantViews, len(views))
 	}
 	merged := 0
 	for _, r := range one.log.recs {
-		merged += int(r.near) - 1
+		merged += int(r.nNear) - 1
 	}
 	if merged == 0 {
 		t.Fatal("no record took a second near RTT: the merge rule never ran")
@@ -60,7 +75,8 @@ func TestShardLogsMatchOneLog(t *testing.T) {
 		}
 	}
 
-	for w := 2; w <= 4; w++ {
+	for w := 1; w <= 4; w++ {
+		var col Column
 		logs := make([]Log, w)
 		var rec Recorder
 		for i := range views {
@@ -68,24 +84,30 @@ func TestShardLogsMatchOneLog(t *testing.T) {
 			if !ok {
 				continue
 			}
-			rec.Begin(int32(views[i].Prb), asn)
-			ExtractView(in, &views[i], func(link ident.LinkID, near float64, far []float64) {
-				rec.Record(&logs[hash.Mix64(uint64(link), 0x1d)%uint64(w)], link, near, far)
+			rec.Begin(&col, &views[i], asn)
+			ExtractView(in, &views[i], func(link ident.LinkID, i, j, k int) {
+				rec.Record(&logs[hash.Mix64(uint64(link), 0x1d)%uint64(w)], link, i, j, k)
 			})
 		}
-		recs, vals := 0, 0
+		if rtts, heads := len(col.rtts), len(col.heads); rtts != wantRTTs || heads != wantViews {
+			t.Errorf("W=%d: shared column holds %d RTTs of %d views, want %d of %d", w, rtts, heads, wantRTTs, wantViews)
+		}
+		recs := 0
 		got := map[trace.LinkKey]linkBin{}
 		for i := range logs {
-			r, v := logs[i].Len()
-			recs, vals = recs+r, vals+v
+			recs += logs[i].Len()
 			shard := NewDetector(cfg, probeASN)
+			shard.ShareColumn(&col)
 			shard.IngestLog(&logs[i])
+			if cap(shard.own.rtts) != 0 || cap(shard.own.heads) != 0 {
+				t.Errorf("W=%d: shard %d holds RTTs of its own", w, i)
+			}
 			for k, lb := range openBins(shard) {
 				got[k] = lb
 			}
 		}
-		if recs != wantRecs || vals != wantVals {
-			t.Errorf("W=%d: shard logs hold %d records over %d RTTs, one log %d over %d", w, recs, vals, wantRecs, wantVals)
+		if recs != wantRecs {
+			t.Errorf("W=%d: shard logs hold %d records, one log %d", w, recs, wantRecs)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("W=%d: rebuilt link-bins differ from one log's (%d links against %d)", w, len(got), len(want))
@@ -93,69 +115,105 @@ func TestShardLogsMatchOneLog(t *testing.T) {
 	}
 }
 
-// TestRecorderMergeRule: only the next near RTT of the previous callback's
-// link and far stretch joins its record. A far stretch too long for one
-// record splits into records no later near RTT joins, and the column stays
-// far − near, near-major.
+// TestRecorderMergeRule: only the next near reply of the previous
+// callback's link and far stretch joins its record; a view that yields no
+// record leaves the column as it was; a far stretch too long for one record
+// splits into records no later near reply joins. The rebuilt column stays
+// far − near, near-major, throughout.
 func TestRecorderMergeRule(t *testing.T) {
-	var l Log
-	var r Recorder
-	far := []float64{10, 11, 20}
-	r.Begin(1, 101)
-	r.Record(&l, 7, 1, far[:2])
-	r.Record(&l, 8, 1, far[2:]) // another far responder: a second link
-	r.Record(&l, 7, 2, far[:2]) // the previous callback was link 8's
-	r.Record(&l, 7, 3, far[:2]) // joins
-	r.Begin(2, 102)
-	r.Record(&l, 7, 4, far[:2]) // a new view never joins
-	if recs, vals := l.Len(); recs != 4 || vals != 12 {
-		t.Fatalf("log holds %d records over %d RTTs, want 4 over 12", recs, vals)
+	d := NewDetector(Config{}, testASN)
+	// A, timeout, A against one far stretch: the timeout splits the record,
+	// the view's RTTs join the column once.
+	r := trace.Result{PrbID: 1, Time: t0, Hops: []trace.Hop{
+		{Index: 1, Replies: []trace.Reply{{From: nearA, RTT: 5}, {Timeout: true}, {From: nearA, RTT: 5.5}}},
+		{Index: 2, Replies: []trace.Reply{{From: farB, RTT: 7}, {From: farB, RTT: 7.25}}},
+	}}
+	d.Observe(r)
+	if recs, rtts := d.log.Len(), len(d.col.rtts); recs != 2 || rtts != 5 {
+		t.Fatalf("A, timeout, A: %d records over %d RTTs, want 2 over the view's 5", recs, rtts)
 	}
-	if got := l.recs[2]; got.near != 2 || got.probe != 1 || l.vals[got.off+2] != 2 || l.vals[got.off+3] != 3 {
-		t.Errorf("merged record = %+v", got)
+	lb := openBins(d)[trace.LinkKey{Near: nearA, Far: farB}]
+	if want := []float64{2, 2.25, 1.5, 1.75}; !slices.Equal(lb.col, want) {
+		t.Errorf("rebuilt column %v, want %v", lb.col, want)
+	}
+	if len(lb.runs) != 1 || lb.runs[0] != (probeRun{probe: 1, asn: 101, start: 0, end: 4}) {
+		t.Errorf("runs = %+v, want one run of probe 1", lb.runs)
 	}
 
-	long := make([]float64, math.MaxUint16+2)
+	// A view with no link: no record, no RTT, no header.
+	r = trace.Result{PrbID: 2, Time: t0, Hops: []trace.Hop{
+		{Index: 1, Replies: []trace.Reply{{From: nearA, RTT: 5}, {Timeout: true}}},
+		{Index: 2, Replies: []trace.Reply{{Timeout: true}, {From: nearA, RTT: 6}}},
+	}}
+	d.Observe(r)
+	if recs, heads := d.log.Len(), len(d.col.heads); recs != 2 || len(d.col.rtts) != 5 || heads != 1 {
+		t.Errorf("a view with no link left %d records, %d RTTs, %d headers; want 2, 5, 1", recs, len(d.col.rtts), heads)
+	}
+
+	// The callback sequence decides, not the log: the previous callback of
+	// another link, or of another view, keeps a record from growing.
+	var col Column
+	var l Log
+	var rec Recorder
+	v := trace.View{Prb: 1, RTT: []float64{1, 2, 3, 10, 11, 20}}
+	rec.Begin(&col, &v, 101)
+	rec.Record(&l, 7, 0, 3, 5)
+	rec.Record(&l, 8, 0, 5, 6) // another far responder: a second link
+	rec.Record(&l, 7, 1, 3, 5) // the previous callback was link 8's
+	rec.Record(&l, 7, 2, 3, 5) // joins
+	rec.Begin(&col, &v, 102)
+	rec.Record(&l, 7, 0, 3, 5) // a new view never joins
+	if recs, heads := l.Len(), len(col.heads); recs != 4 || heads != 2 || len(col.rtts) != 12 {
+		t.Fatalf("log holds %d records, column %d RTTs of %d views; want 4, 12, 2", recs, len(col.rtts), heads)
+	}
+	if got := l.recs[2]; got != (record{link: 7, view: 0, far: 3, near: 1, nFar: 2, nNear: 2}) {
+		t.Errorf("merged record = %+v", got)
+	}
+	if got := l.recs[3]; got.view != 1 || got.far != 9 || got.near != 6 {
+		t.Errorf("second view's record = %+v, want view 1 at offset 6", got)
+	}
+
+	// A far stretch longer than a record's count.
+	long := make([]float64, 2+math.MaxUint16+2)
 	for i := range long {
 		long[i] = float64(i)
 	}
-	d := NewDetector(Config{}, testASN)
+	long[0], long[1] = 0.5, 0.25
+	d = NewDetector(Config{}, testASN)
 	link := d.intern.Link(d.intern.Addr(nearA), d.intern.Addr(farB))
-	l.Reset()
-	r.Begin(3, 103)
-	r.Record(&l, link, 0.5, long)
-	r.Record(&l, link, 0.25, long)
-	if recs, _ := l.Len(); recs != 4 {
-		t.Fatalf("two callbacks of a %d-RTT stretch made %d records, want 4", len(long), recs)
+	v = trace.View{Prb: 3, RTT: long}
+	d.rec.Begin(d.col, &v, 103)
+	d.rec.Record(&d.log, link, 0, 2, len(long))
+	d.rec.Record(&d.log, link, 1, 2, len(long))
+	if recs := d.log.Len(); recs != 4 {
+		t.Fatalf("two callbacks of a %d-RTT stretch made %d records, want 4", len(long)-2, recs)
 	}
-	slot := d.slot(link)
-	d.IngestLog(&l)
-	slots, ends, ord := d.groupLog()
-	if len(slots) != 1 || slots[0] != slot {
-		t.Fatalf("grouped links %v, want [%d]", slots, slot)
-	}
-	col, runs := d.column(ord[:ends[0]])
+	lb = openBins(d)[trace.LinkKey{Near: nearA, Far: farB}]
 	var want []float64
-	for _, near := range []float64{0.5, 0.25} {
-		for _, f := range long {
+	for _, near := range long[:2] {
+		for _, f := range long[2:] {
 			want = append(want, f-near)
 		}
 	}
-	if !slices.Equal(col, want) {
+	if !slices.Equal(lb.col, want) {
 		t.Error("chunked stretch rebuilt a different ∆ column")
 	}
-	if len(runs) != 1 || runs[0] != (probeRun{probe: 3, asn: 103, start: 0, end: int32(len(want))}) {
-		t.Errorf("runs = %+v, want one run of probe 3", runs)
+	if len(lb.runs) != 1 || lb.runs[0] != (probeRun{probe: 3, asn: 103, start: 0, end: int32(len(want))}) {
+		t.Errorf("runs = %+v, want one run of probe 3", lb.runs)
 	}
 }
 
-// TestLogRetainsNoPeakSlack bounds the open bin's retained state: after
-// bins of varying size, the log's capacity is at most 1.25× the largest
-// bin's need, and the per-link slots hold no sample buffer at all.
+// TestLogRetainsNoPeakSlack bounds the open bin's retained state: a record
+// is at most 20 bytes, and after bins of varying size the column's RTT and
+// header capacities and the log's record capacity are each at most 1.125×
+// the largest bin's need; the per-link slots hold no sample buffer at all.
 func TestLogRetainsNoPeakSlack(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n > 20 {
+		t.Errorf("a record is %d bytes, want at most 20", n)
+	}
 	d := NewDetector(Config{Seed: 1}, testASN)
 	var v trace.View
-	maxRecs, maxVals := 0, 0
+	maxRecs, maxRTTs, maxHeads := 0, 0, 0
 	for bin, n := range []int{40, 700, 90, 2500, 1300, 10, 2499} {
 		at := t0.Add(time.Duration(bin) * time.Hour)
 		for i := 0; i < n; i++ {
@@ -166,14 +224,20 @@ func TestLogRetainsNoPeakSlack(t *testing.T) {
 			d.intern.View(&r, &v)
 			d.ObserveView(&v)
 		}
-		recs, vals := d.log.Len()
-		maxRecs, maxVals = max(maxRecs, recs), max(maxVals, vals)
+		rtts, heads := len(d.col.rtts), len(d.col.heads)
+		maxRecs, maxRTTs, maxHeads = max(maxRecs, d.log.Len()), max(maxRTTs, rtts), max(maxHeads, heads)
 	}
-	if c := cap(d.log.recs); float64(c) > 1.25*float64(maxRecs) {
-		t.Errorf("record capacity %d for a largest bin of %d", c, maxRecs)
-	}
-	if c := cap(d.log.vals); float64(c) > 1.25*float64(maxVals) {
-		t.Errorf("RTT capacity %d for a largest bin of %d", c, maxVals)
+	for _, c := range []struct {
+		what      string
+		cap, need int
+	}{
+		{"record", cap(d.log.recs), maxRecs},
+		{"RTT", cap(d.col.rtts), maxRTTs},
+		{"header", cap(d.col.heads), maxHeads},
+	} {
+		if float64(c.cap) > 1.125*float64(c.need) {
+			t.Errorf("%s capacity %d for a largest bin of %d", c.what, c.cap, c.need)
+		}
 	}
 	for i := range reflect.TypeOf(linkState{}).NumField() {
 		f := reflect.TypeOf(linkState{}).Field(i)

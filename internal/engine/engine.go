@@ -10,19 +10,22 @@
 // goroutine, and flushes them inline at a close. With more workers the
 // caller's goroutine extracts each chronologically ordered view's link RTTs
 // (delay.ExtractView, §4) and per-router next-hop contributions
-// (forwarding.ExtractView, §5) and routes them, by a hash of the link
-// respectively the router id, to one of N shards: link RTTs as delay.Log
-// records, under the merge rule a lone detector's own log applies
-// (delay.Recorder), so the shards' logs together hold exactly its records.
-// Each shard owns a private delay.Detector and forwarding.Detector fed
-// through a bounded batch channel, so the columns' rebuild and — the
-// expensive part — bin evaluation (robust medians, Wilson CIs, Pearson
-// correlations) run concurrently across shards. When the stream crosses a
-// bin boundary the engine drains the in-flight batches, closes every shard's
-// bin in parallel, and merges the shard alarm slices deterministically
-// (sorted by bin, then link / router key — the exact order the sequential
-// detector emits). The merged slices are returned to the caller, which
-// remains the single writer into events.Aggregator.
+// (forwarding.ExtractView, §5). A view's RTTs join the engine's one
+// delay.Column once; its delay.Log records, which point into that column,
+// and its contributions are routed, by a hash of the link respectively the
+// router id, to one of N shards. The merge rule a lone detector applies
+// (delay.Recorder) decides the records, so the shards' logs together hold
+// exactly its records, and no shard copies an RTT. Each shard owns a
+// private delay.Detector, which reads the engine's column at close, and a
+// forwarding.Detector, fed through a bounded batch channel, so the ∆
+// columns' rebuild and — the expensive part — bin evaluation (robust
+// medians, Wilson CIs, Pearson correlations) run concurrently across
+// shards. When the stream crosses a bin boundary the engine drains the
+// in-flight batches, closes every shard's bin in parallel, resets the
+// column once every shard has replied, and merges the shard alarm slices
+// deterministically (sorted by bin, then link / router key — the exact
+// order the sequential detector emits). The merged slices are returned to
+// the caller, which remains the single writer into events.Aggregator.
 //
 // Determinism holds because (1) a link or router always hashes to the same
 // shard, so its state and record order are those of a lone detector, (2)
@@ -112,7 +115,8 @@ type Stats struct {
 
 // shardMsg is one unit of channel traffic to a shard: either an ingest
 // batch for bin Bin, or (when reply is non-nil) a synchronization request —
-// close the open bin and report alarms plus stats.
+// close the open bin and report alarms plus stats. log holds records only:
+// they point into the engine's column, which the shard reads at close.
 type shardMsg struct {
 	bin      time.Time
 	log      *delay.Log
@@ -214,7 +218,12 @@ type Engine struct {
 	bufContribs [][]forwarding.Contribution
 	pending     int
 
-	// The merge state of the view routeRTTs is routing.
+	// The open bin's RTTs, for every shard: the caller's goroutine appends
+	// to it, the shards read it only while they close (the barrier's
+	// channel round trip orders the two), and closeBin resets it after
+	// every shard has replied. The merge state of the view routeRTTs is
+	// routing.
+	col delay.Column
 	rec delay.Recorder
 
 	// Batches cycle between the dispatcher and the shards: a shard puts a
@@ -258,6 +267,7 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool)) *Engine {
 		}
 		e.shards[i] = s
 		if cfg.Workers > 1 {
+			s.delayDet.ShareColumn(&e.col)
 			e.bufLogs[i] = new(delay.Log)
 			s.ch = make(chan shardMsg, shardQueue)
 			e.wg.Add(1)
@@ -298,8 +308,8 @@ func (e *Engine) shardFor(id uint32) int {
 	return int(hash.Mix64(uint64(id), 0x1d) % uint64(len(e.shards)))
 }
 
-func (e *Engine) routeRTTs(link ident.LinkID, near float64, far []float64) {
-	e.rec.Record(e.bufLogs[e.shardFor(uint32(link))], link, near, far)
+func (e *Engine) routeRTTs(link ident.LinkID, i, j, k int) {
+	e.rec.Record(e.bufLogs[e.shardFor(uint32(link))], link, i, j, k)
 }
 
 func (e *Engine) routeContribution(c forwarding.Contribution) {
@@ -335,7 +345,7 @@ func (e *Engine) ObserveView(v *trace.View) (da []delay.Alarm, fa []forwarding.A
 		return da, fa, closed, ok
 	}
 	if asn, ok := e.probeASN(v.Prb); ok {
-		e.rec.Begin(int32(v.Prb), asn)
+		e.rec.Begin(&e.col, v, asn)
 		delay.ExtractView(e.intern, v, e.routeRTTs)
 	}
 	forwarding.ExtractView(e.intern, v, e.routeContribution)
@@ -365,7 +375,7 @@ func (e *Engine) ObserveBatch(rs []trace.Result) ([]delay.Alarm, []forwarding.Al
 // preserves the per-link record order of a sequential run.
 func (e *Engine) dispatch(bin time.Time) {
 	for i, s := range e.shards {
-		if recs, _ := e.bufLogs[i].Len(); recs == 0 && len(e.bufContribs[i]) == 0 {
+		if e.bufLogs[i].Len() == 0 && len(e.bufContribs[i]) == 0 {
 			continue
 		}
 		s.ch <- shardMsg{bin: bin, log: e.bufLogs[i], contribs: e.bufContribs[i]}
@@ -495,16 +505,17 @@ func cmpFwdAlarm(a, b forwarding.Alarm) int {
 }
 
 // closeBin closes bin, the clock's just-closed bin, on every shard in
-// parallel — the batches still pending belong to it — and merges the
-// per-shard alarm runs into the sequential order: by bin, then link
-// (Near, Far) for delay and (Router, Dst) for forwarding. Within one close
-// all alarms share a bin and each shard's run is already key-sorted, so
-// the k-way merge alone restores the order a single detector's sorted
-// close loop emits — which keeps the downstream aggregator's
-// floating-point accumulation, hook order and retained-slice order
-// bit-identical.
+// parallel — the batches still pending belong to it — empties the column
+// their records pointed into, and merges the per-shard alarm runs into the
+// sequential order: by bin, then link (Near, Far) for delay and
+// (Router, Dst) for forwarding. Within one close all alarms share a bin and
+// each shard's run is already key-sorted, so the k-way merge alone restores
+// the order a single detector's sorted close loop emits — which keeps the
+// downstream aggregator's floating-point accumulation, hook order and
+// retained-slice order bit-identical.
 func (e *Engine) closeBin(bin time.Time) ([]delay.Alarm, []forwarding.Alarm) {
 	e.barrier(bin, true)
+	e.col.Reset()
 	da, fa := mergeRuns(e.daRuns, cmpDelayAlarm), mergeRuns(e.faRuns, cmpFwdAlarm)
 	clear(e.daRuns)
 	clear(e.faRuns)

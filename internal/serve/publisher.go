@@ -105,14 +105,17 @@ type Snapshot struct {
 // complete snapshot never changes again.
 func (s *Snapshot) Complete() bool { return s.Done || s.Failed }
 
-// magRange maps [from, to) ∩ the published region onto row indices of the
-// dense per-AS series, which all start at MagStart.
+// magRange maps the bins in [from, to) ∩ the published region onto row
+// indices of the dense per-AS series, which all start at MagStart: like
+// every list endpoint's filter it compares bin starts with the bounds, so
+// the range runs from the first bin at or after from to the last bin before
+// to.
 func (s *Snapshot) magRange(from, to time.Time) (i, j int) {
 	if s.BinSize <= 0 || s.MagEnd.IsZero() {
 		return 0, 0
 	}
-	f := timeseries.Bin(from, s.BinSize)
-	t := timeseries.Bin(to, s.BinSize)
+	f := binCeil(from, s.BinSize)
+	t := binCeil(to, s.BinSize)
 	if f.Before(s.MagStart) {
 		f = s.MagStart
 	}
@@ -123,6 +126,15 @@ func (s *Snapshot) magRange(from, to time.Time) (i, j int) {
 		return 0, 0
 	}
 	return int(f.Sub(s.MagStart) / s.BinSize), int(t.Sub(s.MagStart) / s.BinSize)
+}
+
+// binCeil returns the first bin start at or after t.
+func binCeil(t time.Time, size time.Duration) time.Time {
+	b := timeseries.Bin(t, size)
+	if b.Before(t) {
+		b = b.Add(size)
+	}
+	return b
 }
 
 // encodedMag returns rows [i, j) of one magnitude series in encoded form,

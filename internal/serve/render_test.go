@@ -57,29 +57,18 @@ type magnitudeJSON struct {
 	Forwarding []Point `json:"forwarding"`
 }
 
+// oracleMagPoints is the published points whose bin passes the shared
+// [from, to) filter of every list endpoint.
 func oracleMagPoints(s *Snapshot, pts []timeseries.Point, from, to time.Time) []Point {
 	out := []Point{}
 	if s.BinSize <= 0 || s.MagEnd.IsZero() {
 		return out
 	}
-	f := timeseries.Bin(from, s.BinSize)
-	t := timeseries.Bin(to, s.BinSize)
-	if f.Before(s.MagStart) {
-		f = s.MagStart
-	}
-	if t.After(s.MagEnd) {
-		t = s.MagEnd
-	}
-	if !f.Before(t) {
-		return out
-	}
-	i := int(f.Sub(s.MagStart) / s.BinSize)
-	j := int(t.Sub(s.MagStart) / s.BinSize)
-	if j > len(pts) {
-		j = len(pts)
-	}
-	for ; i < j; i++ {
-		out = append(out, Point{T: pts[i].T, V: pts[i].V})
+	q := query{haveFrom: true, from: from, haveTo: true, to: to}
+	for _, p := range pts {
+		if q.binMatch(p.T) && !p.T.Before(s.MagStart) && p.T.Before(s.MagEnd) {
+			out = append(out, Point{T: p.T, V: p.V})
+		}
 	}
 	return out
 }
@@ -273,6 +262,43 @@ func TestFilteredAndPagedReadsMatchOracle(t *testing.T) {
 	}
 	if n := len(snap.enc.mag); n > 4 {
 		t.Errorf("%d magnitude streams for 2 ASes: series-less ASes must not mint streams", n)
+	}
+}
+
+// /api/magnitude applies the bin filter of every list endpoint: a point is
+// served when its bin start lies in [from, to), also when from and to fall
+// inside a bin. Floored bounds served the 02:00 point for 02:30–03:30, and
+// nothing for 03:00–03:30, while the delay alarms of the same range are
+// the 03:00 bin's.
+func TestMagnitudeRangeFollowsBinFilter(t *testing.T) {
+	a, pub, _ := newTestPipeline(t)
+	for h := 0; h < 6; h++ {
+		bin := t0.Add(time.Duration(h) * time.Hour)
+		closeBin(a, bin, []delay.Alarm{mkDelayAlarm(bin, "10.1.0.1", "10.2.0.1", 1+float64(h))}, nil)
+	}
+	pub.Finish(nil)
+	snap := pub.Snapshot()
+	at := func(h, m int) string {
+		return t0.Add(time.Duration(h)*time.Hour + time.Duration(m)*time.Minute).Format(time.RFC3339)
+	}
+	want := t0.Add(3 * time.Hour)
+	for _, r := range [][2]string{{at(2, 30), at(3, 30)}, {at(3, 0), at(3, 30)}, {at(2, 30), at(4, 0)}} {
+		q := "from=" + r[0] + "&to=" + r[1]
+		var mag magnitudeJSON
+		if err := json.Unmarshal(getPinned(pub, snap, "/api/magnitude?asn=100&"+q).Body.Bytes(), &mag); err != nil {
+			t.Fatal(err)
+		}
+		if len(mag.Delay) != 1 || !mag.Delay[0].T.Equal(want) {
+			t.Errorf("%s: magnitude points %+v, want the 03:00 bin's", q, mag.Delay)
+		}
+		var alarms []DelayAlarm
+		if err := json.Unmarshal(getPinned(pub, snap, "/api/alarms/delay?"+q).Body.Bytes(), &alarms); err != nil {
+			t.Fatal(err)
+		}
+		if len(alarms) != 1 || !alarms[0].Bin.Equal(want) {
+			t.Errorf("%s: delay alarms %+v, want the 03:00 bin's", q, alarms)
+		}
+		checkAgainstOracle(t, pub, snap, "/api/magnitude?asn=100&"+q)
 	}
 }
 
