@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/netip"
 	"os"
 	"runtime"
@@ -80,11 +81,12 @@ func parseDotAround(dotPath, around string) (netip.Addr, error) {
 
 // checkEventFlags validates -threshold and -window before any analysis
 // runs: the aggregator would read a zero threshold as its default and a
-// negative one as "every bin is an event", and a window shorter than one
-// bin holds no magnitude history.
+// negative one as "every bin is an event", no magnitude reaches a NaN or
+// infinite one, and a window shorter than one bin holds no magnitude
+// history.
 func checkEventFlags(threshold float64, window, bin time.Duration) error {
-	if threshold <= 0 {
-		return fmt.Errorf("-threshold %v: must be positive", threshold)
+	if !(threshold > 0) || math.IsInf(threshold, 1) {
+		return fmt.Errorf("-threshold %v: must be positive and finite", threshold)
 	}
 	if window < bin {
 		return fmt.Errorf("-window %v: must be at least one bin (%v)", window, bin)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -15,9 +16,12 @@ func TestCheckEventFlagsRejectsBadValues(t *testing.T) {
 	}{
 		{10, 7 * 24 * time.Hour, true},
 		{0.5, bin, true},
-		{0, 7 * 24 * time.Hour, false},  // the aggregator would read 0 as its default
-		{-5, 7 * 24 * time.Hour, false}, // every bin would be an event
-		{10, 0, false},                  // the aggregator would read 0 as a week
+		{0, 7 * 24 * time.Hour, false},            // the aggregator would read 0 as its default
+		{-5, 7 * 24 * time.Hour, false},           // every bin would be an event
+		{math.NaN(), 7 * 24 * time.Hour, false},   // no magnitude is ≥ NaN
+		{math.Inf(1), 7 * 24 * time.Hour, false},  // no magnitude is ≥ +Inf
+		{math.Inf(-1), 7 * 24 * time.Hour, false}, // every magnitude is
+		{10, 0, false},                            // the aggregator would read 0 as a week
 		{10, -time.Hour, false},
 		{10, bin - time.Second, false},
 	} {

@@ -127,26 +127,53 @@ type Observation struct {
 // probeASNFunc resolves a probe id to its AS number.
 type probeASNFunc func(int) (ipmap.ASN, bool)
 
-// linkRef is the smoothed normal reference of one link: the median and the
-// CI bounds are each tracked with the same exponential smoothing (§4.2.4).
-// It is embedded by value in the link's slot.
+// refAlpha is alpha read from a variable, so that 1−α is rounded at run
+// time from the float64 α, as the smoother this reference replaced did; a
+// constant 1−alpha is rounded once from the exact value, which for some α
+// differs in the last bit.
+var refAlpha = alpha
+
+// linkRef is the smoothed normal reference of one link (§4.2.4): the
+// median and the CI bounds, each tracked with the same exponential
+// smoothing m̄ ← α·m + (1−α)·m̄ (Eq 7). The reference is seeded with the
+// median of the first warmupBins observations: v holds the first, w the
+// second, and the third replaces v with the three medians. The zero value
+// is an empty reference, embedded by value in the link's slot.
 type linkRef struct {
-	median stats.EWMA
-	lower  stats.EWMA
-	upper  stats.EWMA
+	v [3]float64 // median, lower, upper
+	w [3]float64 // the second warm-up observation
+	n uint8      // observations so far, up to warmupBins
 }
 
 func (r *linkRef) ci() stats.MedianCI {
-	if !r.median.Primed() {
+	if r.n < warmupBins {
 		return stats.MedianCI{}
 	}
-	return stats.MedianCI{Median: r.median.Value(), Lower: r.lower.Value(), Upper: r.upper.Value(), N: 1}
+	return stats.MedianCI{Median: r.v[0], Lower: r.v[1], Upper: r.v[2], N: 1}
 }
 
 func (r *linkRef) observe(ci stats.MedianCI) {
-	r.median.Observe(ci.Median)
-	r.lower.Observe(ci.Lower)
-	r.upper.Observe(ci.Upper)
+	x := [3]float64{ci.Median, ci.Lower, ci.Upper}
+	switch r.n {
+	case 0:
+		r.v = x
+	case 1:
+		r.w = x
+	case 2:
+		for c := range x {
+			m := [3]float64{r.v[c], r.w[c], x[c]}
+			sort.Float64s(m[:]) // stats.Median's order, NaNs first
+			r.v[c] = m[1]
+		}
+	default:
+		a := refAlpha
+		for c := range x {
+			r.v[c] = a*x[c] + (1-a)*r.v[c]
+		}
+	}
+	if r.n < warmupBins {
+		r.n++
+	}
 }
 
 // Sample is one differential-RTT contribution (§4.2.1) extracted from a
@@ -232,11 +259,10 @@ type probeRun struct {
 // created outside ingestion, when a bin closes, and live for the whole run:
 // like the paper, the detector keeps every link's reference.
 type linkState struct {
-	hasRef bool          // ref initialized (link passed filtering once)
-	isV4   bool          // both addresses are 4-byte: key64 is valid
-	key    trace.LinkKey // reverse-resolved (Near, Far), cached once
-	key64  uint64        // big-endian-packed (Near, Far) for the radix close order
-	ref    linkRef
+	key   trace.LinkKey // reverse-resolved (Near, Far), cached once
+	key64 uint64        // big-endian-packed (Near, Far) for the radix close order
+	ref   linkRef
+	isV4  bool // both addresses are 4-byte: key64 is valid
 }
 
 // probeGroup is one probe's runs in the probe-sorted run order of one
@@ -285,8 +311,10 @@ type Detector struct {
 	// Per-link state. LinkIDs are global to the registry while a sharded
 	// detector owns only ~1/W of the links, so a dense per-detector slot
 	// table (slotOf: LinkID → index into links, −1 when unowned; 4 bytes
-	// per global ID) keeps the linkState records scaled to the links this
-	// detector actually ingests. log.recs[:slotted] have their slots.
+	// per global ID) keeps the linkState records — a cached key and a
+	// 3-value reference each, in a slice grown by an eighth — scaled to the
+	// links this detector actually ingests. log.recs[:slotted] have their
+	// slots.
 	slotOf  []int32
 	links   []linkState
 	slotted int
@@ -433,7 +461,9 @@ func (d *Detector) BeginBin(bin time.Time) { d.clock.Begin(bin) }
 // shard reproduces exactly what a single detector would have decided for
 // those links. In steady state this is one copy of 20-byte records into a
 // recycled buffer — no RTT, no per-link state, no map, no alloc.
-func (d *Detector) IngestLog(l *Log) { d.log.recs = append(grow(d.log.recs, len(l.recs)), l.recs...) }
+func (d *Detector) IngestLog(l *Log) {
+	d.log.recs = append(ident.Grow(d.log.recs, len(l.recs)), l.recs...)
+}
 
 // ShareColumn makes c the column the detector's records point into, in
 // place of its own: the sharded engine fills one column for all its shards
@@ -464,8 +494,8 @@ func (d *Detector) slot(link ident.LinkID) int32 {
 		st.isV4 = true
 	}
 	si := int32(len(d.links))
-	d.links = append(d.links, st)
-	d.slotRecs = append(d.slotRecs, 0)
+	d.links = append(ident.Grow(d.links, 1), st)
+	d.slotRecs = append(ident.Grow(d.slotRecs, 1), 0)
 	d.slotOf[li] = si
 	return si
 }
@@ -527,7 +557,7 @@ func (d *Detector) groupLog() (slots, ends, ord []int32) {
 		d.slotRecs[si] = n
 		n += c
 	}
-	ord = grow(d.recOrd[:0], len(recs))[:len(recs)]
+	ord = ident.Grow(d.recOrd[:0], len(recs))[:len(recs)]
 	for i := range recs {
 		si := d.slotOf[recs[i].link]
 		ord[d.slotRecs[si]] = int32(i)
@@ -626,14 +656,6 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 			obs = stats.MedianWilsonSelect(samples, z)
 		}
 
-		if !ls.hasRef {
-			ls.hasRef = true
-			ls.ref = linkRef{
-				median: stats.MakeEWMA(alpha, warmupBins),
-				lower:  stats.MakeEWMA(alpha, warmupBins),
-				upper:  stats.MakeEWMA(alpha, warmupBins),
-			}
-		}
 		ref := &ls.ref
 
 		refCI := ref.ci()

@@ -57,19 +57,6 @@ func (l *Log) Len() int { return len(l.recs) }
 // Reset empties the log, keeping its capacity.
 func (l *Log) Reset() { l.recs = l.recs[:0] }
 
-// grow returns s with room for n more elements. It grows by an eighth,
-// not by append's doubling: an open bin's column and log keep their peak
-// capacity for the whole run, so their slack is state the detector
-// retains, while the copies a small step costs are paid only while bins
-// still grow.
-func grow[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	c := len(s) + n
-	return append(make([]T, 0, max(c+c/8, 64)), s...)
-}
-
 // Recorder turns the ExtractView callbacks of one view at a time into Log
 // records over a Column. The view's RTT column and header join the Column
 // at its first callback, so a view that yields no record leaves nothing. A
@@ -102,8 +89,8 @@ func (r *Recorder) Begin(col *Column, v *trace.View, asn ipmap.ASN) {
 func (r *Recorder) Record(l *Log, link ident.LinkID, i, j, k int) {
 	if r.base < 0 {
 		r.base, r.view = len(r.col.rtts), uint32(len(r.col.heads))
-		r.col.rtts = append(grow(r.col.rtts, len(r.rtt)), r.rtt...)
-		r.col.heads = append(grow(r.col.heads, 1), r.head)
+		r.col.rtts = append(ident.Grow(r.col.rtts, len(r.rtt)), r.rtt...)
+		r.col.heads = append(ident.Grow(r.col.heads, 1), r.head)
 	} else if j == r.far && i == r.near+1 && link == r.link && l.recs[len(l.recs)-1].nNear < math.MaxUint16 {
 		l.recs[len(l.recs)-1].nNear++
 		r.near = i
@@ -123,7 +110,7 @@ func (r *Recorder) Record(l *Log, link ident.LinkID, i, j, k int) {
 
 // add opens a record of far stretch [j, k) with near reply i.
 func (r *Recorder) add(l *Log, link ident.LinkID, i, j, k int) {
-	l.recs = append(grow(l.recs, 1), record{
+	l.recs = append(ident.Grow(l.recs, 1), record{
 		link: link, view: r.view,
 		far: uint32(r.base + j), near: uint32(r.base + i),
 		nFar: uint16(k - j), nNear: 1,

@@ -9,11 +9,12 @@
 // Like the delay detector, the hot path flows interned IDs: extraction
 // interns routers, destinations and next hops through ident.Registry and
 // emits contributions tagged with a dense FlowID; the detector keeps
-// columnar per-flow state (current pattern and smoothed reference as small
-// (AddrID, count) vectors) in flat slices indexed by that ID, reusing the
-// buffers across bins. Addresses reappear only at bin close, where flows
-// are evaluated in reverse-resolved (Router, Dst) order so alarms are
-// bit-identical to the pre-ID implementation.
+// columnar per-flow state in flat slices indexed by that ID: a small record
+// whose current pattern and smoothed reference are (AddrID, count) vectors
+// in two detector-owned hop arenas, reused across bins. Flows are evaluated
+// at bin close in (Router, Dst) address order so alarms are bit-identical
+// to the pre-ID implementation; addresses are resolved only for what an
+// alarm or an Observer reports.
 package forwarding
 
 import (
@@ -197,22 +198,25 @@ func ExtractView(in *ident.Interner, v *trace.View, fn func(Contribution)) {
 	}
 }
 
-// flowState is the columnar per-flow record, indexed by ident.FlowID. The
-// cur vector is truncated (capacity kept) when a new bin first touches the
-// flow; ref is the smoothed reference, nil until seeded. The reverse-
-// resolved (router, dst) addresses are cached at slot creation — a FlowID's
-// pair never changes — so bin close never goes back to the registry. A slot
-// lives for the whole run: like the paper, the detector keeps every flow's
-// reference.
+// span is a vector in one of the detector's hop arenas: arena[off:off+n].
+// Both fields are uint32, so no count of next hops can wrap.
+type span struct{ off, n uint32 }
+
+// flowState is the columnar per-flow record, indexed by ident.FlowID, with
+// no pointer in it. cur spans this bin's pattern in the pattern arena
+// and is emptied when a new bin first touches the flow; ref spans the
+// smoothed reference in the reference arena, empty until seeded. The
+// packed IPv4 (router, dst) key is computed at slot creation — a FlowID's
+// pair never changes — and the addresses themselves are resolved only for
+// an alarm, an Observer call or a non-IPv4 close order. A slot lives for
+// the whole run: like the paper, the detector keeps every flow's reference.
 type flowState struct {
 	epoch  uint32
 	hasRef bool
-	isV4   bool       // both addresses are 4-byte: key64 is valid
-	router netip.Addr // reverse-resolved, cached once
-	dst    netip.Addr
-	key64  uint64     // big-endian-packed (router, dst) for the radix close order
-	cur    []hopCount // this bin's pattern
-	ref    []hopCount // smoothed reference (Eq 8)
+	isV4   bool   // both addresses are 4-byte: key64 is valid
+	key64  uint64 // big-endian-packed (router, dst) for the radix close order
+	cur    span   // this bin's pattern, in Detector.pat
+	ref    span   // smoothed reference (Eq 8), in Detector.refs
 }
 
 // Detector is the streaming forwarding-anomaly detector. Feed
@@ -236,6 +240,15 @@ type Detector struct {
 	flows   []flowState
 	touched []ident.FlowID // flows with contributions in the open bin
 
+	// The hop arenas the flows' spans point into. pat holds the open bin's
+	// patterns and is emptied at every close. refs holds every reference: a
+	// reference that outgrows its span moves to the arena's end, leaving
+	// refDead dead entries behind, and a close compacts the arena once
+	// they exceed a quarter of the live ones.
+	pat     []hopCount
+	refs    []hopCount
+	refDead int
+
 	routerSeen  []bool // indexed by ident.RouterID
 	routersSeen int
 
@@ -249,14 +262,15 @@ type Detector struct {
 	// alloc-free: the flow close-order permutation (closeKeys/closeOrd +
 	// radix ping-pong buffers), the union resolution buffer, the Pearson
 	// vectors, and the per-union radix scratch.
-	closeKeys []uint64
-	closeOrd  []int32
-	closeTmpK []uint64
-	closeTmpV []int32
-	unionBuf  []unionHop
-	fBuf      []float64
-	fbarBuf   []float64
-	usort     unionSort
+	closeKeys  []uint64
+	closeOrd   []int32
+	closeTmpK  []uint64
+	closeTmpV  []int32
+	closeAddrs []FlowKey // the non-IPv4 close order's resolved pairs
+	unionBuf   []unionHop
+	fBuf       []float64
+	fbarBuf    []float64
+	usort      unionSort
 
 	// Cumulative bin-close accounting (CloseStats).
 	binsClosed  int
@@ -332,7 +346,7 @@ func (d *Detector) ReferenceFor(k FlowKey) (map[netip.Addr]float64, bool) {
 	if !ok || int(id) >= len(d.slotOf) || d.slotOf[id] < 0 || !d.flows[d.slotOf[id]].hasRef {
 		return nil, false
 	}
-	ref := d.flows[d.slotOf[id]].ref
+	ref := d.refOf(&d.flows[d.slotOf[id]])
 	out := make(map[netip.Addr]float64, len(ref))
 	for _, h := range ref {
 		out[d.reg.AddrOf(h.hop)] = h.v
@@ -383,23 +397,22 @@ func (d *Detector) IngestContribution(c Contribution) {
 	}
 	si := d.slotOf[fi]
 	if si < 0 {
-		// Resolve the address pair once, at slot creation; bin close reads
-		// the cached addresses and radix-sorts IPv4 flows by the packed key.
-		router, dst := d.reg.FlowAddrsOf(c.Flow)
-		st := flowState{router: router, dst: dst}
-		if router.Is4() && dst.Is4() {
+		// Pack the address pair once, at slot creation: bin close
+		// radix-sorts IPv4 flows by the packed key.
+		var st flowState
+		if router, dst := d.reg.FlowAddrsOf(c.Flow); router.Is4() && dst.Is4() {
 			r4, d4 := router.As4(), dst.As4()
 			st.key64 = uint64(binary.BigEndian.Uint32(r4[:]))<<32 | uint64(binary.BigEndian.Uint32(d4[:]))
 			st.isV4 = true
 		}
 		si = int32(len(d.flows))
-		d.flows = append(d.flows, st)
+		d.flows = append(ident.Grow(d.flows, 1), st)
 		d.slotOf[fi] = si
 	}
 	fs := &d.flows[si]
 	if fs.epoch != d.epoch {
 		fs.epoch = d.epoch
-		fs.cur = fs.cur[:0]
+		fs.cur = span{off: uint32(len(d.pat))}
 		d.touched = append(d.touched, c.Flow)
 		ri := int(c.Router)
 		if ri >= len(d.routerSeen) {
@@ -413,13 +426,71 @@ func (d *Detector) IngestContribution(c Contribution) {
 	if c.Touch {
 		return
 	}
-	for i := range fs.cur {
-		if fs.cur[i].hop == c.Hop {
-			fs.cur[i].v += c.W
+	cur := d.curOf(fs)
+	for i := range cur {
+		if cur[i].hop == c.Hop {
+			cur[i].v += c.W
 			return
 		}
 	}
-	fs.cur = append(fs.cur, hopCount{hop: c.Hop, v: c.W})
+	if int(fs.cur.off+fs.cur.n) != len(d.pat) {
+		// Another flow's pattern follows this one: move it to the end.
+		fs.cur.off = uint32(len(d.pat))
+		d.pat = append(ident.Grow(d.pat, len(cur)+1), cur...)
+	}
+	d.pat = append(ident.Grow(d.pat, 1), hopCount{hop: c.Hop, v: c.W})
+	fs.cur.n++
+}
+
+// hasHop reports whether v counts packets to hop.
+func hasHop(v []hopCount, hop ident.AddrID) bool {
+	for i := range v {
+		if v[i].hop == hop {
+			return true
+		}
+	}
+	return false
+}
+
+// curOf and refOf return a flow's pattern and reference vectors.
+func (d *Detector) curOf(fs *flowState) []hopCount {
+	return d.pat[fs.cur.off : fs.cur.off+fs.cur.n]
+}
+
+func (d *Detector) refOf(fs *flowState) []hopCount {
+	return d.refs[fs.ref.off : fs.ref.off+fs.ref.n]
+}
+
+// growRef makes room for k more entries at the end of fs's reference: in
+// place when the span ends the arena, else by moving the reference to the
+// arena's end, which leaves its old entries dead.
+func (d *Detector) growRef(fs *flowState, k int) {
+	if int(fs.ref.off+fs.ref.n) != len(d.refs) {
+		ref := d.refOf(fs)
+		fs.ref.off = uint32(len(d.refs))
+		d.refs = append(ident.Grow(d.refs, len(ref)+k), ref...)
+		d.refDead += len(ref)
+	}
+	d.refs = ident.Grow(d.refs, k)
+}
+
+// compactRefs copies every live reference into a fresh arena, in slot
+// order, once the dead entries exceed a quarter of the live ones. Every
+// move leaves the entries it copied dead, so the copies a compaction costs
+// are paid for by the moves that made it due.
+func (d *Detector) compactRefs() {
+	live := len(d.refs) - d.refDead
+	if d.refDead <= live/4 {
+		return
+	}
+	refs := make([]hopCount, 0, live+live/8)
+	for i := range d.flows {
+		fs := &d.flows[i]
+		ref := d.refOf(fs)
+		fs.ref.off = uint32(len(refs))
+		refs = append(refs, ref...)
+	}
+	d.refs, d.refDead = refs, 0
 }
 
 // closeBin evaluates every pattern of the bin starting at bin against its
@@ -434,7 +505,8 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 	// big-endian keys cached in flowState (identical to the comparison
 	// order, since two Is4 addresses compare by their 4-byte big-endian
 	// value and distinct FlowIDs pack to distinct keys); anything else
-	// falls back to the comparison sort on the cached addresses.
+	// resolves every pair once into scratch and falls back to the
+	// comparison sort on it.
 	keys64 := d.closeKeys[:0]
 	order := d.closeOrd[:0]
 	allV4 := true
@@ -451,22 +523,26 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		d.closeTmpK, d.closeTmpV = stats.RadixSortUint64Pairs(keys64, order, d.closeTmpK, d.closeTmpV)
 	} else {
 		order = order[:0]
-		for i := range d.touched {
+		addrs := d.closeAddrs[:0]
+		for i, id := range d.touched {
 			order = append(order, int32(i))
+			router, dst := d.reg.FlowAddrsOf(id)
+			addrs = append(addrs, FlowKey{router, dst})
 		}
 		slices.SortFunc(order, func(a, b int32) int {
-			fa := &d.flows[d.slotOf[d.touched[a]]]
-			fb := &d.flows[d.slotOf[d.touched[b]]]
-			if c := fa.router.Compare(fb.router); c != 0 {
+			ka, kb := &addrs[a], &addrs[b]
+			if c := ka.Router.Compare(kb.Router); c != 0 {
 				return c
 			}
-			return fa.dst.Compare(fb.dst)
+			return ka.Dst.Compare(kb.Dst)
 		})
+		d.closeAddrs = addrs[:0]
 	}
 
 	for _, ti := range order {
-		fs := &d.flows[d.slotOf[d.touched[ti]]]
-		cur := fs.cur
+		id := d.touched[ti]
+		fs := &d.flows[d.slotOf[id]]
+		cur := d.curOf(fs)
 
 		total := 0.0
 		for _, h := range cur {
@@ -475,22 +551,25 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 
 		if fs.hasRef && total >= minPackets {
 			d.flowsClosed++
-			rho, scores := d.compare(cur, fs.ref)
+			rho, scores := d.compare(cur, d.refOf(fs))
 			anomalous := !math.IsNaN(rho) && rho < tau
-			if anomalous {
-				alarms = append(alarms, Alarm{
-					Bin:    bin,
-					Router: fs.router,
-					Dst:    fs.dst,
-					Rho:    rho,
-					Hops:   scores,
-				})
-			}
-			if d.cfg.Observer != nil {
-				d.cfg.Observer(Observation{
-					Bin: bin, Router: fs.router, Dst: fs.dst,
-					Rho: rho, Anomalous: anomalous, Packets: total,
-				})
+			if anomalous || d.cfg.Observer != nil {
+				router, dst := d.reg.FlowAddrsOf(id)
+				if anomalous {
+					alarms = append(alarms, Alarm{
+						Bin:    bin,
+						Router: router,
+						Dst:    dst,
+						Rho:    rho,
+						Hops:   scores,
+					})
+				}
+				if d.cfg.Observer != nil {
+					d.cfg.Observer(Observation{
+						Bin: bin, Router: router, Dst: dst,
+						Rho: rho, Anomalous: anomalous, Packets: total,
+					})
+				}
 			}
 		}
 
@@ -498,7 +577,8 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		// hops; hops unseen this bin decay, hops seen for the first time
 		// enter from zero. The first bin seeds the reference directly.
 		if !fs.hasRef {
-			fs.ref = append(fs.ref[:0], cur...)
+			fs.ref = span{off: uint32(len(d.refs)), n: uint32(len(cur))}
+			d.refs = append(ident.Grow(d.refs, len(cur)), cur...)
 			fs.hasRef = true
 			d.refModels++
 			for _, h := range cur {
@@ -508,33 +588,43 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 			}
 			continue
 		}
+		// Hops seen for the first time join the reference in pattern order.
+		// The pattern's hops are distinct, so membership in the reference as
+		// it was decides each, wherever growRef moved it.
+		ref := d.refOf(fs)
+		added := 0
 		for _, h := range cur {
-			found := false
-			for i := range fs.ref {
-				if fs.ref[i].hop == h.hop {
-					found = true
-					break
-				}
-			}
-			if !found {
-				fs.ref = append(fs.ref, hopCount{hop: h.hop})
-				if h.hop != ident.ZeroAddr {
-					d.refNextHops++
-				}
+			if !hasHop(ref, h.hop) {
+				added++
 			}
 		}
-		for i := range fs.ref {
+		if added > 0 {
+			d.growRef(fs, added)
+			for _, h := range cur {
+				if !hasHop(ref, h.hop) {
+					d.refs = append(d.refs, hopCount{hop: h.hop})
+					if h.hop != ident.ZeroAddr {
+						d.refNextHops++
+					}
+				}
+			}
+			fs.ref.n += uint32(added)
+			ref = d.refOf(fs)
+		}
+		for i := range ref {
 			cv := 0.0
 			for _, h := range cur {
-				if h.hop == fs.ref[i].hop {
+				if h.hop == ref[i].hop {
 					cv = h.v
 					break
 				}
 			}
-			fs.ref[i].v = alpha*cv + (1-alpha)*fs.ref[i].v
+			ref[i].v = alpha*cv + (1-alpha)*ref[i].v
 		}
 	}
 
+	d.compactRefs()
+	d.pat = d.pat[:0]
 	d.closeKeys = keys64[:0]
 	d.closeOrd = order[:0]
 	d.touched = d.touched[:0]

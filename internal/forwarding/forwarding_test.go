@@ -346,3 +346,21 @@ func TestWrappedHopNumbersNotPaired(t *testing.T) {
 	ExtractView(in, &v, fn)
 	ExtractContributions(in, r, fn)
 }
+
+// TestBinCloseAllocationFree is the pin BenchmarkFwdBinClose only reports:
+// a warmed detector ingesting and closing an alarm-free bin allocates
+// nothing.
+func TestBinCloseAllocationFree(t *testing.T) {
+	d, run := steadyCloser()
+	step := func() {
+		if alarms := run(); len(alarms) != 0 {
+			t.Fatalf("steady fixture raised %d alarms", len(alarms))
+		}
+	}
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Errorf("bin close allocates %v times per bin, want 0", n)
+	}
+	if cs := d.CloseStats(); cs.Flows == 0 {
+		t.Error("fixture evaluated no pattern against a reference")
+	}
+}

@@ -283,6 +283,19 @@ func GrowTable[T any](s []T, n int, fill T) []T {
 	return s
 }
 
+// Grow returns s with room for n more elements. It grows by an eighth,
+// not by append's doubling: the detectors' open-bin buffers, hop arenas
+// and slot arrays keep their peak capacity for the whole run, so their
+// slack is state a detector retains, while the copies a small step costs
+// are paid only while they still grow.
+func Grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	c := len(s) + n
+	return append(make([]T, 0, max(c+c/8, 64)), s...)
+}
+
 // pairTable is a flat open-addressing table from a 64-bit key to a 32-bit
 // id: a multiplicative hash picks the home slot, collisions probe linearly,
 // and the slot array doubles past 3/4 full. A hit is one multiply and,

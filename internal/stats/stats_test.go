@@ -159,40 +159,3 @@ func TestMagnitude(t *testing.T) {
 		t.Error("Magnitude with empty window should be NaN")
 	}
 }
-
-func TestEWMA(t *testing.T) {
-	e := MakeEWMA(0.1, 3)
-	// During warm-up, reference is the running median.
-	if got := e.Observe(10); got != 10 {
-		t.Errorf("warmup 1 = %v, want 10", got)
-	}
-	if got := e.Observe(20); got != 15 {
-		t.Errorf("warmup 2 = %v, want 15", got)
-	}
-	if got := e.Observe(30); got != 20 {
-		t.Errorf("warmup 3 = %v, want 20 (median of 10,20,30)", got)
-	}
-	if !e.Primed() {
-		t.Fatal("EWMA should be primed after 3 observations")
-	}
-	// Next observation updates exponentially: 0.1*120 + 0.9*20 = 30.
-	if got := e.Observe(120); !almostEqual(got, 30, 1e-12) {
-		t.Errorf("post-warmup = %v, want 30", got)
-	}
-	// Small alpha resists outliers: value stays near 30, far below 1000.
-	v := e.Observe(1000)
-	if v > 130 {
-		t.Errorf("EWMA too sensitive to outlier: %v", v)
-	}
-}
-
-func TestEWMAWarmupClamp(t *testing.T) {
-	e := MakeEWMA(0.5, 0) // clamps to 1
-	e.Observe(4)
-	if !e.Primed() {
-		t.Error("warmup ≤ 1 should prime after first observation")
-	}
-	if got := e.Observe(8); !almostEqual(got, 6, 1e-12) {
-		t.Errorf("got %v, want 6", got)
-	}
-}
