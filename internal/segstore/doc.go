@@ -52,11 +52,22 @@
 //
 // # Reads
 //
-// Committed payloads are read zero-copy through a read-only shared mmap
-// of segments.dat on Linux (remapped lazily as the file grows), with a
-// plain ReadAt fallback elsewhere and on non-os filesystems. Decoding is
-// defensive: any mutated or truncated payload yields a *CorruptError,
-// never a panic — pinned by FuzzSegmentRoundTrip.
+// A committed payload is read one way on every platform and filesystem:
+// one File.ReadAt into the store's buffer, then a decode. Reads are off
+// the timed paths (restart, a replica's store bootstrap, feed catch-up,
+// /api/bins), so a copy per read costs nothing that matters.
+//
+// # Payload codec
+//
+// A payload's layout is written once: one function per row kind
+// (delayRows, fwdRows, eventRows, seriesRows) visits its columns in wire
+// order through a codec that either appends each field or reads it back,
+// so AppendRecord and DecodeRecord cannot disagree. Decoding reads through
+// a bounds-checked cursor whose first failure sticks: any mutated or
+// truncated payload yields a *CorruptError, never a panic — pinned by
+// FuzzSegmentRoundTrip — and TestSegmentCorpusGolden pins the bytes to the
+// fields. Row strings carry a u16 length; AppendRecord, and so Append,
+// refuses a record with a longer one (ErrLongString) and writes nothing.
 //
 // # Crash injection
 //

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -75,14 +76,20 @@ type BinRecord struct {
 // payloadMagic opens every encoded segment payload.
 const payloadMagic = uint32(0x31474553) // "SEG1"
 
-// Minimal encoded size of each row kind, used to reject absurd counts
-// before allocating.
-const (
-	minDelayRow  = 8 + 4*8 + 2*4 + 2 // bin, 4 floats, probes+ases, empty-string len
-	minFwdRow    = 8 + 2*8 + 3*2
-	minEventRow  = 8 + 4 + 1 + 8
-	minSeriesRow = 8 + 4 + 1 + 8
+// Minimal encoded size of each row kind — a zero row, whose strings are
+// empty — used to reject absurd counts before allocating.
+var (
+	minDelayRow  = minRow(delayRows)
+	minFwdRow    = minRow(fwdRows)
+	minEventRow  = minRow(eventRows)
+	minSeriesRow = minRow(seriesRows)
 )
+
+// ErrLongString is the error AppendRecord and Store.Append return for a
+// record holding a row string longer than its u16 length field can state
+// (65 535 bytes). Nothing of such a record is encoded or committed: a
+// truncated string would restore a different row than the one published.
+var ErrLongString = errors.New("segstore: row string longer than 65535 bytes")
 
 // CorruptError reports segment bytes that cannot be decoded. Every decode
 // failure is one of these — decoding never panics on hostile input.
@@ -95,446 +102,283 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("segstore: corrupt segment at byte %d: %s", e.Offset, e.Reason)
 }
 
-func corrupt(off int, format string, args ...any) error {
-	return &CorruptError{Offset: off, Reason: fmt.Sprintf(format, args...)}
-}
-
 // AppendRecord appends the columnar encoding of rec to dst and returns the
-// extended slice. Layout (little-endian throughout):
-//
-//	u32 payload magic, u32 flags (0)
-//	i64 bin, i64 firstBin, i64 results
-//	u32 nDelay, u32 nFwd, u32 nEvents, u32 nMag, u32 nRaw
-//	delay columns:  bins i64×n, median f64×n, ref f64×n, shift f64×n,
-//	                dev f64×n, probes i32×n, ases i32×n, links (u16+bytes)×n
-//	fwd columns:    bins i64×n, rho f64×n, topR f64×n,
-//	                routers (u16+bytes)×n, dsts ×n, topHops ×n
-//	event columns:  asn u32×n, bin i64×n, type u8×n, magnitude f64×n
-//	mag columns:    family u8×n, asn u32×n, bin i64×n, v f64×n
-//	raw columns:    same as mag
-func AppendRecord(dst []byte, rec *BinRecord) []byte {
-	dst = le32(dst, payloadMagic)
-	dst = le32(dst, 0)
-	dst = le64(dst, uint64(rec.Bin.Unix()))
-	dst = le64(dst, uint64(rec.FirstBin.Unix()))
-	dst = le64(dst, uint64(rec.Results))
-	dst = le32(dst, uint32(len(rec.Delay)))
-	dst = le32(dst, uint32(len(rec.Fwd)))
-	dst = le32(dst, uint32(len(rec.Events)))
-	dst = le32(dst, uint32(len(rec.Mag)))
-	dst = le32(dst, uint32(len(rec.Raw)))
-
-	for i := range rec.Delay {
-		dst = le64(dst, uint64(rec.Delay[i].Bin.Unix()))
-	}
-	for i := range rec.Delay {
-		dst = le64(dst, math.Float64bits(rec.Delay[i].MedianMS))
-	}
-	for i := range rec.Delay {
-		dst = le64(dst, math.Float64bits(rec.Delay[i].RefMS))
-	}
-	for i := range rec.Delay {
-		dst = le64(dst, math.Float64bits(rec.Delay[i].ShiftMS))
-	}
-	for i := range rec.Delay {
-		dst = le64(dst, math.Float64bits(rec.Delay[i].Deviation))
-	}
-	for i := range rec.Delay {
-		dst = le32(dst, uint32(rec.Delay[i].Probes))
-	}
-	for i := range rec.Delay {
-		dst = le32(dst, uint32(rec.Delay[i].ASes))
-	}
-	for i := range rec.Delay {
-		dst = leStr(dst, rec.Delay[i].Link)
-	}
-
-	for i := range rec.Fwd {
-		dst = le64(dst, uint64(rec.Fwd[i].Bin.Unix()))
-	}
-	for i := range rec.Fwd {
-		dst = le64(dst, math.Float64bits(rec.Fwd[i].Rho))
-	}
-	for i := range rec.Fwd {
-		dst = le64(dst, math.Float64bits(rec.Fwd[i].TopR))
-	}
-	for i := range rec.Fwd {
-		dst = leStr(dst, rec.Fwd[i].Router)
-	}
-	for i := range rec.Fwd {
-		dst = leStr(dst, rec.Fwd[i].Dst)
-	}
-	for i := range rec.Fwd {
-		dst = leStr(dst, rec.Fwd[i].TopHop)
-	}
-
-	for i := range rec.Events {
-		dst = le32(dst, rec.Events[i].ASN)
-	}
-	for i := range rec.Events {
-		dst = le64(dst, uint64(rec.Events[i].Bin.Unix()))
-	}
-	for i := range rec.Events {
-		dst = append(dst, rec.Events[i].Type)
-	}
-	for i := range rec.Events {
-		dst = le64(dst, math.Float64bits(rec.Events[i].Magnitude))
-	}
-
-	dst = appendSeries(dst, rec.Mag)
-	dst = appendSeries(dst, rec.Raw)
-	return dst
-}
-
-func appendSeries(dst []byte, rows []SeriesRow) []byte {
-	for i := range rows {
-		dst = append(dst, rows[i].Family)
-	}
-	for i := range rows {
-		dst = le32(dst, rows[i].ASN)
-	}
-	for i := range rows {
-		dst = le64(dst, uint64(rows[i].Bin.Unix()))
-	}
-	for i := range rows {
-		dst = le64(dst, math.Float64bits(rows[i].V))
-	}
-	return dst
+// extended slice. It fails only with ErrLongString. The layout is the walk
+// of record and the row functions it calls.
+func AppendRecord(dst []byte, rec *BinRecord) ([]byte, error) {
+	c := codec{b: dst, enc: true}
+	c.record(rec)
+	return c.b, c.err
 }
 
 // DecodeRecord decodes a segment payload into rec, reusing rec's slices.
 // Any malformed input yields a *CorruptError; valid encodings round-trip
 // exactly (AppendRecord ∘ DecodeRecord is the identity on the encoding).
 func DecodeRecord(b []byte, rec *BinRecord) error {
-	r := reader{b: b}
-	magic, err := r.u32()
-	if err != nil {
-		return err
+	c := codec{b: b}
+	c.record(rec)
+	if c.err == nil && c.off != len(b) {
+		c.fail(c.off, "%d trailing bytes", len(b)-c.off)
 	}
-	if magic != payloadMagic {
-		return corrupt(0, "bad payload magic %#x", magic)
-	}
-	flags, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if flags != 0 {
-		return corrupt(4, "unsupported payload flags %#x", flags)
-	}
-	binSec, err := r.i64()
-	if err != nil {
-		return err
-	}
-	firstSec, err := r.i64()
-	if err != nil {
-		return err
-	}
-	results, err := r.i64()
-	if err != nil {
-		return err
-	}
-	nDelay, err := r.count(minDelayRow)
-	if err != nil {
-		return err
-	}
-	nFwd, err := r.count(minFwdRow)
-	if err != nil {
-		return err
-	}
-	nEvents, err := r.count(minEventRow)
-	if err != nil {
-		return err
-	}
-	nMag, err := r.count(minSeriesRow)
-	if err != nil {
-		return err
-	}
-	nRaw, err := r.count(minSeriesRow)
-	if err != nil {
-		return err
-	}
-
-	rec.Bin = unixUTC(binSec)
-	rec.FirstBin = unixUTC(firstSec)
-	rec.Results = results
-	rec.Delay = growDelay(rec.Delay[:0], nDelay)
-	rec.Fwd = growFwd(rec.Fwd[:0], nFwd)
-	rec.Events = growEvents(rec.Events[:0], nEvents)
-	rec.Mag = growSeries(rec.Mag[:0], nMag)
-	rec.Raw = growSeries(rec.Raw[:0], nRaw)
-
-	for i := range rec.Delay {
-		s, err := r.i64()
-		if err != nil {
-			return err
-		}
-		rec.Delay[i].Bin = unixUTC(s)
-	}
-	for i := range rec.Delay {
-		if rec.Delay[i].MedianMS, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Delay {
-		if rec.Delay[i].RefMS, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Delay {
-		if rec.Delay[i].ShiftMS, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Delay {
-		if rec.Delay[i].Deviation, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Delay {
-		v, err := r.u32()
-		if err != nil {
-			return err
-		}
-		rec.Delay[i].Probes = int32(v)
-	}
-	for i := range rec.Delay {
-		v, err := r.u32()
-		if err != nil {
-			return err
-		}
-		rec.Delay[i].ASes = int32(v)
-	}
-	for i := range rec.Delay {
-		if rec.Delay[i].Link, err = r.str(); err != nil {
-			return err
-		}
-	}
-
-	for i := range rec.Fwd {
-		s, err := r.i64()
-		if err != nil {
-			return err
-		}
-		rec.Fwd[i].Bin = unixUTC(s)
-	}
-	for i := range rec.Fwd {
-		if rec.Fwd[i].Rho, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Fwd {
-		if rec.Fwd[i].TopR, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Fwd {
-		if rec.Fwd[i].Router, err = r.str(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Fwd {
-		if rec.Fwd[i].Dst, err = r.str(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Fwd {
-		if rec.Fwd[i].TopHop, err = r.str(); err != nil {
-			return err
-		}
-	}
-
-	for i := range rec.Events {
-		if rec.Events[i].ASN, err = r.u32(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Events {
-		s, err := r.i64()
-		if err != nil {
-			return err
-		}
-		rec.Events[i].Bin = unixUTC(s)
-	}
-	for i := range rec.Events {
-		if rec.Events[i].Type, err = r.u8(); err != nil {
-			return err
-		}
-	}
-	for i := range rec.Events {
-		if rec.Events[i].Magnitude, err = r.f64(); err != nil {
-			return err
-		}
-	}
-
-	if err := decodeSeries(&r, rec.Mag); err != nil {
-		return err
-	}
-	if err := decodeSeries(&r, rec.Raw); err != nil {
-		return err
-	}
-	if r.off != len(r.b) {
-		return corrupt(r.off, "%d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
+	return c.err
 }
 
-func decodeSeries(r *reader, rows []SeriesRow) error {
-	var err error
-	for i := range rows {
-		if rows[i].Family, err = r.u8(); err != nil {
-			return err
-		}
-		if rows[i].Family > FamilyFwd {
-			return corrupt(r.off-1, "bad series family %d", rows[i].Family)
-		}
+// record walks one payload. Little-endian throughout: u32 magic, u32 flags
+// (0), the bin, the first bin and the result count, the five row counts,
+// then each row kind's columns in the order its row function visits them.
+// All counts precede all rows so that decoding checks them together before
+// allocating any row.
+func (c *codec) record(rec *BinRecord) {
+	magic, flags := payloadMagic, uint32(0)
+	if c.u32(&magic); magic != payloadMagic {
+		c.fail(0, "bad payload magic %#x", magic)
 	}
-	for i := range rows {
-		if rows[i].ASN, err = r.u32(); err != nil {
-			return err
-		}
+	if c.u32(&flags); flags != 0 {
+		c.fail(4, "unsupported payload flags %#x", flags)
 	}
-	for i := range rows {
-		s, err := r.i64()
-		if err != nil {
-			return err
-		}
-		rows[i].Bin = unixUTC(s)
+	c.time(&rec.Bin)
+	c.time(&rec.FirstBin)
+	c.i64(&rec.Results)
+	nDelay := c.count(len(rec.Delay), minDelayRow)
+	nFwd := c.count(len(rec.Fwd), minFwdRow)
+	nEvents := c.count(len(rec.Events), minEventRow)
+	nMag := c.count(len(rec.Mag), minSeriesRow)
+	nRaw := c.count(len(rec.Raw), minSeriesRow)
+	if !c.enc {
+		rec.Delay = resize(rec.Delay, nDelay)
+		rec.Fwd = resize(rec.Fwd, nFwd)
+		rec.Events = resize(rec.Events, nEvents)
+		rec.Mag = resize(rec.Mag, nMag)
+		rec.Raw = resize(rec.Raw, nRaw)
 	}
-	for i := range rows {
-		if rows[i].V, err = r.f64(); err != nil {
-			return err
-		}
-	}
-	return nil
+	delayRows(c, rec.Delay)
+	fwdRows(c, rec.Fwd)
+	eventRows(c, rec.Events)
+	seriesRows(c, rec.Mag)
+	seriesRows(c, rec.Raw)
 }
 
-// unixUTC restores a bin time. Bins are whole-second UTC wall times
-// (timeseries.Bin truncates), so this is an exact round trip.
+func delayRows(c *codec, rows []DelayRow) {
+	for i := range rows {
+		c.time(&rows[i].Bin)
+	}
+	for i := range rows {
+		c.f64(&rows[i].MedianMS)
+	}
+	for i := range rows {
+		c.f64(&rows[i].RefMS)
+	}
+	for i := range rows {
+		c.f64(&rows[i].ShiftMS)
+	}
+	for i := range rows {
+		c.f64(&rows[i].Deviation)
+	}
+	for i := range rows {
+		c.i32(&rows[i].Probes)
+	}
+	for i := range rows {
+		c.i32(&rows[i].ASes)
+	}
+	for i := range rows {
+		c.str(&rows[i].Link)
+	}
+}
+
+func fwdRows(c *codec, rows []FwdRow) {
+	for i := range rows {
+		c.time(&rows[i].Bin)
+	}
+	for i := range rows {
+		c.f64(&rows[i].Rho)
+	}
+	for i := range rows {
+		c.f64(&rows[i].TopR)
+	}
+	for i := range rows {
+		c.str(&rows[i].Router)
+	}
+	for i := range rows {
+		c.str(&rows[i].Dst)
+	}
+	for i := range rows {
+		c.str(&rows[i].TopHop)
+	}
+}
+
+func eventRows(c *codec, rows []EventRow) {
+	for i := range rows {
+		c.u32(&rows[i].ASN)
+	}
+	for i := range rows {
+		c.time(&rows[i].Bin)
+	}
+	for i := range rows {
+		c.u8(&rows[i].Type)
+	}
+	for i := range rows {
+		c.f64(&rows[i].Magnitude)
+	}
+}
+
+// seriesRows is the layout of both the magnitude points and the raw sums.
+func seriesRows(c *codec, rows []SeriesRow) {
+	for i := range rows {
+		if c.u8(&rows[i].Family); !c.enc && rows[i].Family > FamilyFwd {
+			c.fail(c.off-1, "bad series family %d", rows[i].Family)
+		}
+	}
+	for i := range rows {
+		c.u32(&rows[i].ASN)
+	}
+	for i := range rows {
+		c.time(&rows[i].Bin)
+	}
+	for i := range rows {
+		c.f64(&rows[i].V)
+	}
+}
+
+// minRow is the encoded size of one zero row of a kind.
+func minRow[T any](rows func(*codec, []T)) int {
+	c := codec{enc: true}
+	rows(&c, make([]T, 1))
+	return len(c.b)
+}
+
+// resize returns s resized to n rows, reallocating only when it must.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// codec visits the fields of one payload in wire order. Encoding appends
+// each field to b; decoding reads it from b at off, bounds-checked. The
+// first failure sticks: every later field is skipped, so a walk reports
+// where it first went wrong.
+type codec struct {
+	b   []byte
+	off int // decoding: the read cursor
+	enc bool
+	err error
+
+	claimed int64 // decoding: bytes the row counts read so far need at least
+}
+
+func (c *codec) fail(off int, format string, args ...any) {
+	if c.err == nil {
+		c.err = &CorruptError{Offset: off, Reason: fmt.Sprintf(format, args...)}
+	}
+}
+
+// take consumes the next n payload bytes; ok is false once decoding failed.
+func (c *codec) take(n int) (p []byte, ok bool) {
+	if c.err != nil {
+		return nil, false
+	}
+	if len(c.b)-c.off < n {
+		c.fail(c.off, "truncated: need %d bytes, have %d", n, len(c.b)-c.off)
+		return nil, false
+	}
+	c.off += n
+	return c.b[c.off-n : c.off], true
+}
+
+func (c *codec) u8(v *uint8) {
+	if c.enc {
+		c.b = append(c.b, *v)
+	} else if p, ok := c.take(1); ok {
+		*v = p[0]
+	}
+}
+
+func (c *codec) u32(v *uint32) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *v)
+	} else if p, ok := c.take(4); ok {
+		*v = binary.LittleEndian.Uint32(p)
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *v)
+	} else if p, ok := c.take(8); ok {
+		*v = binary.LittleEndian.Uint64(p)
+	}
+}
+
+// The conversions below write back only when decoding: an encoded record
+// may be read concurrently and is never written.
+
+func (c *codec) i32(v *int32) {
+	u := uint32(*v)
+	if c.u32(&u); !c.enc {
+		*v = int32(u)
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	u := uint64(*v)
+	if c.u64(&u); !c.enc {
+		*v = int64(u)
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	u := math.Float64bits(*v)
+	if c.u64(&u); !c.enc {
+		*v = math.Float64frombits(u)
+	}
+}
+
+// time visits a bin time as unix seconds. Bins are whole-second UTC wall
+// times (timeseries.Bin truncates), so this is an exact round trip.
+func (c *codec) time(t *time.Time) {
+	s := t.Unix()
+	if c.i64(&s); !c.enc {
+		*t = unixUTC(s)
+	}
+}
+
+// str visits a string as a u16 length and its bytes.
+func (c *codec) str(s *string) {
+	if c.enc {
+		if len(*s) > math.MaxUint16 {
+			c.err = ErrLongString
+			return
+		}
+		c.b = binary.LittleEndian.AppendUint16(c.b, uint16(len(*s)))
+		c.b = append(c.b, *s...)
+	} else if p, ok := c.take(2); ok {
+		if q, ok := c.take(int(binary.LittleEndian.Uint16(p))); ok {
+			*s = string(q)
+		}
+	}
+}
+
+// count visits a row count. Decoding rejects it unless the rows of every
+// count read so far, each at its minimal size, fit in the bytes left, so a
+// hostile header cannot trigger allocations beyond a small multiple of the
+// payload before the per-field bounds checks run. It returns 0 after a
+// failure.
+func (c *codec) count(n, minRow int) int {
+	v := uint32(n)
+	if c.u32(&v); c.enc {
+		return n
+	}
+	if c.claimed += int64(v) * int64(minRow); c.err == nil && c.claimed > int64(len(c.b)-c.off) {
+		c.fail(c.off-4, "count %d exceeds payload capacity", v)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
 func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
 func le32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
 func le64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-
-func leStr(dst []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		// Link/router keys are short interned identifiers; anything this
-		// long is a bug upstream. Truncate deterministically rather than
-		// corrupt the frame.
-		s = s[:math.MaxUint16]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func growDelay(s []DelayRow, n int) []DelayRow {
-	if cap(s) < n {
-		return make([]DelayRow, n)
-	}
-	return s[:n]
-}
-
-func growFwd(s []FwdRow, n int) []FwdRow {
-	if cap(s) < n {
-		return make([]FwdRow, n)
-	}
-	return s[:n]
-}
-
-func growEvents(s []EventRow, n int) []EventRow {
-	if cap(s) < n {
-		return make([]EventRow, n)
-	}
-	return s[:n]
-}
-
-func growSeries(s []SeriesRow, n int) []SeriesRow {
-	if cap(s) < n {
-		return make([]SeriesRow, n)
-	}
-	return s[:n]
-}
-
-// reader is a bounds-checked little-endian cursor over a payload.
-type reader struct {
-	b   []byte
-	off int
-
-	claimed int64 // bytes the row counts read so far need at least
-}
-
-func (r *reader) need(n int) error {
-	if len(r.b)-r.off < n {
-		return corrupt(r.off, "truncated: need %d bytes, have %d", n, len(r.b)-r.off)
-	}
-	return nil
-}
-
-func (r *reader) u8() (uint8, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	if err := r.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) i64() (int64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return int64(v), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.i64()
-	return math.Float64frombits(uint64(v)), err
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-// count reads a row count and rejects it unless the rows of every count
-// read so far, each at its minimal size, fit in the bytes left, so a
-// hostile header cannot trigger allocations beyond a small multiple of the
-// payload before the per-field bounds checks run.
-func (r *reader) count(minRow int) (int, error) {
-	v, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	r.claimed += int64(v) * int64(minRow)
-	if r.claimed > int64(len(r.b)-r.off) {
-		return 0, corrupt(r.off-4, "count %d exceeds payload capacity", v)
-	}
-	return int(v), nil
-}

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,8 +52,7 @@ type Store struct {
 	data     File
 	entries  []entry
 	dataEnd  int64  // end offset of the committed prefix
-	buf      []byte // Append's frame; the copying read fallback's payload
-	mm       []byte // read-only mmap of segments.dat, if available
+	buf      []byte // Append's frame; Payload's bytes
 	rec      RecoveryInfo
 	failed   error // first Append I/O error; sticky
 	readonly bool
@@ -98,7 +98,6 @@ func openFS(fsys FS, readonly bool) (*Store, error) {
 		s.data.Close()
 		return nil, err
 	}
-	s.remap()
 	return s, nil
 }
 
@@ -164,7 +163,7 @@ func (s *Store) recover() error {
 		if !ok || e.off != pos+entrySize || e.off+int64(e.length) > size || e.bin <= lastBin {
 			break
 		}
-		s.buf = grow(s.buf, int(e.length))
+		s.buf = resize(s.buf, int(e.length))
 		if _, err := io.ReadFull(r, s.buf); err != nil {
 			return fmt.Errorf("segstore: reading segment at %d: %w", e.off, err)
 		}
@@ -242,7 +241,9 @@ func (s *Store) LastBin() (time.Time, bool) {
 // strictly increasing. After a failed write or sync the kernel's view of
 // those pages is undefined (a retried fsync can report success for data it
 // dropped), so the first such error is sticky: every later Append returns
-// it. Reads keep working; reopening recovers the committed prefix.
+// it. Reads keep working; reopening recovers the committed prefix. A record
+// AppendRecord refuses (ErrLongString) is an error too, but not a sticky
+// one: nothing of it was written.
 func (s *Store) Append(rec *BinRecord) error {
 	if s.readonly {
 		return errors.New("segstore: store is open read-only")
@@ -254,7 +255,10 @@ func (s *Store) Append(rec *BinRecord) error {
 		return fmt.Errorf("segstore: bin %s not after last committed bin %s",
 			rec.Bin.UTC().Format(time.RFC3339), unixUTC(s.entries[len(s.entries)-1].bin).Format(time.RFC3339))
 	}
-	s.buf = AppendRecord(grow(s.buf, entrySize), rec)
+	var err error
+	if s.buf, err = AppendRecord(resize(s.buf, entrySize), rec); err != nil {
+		return err
+	}
 	payload := s.buf[entrySize:]
 	e := entry{
 		off:    s.dataEnd + entrySize,
@@ -276,23 +280,14 @@ func (s *Store) Append(rec *BinRecord) error {
 	return nil
 }
 
-// Payload returns the raw committed payload bytes of segment i. The slice
-// aliases the mmap window when one is mapped — treat it as read-only and
-// do not retain it across Append calls.
+// Payload returns the raw committed payload bytes of segment i, read into
+// the store's buffer: do not retain the slice across Append, Payload or
+// Record calls.
 func (s *Store) Payload(i int) ([]byte, error) {
 	e := s.entries[i]
-	end := e.off + int64(e.length)
-	if end > int64(len(s.mm)) {
-		// Segment beyond the mapped window (appended since the last remap):
-		// try growing the map once, then fall back to a copying read.
-		s.remap()
-	}
-	if end <= int64(len(s.mm)) {
-		return s.mm[e.off:end:end], nil
-	}
-	s.buf = grow(s.buf, int(e.length))
-	if _, err := readFull(s.data, s.buf, e.off); err != nil {
-		return nil, fmt.Errorf("segstore: reading segment %d: %w", i, err)
+	s.buf = resize(s.buf, int(e.length))
+	if n, err := s.data.ReadAt(s.buf, e.off); n != len(s.buf) {
+		return nil, fmt.Errorf("segstore: reading segment %d: %w", i, cmp.Or(err, io.ErrUnexpectedEOF))
 	}
 	return s.buf, nil
 }
@@ -306,58 +301,6 @@ func (s *Store) Record(i int, rec *BinRecord) error {
 	return DecodeRecord(b, rec)
 }
 
-// remap (re)maps the committed data prefix read-only when the backing file
-// supports it. Failure just leaves the ReadAt path in place.
-func (s *Store) remap() {
-	mp, ok := s.data.(mmapper)
-	if !ok {
-		return
-	}
-	if s.dataEnd <= int64(len(s.mm)) {
-		return
-	}
-	if s.mm != nil {
-		mp.munmap(s.mm)
-		s.mm = nil
-	}
-	if m, err := mp.mmap(s.dataEnd); err == nil {
-		s.mm = m
-	}
-}
-
 // Close releases the file. It does not sync: every Append already left
 // the store durable.
-func (s *Store) Close() error {
-	if s.mm != nil {
-		if mp, ok := s.data.(mmapper); ok {
-			mp.munmap(s.mm)
-		}
-		s.mm = nil
-	}
-	return s.data.Close()
-}
-
-// mmapper is the optional zero-copy read fast path a File may provide.
-type mmapper interface {
-	mmap(size int64) ([]byte, error)
-	munmap(b []byte)
-}
-
-// grow returns b resized to n bytes, reallocating only when it must.
-func grow(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
-
-func readFull(f File, p []byte, off int64) (int, error) {
-	n, err := f.ReadAt(p, off)
-	if n == len(p) {
-		return n, nil
-	}
-	if err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
+func (s *Store) Close() error { return s.data.Close() }

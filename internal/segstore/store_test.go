@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -53,6 +54,16 @@ func synthRecord(i int) *BinRecord {
 	return rec
 }
 
+// encode is AppendRecord for a record that must encode.
+func encode(t testing.TB, rec *BinRecord) []byte {
+	t.Helper()
+	b, err := AppendRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func synthRecords(n int) []*BinRecord {
 	out := make([]*BinRecord, n)
 	for i := range out {
@@ -63,7 +74,7 @@ func synthRecords(n int) []*BinRecord {
 
 func TestRecordRoundTrip(t *testing.T) {
 	for i, rec := range synthRecords(12) {
-		enc := AppendRecord(nil, rec)
+		enc := encode(t, rec)
 		var got BinRecord
 		if err := DecodeRecord(enc, &got); err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
@@ -72,7 +83,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: round trip mismatch\n in: %+v\nout: %+v", i, rec, &got)
 		}
 		// Re-encoding the decoded record must reproduce the bytes.
-		if re := AppendRecord(nil, &got); !bytes.Equal(enc, re) {
+		if re := encode(t, &got); !bytes.Equal(enc, re) {
 			t.Fatalf("record %d: re-encode differs", i)
 		}
 	}
@@ -108,13 +119,13 @@ func TestRecordRoundTripNaN(t *testing.T) {
 		FirstBin: time.Unix(0, 0).UTC(),
 		Mag:      []SeriesRow{{Bin: time.Unix(3600, 0).UTC(), ASN: 1, Family: FamilyDelay, V: math.NaN()}},
 	}
-	enc := AppendRecord(nil, rec)
+	enc := encode(t, rec)
 	var got BinRecord
 	if err := DecodeRecord(enc, &got); err != nil {
 		t.Fatal(err)
 	}
 	// NaN payloads must survive bit-for-bit (magnitudes can be NaN).
-	if re := AppendRecord(nil, &got); !bytes.Equal(enc, re) {
+	if re := encode(t, &got); !bytes.Equal(enc, re) {
 		t.Fatal("NaN payload did not round-trip bit-identically")
 	}
 }
@@ -175,6 +186,62 @@ func TestStoreAppendReopen(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesLongString: a row string longer than its u16 length
+// field can state is refused whole rather than committed truncated, where
+// a restart or a replica would restore a different row than the one
+// published. Nothing is written, the store stays readable and not
+// poisoned, and a reopen recovers the same prefix.
+func TestAppendRefusesLongString(t *testing.T) {
+	long := strings.Repeat("x", 70_000)
+	for _, tc := range []struct {
+		name string
+		set  func(*BinRecord)
+	}{
+		{"link", func(r *BinRecord) { r.Delay = []DelayRow{{Bin: r.Bin, Link: long}} }},
+		{"router", func(r *BinRecord) { r.Fwd = []FwdRow{{Bin: r.Bin, Router: long}} }},
+		{"dst", func(r *BinRecord) { r.Fwd = []FwdRow{{Bin: r.Bin, Dst: long}} }},
+		{"top hop", func(r *BinRecord) { r.Fwd = []FwdRow{{Bin: r.Bin, TopHop: long}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewMemFS()
+			st, err := OpenFS(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := synthRecords(3)
+			for _, rec := range recs[:2] {
+				if err := st.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := *recs[2]
+			tc.set(&bad)
+			stop := fs.StartJournal()
+			if err := st.Append(&bad); !errors.Is(err, ErrLongString) {
+				t.Fatalf("Append of a %d-byte %s: error %v, want ErrLongString", len(long), tc.name, err)
+			}
+			if ops := stop(); len(ops) != 0 {
+				t.Fatalf("refused Append issued %d file operations", len(ops))
+			}
+			checkStore(t, st, recs[:2])
+			st.Close()
+
+			if st, err = OpenFS(fs); err != nil {
+				t.Fatal(err)
+			}
+			if ri := st.Recovery(); ri.Bins != 2 || ri.Truncated != 0 {
+				t.Fatalf("reopen recovery = %+v, want 2 bins and no torn tail", ri)
+			}
+			checkStore(t, st, recs[:2])
+			if err := st.Append(recs[2]); err != nil {
+				t.Fatalf("Append after a refused record: %v", err)
+			}
+			checkStore(t, st, recs)
+			st.Close()
+		})
+	}
+}
+
 func checkStore(t *testing.T, st *Store, want []*BinRecord) {
 	t.Helper()
 	if st.Len() != len(want) {
@@ -205,7 +272,7 @@ func checkStore(t *testing.T, st *Store, want []*BinRecord) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	enc := AppendRecord(nil, synthRecord(5))
+	enc := encode(t, synthRecord(5))
 	cases := map[string][]byte{
 		"empty":     {},
 		"short":     enc[:3],
@@ -284,7 +351,7 @@ func TestV1DirectoryRefused(t *testing.T) {
 		binary.LittleEndian.PutUint32(hdr[8:], 1)
 		return hdr
 	}
-	payload := AppendRecord(nil, synthRecord(1))
+	payload := encode(t, synthRecord(1))
 	want := map[string][]byte{
 		dataName: append(v1Header("PPSEGDAT"), payload...),
 		"manifest.log": appendEntry(v1Header("PPSEGMAN"), entry{

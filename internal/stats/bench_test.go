@@ -142,15 +142,3 @@ func BenchmarkNormalizedEntropy(b *testing.B) {
 		NormalizedEntropy(counts)
 	}
 }
-
-func BenchmarkSortedSamplesAdd(b *testing.B) {
-	var s SortedSamples
-	rng := rand.New(rand.NewPCG(2, 2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if s.Len() > 4096 {
-			s.Reset()
-		}
-		s.Add(rng.Float64())
-	}
-}

@@ -15,16 +15,6 @@ func Median(xs []float64) float64 {
 	return medianSorted(s)
 }
 
-// MedianSorted returns the median of a slice already sorted in ascending
-// order, or NaN for an empty slice. It is the allocation-free companion of
-// Median for hot paths that maintain sorted sample buffers.
-func MedianSorted(sorted []float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	return medianSorted(sorted)
-}
-
 func medianSorted(s []float64) float64 {
 	n := len(s)
 	if n%2 == 1 {
@@ -123,21 +113,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Rank returns the fraction of elements of xs that are ≤ v, i.e. the
-// empirical CDF of xs evaluated at v. It returns NaN for an empty slice.
-func Rank(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 func sortedCopy(xs []float64) []float64 {

@@ -84,28 +84,3 @@ func TestMinMax(t *testing.T) {
 		t.Error("Min/Max of empty should be NaN")
 	}
 }
-
-func TestRank(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Rank(xs, 2.5); got != 0.5 {
-		t.Errorf("Rank = %v, want 0.5", got)
-	}
-	if got := Rank(xs, 0); got != 0 {
-		t.Errorf("Rank = %v, want 0", got)
-	}
-	if got := Rank(xs, 10); got != 1 {
-		t.Errorf("Rank = %v, want 1", got)
-	}
-	if !math.IsNaN(Rank(nil, 1)) {
-		t.Error("Rank of empty should be NaN")
-	}
-}
-
-func TestMedianSorted(t *testing.T) {
-	if got := MedianSorted([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("MedianSorted = %v, want 2.5", got)
-	}
-	if !math.IsNaN(MedianSorted(nil)) {
-		t.Error("MedianSorted(nil) should be NaN")
-	}
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Z95 is the standard normal quantile for a two-sided 95% confidence level,
 // the value the paper plugs into the Wilson score (§4.2.2).
@@ -122,38 +119,4 @@ func MeanCI(xs []float64, z float64) MedianCI {
 	m := Mean(xs)
 	se := Stddev(xs) / math.Sqrt(float64(n))
 	return MedianCI{Median: m, Lower: m - z*se, Upper: m + z*se, N: n}
-}
-
-// insertSorted inserts v into a sorted slice, keeping it sorted.
-// It is used by streaming consumers that maintain per-link sample buffers.
-func insertSorted(s []float64, v float64) []float64 {
-	i := sort.SearchFloat64s(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// SortedSamples is a growable, always-sorted sample buffer for computing
-// order statistics incrementally within a time bin.
-// The zero value is ready to use.
-type SortedSamples struct {
-	s []float64
-}
-
-// Add inserts one sample.
-func (b *SortedSamples) Add(v float64) { b.s = insertSorted(b.s, v) }
-
-// Len returns the number of samples.
-func (b *SortedSamples) Len() int { return len(b.s) }
-
-// Reset empties the buffer but keeps its capacity for reuse.
-func (b *SortedSamples) Reset() { b.s = b.s[:0] }
-
-// Values returns the sorted backing slice. The caller must not modify it.
-func (b *SortedSamples) Values() []float64 { return b.s }
-
-// MedianWilson computes the median confidence interval of the buffer.
-func (b *SortedSamples) MedianWilson(z float64) MedianCI {
-	return MedianWilsonSorted(b.s, z)
 }

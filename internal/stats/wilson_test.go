@@ -156,27 +156,3 @@ func TestMeanCI(t *testing.T) {
 		t.Error("empty MeanCI should be invalid")
 	}
 }
-
-func TestSortedSamples(t *testing.T) {
-	var b SortedSamples
-	for _, v := range []float64{5, 1, 4, 2, 3} {
-		b.Add(v)
-	}
-	if b.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", b.Len())
-	}
-	vals := b.Values()
-	for i := 1; i < len(vals); i++ {
-		if vals[i-1] > vals[i] {
-			t.Fatalf("buffer not sorted: %v", vals)
-		}
-	}
-	ci := b.MedianWilson(Z95)
-	if ci.Median != 3 {
-		t.Errorf("buffer median = %v, want 3", ci.Median)
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Error("Reset should empty the buffer")
-	}
-}
