@@ -9,7 +9,6 @@
 //	ihr -case ddos -input ddos.ndjson.gz -decode-workers 4
 //	ihr -case ddos -store /var/lib/ihr/ddos
 //	ihr -follow http://writer:8080 -addr :8081
-//	ihr -follow http://writer:8080 -case ddos -store /var/lib/ihr/ddos
 //
 // With -input the server replays an NDJSON dump (e.g. from atlasgen)
 // through the parallel ingest pipeline instead of generating live; the
@@ -20,15 +19,16 @@
 // directory rebuilds the snapshot from the committed segments, replays the
 // deterministic input as warmup, and resumes committing at the first
 // uncovered bin — serving byte-identical payloads to an uninterrupted run.
+// The store is the writer's alone: it is written at every bin close and
+// read only at that restart.
 //
 // With -follow the process is a replica instead of a writer: it runs no
 // analysis, tails the writer's versioned replication feed (/api/stream),
 // rebuilds byte-identical snapshots and serves the same read API. Replicas
 // resync automatically across disconnects and writer restarts; N replicas
-// behind any load balancer form a horizontally scalable read tier. Adding
-// -store (plus -case for the run identity) bootstraps the replica from
-// local segment files — e.g. a writer directory on shared storage — so only
-// the bins missing from the files travel over the feed.
+// behind any load balancer form a horizontally scalable read tier. The feed
+// is a replica's only source of history, so -follow rejects -store as it
+// rejects -input.
 //
 // Endpoints (see internal/serve for filters, pagination, ETag and SSE):
 //
@@ -37,7 +37,7 @@
 //	GET /api/alarms/forwarding forwarding anomalies
 //	GET /api/events            major per-AS events
 //	GET /api/magnitude?asn=N   hourly magnitude series for one AS
-//	GET /api/bins[?bin=T]      committed-bin index / one bin's payload (-store only)
+//	GET /api/bins[?bin=T]      closed-bin index / one bin's payload (every role)
 //	GET /api/stream            SSE delta stream (one event per closed bin)
 //	GET /                      human-readable summary
 //
@@ -96,7 +96,7 @@ func main() {
 	genWorkers := flag.Int("gen-workers", 0, "measurement generator workers (0 = all CPUs, 1 = inline)")
 	input := flag.String("input", "", "comma-separated NDJSON dump paths to analyze instead of live generation (.gz ok, - for stdin)")
 	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for -input (0 = all CPUs, 1 = inline)")
-	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence; reopening resumes past committed bins and adds /api/bins time travel")
+	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence; reopening resumes past committed bins")
 	follow := flag.String("follow", "", "writer base URL to replicate (e.g. http://writer:8080): run as a read replica tailing its feed instead of analyzing locally")
 	flag.Parse()
 
@@ -121,7 +121,10 @@ func main() {
 		if *input != "" {
 			log.Fatal("-follow and -input are mutually exclusive (a replica runs no analysis)")
 		}
-		runFollower(c, *follow, *addr, *storeDir)
+		if *storeDir != "" {
+			log.Fatal("-follow and -store are mutually exclusive (a replica takes its history from the feed)")
+		}
+		runFollower(*follow, *addr)
 		return
 	}
 
@@ -178,33 +181,14 @@ func main() {
 }
 
 // runFollower is the replica role: no analyzer, no ingest — tail the
-// writer's replication feed and serve the rebuilt snapshots. With a store
-// directory the replica bootstraps from the local segment files first and
-// only tails the bins they are missing.
-func runFollower(c *experiments.Case, url, addr, storeDir string) {
-	opts := serve.FollowerOptions{
+// writer's replication feed and serve the rebuilt snapshots.
+func runFollower(url, addr string) {
+	f, err := serve.NewFollower(serve.FollowerOptions{
 		URL:  strings.TrimRight(url, "/"),
 		Logf: log.Printf,
-	}
-	if storeDir != "" {
-		opts.StoreDir = storeDir
-		opts.Meta = serve.Meta{
-			Case:        c.Name,
-			Description: c.Description,
-			Start:       c.Start,
-			End:         c.End,
-		}
-		// The writer's bin size comes from the engine config; resolve the
-		// same default here instead of hardcoding it, so a future non-hour
-		// case cannot make -follow -store fail the hello's bin-size check.
-		opts.BinSize = core.Config{}.BinSize()
-	}
-	f, err := serve.NewFollower(opts)
+	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if storeDir != "" {
-		log.Printf("store %s: bootstrapped to snapshot seq %d", storeDir, f.Snapshot().Seq)
 	}
 	srv := serve.NewServer(f, serve.Options{Addr: addr})
 

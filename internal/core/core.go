@@ -64,9 +64,8 @@ type Config struct {
 const AutoWorkers = -1
 
 // BinSize resolves the analysis bin size this configuration yields — the
-// shared Delay/Forwarding/Events bin after defaults apply. Roles that run
-// no analyzer (a serve.Follower bootstrapping from store files) use it to
-// agree with the writer's engine instead of hardcoding the default.
+// shared Delay/Forwarding/Events bin after defaults apply — so a caller can
+// check its flags against it before any analyzer exists.
 func (c Config) BinSize() time.Duration { return c.withDefaults().Delay.BinSize }
 
 func (c Config) withDefaults() Config {

@@ -53,9 +53,9 @@
 // # Reads
 //
 // A committed payload is read one way on every platform and filesystem:
-// one File.ReadAt into the store's buffer, then a decode. Reads are off
-// the timed paths (restart, a replica's store bootstrap, feed catch-up,
-// /api/bins), so a copy per read costs nothing that matters.
+// one File.ReadAt into the store's buffer, then a decode. The serving
+// layer reads records only at a writer's restart boot — off the timed
+// paths — so a copy per read costs nothing that matters.
 //
 // # Payload codec
 //

@@ -71,8 +71,8 @@ func Open(dir string) (*Store, error) {
 // virtual (a torn tail is ignored, not truncated) and Append is rejected.
 // Because committed data is append-only, a read-only store is safe to open
 // on a directory another process is actively committing to — it serves the
-// prefix that was durable at open time. This is the follower bootstrap
-// entry point (serve.NewFollower with a local store directory).
+// prefix that was durable at open time: the entry point for tools that
+// read a live writer's committed records.
 func OpenReadOnly(dir string) (*Store, error) {
 	fsys, err := DirFSReadOnly(dir)
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -365,4 +366,41 @@ func BenchmarkServeIngest(b *testing.B) {
 			b.ReportMetric(float64(results)/b.Elapsed().Seconds(), "results/s")
 		})
 	}
+}
+
+// BenchmarkReplicaCatchUp is a fresh follower's whole catch-up (?since=0)
+// against the completed quick ddos writer: every seq cut from the writer's
+// snapshot and JSON-encoded as the stream handler sends it, per op.
+func BenchmarkReplicaCatchUp(b *testing.B) {
+	c, err := experiments.NewCase("ddos", experiments.Quick)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := core.New(core.Config{Workers: 1}, c.Platform.ProbeASN, c.Net.Prefixes())
+	defer a.Close()
+	pub := NewPublisher(a, Meta{Case: c.Name, Start: c.Start, End: c.End})
+	err = c.Platform.RunChunks(context.Background(), c.Start, c.End, 0, func(rs []trace.Result) error {
+		a.ObserveBatch(rs)
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.Flush()
+	pub.Finish(nil)
+	snap := pub.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var bytes int
+	for i := 0; i < b.N; i++ {
+		for d := range snap.catchUp(0) {
+			enc, err := json.Marshal(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes += len(enc)
+		}
+	}
+	b.ReportMetric(float64(snap.Seq), "deltas/op")
+	b.ReportMetric(float64(bytes)/float64(b.N), "wire-B/op")
 }

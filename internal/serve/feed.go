@@ -1,30 +1,31 @@
 package serve
 
 // The versioned replication feed: the wire contract between a role that
-// publishes snapshots and the followers behind it. Every delta that is not
-// a whole-state resync is deltaFromRecord of one bin's segstore.BinRecord —
-// on the writer as the bin closes, on any role when catch-up reads the
-// record back from a store.
+// publishes snapshots and the followers behind it, and the one place a
+// role's history is read back.
 //
 // The feed is the SSE stream of /api/stream: one `hello` event opens every
 // connection (protocol version, run metadata, current snapshot position),
 // then one `delta` event per snapshot publication. There are exactly two
 // delta kinds: an append (everything one publication added) and Full (the
-// entire current state, correct from any starting point). A client that
-// already holds state reconnects with ?since=SEQ and the server replays
-// the missing deltas (see feedLog.CatchUp) or, when they are not all
-// available, sends one Full delta. A subscriber dropped for falling behind
-// receives a terminal `gap` event so it can distinguish "resync needed"
-// from "run complete".
+// entire current state, correct from any starting point). A live append is
+// deltaFromRecord of one bin's segstore.BinRecord. A client that already
+// holds state reconnects with ?since=SEQ and is sent the missing seqs, each
+// cut from the current snapshot between two of its mirror's marks — or one
+// Full delta, also a cut, when since has no mark (Snapshot.catchUp). A
+// subscriber dropped for falling behind receives a terminal `gap` event so
+// it can distinguish "resync needed" from "run complete". /api/bins reads
+// the same marks.
 //
 // Delta sequence numbers are the snapshot Seq: the initial publication is
 // seq 1 and the close of the k-th analysis bin publishes seq k+2, so
 // committed store record i always maps to delta seq i+2 regardless of
 // restarts. Closed bins are immutable (events.Aggregator rejects late
 // mutations), so history is append-only across publications and across
-// store-backed writer restarts, and a seq's delta is the same bytes live or
-// read back from its segment — the identity counters aside, which segments
-// do not persist.
+// store-backed writer restarts, and a seq's delta is the same bytes live,
+// cut from any role's snapshot, or rebuilt from its segment at a writer's
+// boot — the identity counters aside, which only the last delta of a
+// catch-up carries.
 //
 // Byte-identity across the feed rests on JSON float round-tripping: Go
 // marshals float64 with the shortest representation that parses back to
@@ -32,7 +33,9 @@ package serve
 // exactly.
 
 import (
+	"cmp"
 	"encoding/json"
+	"iter"
 	"slices"
 	"time"
 
@@ -46,10 +49,6 @@ import (
 // hello event. A follower refuses to track a writer speaking a different
 // version.
 const FeedProto = 3
-
-// defaultFeedWindow is how many recent deltas the in-memory catch-up ring
-// retains.
-const defaultFeedWindow = 256
 
 // MagRow is one per-AS magnitude point on the feed. Rows within one delta
 // are ordered (bin, AS) for the close they extend — the same deterministic
@@ -80,8 +79,8 @@ type Delta struct {
 	DelayMag   []MagRow  `json:"delay_mag,omitempty"`
 	FwdMag     []MagRow  `json:"fwd_mag,omitempty"`
 
-	// Identities travels only on live deltas (segments do not persist it);
-	// nil means "keep what you have".
+	// Identities travels on live deltas and on the last delta of a
+	// catch-up; nil means "keep what you have".
 	Identities *Identities `json:"identities,omitempty"`
 
 	// Full marks a whole-state resync: the alarm/event/magnitude lists are
@@ -160,16 +159,7 @@ func decodeHello(b []byte) (helloJSON, error) {
 // seriesMagRows filters a record's magnitude rows down to one family,
 // preserving stored order (which is the close's append order).
 func seriesMagRows(rows []segstore.SeriesRow, family uint8) []MagRow {
-	n := 0
-	for _, r := range rows {
-		if r.Family == family {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]MagRow, 0, n) // exact: the feed ring retains it
+	var out []MagRow
 	for _, r := range rows {
 		if r.Family == family {
 			out = append(out, MagRow{ASN: r.ASN, T: r.Bin, V: r.V})
@@ -178,46 +168,12 @@ func seriesMagRows(rows []segstore.SeriesRow, family uint8) []MagRow {
 	return out
 }
 
-// sortedMagRows flattens a snapshot's magnitude map into rows ordered
-// (AS, bin) — the deterministic full-state form used by Full deltas.
-func sortedMagRows(m map[ipmap.ASN][]timeseries.Point) []MagRow {
-	if len(m) == 0 {
-		return nil
-	}
-	asns := make([]ipmap.ASN, 0, len(m))
-	for asn := range m {
-		asns = append(asns, asn)
-	}
-	slices.Sort(asns)
-	var out []MagRow
-	for _, asn := range asns {
-		for _, pt := range m[asn] {
-			out = append(out, MagRow{ASN: uint32(asn), T: pt.T, V: pt.V})
-		}
-	}
-	return out
-}
-
-// fullDelta packages the entire current snapshot as one Full delta: the
-// catch-up source of last resort, correct from any starting state.
-func fullDelta(snap *Snapshot) Delta {
-	ids := snap.Identities
-	return Delta{
-		Seq: snap.Seq, Bin: snap.LastBin, Results: snap.Results,
-		DelayAlarms: snap.DelayAlarms, FwdAlarms: snap.FwdAlarms, Events: snap.Events,
-		MagStart: snap.MagStart, MagThrough: snap.MagEnd,
-		DelayMag: sortedMagRows(snap.delayMag), FwdMag: sortedMagRows(snap.fwdMag),
-		Identities: &ids, Full: true,
-		Done: snap.Done, Failed: snap.Failed, Err: snap.Err,
-	}
-}
-
-// deltaFromRecord is the feed delta of one bin's record: the only place an
-// append delta is built. The rows are copied — records are reused scratch,
-// deltas are retained by the ring and handed to subscribers — and the event
-// rows take their wire strings here. A record that closed no
-// bin (the seq-1 initial publication, a failed run's terminal one) extends
-// no magnitude region. Identities is not persisted, so it is left nil.
+// deltaFromRecord is the feed delta of one bin's record: the only place a
+// live append delta is built. The rows are copied — records are reused
+// scratch, deltas are handed to subscribers — and the event rows take their
+// wire strings here. A record that closed no bin (the seq-1 initial
+// publication, a failed run's terminal one) extends no magnitude region.
+// Identities is not persisted, so it is left nil.
 func deltaFromRecord(rec *segstore.BinRecord, seq uint64, binSize time.Duration) Delta {
 	d := Delta{
 		Seq: seq, Bin: rec.Bin, Results: int(rec.Results),
@@ -237,4 +193,165 @@ func deltaFromRecord(rec *segstore.BinRecord, seq uint64, binSize time.Duration)
 		d.MagStart, d.MagThrough = rec.FirstBin, rec.Bin.Add(binSize)
 	}
 	return d
+}
+
+// catchUp yields what a client holding seq since needs to reach the
+// snapshot: the cut of every later seq, or one Full delta — the cut from
+// the empty state — when since has no mark (it predates the Full delta
+// this role's marks restarted at, or the client is ahead of the snapshot,
+// i.e. holds a history this role never had). The last delta carries the
+// snapshot's identities and, once the run is complete, its outcome.
+func (s *Snapshot) catchUp(since uint64) iter.Seq[Delta] {
+	return func(yield func(Delta) bool) {
+		last := func(d Delta) Delta {
+			ids := s.Identities
+			d.Identities = &ids
+			d.Done, d.Failed, d.Err = s.Done, s.Failed, s.Err
+			return d
+		}
+		first := s.Seq + 1 - uint64(len(s.marks)) // the seq of marks[0]
+		if since < first || since > s.Seq {
+			d := s.between(&seqMark{}, &s.marks[len(s.marks)-1])
+			d.Seq, d.Bin, d.Full = s.Seq, s.LastBin, true
+			d.MagStart, d.MagThrough = s.MagStart, s.MagEnd
+			yield(last(d))
+			return
+		}
+		for seq := since + 1; seq <= s.Seq; seq++ {
+			d := s.cut(int(seq - first))
+			if seq == s.Seq {
+				d = last(d)
+			}
+			if !yield(d) {
+				return
+			}
+		}
+	}
+}
+
+// cut is the append delta of the seq whose mark is s.marks[i] (i ≥ 1):
+// byte for byte the live delta of that seq, Identities aside.
+func (s *Snapshot) cut(i int) Delta {
+	d := s.between(&s.marks[i-1], &s.marks[i])
+	d.Seq = s.Seq - uint64(len(s.marks)-1-i)
+	return d
+}
+
+// between is what the snapshot's state gained from mark p to mark c. The
+// lists are subslices of the snapshot's own; only magnitude rows are built.
+func (s *Snapshot) between(p, c *seqMark) Delta {
+	d := Delta{
+		Bin: c.bin, Results: c.results,
+		DelayAlarms: orEmpty(s.DelayAlarms[p.delay:c.delay]),
+		FwdAlarms:   orEmpty(s.FwdAlarms[p.fwd:c.fwd]),
+		Events:      orEmpty(s.Events[p.events:c.events]),
+		DelayMag:    s.magRows(s.delayMag, 0, p, c),
+		FwdMag:      s.magRows(s.fwdMag, 1, p, c),
+	}
+	if c.magSet {
+		d.MagStart, d.MagThrough = s.MagStart, c.magEnd
+	}
+	return d
+}
+
+// orEmpty keeps an empty list encoding as [], as a live delta's does.
+func orEmpty[T any](rows []T) []T {
+	if rows == nil {
+		return []T{}
+	}
+	return rows
+}
+
+// magRows are one family's magnitude rows from mark p to mark c in the
+// order a close appends them: bin by bin, ASes ascending, and a new AS's
+// zero backfill before its first bin, at that bin.
+func (s *Snapshot) magRows(series map[ipmap.ASN][]timeseries.Point, fam int, p, c *seqMark) []MagRow {
+	from, to := s.regionLen(p.magEnd), s.regionLen(c.magEnd)
+	if from >= to {
+		return nil
+	}
+	type as struct {
+		asn   ipmap.ASN
+		fresh bool
+	}
+	ases := make([]as, c.ases[fam])
+	for k, asn := range s.ases[fam][:c.ases[fam]] {
+		ases[k] = as{asn, k >= p.ases[fam]}
+	}
+	slices.SortFunc(ases, func(a, b as) int { return cmp.Compare(a.asn, b.asn) })
+	var rows []MagRow
+	for i := from; i < to; i++ {
+		for _, a := range ases {
+			pts := series[a.asn]
+			lo, hi := i, min(i+1, len(pts))
+			if a.fresh && i == from {
+				lo = 0
+			}
+			for _, pt := range pts[min(lo, hi):hi] {
+				rows = append(rows, MagRow{ASN: uint32(a.asn), T: pt.T, V: pt.V})
+			}
+		}
+	}
+	return rows
+}
+
+// regionLen is the number of bins the magnitude region holds when it ends
+// at end (zero: no region yet).
+func (s *Snapshot) regionLen(end time.Time) int {
+	if end.IsZero() {
+		return 0
+	}
+	return int(end.Sub(s.MagStart) / s.BinSize)
+}
+
+// BinSummary is one closed bin as listed by /api/bins.
+type BinSummary struct {
+	Bin         time.Time `json:"bin"`
+	Results     int       `json:"results"`
+	DelayAlarms int       `json:"delay_alarms"`
+	FwdAlarms   int       `json:"fwd_alarms"`
+	Events      int       `json:"events"`
+}
+
+// BinPayload is the full time-travel view of one closed bin: exactly what
+// that bin's close contributed to the read model.
+type BinPayload struct {
+	Bin         time.Time    `json:"bin"`
+	Results     int          `json:"results"`
+	DelayAlarms []DelayAlarm `json:"delay_alarms"`
+	FwdAlarms   []FwdAlarm   `json:"fwd_alarms"`
+	Events      []Event      `json:"events"`
+}
+
+// bins lists the closed bins, oldest first: every mark with a predecessor
+// whose seq closed a bin. (The first mark is seq 0's, or a Full delta's,
+// which is no one bin's contribution.)
+func (s *Snapshot) bins() []BinSummary {
+	out := []BinSummary{}
+	for i := 1; i < len(s.marks); i++ {
+		p, c := &s.marks[i-1], &s.marks[i]
+		if !c.bin.IsZero() {
+			out = append(out, BinSummary{
+				Bin: c.bin, Results: c.results,
+				DelayAlarms: c.delay - p.delay, FwdAlarms: c.fwd - p.fwd, Events: c.events - p.events,
+			})
+		}
+	}
+	return out
+}
+
+// binPayload cuts the contribution of the closed bin containing t; false
+// when bins does not list it.
+func (s *Snapshot) binPayload(t time.Time) (*BinPayload, bool) {
+	t = timeseries.Bin(t, s.BinSize)
+	for i := 1; i < len(s.marks); i++ {
+		if b := s.marks[i].bin; !b.IsZero() && b.Equal(t) {
+			d := s.cut(i)
+			return &BinPayload{
+				Bin: d.Bin, Results: d.Results,
+				DelayAlarms: d.DelayAlarms, FwdAlarms: d.FwdAlarms, Events: d.Events,
+			}, true
+		}
+	}
+	return nil, false
 }

@@ -8,10 +8,8 @@ package serve
 //
 // State machine:
 //
-//	bootstrap   — optionally rebuild the mirror from local segment-store
-//	              files (read-only open; safe against a live writer, whose
-//	              store is append-only), landing at seq n+1 for n records.
-//	connect     — GET {url}/api/stream?since={seq}. The hello validates the
+//	connect     — GET {url}/api/stream?since={seq}, from seq 0: the feed is
+//	              a replica's only source of history. The hello validates the
 //	              protocol version and run identity and supplies Meta and
 //	              the bin size.
 //	tail        — apply each delta in seq order, publish a snapshot per
@@ -20,11 +18,11 @@ package serve
 //	              delta replaces the mirror whatever its seq.
 //	resync      — a seq gap, a `gap` event (dropped as too slow), or a
 //	              dropped connection returns to connect with since=seq; the
-//	              writer replays the missing appends from its ring or store
-//	              (a restarted writer's committed history is a valid
-//	              extension of the mirror's prefix), or sends one Full
-//	              delta — also when the mirror is ahead of it, i.e. the
-//	              writer came back without its history.
+//	              upstream cuts the missing appends from its snapshot (a
+//	              restarted writer's committed history is a valid extension
+//	              of the mirror's prefix), or sends one Full delta when it
+//	              has no mark at seq — also when the mirror is ahead of it,
+//	              i.e. the writer came back without its history.
 //	terminal    — a Done/Failed delta ends the run; Run returns nil.
 
 import (
@@ -37,8 +35,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-
-	"pinpoint/internal/segstore"
 )
 
 // FollowerOptions configures a Follower. URL is required; everything else
@@ -46,16 +42,6 @@ import (
 type FollowerOptions struct {
 	// URL is the writer's base URL (e.g. "http://writer:8080").
 	URL string
-
-	// StoreDir, when set, bootstraps the mirror from local segment-store
-	// files before first connect, instead of replaying the whole feed.
-	// Requires Meta and BinSize (they cannot come from the hello yet).
-	StoreDir string
-
-	// Meta and BinSize describe the run when bootstrapping from files; when
-	// zero they are adopted from the writer's hello.
-	Meta    Meta
-	BinSize time.Duration
 
 	// ReconnectMin/Max bound the exponential backoff between connection
 	// attempts. Defaults 100ms / 5s.
@@ -68,18 +54,18 @@ type FollowerOptions struct {
 // Follower tails a writer's replication feed and serves read-only
 // snapshots. It implements Source, so NewServer works on it unchanged.
 type Follower struct {
-	feedLog // downstream ring + the read-only bootstrap store, if any
+	broadcaster // the follower's own feed, for replicas chained behind it
 
 	opts FollowerOptions
 
-	// m is owned by the Run goroutine (and by NewFollower before Run
-	// starts); readers only touch the published snapshot.
+	// m is owned by the Run goroutine; readers only touch the published
+	// snapshot.
 	m   mirror
 	cur atomic.Pointer[Snapshot]
 }
 
-// NewFollower builds a follower and, when StoreDir is set, bootstraps its
-// mirror from the local segment files. The feed is not dialed until Run.
+// NewFollower builds a follower at seq 0. The feed is not dialed until Run;
+// the run's metadata and bin size come from the upstream's hello.
 func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.URL == "" {
 		return nil, errors.New("serve: follower needs a writer URL")
@@ -93,30 +79,13 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	f := &Follower{opts: opts, feedLog: feedLog{bc: newBroadcaster(), binSize: opts.BinSize}}
-	f.m.meta = opts.Meta
-	f.m.binSize = opts.BinSize
-	if opts.StoreDir != "" {
-		if opts.BinSize <= 0 {
-			return nil, errors.New("serve: follower store bootstrap needs BinSize")
-		}
-		st, err := segstore.OpenReadOnly(opts.StoreDir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: follower store bootstrap: %w", err)
-		}
-		bins, err := f.m.restoreFromRecords(st, nil)
-		if err != nil {
-			return nil, err
-		}
-		f.store = st
-		f.binIndex = bins
-	}
+	f := &Follower{opts: opts, m: newMirror(Meta{}, 0)}
 	f.cur.Store(f.m.assemble())
 	return f, nil
 }
 
 // Snapshot returns the current rebuilt snapshot. Never nil; seq 0 before
-// the first delta (or file bootstrap) lands.
+// the first delta lands.
 func (f *Follower) Snapshot() *Snapshot { return f.cur.Load() }
 
 // Results returns the snapshot's result count (followers have no live
@@ -136,7 +105,7 @@ const maxSSELine = 64 << 20
 // (connection loss, slow-subscriber drops, seq gaps) reconnect with
 // backoff and resync through the catch-up protocol.
 func (f *Follower) Run(ctx context.Context) error {
-	defer f.bc.closeAll()
+	defer f.CloseSubscribers()
 	backoff := f.opts.ReconnectMin
 	for {
 		seqBefore := f.m.seq
@@ -305,6 +274,6 @@ func (f *Follower) applyDelta(payload []byte) (done bool, err error) {
 	}
 	f.m.apply(&d)
 	f.cur.Store(f.m.assemble())
-	f.bc.broadcast(d)
+	f.broadcast(d)
 	return d.Done || d.Failed, nil
 }

@@ -50,7 +50,7 @@ func (o Options) withDefaults() Options {
 // Source is what the HTTP API serves from: a snapshot producer with a
 // replication feed. Publisher (the writer role) and Follower (the replica
 // role) both implement it, so one Server works unchanged on either side of
-// the split.
+// the split. Every read, history included, is answered from a snapshot.
 type Source interface {
 	// Snapshot returns the current immutable snapshot; never nil.
 	Snapshot() *Snapshot
@@ -61,15 +61,6 @@ type Source interface {
 	Subscribe() *Subscription
 	// CloseSubscribers terminates every feed stream (server shutdown).
 	CloseSubscribers()
-	// CatchUp returns the feed deltas covering (since, upTo], or ok=false
-	// when they are not all available (the stream handler then sends one
-	// Full delta).
-	CatchUp(since, upTo uint64) ([]Delta, bool)
-	// StoreBins, StoreBin and HasStore expose the committed-segment index
-	// for /api/bins time travel.
-	StoreBins() ([]BinSummary, bool)
-	StoreBin(bin time.Time) (*BinPayload, bool, error)
-	HasStore() bool
 }
 
 // Server is the lock-free HTTP API over a Source's snapshots.
@@ -79,7 +70,7 @@ type Source interface {
 //	GET /api/alarms/forwarding forwarding anomalies (filter + paginate)
 //	GET /api/events            major per-AS events (filter + paginate)
 //	GET /api/magnitude?asn=N   hourly magnitude series for one AS
-//	GET /api/bins              committed segment-store bins (time travel)
+//	GET /api/bins[?bin=T]      closed-bin index / one bin's contribution
 //	GET /api/stream            versioned replication feed (SSE, ?since=)
 //	GET /                      human-readable summary
 type Server struct {
@@ -578,43 +569,27 @@ func (s *Server) handleMagnitude(w http.ResponseWriter, r *http.Request) {
 	s.finish(w, bp, append(b, "\n}\n"...), nil)
 }
 
-// handleBins serves the segment store's committed-bin index, or — with
-// ?bin=RFC3339 — the full decoded contribution of one committed bin. It
-// reads the durable segments, not the snapshot, so it answers for any
-// closed bin even after the in-memory history was evicted.
+// handleBins serves the closed-bin index or, with ?bin=RFC3339, the full
+// contribution of one closed bin, both cut from the snapshot's marks: every
+// role, with or without a store, answers them alike.
 func (s *Server) handleBins(w http.ResponseWriter, r *http.Request) {
-	if raw := r.URL.Query().Get("bin"); raw != "" {
-		t, err := time.Parse(time.RFC3339, raw)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("invalid bin: %v", err), http.StatusBadRequest)
-			return
-		}
-		pl, found, err := s.src.StoreBin(t)
-		if err != nil {
-			s.opts.Logf("serve: reading segment: %v", err)
-			http.Error(w, "segment read failed", http.StatusInternalServerError)
-			return
-		}
-		if !found {
-			if !s.src.HasStore() {
-				http.Error(w, "no segment store attached", http.StatusNotFound)
-			} else {
-				http.Error(w, "bin not committed", http.StatusNotFound)
-			}
-			return
-		}
-		s.writeJSON(w, pl)
+	snap := s.src.Snapshot()
+	raw := r.URL.Query().Get("bin")
+	if raw == "" {
+		s.writeJSON(w, snap.bins())
 		return
 	}
-	bins, ok := s.src.StoreBins()
+	t, err := time.Parse(time.RFC3339, raw)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("invalid bin: %v", err), http.StatusBadRequest)
+		return
+	}
+	pl, ok := snap.binPayload(t)
 	if !ok {
-		http.Error(w, "no segment store attached", http.StatusNotFound)
+		http.Error(w, "bin not closed", http.StatusNotFound)
 		return
 	}
-	if bins == nil {
-		bins = []BinSummary{}
-	}
-	s.writeJSON(w, bins)
+	s.writeJSON(w, pl)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

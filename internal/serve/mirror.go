@@ -3,11 +3,16 @@ package serve
 // mirror is the snapshot-assembly core: the pure append-only read-model
 // state out of which every Snapshot is built. It advances one way only, on
 // either role: apply, one feed delta at a time — the writer's own delta of
-// the bin it just closed, a follower's decoded ones, and at boot (both
-// roles) the deltas of a segment store's committed records. The invariants
+// the bin it just closed, a follower's decoded ones, and at the writer's
+// boot the deltas of its segment store's committed records. The invariants
 // that make lock-free publication sound live here: slices only ever grow
 // (snapshots hold fixed-length prefixes), and a Full delta starts over on
 // fresh storage instead of mutating what previous snapshots still reference.
+//
+// apply also records one mark per seq: where that seq left the append-only
+// state. Marks are the only history a role keeps besides the state itself;
+// feed catch-up and /api/bins cut what one seq added from a snapshot
+// between two of them (feed.go).
 
 import (
 	"fmt"
@@ -34,9 +39,16 @@ type mirror struct {
 
 	// Magnitude region: dense per-AS points over [magStart, magThrough).
 	// apply swaps in extended copies of the maps and never mutates one that
-	// is here, so snapshots share them as they are.
+	// is here, so snapshots share them as they are. ases lists each
+	// family's ASes (delay, forwarding) in the order their first row
+	// arrived.
 	delayMag, fwdMag     map[ipmap.ASN][]timeseries.Point
 	magStart, magThrough time.Time
+	ases                 [2][]ipmap.ASN
+
+	// marks holds one mark per seq, consecutive and ending at seq: from
+	// seq 0, or from the seq of the last Full delta applied.
+	marks []seqMark
 
 	// enc holds the rows' encoded form (render.go), shared by every snapshot
 	// assembled from this mirror; a Full delta starts over with the mirror.
@@ -44,6 +56,23 @@ type mirror struct {
 
 	done, failed bool
 	errMsg       string
+}
+
+// seqMark is where one seq left the mirror: the lengths of the append-only
+// lists and of each family's AS order, and what that seq's delta said
+// about itself.
+type seqMark struct {
+	delay, fwd, events int
+	ases               [2]int
+	bin                time.Time
+	results            int
+	magEnd             time.Time // the region's end after the seq
+	magSet             bool      // the seq's delta carried the region bounds
+}
+
+// newMirror returns the empty mirror at seq 0.
+func newMirror(meta Meta, binSize time.Duration) mirror {
+	return mirror{meta: meta, binSize: binSize, marks: []seqMark{{}}}
 }
 
 // assemble builds the immutable snapshot of the mirror's current state.
@@ -64,11 +93,15 @@ func (m *mirror) assemble() *Snapshot {
 		DelayAlarms: m.delay[:len(m.delay):len(m.delay)],
 		FwdAlarms:   m.fwd[:len(m.fwd):len(m.fwd)],
 		Events:      m.evs[:len(m.evs):len(m.evs)],
+		marks:       m.marks[:len(m.marks):len(m.marks)],
 		enc:         m.enc,
 	}
 	if m.delayMag != nil || m.fwdMag != nil {
 		snap.delayMag, snap.fwdMag = m.delayMag, m.fwdMag
 		snap.MagStart, snap.MagEnd = m.magStart, m.magThrough
+		for k, a := range m.ases {
+			snap.ases[k] = a[:len(a):len(a)]
+		}
 	}
 	return snap
 }
@@ -77,7 +110,8 @@ func (m *mirror) assemble() *Snapshot {
 // already handled sequencing (skipping stale deltas, detecting gaps); apply
 // only interprets content: a Full delta starts the mirror over (run
 // identity aside), and then every delta — Full or not — appends. A nil
-// Identities means "keep the previous value" (segments do not persist it).
+// Identities means "keep the previous value": only live deltas and the
+// last delta of a catch-up carry it.
 func (m *mirror) apply(d *Delta) {
 	if d.Full {
 		*m = mirror{meta: m.meta, binSize: m.binSize}
@@ -85,9 +119,10 @@ func (m *mirror) apply(d *Delta) {
 	m.delay = append(m.delay, d.DelayAlarms...)
 	m.fwd = append(m.fwd, d.FwdAlarms...)
 	m.evs = append(m.evs, d.Events...)
-	if len(d.DelayMag) > 0 || len(d.FwdMag) > 0 || !d.MagThrough.IsZero() {
-		m.delayMag = extendMag(m.delayMag, d.DelayMag)
-		m.fwdMag = extendMag(m.fwdMag, d.FwdMag)
+	magSet := len(d.DelayMag) > 0 || len(d.FwdMag) > 0 || !d.MagThrough.IsZero()
+	if magSet {
+		m.delayMag, m.ases[0] = extendMag(m.delayMag, m.ases[0], d.DelayMag)
+		m.fwdMag, m.ases[1] = extendMag(m.fwdMag, m.ases[1], d.FwdMag)
 		m.magStart, m.magThrough = d.MagStart, d.MagThrough
 	}
 	if !d.Bin.IsZero() {
@@ -105,42 +140,47 @@ func (m *mirror) apply(d *Delta) {
 		m.failed = true
 		m.errMsg = d.Err
 	}
+	m.marks = append(m.marks, seqMark{
+		delay: len(m.delay), fwd: len(m.fwd), events: len(m.evs),
+		ases: [2]int{len(m.ases[0]), len(m.ases[1])},
+		bin:  d.Bin, results: d.Results,
+		magEnd: m.magThrough, magSet: magSet,
+	})
 }
 
-// extendMag returns a copy of src with rows appended to their series: the
-// one per-delta map copy a published, concurrently read map costs. The
-// series' backing arrays are shared and only ever written past the lengths
-// src (and the snapshots holding it) can see.
-func extendMag(src map[ipmap.ASN][]timeseries.Point, rows []MagRow) map[ipmap.ASN][]timeseries.Point {
+// extendMag returns a copy of src with rows appended to their series, and
+// order extended by the ASes that had none: the one per-delta map copy a
+// published, concurrently read map costs. The series' backing arrays are
+// shared and only ever written past the lengths src (and the snapshots
+// holding it) can see.
+func extendMag(src map[ipmap.ASN][]timeseries.Point, order []ipmap.ASN, rows []MagRow) (map[ipmap.ASN][]timeseries.Point, []ipmap.ASN) {
 	out := make(map[ipmap.ASN][]timeseries.Point, len(src))
 	maps.Copy(out, src)
 	for _, r := range rows {
 		asn := ipmap.ASN(r.ASN)
-		out[asn] = append(out[asn], timeseries.Point{T: r.T, V: r.V})
+		pts, ok := out[asn]
+		if !ok {
+			order = append(order, asn)
+		}
+		out[asn] = append(pts, timeseries.Point{T: r.T, V: r.V})
 	}
-	return out
+	return out, order
 }
 
-// restoreFromRecords advances the mirror through a segment store's
-// committed records — the boot path of both roles. After n records the
-// mirror sits at seq n+1, where the run that wrote them stood, so a
-// follower's feed connection resumes with ?since=n+1. each, when non-nil,
-// also sees every decoded record (the writer seeds its aggregator from it).
-// Returns the /api/bins index alongside.
-func (m *mirror) restoreFromRecords(st *segstore.Store, each func(*segstore.BinRecord)) ([]BinSummary, error) {
-	n := st.Len()
-	bins := make([]BinSummary, 0, n)
+// restoreFromRecords advances the mirror, at seq 1, through a segment
+// store's committed records — the writer's boot path. After n records the
+// mirror sits at seq n+1, where the run that wrote them stood, with a mark
+// for every seq. each also sees every decoded record (the writer seeds its
+// aggregator from it).
+func (m *mirror) restoreFromRecords(st *segstore.Store, each func(*segstore.BinRecord)) error {
 	var rec segstore.BinRecord
-	for i := 0; i < n; i++ {
+	for i := 0; i < st.Len(); i++ {
 		if err := st.Record(i, &rec); err != nil {
-			return nil, fmt.Errorf("serve: decoding committed segment %d: %w", i, err)
+			return fmt.Errorf("serve: decoding committed segment %d: %w", i, err)
 		}
 		d := deltaFromRecord(&rec, uint64(i+2), m.binSize)
 		m.apply(&d)
-		bins = append(bins, summarize(&rec))
-		if each != nil {
-			each(&rec)
-		}
+		each(&rec)
 	}
-	return bins, nil
+	return nil
 }

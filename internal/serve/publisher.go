@@ -13,7 +13,8 @@
 // mirror.go). HTTP handlers load the current snapshot and read it without
 // any locking: a slow or heavy reader can never stall ObserveBatch, and a
 // heavy batch can never stall readers, because the two sides share no lock
-// at all.
+// at all. History — feed catch-up, /api/bins — is read from the snapshot
+// too, on either role.
 //
 // The alarm, event and magnitude slices inside consecutive snapshots share
 // their append-only backing arrays: closed bins are immutable, so a mirror
@@ -96,6 +97,11 @@ type Snapshot struct {
 	// [MagStart, MagEnd).
 	MagStart, MagEnd time.Time
 	delayMag, fwdMag map[ipmap.ASN][]timeseries.Point
+	ases             [2][]ipmap.ASN // each family's ASes in arrival order
+
+	// marks are the mirror's, one per seq ending at Seq: the history
+	// catch-up and /api/bins cut from (feed.go).
+	marks []seqMark
 
 	enc       *streams
 	encStatus payloadCache
@@ -161,11 +167,11 @@ func (s *Snapshot) encodedMag(k magKey, i, j int) ([]byte, error) {
 // Publisher is the writer role: it turns every bin close into one
 // segstore.BinRecord on the analysis goroutine, advances its mirror with it,
 // publishes immutable snapshots and emits the replication feed. All methods
-// except Snapshot, Results and the embedded feedLog's (subscriptions,
-// catch-up, store readers) must run on the analysis goroutine (they do —
-// they are driven by the Analyzer's hooks and the ingest loop).
+// except Snapshot, Results, ObserveResults and the embedded broadcaster's
+// must run on the analysis goroutine (they do — they are driven by the
+// Analyzer's hooks and the ingest loop).
 type Publisher struct {
-	feedLog // ring + segment store (see store.go for the commit/boot paths)
+	broadcaster
 
 	m   mirror
 	a   *core.Analyzer
@@ -181,8 +187,9 @@ type Publisher struct {
 	rec      segstore.BinRecord
 	finished bool
 
-	storeErr  error     // first commit failure; guarded by storeMu
-	resumedAt time.Time // resume cursor, when booted from segments
+	store     *segstore.Store // nil without durability (see store.go)
+	storeErr  error           // first commit failure
+	resumedAt time.Time       // resume cursor, when booted from segments
 	resumed   bool
 }
 
@@ -196,14 +203,14 @@ func NewPublisher(a *core.Analyzer, meta Meta) *Publisher {
 	return p
 }
 
-// newPublisher builds a publisher whose mirror sits at seq 1, the empty
+// newPublisher builds a publisher whose mirror has applied seq 1, the empty
 // initial publication of every run. It is inert until attach: the
 // segment-store boot path (NewPublisherWithStore) first moves the mirror
 // through the durable history, so the first published snapshot carries it.
 func newPublisher(a *core.Analyzer, meta Meta) *Publisher {
 	p := &Publisher{a: a, agg: a.Aggregator()}
-	p.m = mirror{meta: meta, binSize: p.agg.Config().BinSize, seq: 1}
-	p.feedLog = feedLog{bc: newBroadcaster(), binSize: p.m.binSize}
+	p.m = newMirror(meta, p.agg.Config().BinSize)
+	p.m.apply(&Delta{Seq: 1})
 	return p
 }
 
@@ -341,7 +348,7 @@ func (p *Publisher) publish(final bool, runErr error) {
 	}
 	p.m.apply(&d)
 	p.cur.Store(p.m.assemble())
-	p.bc.broadcast(d)
+	p.broadcast(d)
 	*rec = segstore.BinRecord{
 		Delay: rec.Delay[:0], Fwd: rec.Fwd[:0], Events: rec.Events[:0],
 		Mag: rec.Mag[:0], Raw: rec.Raw[:0],

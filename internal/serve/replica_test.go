@@ -111,12 +111,10 @@ func TestReplicaLiveTailEquivalence(t *testing.T) {
 }
 
 // TestReplicaResyncAfterDisconnect severs the feed connection twice
-// mid-run with a catch-up ring too small to cover the gap, so the
-// reconnects must resync through store-synthesized deltas — and still end
-// byte-identical.
+// mid-run, so the reconnects must resync through the appends catch-up cuts
+// from the writer's snapshot — and still end byte-identical.
 func TestReplicaResyncAfterDisconnect(t *testing.T) {
 	w := openStoreRun(t, "ddos", 2, t.TempDir())
-	w.pub.bc.setWindow(2)
 	ts := httptest.NewServer(w.srv.Handler())
 	defer ts.Close()
 
@@ -158,20 +156,20 @@ func TestReplicaResyncAfterDisconnect(t *testing.T) {
 // window straddles a late alarm into a closed bin. Closed bins are
 // immutable, so there is no generation to bump and nothing is re-derived:
 // the alarm is listed on both sides, contributes to no event or magnitude,
-// the straddling delta is a plain append, and the catch-up (from the ring,
-// or as one Full delta when the ring cannot reach back) leaves the follower
-// byte-identical with no duplicate event.
+// the straddling delta is a plain append, and it leaves the follower
+// byte-identical with no duplicate event whether the follower reconnects
+// after it (ring_catchup: the catch-up cuts it from the writer's snapshot)
+// or stays connected and receives it live.
 func TestReplicaResyncAcrossGenerationBump(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		feedWindow int
+		name      string
+		reconnect bool
 	}{
-		{"ring_catchup", defaultFeedWindow}, // replay the straddling delta itself
-		{"full_fallback", 1},                // window too small: resync via one Full delta
+		{"ring_catchup", true},
+		{"live", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, pub, srv := newTestPipeline(t)
-			pub.bc.setWindow(tc.feedWindow)
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
@@ -203,7 +201,9 @@ func TestReplicaResyncAcrossGenerationBump(t *testing.T) {
 			if len(f.Snapshot().Events) == 0 {
 				t.Fatal("no events before the late alarm; test is vacuous")
 			}
-			ts.CloseClientConnections()
+			if tc.reconnect {
+				ts.CloseClientConnections()
+			}
 
 			sub := pub.Subscribe()
 			defer sub.Cancel()
@@ -252,59 +252,59 @@ func TestReplicaResyncAcrossGenerationBump(t *testing.T) {
 			if len(evs) == 0 {
 				t.Fatal("follower serves no events")
 			}
+
 		})
 	}
 }
 
-// TestReplicaStoreFileBootstrap boots a follower from the writer's own
-// segment files (read-only) instead of replaying the feed: the mirror must
-// land at seq n+1 for n records, catch up over the feed, and serve
-// byte-identical payloads —
-// including /api/bins, which both sides read from the same segments.
-func TestReplicaStoreFileBootstrap(t *testing.T) {
-	dir := t.TempDir()
-	w := openStoreRun(t, "ddos", 2, dir)
-	w.ingest(t, 0)
+// TestReplicaBinsMatchWriter: /api/bins and every /api/bins?bin= are
+// history, and history is cut from the snapshot on every role, so a
+// store-backed writer, a storeless writer, a live follower, a follower that
+// joined after the run and a chained follower serve the same bytes.
+func TestReplicaBinsMatchWriter(t *testing.T) {
+	w := openStoreRun(t, "ddos", 2, t.TempDir())
+	defer w.close(t)
+	// Servers close after the followers stop (cleanups run last-in first-out):
+	// a server's Close waits for the feed streams it still serves.
 	ts := httptest.NewServer(w.srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	quiet := Options{Logf: func(string, ...any) {}}
+	follow := func(url string) (*Follower, *Server, func(*testing.T)) {
+		f, err := NewFollower(FollowerOptions{URL: url})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, NewServer(f, quiet), startTail(t, f)
+	}
+	_, liveSrv, waitLive := follow(ts.URL)
+	ts1 := httptest.NewServer(liveSrv.Handler())
+	t.Cleanup(ts1.Close)
+	_, chainedSrv, waitChained := follow(ts1.URL)
+	w.ingest(t, 0)
+	waitLive(t)
+	waitChained(t)
+	_, lateSrv, waitLate := follow(ts.URL)
+	waitLate(t)
 
-	f, err := NewFollower(FollowerOptions{
-		URL:      ts.URL,
-		StoreDir: dir,
-		Meta: Meta{
-			Case: w.c.Name, Description: w.c.Description,
-			Start: w.c.Start, End: w.c.End,
-		},
-		BinSize: time.Hour,
-	})
-	if err != nil {
+	var bins []BinSummary
+	if err := json.Unmarshal(get(t, w.srv, "/api/bins").Body.Bytes(), &bins); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.Snapshot().Seq, uint64(w.st.Len())+1; got != want {
-		t.Fatalf("file bootstrap landed at seq %d, want %d (%d records)", got, want, w.st.Len())
+	if len(bins) != w.st.Len() {
+		t.Fatalf("writer lists %d bins, its store holds %d", len(bins), w.st.Len())
 	}
-	if !f.HasStore() {
-		t.Fatal("bootstrapped follower reports no store")
+	urls := []string{"/api/bins"}
+	for _, b := range bins {
+		urls = append(urls, "/api/bins?bin="+b.Bin.Format(time.RFC3339))
 	}
-	fsrv := NewServer(f, Options{Logf: func(string, ...any) {}})
-	wait := startTail(t, f)
-	wait(t)
-
-	urls := append(apiURLs(w.a), "/api/bins")
-	compareReplica(t, w.srv, fsrv, urls)
-
-	// The bootstrap store also serves single-bin time travel.
-	bins, ok := f.StoreBins()
-	if !ok || len(bins) != w.st.Len() {
-		t.Fatalf("follower StoreBins: ok=%v len=%d, store has %d", ok, len(bins), w.st.Len())
+	for name, srv := range map[string]*Server{
+		"storeless writer": runPlainCase(t, "ddos", 2),
+		"live follower":    liveSrv,
+		"late follower":    lateSrv,
+		"chained follower": chainedSrv,
+	} {
+		t.Run(name, func(t *testing.T) { compareReplica(t, w.srv, srv, urls) })
 	}
-	u := "/api/bins?bin=" + bins[len(bins)/2].Bin.Format(time.RFC3339)
-	wantRec, gotRec := get(t, w.srv, u), get(t, fsrv, u)
-	if gotRec.Code != 200 || !bytes.Equal(gotRec.Body.Bytes(), wantRec.Body.Bytes()) {
-		t.Fatalf("%s: follower status %d, byte-identical=%v", u, gotRec.Code,
-			bytes.Equal(gotRec.Body.Bytes(), wantRec.Body.Bytes()))
-	}
-	w.close(t)
 }
 
 // TestFollowerSSEDataJoin pins the SSE decode rule that successive data
@@ -338,9 +338,9 @@ func TestFollowerSSEDataJoin(t *testing.T) {
 }
 
 // TestReplicaResyncAcrossWriterRestart reconnects a follower across a
-// writer restart: the restarted writer boots from the segment store, and
-// its fresh in-memory ring no longer reaches back to the follower's resume
-// point, so the catch-up must be synthesized from the committed segments.
+// writer restart: the restarted writer boots from the segment store, so it
+// saw none of the seqs the follower missed live, and the catch-up is cut
+// from the snapshot and marks it restored from the committed segments.
 // Durable history survives a restart as a valid extension of the follower's
 // state, so those deltas are appends — the follower must not discard (or
 // collapse) its event list and magnitude history.
@@ -403,15 +403,12 @@ func TestReplicaResyncAcrossWriterRestart(t *testing.T) {
 	if frozen.Seq >= w2.pub.Snapshot().Seq {
 		t.Fatalf("follower seq %d not behind the restored writer's %d; catch-up path not exercised", frozen.Seq, w2.pub.Snapshot().Seq)
 	}
-	// The restarted writer's ring is empty, so this catch-up is synthesized
-	// from segments: every delta must be a plain append, never a resync.
-	ds, ok := w2.pub.CatchUp(frozen.Seq, w2.pub.Snapshot().Seq)
-	if !ok {
-		t.Fatal("restored writer cannot serve store-synthesized catch-up")
-	}
-	for _, d := range ds {
+	// The restored writer holds a mark for every committed seq, so this
+	// catch-up is cut from its snapshot: every delta must be a plain append,
+	// never a resync.
+	for d := range w2.pub.Snapshot().catchUp(frozen.Seq) {
 		if d.Full {
-			t.Fatalf("store-synthesized catch-up delta seq %d is Full, want a plain append", d.Seq)
+			t.Fatalf("restored writer's catch-up delta seq %d is Full, want a plain append", d.Seq)
 		}
 	}
 

@@ -158,12 +158,9 @@ func TestRestartEquivalence(t *testing.T) {
 	wantFile := storeFile(t, filepath.Join(baseDir, "base"))
 
 	// Store mode must not perturb the analysis: the same run without a
-	// store serves the same bytes (minus the store-only /api/bins).
+	// store serves the same bytes.
 	plain := runPlainCase(t, caseName, 2)
 	for _, u := range urls {
-		if u == "/api/bins" {
-			continue
-		}
 		rec := get(t, plain, u)
 		if !bytes.Equal(rec.Body.Bytes(), want[u]) {
 			t.Errorf("store-backed %s differs from plain pipeline (%d vs %d bytes)",
@@ -202,8 +199,8 @@ func TestRestartEquivalence(t *testing.T) {
 				t.Fatalf("resume cursor %v, want %v", cursor, wantCursor)
 			}
 
-			// Hammer the store-reading endpoints from another goroutine for
-			// the whole resumed run: commits and segment reads must be
+			// Hammer the history endpoints from another goroutine for the
+			// whole resumed run: commits and snapshot reads must be
 			// race-free.
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -265,58 +262,78 @@ func runPlainCase(t *testing.T, name string, workers int) *Server {
 	return NewServer(pub, Options{Logf: func(string, ...any) {}})
 }
 
-// TestLiveDeltaEqualsStoreDelta pins "one seq, one payload": every bin-close
-// delta the writer broadcasts is, byte for byte, the delta catch-up reads
-// back from that bin's committed segment — identities aside, which segments
-// do not persist — so a follower that tailed live and one that caught up
-// from segments hold the same state at every seq, `results` included (the
-// live delta used to carry Analyzer.Results(), one ahead of the record's
+// TestLiveDeltaEqualsStoreDelta pins "one seq, one payload": every delta
+// the writer broadcasts is, byte for byte, the cut of its seq from the
+// writer's final snapshot and from the snapshot of a writer restored from
+// the store — Identities aside, and the run's outcome, which only the last
+// delta of a catch-up carries — so a follower that tailed live and one that
+// caught up hold the same state at every seq, `results` included (the live
+// delta used to carry Analyzer.Results(), one ahead of the record's
 // ResultsClosed()).
 func TestLiveDeltaEqualsStoreDelta(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		r := openStoreRun(t, "ddos", workers, t.TempDir())
+		dir := t.TempDir()
+		r := openStoreRun(t, "ddos", workers, dir)
 		sub := r.pub.Subscribe()
 		var live []Delta
-		err := r.c.Platform.RunChunks(context.Background(), r.c.Start, r.c.End, 0, func(rs []trace.Result) error {
-			r.a.ObserveBatch(rs)
-			for { // drain what this batch's closes broadcast; the subscription's buffer is finite
+		drain := func() {
+			for { // the subscription's buffer is finite
 				select {
 				case d := <-sub.C:
 					live = append(live, d)
 				default:
-					return nil
+					return
 				}
 			}
+		}
+		err := r.c.Platform.RunChunks(context.Background(), r.c.Start, r.c.End, 0, func(rs []trace.Result) error {
+			r.a.ObserveBatch(rs)
+			drain()
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(live) < 3 || len(live) != r.st.Len() {
-			t.Fatalf("workers=%d: %d live deltas for %d committed bins", workers, len(live), r.st.Len())
-		}
-		var rec segstore.BinRecord
-		for _, d := range live {
-			if err := r.st.Record(int(d.Seq-2), &rec); err != nil {
-				t.Fatal(err)
-			}
-			want, err := json.Marshal(deltaFromRecord(&rec, d.Seq, time.Hour))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Identities == nil {
-				t.Errorf("workers=%d seq %d: live delta carries no identities", workers, d.Seq)
-			}
-			d.Identities = nil
-			got, err := json.Marshal(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("workers=%d seq %d: live delta differs from its segment's\nlive  %s\nstore %s", workers, d.Seq, got, want)
-			}
-		}
+		r.a.Flush()
+		r.pub.Finish(nil)
+		drain()
 		sub.Cancel()
+		final := r.pub.Snapshot()
+		if len(live) < 3 || len(live) != r.st.Len()+1 || !live[len(live)-1].Done {
+			t.Fatalf("workers=%d: %d live deltas for %d committed bins, the last not terminal", workers, len(live), r.st.Len())
+		}
 		r.close(t)
+		restored := openStoreRun(t, "ddos", workers, dir)
+
+		for _, snap := range []*Snapshot{final, restored.pub.Snapshot()} {
+			for i := 2; i < len(snap.marks); i++ {
+				d := live[i-2]
+				if d.Identities == nil {
+					t.Errorf("workers=%d seq %d: live delta carries no identities", workers, d.Seq)
+				}
+				d.Identities, d.Done = nil, false
+				compareDeltas(t, fmt.Sprintf("workers=%d seq %d", workers, d.Seq), snap.cut(i), d)
+			}
+		}
+		for d := range final.catchUp(final.Seq - 1) {
+			compareDeltas(t, fmt.Sprintf("workers=%d terminal seq", workers), d, live[len(live)-1])
+		}
+		restored.close(t)
+	}
+}
+
+func compareDeltas(t *testing.T, what string, cut, live Delta) {
+	t.Helper()
+	got, err := json.Marshal(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: cut differs from the live delta\ncut  %s\nlive %s", what, got, want)
 	}
 }
 
@@ -351,22 +368,23 @@ func TestPublisherResultsNeverOvercounts(t *testing.T) {
 }
 
 // TestBinsEndpoint pins the time-travel API: the index lists every
-// committed bin, a committed bin decodes to its exact contribution, and
-// queries without a store or for uncommitted bins 404.
+// committed bin, a committed bin cuts to its exact contribution, queries
+// for bins that never closed 404, and a writer without a store serves the
+// same bytes.
 func TestBinsEndpoint(t *testing.T) {
 	r := openStoreRun(t, "ddos", 1, t.TempDir())
 	r.ingest(t, 0)
 	defer r.close(t)
 
-	bins, ok := r.pub.StoreBins()
-	if !ok || len(bins) != r.st.Len() {
-		t.Fatalf("StoreBins: ok=%v len=%d, store has %d", ok, len(bins), r.st.Len())
+	snap := r.pub.Snapshot()
+	bins := snap.bins()
+	if len(bins) != r.st.Len() {
+		t.Fatalf("%d bins listed, store has %d", len(bins), r.st.Len())
 	}
 	total := 0
 	for _, b := range bins {
 		total += b.DelayAlarms + b.FwdAlarms
 	}
-	snap := r.pub.Snapshot()
 	if got := len(snap.DelayAlarms) + len(snap.FwdAlarms); total != got {
 		t.Fatalf("per-bin alarm counts sum to %d, snapshot has %d", total, got)
 	}
@@ -377,9 +395,9 @@ func TestBinsEndpoint(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("%s: status %d: %s", u, rec.Code, rec.Body.String())
 	}
-	pl, found, err := r.pub.StoreBin(bins[len(bins)/2].Bin)
-	if err != nil || !found {
-		t.Fatalf("StoreBin: found=%v err=%v", found, err)
+	pl, found := snap.binPayload(bins[len(bins)/2].Bin)
+	if !found {
+		t.Fatal("binPayload: a listed bin is not found")
 	}
 	wantAlarms := 0
 	for _, al := range snap.DelayAlarms {
@@ -400,9 +418,7 @@ func TestBinsEndpoint(t *testing.T) {
 	}
 
 	plain := runPlainCase(t, "ddos", 1)
-	if rec := get(t, plain, "/api/bins"); rec.Code != 404 {
-		t.Fatalf("storeless /api/bins: status %d", rec.Code)
-	}
+	compareReplica(t, r.srv, plain, []string{"/api/bins", u})
 }
 
 // TestUpdateSegcorpus regenerates the fuzz seed corpus from fixed-seed

@@ -57,17 +57,6 @@ func newTestPipelineStore(t *testing.T, st *segstore.Store) (*core.Analyzer, *Pu
 	return a, pub, NewServer(pub, Options{Logf: func(string, ...any) {}})
 }
 
-// setWindow resizes the catch-up ring (production keeps defaultFeedWindow);
-// tests shrink it to force store synthesis or the Full fallback.
-func (b *broadcaster) setWindow(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ringCap = n
-	if len(b.ring) > n {
-		b.ring = append([]Delta(nil), b.ring[len(b.ring)-n:]...)
-	}
-}
-
 func mkDelayAlarm(bin time.Time, near, far string, dev float64) delay.Alarm {
 	return delay.Alarm{
 		Bin:       bin,

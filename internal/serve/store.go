@@ -1,8 +1,9 @@
 package serve
 
-// Segment-store integration: the record of every closed bin is appended to
-// an internal/segstore.Store before its snapshot is published, and a restart
-// boots the read model straight from the committed records.
+// Segment-store integration, the writer's alone: the record of every
+// closed bin is appended to an internal/segstore.Store before its snapshot
+// is published, and a restart boots the read model straight from the
+// committed records. Nothing on the serving path reads the store.
 //
 // Commit (analysis goroutine, inside Publisher.publish): Store.Append makes
 // the bin's record durable — the very record the feed delta and the mirror
@@ -10,22 +11,19 @@ package serve
 // by construction — and the aggregator's raw series are evicted down to the
 // magnitude window.
 //
-// Boot (NewPublisherWithStore on a non-empty store): the committed records
-// go through mirror.restoreFromRecords, the walk a follower's local-file
-// bootstrap runs — one apply per record, landing on the seq, payload bytes
-// and ETags of the run that wrote them — and the same walk collects what
+// Boot (NewPublisherWithStore on a non-empty store): from the empty seq-1
+// publication, the committed records go through mirror.restoreFromRecords
+// — one apply per record, landing on the seq, marks, payload bytes and
+// ETags of the run that wrote them — and the same walk collects what
 // events.RestoreIncremental seeds the aggregator with; the analyzer gets a
 // resume cursor at the first uncovered bin.
 //
 // A store commit failure is recorded, stops further commits (the store
 // must stay a prefix of the run, and itself refuses appends after a failed
-// one), and surfaces through Finish as a failed run. /api/bins reads decode
-// committed segments directly, giving time-travel to any closed bin's exact
-// contribution.
+// one), and surfaces through Finish as a failed run.
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"pinpoint/internal/core"
@@ -34,33 +32,6 @@ import (
 	"pinpoint/internal/segstore"
 	"pinpoint/internal/timeseries"
 )
-
-// BinSummary is one committed bin as listed by /api/bins.
-type BinSummary struct {
-	Bin         time.Time `json:"bin"`
-	Results     int       `json:"results"`
-	DelayAlarms int       `json:"delay_alarms"`
-	FwdAlarms   int       `json:"fwd_alarms"`
-	Events      int       `json:"events"`
-}
-
-func summarize(rec *segstore.BinRecord) BinSummary {
-	return BinSummary{
-		Bin: rec.Bin, Results: int(rec.Results),
-		DelayAlarms: len(rec.Delay), FwdAlarms: len(rec.Fwd), Events: len(rec.Events),
-	}
-}
-
-// BinPayload is the full time-travel view of one committed bin: exactly
-// what that bin's close contributed to the read model, decoded from its
-// segment.
-type BinPayload struct {
-	Bin         time.Time    `json:"bin"`
-	Results     int          `json:"results"`
-	DelayAlarms []DelayAlarm `json:"delay_alarms"`
-	FwdAlarms   []FwdAlarm   `json:"fwd_alarms"`
-	Events      []Event      `json:"events"`
-}
 
 // NewPublisherWithStore is NewPublisher plus durability: closed bins are
 // committed to st before publication, and a non-empty st boots the read
@@ -90,20 +61,10 @@ func (p *Publisher) Resumed() (time.Time, bool) { return p.resumedAt, p.resumed 
 // StoreErr returns the first segment-commit error, if any. Once set, no
 // further bins are committed (the store must stay a prefix of the run) and
 // Finish reports the run as failed.
-func (p *Publisher) StoreErr() error {
-	if p.store == nil {
-		return nil
-	}
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
-	return p.storeErr
-}
+func (p *Publisher) StoreErr() error { return p.storeErr }
 
-// commit makes one closed bin's record durable. Runs on the analysis
-// goroutine.
+// commit makes one closed bin's record durable.
 func (p *Publisher) commit(rec *segstore.BinRecord) {
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
 	if p.storeErr != nil {
 		return
 	}
@@ -111,15 +72,14 @@ func (p *Publisher) commit(rec *segstore.BinRecord) {
 		p.storeErr = err
 		return
 	}
-	p.binIndex = append(p.binIndex, summarize(rec))
 	// The bin is durable: drop raw series history the magnitude window can
 	// no longer reach (EvictBefore clamps to validThrough − Window).
 	p.agg.EvictBefore(rec.Bin)
 }
 
 // restoreFromStore boots the read model from committed segments: the mirror
-// through the walk a follower's file bootstrap runs, and from the same walk
-// the aggregator's region and the analyzer's resume cursor.
+// through restoreFromRecords, and from the same walk the aggregator's
+// region and the analyzer's resume cursor.
 func (p *Publisher) restoreFromStore() error {
 	lastBin, _ := p.store.LastBin()
 	validThrough := lastBin.Add(p.m.binSize)
@@ -132,7 +92,7 @@ func (p *Publisher) restoreFromStore() error {
 		DelayMag:     make(map[ipmap.ASN][]timeseries.Point),
 		FwdMag:       make(map[ipmap.ASN][]timeseries.Point),
 	}
-	bins, err := p.m.restoreFromRecords(p.store, func(rec *segstore.BinRecord) {
+	err := p.m.restoreFromRecords(p.store, func(rec *segstore.BinRecord) {
 		rs.FirstBin = rec.FirstBin
 		for _, r := range rec.Events {
 			rs.Events = append(rs.Events, events.Event{
@@ -165,47 +125,7 @@ func (p *Publisher) restoreFromStore() error {
 	if err := p.agg.RestoreIncremental(rs); err != nil {
 		return fmt.Errorf("serve: restoring aggregator from segments: %w", err)
 	}
-	p.binIndex = bins
 	p.a.SetResumeCursor(validThrough)
 	p.resumedAt, p.resumed = validThrough, true
 	return nil
-}
-
-// HasStore reports whether a segment store is attached.
-func (l *feedLog) HasStore() bool { return l.store != nil }
-
-// StoreBins lists the committed bins, oldest first. ok is false when no
-// store is attached.
-func (l *feedLog) StoreBins() (bins []BinSummary, ok bool) {
-	if l.store == nil {
-		return nil, false
-	}
-	l.storeMu.Lock()
-	defer l.storeMu.Unlock()
-	return append([]BinSummary{}, l.binIndex...), true
-}
-
-// StoreBin is the /api/bins?bin= body: it decodes the committed segment of
-// the given bin to the time-travel payload. found is false when the bin is
-// not committed (or no store is attached).
-func (l *feedLog) StoreBin(bin time.Time) (pl *BinPayload, found bool, err error) {
-	if l.store == nil {
-		return nil, false, nil
-	}
-	l.storeMu.Lock()
-	defer l.storeMu.Unlock()
-	b := timeseries.Bin(bin, l.binSize)
-	i := sort.Search(len(l.binIndex), func(i int) bool { return !l.binIndex[i].Bin.Before(b) })
-	if i == len(l.binIndex) || !l.binIndex[i].Bin.Equal(b) {
-		return nil, false, nil
-	}
-	var rec segstore.BinRecord
-	if err := l.store.Record(i, &rec); err != nil {
-		return nil, true, fmt.Errorf("serve: decoding committed segment %d: %w", i, err)
-	}
-	d := deltaFromRecord(&rec, uint64(i+2), l.binSize)
-	return &BinPayload{
-		Bin: d.Bin, Results: d.Results,
-		DelayAlarms: d.DelayAlarms, FwdAlarms: d.FwdAlarms, Events: d.Events,
-	}, true, nil
 }

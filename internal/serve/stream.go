@@ -16,13 +16,16 @@ const sseHeartbeat = 15 * time.Second
 // one `delta` event per snapshot publication (bin close or run completion).
 //
 // A client holding state from an earlier connection passes ?since=SEQ; the
-// deltas covering (since, current] are replayed first (Source.CatchUp), or
-// one Full delta when they are not all available — which includes a client
-// ahead of this server (since > current: the writer came back without its
-// history, and whatever the client holds is not a prefix of it). The
+// seqs (since, current] are cut from the snapshot first, or one Full delta
+// when since has no mark — which includes a client ahead of this server
+// (since > current: the writer came back without its history, and whatever
+// the client holds is not a prefix of it). See Snapshot.catchUp. The
 // subscription is registered before the snapshot is read, so no delta can
-// fall between the replay and the live stream; live deltas at or below the
-// snapshot's seq are skipped instead of duplicated.
+// fall between the catch-up and the live stream; live appends at or below
+// the snapshot's seq are skipped instead of duplicated. A live Full delta
+// is never skipped, whatever its seq: it is this role's own resync (a
+// follower whose upstream came back with a shorter history), and a client
+// that missed it would append the new history onto the old one.
 //
 // A subscriber dropped for falling behind gets a terminal `gap` event with
 // the last delivered seq, so clients can tell "resync needed" (reconnect
@@ -56,13 +59,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !s.sseEvent(w, fl, "hello", helloFor(snap)) {
 		return
 	}
-	if haveSince && since != snap.Seq {
-		ds, ok := s.src.CatchUp(since, snap.Seq)
-		if !ok {
-			// One full-state delta resyncs the client from any state.
-			ds = []Delta{fullDelta(snap)}
-		}
-		for _, d := range ds {
+	if haveSince {
+		for d := range snap.catchUp(since) {
 			if !s.sseEvent(w, fl, "delta", d) {
 				return
 			}
@@ -86,7 +84,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if d.Seq <= snap.Seq {
+			if !d.Full && d.Seq <= snap.Seq {
 				continue // already reflected in the hello/catch-up
 			}
 			if !s.sseEvent(w, fl, "delta", d) {

@@ -46,13 +46,6 @@ type MedianCI struct {
 // Valid reports whether the interval was computed from at least one sample.
 func (ci MedianCI) Valid() bool { return ci.N > 0 }
 
-// Overlaps reports whether two confidence intervals intersect. Following
-// Schenker & Gentleman (cited in §4.2.3), non-overlap is the paper's
-// criterion for a statistically significant median difference.
-func (ci MedianCI) Overlaps(other MedianCI) bool {
-	return ci.Lower <= other.Upper && other.Lower <= ci.Upper
-}
-
 // MedianWilson computes the median of xs together with its Wilson-score
 // confidence interval at the given z (use Z95 for the paper's 95% level).
 // The input is not modified. For an empty slice it returns a zero MedianCI

@@ -103,23 +103,6 @@ func TestMedianWilsonCoverage(t *testing.T) {
 	}
 }
 
-func TestMedianCIOverlaps(t *testing.T) {
-	a := MedianCI{Median: 5, Lower: 4, Upper: 6, N: 10}
-	b := MedianCI{Median: 5.5, Lower: 5.5, Upper: 7, N: 10}
-	c := MedianCI{Median: 9, Lower: 8, Upper: 10, N: 10}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b should overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("a and c should not overlap")
-	}
-	// Touching intervals count as overlapping.
-	d := MedianCI{Median: 6.5, Lower: 6, Upper: 7, N: 10}
-	if !a.Overlaps(d) {
-		t.Error("touching intervals should overlap")
-	}
-}
-
 func TestMedianWilsonOrderProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := raw[:0]

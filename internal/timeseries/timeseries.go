@@ -267,33 +267,3 @@ func Values(pts []Point) []float64 {
 	}
 	return out
 }
-
-// MaxPoint returns the point with the largest value, ok=false for empty
-// input.
-func MaxPoint(pts []Point) (Point, bool) {
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if p.V > best.V {
-			best = p
-		}
-	}
-	return best, true
-}
-
-// MinPoint returns the point with the smallest value, ok=false for empty
-// input.
-func MinPoint(pts []Point) (Point, bool) {
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if p.V < best.V {
-			best = p
-		}
-	}
-	return best, true
-}

@@ -236,18 +236,4 @@ func TestValuesAndExtremes(t *testing.T) {
 	if len(vs) != 3 || vs[1] != -5 {
 		t.Errorf("Values = %v", vs)
 	}
-	mx, ok := MaxPoint(pts)
-	if !ok || mx.V != 8 {
-		t.Errorf("MaxPoint = %+v", mx)
-	}
-	mn, ok := MinPoint(pts)
-	if !ok || mn.V != -5 {
-		t.Errorf("MinPoint = %+v", mn)
-	}
-	if _, ok := MaxPoint(nil); ok {
-		t.Error("MaxPoint(nil) should be !ok")
-	}
-	if _, ok := MinPoint(nil); ok {
-		t.Error("MinPoint(nil) should be !ok")
-	}
 }
