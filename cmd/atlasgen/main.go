@@ -38,6 +38,9 @@ func main() {
 	metaPath := flag.String("meta", "", "metadata JSON output path (default <out>.meta.json)")
 	genWorkers := flag.Int("gen-workers", 1, "generator workers (0 = all CPUs, 1 = inline)")
 	flag.Parse()
+	if err := experiments.CheckWorkerFlags(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 
 	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {

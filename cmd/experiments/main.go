@@ -79,6 +79,9 @@ func main() {
 	robustCases := flag.String("robust-cases", "", "comma-separated case subset for -robust (default all: "+strings.Join(experiments.CaseNames, ", ")+")")
 	workers := flag.Int("workers", 0, "platform/analyzer workers for -robust (0 = default)")
 	flag.Parse()
+	if err := experiments.CheckWorkerFlags(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 
 	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"context"
+	"os/exec"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"pinpoint/internal/experiments"
 )
@@ -61,6 +66,36 @@ func TestParseRunList(t *testing.T) {
 	for _, all := range []string{"all", ""} {
 		if sel, err := parseRunList(all); err != nil || len(sel) != len(experiments.Registry) {
 			t.Errorf("parseRunList(%q) = %d experiments, %v; want all %d", all, len(sel), err, len(experiments.Registry))
+		}
+	}
+}
+
+// TestNegativeWorkersRefused runs the built command. -robust -workers -3
+// used to generate on every CPU, analyze on one shard and record
+// "workers": -3 in its report. A negative count is now refused before any
+// work starts: before -scale is parsed, so the unknown scale every row
+// passes is never reached. A count of 0 passes the check, and the run fails
+// on the scale instead.
+func TestNegativeWorkersRefused(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "experiments")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"-workers -3", "-workers -3: a worker count cannot be negative"},
+		{"-workers -1", "-workers -1: a worker count cannot be negative"},
+		{"-workers 0", `unknown scale "nosuch"`},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		args := append([]string{"-scale", "nosuch", "-robust", filepath.Join(t.TempDir(), "r.json")}, strings.Fields(tc.args)...)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("experiments %s: exit %v, output %q; want a failure containing %q", strings.Join(args, " "), err, out, tc.want)
 		}
 	}
 }

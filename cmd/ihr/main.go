@@ -102,6 +102,9 @@ func main() {
 
 	// All flag validation happens before the listener opens: a bad flag must
 	// fail the command, never kill a server that already accepted traffic.
+	if err := experiments.CheckWorkerFlags(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {
 		log.Fatal(err)

@@ -22,7 +22,8 @@
 // Usage:
 //
 //	pinpoint -input ddos.ndjson -meta ddos.ndjson.meta.json
-//	atlasgen -case leak | pinpoint -meta leak.meta.json
+//	atlasgen -case leak | pinpoint -case leak -input -
+//	atlasgen -case leak -o leak.ndjson && pinpoint -input leak.ndjson -meta leak.ndjson.meta.json
 //	pinpoint -case ddos -scale quick -gen-workers 4 -workers 4
 //	pinpoint -case ddos -input ddos.ndjson.gz -decode-workers 4
 //	pinpoint -case ddos -store /tmp/ddos.store
@@ -125,6 +126,9 @@ func run() error {
 	binCloseStats := flag.Bool("binclose-stats", false, "print bin-close kernel throughput (bins/links/flows closed, samples/s) after the run")
 	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence (requires -case); reopening resumes past committed bins, reporting post-resume alarms only")
 	flag.Parse()
+	if err := experiments.CheckWorkerFlags(flag.CommandLine); err != nil {
+		return err
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

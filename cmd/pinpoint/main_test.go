@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
 	"math"
 	"net/netip"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -52,6 +56,38 @@ func TestParseDotAroundRejectsBadFlags(t *testing.T) {
 		addr, err := parseDotAround(ok.dot, ok.around)
 		if err != nil || addr != ok.want {
 			t.Errorf("parseDotAround(%q, %q) = %v, %v; want %v", ok.dot, ok.around, addr, err, ok.want)
+		}
+	}
+}
+
+// TestNegativeWorkersRefused runs the built command. A negative worker
+// count used to mean different things per flag: -workers -1 ran two shards
+// (core.AutoWorkers), -workers -2 one inline shard, and -gen-workers -4
+// every CPU. It is now refused before any work starts: before -scale is
+// parsed, so the unknown scale every row passes is never reached. A count
+// of 0 passes the check, and the run fails on the scale instead.
+func TestNegativeWorkersRefused(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "pinpoint")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"-workers -1", "-workers -1: a worker count cannot be negative"},
+		{"-workers -2", "-workers -2: a worker count cannot be negative"},
+		{"-gen-workers -4", "-gen-workers -4: a worker count cannot be negative"},
+		{"-decode-workers -3", "-decode-workers -3: a worker count cannot be negative"},
+		{"-workers 0 -gen-workers 0 -decode-workers 0", `unknown scale "nosuch"`},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		args := append([]string{"-case", "quiet", "-scale", "nosuch"}, strings.Fields(tc.args)...)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("pinpoint %s: exit %v, output %q; want a failure containing %q", strings.Join(args, " "), err, out, tc.want)
 		}
 	}
 }

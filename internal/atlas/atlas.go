@@ -38,29 +38,14 @@ const (
 )
 
 // Probe is one vantage point, attached to a router of the simulated network.
+// Every probe is connected for the whole run. The paper's dataset has churn
+// (11,538 probes connected at some point during the eight months, ~10,000 at
+// any instant); the simulator does not model it.
 type Probe struct {
 	ID     int
 	Router netsim.RouterID
 	ASN    ipmap.ASN
 	Anchor bool // anchors are "super probes" (§2)
-
-	// ConnectedFrom/ConnectedTo bound the probe's availability: outside
-	// the window it schedules no measurements. Zero values mean always
-	// connected. The paper's dataset has the same churn: 11,538 probes
-	// connected at some point during the eight months, ~10,000 at any
-	// instant.
-	ConnectedFrom, ConnectedTo time.Time
-}
-
-// connectedAt reports whether the probe is online at t.
-func (p Probe) connectedAt(t time.Time) bool {
-	if !p.ConnectedFrom.IsZero() && t.Before(p.ConnectedFrom) {
-		return false
-	}
-	if !p.ConnectedTo.IsZero() && !t.Before(p.ConnectedTo) {
-		return false
-	}
-	return true
 }
 
 // Kind distinguishes the two repetitive measurement classes of §2.
@@ -164,16 +149,6 @@ func (p *Platform) Probe(id int) (Probe, bool) {
 	return p.probes[id-1], true
 }
 
-// SetProbeWindow bounds a probe's connectivity to [from, to); measurements
-// outside the window are not scheduled. It returns false for unknown probes.
-func (p *Platform) SetProbeWindow(id int, from, to time.Time) bool {
-	if id < 1 || id > len(p.probes) {
-		return false
-	}
-	p.probes[id-1].ConnectedFrom, p.probes[id-1].ConnectedTo = from, to
-	return true
-}
-
 // ProbeASN resolves a probe id to its AS number; the delay analyzer's
 // probe-diversity filter (§4.3) keys on this.
 func (p *Platform) ProbeASN(id int) (ipmap.ASN, bool) {
@@ -262,7 +237,6 @@ func cursorLess(a, b cursor) bool {
 // O(streams) memory for arbitrarily long campaigns and emits the next task
 // in O(log streams), with no per-chunk re-sorting.
 type scheduler struct {
-	p  *Platform
 	to time.Time
 	h  []cursor // min-heap ordered by cursorLess
 }
@@ -271,7 +245,7 @@ type scheduler struct {
 // measurement registration so callers may register measurements before
 // attaching the probes they reference; by run time every ID must resolve.
 func (p *Platform) newScheduler(from, to time.Time) (*scheduler, error) {
-	s := &scheduler{p: p, to: to}
+	s := &scheduler{to: to}
 	for mi, m := range p.msms {
 		for _, prb := range m.Probes {
 			if prb < 1 || prb > len(p.probes) {
@@ -313,27 +287,22 @@ func (s *scheduler) down(i int) {
 	}
 }
 
-// next pops the chronologically next firing of a connected probe, advancing
-// its stream cursor. ok is false when the schedule is exhausted.
+// next pops the chronologically next firing, advancing its stream cursor.
+// ok is false when the schedule is exhausted.
 func (s *scheduler) next() (genTask, bool) {
-	for len(s.h) > 0 {
-		c := s.h[0]
-		t := genTask{at: c.at, msm: c.msm, probe: c.probe}
-		if nxt := c.at.Add(c.interval); nxt.Before(s.to) {
-			s.h[0].at = nxt
-			s.down(0)
-		} else {
-			last := len(s.h) - 1
-			s.h[0] = s.h[last]
-			s.h = s.h[:last]
-			s.down(0)
-		}
-		// Disconnected probes skip the firing but keep their cadence.
-		if s.p.probes[t.probe-1].connectedAt(t.at) {
-			return t, true
-		}
+	if len(s.h) == 0 {
+		return genTask{}, false
 	}
-	return genTask{}, false
+	c := s.h[0]
+	if nxt := c.at.Add(c.interval); nxt.Before(s.to) {
+		s.h[0].at = nxt
+	} else {
+		last := len(s.h) - 1
+		s.h[0] = s.h[last]
+		s.h = s.h[:last]
+	}
+	s.down(0)
+	return genTask{at: c.at, msm: c.msm, probe: c.probe}, true
 }
 
 // exec runs one task. The per-task reseed leaves the PCG in exactly the

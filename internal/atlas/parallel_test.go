@@ -12,16 +12,14 @@ import (
 )
 
 // parallelPlatform builds a platform with enough schedule structure to
-// stress the reorder buffer: builtin + anchoring measurements and probe
-// churn windows (disconnections exercise the scheduler's skip path).
+// stress the reorder buffer: builtin + anchoring measurements at two
+// cadences over overlapping probe sets.
 func parallelPlatform(t *testing.T, seed uint64) *Platform {
 	t.Helper()
 	p, topo := testPlatform(t, seed)
 	p.AddBuiltin(topo.Roots[0].Addr)
 	p.AddAnchoring(topo.Anchors[0].Addr, []int{1, 2, 3, 4})
 	p.AddAnchoring(topo.Anchors[1].Addr, []int{3, 5, 7})
-	p.SetProbeWindow(2, from.Add(90*time.Minute), time.Time{})
-	p.SetProbeWindow(5, time.Time{}, from.Add(2*time.Hour))
 	return p
 }
 

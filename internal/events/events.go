@@ -234,9 +234,6 @@ func (a *Aggregator) ASes() []ipmap.ASN {
 // DelaySeries returns the Σ d(∆) series of an AS (nil when it has none).
 func (a *Aggregator) DelaySeries(asn ipmap.ASN) *timeseries.Series { return a.delaySeries[asn] }
 
-// ForwardingSeries returns the Σ rᵢ series of an AS (nil when it has none).
-func (a *Aggregator) ForwardingSeries(asn ipmap.ASN) *timeseries.Series { return a.fwdSeries[asn] }
-
 // DelayMagnitude computes the Eq 10 magnitude of an AS's delay series over
 // [from, to). Missing bins count as zero (a quiet hour is "no alarms").
 func (a *Aggregator) DelayMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {

@@ -18,9 +18,11 @@ var t0 = time.Date(2015, 11, 23, 0, 0, 0, 0, time.UTC)
 func testTable(t *testing.T) *ipmap.Table {
 	t.Helper()
 	var tbl ipmap.Table
-	tbl.MustAdd("10.1.0.0/16", 100)
-	tbl.MustAdd("10.2.0.0/16", 200)
-	tbl.MustAdd("80.81.192.0/24", 1200)
+	for p, asn := range map[string]ipmap.ASN{"10.1.0.0/16": 100, "10.2.0.0/16": 200, "80.81.192.0/24": 1200} {
+		if err := tbl.Add(netip.MustParsePrefix(p), asn); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return &tbl
 }
 
@@ -80,10 +82,10 @@ func TestForwardingAlarmResponsibilityRouting(t *testing.T) {
 		},
 	}
 	a.AddForwardingAlarm(al)
-	if v, _ := a.ForwardingSeries(100).Value(t0); v != -0.3 {
+	if v, _ := a.fwdSeries[100].Value(t0); v != -0.3 {
 		t.Errorf("AS100 fwd = %v, want -0.3", v)
 	}
-	if v, _ := a.ForwardingSeries(200).Value(t0); v != 0.25 {
+	if v, _ := a.fwdSeries[200].Value(t0); v != 0.25 {
 		t.Errorf("AS200 fwd = %v, want 0.25", v)
 	}
 }
@@ -101,7 +103,7 @@ func TestIntraASReroutingCancels(t *testing.T) {
 		},
 	}
 	a.AddForwardingAlarm(al)
-	if v, _ := a.ForwardingSeries(100).Value(t0); v != 0 {
+	if v, _ := a.fwdSeries[100].Value(t0); v != 0 {
 		t.Errorf("intra-AS reroute net = %v, want 0", v)
 	}
 }

@@ -88,9 +88,6 @@ func (g *AlarmGraph) Nodes() []netip.Addr {
 	return out
 }
 
-// Edges returns all edges.
-func (g *AlarmGraph) Edges() []GraphEdge { return g.edges }
-
 // Flagged reports whether the address was involved in a forwarding anomaly.
 func (g *AlarmGraph) Flagged(a netip.Addr) bool { return g.flag[a] }
 

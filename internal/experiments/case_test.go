@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -95,5 +97,44 @@ func TestReportRender(t *testing.T) {
 	}
 	if len(r.Failed()) != 1 {
 		t.Errorf("Failed = %d, want 1", len(r.Failed()))
+	}
+}
+
+// TestCheckWorkerFlags: a negative count on any worker flag is refused and
+// named; 0, positive counts and unset flags pass. A flag set without some of
+// the three (atlasgen defines only -gen-workers) is checked on the ones it
+// has.
+func TestCheckWorkerFlags(t *testing.T) {
+	for _, tc := range []struct {
+		defs []string // worker flags the command defines
+		args []string
+		want string // error substring; "" = accepted
+	}{
+		{[]string{"workers", "gen-workers", "decode-workers"}, nil, ""},
+		{[]string{"workers", "gen-workers", "decode-workers"}, []string{"-workers", "0", "-gen-workers", "0", "-decode-workers", "0"}, ""},
+		{[]string{"workers", "gen-workers", "decode-workers"}, []string{"-workers", "4", "-gen-workers", "1", "-decode-workers", "8"}, ""},
+		{[]string{"workers", "gen-workers", "decode-workers"}, []string{"-workers", "-1"}, "-workers -1:"},
+		{[]string{"workers", "gen-workers", "decode-workers"}, []string{"-workers", "-2"}, "-workers -2:"},
+		{[]string{"workers", "gen-workers", "decode-workers"}, []string{"-gen-workers", "-4"}, "-gen-workers -4:"},
+		{[]string{"workers", "gen-workers", "decode-workers"}, []string{"-decode-workers", "-3"}, "-decode-workers -3:"},
+		{[]string{"gen-workers"}, []string{"-gen-workers", "-1"}, "-gen-workers -1:"},
+		{[]string{"gen-workers"}, []string{"-gen-workers", "0"}, ""},
+		{[]string{"workers"}, []string{"-workers", "-3"}, "-workers -3:"},
+	} {
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		for _, name := range tc.defs {
+			fs.Int(name, 1, "")
+		}
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := CheckWorkerFlags(fs)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: refused: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,6 +44,22 @@ func ParseScale(name string) (Scale, error) {
 	default:
 		return Quick, fmt.Errorf("experiments: unknown scale %q (valid: quick, full)", name)
 	}
+}
+
+// CheckWorkerFlags refuses a negative value of any worker-count flag fs
+// defines (-workers, -gen-workers, -decode-workers): every CLI calls it
+// right after parsing, before any work starts. A negative count used to
+// mean all CPUs, one inline shard or core.AutoWorkers depending on where it
+// landed; 0 keeps its documented meaning in every command.
+func CheckWorkerFlags(fs *flag.FlagSet) error {
+	for _, name := range []string{"workers", "gen-workers", "decode-workers"} {
+		if f := fs.Lookup(name); f != nil {
+			if n, _ := f.Value.(flag.Getter).Get().(int); n < 0 {
+				return fmt.Errorf("-%s %d: a worker count cannot be negative (0 = the default)", name, n)
+			}
+		}
+	}
+	return nil
 }
 
 // Claim is one paper statement checked against the reproduction.

@@ -117,7 +117,12 @@ func TestExtractContributionsGolden(t *testing.T) {
 	for i := range rs {
 		ExtractContributions(in, rs[i], func(c Contribution) {
 			router, dst := reg.FlowAddrsOf(c.Flow)
-			fmt.Fprintf(sum, "%d %s %s %s %s %016x %t\n", i, router, dst, reg.AddrOf(reg.RouterAddrOf(c.Router)),
+			// The contribution's router is its flow's router: the digest
+			// prints that address once for the flow and once for c.Router.
+			if want := reg.Router(reg.Addr(router)); c.Router != want {
+				t.Fatalf("result %d: contribution router %d, want %d (the flow's router %s)", i, c.Router, want, router)
+			}
+			fmt.Fprintf(sum, "%d %s %s %s %s %016x %t\n", i, router, dst, router,
 				reg.AddrOf(c.Hop), math.Float64bits(c.W), c.Touch)
 			contribs++
 		})

@@ -339,21 +339,6 @@ func (d *Detector) RefStats() (models, nextHops int) {
 	return d.refModels, d.refNextHops
 }
 
-// ReferenceFor returns a copy of the current reference pattern, for tests
-// and diagnostics. ok is false when the flow has no reference yet.
-func (d *Detector) ReferenceFor(k FlowKey) (map[netip.Addr]float64, bool) {
-	id, ok := d.reg.LookupFlow(k.Router, k.Dst)
-	if !ok || int(id) >= len(d.slotOf) || d.slotOf[id] < 0 || !d.flows[d.slotOf[id]].hasRef {
-		return nil, false
-	}
-	ref := d.refOf(&d.flows[d.slotOf[id]])
-	out := make(map[netip.Addr]float64, len(ref))
-	for _, h := range ref {
-		out[d.reg.AddrOf(h.hop)] = h.v
-	}
-	return out, true
-}
-
 // Observe is ObserveView over the detector's scratch view.
 func (d *Detector) Observe(r trace.Result) []Alarm {
 	return d.ObserveView(d.intern.ScratchView(&r))

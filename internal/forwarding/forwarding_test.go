@@ -230,8 +230,8 @@ func TestPerDestinationModels(t *testing.T) {
 	d.Observe(r1)
 	d.Observe(r2)
 	d.Flush()
-	ref1, ok1 := d.ReferenceFor(FlowKey{Router: rtrR, Dst: dst1})
-	ref2, ok2 := d.ReferenceFor(FlowKey{Router: rtrR, Dst: dst2})
+	ref1, ok1 := d.referenceFor(FlowKey{Router: rtrR, Dst: dst1})
+	ref2, ok2 := d.referenceFor(FlowKey{Router: rtrR, Dst: dst2})
 	if !ok1 || !ok2 {
 		t.Fatal("missing per-destination references")
 	}
@@ -271,8 +271,8 @@ func TestECMPSplitWeights(t *testing.T) {
 	}
 	d.Observe(r)
 	d.Flush()
-	ref1, _ := d.ReferenceFor(FlowKey{Router: rtrR, Dst: dst1})
-	ref2, _ := d.ReferenceFor(FlowKey{Router: hopC, Dst: dst1})
+	ref1, _ := d.referenceFor(FlowKey{Router: rtrR, Dst: dst1})
+	ref2, _ := d.referenceFor(FlowKey{Router: hopC, Dst: dst1})
 	if math.Abs(ref1[hopA]-1.5) > 1e-9 || math.Abs(ref2[hopA]-1.5) > 1e-9 {
 		t.Errorf("split weights = %v / %v, want 1.5 each", ref1[hopA], ref2[hopA])
 	}
@@ -295,7 +295,7 @@ func TestReferenceDecaysUnseenHops(t *testing.T) {
 	feed(d, 0, 4, 4)
 	feed(d, 1, 8, 0) // B disappears
 	d.Flush()
-	ref, _ := d.ReferenceFor(FlowKey{Router: rtrR, Dst: dst1})
+	ref, _ := d.referenceFor(FlowKey{Router: rtrR, Dst: dst1})
 	if ref[hopB] >= 12 {
 		t.Errorf("unseen hop did not decay: %v", ref[hopB])
 	}
@@ -363,4 +363,26 @@ func TestBinCloseAllocationFree(t *testing.T) {
 	if cs := d.CloseStats(); cs.Flows == 0 {
 		t.Error("fixture evaluated no pattern against a reference")
 	}
+}
+
+// referenceFor returns a copy of the flow's current reference pattern; ok
+// is false when the flow has no reference yet. It scans the detector's
+// flows rather than interning the key, so asking leaves the registry as it
+// was.
+func (d *Detector) referenceFor(k FlowKey) (map[netip.Addr]float64, bool) {
+	for id, si := range d.slotOf {
+		if si < 0 || !d.flows[si].hasRef {
+			continue
+		}
+		if router, dst := d.reg.FlowAddrsOf(ident.FlowID(id)); router != k.Router || dst != k.Dst {
+			continue
+		}
+		ref := d.refOf(&d.flows[si])
+		out := make(map[netip.Addr]float64, len(ref))
+		for _, h := range ref {
+			out[d.reg.AddrOf(h.hop)] = h.v
+		}
+		return out, true
+	}
+	return nil, false
 }

@@ -327,7 +327,7 @@ func testSlotsMatchMapModel(t *testing.T, w int) {
 			}
 			owner := run.owner(run.reg.Router(run.reg.Addr(k.Router)))
 			for _, d := range run.dets {
-				ref, ok := d.ReferenceFor(k)
+				ref, ok := d.referenceFor(k)
 				if d != owner {
 					if ok {
 						t.Fatalf("bin %d: %v has a reference on a detector that does not own it", b, k)

@@ -70,8 +70,7 @@ type Registry struct {
 	flowIDs map[pairKey]FlowID
 	flows   []pairKey
 
-	routerIDs map[AddrID]RouterID
-	routers   []AddrID
+	routerIDs map[AddrID]RouterID // dense: IDs are 0..len-1 in interning order
 }
 
 // NewRegistry returns an empty registry with the zero address pre-interned
@@ -145,14 +144,6 @@ func (g *Registry) Link(near, far AddrID) LinkID {
 	return id
 }
 
-// LinkOf resolves a link ID to its endpoint address IDs.
-func (g *Registry) LinkOf(id LinkID) (near, far AddrID) {
-	g.mu.RLock()
-	k := g.links[id]
-	g.mu.RUnlock()
-	return AddrID(k >> 32), AddrID(k & 0xffffffff)
-}
-
 // LinkKeyOf resolves a link ID to the trace.LinkKey reports carry.
 func (g *Registry) LinkKeyOf(id LinkID) trace.LinkKey {
 	g.mu.RLock()
@@ -161,23 +152,6 @@ func (g *Registry) LinkKeyOf(id LinkID) trace.LinkKey {
 	far := g.addrs[AddrID(k&0xffffffff)]
 	g.mu.RUnlock()
 	return trace.LinkKey{Near: near, Far: far}
-}
-
-// LookupLink returns the ID of an already-interned link without interning;
-// ok is false when either endpoint or the pair is unknown.
-func (g *Registry) LookupLink(key trace.LinkKey) (LinkID, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	near, ok := g.addrIDs[key.Near]
-	if !ok {
-		return 0, false
-	}
-	far, ok := g.addrIDs[key.Far]
-	if !ok {
-		return 0, false
-	}
-	id, ok := g.linkIDs[mkPair(near, far)]
-	return id, ok
 }
 
 // Flow interns the (router, destination) pair of one forwarding pattern.
@@ -200,14 +174,6 @@ func (g *Registry) Flow(router, dst AddrID) FlowID {
 	return id
 }
 
-// FlowOf resolves a flow ID to its (router, destination) address IDs.
-func (g *Registry) FlowOf(id FlowID) (router, dst AddrID) {
-	g.mu.RLock()
-	k := g.flows[id]
-	g.mu.RUnlock()
-	return AddrID(k >> 32), AddrID(k & 0xffffffff)
-}
-
 // FlowAddrsOf resolves a flow ID to the (router, destination) addresses.
 func (g *Registry) FlowAddrsOf(id FlowID) (router, dst netip.Addr) {
 	g.mu.RLock()
@@ -216,22 +182,6 @@ func (g *Registry) FlowAddrsOf(id FlowID) (router, dst netip.Addr) {
 	dst = g.addrs[AddrID(k&0xffffffff)]
 	g.mu.RUnlock()
 	return router, dst
-}
-
-// LookupFlow returns the ID of an already-interned flow without interning.
-func (g *Registry) LookupFlow(router, dst netip.Addr) (FlowID, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	r, ok := g.addrIDs[router]
-	if !ok {
-		return 0, false
-	}
-	d, ok := g.addrIDs[dst]
-	if !ok {
-		return 0, false
-	}
-	id, ok := g.flowIDs[mkPair(r, d)]
-	return id, ok
 }
 
 // Router interns an address into the router ID space.
@@ -247,18 +197,9 @@ func (g *Registry) Router(a AddrID) RouterID {
 	if id, ok := g.routerIDs[a]; ok {
 		return id
 	}
-	id = RouterID(len(g.routers))
+	id = RouterID(len(g.routerIDs))
 	g.routerIDs[a] = id
-	g.routers = append(g.routers, a)
 	return id
-}
-
-// RouterAddrOf resolves a router ID back to its address ID.
-func (g *Registry) RouterAddrOf(id RouterID) AddrID {
-	g.mu.RLock()
-	a := g.routers[id]
-	g.mu.RUnlock()
-	return a
 }
 
 // GrowTable extends a dense ID-indexed side table to n entries, filling
@@ -531,7 +472,7 @@ func (g *Registry) Flows() int {
 // Routers returns how many router addresses have been interned.
 func (g *Registry) Routers() int {
 	g.mu.RLock()
-	n := len(g.routers)
+	n := len(g.routerIDs)
 	g.mu.RUnlock()
 	return n
 }

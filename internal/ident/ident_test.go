@@ -48,38 +48,21 @@ func TestInternRoundTrips(t *testing.T) {
 	if rid := g.Link(idb, ida); rid == lid {
 		t.Fatal("reversed link shares the ID of the forward link")
 	}
-	near, far := g.LinkOf(lid)
-	if near != ida || far != idb {
-		t.Fatalf("LinkOf = (%d, %d), want (%d, %d)", near, far, ida, idb)
-	}
 	if key := g.LinkKeyOf(lid); key != (trace.LinkKey{Near: a, Far: b}) {
 		t.Fatalf("LinkKeyOf = %v", key)
 	}
-	if got, ok := g.LookupLink(trace.LinkKey{Near: a, Far: b}); !ok || got != lid {
-		t.Fatalf("LookupLink = %d, %v", got, ok)
-	}
-	if _, ok := g.LookupLink(trace.LinkKey{Near: a, Far: addr(99)}); ok {
-		t.Fatal("LookupLink interned an unknown endpoint")
-	}
 
 	fid := g.Flow(ida, idb)
-	fr, fd := g.FlowOf(fid)
-	if fr != ida || fd != idb {
-		t.Fatalf("FlowOf = (%d, %d)", fr, fd)
-	}
 	if ra, da := g.FlowAddrsOf(fid); ra != a || da != b {
 		t.Fatalf("FlowAddrsOf = (%v, %v)", ra, da)
 	}
-	if got, ok := g.LookupFlow(a, b); !ok || got != fid {
-		t.Fatalf("LookupFlow = %d, %v", got, ok)
+	if g.Flow(ida, idb) != fid {
+		t.Fatal("re-interning flow changed the ID")
 	}
 
 	rid := g.Router(ida)
 	if g.Router(ida) != rid {
 		t.Fatal("re-interning router changed the ID")
-	}
-	if g.RouterAddrOf(rid) != ida {
-		t.Fatal("RouterAddrOf does not round-trip")
 	}
 
 	if g.Addrs() != 3 || g.Links() != 2 || g.Flows() != 1 || g.Routers() != 1 {
@@ -151,9 +134,11 @@ func TestConcurrentInterningStableIDs(t *testing.T) {
 		if g.AddrOf(views[0].addrs[i]) != addr(i) {
 			t.Fatalf("reverse lookup of addr %d does not round-trip", i)
 		}
-		near, far := g.LinkOf(views[0].links[i])
-		if near != views[0].addrs[i] || g.AddrOf(far) != addr(i+n) {
+		if key := g.LinkKeyOf(views[0].links[i]); key != (trace.LinkKey{Near: addr(i), Far: addr(i + n)}) {
 			t.Fatalf("reverse lookup of link %d does not round-trip", i)
+		}
+		if r, d := g.FlowAddrsOf(views[0].flows[i]); r != addr(i) || d != addr(i+n) {
+			t.Fatalf("reverse lookup of flow %d does not round-trip", i)
 		}
 	}
 	if g.Addrs() != 2*n+1 || g.Links() != n || g.Flows() != n || g.Routers() != n {

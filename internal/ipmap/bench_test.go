@@ -12,7 +12,7 @@ func BenchmarkLookup(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	for i := 0; i < 10000; i++ {
 		p := fmt.Sprintf("10.%d.%d.0/24", rng.IntN(256), rng.IntN(256))
-		tbl.MustAdd(p, ASN(i+1))
+		mustAdd(b, &tbl, p, ASN(i+1))
 	}
 	addrs := make([]netip.Addr, 1024)
 	for i := range addrs {

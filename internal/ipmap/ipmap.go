@@ -69,13 +69,6 @@ func (t *Table) Add(prefix netip.Prefix, asn ASN) error {
 	return nil
 }
 
-// MustAdd is Add for statically known prefixes; it panics on error.
-func (t *Table) MustAdd(prefix string, asn ASN) {
-	if err := t.Add(netip.MustParsePrefix(prefix), asn); err != nil {
-		panic(err)
-	}
-}
-
 // Lookup returns the ASN of the longest matching prefix for addr.
 // ok is false when no prefix covers the address.
 func (t *Table) Lookup(addr netip.Addr) (asn ASN, ok bool) {

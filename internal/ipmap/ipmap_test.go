@@ -7,12 +7,20 @@ import (
 	"testing/quick"
 )
 
+// mustAdd adds a prefix to tbl, failing the test on Add's error.
+func mustAdd(tb testing.TB, tbl *Table, prefix string, asn ASN) {
+	tb.Helper()
+	if err := tbl.Add(netip.MustParsePrefix(prefix), asn); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestLookupLongestPrefix(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("10.0.0.0/8", 100)
-	tbl.MustAdd("10.1.0.0/16", 200)
-	tbl.MustAdd("10.1.2.0/24", 300)
-	tbl.MustAdd("0.0.0.0/0", 1)
+	mustAdd(t, &tbl, "10.0.0.0/8", 100)
+	mustAdd(t, &tbl, "10.1.0.0/16", 200)
+	mustAdd(t, &tbl, "10.1.2.0/24", 300)
+	mustAdd(t, &tbl, "0.0.0.0/0", 1)
 
 	tests := []struct {
 		addr string
@@ -33,7 +41,7 @@ func TestLookupLongestPrefix(t *testing.T) {
 
 func TestLookupMiss(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("10.0.0.0/8", 100)
+	mustAdd(t, &tbl, "10.0.0.0/8", 100)
 	if _, ok := tbl.Lookup(netip.MustParseAddr("11.0.0.1")); ok {
 		t.Error("lookup outside any prefix should miss")
 	}
@@ -48,8 +56,8 @@ func TestLookupMiss(t *testing.T) {
 
 func TestIPv6(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("2001:db8::/32", 500)
-	tbl.MustAdd("2001:db8:1::/48", 600)
+	mustAdd(t, &tbl, "2001:db8::/32", 500)
+	mustAdd(t, &tbl, "2001:db8:1::/48", 600)
 	got, ok := tbl.Lookup(netip.MustParseAddr("2001:db8:1::5"))
 	if !ok || got != 600 {
 		t.Errorf("IPv6 LPM = %v/%v, want 600", got, ok)
@@ -65,7 +73,7 @@ func TestIPv6(t *testing.T) {
 
 func TestFamiliesAreSeparate(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("::/0", 6)
+	mustAdd(t, &tbl, "::/0", 6)
 	if _, ok := tbl.Lookup(netip.MustParseAddr("1.2.3.4")); ok {
 		t.Error("IPv6 default route must not cover IPv4 addresses")
 	}
@@ -73,8 +81,8 @@ func TestFamiliesAreSeparate(t *testing.T) {
 
 func TestOverwriteAndLen(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("10.0.0.0/8", 100)
-	tbl.MustAdd("10.0.0.0/8", 111)
+	mustAdd(t, &tbl, "10.0.0.0/8", 100)
+	mustAdd(t, &tbl, "10.0.0.0/8", 111)
 	if tbl.Len() != 1 {
 		t.Errorf("Len = %d, want 1 after overwrite", tbl.Len())
 	}
@@ -93,7 +101,7 @@ func TestAddInvalid(t *testing.T) {
 
 func TestHostRoutes(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("192.0.2.1/32", 42)
+	mustAdd(t, &tbl, "192.0.2.1/32", 42)
 	got, ok := tbl.Lookup(netip.MustParseAddr("192.0.2.1"))
 	if !ok || got != 42 {
 		t.Errorf("host route = %v/%v, want 42", got, ok)
@@ -105,9 +113,9 @@ func TestHostRoutes(t *testing.T) {
 
 func TestEntries(t *testing.T) {
 	var tbl Table
-	tbl.MustAdd("10.1.0.0/16", 200)
-	tbl.MustAdd("10.0.0.0/8", 100)
-	tbl.MustAdd("2001:db8::/32", 500)
+	mustAdd(t, &tbl, "10.1.0.0/16", 200)
+	mustAdd(t, &tbl, "10.0.0.0/8", 100)
+	mustAdd(t, &tbl, "2001:db8::/32", 500)
 	es := tbl.Entries()
 	if len(es) != 3 {
 		t.Fatalf("Entries len = %d, want 3", len(es))

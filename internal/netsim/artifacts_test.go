@@ -80,11 +80,11 @@ func TestArtifactFreeByteIdentical(t *testing.T) {
 		for paris := 0; paris < 4; paris++ {
 			at := tAt.Add(time.Duration(hour) * time.Hour)
 			seed := uint64(hour*16 + paris)
-			r1, err := plain.Traceroute(ids["P"], artDst, at, paris, rand.New(rand.NewPCG(seed, 7)), TracerouteOpts{})
+			r1, err := plain.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, at, paris, rand.New(rand.NewPCG(seed, 7)), TracerouteOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := zero.Traceroute(ids["P"], artDst, at, paris, rand.New(rand.NewPCG(seed, 7)), TracerouteOpts{})
+			r2, err := zero.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, at, paris, rand.New(rand.NewPCG(seed, 7)), TracerouteOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestLyingRouterUsesNeighborASStale(t *testing.T) {
 	}
 
 	hop1 := func(at time.Time, seed uint64) netip.Addr {
-		res, err := n.Traceroute(ids["P"], artDst, at, 0, rand.New(rand.NewPCG(seed, 9)), TracerouteOpts{})
+		res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, at, 0, rand.New(rand.NewPCG(seed, 9)), TracerouteOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestAliasSplitsFlowsStably(t *testing.T) {
 	for paris := 0; paris < 16; paris++ {
 		var first netip.Addr
 		for run := 0; run < 2; run++ {
-			res, err := n.Traceroute(ids["P"], artDst, tAt, paris, rand.New(rand.NewPCG(uint64(run*100+paris), 3)), TracerouteOpts{})
+			res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, paris, rand.New(rand.NewPCG(uint64(run*100+paris), 3)), TracerouteOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestMultipathMixesWithinHop(t *testing.T) {
 	aAddr, dAddr := n.routers[ids["A"]].Addr, n.routers[ids["D"]].Addr
 
 	mixedHop := func(net *Net, paris int, seed uint64) bool {
-		res, err := net.Traceroute(ids["P"], artDst, tAt, paris, rand.New(rand.NewPCG(seed, 5)), TracerouteOpts{PacketsPerHop: 8})
+		res, err := net.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, paris, rand.New(rand.NewPCG(seed, 5)), TracerouteOpts{PacketsPerHop: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +269,11 @@ func TestMultipathMixesWithinHop(t *testing.T) {
 func TestReorderSwapsAcrossHopBoundary(t *testing.T) {
 	base, ids := artifactTopology(t, nil, nil)
 	reord, _ := artifactTopology(t, &Artifacts{ReorderProb: 1}, nil)
-	rb, err := base.Traceroute(ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(11, 13)), TracerouteOpts{})
+	rb, err := base.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(11, 13)), TracerouteOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := reord.Traceroute(ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(11, 13)), TracerouteOpts{})
+	rr, err := reord.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(11, 13)), TracerouteOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +310,11 @@ func TestRouteFlipStraddlesEpoch(t *testing.T) {
 	base, ids := artifactTopology(t, nil, sc)
 	flip, _ := artifactTopology(t, &Artifacts{RouteFlipProb: 1}, sc)
 
-	rb, err := base.Traceroute(ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(21, 2)), TracerouteOpts{})
+	rb, err := base.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(21, 2)), TracerouteOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := flip.Traceroute(ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(21, 2)), TracerouteOpts{})
+	rf, err := flip.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, 0, rand.New(rand.NewPCG(21, 2)), TracerouteOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,11 @@ func TestArtifactsDeterministicGivenSeed(t *testing.T) {
 	n, ids := artifactTopology(t, &art, nil)
 	for paris := 0; paris < 4; paris++ {
 		at := tAt.Add(time.Duration(paris) * time.Hour)
-		r1, err := n.Traceroute(ids["P"], artDst, at, paris, rand.New(rand.NewPCG(77, uint64(paris))), TracerouteOpts{})
+		r1, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, at, paris, rand.New(rand.NewPCG(77, uint64(paris))), TracerouteOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := n.Traceroute(ids["P"], artDst, at, paris, rand.New(rand.NewPCG(77, uint64(paris))), TracerouteOpts{})
+		r2, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, at, paris, rand.New(rand.NewPCG(77, uint64(paris))), TracerouteOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,14 +410,14 @@ func FuzzArtifactTraceroute(f *testing.F) {
 		}
 		for hour := 0; hour < 2; hour++ {
 			at := tAt.Add(time.Duration(hour) * time.Hour)
-			r1, err := n.Traceroute(p, artDst, at, paris%64, rand.New(rand.NewPCG(seed, uint64(hour))), TracerouteOpts{})
+			r1, err := n.TracerouteWith(&TracerouteScratch{}, p, artDst, at, paris%64, rand.New(rand.NewPCG(seed, uint64(hour))), TracerouteOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := r1.Validate(); err != nil {
 				t.Fatalf("invalid result under %+v: %v", art, err)
 			}
-			r2, err := n.Traceroute(p, artDst, at, paris%64, rand.New(rand.NewPCG(seed, uint64(hour))), TracerouteOpts{})
+			r2, err := n.TracerouteWith(&TracerouteScratch{}, p, artDst, at, paris%64, rand.New(rand.NewPCG(seed, uint64(hour))), TracerouteOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,28 +19,11 @@ func benchNet(b *testing.B) (*Net, *Topo) {
 	return n, topo
 }
 
-// BenchmarkTraceroute measures the full per-traceroute cost (routing lookup
-// from cache, per-packet delay/loss sampling over forward and return legs).
-func BenchmarkTraceroute(b *testing.B) {
-	n, topo := benchNet(b)
-	at := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
-	sites := topo.ProbeSites()
-	targets := topo.Targets()
-	rng := rand.New(rand.NewPCG(1, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		probe := sites[i%len(sites)]
-		dst := targets[i%len(targets)]
-		if _, err := n.Traceroute(probe, dst, at, i%16, rng, TracerouteOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTracerouteWith is BenchmarkTraceroute with a caller-owned
-// scratch: the per-worker configuration of the parallel generator. Only the
-// returned result's two exactly-sized slices are allocated per op.
+// BenchmarkTracerouteWith measures the full per-traceroute cost (routing
+// lookup from cache, per-packet delay/loss sampling over forward and return
+// legs) with a caller-owned scratch: the per-worker configuration of the
+// parallel generator. Only the returned result's two exactly-sized slices
+// are allocated per op.
 func BenchmarkTracerouteWith(b *testing.B) {
 	n, topo := benchNet(b)
 	at := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)

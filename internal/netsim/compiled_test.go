@@ -158,7 +158,7 @@ func TestTowardTreeAllocsIndependentOfSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		root := topo.ProbeSites()[0]
-		return testing.AllocsPerRun(10, func() { n.computeTowardTree(root, 0) }), n.NumRouters()
+		return testing.AllocsPerRun(10, func() { n.computeTowardTree(root, 0) }), len(n.routers)
 	}
 	small, nSmall := allocs(TopoConfig{Seed: 3, Tier1: 2, Transit: 4, Stub: 8, Roots: 1, RootInstances: 2, Anchors: 2})
 	large, nLarge := allocs(TopoConfig{Seed: 3, Tier1: 4, Transit: 20, Stub: 120})

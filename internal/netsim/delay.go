@@ -38,13 +38,6 @@ func (d *DelayModel) Sample(rng *rand.Rand, extraMS float64) float64 {
 	return v
 }
 
-// Symmetric returns a pair of delay models for the two directions of a link
-// with the same parameters.
-func Symmetric(base, jitter float64) (fwd, rev DelayModel) {
-	m := DelayModel{BaseMS: base, JitterMS: jitter, SpikeProb: defaultSpikeProb, SpikeMS: defaultSpikeMS}
-	return m, m
-}
-
 // Default per-link noise parameters used by builders unless overridden.
 const (
 	defaultSpikeProb = 0.01

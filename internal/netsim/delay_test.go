@@ -60,13 +60,6 @@ func TestDelayModelOutliers(t *testing.T) {
 	}
 }
 
-func TestSymmetricHelper(t *testing.T) {
-	fwd, rev := Symmetric(10, 1)
-	if fwd.BaseMS != 10 || rev.BaseMS != 10 || fwd.JitterMS != 1 {
-		t.Errorf("Symmetric = %+v / %+v", fwd, rev)
-	}
-}
-
 func TestNeighbors(t *testing.T) {
 	n, ids := lineTopology(t, nil)
 	nb := n.Neighbors(ids["P"])

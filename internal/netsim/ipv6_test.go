@@ -17,7 +17,7 @@ func TestGenerateIPv6Topology(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every router interface and every service address is IPv6.
-	for i := 0; i < n.NumRouters(); i++ {
+	for i := 0; i < len(n.routers); i++ {
 		if !n.Router(RouterID(i)).Addr.Is6() {
 			t.Fatalf("router %d has non-IPv6 address %v", i, n.Router(RouterID(i)).Addr)
 		}
@@ -53,27 +53,27 @@ func TestIPv6TracerouteAndAddresses(t *testing.T) {
 	}
 	at := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewPCG(1, 1))
-	reached := 0
+	hits := 0
 	for _, probe := range topo.ProbeSites() {
-		res, err := n.Traceroute(probe, topo.Roots[0].Addr, at, 0, rng, TracerouteOpts{})
+		res, err := n.TracerouteWith(&TracerouteScratch{}, probe, topo.Roots[0].Addr, at, 0, rng, TracerouteOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := res.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if res.Reached() {
-			reached++
+		if reached(res) {
+			hits++
 		}
 		for _, h := range res.Hops {
-			for _, a := range h.Responders() {
+			for _, a := range responders(h) {
 				if !a.Is6() {
 					t.Fatalf("IPv4 responder %v in IPv6 topology", a)
 				}
 			}
 		}
 	}
-	if reached < len(topo.ProbeSites())/2 {
-		t.Errorf("only %d/%d probes reached the v6 root", reached, len(topo.ProbeSites()))
+	if hits < len(topo.ProbeSites())/2 {
+		t.Errorf("only %d/%d probes reached the v6 root", hits, len(topo.ProbeSites()))
 	}
 }

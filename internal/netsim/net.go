@@ -83,17 +83,10 @@ type Net struct {
 	aliases   []netip.Addr
 	staleAddr []netip.Addr
 
-	treeMu  sync.Mutex                              // serializes cache misses
-	trees   atomic.Pointer[map[treeKey]*towardTree] // immutable snapshot
-	plans   sync.Map                                // planKey → *plan
-	scratch sync.Pool                               // *TracerouteScratch for Traceroute
+	treeMu sync.Mutex                              // serializes cache misses
+	trees  atomic.Pointer[map[treeKey]*towardTree] // immutable snapshot
+	plans  sync.Map                                // planKey → *plan
 }
-
-// NumRouters returns the number of routers.
-func (n *Net) NumRouters() int { return len(n.routers) }
-
-// NumEdges returns the number of directional edges.
-func (n *Net) NumEdges() int { return len(n.edges) }
 
 // Router returns the router with the given id.
 func (n *Net) Router(id RouterID) Router { return n.routers[id] }

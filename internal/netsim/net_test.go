@@ -3,9 +3,39 @@ package netsim
 import (
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
+
+	"pinpoint/internal/trace"
 )
+
+// responders lists hop h's distinct replying addresses in first-seen order.
+func responders(h trace.Hop) []netip.Addr {
+	var out []netip.Addr
+	for _, r := range h.Replies {
+		if !r.Timeout && r.From.IsValid() && !slices.Contains(out, r.From) {
+			out = append(out, r.From)
+		}
+	}
+	return out
+}
+
+// rttsFrom lists the RTTs of hop h's replies from one address.
+func rttsFrom(h trace.Hop, from netip.Addr) []float64 {
+	var out []float64
+	for _, r := range h.Replies {
+		if !r.Timeout && r.From == from {
+			out = append(out, r.RTT)
+		}
+	}
+	return out
+}
+
+// reached reports whether r's last hop has a reply from its destination.
+func reached(r trace.Result) bool {
+	return len(r.Hops) > 0 && slices.Contains(responders(r.Hops[len(r.Hops)-1]), r.Dst)
+}
 
 // lineTopology builds P -- A -- B -- C with a detour P -- D -- C, anchor
 // service on C. Weights make the direct path preferred.
@@ -113,7 +143,7 @@ func TestForwardPathShortest(t *testing.T) {
 func TestTracerouteBasics(t *testing.T) {
 	n, ids := lineTopology(t, nil)
 	rng := rand.New(rand.NewPCG(1, 1))
-	res, err := n.Traceroute(ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rng, TracerouteOpts{})
+	res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rng, TracerouteOpts{})
 	if err != nil {
 		t.Fatalf("Traceroute: %v", err)
 	}
@@ -124,23 +154,23 @@ func TestTracerouteBasics(t *testing.T) {
 		t.Fatalf("hops = %d, want 3", len(res.Hops))
 	}
 	// Final hop replies with the service address.
-	if !res.Reached() {
+	if !reached(res) {
 		t.Error("destination not reached")
 	}
-	last := res.Hops[2].Responders()
+	last := responders(res.Hops[2])
 	if len(last) != 1 || last[0] != netip.MustParseAddr("10.1.44.200") {
 		t.Errorf("final hop responders = %v, want service addr", last)
 	}
 	// Hop 1 is A, hop 2 is B.
-	if got := res.Hops[0].Responders()[0]; got != n.Router(ids["A"]).Addr {
+	if got := responders(res.Hops[0])[0]; got != n.Router(ids["A"]).Addr {
 		t.Errorf("hop1 = %v, want A", got)
 	}
-	if got := res.Hops[1].Responders()[0]; got != n.Router(ids["B"]).Addr {
+	if got := responders(res.Hops[1])[0]; got != n.Router(ids["B"]).Addr {
 		t.Errorf("hop2 = %v, want B", got)
 	}
 	// RTTs increase roughly with distance: median hop3 > median hop1.
-	h1 := res.Hops[0].RTTs(n.Router(ids["A"]).Addr)
-	h3 := res.Hops[2].RTTs(netip.MustParseAddr("10.1.44.200"))
+	h1 := rttsFrom(res.Hops[0], n.Router(ids["A"]).Addr)
+	h3 := rttsFrom(res.Hops[2], netip.MustParseAddr("10.1.44.200"))
 	if len(h1) != 3 || len(h3) != 3 {
 		t.Fatalf("want 3 replies per hop, got %d and %d", len(h1), len(h3))
 	}
@@ -152,18 +182,18 @@ func TestTracerouteBasics(t *testing.T) {
 func TestTracerouteUnknownInputs(t *testing.T) {
 	n, ids := lineTopology(t, nil)
 	rng := rand.New(rand.NewPCG(1, 1))
-	if _, err := n.Traceroute(RouterID(99), netip.MustParseAddr("10.1.44.200"), tAt, 0, rng, TracerouteOpts{}); err == nil {
+	if _, err := n.TracerouteWith(&TracerouteScratch{}, RouterID(99), netip.MustParseAddr("10.1.44.200"), tAt, 0, rng, TracerouteOpts{}); err == nil {
 		t.Error("unknown probe accepted")
 	}
-	if _, err := n.Traceroute(ids["P"], netip.MustParseAddr("9.9.9.9"), tAt, 0, rng, TracerouteOpts{}); err == nil {
+	if _, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("9.9.9.9"), tAt, 0, rng, TracerouteOpts{}); err == nil {
 		t.Error("unknown destination accepted")
 	}
 }
 
 func TestTracerouteDeterministicGivenSeed(t *testing.T) {
 	n, ids := lineTopology(t, nil)
-	r1, _ := n.Traceroute(ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rand.New(rand.NewPCG(7, 9)), TracerouteOpts{})
-	r2, _ := n.Traceroute(ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rand.New(rand.NewPCG(7, 9)), TracerouteOpts{})
+	r1, _ := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rand.New(rand.NewPCG(7, 9)), TracerouteOpts{})
+	r2, _ := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rand.New(rand.NewPCG(7, 9)), TracerouteOpts{})
 	if len(r1.Hops) != len(r2.Hops) {
 		t.Fatal("hop counts differ")
 	}
@@ -220,11 +250,11 @@ func TestCongestionRaisesRTT(t *testing.T) {
 		rng := rand.New(rand.NewPCG(3, 3))
 		var rtts []float64
 		for i := 0; i < 30; i++ {
-			res, err := n.Traceroute(ids["P"], dst, at, 0, rng, TracerouteOpts{})
+			res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], dst, at, 0, rng, TracerouteOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rtts = append(rtts, res.Hops[len(res.Hops)-1].RTTs(dst)...)
+			rtts = append(rtts, rttsFrom(res.Hops[len(res.Hops)-1], dst)...)
 		}
 		// crude median
 		sum := 0.0
@@ -248,7 +278,7 @@ func TestSilenceMakesHopUnresponsive(t *testing.T) {
 	})
 	n, ids := lineTopology(t, sc)
 	rng := rand.New(rand.NewPCG(5, 5))
-	res, err := n.Traceroute(ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{})
+	res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +288,7 @@ func TestSilenceMakesHopUnresponsive(t *testing.T) {
 	if !res.Hops[1].Unresponsive() {
 		t.Error("hop 2 should be unresponsive while B is silent")
 	}
-	if !res.Reached() {
+	if !reached(res) {
 		t.Error("traffic should still reach the destination through a silent router")
 	}
 }
@@ -271,11 +301,11 @@ func TestBlackholeDropsTransit(t *testing.T) {
 	})
 	n, ids := lineTopology(t, sc)
 	rng := rand.New(rand.NewPCG(6, 6))
-	res, err := n.Traceroute(ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{})
+	res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reached() {
+	if reached(res) {
 		t.Error("blackholed path must not reach the destination")
 	}
 	// B itself still answers TTL-expired (it is the target, not transit).
@@ -333,9 +363,14 @@ func TestEpochKeyAndBoundaries(t *testing.T) {
 	if k1 == 0 || k1 == k2 || k2 == k3 || k1 == k3 {
 		t.Errorf("epochs should differ: %v %v %v", k1, k2, k3)
 	}
-	bounds := sc.EpochBoundaries()
-	if len(bounds) != 4 {
-		t.Errorf("boundaries = %v, want 4 distinct instants", bounds)
+	// The key changes at the four distinct event edges and nowhere between.
+	for _, m := range []time.Duration{0, 30 * time.Minute, time.Hour, 2 * time.Hour} {
+		if b := tAt.Add(m); sc.EpochKey(b.Add(-time.Nanosecond)) == sc.EpochKey(b) {
+			t.Errorf("epoch key does not change at %v", b)
+		}
+	}
+	if sc.EpochKey(tAt.Add(10*time.Minute)) != sc.EpochKey(tAt.Add(29*time.Minute)) {
+		t.Error("epoch key changes between event edges")
 	}
 	// Congestion is not route-affecting: same epoch key with/without it.
 	scNoCongest := NewScenario(e1, e2)
@@ -354,7 +389,7 @@ func TestGapLimitTruncates(t *testing.T) {
 	)
 	n, ids := lineTopology(t, sc)
 	rng := rand.New(rand.NewPCG(8, 8))
-	res, err := n.Traceroute(ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{GapLimit: 3})
+	res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{GapLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

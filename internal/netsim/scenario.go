@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -142,40 +141,6 @@ func (s *Scenario) EpochKey(t time.Time) uint64 {
 	return key
 }
 
-// EpochBoundaries returns the sorted, de-duplicated instants at which
-// routing can change. Useful for tests and for precomputing trees.
-func (s *Scenario) EpochBoundaries() []time.Time {
-	if s == nil {
-		return nil
-	}
-	var ts []time.Time
-	for _, idx := range s.routeIdx {
-		ts = append(ts, s.events[idx].Start, s.events[idx].End)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || !t.Equal(out[len(out)-1]) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// LinkState returns the scenario modifiers for the directional link
-// from→to at time t: extra one-way delay, extra loss probability, and
-// whether the direction is administratively down. It scans every event; the
-// traceroute engine reads the per-edge lists Build compiled instead.
-func (s *Scenario) LinkState(from, to RouterID, t time.Time) (extraMS, loss float64, down bool) {
-	var evs []*Event
-	for i := range s.Events() {
-		if e := &s.events[i]; e.isLinkKind() && e.matchesDir(from, to) {
-			evs = append(evs, e)
-		}
-	}
-	return linkState(evs, t)
-}
-
 // linkState folds the events attached to one link direction at time t.
 func linkState(evs []*Event, t time.Time) (extraMS, loss float64, down bool) {
 	for _, e := range evs {
@@ -196,19 +161,6 @@ func linkState(evs []*Event, t time.Time) (extraMS, loss float64, down bool) {
 		loss = 1
 	}
 	return extraMS, loss, down
-}
-
-// RouterState returns the scenario modifiers for a router at time t:
-// whether it is ICMP-silent and the probability it drops transiting packets.
-// Like LinkState it scans every event.
-func (s *Scenario) RouterState(r RouterID, t time.Time) (silent bool, dropProb float64) {
-	var evs []*Event
-	for i := range s.Events() {
-		if e := &s.events[i]; !e.isLinkKind() && e.Router == r {
-			evs = append(evs, e)
-		}
-	}
-	return routerState(evs, t)
 }
 
 // routerState folds the events attached to one router at time t.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -12,47 +13,65 @@ var (
 	scT3 = scT0.Add(3 * time.Hour)
 )
 
+// scenarioNet builds routers 0..8 with one link 1–2 under s, so the state
+// tests read the per-edge and per-router event lists Build compiled — the
+// lists the traceroute path folds with linkState and routerState.
+func scenarioNet(t *testing.T, s *Scenario) (n *Net, ab, ba EdgeID) {
+	t.Helper()
+	b := NewBuilder()
+	b.AS(100, "a", "10.0.100.0/24")
+	for i := range 9 {
+		b.Router(100, fmt.Sprintf("r%d", i), RouterOpts{ResponseProb: 1})
+	}
+	ab, ba = b.Link(1, 2, LinkOpts{DelayMS: 1})
+	n, err := b.Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, ab, ba
+}
+
 func TestLinkStateOverlappingEvents(t *testing.T) {
-	s := NewScenario(
+	n, ab, ba := scenarioNet(t, NewScenario(
 		Event{Name: "c1", Kind: EventCongestion, From: 1, To: 2, ExtraDelayMS: 10, Loss: 0.6, Start: scT0, End: scT2},
 		Event{Name: "c2", Kind: EventCongestion, From: 1, To: 2, ExtraDelayMS: 5, Loss: 0.7, Start: scT1, End: scT3},
 		Event{Name: "down", Kind: EventLinkDown, From: 1, To: 2, Start: scT1, End: scT2},
-	)
+	))
 	// Only c1 active.
-	if ms, loss, down := s.LinkState(1, 2, scT0); ms != 10 || loss != 0.6 || down {
+	if ms, loss, down := linkState(n.linkEvents[ab], scT0); ms != 10 || loss != 0.6 || down {
 		t.Errorf("at t0: got (%v, %v, %v), want (10, 0.6, false)", ms, loss, down)
 	}
 	// Overlap: delays add, loss clamps to 1, down wins.
-	if ms, loss, down := s.LinkState(1, 2, scT1); ms != 15 || loss != 1 || !down {
+	if ms, loss, down := linkState(n.linkEvents[ab], scT1); ms != 15 || loss != 1 || !down {
 		t.Errorf("at t1: got (%v, %v, %v), want (15, 1, true)", ms, loss, down)
 	}
 	// c2 alone after c1 and the link-down end.
-	if ms, loss, down := s.LinkState(1, 2, scT2); ms != 5 || loss != 0.7 || down {
+	if ms, loss, down := linkState(n.linkEvents[ab], scT2); ms != 5 || loss != 0.7 || down {
 		t.Errorf("at t2: got (%v, %v, %v), want (5, 0.7, false)", ms, loss, down)
 	}
 	// Directionality: none of the events touch 2→1.
-	if ms, loss, down := s.LinkState(2, 1, scT1); ms != 0 || loss != 0 || down {
+	if ms, loss, down := linkState(n.linkEvents[ba], scT1); ms != 0 || loss != 0 || down {
 		t.Errorf("reverse dir: got (%v, %v, %v), want zeros", ms, loss, down)
 	}
 }
 
 func TestRouterStateOverlappingEvents(t *testing.T) {
-	s := NewScenario(
+	n, _, _ := scenarioNet(t, NewScenario(
 		Event{Name: "hush", Kind: EventSilence, Router: 7, Start: scT0, End: scT2},
 		Event{Name: "b1", Kind: EventBlackhole, Router: 7, Loss: 0.5, Start: scT0, End: scT2},
 		Event{Name: "b2", Kind: EventBlackhole, Router: 7, Loss: 0.8, Start: scT1, End: scT3},
-	)
-	if silent, drop := s.RouterState(7, scT0); !silent || drop != 0.5 {
+	))
+	if silent, drop := routerState(n.routerEvents[7], scT0); !silent || drop != 0.5 {
 		t.Errorf("at t0: got (%v, %v), want (true, 0.5)", silent, drop)
 	}
 	// Overlapping blackholes: drop probability clamps to 1.
-	if silent, drop := s.RouterState(7, scT1); !silent || drop != 1 {
+	if silent, drop := routerState(n.routerEvents[7], scT1); !silent || drop != 1 {
 		t.Errorf("at t1: got (%v, %v), want (true, 1)", silent, drop)
 	}
-	if silent, drop := s.RouterState(7, scT2); silent || drop != 0.8 {
+	if silent, drop := routerState(n.routerEvents[7], scT2); silent || drop != 0.8 {
 		t.Errorf("at t2: got (%v, %v), want (false, 0.8)", silent, drop)
 	}
-	if silent, drop := s.RouterState(8, scT1); silent || drop != 0 {
+	if silent, drop := routerState(n.routerEvents[8], scT1); silent || drop != 0 {
 		t.Errorf("other router: got (%v, %v), want (false, 0)", silent, drop)
 	}
 }
@@ -62,24 +81,20 @@ func TestRouterStateOverlappingEvents(t *testing.T) {
 // half-open [Start, End) semantics make them inert everywhere.
 func TestZeroDurationEventIsInert(t *testing.T) {
 	ev := Event{Name: "blip", Kind: EventCongestion, From: 1, To: 2, ExtraDelayMS: 99, Start: scT1, End: scT1}
-	s := NewScenario(ev)
 	if ev.Active(scT1) {
 		t.Error("zero-duration event reports active at its own instant")
 	}
 	for _, at := range []time.Time{scT0, scT1, scT1.Add(time.Nanosecond), scT2} {
-		if ms, loss, down := s.LinkState(1, 2, at); ms != 0 || loss != 0 || down {
+		if ms, loss, down := linkState([]*Event{&ev}, at); ms != 0 || loss != 0 || down {
 			t.Errorf("at %v: got (%v, %v, %v), want zeros", at, ms, loss, down)
 		}
 	}
-	// A zero-duration route-affecting event still contributes its instant
-	// to the boundary list (an epoch boundary where nothing changes), but
-	// never flips an epoch key bit.
+	// A zero-duration route-affecting event never flips an epoch key bit.
 	zr := NewScenario(Event{Name: "flap", Kind: EventLinkDown, From: 1, To: 2, Start: scT1, End: scT1})
-	if got := zr.EpochBoundaries(); len(got) != 1 || !got[0].Equal(scT1) {
-		t.Errorf("boundaries = %v, want [%v]", got, scT1)
-	}
-	if zr.EpochKey(scT1) != 0 {
-		t.Error("zero-duration event flips the epoch key")
+	for _, at := range []time.Time{scT0, scT1, scT2} {
+		if zr.EpochKey(at) != 0 {
+			t.Errorf("zero-duration event flips the epoch key at %v", at)
+		}
 	}
 	// Build rejects non-positive durations outright.
 	b := NewBuilder()
@@ -98,19 +113,17 @@ func TestEpochBoundariesSharedStart(t *testing.T) {
 		Event{Name: "r2", Kind: EventLinkDown, From: 3, To: 4, Start: scT1, End: scT3},
 		Event{Name: "cosmetic", Kind: EventCongestion, From: 1, To: 2, ExtraDelayMS: 1, Start: scT0, End: scT3},
 	)
-	// Two route-affecting events share scT1; congestion contributes no
-	// boundary. Expect deduplicated [scT1, scT2, scT3].
-	got := s.EpochBoundaries()
-	want := []time.Time{scT1, scT2, scT3}
-	if len(got) != len(want) {
-		t.Fatalf("boundaries = %v, want %v", got, want)
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("boundaries = %v, want %v", got, want)
+	// Two route-affecting events share scT1; congestion moves no epoch
+	// boundary. The key changes at scT1, scT2 and scT3 and nowhere else:
+	// both active in [t1, t2), only r2 in [t2, t3).
+	for _, b := range []time.Time{scT1, scT2, scT3} {
+		if s.EpochKey(b.Add(-time.Nanosecond)) == s.EpochKey(b) {
+			t.Errorf("epoch key does not change at %v", b)
 		}
 	}
-	// Epoch keys: both active in [t1, t2), only r2 in [t2, t3).
+	if s.EpochKey(scT0.Add(-time.Nanosecond)) != s.EpochKey(scT0) {
+		t.Error("congestion start changed the epoch key")
+	}
 	if k := s.EpochKey(scT0); k != 0 {
 		t.Errorf("key(t0) = %b, want 0", k)
 	}

@@ -44,8 +44,8 @@ func tracerouteTasks(b testing.TB) (*Net, []trTask) {
 }
 
 // TestTracerouteScratchReuseIdentical asserts that a single scratch reused
-// across many traceroutes produces results identical to fresh pooled
-// Traceroute calls — i.e. no state leaks between calls through the scratch.
+// across many traceroutes produces results identical to calls on a fresh
+// scratch each — i.e. no state leaks between calls through the scratch.
 func TestTracerouteScratchReuseIdentical(t *testing.T) {
 	n, tasks := tracerouteTasks(t)
 	at := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -53,7 +53,7 @@ func TestTracerouteScratchReuseIdentical(t *testing.T) {
 	var fresh []trace.Result
 	for _, tk := range tasks {
 		rng := rand.New(rand.NewPCG(tk.seed, tk.seed))
-		r, err := n.Traceroute(tk.probe, tk.dst, at, tk.paris, rng, TracerouteOpts{})
+		r, err := n.TracerouteWith(&TracerouteScratch{}, tk.probe, tk.dst, at, tk.paris, rng, TracerouteOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestTracerouteConcurrentDeterministic(t *testing.T) {
 	want := make([]trace.Result, len(tasks))
 	for i, tk := range tasks {
 		rng := rand.New(rand.NewPCG(tk.seed, tk.seed))
-		r, err := n.Traceroute(tk.probe, tk.dst, at, tk.paris, rng, TracerouteOpts{})
+		r, err := n.TracerouteWith(&TracerouteScratch{}, tk.probe, tk.dst, at, tk.paris, rng, TracerouteOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

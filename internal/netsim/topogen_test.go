@@ -22,8 +22,8 @@ func TestGenerateDefaultTopology(t *testing.T) {
 	if len(topo.Roots) != 3 || len(topo.Anchors) != 10 || len(topo.IXPs) != 1 {
 		t.Errorf("services: %d roots, %d anchors, %d ixps", len(topo.Roots), len(topo.Anchors), len(topo.IXPs))
 	}
-	if n.NumRouters() < 80 {
-		t.Errorf("router count = %d, want ≥ 80", n.NumRouters())
+	if len(n.routers) < 80 {
+		t.Errorf("router count = %d, want ≥ 80", len(n.routers))
 	}
 	if len(topo.ProbeSites()) != 30 {
 		t.Errorf("probe sites = %d", len(topo.ProbeSites()))
@@ -44,10 +44,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	n1, _ := t1.Build(nil)
 	n2, _ := t2.Build(nil)
-	if n1.NumRouters() != n2.NumRouters() || n1.NumEdges() != n2.NumEdges() {
+	if len(n1.routers) != len(n2.routers) || len(n1.edges) != len(n2.edges) {
 		t.Fatal("same seed produced different topologies")
 	}
-	for i := 0; i < n1.NumRouters(); i++ {
+	for i := 0; i < len(n1.routers); i++ {
 		a, b := n1.Router(RouterID(i)), n2.Router(RouterID(i))
 		if a.Addr != b.Addr || a.AS != b.AS || a.Name != b.Name {
 			t.Fatalf("router %d differs: %+v vs %+v", i, a, b)
@@ -86,7 +86,7 @@ func TestGeneratedPrefixesResolve(t *testing.T) {
 	}
 	// Every router interface address must map to some AS; IXP interfaces
 	// must map to the IXP ASN despite belonging to member ASes.
-	for i := 0; i < n.NumRouters(); i++ {
+	for i := 0; i < len(n.routers); i++ {
 		r := n.Router(RouterID(i))
 		if _, ok := n.Prefixes().Lookup(r.Addr); !ok {
 			t.Errorf("router %s addr %v has no AS mapping", r.Name, r.Addr)
@@ -175,11 +175,11 @@ func TestGeneratedTraceroutes(t *testing.T) {
 	}
 	at := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewPCG(1, 2))
-	reached := 0
+	hits := 0
 	total := 0
 	for _, probe := range topo.ProbeSites() {
 		for ti, dst := range topo.Targets() {
-			res, err := n.Traceroute(probe, dst, at, ti, rng, TracerouteOpts{})
+			res, err := n.TracerouteWith(&TracerouteScratch{}, probe, dst, at, ti, rng, TracerouteOpts{})
 			if err != nil {
 				t.Fatalf("traceroute: %v", err)
 			}
@@ -187,12 +187,12 @@ func TestGeneratedTraceroutes(t *testing.T) {
 				t.Fatalf("invalid result: %v", err)
 			}
 			total++
-			if res.Reached() {
-				reached++
+			if reached(res) {
+				hits++
 			}
 		}
 	}
-	if frac := float64(reached) / float64(total); frac < 0.9 {
+	if frac := float64(hits) / float64(total); frac < 0.9 {
 		t.Errorf("reach fraction = %.2f, want ≥ 0.9", frac)
 	}
 }

@@ -138,10 +138,16 @@ func (n *Net) route(probe RouterID, dst netip.Addr, epoch uint64) (fwd *towardTr
 	return fwd, fwd.root, true
 }
 
-// TracerouteInto runs one traceroute using (and aliasing) the scratch: the
-// returned Result's Hops and Replies point into scratch-owned arrays and are
-// valid only until the scratch's next traceroute. It is the zero-allocation
-// core; use Traceroute or TracerouteWith when the result must own its
+// TracerouteInto simulates one Paris traceroute from a probe-hosting router
+// to a destination address (a service address or a router interface
+// address) at the given instant. The Paris flow identifier pins ECMP
+// decisions, so repeated calls with the same id traverse the same path
+// (modulo scenario epochs). The caller supplies the PRNG, which fully
+// determines the noise.
+//
+// The returned Result's Hops and Replies point into scratch-owned arrays and
+// are valid only until the scratch's next traceroute. It is the
+// zero-allocation core; use TracerouteWith when the result must own its
 // memory.
 //
 // The route comes from the trace's plan, walked once per (probe, dst, Paris
@@ -300,24 +306,6 @@ func (n *Net) TracerouteWith(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	return res, nil
 }
 
-// Traceroute simulates one Paris traceroute from a probe-hosting router to a
-// destination address (a service address or a router interface address) at
-// the given instant. The Paris flow identifier pins ECMP decisions, so
-// repeated calls with the same id traverse the same path (modulo scenario
-// epochs). The caller supplies the PRNG, which fully determines the noise.
-// The returned Result owns its memory; working buffers come from a pooled
-// scratch, so callers issuing many traceroutes from one goroutine should
-// hold their own TracerouteScratch and use TracerouteWith instead.
-func (n *Net) Traceroute(probe RouterID, dst netip.Addr, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) (trace.Result, error) {
-	sc, _ := n.scratch.Get().(*TracerouteScratch)
-	if sc == nil {
-		sc = &TracerouteScratch{}
-	}
-	res, err := n.TracerouteWith(sc, probe, dst, at, parisID, rng, opts)
-	n.scratch.Put(sc)
-	return res, err
-}
-
 // probeHop simulates one packet probing the hop at the end of the forward
 // leg and returns the resulting reply or timeout. The hop's return leg is
 // resolved by the first packet that needs it and reused by the hop's other
@@ -401,7 +389,10 @@ func (n *Net) ForwardPath(probe RouterID, dst netip.Addr, at time.Time, parisID 
 }
 
 // ReturnPath returns the router sequence an ICMP reply takes from a router
-// back to the probe at the given time.
+// back to the probe at the given time. No production path calls it: it is
+// the test oracle for reply routing (atlas's golden test and this package's
+// tests check replies against it), kept until attribution of delay changes
+// to the forward or the return path gives it a caller.
 func (n *Net) ReturnPath(from, probe RouterID, at time.Time) ([]RouterID, bool) {
 	path, ok := n.walk(n.towardTree(probe, n.scenario.EpochKey(at)), nil, from, returnFlow(from))
 	return n.routersOn(from, path), ok

@@ -71,11 +71,12 @@
 //
 // # Crash injection
 //
-// The store runs on a narrow FS/File interface. DirFS is the real
-// os-backed implementation; MemFS is an in-memory implementation whose
-// write/sync journal lets the crash-injection harness replay a commit up
-// to every byte offset and sync point — and with any leading part of the
-// frame missing while the rest landed — and prove each state recovers to
-// exactly the committed prefix. The same interface takes a test-only
-// wrapper that fails or short-writes the n-th operation.
+// The store runs on a narrow FS/File interface. DirFS, the os-backed
+// implementation, is the only one the package exports; the seam exists for
+// the tests. Their in-memory FS (memfs_test.go) journals writes and syncs,
+// so the crash-injection harness replays a commit up to every byte offset
+// and sync point — and with any leading part of the frame missing while
+// the rest landed — and proves each state recovers to exactly the
+// committed prefix. A wrapper over it fails or short-writes the n-th
+// operation.
 package segstore

@@ -225,9 +225,6 @@ func (s *Store) Recovery() RecoveryInfo { return s.rec }
 // Len is the number of committed segments.
 func (s *Store) Len() int { return len(s.entries) }
 
-// BinAt returns the bin time of committed segment i.
-func (s *Store) BinAt(i int) time.Time { return unixUTC(s.entries[i].bin) }
-
 // LastBin returns the newest committed bin, if any.
 func (s *Store) LastBin() (time.Time, bool) {
 	if len(s.entries) == 0 {

@@ -195,8 +195,8 @@ func TestRestartEquivalence(t *testing.T) {
 			if !resumed {
 				t.Fatal("publisher did not resume from the non-empty store")
 			}
-			if wantCursor := r.st.BinAt(committed - 1).Add(time.Hour); !cursor.Equal(wantCursor) {
-				t.Fatalf("resume cursor %v, want %v", cursor, wantCursor)
+			if last, _ := r.st.LastBin(); r.st.Len() != committed || !cursor.Equal(last.Add(time.Hour)) {
+				t.Fatalf("resume cursor %v over %d committed bins, want the hour after %v (%d bins)", cursor, r.st.Len(), last, committed)
 			}
 
 			// Hammer the history endpoints from another goroutine for the

@@ -34,8 +34,11 @@ func newTestPipeline(t *testing.T) (*core.Analyzer, *Publisher, *Server) {
 func newTestPipelineStore(t *testing.T, st *segstore.Store) (*core.Analyzer, *Publisher, *Server) {
 	t.Helper()
 	var tbl ipmap.Table
-	tbl.MustAdd("10.1.0.0/16", 100)
-	tbl.MustAdd("10.2.0.0/16", 200)
+	for p, asn := range map[string]ipmap.ASN{"10.1.0.0/16": 100, "10.2.0.0/16": 200} {
+		if err := tbl.Add(netip.MustParsePrefix(p), asn); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cfg := core.Config{}
 	cfg.Events.Window = 6 * time.Hour
 	cfg.Events.Threshold = 3

@@ -29,46 +29,10 @@ func medianSorted(s []float64) float64 {
 	return a + (b-a)/2
 }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics (type-7 estimator, the common
-// default). It returns NaN for an empty slice or q outside [0, 1].
-// The input is not modified. A single quantile needs at most two order
-// statistics, so the copy goes through the O(n) selection kernel instead
-// of a full sort; the values are pinned ≡ the sorted path by regression
-// test.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	return QuantileSelect(s, q)
-}
-
-// QuantileSelect is Quantile computing its two order statistics via
-// SelectKths instead of sorting; it partially reorders xs in place.
-// Returns exactly what QuantileSorted returns on sort.Float64s(xs).
-func QuantileSelect(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if n == 1 {
-		return xs[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		SelectKths(xs, lo)
-		return xs[lo]
-	}
-	SelectKths(xs, lo, hi)
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
-}
-
-// QuantileSorted is Quantile on an already ascending-sorted slice.
+// QuantileSorted returns the q-th quantile (0 ≤ q ≤ 1) of an ascending
+// sorted slice using linear interpolation between order statistics (type-7
+// estimator, the common default). It returns NaN for an empty slice or q
+// outside [0, 1].
 func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 || q < 0 || q > 1 || math.IsNaN(q) {

@@ -57,18 +57,18 @@ func TestQuantile(t *testing.T) {
 		{0.1, 1.4},
 	}
 	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(xs, %v) = %v, want %v", tt.q, got, tt.want)
+		if got := QuantileSorted(xs, tt.q); !almostEqual(got, tt.want, 1e-12) {
+			t.Errorf("QuantileSorted(xs, %v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
+	if !math.IsNaN(QuantileSorted(nil, 0.5)) {
+		t.Error("QuantileSorted(nil) should be NaN")
 	}
-	if !math.IsNaN(Quantile(xs, -0.1)) || !math.IsNaN(Quantile(xs, 1.1)) {
-		t.Error("Quantile outside [0,1] should be NaN")
+	if !math.IsNaN(QuantileSorted(xs, -0.1)) || !math.IsNaN(QuantileSorted(xs, 1.1)) || !math.IsNaN(QuantileSorted(xs, math.NaN())) {
+		t.Error("QuantileSorted outside [0,1] should be NaN")
 	}
-	if got := Quantile([]float64{7}, 0.99); got != 7 {
-		t.Errorf("Quantile single = %v, want 7", got)
+	if got := QuantileSorted([]float64{7}, 0.99); got != 7 {
+		t.Errorf("QuantileSorted single = %v, want 7", got)
 	}
 }
 

@@ -242,36 +242,6 @@ func TestMedianWilsonSelectMatchesSorted(t *testing.T) {
 	}
 }
 
-// TestQuantileSelectMatchesSorted is the regression pinning the rerouted
-// Quantile: the selection path must return exactly what the old
-// sort-the-copy path returned.
-func TestQuantileSelectMatchesSorted(t *testing.T) {
-	qs := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1, -0.1, 1.1, nan}
-	check := func(xs []float64) {
-		t.Helper()
-		for _, q := range qs {
-			s := append([]float64(nil), xs...)
-			sort.Float64s(s)
-			want := QuantileSorted(s, q)
-			got := Quantile(xs, q)
-			if !feqt(got, want) {
-				t.Fatalf("Quantile(%v, %v) = %v, sorted path gives %v", xs, q, got, want)
-			}
-		}
-	}
-	for _, xs := range edgeInputs {
-		check(xs)
-	}
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{3, 17, 256, 2000} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 1000
-		}
-		check(xs)
-	}
-}
-
 // FuzzSelectVsSort is the differential fuzzer of the tentpole: arbitrary
 // float bit patterns (duplicates, NaN payloads, ±Inf, subnormals, tiny n)
 // through SelectKths and MedianWilsonSelect vs the sort.Float64s oracle.
@@ -336,9 +306,19 @@ func FuzzSelectVsSort(f *testing.F) {
 			t.Fatalf("MedianWilson z=%v: select %+v, oracle %+v", z, gotCI, wantCI)
 		}
 
-		q := float64(r2) / 255
-		if gotQ, wantQ := QuantileSelect(append([]float64(nil), xs...), q), QuantileSorted(want, q); !feqt(gotQ, wantQ) {
-			t.Fatalf("Quantile q=%v: select %v, oracle %v", q, gotQ, wantQ)
+		// The one or two ranks a type-7 q-quantile interpolates between,
+		// selected in one call as a quantile would select them.
+		pos := float64(r2) / 255 * float64(n-1)
+		ks = []int{int(math.Floor(pos))}
+		if hi := int(math.Ceil(pos)); hi != ks[0] {
+			ks = append(ks, hi)
+		}
+		got = append(got[:0], xs...)
+		SelectKths(got, ks...)
+		for _, k := range ks {
+			if !feqt(got[k], want[k]) {
+				t.Fatalf("quantile rank %d of %v: select %v, oracle %v", k, ks, got[k], want[k])
+			}
 		}
 	})
 }

@@ -27,15 +27,23 @@ func TestDecodeRealAtlasShape(t *testing.T) {
 	if len(r.Hops) != 2 {
 		t.Fatalf("hops = %d", len(r.Hops))
 	}
+	usable := func(h Hop, from string) (rtts []float64) {
+		for _, rep := range h.Replies {
+			if !rep.Timeout && rep.From == addr(from) {
+				rtts = append(rtts, rep.RTT)
+			}
+		}
+		return rtts
+	}
 	// Hop 1: two usable replies + one timeout.
 	h1 := r.Hops[0]
-	if len(h1.RTTs(addr("10.0.0.254"))) != 2 {
-		t.Errorf("hop1 usable RTTs = %v", h1.RTTs(addr("10.0.0.254")))
+	if got := usable(h1, "10.0.0.254"); len(got) != 2 {
+		t.Errorf("hop1 usable RTTs = %v", got)
 	}
 	// Hop 2: err entry and missing-rtt entry degrade to timeouts; one
 	// usable reply survives.
 	h2 := r.Hops[1]
-	if got := h2.RTTs(addr("172.16.0.1")); len(got) != 1 || got[0] != 5.2 {
+	if got := usable(h2, "172.16.0.1"); len(got) != 1 || got[0] != 5.2 {
 		t.Errorf("hop2 usable RTTs = %v", got)
 	}
 	timeouts := 0

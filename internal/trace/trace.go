@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"time"
 )
 
@@ -30,18 +29,6 @@ type Hop struct {
 	Replies []Reply
 }
 
-// Responders returns the distinct responding addresses of the hop, in
-// first-seen order. Timeouts are skipped.
-func (h Hop) Responders() []netip.Addr {
-	var out []netip.Addr
-	for _, r := range h.Replies {
-		if !r.Timeout && r.From.IsValid() && !slices.Contains(out, r.From) {
-			out = append(out, r.From)
-		}
-	}
-	return out
-}
-
 // Unresponsive reports whether every packet of the hop timed out.
 func (h Hop) Unresponsive() bool {
 	for _, r := range h.Replies {
@@ -50,17 +37,6 @@ func (h Hop) Unresponsive() bool {
 		}
 	}
 	return true
-}
-
-// RTTs returns the RTT samples (ms) of replies from the given address.
-func (h Hop) RTTs(from netip.Addr) []float64 {
-	var out []float64
-	for _, r := range h.Replies {
-		if !r.Timeout && r.From == from {
-			out = append(out, r.RTT)
-		}
-	}
-	return out
 }
 
 // Result is one traceroute measurement result.
@@ -101,20 +77,6 @@ func checkHops(n int, ttl func(int) int) error {
 		prev = t
 	}
 	return nil
-}
-
-// Reached reports whether the last hop responded with the destination
-// address.
-func (r Result) Reached() bool {
-	if len(r.Hops) == 0 {
-		return false
-	}
-	for _, rep := range r.Hops[len(r.Hops)-1].Replies {
-		if !rep.Timeout && rep.From.IsValid() && rep.From == r.Dst {
-			return true
-		}
-	}
-	return false
 }
 
 // LinkKey identifies an IP-level link: an ordered pair of addresses observed

@@ -40,9 +40,8 @@ func sampleResult() Result {
 
 func TestHopResponders(t *testing.T) {
 	r := sampleResult()
-	got := r.Hops[1].Responders()
-	if len(got) != 2 || got[0] != addr("172.16.0.1") || got[1] != addr("172.16.0.2") {
-		t.Errorf("Responders = %v", got)
+	if r.Hops[1].Unresponsive() {
+		t.Error("hop 2 has a timeout but two responders: should be responsive")
 	}
 	if r.Hops[0].Unresponsive() {
 		t.Error("hop 1 should be responsive")
@@ -54,17 +53,6 @@ func TestHopResponders(t *testing.T) {
 	empty := Hop{Index: 5}
 	if !empty.Unresponsive() {
 		t.Error("empty hop should be unresponsive")
-	}
-}
-
-func TestHopRTTs(t *testing.T) {
-	r := sampleResult()
-	rtts := r.Hops[0].RTTs(addr("10.0.0.254"))
-	if len(rtts) != 3 {
-		t.Fatalf("RTTs = %v", rtts)
-	}
-	if got := r.Hops[1].RTTs(addr("9.9.9.9")); len(got) != 0 {
-		t.Errorf("RTTs of absent addr = %v", got)
 	}
 }
 
@@ -87,20 +75,6 @@ func TestValidate(t *testing.T) {
 	bad.Hops[2].Index = 2 // duplicate
 	if bad.Validate() == nil {
 		t.Error("non-ascending hops accepted")
-	}
-}
-
-func TestReached(t *testing.T) {
-	r := sampleResult()
-	if !r.Reached() {
-		t.Error("sample should reach its destination")
-	}
-	r.Hops = r.Hops[:2]
-	if r.Reached() {
-		t.Error("truncated traceroute should not be 'reached'")
-	}
-	if (Result{}).Reached() {
-		t.Error("empty result should not be 'reached'")
 	}
 }
 
