@@ -83,14 +83,19 @@ func parseDotAround(dotPath, around string) (netip.Addr, error) {
 // checkEventFlags validates -threshold and -window before any analysis
 // runs: the aggregator would read a zero threshold as its default and a
 // negative one as "every bin is an event", no magnitude reaches a NaN or
-// infinite one, and a window shorter than one bin holds no magnitude
-// history.
+// infinite one, a window shorter than one bin holds no magnitude history,
+// and one that is not a whole number of bins would be rounded up to one.
 func checkEventFlags(threshold float64, window, bin time.Duration) error {
 	if !(threshold > 0) || math.IsInf(threshold, 1) {
 		return fmt.Errorf("-threshold %v: must be positive and finite", threshold)
 	}
 	if window < bin {
 		return fmt.Errorf("-window %v: must be at least one bin (%v)", window, bin)
+	}
+	if window%bin != 0 {
+		// The magnitude window starts on a bin boundary, so a partial bin
+		// would silently count as a whole one.
+		return fmt.Errorf("-window %v: must be a whole number of bins (%v)", window, bin)
 	}
 	return nil
 }

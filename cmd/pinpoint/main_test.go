@@ -28,6 +28,8 @@ func TestCheckEventFlagsRejectsBadValues(t *testing.T) {
 		{10, 0, false},                            // the aggregator would read 0 as a week
 		{10, -time.Hour, false},
 		{10, bin - time.Second, false},
+		{10, 90 * time.Minute, false}, // would be rounded up to 2h
+		{10, 61 * time.Minute, false},
 	} {
 		err := checkEventFlags(tc.threshold, tc.window, bin)
 		if (err == nil) != tc.ok {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,79 +140,142 @@ var closeBinGoldenConfigs = []struct {
 func TestCloseBinGolden(t *testing.T) {
 	for _, tc := range closeBinGoldenConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			h := sha256.New()
-			var buf []byte
-			u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-			f64 := func(v float64) { u64(math.Float64bits(v)) }
-			head := func(bin time.Time, link trace.LinkKey) {
-				u64(uint64(bin.UnixNano()))
-				buf = append(append(buf, link.Near.AsSlice()...), link.Far.AsSlice()...)
-			}
-			ci := func(c stats.MedianCI) {
-				f64(c.Median)
-				f64(c.Lower)
-				f64(c.Upper)
-				u64(uint64(c.N))
-			}
-			observations, anomalous := 0, 0
-			cfg := tc.cfg
-			cfg.Observer = func(o Observation) {
-				buf = append(buf[:0], 'o')
-				head(o.Bin, o.Link)
-				ci(o.Observed)
-				ci(o.Reference)
-				f64(o.Deviation)
-				u64(uint64(o.Probes))
-				u64(uint64(o.ASes))
-				if o.Anomalous {
-					buf = append(buf, 1)
-					anomalous++
-				}
-				h.Write(buf)
-				observations++
-			}
-			d := NewDetector(cfg, goldenASN)
-			links := goldenLinks(d.Registry())
-			var batch []Sample
-			var col Column
-			var log Log
-			d.ShareColumn(&col)
-			for bin := 0; bin < 6; bin++ {
-				d.BeginBin(t0.Add(time.Duration(bin) * time.Hour))
-				batch = batch[:0]
-				for i := range links {
-					batch = links[i].samples(batch, bin)
-				}
-				col.Reset()
-				log.Reset()
-				logSamples(&col, &log, batch)
-				d.IngestLog(&log)
-				for _, a := range d.Flush() {
-					buf = append(buf[:0], 'a')
-					head(a.Bin, a.Link)
-					ci(a.Observed)
-					ci(a.Reference)
-					f64(a.Deviation)
-					f64(a.DiffMS)
-					u64(uint64(a.Probes))
-					u64(uint64(a.ASes))
-					h.Write(buf)
-				}
-			}
-			if observations == 0 || anomalous == 0 {
-				t.Fatalf("fixture is too quiet: %d observations, %d anomalous", observations, anomalous)
+			r := runCloseGolden(tc.cfg, nil)
+			if r.observations == 0 || r.anomalous == 0 {
+				t.Fatalf("fixture is too quiet: %d observations, %d anomalous", r.observations, r.anomalous)
 			}
 			// The point of the fixture: the copy path and the rejection run
 			// whenever §4.3 is on, and only then.
-			cs := d.CloseStats()
-			if filtered := !cfg.DisableDiversityFilter; (cs.Dropped > 0) != filtered || (cs.Rejected > 0) != filtered {
+			cs := r.d.CloseStats()
+			if filtered := !tc.cfg.DisableDiversityFilter; (cs.Dropped > 0) != filtered || (cs.Rejected > 0) != filtered {
 				t.Fatalf("diversity filter on=%v but %d link-bins dropped probes, %d rejected", filtered, cs.Dropped, cs.Rejected)
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-				t.Errorf("observation stream sha256 = %s, want %s (%d observations, %d anomalous)", got, tc.want, observations, anomalous)
+			if r.digest != tc.want {
+				t.Errorf("observation stream sha256 = %s, want %s (%d observations, %d anomalous)", r.digest, tc.want, r.observations, r.anomalous)
 			}
 		})
 	}
+}
+
+// TestCloseStateIgnoresProbeIDMagnitude runs the golden fixture with its
+// probes renumbered 1…k and again 2³¹−k…2³¹−1, in the same order and each
+// in its own AS: both runs must close to the golden bytes. The fixture's
+// IDs are small, as a table indexed by raw probe ID would need them to be;
+// Atlas's have six and seven digits. Every per-probe table must therefore
+// be at most as long as the number of distinct probes, every per-AS table
+// as the number of distinct ASes.
+func TestCloseStateIgnoresProbeIDMagnitude(t *testing.T) {
+	var ids []int32
+	ases := map[ipmap.ASN]bool{}
+	for _, l := range goldenLinks(ident.NewRegistry()) {
+		for _, p := range l.probes {
+			ids = append(ids, p)
+			asn, _ := goldenASN(int(p))
+			ases[asn] = true
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	k := int32(len(ids))
+	for _, tc := range closeBinGoldenConfigs {
+		for _, base := range []int32{1, math.MaxInt32 - k + 1} {
+			r := runCloseGolden(tc.cfg, func(p int32) int32 {
+				i, _ := slices.BinarySearch(ids, p)
+				return base + int32(i)
+			})
+			if r.digest != tc.want {
+				t.Errorf("%s, probes from %d: observation stream sha256 = %s, want %s", tc.name, base, r.digest, tc.want)
+			}
+			if n := len(r.d.probeMark); n > len(ids) {
+				t.Errorf("%s, probes from %d: per-probe table of %d for %d probes", tc.name, base, n, len(ids))
+			}
+			if n := len(r.col.probeAS); n > len(ids) || len(r.col.probeNum) > len(ids) {
+				t.Errorf("%s, probes from %d: column numbers %d probes (map of %d) of %d", tc.name, base, n, len(r.col.probeNum), len(ids))
+			}
+			if n := len(r.d.asTally); n > len(ases) || len(r.col.asns) > len(ases) {
+				t.Errorf("%s, probes from %d: per-AS tables of %d and %d for %d ASes", tc.name, base, n, len(r.col.asns), len(ases))
+			}
+		}
+	}
+}
+
+// closeGolden is one run of the golden fixture: the sha256 of its
+// Observation and Alarm stream, their counts, its detector and column.
+type closeGolden struct {
+	digest                  string
+	observations, anomalous int
+	d                       *Detector
+	col                     *Column
+}
+
+// runCloseGolden closes the golden fixture's six bins on a detector of
+// cfg, every probe p renumbered probeID(p) when probeID is not nil.
+func runCloseGolden(cfg Config, probeID func(int32) int32) closeGolden {
+	h := sha256.New()
+	var buf []byte
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	head := func(bin time.Time, link trace.LinkKey) {
+		u64(uint64(bin.UnixNano()))
+		buf = append(append(buf, link.Near.AsSlice()...), link.Far.AsSlice()...)
+	}
+	ci := func(c stats.MedianCI) {
+		f64(c.Median)
+		f64(c.Lower)
+		f64(c.Upper)
+		u64(uint64(c.N))
+	}
+	var r closeGolden
+	cfg.Observer = func(o Observation) {
+		buf = append(buf[:0], 'o')
+		head(o.Bin, o.Link)
+		ci(o.Observed)
+		ci(o.Reference)
+		f64(o.Deviation)
+		u64(uint64(o.Probes))
+		u64(uint64(o.ASes))
+		if o.Anomalous {
+			buf = append(buf, 1)
+			r.anomalous++
+		}
+		h.Write(buf)
+		r.observations++
+	}
+	r.d = NewDetector(cfg, goldenASN)
+	links := goldenLinks(r.d.Registry())
+	var batch []Sample
+	r.col = new(Column)
+	var log Log
+	r.d.ShareColumn(r.col)
+	for bin := 0; bin < 6; bin++ {
+		r.d.BeginBin(t0.Add(time.Duration(bin) * time.Hour))
+		batch = batch[:0]
+		for i := range links {
+			batch = links[i].samples(batch, bin)
+		}
+		if probeID != nil {
+			for i := range batch {
+				batch[i].Probe = probeID(batch[i].Probe)
+			}
+		}
+		r.col.Reset()
+		log.Reset()
+		logSamples(r.col, &log, batch)
+		r.d.IngestLog(&log)
+		for _, a := range r.d.Flush() {
+			buf = append(buf[:0], 'a')
+			head(a.Bin, a.Link)
+			ci(a.Observed)
+			ci(a.Reference)
+			f64(a.Deviation)
+			f64(a.DiffMS)
+			u64(uint64(a.Probes))
+			u64(uint64(a.ASes))
+			h.Write(buf)
+		}
+	}
+	r.digest = hex.EncodeToString(h.Sum(nil))
+	return r
 }
 
 // TestBinCloseAllocationFree is the pin BenchmarkBinClose only reports: on

@@ -255,14 +255,25 @@ type probeRun struct {
 // linkState is the per-link record a slot holds: the link's identity and
 // its reference, never its samples (those live in the open bin's Column). The
 // reverse-resolved key is cached at slot creation (a LinkID's address pair
-// never changes), so bin close never goes back to the registry. Slots are
-// created outside ingestion, when a bin closes, and live for the whole run:
-// like the paper, the detector keeps every link's reference.
+// never changes), so bin close never goes back to the registry. A slot is
+// created when its link's first record joins the log, and lives for the
+// whole run: like the paper, the detector keeps every link's reference.
 type linkState struct {
-	key   trace.LinkKey // reverse-resolved (Near, Far), cached once
-	key64 uint64        // big-endian-packed (Near, Far) for the radix close order
-	ref   linkRef
-	isV4  bool // both addresses are 4-byte: key64 is valid
+	key trace.LinkKey // reverse-resolved (Near, Far), cached once
+	ref linkRef
+}
+
+// chain is a slot's records in the open bin: the log indices of its first
+// record and, plus one so that the zero chain is an untouched slot, of its
+// last.
+type chain struct {
+	head, tail int32
+}
+
+// asTally counts one AS's distinct probes in the link-bin of mark.
+type asTally struct {
+	mark   uint32
+	probes int32
 }
 
 // probeGroup is one probe's runs in the probe-sorted run order of one
@@ -313,38 +324,43 @@ type Detector struct {
 	// table (slotOf: LinkID → index into links, −1 when unowned; 4 bytes
 	// per global ID) keeps the linkState records — a cached key and a
 	// 3-value reference each, in a slice grown by an eighth — scaled to the
-	// links this detector actually ingests. log.recs[:slotted] have their
-	// slots.
-	slotOf  []int32
-	links   []linkState
-	slotted int
+	// links this detector actually ingests.
+	slotOf []int32
+	links  []linkState
+
+	// The open bin grouped by link as its records arrive (chain):
+	// chains[slot] are a slot's first and last record in the bin, and
+	// next[i] the log index of the record after record i on its link's
+	// chain, −1 after the last. log.recs[:len(next)] are chained.
+	// binLinks are the slots of the bin's links, in order of first record
+	// until the close sorts them (closeOrder).
+	chains   []chain
+	next     []int32
+	binLinks []int32
 
 	// Bin-close scratch, reused across bins so steady-state close is
-	// alloc-free. groupLog's buffers (slotRecs is indexed by slot and zero
-	// between closes; closeKeys/closeSlots plus their radix ping-pong
-	// buffers order the bin's links) stay live across the whole link loop,
-	// as do recBuf/colBuf/runBuf, one link's gathered records, rebuilt ∆
-	// column and probe runs.
-	// lkeyBuf/ltmpBuf are the per-link radix scratch reused by groupRuns and
-	// filterDiversity (their decoded permutations land in ordBuf/idxBuf, so
-	// the key buffers are dead between uses).
-	slotRecs   []int32
-	closeKeys  []uint64
-	closeSlots []int32
-	closeTmpK  []uint64
-	closeTmpV  []int32
-	closeEnds  []int32
-	recOrd     []int32
-	recBuf     []record
-	colBuf     []float64
-	runBuf     []probeRun
+	// alloc-free. colBuf/runBuf are one link-bin's rebuilt ∆ column and
+	// probe runs. count tallies a link-bin's probes for §4.3 in probeMark
+	// (by column probe number) and asTally (by column AS number), which
+	// hold the mark of the link-bin that last counted an entry, and lists
+	// the link-bin's AS numbers in binASes.
+	colBuf    []float64
+	runBuf    []probeRun
+	mark      uint32
+	probeMark []uint32
+	asTally   []asTally
+	binASes   []int32
+	countsBuf []int
+	// The scratch of a link-bin §4.3 thins: lkeyBuf/ltmpBuf are the
+	// per-link radix scratch reused by groupRuns and filterDiversity (their
+	// decoded permutations land in ordBuf/idxBuf, so the key buffers are
+	// dead between uses).
 	lkeyBuf    []uint64
 	ltmpBuf    []uint64
 	ordBuf     []int32
 	groupBuf   []probeGroup
 	idxBuf     []int32
 	bucketBuf  []asBucket
-	countsBuf  []int
 	samplesBuf []float64
 
 	// Cumulative bin-close accounting (CloseStats).
@@ -403,15 +419,9 @@ func (d *Detector) Config() Config { return d.cfg }
 func (d *Detector) Registry() *ident.Registry { return d.reg }
 
 // LinksSeen returns how many distinct links ever produced ∆ samples — the
-// paper's "we monitored delays for 262k IPv4 links" statistic. Every link
-// keeps its slot once it has one, so this is the slot count after the open
-// bin's links have theirs.
-func (d *Detector) LinksSeen() int {
-	for ; d.slotted < len(d.log.recs); d.slotted++ {
-		d.slot(d.log.recs[d.slotted].link)
-	}
-	return len(d.links)
-}
+// paper's "we monitored delays for 262k IPv4 links" statistic. A record
+// gives its link a slot as it arrives, and every link keeps its slot.
+func (d *Detector) LinksSeen() int { return len(d.links) }
 
 // Observe is ObserveView over the detector's scratch view.
 func (d *Detector) Observe(r trace.Result) []Alarm {
@@ -430,6 +440,7 @@ func (d *Detector) ObserveView(v *trace.View) []Alarm {
 	if asn, ok := d.probeASN(v.Prb); ok {
 		d.rec.Begin(d.col, v, asn)
 		ExtractView(d.intern, v, d.logRTTs)
+		d.chain()
 	}
 	return alarms
 }
@@ -460,9 +471,30 @@ func (d *Detector) BeginBin(bin time.Time) { d.clock.Begin(bin) }
 // applies, and the per-(link, bin) seeded probe dropping guarantees the
 // shard reproduces exactly what a single detector would have decided for
 // those links. In steady state this is one copy of 20-byte records into a
-// recycled buffer — no RTT, no per-link state, no map, no alloc.
+// recycled buffer and their chaining — no RTT, no map, no alloc.
 func (d *Detector) IngestLog(l *Log) {
 	d.log.recs = append(ident.Grow(d.log.recs, len(l.recs)), l.recs...)
+	d.chain()
+}
+
+// chain appends the log's unchained records to their links' chains, giving
+// a link its slot at its first record.
+func (d *Detector) chain() {
+	recs := d.log.recs
+	n := len(d.next)
+	d.next = ident.Grow(d.next, len(recs)-n)[:len(recs)]
+	for i := n; i < len(recs); i++ {
+		si := d.slot(recs[i].link)
+		c := &d.chains[si]
+		if c.tail == 0 {
+			c.head = int32(i)
+			d.binLinks = append(d.binLinks, si)
+		} else {
+			d.next[c.tail-1] = int32(i)
+		}
+		c.tail = int32(i) + 1
+		d.next[i] = -1
+	}
 }
 
 // ShareColumn makes c the column the detector's records point into, in
@@ -484,113 +516,82 @@ func (d *Detector) slot(link ident.LinkID) int32 {
 	}
 	// Resolve the address pair once, at slot creation: every later bin
 	// close reads the cached key instead of going through the registry's
-	// read lock, and the packed big-endian form drives the radix close
-	// order for IPv4 links.
-	key := d.reg.LinkKeyOf(link)
-	st := linkState{key: key}
-	if key.Near.Is4() && key.Far.Is4() {
-		n4, f4 := key.Near.As4(), key.Far.As4()
-		st.key64 = uint64(binary.BigEndian.Uint32(n4[:]))<<32 | uint64(binary.BigEndian.Uint32(f4[:]))
-		st.isV4 = true
-	}
+	// read lock.
 	si := int32(len(d.links))
-	d.links = append(ident.Grow(d.links, 1), st)
-	d.slotRecs = append(ident.Grow(d.slotRecs, 1), 0)
+	d.links = append(ident.Grow(d.links, 1), linkState{key: d.reg.LinkKeyOf(link)})
+	d.chains = append(ident.Grow(d.chains, 1), chain{})
 	d.slotOf[li] = si
 	return si
 }
 
-// groupLog groups the open bin's records by link with a stable counting
-// sort. It returns the bin's links as slots in close order, and ord, the
-// record indices grouped accordingly: link k's records, in arrival order,
-// are ord[ends[k-1]:ends[k]] (from 0 for k = 0).
+// closeOrder sorts the open bin's links, the slots chain listed as their
+// first records arrived, into close order and returns them.
 //
 // The close order is (Near, Far) address order. The probe-dropping step
 // consumes randomness keyed per link, and downstream consumers accumulate
 // floats in emission order, so it must stay exactly the address order the
-// pre-ID detector used — never the (run-dependent) ID order. When every
-// link is IPv4 (the normal case) the order comes from a radix sort over
-// packed big-endian (Near, Far) keys: two Is4 addresses compare by their
-// 4-byte big-endian value under netip.Addr.Compare (same BitLen, same
-// v4-mapped prefix), so uint64 key order ≡ the comparison order, and
-// distinct LinkIDs always pack to distinct keys. Any non-IPv4 link falls
-// back to the comparison sort on the cached keys.
-func (d *Detector) groupLog() (slots, ends, ord []int32) {
-	recs := d.log.recs
-	slots = d.closeSlots[:0]
-	for i := range recs {
-		si := d.slot(recs[i].link)
-		if d.slotRecs[si] == 0 {
-			slots = append(slots, si)
+// pre-ID detector used — never the (run-dependent) ID order.
+func (d *Detector) closeOrder() []int32 {
+	slices.SortFunc(d.binLinks, func(a, b int32) int {
+		ka, kb := &d.links[a].key, &d.links[b].key
+		if c := ka.Near.Compare(kb.Near); c != 0 {
+			return c
 		}
-		d.slotRecs[si]++
-	}
-
-	keys := d.closeKeys[:0]
-	allV4 := true
-	for _, si := range slots {
-		ls := &d.links[si]
-		if !ls.isV4 {
-			allV4 = false
-			break
-		}
-		keys = append(keys, ls.key64)
-	}
-	if allV4 {
-		d.closeTmpK, d.closeTmpV = stats.RadixSortUint64Pairs(keys, slots, d.closeTmpK, d.closeTmpV)
-	} else {
-		slices.SortFunc(slots, func(a, b int32) int {
-			ka, kb := &d.links[a].key, &d.links[b].key
-			if c := ka.Near.Compare(kb.Near); c != 0 {
-				return c
-			}
-			return ka.Far.Compare(kb.Far)
-		})
-	}
-	d.closeKeys, d.closeSlots = keys[:0], slots[:0]
-
-	// Each link's first position in ord, then the placement pass leaves
-	// slotRecs at each link's end; reading it resets it for the next bin.
-	n := int32(0)
-	for _, si := range slots {
-		c := d.slotRecs[si]
-		d.slotRecs[si] = n
-		n += c
-	}
-	ord = ident.Grow(d.recOrd[:0], len(recs))[:len(recs)]
-	for i := range recs {
-		si := d.slotOf[recs[i].link]
-		ord[d.slotRecs[si]] = int32(i)
-		d.slotRecs[si]++
-	}
-	ends = d.closeEnds[:0]
-	for _, si := range slots {
-		ends = append(ends, d.slotRecs[si])
-		d.slotRecs[si] = 0
-	}
-	d.closeEnds, d.recOrd = ends[:0], ord[:0]
-	return slots, ends, ord
+		return ka.Far.Compare(kb.Far)
+	})
+	return d.binLinks
 }
 
-// column rebuilds one link-bin's ∆ column and probe runs from its records
-// (log indices, arrival order) into reused scratch: far − near, near-major,
-// the sequence ExtractView's callbacks described, so the column is element
-// for element the one arrival-order ingestion of every ∆ would have built.
-// The rebuild is on the close's critical path, and a link's records lie
-// scattered over the log: they are gathered first, so their loads do not
-// wait on each other, and the 3×3 hop pair (Atlas's three packets per hop)
-// is unrolled.
-func (d *Detector) column(ord []int32) ([]float64, []probeRun) {
-	recs := d.recBuf[:0]
-	for _, ri := range ord {
-		recs = append(recs, d.log.recs[ri])
+// count counts, over the records on slot si's chain, what §4.3's verdict
+// reads: the link-bin's distinct probes, which it returns, and per AS its
+// distinct probes (binASes, asTally). It reads only the records' probe
+// headers, so a link-bin the verdict rejects — more than half the
+// link-bins of a ddos bin, over a quarter of its ∆s — never has its ∆
+// column built.
+func (d *Detector) count(si int32) (probes int) {
+	if d.mark++; d.mark == 0 { // wrapped: no entry may carry a current mark
+		clear(d.probeMark)
+		clear(d.asTally)
+		d.mark = 1
 	}
-	d.recBuf = recs
-	rtts, heads := d.col.rtts, d.col.heads
-	col, runs := d.colBuf[:0], d.runBuf[:0]
-	for i := range recs {
-		r := &recs[i]
-		start := int32(len(col))
+	// Both tables grow to the largest bin's probes and ASes, not beyond.
+	mark, probeAS := d.mark, d.col.probeAS
+	if n := len(probeAS) - len(d.probeMark); n > 0 {
+		d.probeMark = append(d.probeMark, make([]uint32, n)...)
+	}
+	if n := len(d.col.asns) - len(d.asTally); n > 0 {
+		d.asTally = append(d.asTally, make([]asTally, n)...)
+	}
+	recs, next, heads := d.log.recs, d.next, d.col.heads
+	ases := d.binASes[:0]
+	for ri := d.chains[si].head; ri >= 0; ri = next[ri] {
+		p := heads[recs[ri].view].num
+		if d.probeMark[p] == mark {
+			continue
+		}
+		d.probeMark[p] = mark
+		probes++
+		a := probeAS[p]
+		if t := &d.asTally[a]; t.mark != mark {
+			*t = asTally{mark: mark}
+			ases = append(ases, a)
+		}
+		d.asTally[a].probes++
+	}
+	d.binASes = ases
+	return probes
+}
+
+// column rebuilds one link-bin's ∆ column from the records on slot si's
+// chain into reused scratch: far − near, near-major, the sequence
+// ExtractView's callbacks described, so the column is element for element
+// the one arrival-order ingestion of every ∆ would have built. The 3×3 hop
+// pair (Atlas's three packets per hop) is unrolled.
+func (d *Detector) column(si int32) []float64 {
+	recs, next, rtts := d.log.recs, d.next, d.col.rtts
+	col := d.colBuf[:0]
+	for ri := d.chains[si].head; ri >= 0; ri = next[ri] {
+		r := &recs[ri]
 		far := rtts[r.far : r.far+uint32(r.nFar)]
 		nears := rtts[r.near : r.near+uint32(r.nNear)]
 		if len(far) == 3 && len(nears) == 3 {
@@ -604,38 +605,89 @@ func (d *Detector) column(ord []int32) ([]float64, []probeRun) {
 				}
 			}
 		}
-		if h := heads[r.view]; len(runs) == 0 || runs[len(runs)-1].probe != h.probe {
-			runs = append(runs, probeRun{probe: h.probe, asn: h.asn, start: start})
-		}
-		runs[len(runs)-1].end = int32(len(col))
 	}
-	d.colBuf, d.runBuf = col, runs
-	return col, runs
+	d.colBuf = col
+	return col
 }
 
-// closeBin runs steps 2–5 of §4.2 on the open bin, which starts at bin:
-// it groups the log by link, rebuilds each link's ∆ column and evaluates
-// it, then empties the log and its own column.
+// probeRuns splits the column of slot si's chain into probe runs: a probe
+// returning to the link after another's samples opens a new run. Only a
+// link-bin §4.3 thins needs them.
+func (d *Detector) probeRuns(si int32) []probeRun {
+	recs, next, heads := d.log.recs, d.next, d.col.heads
+	probeAS, asns := d.col.probeAS, d.col.asns
+	runs, end := d.runBuf[:0], int32(0)
+	for ri := d.chains[si].head; ri >= 0; ri = next[ri] {
+		r := &recs[ri]
+		start := end
+		end += int32(r.nFar) * int32(r.nNear)
+		if h := heads[r.view]; len(runs) == 0 || runs[len(runs)-1].probe != h.probe {
+			runs = append(runs, probeRun{probe: h.probe, asn: asns[probeAS[h.num]], start: start})
+		}
+		runs[len(runs)-1].end = end
+	}
+	d.runBuf = runs
+	return runs
+}
+
+// verdict is §4.3's decision on the link-bin column last counted: ok is
+// false when its probes come from fewer than minASes ASes, and thin is true
+// when the normalized entropy of their per-AS distribution is at most
+// minEntropy, so that filterDiversity must drop probes. The counts enter
+// the entropy ASN-ascending, the order of filterDiversity's buckets, so
+// both compute the same bits. With the filter disabled every link-bin
+// passes whole.
+func (d *Detector) verdict() (ok, thin bool) {
+	if d.cfg.DisableDiversityFilter {
+		return true, false
+	}
+	ases, asns := d.binASes, d.col.asns
+	if len(ases) < minASes {
+		return false, false
+	}
+	// An insertion sort: a link-bin's probes come from a few ASes.
+	for i := 1; i < len(ases); i++ {
+		for j := i; j > 0 && asns[ases[j]] < asns[ases[j-1]]; j-- {
+			ases[j], ases[j-1] = ases[j-1], ases[j]
+		}
+	}
+	counts := d.countsBuf[:0]
+	for _, a := range ases {
+		counts = append(counts, int(d.asTally[a].probes))
+	}
+	d.countsBuf = counts[:0]
+	return true, stats.NormalizedEntropy(counts) <= minEntropy
+}
+
+// closeBin runs steps 2–5 of §4.2 on the open bin, which starts at bin: it
+// rebuilds each link's ∆ column from its chain and evaluates it, then
+// empties the log, the chains and its own column.
 func (d *Detector) closeBin(bin time.Time) []Alarm {
 	t0 := time.Now()
 	var alarms []Alarm
-	slots, ends, ord := d.groupLog()
-	lo := int32(0)
-	for k, si := range slots {
+	for _, si := range d.closeOrder() {
 		ls := &d.links[si]
 		key := ls.key
-		col, runs := d.column(ord[lo:ends[k]])
-		lo = ends[k]
-		rord, groups := d.groupRuns(runs)
-		// The statistics below read the samples as a multiset: unless §4.3
-		// removes a probe they reorder the rebuilt column in place, and only
-		// a link-bin that lost probes has its survivors gathered into a
-		// second scratch (filterDiversity).
-		d.reseed(key, bin)
-		samples, probes, ases, ok := d.filterDiversity(col, runs, rord, groups)
+		// §4.3 decides from the counts. The statistics below read the
+		// samples as a multiset: unless §4.3 removes a probe they reorder
+		// the rebuilt column in place, and only a link-bin that must lose
+		// probes is grouped by probe, draws from the PRNG seeded for it,
+		// and has its survivors gathered into a second scratch
+		// (filterDiversity).
+		probes := d.count(si)
+		ases := len(d.binASes)
+		ok, thin := d.verdict()
 		if !ok {
 			d.linksRejected++
 			continue
+		}
+		col := d.column(si)
+		samples := col
+		if thin {
+			runs := d.probeRuns(si)
+			rord, groups := d.groupRuns(runs)
+			d.reseed(key, bin)
+			samples, probes, ases, _ = d.filterDiversity(col, runs, rord, groups)
 		}
 		if len(samples) < d.cfg.MinSamples {
 			continue
@@ -697,9 +749,12 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		ref.observe(obs)
 	}
 
+	for _, si := range d.binLinks {
+		d.chains[si] = chain{}
+	}
+	d.binLinks, d.next = d.binLinks[:0], d.next[:0]
 	d.log.Reset()
 	d.own.Reset()
-	d.slotted = 0
 	d.binsClosed++
 	d.closeDur += time.Since(t0)
 	return alarms
@@ -773,10 +828,11 @@ func (d *Detector) reseed(key trace.LinkKey, bin time.Time) {
 // minASes distinct ASes, and the probe-per-AS distribution must have
 // normalized entropy above minEntropy — otherwise probes are randomly
 // dropped from the most-represented AS until it does. It returns the
-// surviving ∆ samples — col itself when every probe survives, which is
-// every link-bin of both benchmark fixtures, else a copy in a second
-// reusable scratch — and the contributing probe/AS counts; ok is false when
-// the link fails the AS-count criterion.
+// surviving ∆ samples — col itself when every probe survives, else a copy
+// in a second reusable scratch — and the contributing probe/AS counts; ok
+// is false when the link fails the AS-count criterion. The close calls it
+// only on a link-bin whose counts say §4.3 must drop probes (verdict);
+// FuzzDiversityVerdict holds both to the same decisions.
 // The dropping decisions are bit-identical to the map-based implementation:
 // per-AS probe lists are probe-ascending and the most-represented AS breaks
 // ties on the smallest ASN, so the PRNG sees the same draw sequence.

@@ -240,12 +240,8 @@ type linkBin struct {
 // closing the bin.
 func openBins(d *Detector) map[trace.LinkKey]linkBin {
 	out := map[trace.LinkKey]linkBin{}
-	slots, ends, ord := d.groupLog()
-	lo := int32(0)
-	for k, si := range slots {
-		col, runs := d.column(ord[lo:ends[k]])
-		lo = ends[k]
-		out[d.links[si].key] = linkBin{slices.Clone(col), slices.Clone(runs)}
+	for _, si := range d.closeOrder() {
+		out[d.links[si].key] = linkBin{slices.Clone(d.column(si)), slices.Clone(d.probeRuns(si))}
 	}
 	return out
 }

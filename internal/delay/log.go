@@ -17,16 +17,54 @@ import (
 type Column struct {
 	rtts  []float64
 	heads []viewHead
+
+	// The bin's distinct probes and their ASes, each numbered in order of
+	// first sight: probeNum maps a probe ID to its number and asNum an ASN
+	// to its, probeAS holds each probe's AS number and asns each AS
+	// number's ASN. §4.3's verdict counts over these numbers, so the
+	// tables a detector keeps for it are sized by the bin's probes, never
+	// by the magnitude of a probe ID.
+	probeNum map[int32]int32
+	asNum    map[ipmap.ASN]int32
+	probeAS  []int32
+	asns     []ipmap.ASN
 }
 
-// viewHead is the probe of one view in a Column.
+// viewHead is the probe of one view in a Column and the probe's number.
 type viewHead struct {
 	probe int32
-	asn   ipmap.ASN
+	num   int32
 }
 
 // Reset empties the column, keeping its capacity.
-func (c *Column) Reset() { c.rtts, c.heads = c.rtts[:0], c.heads[:0] }
+func (c *Column) Reset() {
+	c.rtts, c.heads = c.rtts[:0], c.heads[:0]
+	clear(c.probeNum)
+	clear(c.asNum)
+	c.probeAS, c.asns = c.probeAS[:0], c.asns[:0]
+}
+
+// number returns probe's number, numbering the probe, and its AS asn if
+// that is new too, on first sight. A probe's AS is the one of its first
+// view: probeASN is a function of the probe.
+func (c *Column) number(probe int32, asn ipmap.ASN) int32 {
+	if n, ok := c.probeNum[probe]; ok {
+		return n
+	}
+	if c.probeNum == nil {
+		c.probeNum, c.asNum = map[int32]int32{}, map[ipmap.ASN]int32{}
+	}
+	a, ok := c.asNum[asn]
+	if !ok {
+		a = int32(len(c.asns))
+		c.asNum[asn] = a
+		c.asns = append(c.asns, asn)
+	}
+	n := int32(len(c.probeAS))
+	c.probeNum[probe] = n
+	c.probeAS = append(c.probeAS, a)
+	return n
+}
 
 // Log is an open bin's differential-RTT records in arrival order, one per
 // (view, link, far stretch, run of consecutive near replies). A record holds
@@ -69,7 +107,8 @@ type Recorder struct {
 	col  *Column
 	rtt  []float64 // the view's RTT column
 	head viewHead
-	base int // offset of rtt[0] in col.rtts; −1 until the view's first record
+	asn  ipmap.ASN // the view's probe's AS
+	base int       // offset of rtt[0] in col.rtts; −1 until the view's first record
 	view uint32
 
 	// The previous callback of the view: its link, far stretch start and
@@ -80,7 +119,7 @@ type Recorder struct {
 
 // Begin starts view v, whose probe's AS is asn, over col.
 func (r *Recorder) Begin(col *Column, v *trace.View, asn ipmap.ASN) {
-	*r = Recorder{col: col, rtt: v.RTT, head: viewHead{int32(v.Prb), asn}, base: -1, far: -1}
+	*r = Recorder{col: col, rtt: v.RTT, head: viewHead{probe: int32(v.Prb)}, asn: asn, base: -1, far: -1}
 }
 
 // Record appends one ExtractView callback of the current view — near reply
@@ -89,6 +128,7 @@ func (r *Recorder) Begin(col *Column, v *trace.View, asn ipmap.ASN) {
 func (r *Recorder) Record(l *Log, link ident.LinkID, i, j, k int) {
 	if r.base < 0 {
 		r.base, r.view = len(r.col.rtts), uint32(len(r.col.heads))
+		r.head.num = r.col.number(r.head.probe, r.asn)
 		r.col.rtts = append(ident.Grow(r.col.rtts, len(r.rtt)), r.rtt...)
 		r.col.heads = append(ident.Grow(r.col.heads, 1), r.head)
 	} else if j == r.far && i == r.near+1 && link == r.link && l.recs[len(l.recs)-1].nNear < math.MaxUint16 {

@@ -185,6 +185,7 @@ func TestRecorderMergeRule(t *testing.T) {
 	d.rec.Begin(d.col, &v, 103)
 	d.rec.Record(&d.log, link, 0, 2, len(long))
 	d.rec.Record(&d.log, link, 1, 2, len(long))
+	d.chain() // as ObserveView does after a view's callbacks
 	if recs := d.log.Len(); recs != 4 {
 		t.Fatalf("two callbacks of a %d-RTT stretch made %d records, want 4", len(long)-2, recs)
 	}
@@ -205,8 +206,9 @@ func TestRecorderMergeRule(t *testing.T) {
 
 // TestLogRetainsNoPeakSlack bounds the open bin's retained state: a record
 // is at most 20 bytes, and after bins of varying size the column's RTT and
-// header capacities and the log's record capacity are each at most 1.125×
-// the largest bin's need; the per-link slots hold no sample buffer at all.
+// header capacities and the log's record and chain capacities are each at
+// most 1.125× the largest bin's need; the per-link slots hold no sample
+// buffer at all.
 func TestLogRetainsNoPeakSlack(t *testing.T) {
 	if n := unsafe.Sizeof(record{}); n > 20 {
 		t.Errorf("a record is %d bytes, want at most 20", n)
@@ -232,6 +234,7 @@ func TestLogRetainsNoPeakSlack(t *testing.T) {
 		cap, need int
 	}{
 		{"record", cap(d.log.recs), maxRecs},
+		{"chain", cap(d.next), maxRecs},
 		{"RTT", cap(d.col.rtts), maxRTTs},
 		{"header", cap(d.col.heads), maxHeads},
 	} {
