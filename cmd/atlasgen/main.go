@@ -2,8 +2,10 @@
 // one of the built-in scenarios (the quiet baseline or one of the paper's
 // three case studies) and writes it as NDJSON — gzip-compressed when the
 // output path ends in .gz — plus a metadata sidecar (probe→AS and
-// prefix→AS mappings needed for offline analysis). Generation can run on
-// several workers; the emitted stream is bit-identical for any count.
+// prefix→AS mappings needed for offline analysis). -case, -scale and
+// -gen-workers are the input flags cmd/pinpoint and cmd/ihr share
+// (internal/experiments.DefineInputs); generation runs on all CPUs by
+// default, and the emitted stream is bit-identical for any worker count.
 //
 // Usage:
 //
@@ -31,27 +33,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("atlasgen: ")
 
-	caseName := flag.String("case", "quiet", "scenario: "+strings.Join(experiments.CaseNames, ", "))
-	scaleName := flag.String("scale", "quick", "workload scale: quick or full")
+	src := experiments.DefineInputs(flag.CommandLine, "quiet", experiments.Generate)
 	out := flag.String("out", "-", "results NDJSON output path (- for stdout; a .gz suffix compresses)")
 	flag.StringVar(out, "o", "-", "shorthand for -out")
 	metaPath := flag.String("meta", "", "metadata JSON output path (default <out>.meta.json)")
-	genWorkers := flag.Int("gen-workers", 1, "generator workers (0 = all CPUs, 1 = inline)")
 	flag.Parse()
-	if err := experiments.CheckWorkerFlags(flag.CommandLine); err != nil {
-		log.Fatal(err)
-	}
-
-	scale, err := experiments.ParseScale(*scaleName)
+	err := src.Build(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	c, err := experiments.NewCase(*caseName, scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.Platform.SetWorkers(*genWorkers)
+	c := src.Case
 
 	var w io.Writer = os.Stdout
 	var file *os.File

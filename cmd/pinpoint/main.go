@@ -1,23 +1,24 @@
 // Command pinpoint analyzes a traceroute dataset offline: it runs the full
 // detection pipeline (differential-RTT delay changes, forwarding anomalies,
-// per-AS aggregation) over an NDJSON dump and prints alarms, per-AS
-// magnitudes, and major events. With -case it instead generates one of the
-// built-in scenarios and analyzes it in place through the fused pipeline
-// (parallel generator workers feeding the sharded engine directly); -case
-// combined with -input replays a dump of that scenario (e.g. from
-// atlasgen) through the parallel ingest pipeline, with the case supplying
-// the probe and prefix metadata — no sidecar file needed.
+// per-AS aggregation) and prints alarms, per-AS magnitudes, and major
+// events. Its input is one of three, chosen by the input flags shared with
+// cmd/ihr and cmd/atlasgen (internal/experiments.DefineInputs): -case
+// generates a built-in scenario and analyzes it in place through the fused
+// pipeline; -case with -input replays a dump of that scenario (e.g. from
+// atlasgen) with the case supplying the probe and prefix metadata; -input
+// alone replays a dump whose metadata is the -meta sidecar. Dumps may be
+// gzip-compressed (auto-detected), read from stdin (-, the default without
+// -case), and -input accepts a comma-separated list replayed as one stream.
+// A flag the chosen input does not read is refused.
 //
-// Dumps may be gzip-compressed (auto-detected), read from stdin (-, the
-// default without -case), and -input accepts a comma-separated list
-// replayed as one stream.
 // -cpuprofile/-memprofile write pprof profiles of the whole run for field
 // profiling of ingest.
 //
 // With -store DIR (requires -case) every closed bin is committed to an
 // append-only segment store (internal/segstore) as the run progresses; a
 // rerun with the same directory resumes past the committed bins, replaying
-// the earlier deterministic input as warmup only.
+// the earlier deterministic input as warmup only and reporting post-resume
+// alarms only.
 //
 // Usage:
 //
@@ -35,34 +36,21 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net/netip"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"pinpoint/internal/atlas"
 	"pinpoint/internal/core"
 	"pinpoint/internal/experiments"
 	"pinpoint/internal/ingest"
-	"pinpoint/internal/ipmap"
 	"pinpoint/internal/report"
-	"pinpoint/internal/segstore"
 	"pinpoint/internal/serve"
 	"pinpoint/internal/timeseries"
 )
-
-// splitPaths parses the -input list, rejecting an effectively empty one.
-func splitPaths(s string) ([]string, error) {
-	out := ingest.SplitPaths(s)
-	if len(out) == 0 {
-		return nil, errors.New("-input lists no dump paths")
-	}
-	return out, nil
-}
 
 // parseDotAround validates -dot-around against -dot before any analysis
 // runs. The zero Addr (no -dot-around) draws every component.
@@ -80,26 +68,6 @@ func parseDotAround(dotPath, around string) (netip.Addr, error) {
 	return addr, nil
 }
 
-// checkEventFlags validates -threshold and -window before any analysis
-// runs: the aggregator would read a zero threshold as its default and a
-// negative one as "every bin is an event", no magnitude reaches a NaN or
-// infinite one, a window shorter than one bin holds no magnitude history,
-// and one that is not a whole number of bins would be rounded up to one.
-func checkEventFlags(threshold float64, window, bin time.Duration) error {
-	if !(threshold > 0) || math.IsInf(threshold, 1) {
-		return fmt.Errorf("-threshold %v: must be positive and finite", threshold)
-	}
-	if window < bin {
-		return fmt.Errorf("-window %v: must be at least one bin (%v)", window, bin)
-	}
-	if window%bin != 0 {
-		// The magnitude window starts on a bin boundary, so a partial bin
-		// would silently count as a whole one.
-		return fmt.Errorf("-window %v: must be a whole number of bins (%v)", window, bin)
-	}
-	return nil
-}
-
 // main only parses the exit status; the whole run lives in run() so its
 // defers — crucially StopCPUProfile and the -memprofile writer — fire on
 // every error path instead of being skipped by log.Fatal's os.Exit.
@@ -112,16 +80,11 @@ func main() {
 }
 
 func run() error {
-	input := flag.String("input", "", "comma-separated dump paths to replay (NDJSON, .gz ok, - for stdin; default stdin unless -case); with -case the case supplies the metadata")
+	src := experiments.DefineInputs(flag.CommandLine, "", experiments.Sidecar)
 	metaPath := flag.String("meta", "", "metadata JSON path (required for dump input unless -case)")
-	caseName := flag.String("case", "", "generate and analyze a scenario ("+strings.Join(experiments.CaseNames, ", ")+") — or, with -input, supply its metadata for a dump replay")
-	scaleName := flag.String("scale", "quick", "workload scale for -case: quick or full")
-	genWorkers := flag.Int("gen-workers", 0, "generator workers for -case (0 = all CPUs, 1 = inline)")
-	decodeWorkers := flag.Int("decode-workers", 0, "NDJSON decode workers for dump input (0 = all CPUs, 1 = inline)")
 	skipBad := flag.Bool("skip-bad", false, "tolerate undecodable dump lines (skipped count is reported) instead of aborting")
 	threshold := flag.Float64("threshold", 10, "event magnitude threshold")
 	window := flag.Duration("window", 7*24*time.Hour, "magnitude sliding window")
-	workers := flag.Int("workers", 0, "analysis worker shards (0 = all CPUs, 1 = one inline shard)")
 	verbose := flag.Bool("v", false, "print every alarm")
 	topAS := flag.Int("top", 10, "number of ASes to summarize")
 	dotPath := flag.String("dot", "", "write the alarm graph (all components) as Graphviz DOT to this path")
@@ -129,12 +92,19 @@ func run() error {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit, after a GC) to this path")
 	binCloseStats := flag.Bool("binclose-stats", false, "print bin-close kernel throughput (bins/links/flows closed, samples/s) after the run")
-	storeDir := flag.String("store", "", "segment store directory for crash-safe per-bin persistence (requires -case); reopening resumes past committed bins, reporting post-resume alarms only")
 	flag.Parse()
-	if err := experiments.CheckWorkerFlags(flag.CommandLine); err != nil {
+
+	cfg := core.Config{RetainAlarms: true}
+	cfg.Events.Threshold = *threshold
+	cfg.Events.Window = *window
+	cfg.Events.BinSize = cfg.BinSize()
+	if err := cfg.Events.Check(); err != nil {
 		return err
 	}
-
+	around, err := parseDotAround(*dotPath, *dotAround)
+	if err != nil {
+		return err
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -166,130 +136,18 @@ func run() error {
 		}()
 	}
 
-	cfg := core.Config{RetainAlarms: true, Workers: *workers}
-	if cfg.Workers == 0 {
-		cfg.Workers = core.AutoWorkers
-	}
-	if err := checkEventFlags(*threshold, *window, cfg.BinSize()); err != nil {
-		return err
-	}
-	cfg.Events.Threshold = *threshold
-	cfg.Events.Window = *window
-
-	var (
-		a           *core.Analyzer
-		first, last time.Time
-		elapsed     time.Duration
-	)
-	var c *experiments.Case
-	if *caseName != "" {
-		scale, err := experiments.ParseScale(*scaleName)
-		if err != nil {
-			return err
-		}
-		c, err = experiments.NewCase(*caseName, scale)
-		if err != nil {
-			return err
-		}
-	}
-
-	if *storeDir != "" && c == nil {
-		// Resuming replays the deterministic input from the start; only a
-		// case supplies the run window the store's resume cursor needs.
-		return errors.New("-store requires -case")
-	}
-	around, err := parseDotAround(*dotPath, *dotAround)
-	if err != nil {
+	if err := src.Build(map[experiments.Mode][]string{
+		experiments.Generate: {"meta", "skip-bad"},
+		experiments.Replay:   {"meta"},
+	}); err != nil {
 		return err
 	}
 
-	// attach wires per-close processing: with -store, a headless publisher
-	// owns the close hook and commits each bin to the segment store. The
-	// publisher serves no HTTP here — it is the commit and resume machinery
-	// shared with cmd/ihr.
-	var pub *serve.Publisher
-	attach := func(a *core.Analyzer) error {
-		if *storeDir == "" {
-			return nil
-		}
-		st, err := segstore.Open(*storeDir)
-		if err != nil {
-			return fmt.Errorf("-store: %w", err)
-		}
-		if rec := st.Recovery(); rec.Truncated > 0 {
-			fmt.Printf("store %s: discarded torn tail (%d bytes)\n", *storeDir, rec.Truncated)
-		}
-		pub, err = serve.NewPublisherWithStore(a, serve.Meta{
-			Case:        c.Name,
-			Description: c.Description,
-			Start:       c.Start,
-			End:         c.End,
-		}, st)
-		if err != nil {
-			return fmt.Errorf("-store: %w", err)
-		}
-		if at, ok := pub.Resumed(); ok {
-			fmt.Printf("store %s: %d committed bins, resuming at %s (replaying earlier input as warmup)\n",
-				*storeDir, st.Len(), at.Format(time.RFC3339))
-		}
-		return nil
-	}
-
-	// replay analyzes one or more NDJSON dumps through the parallel ingest
-	// pipeline (gzip auto-detected, delivery in input order).
-	replay := func(paths []string, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) error {
-		a = core.New(cfg, probeASN, table)
-		if err := attach(a); err != nil {
-			return err
-		}
-		opts := ingest.Options{Workers: *decodeWorkers}
-		if *skipBad {
-			opts.OnError = func(*ingest.LineError) error { return nil }
-		}
-		t0 := time.Now()
-		st, err := a.RunFiles(context.Background(), paths, opts, func(_ int, batchFirst, batchLast time.Time) {
-			if first.IsZero() {
-				first = batchFirst
-			}
-			last = batchLast
-		})
-		if err != nil {
-			return err
-		}
-		elapsed = time.Since(t0)
-		fmt.Printf("ingested %d lines (%d results, %d skipped) from %d dump(s)\n",
-			st.Lines, st.Results, st.Skipped, len(paths))
-		return nil
-	}
-
-	switch {
-	case c != nil && *input == "":
-		// Fused mode: generate and analyze in place.
-		c.Platform.SetWorkers(*genWorkers)
-		a = core.New(cfg, c.Platform.ProbeASN, c.Net.Prefixes())
-		if err := attach(a); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		if err := a.RunPlatform(context.Background(), c.Platform, c.Start, c.End); err != nil {
-			return err
-		}
-		elapsed = time.Since(t0)
-		first, last = c.Start, c.End
-		fmt.Printf("case %s (%s), fused pipeline: %d generator workers\n",
-			c.Name, c.Description, c.Platform.Workers())
-	case c != nil:
-		// Mixed mode: replay a dump of the scenario; the case supplies the
-		// probe and prefix metadata instead of a -meta sidecar.
+	c := src.Case
+	switch src.Mode {
+	case experiments.Replay:
 		fmt.Printf("case %s (%s), dump replay\n", c.Name, c.Description)
-		paths, err := splitPaths(*input)
-		if err != nil {
-			return err
-		}
-		if err := replay(paths, c.Platform.ProbeASN, c.Net.Prefixes()); err != nil {
-			return err
-		}
-	default:
+	case experiments.Sidecar:
 		if *metaPath == "" {
 			return errors.New("-meta is required (probe and prefix mappings)")
 		}
@@ -302,21 +160,42 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		table, err := meta.Table()
-		if err != nil {
+		if src.Table, err = meta.Table(); err != nil {
 			return err
 		}
-		paths := []string{"-"}
-		if *input != "" {
-			if paths, err = splitPaths(*input); err != nil {
-				return err
-			}
-		}
-		if err := replay(paths, meta.ProbeASN(), table); err != nil {
-			return err
+		src.ProbeASN = meta.ProbeASN()
+	}
+	cfg.Workers = src.Workers
+	a := core.New(cfg, src.ProbeASN, src.Table)
+	defer a.Close()
+
+	// With -store, a headless publisher owns the close hook and commits each
+	// bin to the segment store. It serves no HTTP here: it is the commit and
+	// resume machinery shared with cmd/ihr.
+	var pub *serve.Publisher
+	if src.Store != "" {
+		meta := serve.Meta{Case: c.Name, Description: c.Description, Start: c.Start, End: c.End}
+		if pub, err = serve.OpenPublisher(a, meta, src.Store, func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
+		}); err != nil {
+			return fmt.Errorf("-store: %w", err)
 		}
 	}
-	defer a.Close()
+
+	var onError func(*ingest.LineError) error
+	if *skipBad {
+		onError = func(*ingest.LineError) error { return nil }
+	}
+	r, err := src.Run(context.Background(), a, onError)
+	if err != nil {
+		return err
+	}
+	if src.Mode == experiments.Generate {
+		fmt.Printf("case %s (%s), fused pipeline: %d generator workers\n", c.Name, c.Description, r.GenWorkers)
+	} else {
+		fmt.Printf("ingested %d lines (%d results, %d skipped) from %d dump(s)\n",
+			r.Stats.Lines, r.Stats.Results, r.Stats.Skipped, len(src.Paths))
+	}
 
 	if pub != nil {
 		// Finish seals the run: any commit failure recorded during the run
@@ -327,13 +206,13 @@ func run() error {
 			return fmt.Errorf("segment store: %w", err)
 		}
 		st := pub.Store()
-		fmt.Printf("segment store: %d committed bins in %s\n", st.Len(), *storeDir)
+		fmt.Printf("segment store: %d committed bins in %s\n", st.Len(), src.Store)
 		defer st.Close()
 	}
 
 	fmt.Printf("processed %d results, %s .. %s (%.0f results/s end-to-end)\n",
-		a.Results(), first.Format("2006-01-02 15:04"), last.Format("2006-01-02 15:04"),
-		float64(a.Results())/elapsed.Seconds())
+		a.Results(), r.First.Format("2006-01-02 15:04"), r.Last.Format("2006-01-02 15:04"),
+		float64(a.Results())/r.Elapsed.Seconds())
 	fmt.Printf("links with samples: %d; router IPs modeled: %d (workers: %d)\n",
 		a.LinksSeen(), a.RoutersSeen(), a.Workers())
 	reg := a.Registry()
@@ -395,8 +274,8 @@ func run() error {
 	fmt.Print(report.Table(rows))
 
 	binSize := agg.Config().BinSize
-	end := last.Add(binSize)
-	evs := agg.Events(timeseries.Bin(first, binSize).Add(*window/7), end)
+	end := r.Last.Add(binSize)
+	evs := agg.Events(timeseries.Bin(r.First, binSize).Add(*window/7), end)
 	fmt.Printf("\nmajor events (|magnitude| ≥ %.0f):\n", *threshold)
 	if len(evs) == 0 {
 		fmt.Println("  none")
@@ -406,7 +285,7 @@ func run() error {
 	}
 
 	if *dotPath != "" {
-		g := a.Graph(first, end)
+		g := a.Graph(r.First, end)
 		f, err := os.Create(*dotPath)
 		if err != nil {
 			return err

@@ -137,6 +137,7 @@ type Analyzer struct {
 
 // New returns an Analyzer. probeASN resolves probe ids to AS numbers (the
 // §4.3 diversity filter needs it); table maps IPs to ASes for aggregation.
+// It panics on an event threshold or window events.Config.Check refuses.
 func New(cfg Config, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) *Analyzer {
 	cfg = cfg.withDefaults()
 	reg := ident.NewRegistry()

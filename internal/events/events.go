@@ -8,6 +8,7 @@ package events
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"time"
@@ -37,6 +38,27 @@ func (c Config) withDefaults() Config {
 		c.Threshold = 10
 	}
 	return c
+}
+
+// Check refuses an event threshold or window the aggregator would not
+// honour as given: a threshold that is not positive and finite (0 reads as
+// the default, a negative one makes every bin an event, and no magnitude
+// reaches a NaN or an infinite one), and a window shorter than one bin or
+// not a whole number of bins (the window starts on a bin boundary, so a
+// partial bin would silently count as a whole one). A zero BinSize takes
+// its default; zero Threshold and Window are refused, and NewAggregator
+// checks them after the defaults apply.
+func (c Config) Check() error {
+	bin := c.withDefaults().BinSize
+	switch {
+	case !(c.Threshold > 0) || math.IsInf(c.Threshold, 1):
+		return fmt.Errorf("event threshold %v: must be positive and finite", c.Threshold)
+	case c.Window < bin:
+		return fmt.Errorf("event window %v: must be at least one bin (%v)", c.Window, bin)
+	case c.Window%bin != 0:
+		return fmt.Errorf("event window %v: must be a whole number of bins (%v)", c.Window, bin)
+	}
+	return nil
 }
 
 // Type distinguishes the two alarm families.
@@ -92,9 +114,14 @@ type Aggregator struct {
 
 // NewAggregator returns an Aggregator resolving addresses with the given
 // LPM table (the simulator's announced prefixes, standing in for BGP data).
+// It panics on a configuration Check refuses once the defaults apply.
 func NewAggregator(cfg Config, table *ipmap.Table) *Aggregator {
+	cfg = cfg.withDefaults()
+	if err := cfg.Check(); err != nil {
+		panic("events: " + err.Error())
+	}
 	return &Aggregator{
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		table:       table,
 		delaySeries: make(map[ipmap.ASN]*timeseries.Series),
 		fwdSeries:   make(map[ipmap.ASN]*timeseries.Series),

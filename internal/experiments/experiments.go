@@ -1,6 +1,6 @@
-// Package experiments contains the case catalogue (case.go) and one
-// harness per table and figure of the paper's evaluation (Registry is the
-// index). Each harness builds its workload, runs the detection pipeline,
+// Package experiments contains the case catalogue (case.go), the input
+// builder the commands share (input.go), and one harness per table and
+// figure of the paper's evaluation (Registry is the index). Each harness builds its workload, runs the detection pipeline,
 // prints the rows/series the paper's artifact shows, and checks the paper's
 // qualitative claims — who wins, what peaks where, which shapes hold.
 // Absolute values from the paper's 2.8-billion-traceroute dataset are

@@ -50,6 +50,36 @@ func NewPublisherWithStore(a *core.Analyzer, meta Meta, st *segstore.Store) (*Pu
 	return p, nil
 }
 
+// OpenPublisher returns a's publisher, durable when dir names a segment
+// store directory: it opens the store, discarding a torn tail a crash left,
+// and boots from the committed bins (NewPublisherWithStore). logf reports
+// the torn tail and the resume cursor. With dir "" it is NewPublisher.
+func OpenPublisher(a *core.Analyzer, meta Meta, dir string, logf func(format string, args ...any)) (*Publisher, error) {
+	if dir == "" {
+		return NewPublisher(a, meta), nil
+	}
+	st, err := segstore.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	if rec := st.Recovery(); rec.Truncated > 0 {
+		logf("store %s: discarded torn tail (%d bytes)", dir, rec.Truncated)
+	}
+	p, err := NewPublisherWithStore(a, meta, st)
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	if at, ok := p.Resumed(); ok {
+		// The input is replayed from the start to rebuild detector state;
+		// bins before the cursor are warmup only — they are never
+		// re-committed or re-announced.
+		logf("store %s: %d committed bins, resuming at %s (replaying earlier input as warmup)",
+			dir, st.Len(), at.Format(time.RFC3339))
+	}
+	return p, nil
+}
+
 // Store returns the attached segment store, if any.
 func (p *Publisher) Store() *segstore.Store { return p.store }
 
