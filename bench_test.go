@@ -1,8 +1,9 @@
 package pinpoint_test
 
-// One benchmark per table and figure of the paper's evaluation (DESIGN.md
-// §4 maps each to its harness). Each bench regenerates the artifact at Full
-// scale and reports the headline numbers via b.ReportMetric, so
+// One benchmark per table and figure of the paper's evaluation
+// (experiments.Registry maps each to its harness). Each bench regenerates
+// the artifact at Full scale and reports the headline numbers via
+// b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

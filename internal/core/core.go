@@ -54,10 +54,10 @@ type Config struct {
 	// AutoWorkers for GOMAXPROCS.
 	Workers int
 
-	// BatchSize tunes how many results the sharded engine extracts before
-	// handing work to the shards (0 = engine default), and is the chunk
-	// size RunPlatform and RunFiles ask their producers for.
-	BatchSize int
+	// chunk, when positive, is the chunk size RunPlatform asks the
+	// generator for in place of atlas.DefaultBatchSize; a test raises it
+	// to hand the analyzer chunks that span many bins.
+	chunk int
 }
 
 // AutoWorkers sets Config.Workers to the number of usable CPUs.
@@ -151,7 +151,6 @@ func New(cfg Config, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) *
 			Delay:      cfg.Delay,
 			Forwarding: cfg.Forwarding,
 			Workers:    cfg.Workers,
-			BatchSize:  cfg.BatchSize,
 			Registry:   reg,
 		}, probeASN),
 		agg:     events.NewAggregator(cfg.Events, table),
@@ -298,7 +297,7 @@ func (a *Analyzer) dispatchFwd(alarms []forwarding.Alarm) {
 // Optional onBatch observers run after each chunk is ingested, as in
 // RunFiles.
 func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to time.Time, onBatch ...func(n int, first, last time.Time)) error {
-	err := p.RunChunks(ctx, from, to, a.cfg.BatchSize, func(rs []trace.Result) error {
+	err := p.RunChunks(ctx, from, to, a.cfg.chunk, func(rs []trace.Result) error {
 		a.ObserveBatch(rs)
 		for _, ob := range onBatch {
 			ob(len(rs), rs[0].Time, rs[len(rs)-1].Time)
@@ -316,17 +315,12 @@ func (a *Analyzer) RunPlatform(ctx context.Context, p *atlas.Platform, from, to 
 // — and ingests every ordered batch on this goroutine: decode workers run
 // ahead within their in-flight window while the engine ingests behind, with
 // the same determinism guarantee as the fused generator: analysis output is
-// bit-identical for every decode worker count. When opts.ChunkSize is 0 the
-// engine's batch size is used, so delivered batches match the extraction
-// batches downstream. Flush runs in all exit paths; decode statistics are
-// returned alongside any run error.
+// bit-identical for every decode worker count. Flush runs in all exit
+// paths; decode statistics are returned alongside any run error.
 //
 // Optional onBatch observers run after each batch is ingested, with the
 // batch's result count and its first and last result timestamps.
 func (a *Analyzer) RunFiles(ctx context.Context, paths []string, opts ingest.Options, onBatch ...func(n int, first, last time.Time)) (ingest.Stats, error) {
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = a.cfg.BatchSize // 0 falls through to ingest's default
-	}
 	st, err := ingest.FilesViews(ctx, paths, opts, a.reg, func(vs []trace.View) error {
 		for i := range vs {
 			a.observeView(&vs[i])

@@ -41,7 +41,7 @@ func TestAlarmsSurfaceAtTheirBinsClose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := core.New(core.Config{Workers: r.workers, BatchSize: r.batch}, c.Platform.ProbeASN, c.Net.Prefixes())
+			a := core.New(core.WithChunk(core.Config{Workers: r.workers}, r.batch), c.Platform.ProbeASN, c.Net.Prefixes())
 			defer a.Close()
 			var cursor time.Time
 			if r.resumed {

@@ -128,7 +128,7 @@ var closeBinGoldenConfigs = []struct {
 	want string
 }{
 	{"paper", Config{Seed: 7}, "ffb2b67edc53930ee92018b12eb95628e037fd49fd6f7b5777562f2207cda573"},
-	{"nofilter", Config{Seed: 7, MinSamples: 1, DisableDiversityFilter: true}, "1797ef1438917818ea1e7bf35050fc621e17265693d72b8d5a15bc9b61717f4a"},
+	{"nofilter", Config{Seed: 7, minSamples: 1, DisableDiversityFilter: true}, "1797ef1438917818ea1e7bf35050fc621e17265693d72b8d5a15bc9b61717f4a"},
 	{"meanci", Config{Seed: 7, UseMeanCI: true}, "b85781aca6e5a2434846429c4e08b259e03feeb12ed86b6c2bf0aa8e9e35d376"},
 	{"meanci-nofilter", Config{Seed: 7, UseMeanCI: true, DisableDiversityFilter: true}, "d30d9d46f63f2eaefbac4d6f4575870ecefe7983e409e23c7f4733ed8d07b0d3"},
 }
@@ -154,6 +154,42 @@ func TestCloseBinGolden(t *testing.T) {
 				t.Errorf("observation stream sha256 = %s, want %s (%d observations, %d anomalous)", r.digest, tc.want, r.observations, r.anomalous)
 			}
 		})
+	}
+}
+
+// TestMinSamplesBoundary pins Appendix B's floor: a link-bin that §4.3
+// keeps whole with 8 ∆ samples is not evaluated, and one with 9 is. Three
+// probes from three ASes pass §4.3 untouched; a thinned link-bin keeps at
+// least 12 probes, so it never reaches the boundary.
+func TestMinSamplesBoundary(t *testing.T) {
+	for _, n := range []int{minSamples - 1, minSamples} {
+		var obs []Observation
+		d := NewDetector(Config{Seed: 1, Observer: func(o Observation) { obs = append(obs, o) }}, goldenASN)
+		in := ident.NewInterner(d.Registry())
+		link := in.Link(in.Addr(netip.MustParseAddr("10.0.0.1")), in.Addr(netip.MustParseAddr("10.0.0.2")))
+		var samples []Sample
+		for i := range n {
+			probe := int32(1000 * (1 + i%3))
+			asn, _ := goldenASN(int(probe))
+			samples = append(samples, Sample{Link: link, Probe: probe, ASN: asn, Delta: float64(5 + i)})
+		}
+		var col Column
+		var log Log
+		logSamples(&col, &log, samples)
+		d.ShareColumn(&col)
+		d.BeginBin(t0)
+		d.IngestLog(&log)
+		d.Flush()
+		cs := d.CloseStats()
+		if cs.Dropped != 0 || cs.Rejected != 0 {
+			t.Fatalf("%d samples: §4.3 dropped %d, rejected %d link-bins, want none", n, cs.Dropped, cs.Rejected)
+		}
+		if want := n >= minSamples; (len(obs) == 1) != want || len(obs) > 1 || (cs.Links == 1) != want {
+			t.Errorf("%d samples: %d observations, %d link-bins evaluated; want evaluated=%v", n, len(obs), cs.Links, want)
+		}
+		if len(obs) == 1 && (obs[0].Observed.N != n || obs[0].Probes != 3 || obs[0].ASes != 3) {
+			t.Errorf("%d samples: observation %+v", n, obs[0])
+		}
 	}
 }
 

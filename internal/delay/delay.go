@@ -42,6 +42,7 @@ const (
 	minASes    = 3         // probe-diversity criterion 1
 	minEntropy = 0.5       // probe-diversity criterion 2: normalized entropy above this
 	minDiffMS  = 1.0       // minimum median gap to report, in ms
+	minSamples = 9         // minimum ∆ samples per link-bin after §4.3 (Appendix B)
 
 	// alpha is the exponential smoothing factor. The paper only says "a
 	// small α value is preferable" (§4.2.4). 0.01 keeps a 2-hour, +100 ms
@@ -51,12 +52,11 @@ const (
 	alpha = 0.01
 )
 
-// Config parameterizes the detector. NewDetector fills a zero BinSize,
-// MinSamples or Registry with the default noted on the field.
+// Config parameterizes the detector. NewDetector fills a zero BinSize or
+// Registry with the default noted on the field.
 type Config struct {
-	BinSize    time.Duration // analysis bin; paper: 1 hour
-	MinSamples int           // minimum ∆ samples per link-bin; Appendix B: 9
-	Seed       uint64        // seeds the random probe dropping of §4.3
+	BinSize time.Duration // analysis bin; paper: 1 hour
+	Seed    uint64        // seeds the random probe dropping of §4.3
 
 	// Registry is the identity layer the detector interns links through.
 	// Leave nil for a private registry (a standalone detector);
@@ -83,14 +83,18 @@ type Config struct {
 	// DisableDiversityFilter accepts every link regardless of probe AS
 	// diversity.
 	DisableDiversityFilter bool
+
+	// minSamples, when positive, replaces the paper's minSamples; only the
+	// close golden lowers it, to evaluate link-bins of one to eight ∆s.
+	minSamples int
 }
 
 func (c Config) withDefaults() Config {
 	if c.BinSize == 0 {
 		c.BinSize = time.Hour
 	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 9
+	if c.minSamples == 0 {
+		c.minSamples = minSamples
 	}
 	if c.Registry == nil {
 		c.Registry = ident.NewRegistry()
@@ -689,7 +693,7 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 			d.reseed(key, bin)
 			samples, probes, ases, _ = d.filterDiversity(col, runs, rord, groups)
 		}
-		if len(samples) < d.cfg.MinSamples {
+		if len(samples) < d.cfg.minSamples {
 			continue
 		}
 		d.linksClosed++

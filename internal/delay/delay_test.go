@@ -86,13 +86,13 @@ func TestDeviationEq6(t *testing.T) {
 
 func TestDefaultsMatchPaper(t *testing.T) {
 	cfg := NewDetector(Config{}, testASN).Config()
-	if cfg.BinSize != time.Hour || cfg.MinSamples != 9 {
+	if cfg.BinSize != time.Hour || cfg.minSamples != minSamples {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if z != 1.96 || alpha != 0.01 || warmupBins != 3 || minASes != 3 ||
-		minEntropy != 0.5 || minDiffMS != 1.0 {
-		t.Errorf("constants: z=%v alpha=%v warmupBins=%d minASes=%d minEntropy=%v minDiffMS=%v",
-			z, alpha, warmupBins, minASes, minEntropy, minDiffMS)
+		minEntropy != 0.5 || minDiffMS != 1.0 || minSamples != 9 {
+		t.Errorf("constants: z=%v alpha=%v warmupBins=%d minASes=%d minEntropy=%v minDiffMS=%v minSamples=%d",
+			z, alpha, warmupBins, minASes, minEntropy, minDiffMS, minSamples)
 	}
 }
 

@@ -58,7 +58,7 @@ import (
 )
 
 // Config parameterizes the engine. Zero values give GOMAXPROCS shards and
-// the batching defaults below.
+// a private registry.
 type Config struct {
 	Delay      delay.Config
 	Forwarding forwarding.Config
@@ -70,27 +70,33 @@ type Config struct {
 	// needs no locking of its own, but in an unspecified cross-shard order.
 	Workers int
 
-	// BatchSize is how many traceroute results are extracted before their
-	// contributions are handed to the shards in one channel send per
-	// shard. 0 means 256.
-	BatchSize int
-
 	// Registry is the shared identity layer. Leave nil to let the engine
 	// create a private one; core injects the analyzer-wide registry here
 	// so aggregation can resolve alarm addresses through the same IDs.
 	Registry *ident.Registry
+
+	// batch, when positive, replaces batchSize; tests whose fixture bins
+	// hold fewer than batchSize results lower it to hand off mid-bin.
+	batch int
 }
 
-// shardQueue bounds how many batches may be in flight per shard; a full
-// queue back-pressures the caller.
-const shardQueue = 8
+const (
+	// batchSize is how many traceroute results are extracted before their
+	// records and contributions are handed to the shards in one channel
+	// send per shard.
+	batchSize = 256
+
+	// shardQueue bounds how many batches may be in flight per shard; a
+	// full queue back-pressures the caller.
+	shardQueue = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
+	if c.batch <= 0 {
+		c.batch = batchSize
 	}
 	if c.Registry == nil {
 		c.Registry = ident.NewRegistry()
@@ -213,7 +219,7 @@ type Engine struct {
 	faRuns [][]forwarding.Alarm
 
 	// Per-shard buffers the caller's goroutine fills during extraction and
-	// hands off once pending reaches BatchSize results.
+	// hands off once pending reaches the batch size.
 	bufLogs     []*delay.Log
 	bufContribs [][]forwarding.Contribution
 	pending     int
@@ -350,7 +356,7 @@ func (e *Engine) ObserveView(v *trace.View) (da []delay.Alarm, fa []forwarding.A
 	}
 	forwarding.ExtractView(e.intern, v, e.routeContribution)
 	e.pending++
-	if e.pending >= e.cfg.BatchSize {
+	if e.pending >= e.cfg.batch {
 		open, _ := e.clock.Open()
 		e.dispatch(open)
 	}

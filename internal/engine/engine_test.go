@@ -172,30 +172,29 @@ func TestShardedMatchesSequential(t *testing.T) {
 }
 
 // TestBatchedMatchesPerResult feeds the same stream through ObserveBatch
-// with an awkward batch size and expects identical retained alarms.
+// in awkward chunks to an engine that hands the shards work every 17
+// results, mid-bin, and expects the one-worker analyzer's alarms in its
+// order.
 func TestBatchedMatchesPerResult(t *testing.T) {
 	fx := fixture(t)
 	seq := runAnalyzer(t, fx, 1)
 
-	a := core.New(core.Config{RetainAlarms: true, Workers: 4, BatchSize: 17}, fx.probeASN, fx.table)
-	defer a.Close()
+	e := engine.New(engine.WithBatch(engine.Config{Workers: 4}, 17), fx.probeASN)
+	defer e.Close()
+	var da []delay.Alarm
+	var fa []forwarding.Alarm
 	for i := 0; i < len(fx.results); i += 97 {
-		end := i + 97
-		if end > len(fx.results) {
-			end = len(fx.results)
-		}
-		a.ObserveBatch(fx.results[i:end])
+		d, f := e.ObserveBatch(fx.results[i:min(i+97, len(fx.results))])
+		da, fa = append(da, d...), append(fa, f...)
 	}
-	a.Flush()
+	d, f, _, _ := e.Flush()
+	da, fa = append(da, d...), append(fa, f...)
 
-	if !reflect.DeepEqual(seq.DelayAlarms(), a.DelayAlarms()) {
+	if !reflect.DeepEqual(seq.DelayAlarms(), da) {
 		t.Errorf("delay alarms differ under batching")
 	}
-	if !reflect.DeepEqual(seq.ForwardingAlarms(), a.ForwardingAlarms()) {
+	if !reflect.DeepEqual(seq.ForwardingAlarms(), fa) {
 		t.Errorf("forwarding alarms differ under batching")
-	}
-	if a.Results() != len(fx.results) {
-		t.Errorf("Results() = %d, want %d", a.Results(), len(fx.results))
 	}
 }
 
@@ -203,7 +202,7 @@ func TestBatchedMatchesPerResult(t *testing.T) {
 // must come back merged in (bin, key) order and Flush must reopen cleanly.
 func TestEngineDirect(t *testing.T) {
 	fx := fixture(t)
-	e := engine.New(engine.Config{Workers: 4, BatchSize: 8}, fx.probeASN)
+	e := engine.New(engine.WithBatch(engine.Config{Workers: 4}, 8), fx.probeASN)
 	defer e.Close()
 
 	var da, fa int
@@ -246,27 +245,30 @@ func TestEngineDirect(t *testing.T) {
 	e.Flush()
 }
 
-// TestEngineStress hammers an 8-shard engine with interleaved Observe,
-// Stats and Flush calls; it exists to run under the race detector, where
-// any unsynchronized access across the shard channel boundary fails the
-// build (`go test -race ./internal/engine/...`).
+// TestEngineStress hammers an 8-shard engine that hands off every 5
+// results with interleaved Observe, Stats and Flush calls; it exists to run
+// under the race detector, where any unsynchronized access across the shard
+// channel boundary fails the build (`go test -race ./internal/engine/...`).
+// The Observer hooks count without a lock: the engine serializes them.
 func TestEngineStress(t *testing.T) {
 	fx := fixture(t)
-	a := core.New(core.Config{Workers: 8, BatchSize: 5}, fx.probeASN, fx.table)
-	defer a.Close()
-
 	hookCalls := 0
-	a.OnDelayAlarm = func(delay.Alarm) { hookCalls++ }
-	a.OnForwardingAlarm = func(forwarding.Alarm) { hookCalls++ }
+	cfg := engine.Config{
+		Workers:    8,
+		Delay:      delay.Config{Observer: func(delay.Observation) { hookCalls++ }},
+		Forwarding: forwarding.Config{Observer: func(forwarding.Observation) { hookCalls++ }},
+	}
+	e := engine.New(engine.WithBatch(cfg, 5), fx.probeASN)
+	defer e.Close()
 	for i, r := range fx.results {
-		a.Observe(r)
+		e.Observe(r)
 		if i%1000 == 0 {
-			_ = a.LinksSeen() // Stats barrier interleaved with ingestion
+			_ = e.Stats() // Stats barrier interleaved with ingestion
 		}
 	}
-	a.Flush()
-	a.Flush() // idempotent
-	if a.LinksSeen() == 0 {
+	e.Flush()
+	e.Flush() // idempotent
+	if e.Stats().LinksSeen == 0 {
 		t.Fatal("no links seen")
 	}
 	if hookCalls == 0 {

@@ -59,11 +59,10 @@ type Config struct {
 	Registry *ident.Registry
 
 	// Observer, when non-nil, receives every evaluated pattern (anomalous
-	// or not); experiment harnesses use it for Fig 13's per-AS series.
-	// Behind an engine with several workers every shard's detector calls
-	// it, from the shard goroutines: the engine serializes the calls
-	// (together with the delay Observer's), their cross-shard order is
-	// unspecified.
+	// or not). Behind an engine with several workers every shard's
+	// detector calls it, from the shard goroutines: the engine serializes
+	// the calls (together with the delay Observer's), their cross-shard
+	// order is unspecified.
 	Observer func(Observation)
 }
 

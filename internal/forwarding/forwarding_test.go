@@ -32,7 +32,7 @@ func addrPattern(addrs []netip.Addr, counts []float64) map[netip.Addr]float64 {
 // TestFig4WorkedExample verifies the §5.2.2 numbers: reference
 // [A,B,C,Z] = [10,100,0,5] against observed [10,1,89,30] yields ρ ≈ −0.6 and
 // responsibilities ≈ (0, −0.28, 0.25, 0.07). The observed pattern is
-// reconstructed from the published scores (see DESIGN.md F4).
+// reconstructed from the published scores (DESIGN.md, internal/forwarding).
 func TestFig4WorkedExample(t *testing.T) {
 	ref := addrPattern([]netip.Addr{hopA, hopB, hopC, Unresponsive}, []float64{10, 100, 0, 5})
 	cur := addrPattern([]netip.Addr{hopA, hopB, hopC, Unresponsive}, []float64{10, 1, 89, 30})

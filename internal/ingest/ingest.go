@@ -46,9 +46,9 @@ import (
 	"pinpoint/internal/trace"
 )
 
-// DefaultChunkSize is how many lines one decode chunk — and hence one
-// delivered batch — holds when Options.ChunkSize is 0. It matches the
-// engine's default extraction batch, so a default ingest run hands the
+// DefaultChunkSize is how many non-blank lines one decode chunk holds; each
+// chunk yields at most one delivered batch (bad lines shrink it). It
+// matches the engine's extraction batch, so an ingest run hands the
 // analyzer engine-sized batches.
 const DefaultChunkSize = 256
 
@@ -91,17 +91,12 @@ func (e *LineError) Error() string {
 func (e *LineError) Unwrap() error { return e.Err }
 
 // Options configures an ingestion run. The zero value decodes with
-// GOMAXPROCS workers, engine-sized batches and a strict error policy.
+// GOMAXPROCS workers and a strict error policy.
 type Options struct {
 	// Workers is how many workers decode chunks concurrently. 0 means
 	// GOMAXPROCS; 1 reads, decodes and delivers inline on the caller's
 	// goroutine. The delivered stream is identical for every value.
 	Workers int
-
-	// ChunkSize is how many non-blank lines are decoded per chunk; each
-	// chunk yields at most one delivered batch (bad lines shrink it).
-	// 0 means DefaultChunkSize.
-	ChunkSize int
 
 	// Validate additionally rejects results that decode but violate the
 	// structural invariants of trace.Result.Validate (valid endpoints,
@@ -116,14 +111,18 @@ type Options struct {
 	// On abort, the batch of the chunk containing the offending line is
 	// withheld, so consumers never observe results past an abort point.
 	OnError func(*LineError) error
+
+	// chunk, when positive, replaces DefaultChunkSize; tests lower it to
+	// cut a small dump into many chunks.
+	chunk int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = DefaultChunkSize
+	if o.chunk <= 0 {
+		o.chunk = DefaultChunkSize
 	}
 	return o
 }
@@ -162,8 +161,8 @@ func FilesViews(ctx context.Context, paths []string, opts Options, reg *ident.Re
 	return run(ctx, paths, opts, viewDecoders(reg), fn)
 }
 
-// lineChunk is the unit of worker handoff: up to ChunkSize non-blank lines
-// copied out of the reader's buffer (read slices die on the next read),
+// lineChunk is the unit of worker handoff: up to DefaultChunkSize non-blank
+// lines copied out of the reader's buffer (read slices die on the next read),
 // with their 1-based line numbers for error attribution. errs carries
 // read-level per-line failures the chunker itself detected (oversized
 // lines); decode workers merge them with decode failures in line order.
@@ -476,7 +475,7 @@ func newChunk(file string) *lineChunk {
 // goroutine. A canceled ctx is reported ahead of a read error.
 func run[T any](ctx context.Context, paths []string, opts Options, newDec func() lineDecoder[T], fn func([]T) error) (Stats, error) {
 	opts = opts.withDefaults()
-	ck := &chunker{paths: paths, size: opts.ChunkSize}
+	ck := &chunker{paths: paths, size: opts.chunk}
 	var st Stats
 	err := pipeline.Ordered(ctx, opts.Workers, ck.run,
 		func() func(*lineChunk) decodedChunk[T] {

@@ -123,7 +123,7 @@ func TestDecodeWorkerEquivalence(t *testing.T) {
 	orig := makeResults(2000)
 	dump := encodeDump(t, orig, 9)
 
-	seq, seqStats := collect(t, dump, Options{Workers: 1, ChunkSize: 64})
+	seq, seqStats := collect(t, dump, Options{Workers: 1, chunk: 64})
 	if !reflect.DeepEqual(seq.results, orig) {
 		t.Fatalf("sequential decode does not reproduce the encoded results (%d vs %d)",
 			len(seq.results), len(orig))
@@ -133,7 +133,7 @@ func TestDecodeWorkerEquivalence(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 3, 4, 8} {
-		par, parStats := collect(t, dump, Options{Workers: workers, ChunkSize: 64})
+		par, parStats := collect(t, dump, Options{Workers: workers, chunk: 64})
 		if !reflect.DeepEqual(par.results, seq.results) {
 			t.Errorf("workers=%d: result stream differs from sequential", workers)
 		}
@@ -206,7 +206,7 @@ func TestFilesMultiFileOrderAndAttribution(t *testing.T) {
 
 	var got []trace.Result
 	var lineErrs []LineError
-	st, err := Files(context.Background(), []string{p1, p2, p3}, Options{Workers: 3, ChunkSize: 8,
+	st, err := Files(context.Background(), []string{p1, p2, p3}, Options{Workers: 3, chunk: 8,
 		OnError: func(le *LineError) error {
 			lineErrs = append(lineErrs, *le)
 			return nil
@@ -236,7 +236,7 @@ func TestDefaultPolicyAbortsWithLineError(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		var got []trace.Result
-		_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: workers, ChunkSize: 8},
+		_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: workers, chunk: 8},
 			func(rs []trace.Result) error {
 				got = append(got, rs...)
 				return nil
@@ -294,7 +294,7 @@ func TestConsumerErrorAborts(t *testing.T) {
 	sentinel := errors.New("consumer says no")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: workers, ChunkSize: 16},
+		_, err := Files(context.Background(), dumpFiles(t, dump), Options{Workers: workers, chunk: 16},
 			func([]trace.Result) error {
 				calls++
 				if calls == 2 {
@@ -346,7 +346,7 @@ func TestReadErrorSurfacesAfterDeliveredResults(t *testing.T) {
 	orig := makeResults(20)
 	dir := t.TempDir()
 	var got []trace.Result
-	_, err := Files(context.Background(), append(dumpFiles(t, encodeDump(t, orig, 0)), dir), Options{Workers: 2, ChunkSize: 4},
+	_, err := Files(context.Background(), append(dumpFiles(t, encodeDump(t, orig, 0)), dir), Options{Workers: 2, chunk: 4},
 		func(rs []trace.Result) error {
 			got = append(got, rs...)
 			return nil
@@ -376,7 +376,7 @@ func TestOversizedLineSkippable(t *testing.T) {
 		var got []trace.Result
 		var lineErrs []LineError
 		st, err := Files(context.Background(), dumpFiles(t, dump),
-			Options{Workers: workers, ChunkSize: 4, OnError: func(le *LineError) error {
+			Options{Workers: workers, chunk: 4, OnError: func(le *LineError) error {
 				lineErrs = append(lineErrs, *le)
 				return nil
 			}},
@@ -525,7 +525,7 @@ func TestLenientStatsDeterministic(t *testing.T) {
 	var ref Stats
 	for i, workers := range []int{1, 2, 8} {
 		st, err := Files(context.Background(), dumpFiles(t, corrupted),
-			Options{Workers: workers, ChunkSize: 32, OnError: skip},
+			Options{Workers: workers, chunk: 32, OnError: skip},
 			func([]trace.Result) error { return nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

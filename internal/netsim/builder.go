@@ -68,11 +68,10 @@ func (b *Builder) AS(asn ipmap.ASN, name, prefix string) {
 	}
 }
 
-// RouterOpts tunes router behaviour; zero fields take defaults
-// (ResponseProb 0.99, SlowPathMS 0.3).
+// RouterOpts tunes router behaviour; a zero ResponseProb takes the
+// default 0.99.
 type RouterOpts struct {
 	ResponseProb float64
-	SlowPathMS   float64
 }
 
 // Router adds a router to a registered AS, assigning it the next free
@@ -120,9 +119,6 @@ func (b *Builder) addRouter(asn ipmap.ASN, name string, addr netip.Addr, opts Ro
 	if opts.ResponseProb == 0 {
 		opts.ResponseProb = 0.99
 	}
-	if opts.SlowPathMS == 0 {
-		opts.SlowPathMS = 0.3
-	}
 	id := RouterID(len(b.routers))
 	b.routers = append(b.routers, Router{
 		ID:           id,
@@ -130,7 +126,6 @@ func (b *Builder) addRouter(asn ipmap.ASN, name string, addr netip.Addr, opts Ro
 		AS:           asn,
 		Name:         name,
 		ResponseProb: opts.ResponseProb,
-		SlowPathMS:   opts.SlowPathMS,
 	})
 	b.byAddr[addr] = id
 	return id

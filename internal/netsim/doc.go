@@ -7,12 +7,13 @@
 //
 // It replaces the real Internet + RIPE Atlas data plane of the paper.
 // The substitution is behaviour-preserving for the detectors because they
-// consume only traceroute results; see DESIGN.md §2.
+// consume only traceroute results; see DESIGN.md, internal/netsim.
 //
 // # Model
 //
-//   - A Router is an IP interface with an owning AS, an ICMP response
-//     probability and a slow-path delay for generating TTL-expired replies.
+//   - A Router is an IP interface with an owning AS and an ICMP response
+//     probability; every router adds the same exponential slow-path delay
+//     (mean slowPathMS) to the TTL-expired replies it generates.
 //   - An Edge is a directional link with an IGP-like weight and a DelayModel
 //     (base propagation + half-normal jitter + occasional heavy-tail spikes).
 //     The two directions of a physical link are two edges whose weights

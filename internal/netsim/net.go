@@ -27,10 +27,6 @@ type Router struct {
 	// or disable ICMP generation; values slightly below 1 make hops
 	// occasionally unresponsive even in healthy conditions.
 	ResponseProb float64
-
-	// SlowPathMS is the mean of the exponential extra delay a router adds
-	// when generating an ICMP reply (the "slow path" of §2).
-	SlowPathMS float64
 }
 
 // EdgeID indexes a directional edge within a Net.

@@ -9,11 +9,14 @@ import (
 	"pinpoint/internal/trace"
 )
 
-// The traceroute engine's fixed parameters: Atlas's TTL limit, and the
-// std-dev of probe-side measurement noise.
+// The traceroute engine's fixed parameters: Atlas's TTL limit, the
+// std-dev of probe-side measurement noise, and the mean of the exponential
+// extra delay a router adds when generating an ICMP reply (the "slow path"
+// of §2).
 const (
-	maxTTL  = 30
-	noiseMS = 0.05
+	maxTTL     = 30
+	noiseMS    = 0.05
+	slowPathMS = 0.3
 )
 
 // TracerouteOpts controls the traceroute engine. Zero fields are replaced
@@ -354,7 +357,7 @@ func (n *Net) probeHop(sc *TracerouteScratch, p *plan, leg []step, rets []return
 	if !ok {
 		return trace.Reply{Timeout: true}
 	}
-	rtt := fwdMS + retMS + rng.ExpFloat64()*router.SlowPathMS + rng.NormFloat64()*noiseMS
+	rtt := fwdMS + retMS + rng.ExpFloat64()*slowPathMS + rng.NormFloat64()*noiseMS
 	if rtt < 0.01 {
 		rtt = 0.01
 	}
