@@ -32,13 +32,12 @@ import (
 	"pinpoint/internal/trace"
 )
 
-// Config bundles the three stages' configurations. Zero values give the
-// paper's parameters throughout. The three bin sizes are forced to match:
-// Delay.BinSize wins when set, else one hour.
+// Config bundles the stages' configurations. Zero values give the paper's
+// parameters throughout. The delay, forwarding and events bins are forced
+// to match: Delay.BinSize wins when set, else one hour.
 type Config struct {
-	Delay      delay.Config
-	Forwarding forwarding.Config
-	Events     events.Config
+	Delay  delay.Config
+	Events events.Config
 
 	// RetainAlarms keeps every alarm in memory for later queries
 	// (DelayAlarms / ForwardingAlarms). Leave it false for unbounded
@@ -48,10 +47,9 @@ type Config struct {
 	// Workers is the engine's shard count. 0 or 1 runs one shard inline
 	// (two detectors on the caller's goroutine); > 1 shards per-link and
 	// per-router state across that many concurrent workers, producing
-	// identical output (see internal/engine). Delay.Observer and
-	// Forwarding.Observer are then called from the shard goroutines: the
-	// calls are serialized, their cross-shard order is unspecified. Use
-	// AutoWorkers for GOMAXPROCS.
+	// identical output (see internal/engine). Delay.Observer is then called
+	// from the shard goroutines: the calls are serialized, their
+	// cross-shard order is unspecified. Use AutoWorkers for GOMAXPROCS.
 	Workers int
 
 	// chunk, when positive, is the chunk size RunPlatform asks the
@@ -64,15 +62,14 @@ type Config struct {
 const AutoWorkers = -1
 
 // BinSize resolves the analysis bin size this configuration yields — the
-// shared Delay/Forwarding/Events bin after defaults apply — so a caller can
-// check its flags against it before any analyzer exists.
+// bin the delay, forwarding and events stages share after defaults apply —
+// so a caller can check its flags against it before any analyzer exists.
 func (c Config) BinSize() time.Duration { return c.withDefaults().Delay.BinSize }
 
 func (c Config) withDefaults() Config {
 	if c.Delay.BinSize == 0 {
 		c.Delay.BinSize = time.Hour
 	}
-	c.Forwarding.BinSize = c.Delay.BinSize
 	c.Events.BinSize = c.Delay.BinSize
 	if c.Workers == AutoWorkers {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -141,15 +138,13 @@ type Analyzer struct {
 func New(cfg Config, probeASN func(int) (ipmap.ASN, bool), table *ipmap.Table) *Analyzer {
 	cfg = cfg.withDefaults()
 	reg := ident.NewRegistry()
-	cfg.Delay.Registry = reg
-	cfg.Forwarding.Registry = reg
 	a := &Analyzer{
 		cfg:    cfg,
 		reg:    reg,
 		intern: ident.NewInterner(reg),
 		eng: engine.New(engine.Config{
 			Delay:      cfg.Delay,
-			Forwarding: cfg.Forwarding,
+			Forwarding: forwarding.Config{BinSize: cfg.Delay.BinSize},
 			Workers:    cfg.Workers,
 			Registry:   reg,
 		}, probeASN),

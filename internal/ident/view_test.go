@@ -33,7 +33,7 @@ func resolve(g *Registry, v *trace.View) resolvedView {
 }
 
 // viewSeeds are the seed corpus of FuzzDecodeViewDifferential: the shapes
-// where the view finisher could drift from the Result one.
+// where the scanner's view could drift from the reference decoder's.
 var viewSeeds = []string{
 	// Canonical line: repeated responder text, a timeout, IPv4 and IPv6.
 	`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52},{"from":"10.0.0.254","rtt":0.6},{"x":"*"}]},{"hop":2,"result":[{"from":"2001:db8::3","rtt":1.25},{"from":"193.0.14.129","rtt":2}]}]}`,
@@ -121,48 +121,45 @@ const atlasLine = `{"fw":4790,"lts":19,"endtime":1448866803,"dst_name":"193.0.14
 	`{"hop":4,"result":[{"from":"193.0.14.129","ttl":60,"size":28,"rtt":14.331},{"from":"193.0.14.129","ttl":60,"size":28,"rtt":14.29},{"from":"193.0.14.129","ttl":60,"size":28,"rtt":14.402}]}` +
 	`],"msm_id":5001,"prb_id":42,"timestamp":1448866800,"msm_name":"Traceroute","from":"85.1.2.3","type":"traceroute","group_id":5001}`
 
-// checkViewProducers asserts that Decoder.DecodeView, Interner.View over
-// Decoder.Decode and the reference decoder Result.UnmarshalJSON accept or
-// reject line together — with the reference decoder's error text, so the
-// same document-order precedence and the same AddrError — and that the two
-// views are equal once ids are resolved back to addresses.
+// checkViewProducers asserts that Decoder.DecodeView and the reference
+// decoder Result.UnmarshalJSON accept or reject line together — with the
+// reference decoder's error text, so the same document-order precedence
+// and the same AddrError — and that DecodeView's view equals
+// Interner.View over the reference's Result once ids are resolved back to
+// addresses, and id for id over one registry.
 func checkViewProducers(t *testing.T, line []byte) {
 	t.Helper()
 	var dec trace.Decoder
 	wantIn, gotIn := NewInterner(NewRegistry()), NewInterner(NewRegistry())
 	var r trace.Result
 	var want, got trace.View
-	refErr := new(trace.Result).UnmarshalJSON(line)
-	wantErr := dec.Decode(line, &r)
+	refErr := r.UnmarshalJSON(line)
 	gotErr := dec.DecodeView(line, gotIn, &got)
-	if (refErr == nil) != (wantErr == nil) || (refErr != nil && refErr.Error() != wantErr.Error()) {
-		t.Fatalf("accept/reject mismatch:\ninput: %q\nreference: %v\nDecode:    %v", line, refErr, wantErr)
+	if (refErr == nil) != (gotErr == nil) || (refErr != nil && refErr.Error() != gotErr.Error()) {
+		t.Fatalf("accept/reject mismatch:\ninput: %q\nreference:  %v\nDecodeView: %v", line, refErr, gotErr)
 	}
-	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-		t.Fatalf("accept/reject mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
-	}
-	if wantErr != nil {
+	if refErr != nil {
 		var a, b *trace.AddrError
-		if errors.As(wantErr, &a) != errors.As(gotErr, &b) {
-			t.Fatalf("AddrError mismatch:\ninput: %q\nDecode:     %v\nDecodeView: %v", line, wantErr, gotErr)
+		if errors.As(refErr, &a) != errors.As(gotErr, &b) {
+			t.Fatalf("AddrError mismatch:\ninput: %q\nreference:  %v\nDecodeView: %v", line, refErr, gotErr)
 		}
 		return
 	}
 	wantIn.View(&r, &want)
 	w, g := resolve(wantIn.Registry(), &want), resolve(gotIn.Registry(), &got)
 	if !reflect.DeepEqual(w, g) {
-		t.Fatalf("views differ:\ninput: %q\nInterner.View(Decode): %+v\nDecodeView:            %+v", line, w, g)
+		t.Fatalf("views differ:\ninput: %q\nInterner.View(reference): %+v\nDecodeView:               %+v", line, w, g)
 	}
 	// Ids resolve one to one: a view built from the result over the
 	// decode side's own registry is the decoded view, id for id.
 	gotIn.View(&r, &want)
 	if want.Dst != got.Dst || !reflect.DeepEqual(append([]uint32{}, want.From...), append([]uint32{}, got.From...)) {
-		t.Fatalf("ids differ over one registry:\ninput: %q\nInterner.View(Decode): %+v\nDecodeView:            %+v", line, want, got)
+		t.Fatalf("ids differ over one registry:\ninput: %q\nInterner.View(reference): %+v\nDecodeView:               %+v", line, want, got)
 	}
 }
 
-// FuzzDecodeViewDifferential pins the two producers of a View to each
-// other on every input (checkViewProducers).
+// FuzzDecodeViewDifferential pins DecodeView, interning through the real
+// Interner, to the reference decoder on every input (checkViewProducers).
 func FuzzDecodeViewDifferential(f *testing.F) {
 	for _, s := range append(append(viewSeeds, quadSeeds...), fixtureLine) {
 		f.Add([]byte(s))
@@ -170,24 +167,10 @@ func FuzzDecodeViewDifferential(f *testing.F) {
 	f.Fuzz(checkViewProducers)
 }
 
-// TestQuadEdges runs the quad seeds through both contracts: Decode ≡ the
-// encoding/json oracle, and DecodeView ≡ Interner.View over Decode.
+// TestQuadEdges runs the quad seeds and the fixture line through
+// checkViewProducers.
 func TestQuadEdges(t *testing.T) {
 	for _, line := range append(quadSeeds, fixtureLine) {
-		var want, got trace.Result
-		wantErr := want.UnmarshalJSON([]byte(line))
-		gotErr := new(trace.Decoder).Decode([]byte(line), &got)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("accept/reject mismatch:\ninput: %q\noracle: %v\nDecode: %v", line, wantErr, gotErr)
-		}
-		var wantAddr, gotAddr *trace.AddrError
-		if errors.As(wantErr, &wantAddr) != errors.As(gotErr, &gotAddr) ||
-			(wantAddr != nil && (wantAddr.Field != gotAddr.Field || wantAddr.Value != gotAddr.Value)) {
-			t.Fatalf("AddrError mismatch:\ninput: %q\noracle: %v\nDecode: %v", line, wantErr, gotErr)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("results differ:\ninput: %q\noracle: %+v\nDecode: %+v", line, want, got)
-		}
 		checkViewProducers(t, []byte(line))
 	}
 }
@@ -204,7 +187,7 @@ func TestViewProducersAllocationFree(t *testing.T) {
 		in := NewInterner(NewRegistry())
 		var r trace.Result
 		var v trace.View
-		if err := dec.Decode(line, &r); err != nil {
+		if err := r.UnmarshalJSON(line); err != nil {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(100, func() { in.View(&r, &v) }); n != 0 {

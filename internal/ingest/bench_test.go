@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"pinpoint/internal/ident"
 	"pinpoint/internal/trace"
 )
 
@@ -39,22 +40,23 @@ func benchFixture(b *testing.B) {
 	})
 }
 
-// BenchmarkIngest decodes the fixture dump with 1/2/4/8 workers. The
-// delivered stream is bit-identical across rows (TestDecodeWorkerEquivalence),
-// so rows differ only in wall time; on a single-core host the parallel rows
-// measure pure coordination overhead, not speedup. The recorded numbers are
-// cmd/bench's ingest.results_per_s_w1 / _wN rows
-// (cmd/bench/results/set-a.trace.json).
+// BenchmarkIngest replays the fixture dump through FilesViews, the target
+// production runs (core.Analyzer.RunFiles), with 1/2/4/8 workers, interning
+// into one registry that the first pass warms. The delivered stream is
+// bit-identical across rows (TestDecodeWorkerEquivalence), so rows differ
+// only in wall time; on a single-core host the parallel rows measure pure
+// coordination overhead, not speedup.
 func BenchmarkIngest(b *testing.B) {
 	benchFixture(b)
 	path := dumpFiles(b, benchDump)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			reg := ident.NewRegistry()
 			b.ReportAllocs()
 			b.SetBytes(int64(len(benchDump)))
 			for i := 0; i < b.N; i++ {
-				st, err := Files(context.Background(), path,
-					Options{Workers: workers}, func([]trace.Result) error { return nil })
+				st, err := FilesViews(context.Background(), path,
+					Options{Workers: workers}, reg, func([]trace.View) error { return nil })
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,8 +15,8 @@ import (
 
 // TestLineNumberParityWithReader is the counting-convention regression
 // test: on a fixture with blank lines and a bad line, the line numbers
-// ingest reports through *LineError match the ones trace.Reader reports in
-// its errors — blank lines advance both counters identically.
+// ingest reports through *LineError match the ones the reference Reader
+// reports in its errors — blank lines advance both counters identically.
 func TestLineNumberParityWithReader(t *testing.T) {
 	good := encodeDump(t, makeResults(6), 0)
 	lines := strings.Split(strings.TrimRight(string(good), "\n"), "\n")
@@ -34,7 +34,7 @@ func TestLineNumberParityWithReader(t *testing.T) {
 	}
 
 	var readerLines []int
-	rd := trace.NewReader(strings.NewReader(fixture))
+	rd := NewReader(strings.NewReader(fixture))
 	for {
 		_, err := rd.Read()
 		if err == io.EOF {
@@ -42,7 +42,7 @@ func TestLineNumberParityWithReader(t *testing.T) {
 		}
 		if err != nil {
 			var n int
-			if _, serr := fmt.Sscanf(err.Error(), "trace: line %d:", &n); serr != nil {
+			if _, serr := fmt.Sscanf(err.Error(), "line %d:", &n); serr != nil {
 				t.Fatalf("cannot extract line number from %q: %v", err, serr)
 			}
 			readerLines = append(readerLines, n)
@@ -83,7 +83,7 @@ func TestOversizedLineNumberParityWithReader(t *testing.T) {
 		t.Fatalf("delivered %d results, want 2", len(c.results))
 	}
 
-	rd := trace.NewReader(strings.NewReader(fixture))
+	rd := NewReader(strings.NewReader(fixture))
 	var readerLines []int
 	for {
 		_, err := rd.Read()
@@ -91,11 +91,11 @@ func TestOversizedLineNumberParityWithReader(t *testing.T) {
 			break
 		}
 		if err != nil {
-			if !errors.Is(err, trace.ErrLineTooLong) {
+			if !errors.Is(err, ErrLineTooLong) {
 				t.Fatalf("unexpected reader error: %v", err)
 			}
 			var n int
-			if _, serr := fmt.Sscanf(err.Error(), "trace: line %d:", &n); serr != nil {
+			if _, serr := fmt.Sscanf(err.Error(), "line %d:", &n); serr != nil {
 				t.Fatalf("cannot extract line number from %q: %v", err, serr)
 			}
 			readerLines = append(readerLines, n)

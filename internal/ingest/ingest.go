@@ -3,8 +3,9 @@
 // stdin or multi-file) and decodes them into batches — the real-data twin of
 // the internal/atlas measurement generator, and the second parallel producer
 // that can feed the sharded engine. One pipeline serves two decode targets:
-// trace.Result (Files: tools and tests) and interned trace.View
-// (FilesViews: the analyzer's replay path).
+// interned trace.View through trace.Decoder's scanner (FilesViews: the
+// analyzer's replay path) and trace.Result through the reference decoder
+// (Files: cmd/bench and tests).
 //
 // Parallel decoding preserves the determinism guarantee of the rest of the
 // pipeline. A run is one pipeline.Ordered call: the chunker cuts the line
@@ -18,7 +19,7 @@
 //
 // Real dumps are full of measurement artifacts (timeouts, late and error
 // packets, replies without RTTs). The per-reply leniency lives in package
-// trace: Result.UnmarshalJSON defines it, and trace.Decoder's fast path
+// trace: Result.UnmarshalJSON defines it, and trace.Decoder's scanner
 // applies the same rules or declines the line to it, so every decode
 // error is Result.UnmarshalJSON's. This package's error policy
 // (Options.OnError) governs whole lines that fail to decode at all:
@@ -52,18 +53,16 @@ import (
 // analyzer engine-sized batches.
 const DefaultChunkSize = 256
 
-// MaxLineBytes bounds a single NDJSON line. It is trace.MaxLineBytes: the
-// reference Reader and this pipeline share one limit and one counting
-// convention (blank and oversized-drained lines both advance line numbers).
-// An oversized line is drained (the stream stays aligned on the next
-// newline) and reported through the error policy as a *LineError wrapping
-// ErrLineTooLong, so a lenient OnError can skip it and keep going.
-const MaxLineBytes = trace.MaxLineBytes
+// MaxLineBytes bounds a single NDJSON line. Blank and oversized lines both
+// advance line numbers. An oversized line is drained (the stream stays
+// aligned on the next newline) and reported through the error policy as a
+// *LineError wrapping ErrLineTooLong, so a lenient OnError can skip it and
+// keep going.
+const MaxLineBytes = 16 * 1024 * 1024
 
 // ErrLineTooLong reports a line exceeding MaxLineBytes; it reaches the
-// error policy wrapped in a *LineError. It is trace.ErrLineTooLong, so
-// errors.Is matches across both packages.
-var ErrLineTooLong = trace.ErrLineTooLong
+// error policy wrapped in a *LineError.
+var ErrLineTooLong = fmt.Errorf("line exceeds the %d MiB limit", MaxLineBytes/(1024*1024))
 
 // Stats summarizes one ingestion run. When a run aborts early, Lines and
 // Bytes count what the chunker had scanned — with parallel workers that can
@@ -147,7 +146,9 @@ func SplitPaths(s string) []string {
 // non-nil error from fn aborts the run and is returned. Files are opened
 // lazily as the stream reaches them, so an unreadable later file surfaces
 // only after the preceding files' results were delivered — the same
-// behavior as catting the files through one reader.
+// behavior as catting the files through one reader. Each line decodes
+// through the reference decoder, Result.UnmarshalJSON: Files serves
+// cmd/bench and the tests, and production replays through FilesViews.
 func Files(ctx context.Context, paths []string, opts Options, fn func([]trace.Result) error) (Stats, error) {
 	return run(ctx, paths, opts, newResultDecoder, fn)
 }
@@ -193,13 +194,12 @@ type lineDecoder[T any] struct {
 	seal func(batch []T)
 }
 
-// newResultDecoder targets trace.Result through the fast wire decoder (the
-// differential fuzzer pins it equivalent to the encoding/json reference
-// that trace.Reader still uses).
+// newResultDecoder targets trace.Result through the reference decoder,
+// Result.UnmarshalJSON, which shares no code with the scanner that
+// viewDecoders runs: Files is the oracle FilesViews is tested against.
 func newResultDecoder() lineDecoder[trace.Result] {
-	var dec trace.Decoder
 	return lineDecoder[trace.Result]{line: func(line []byte, validate bool, dst *trace.Result) error {
-		err := dec.Decode(line, dst)
+		err := dst.UnmarshalJSON(line)
 		if err == nil && validate {
 			err = dst.Validate()
 		}

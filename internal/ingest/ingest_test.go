@@ -147,17 +147,17 @@ func TestDecodeWorkerEquivalence(t *testing.T) {
 }
 
 // TestMatchesReferenceReader cross-checks the pipeline against the
-// independent straight-line decoder (trace.Reader): two implementations of
+// independent straight-line decoder (Reader): two implementations of
 // the same wire format must agree result for result.
 func TestMatchesReferenceReader(t *testing.T) {
 	dump := encodeDump(t, makeResults(500), 7)
-	want, err := trace.NewReader(bytes.NewReader(dump)).ReadAll()
+	want, err := NewReader(bytes.NewReader(dump)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := collect(t, dump, Options{Workers: 4})
 	if !reflect.DeepEqual(got.results, want) {
-		t.Fatalf("ingest pipeline disagrees with trace.Reader (%d vs %d results)",
+		t.Fatalf("ingest pipeline disagrees with the reference Reader (%d vs %d results)",
 			len(got.results), len(want))
 	}
 }

@@ -254,8 +254,8 @@ func TestFollowerAheadOfWriterResyncs(t *testing.T) {
 	var logged []string
 	f, err := NewFollower(FollowerOptions{
 		URL:          proxy.URL,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 20 * time.Millisecond,
+		reconnectMin: 5 * time.Millisecond,
+		reconnectMax: 20 * time.Millisecond,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -322,7 +322,7 @@ func TestChainedFollowerFollowsUpstreamResync(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	quiet := Options{Logf: func(string, ...any) {}}
 
-	f1, err := NewFollower(FollowerOptions{URL: proxy.URL, ReconnectMin: 5 * time.Millisecond, ReconnectMax: 20 * time.Millisecond})
+	f1, err := NewFollower(FollowerOptions{URL: proxy.URL, reconnectMin: 5 * time.Millisecond, reconnectMax: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestChainedFollowerFollowsUpstreamResync(t *testing.T) {
 	}
 	waitSeq(t, f1, 7)
 
-	f2, err := NewFollower(FollowerOptions{URL: ts1.URL, ReconnectMin: 5 * time.Millisecond, ReconnectMax: 20 * time.Millisecond})
+	f2, err := NewFollower(FollowerOptions{URL: ts1.URL, reconnectMin: 5 * time.Millisecond, reconnectMax: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestFollowerRejectsProto2Hello(t *testing.T) {
 		fmt.Fprint(w, "event: hello\ndata: {\"proto\":2,\"seq\":4,\"gen\":1,\"case\":\"ddos\",\"bin_ns\":3600000000000}\n\n")
 	}))
 	defer ts.Close()
-	f, err := NewFollower(FollowerOptions{URL: ts.URL, ReconnectMin: time.Millisecond})
+	f, err := NewFollower(FollowerOptions{URL: ts.URL, reconnectMin: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,18 +37,25 @@ import (
 	"time"
 )
 
+// The exponential backoff between a follower's connection attempts starts
+// at reconnectMin and doubles up to reconnectMax.
+const (
+	reconnectMin = 100 * time.Millisecond
+	reconnectMax = 5 * time.Second
+)
+
 // FollowerOptions configures a Follower. URL is required; everything else
 // has serviceable defaults.
 type FollowerOptions struct {
 	// URL is the writer's base URL (e.g. "http://writer:8080").
 	URL string
 
-	// ReconnectMin/Max bound the exponential backoff between connection
-	// attempts. Defaults 100ms / 5s.
-	ReconnectMin, ReconnectMax time.Duration
-
 	// Logf receives connection diagnostics. Default: discard.
 	Logf func(format string, args ...any)
+
+	// reconnectMin and reconnectMax, when positive, replace the backoff
+	// bounds of the same names; tests shorten them.
+	reconnectMin, reconnectMax time.Duration
 }
 
 // Follower tails a writer's replication feed and serves read-only
@@ -70,11 +77,11 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.URL == "" {
 		return nil, errors.New("serve: follower needs a writer URL")
 	}
-	if opts.ReconnectMin <= 0 {
-		opts.ReconnectMin = 100 * time.Millisecond
+	if opts.reconnectMin <= 0 {
+		opts.reconnectMin = reconnectMin
 	}
-	if opts.ReconnectMax <= 0 {
-		opts.ReconnectMax = 5 * time.Second
+	if opts.reconnectMax <= 0 {
+		opts.reconnectMax = reconnectMax
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -106,7 +113,7 @@ const maxSSELine = 64 << 20
 // backoff and resync through the catch-up protocol.
 func (f *Follower) Run(ctx context.Context) error {
 	defer f.CloseSubscribers()
-	backoff := f.opts.ReconnectMin
+	backoff := f.opts.reconnectMin
 	for {
 		seqBefore := f.m.seq
 		err := f.tail(ctx)
@@ -114,7 +121,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			// The connection applied at least one delta: the feed is healthy
 			// again, so later transient flaps start from a fresh backoff
 			// instead of inheriting the max from flaps hours ago.
-			backoff = f.opts.ReconnectMin
+			backoff = f.opts.reconnectMin
 		}
 		if snap := f.cur.Load(); snap.Complete() {
 			return nil
@@ -134,8 +141,8 @@ func (f *Follower) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if backoff *= 2; backoff > f.opts.ReconnectMax {
-			backoff = f.opts.ReconnectMax
+		if backoff *= 2; backoff > f.opts.reconnectMax {
+			backoff = f.opts.reconnectMax
 		}
 	}
 }

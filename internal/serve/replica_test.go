@@ -177,7 +177,7 @@ func TestReplicaResyncAcrossGenerationBump(t *testing.T) {
 			// is still disconnected, so its resume straddles it.
 			f, err := NewFollower(FollowerOptions{
 				URL:          ts.URL,
-				ReconnectMin: 500 * time.Millisecond,
+				reconnectMin: 500 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -359,8 +359,8 @@ func TestReplicaResyncAcrossWriterRestart(t *testing.T) {
 
 	f, err := NewFollower(FollowerOptions{
 		URL:          ts.URL,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
+		reconnectMin: 5 * time.Millisecond,
+		reconnectMax: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

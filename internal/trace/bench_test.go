@@ -30,37 +30,6 @@ func BenchmarkUnmarshal(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeResult compares the hand-rolled fast decoder against the
-// encoding/json reference on the same wire line. The fast/reflect ratio is
-// the single-line view of the BenchmarkIngest speedup.
-func BenchmarkDecodeResult(b *testing.B) {
-	line, err := json.Marshal(sampleResult())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fast", func(b *testing.B) {
-		var d Decoder
-		var r Result
-		b.ReportAllocs()
-		b.SetBytes(int64(len(line)))
-		for i := 0; i < b.N; i++ {
-			if err := d.Decode(line, &r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reflect", func(b *testing.B) {
-		var r Result
-		b.ReportAllocs()
-		b.SetBytes(int64(len(line)))
-		for i := 0; i < b.N; i++ {
-			if err := json.Unmarshal(line, &r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAppendResult compares the fast encoder against json.Marshal.
 func BenchmarkAppendResult(b *testing.B) {
 	r := sampleResult()

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 	"net/netip"
@@ -42,16 +41,6 @@ import (
 //   - nesting deeper than maxSkipDepth in a skipped member, and any byte
 //     off this grammar.
 
-// MaxLineBytes bounds a single NDJSON line for Reader (and, via an alias,
-// internal/ingest). An oversized line is drained so the stream stays
-// aligned on the next newline, and reported as ErrLineTooLong.
-const MaxLineBytes = 16 * 1024 * 1024
-
-// ErrLineTooLong reports a line exceeding MaxLineBytes. Reader returns it
-// wrapped with the line number; internal/ingest routes it through its
-// per-line error policy.
-var ErrLineTooLong = fmt.Errorf("line exceeds the %d MiB limit", MaxLineBytes/(1024*1024))
-
 // maxSkipDepth bounds the nesting of a skipped member's value; Atlas's
 // deepest, icmpext, nests four levels.
 const maxSkipDepth = 64
@@ -76,12 +65,10 @@ type pendAddr struct {
 // value is ready to use; a Decoder is NOT safe for concurrent use — create
 // one per goroutine (internal/ingest gives each decode worker its own).
 //
-// One scan serves two finishers. Decode builds a Result: two allocations
-// per line (the Hops slice, one backing array for every hop's Replies),
-// addresses parsed at most once per distinct text form. DecodeView builds a
-// View into the caller's columns and allocates nothing: addresses go to ids
-// through the caller's AddrInterner. A line the scan or a finisher declines
-// goes to Result.UnmarshalJSON, whose error both methods return.
+// The scan has one finisher, DecodeView: it builds a View into the caller's
+// columns and allocates nothing, addresses going to ids through the
+// caller's AddrInterner. A line the scan or the finisher declines goes to
+// Result.UnmarshalJSON, whose error DecodeView returns.
 type Decoder struct {
 	data []byte
 	pos  int
@@ -101,10 +88,6 @@ type Decoder struct {
 	prevText []byte // DecodeView: wire text of the last address interned on this line
 	prevID   uint32 // and its id
 }
-
-// emptyReplies backs every hop with no replies, so decoded hops always
-// carry a non-nil Replies slice exactly like the reference decoder's.
-var emptyReplies = make([]Reply, 0)
 
 // topFields collects the scalar fields of the top-level result object
 // during the scan; addresses stay as raw text until the line has scanned.
@@ -130,65 +113,11 @@ func (d *Decoder) scan(line []byte, top *topFields) bool {
 	return d.pos == len(d.data)
 }
 
-// Decode decodes one Atlas wire line into dst. On error dst is untouched.
+// Decode decodes one Atlas wire line into dst through the reference
+// decoder, Result.UnmarshalJSON. It is cmd/bench's per-layer decode probe;
+// production decodes with DecodeView. On error dst is untouched.
 func (d *Decoder) Decode(line []byte, dst *Result) error {
-	if !d.decode(line, dst) {
-		return dst.UnmarshalJSON(line)
-	}
-	return nil
-}
-
-// decode is Decode's fast path; false declines the line and leaves dst
-// untouched.
-func (d *Decoder) decode(line []byte, dst *Result) bool {
-	var top topFields
-	if !d.scan(line, &top) {
-		return false
-	}
-	src, ok := d.addr(top.src)
-	if !ok {
-		return false
-	}
-	dstAddr, ok := d.addr(top.dst)
-	if !ok {
-		return false
-	}
-	// Materialize: one backing array shared by every hop's replies (the
-	// second and last steady-state allocation besides the Hops slice).
-	var backing []Reply
-	if len(d.rtts) > 0 {
-		backing = make([]Reply, len(d.rtts))
-		for i := range backing {
-			backing[i].Timeout = true
-		}
-	}
-	for _, p := range d.pend {
-		a := addrV4(p.v)
-		if !p.quad {
-			if a, ok = d.addr(p.ref); !ok {
-				return false
-			}
-		}
-		backing[p.reply] = Reply{From: a, RTT: d.rtts[p.reply]}
-	}
-	hops := make([]Hop, len(d.hops))
-	for i, hr := range d.hops {
-		reps := emptyReplies
-		if hr.End > hr.Start {
-			reps = backing[hr.Start:hr.End:hr.End]
-		}
-		hops[i] = Hop{Index: hr.TTL, Replies: reps}
-	}
-	*dst = Result{
-		MsmID:   top.msmID,
-		PrbID:   top.prbID,
-		Time:    time.Unix(top.timestamp, 0).UTC(),
-		Src:     src,
-		Dst:     dstAddr,
-		ParisID: top.parisID,
-		Hops:    hops,
-	}
-	return true
+	return dst.UnmarshalJSON(line)
 }
 
 // AddrInterner maps addresses to ids for DecodeView: AddrText from wire
@@ -200,11 +129,11 @@ type AddrInterner interface {
 	AddrV4(v uint32) uint32
 }
 
-// DecodeView decodes one Atlas wire line into v, reusing v's columns. It is
-// Decode without the Result: the same scan, the same accept or reject with
-// the same error on every input, and the view ident.Interner.View builds
-// from Decode's result when in is that interner. The source address is
-// checked, not interned: no detector keys on it. On error v's contents are
+// DecodeView decodes one Atlas wire line into v, reusing v's columns. On
+// every input it accepts or rejects as Result.UnmarshalJSON does, with that
+// decoder's error, and an accepted line's view is the one View.Fill builds
+// from the reference's Result with in's ids. The source address is checked,
+// not interned: no detector keys on it. On error v's contents are
 // unspecified.
 func (d *Decoder) DecodeView(line []byte, in AddrInterner, v *View) error {
 	if d.view(line, in, v) {

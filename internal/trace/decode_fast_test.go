@@ -1,45 +1,91 @@
 package trace
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// assertDifferential decodes line with both the fast path and the
-// encoding/json oracle and asserts they agree: same accept/reject, same
-// Result, same AddrError field/value on address rejection. It returns the
-// fast path's outcome for case-specific assertions.
-func assertDifferential(t *testing.T, line string) (Result, error) {
+// testInterner is the AddrInterner of this package's tests: one id per
+// distinct address, in first-seen order from 1, so views built by two
+// producers over one testInterner compare id for id.
+type testInterner struct {
+	ids   map[netip.Addr]uint32
+	addrs []netip.Addr // addrs[id-1]
+}
+
+func newTestInterner() *testInterner { return &testInterner{ids: map[netip.Addr]uint32{}} }
+
+func (in *testInterner) id(a netip.Addr) uint32 {
+	id, ok := in.ids[a]
+	if !ok {
+		in.addrs = append(in.addrs, a)
+		id = uint32(len(in.addrs))
+		in.ids[a] = id
+	}
+	return id
+}
+
+func (in *testInterner) AddrText(b []byte) (uint32, error) {
+	a, err := netip.ParseAddr(string(b))
+	if err != nil {
+		return 0, err
+	}
+	return in.id(a), nil
+}
+
+func (in *testInterner) AddrV4(v uint32) uint32 { return in.id(addrV4(v)) }
+
+// addrOf resolves an id back to its address.
+func (in *testInterner) addrOf(id uint32) netip.Addr { return in.addrs[id-1] }
+
+// sameView reports whether two views hold the same result: equal times,
+// ids and hop windows, and RTTs equal bit for bit (so -0 is not 0).
+func sameView(a, b *View) bool {
+	if !a.Time.Equal(b.Time) || a.Time.Location() != b.Time.Location() || a.Prb != b.Prb || a.Dst != b.Dst ||
+		!slices.Equal(a.Hops, b.Hops) || !slices.Equal(a.From, b.From) || len(a.RTT) != len(b.RTT) {
+		return false
+	}
+	for i := range a.RTT {
+		if math.Float64bits(a.RTT[i]) != math.Float64bits(b.RTT[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// assertDifferential decodes line with Decoder.DecodeView and with the
+// reference decoder Result.UnmarshalJSON and asserts they agree: the same
+// accept or reject, the reference's error text on a reject, and on an
+// accept the view View.Fill builds from the reference's Result over the
+// same interner. It returns DecodeView's view and error for case-specific
+// assertions, with the interner that resolves the view's ids.
+func assertDifferential(t *testing.T, line string) (*View, *testInterner, error) {
 	t.Helper()
 	var want Result
-	oracleErr := json.Unmarshal([]byte(line), &want)
+	refErr := want.UnmarshalJSON([]byte(line))
 	var d Decoder
-	var got Result
-	fastErr := d.Decode([]byte(line), &got)
+	in := newTestInterner()
+	got := new(View)
+	err := d.DecodeView([]byte(line), in, got)
 
-	if (oracleErr == nil) != (fastErr == nil) {
-		t.Fatalf("accept/reject mismatch:\noracle: %v\nfast:   %v", oracleErr, fastErr)
+	if (refErr == nil) != (err == nil) || (refErr != nil && refErr.Error() != err.Error()) {
+		t.Fatalf("accept/reject mismatch:\ninput: %q\nreference:  %v\nDecodeView: %v", line, refErr, err)
 	}
-	if oracleErr != nil {
-		var wantAddr, gotAddr *AddrError
-		if errors.As(oracleErr, &wantAddr) != errors.As(fastErr, &gotAddr) {
-			t.Fatalf("AddrError presence mismatch:\noracle: %v\nfast:   %v", oracleErr, fastErr)
-		}
-		if wantAddr != nil && (wantAddr.Field != gotAddr.Field || wantAddr.Value != gotAddr.Value) {
-			t.Fatalf("AddrError detail mismatch:\noracle: %v\nfast:   %v", oracleErr, fastErr)
-		}
-		return got, fastErr
+	if refErr != nil {
+		return got, in, err
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("decoded results differ:\noracle: %#v\nfast:   %#v", want, got)
+	var wantV View
+	wantV.Fill(&want, in.id)
+	if !sameView(&wantV, got) {
+		t.Fatalf("views differ:\ninput: %q\nreference: %+v\nDecodeView: %+v", line, wantV, *got)
 	}
-	return got, nil
+	return got, in, nil
 }
 
 // TestDecodeFastArtifacts mirrors TestDecodeArtifacts for the fast path:
@@ -140,27 +186,26 @@ func TestDecodeFastArtifacts(t *testing.T) {
 	}
 }
 
-// TestDecodeFastValues pins a few absolute outcomes (beyond oracle
-// agreement) so a bug shared by both decoders cannot hide.
+// TestDecodeFastValues pins a few absolute outcomes (beyond agreement with
+// the reference) so a bug shared by both decoders cannot hide.
 func TestDecodeFastValues(t *testing.T) {
-	r, err := assertDifferential(t, `{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":314E-2}]}]}`)
+	v, in, err := assertDifferential(t, `{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":314E-2}]}]}`)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	rep := r.Hops[0].Replies[0]
-	if rep.From != netip.MustParseAddr("3.3.3.3") || rep.RTT != 3.14 || rep.Timeout {
-		t.Fatalf("reply = %+v, want from 3.3.3.3 rtt 3.14", rep)
+	if in.addrOf(v.From[0]) != netip.MustParseAddr("3.3.3.3") || v.RTT[0] != 3.14 {
+		t.Fatalf("reply = %v at %v, want from 3.3.3.3 rtt 3.14", in.addrOf(v.From[0]), v.RTT[0])
 	}
-	if r.Time.Unix() != 0 || r.Time.Location() != r.Time.UTC().Location() {
-		t.Fatalf("time = %v, want Unix 0 UTC", r.Time)
+	if v.Time.Unix() != 0 || v.Time.Location() != v.Time.UTC().Location() {
+		t.Fatalf("time = %v, want Unix 0 UTC", v.Time)
 	}
 
-	r, err = assertDifferential(t, `{"src_addr":"fe80::1%😀","dst_addr":"2.2.2.2","result":[]}`)
+	v, in, err = assertDifferential(t, `{"src_addr":"1.1.1.1","dst_addr":"fe80::1%😀","result":[]}`)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if r.Src.Zone() != "😀" {
-		t.Fatalf("zone = %q, want the surrogate pair decoded", r.Src.Zone())
+	if z := in.addrOf(v.Dst).Zone(); z != "😀" {
+		t.Fatalf("zone = %q, want the four-byte rune kept", z)
 	}
 }
 
@@ -208,43 +253,40 @@ func TestQuadGrammar(t *testing.T) {
 
 // TestDecoderReuse pins scratch-state hygiene: decoding a rich line, then a
 // minimal one, then an erroring one must not leak state between lines, and
-// an error must leave dst untouched.
+// a view decoded earlier must not alias the decoder's scratch.
 func TestDecoderReuse(t *testing.T) {
 	var d Decoder
-	var r Result
+	in := newTestInterner()
+	var v View
 	rich := `{"msm_id":1,"prb_id":2,"timestamp":3,"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","paris_id":4,"result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":1},{"x":"*"}]},{"hop":2,"result":[{"from":"4.4.4.4","rtt":2}]}]}`
-	if err := d.Decode([]byte(rich), &r); err != nil {
+	if err := d.DecodeView([]byte(rich), in, &v); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Hops) != 2 || len(r.Hops[0].Replies) != 2 {
-		t.Fatalf("rich line decoded wrong: %+v", r)
+	if len(v.Hops) != 2 || v.Hops[0].End-v.Hops[0].Start != 2 || len(v.From) != 3 {
+		t.Fatalf("rich line decoded wrong: %+v", v)
 	}
-	keep := r
+	keep := View{Time: v.Time, Prb: v.Prb, Dst: v.Dst, Hops: slices.Clone(v.Hops), From: slices.Clone(v.From), RTT: slices.Clone(v.RTT)}
 
-	var r2 Result
-	if err := d.Decode([]byte(`{"src_addr":"5.5.5.5","dst_addr":"6.6.6.6","result":[]}`), &r2); err != nil {
+	var v2 View
+	if err := d.DecodeView([]byte(`{"src_addr":"5.5.5.5","dst_addr":"6.6.6.6","result":[]}`), in, &v2); err != nil {
 		t.Fatal(err)
 	}
-	if len(r2.Hops) != 0 || r2.MsmID != 0 {
-		t.Fatalf("state leaked into second decode: %+v", r2)
+	if len(v2.Hops) != 0 || len(v2.From) != 0 || v2.Prb != 0 || in.addrOf(v2.Dst) != netip.MustParseAddr("6.6.6.6") {
+		t.Fatalf("state leaked into second decode: %+v", v2)
 	}
 
-	if err := d.Decode([]byte(`{"src_addr":"bad"`), &r2); err == nil {
+	if err := d.DecodeView([]byte(`{"src_addr":"bad"`), in, &v2); err == nil {
 		t.Fatal("expected error")
 	}
-	if r2.Src != netip.MustParseAddr("5.5.5.5") {
-		t.Fatalf("failed decode clobbered dst: %+v", r2)
-	}
 
-	if !reflect.DeepEqual(keep, r) {
-		t.Fatal("earlier result aliases decoder scratch")
+	if !reflect.DeepEqual(keep, v) {
+		t.Fatal("earlier view aliases decoder scratch")
 	}
 }
 
 // TestDecodeFastCorpusEquivalence replays the generator corpus fixture
 // through both decoders line by line.
 func TestDecodeFastCorpusEquivalence(t *testing.T) {
-	var buf []byte
 	for i := 0; i < 200; i++ {
 		r := sampleResult()
 		r.PrbID = i
@@ -253,7 +295,6 @@ func TestDecodeFastCorpusEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = line
-		assertDifferential(t, string(buf))
+		assertDifferential(t, string(line))
 	}
 }

@@ -146,12 +146,12 @@ func TestRTTLongMantissa(t *testing.T) {
 		rtt := rng.Float64() * 300 // typical RTT magnitudes, full precision
 		line := fmt.Sprintf(`{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":%[1]s},{"from":"10.0.0.2","rtt":%[1]s}]}]}`,
 			strconv.FormatFloat(rtt, 'g', -1, 64))
-		r, err := assertDifferential(t, line)
+		v, _, err := assertDifferential(t, line)
 		if err != nil {
 			t.Fatalf("decode %q: %v", line, err)
 		}
-		for _, rep := range r.Hops[0].Replies {
-			if got := rep.RTT; math.Float64bits(got) != math.Float64bits(rtt) {
+		for _, got := range v.RTT {
+			if math.Float64bits(got) != math.Float64bits(rtt) {
 				t.Fatalf("rtt mismatch for %q: decoded %v want %v", line, got, rtt)
 			}
 		}

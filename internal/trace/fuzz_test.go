@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -104,46 +103,26 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDifferential is the fast-path contract: for every input, the
-// hand-rolled decoder (Decoder.Decode) and the encoding/json oracle
-// (Result.UnmarshalJSON) either produce the same Result or both reject —
-// with the reference decoder's own error, since the fast path declines
-// every line it cannot decode to it. When both accept, the fast encoder
-// must also reproduce the oracle encoder's bytes exactly.
+// FuzzDecodeDifferential is the scanner's contract: for every input,
+// Decoder.DecodeView and the reference decoder Result.UnmarshalJSON accept
+// or reject together, a reject carries the reference's error, and an
+// accepted line's view is the one View.Fill builds from the reference's
+// Result (assertDifferential). On an accepted line the fast encoder must
+// also reproduce the reference encoder's bytes for that Result exactly.
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want Result
-		oracleErr := json.Unmarshal(data, &want)
-
-		var d Decoder
-		var got Result
-		fastErr := d.Decode(data, &got)
-
-		if (oracleErr == nil) != (fastErr == nil) {
-			t.Fatalf("accept/reject mismatch:\ninput: %q\noracle: %v\nfast:   %v", data, oracleErr, fastErr)
-		}
-		if oracleErr != nil {
-			var wantAddr, gotAddr *AddrError
-			if errors.As(oracleErr, &wantAddr) != errors.As(fastErr, &gotAddr) {
-				t.Fatalf("AddrError mismatch:\ninput: %q\noracle: %v\nfast:   %v", data, oracleErr, fastErr)
-			}
-			if wantAddr != nil && (wantAddr.Field != gotAddr.Field || wantAddr.Value != gotAddr.Value) {
-				t.Fatalf("AddrError detail mismatch:\ninput: %q\noracle: %v\nfast:   %v", data, oracleErr, fastErr)
-			}
-			if refErr := new(Result).UnmarshalJSON(data); fastErr.Error() != refErr.Error() {
-				t.Fatalf("reject is not the reference decoder's:\ninput: %q\nreference: %v\nfast:      %v", data, refErr, fastErr)
-			}
+		if _, _, err := assertDifferential(t, string(data)); err != nil {
 			return
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("decoded results differ:\ninput: %q\noracle: %#v\nfast:   %#v", data, want, got)
+		var r Result
+		if err := r.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
 		}
-
-		wantB, wantEncErr := json.Marshal(want)
-		gotB, gotEncErr := AppendResult(nil, got)
+		wantB, wantEncErr := json.Marshal(r)
+		gotB, gotEncErr := AppendResult(nil, r)
 		if (wantEncErr == nil) != (gotEncErr == nil) {
 			t.Fatalf("encoder accept/reject mismatch:\noracle: %v\nfast: %v", wantEncErr, gotEncErr)
 		}

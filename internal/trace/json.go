@@ -168,109 +168,3 @@ func (w *Writer) Write(r Result) error {
 // Flush flushes buffered output. Call it before closing the underlying
 // writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Reader reads results from a JSONL stream. It is the straight-line
-// reference decoder: internal/ingest's parallel pipeline is asserted
-// equivalent to it (production callers use ingest for gzip, multi-file and
-// worker support; this stays the independent implementation the
-// equivalence tests compare against). It therefore decodes through
-// encoding/json, not the fast path — keeping the two sides of the
-// differential contract independent.
-//
-// Line accounting matches ingest's chunker exactly: blank lines and
-// oversized-drained lines advance the reported line number, an oversized
-// line (over MaxLineBytes) is drained to the next newline and reported as a
-// line-numbered error wrapping ErrLineTooLong, and the stream stays
-// readable past it.
-type Reader struct {
-	br   *bufio.Reader
-	line int
-	acc  []byte // continuation buffer for lines spanning reader buffers
-	err  error  // sticky stream-level read error
-}
-
-// NewReader returns a JSONL reader over r. Lines up to MaxLineBytes are
-// accepted.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 256*1024)}
-}
-
-// Read returns the next result, or io.EOF at end of stream. Line-scoped
-// failures (malformed JSON, an oversized line) return an error mentioning
-// the 1-based line number and leave the stream positioned at the next
-// line, so callers may skip and continue; errors.Is(err, ErrLineTooLong)
-// identifies drained oversized lines. Stream-level read errors are sticky.
-func (r *Reader) Read() (Result, error) {
-	if r.err != nil {
-		return Result{}, r.err
-	}
-	r.acc = r.acc[:0]
-	for {
-		frag, rerr := r.br.ReadSlice('\n')
-		if rerr == bufio.ErrBufferFull {
-			r.acc = append(r.acc, frag...)
-			if len(r.acc) <= MaxLineBytes {
-				continue
-			}
-			// Oversized line: drain to the next newline so the stream stays
-			// aligned, then report it with its line number.
-			r.acc = r.acc[:0]
-			for rerr == bufio.ErrBufferFull {
-				frag, rerr = r.br.ReadSlice('\n')
-			}
-			if rerr != nil && rerr != io.EOF {
-				r.err = rerr
-			}
-			r.line++
-			return Result{}, fmt.Errorf("trace: line %d: %w", r.line, ErrLineTooLong)
-		}
-		if rerr != nil && rerr != io.EOF {
-			r.err = rerr
-			return Result{}, rerr
-		}
-		b := frag
-		if rerr == nil {
-			b = b[:len(b)-1] // strip the newline
-		}
-		if len(r.acc) > 0 {
-			r.acc = append(r.acc, b...)
-			b = r.acc
-		}
-		if n := len(b); n > 0 && b[n-1] == '\r' { // CRLF dumps
-			b = b[:n-1]
-		}
-		if len(b) > 0 || rerr == nil {
-			r.line++
-			if len(b) > MaxLineBytes {
-				// The final fragment pushed the line over the limit.
-				return Result{}, fmt.Errorf("trace: line %d: %w", r.line, ErrLineTooLong)
-			}
-			if len(b) > 0 {
-				var res Result
-				if err := json.Unmarshal(b, &res); err != nil {
-					return Result{}, fmt.Errorf("trace: line %d: %w", r.line, err)
-				}
-				return res, nil
-			}
-		}
-		r.acc = r.acc[:0]
-		if rerr == io.EOF {
-			return Result{}, io.EOF
-		}
-	}
-}
-
-// ReadAll drains the stream into a slice.
-func (r *Reader) ReadAll() ([]Result, error) {
-	var out []Result
-	for {
-		res, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-}

@@ -3,8 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
 	"strings"
 	"testing"
 )
@@ -86,6 +84,8 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// TestStreamRoundTrip writes results through Writer and reads its lines
+// back through the reference decoder: one result a line, in order.
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -101,91 +101,17 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd := NewReader(&buf)
-	got, err := rd.ReadAll()
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != n {
+		t.Fatalf("wrote %d lines, want %d", len(lines), n)
 	}
-	if len(got) != n {
-		t.Fatalf("read %d results, want %d", len(got), n)
-	}
-	for i, r := range got {
+	for i, line := range lines {
+		var r Result
+		if err := r.UnmarshalJSON([]byte(line)); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
 		if r.PrbID != i {
 			t.Errorf("result %d has PrbID %d", i, r.PrbID)
 		}
-	}
-}
-
-func TestReaderSkipsBlankLinesAndReportsLineNumbers(t *testing.T) {
-	data := "\n\n" + mustLine(t) + "\n\nnot json\n"
-	rd := NewReader(strings.NewReader(data))
-	if _, err := rd.Read(); err != nil {
-		t.Fatalf("first read: %v", err)
-	}
-	_, err := rd.Read()
-	if err == nil || err == io.EOF {
-		t.Fatalf("expected decode error, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "line") {
-		t.Errorf("error should mention line number: %v", err)
-	}
-}
-
-func TestReaderEOF(t *testing.T) {
-	rd := NewReader(strings.NewReader(""))
-	if _, err := rd.Read(); err != io.EOF {
-		t.Errorf("empty stream: got %v, want io.EOF", err)
-	}
-}
-
-func mustLine(t *testing.T) string {
-	t.Helper()
-	b, err := json.Marshal(sampleResult())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-func TestReaderExactLineNumbers(t *testing.T) {
-	// Blank lines count toward line numbers: the bad line below is line 5.
-	data := "\n\n" + mustLine(t) + "\n\nnot json\n" + mustLine(t) + "\n"
-	rd := NewReader(strings.NewReader(data))
-	if _, err := rd.Read(); err != nil {
-		t.Fatalf("first read: %v", err)
-	}
-	_, err := rd.Read()
-	if err == nil || !strings.Contains(err.Error(), "line 5") {
-		t.Fatalf("bad line should be reported as line 5, got: %v", err)
-	}
-	// Line-scoped errors leave the stream readable.
-	if _, err := rd.Read(); err != nil {
-		t.Fatalf("read after bad line: %v", err)
-	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-}
-
-func TestReaderOversizedLineRecoverable(t *testing.T) {
-	huge := strings.Repeat("x", MaxLineBytes+2)
-	data := mustLine(t) + "\n" + huge + "\n" + mustLine(t) + "\n"
-	rd := NewReader(strings.NewReader(data))
-	if _, err := rd.Read(); err != nil {
-		t.Fatalf("first read: %v", err)
-	}
-	_, err := rd.Read()
-	if err == nil || !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("want ErrLineTooLong, got: %v", err)
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("oversized line should be reported as line 2, got: %v", err)
-	}
-	// The drain left the stream aligned on the next line.
-	if _, err := rd.Read(); err != nil {
-		t.Fatalf("read after oversized line: %v", err)
-	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
 	}
 }

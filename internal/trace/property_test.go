@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -98,14 +97,17 @@ func TestStructuralProperties(t *testing.T) {
 }
 
 // Property: the fast path decodes every line our encoder writes, with no
-// decline. A decline would still decode correctly, through the reference
-// decoder, so only this test notices replay lines taking a path 10–20×
-// slower. The lines vary randomResult with IPv6 responders, empty hops and
-// the RTT forms a dump carries: full precision, Atlas's three decimals,
-// 0.01 ms and full-precision values just above it.
+// decline, to the view of the result encoded. A decline would still decode
+// correctly, through the reference decoder, so only this test notices
+// replay lines taking a path 10–20× slower. The lines vary randomResult
+// with IPv6 responders, empty hops and the RTT forms a dump carries: full
+// precision, Atlas's three decimals, 0.01 ms and full-precision values just
+// above it.
 func TestEncoderOutputNeverDeclines(t *testing.T) {
 	rng := rand.New(rand.NewPCG(35, 35))
 	var d Decoder
+	in := newTestInterner()
+	var got, want View
 	for n := 0; n < 2000; n++ {
 		r := randomResult(rng)
 		for i := range r.Hops {
@@ -144,17 +146,12 @@ func TestEncoderOutputNeverDeclines(t *testing.T) {
 		if !d.scan(line, &top) {
 			t.Fatalf("scan declines our encoder's line %s", line)
 		}
-		var got Result
-		if !d.decode(line, &got) {
-			t.Fatalf("decode declines our encoder's line %s", line)
+		if !d.view(line, in, &got) {
+			t.Fatalf("DecodeView's fast path declines our encoder's line %s", line)
 		}
-		for i := range r.Hops {
-			if r.Hops[i].Replies == nil {
-				r.Hops[i].Replies = []Reply{}
-			}
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("line %s\ndecodes to %+v\nwant       %+v", line, got, r)
+		want.Fill(&r, in.id)
+		if !sameView(&got, &want) {
+			t.Fatalf("line %s\ndecodes to %+v\nwant       %+v", line, got, want)
 		}
 	}
 }
