@@ -36,9 +36,9 @@ func Abl01MedianVsMean(scale Scale) (*Report, error) {
 	median := delay.NewDetector(delay.Config{Seed: 1}, f.Platform.ProbeASN)
 	mean := delay.NewDetector(delay.Config{Seed: 1, UseMeanCI: true}, f.Platform.ProbeASN)
 
-	inWindow := func(als []delay.Alarm) (in, out int) {
+	split := func(als []delay.Alarm) (in, out int) {
 		for _, al := range als {
-			if !al.Bin.Before(evStart) && al.Bin.Before(evEnd) {
+			if inWindow([2]time.Time{evStart, evEnd}, al.Bin) {
 				in++
 			} else {
 				out++
@@ -57,8 +57,8 @@ func Abl01MedianVsMean(scale Scale) (*Report, error) {
 	}
 	medAll = append(medAll, median.Flush()...)
 	meanAll = append(meanAll, mean.Flush()...)
-	medIn, medOut := inWindow(medAll)
-	meanIn, meanOut := inWindow(meanAll)
+	medIn, medOut := split(medAll)
+	meanIn, meanOut := split(meanAll)
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "+5 ms congestion injected %s .. %s on an outlier-contaminated link\n\n",

@@ -10,8 +10,10 @@ import (
 	"pinpoint/internal/atlas"
 	"pinpoint/internal/core"
 	"pinpoint/internal/delay"
+	"pinpoint/internal/events"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
+	"pinpoint/internal/timeseries"
 	"pinpoint/internal/trace"
 )
 
@@ -194,6 +196,36 @@ func newCasePlatform(n *netsim.Net, topo *netsim.Topo, seed uint64) *atlas.Platf
 	return p
 }
 
+// warmup is the first stretch of every case run that no figure and no score
+// reads: magnitudes over a nearly-empty window are noise in every
+// configuration, and no case schedules its disruption that early
+// (TestNewCaseAllNames holds every catalogue row to it).
+const warmup = 24 * time.Hour
+
+// inWindow reports whether t lies in the half-open window [w[0], w[1]).
+func inWindow(w [2]time.Time, t time.Time) bool {
+	return !t.Before(w[0]) && t.Before(w[1])
+}
+
+// extremes returns the largest (sign +1) or smallest (sign −1) value of pts
+// inside each window and outside all of them, each starting from 0.
+func extremes(pts []timeseries.Point, windows [][2]time.Time, sign float64) (in []float64, out float64) {
+	in = make([]float64, len(windows))
+	for _, p := range pts {
+		ext := &out
+		for i, w := range windows {
+			if inWindow(w, p.T) {
+				ext = &in[i]
+				break
+			}
+		}
+		if sign*p.V > sign*(*ext) {
+			*ext = p.V
+		}
+	}
+	return in, out
+}
+
 // caseRun is one case analyzed over its whole run, as the figure harnesses
 // read it: the case, its analyzer with every alarm retained, and the state
 // the run's delay observer filled.
@@ -249,6 +281,16 @@ func analyze(c *Case, cfg core.Config) (*core.Analyzer, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// magnitude returns asn's Eq. 10 delay or forwarding magnitude series over
+// the run past its warm-up.
+func (r *caseRun[T]) magnitude(asn ipmap.ASN, kind events.Type) []timeseries.Point {
+	agg := r.a.Aggregator()
+	if kind == events.ForwardingAnomaly {
+		return agg.ForwardingMagnitude(asn, r.Start.Add(warmup), r.End)
+	}
+	return agg.DelayMagnitude(asn, r.Start.Add(warmup), r.End)
 }
 
 // roleObs holds every delay observation of a case's role links, keyed by

@@ -3,10 +3,13 @@ package experiments
 import (
 	"flag"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pinpoint/internal/events"
+	"pinpoint/internal/timeseries"
 	"pinpoint/internal/trace"
 )
 
@@ -30,12 +33,12 @@ func TestNewCaseAllNames(t *testing.T) {
 			if name != "quiet" && len(c.EventWindows) == 0 {
 				t.Error("case study should declare its event windows")
 			}
-			// The robustness scoring skips each run's first day, so every
-			// disruption must start after it and end within the run.
+			// The figures and the robustness scoring skip each run's warm-up,
+			// so every disruption must start after it and end within the run.
 			for _, w := range c.EventWindows {
-				if w[0].Before(c.Start.Add(24*time.Hour)) || w[1].After(c.End) || !w[1].After(w[0]) {
-					t.Errorf("event window %v–%v outside [start+24h, end) = [%v, %v)",
-						w[0], w[1], c.Start.Add(24*time.Hour), c.End)
+				if w[0].Before(c.Start.Add(warmup)) || w[1].After(c.End) || !w[1].After(w[0]) {
+					t.Errorf("event window %v–%v outside [start+warmup, end) = [%v, %v)",
+						w[0], w[1], c.Start.Add(warmup), c.End)
 				}
 			}
 			// The platform must actually produce results.
@@ -54,6 +57,60 @@ func TestNewCaseAllNames(t *testing.T) {
 	}
 }
 
+// TestWindowRule pins the one window rule of the case figures and the
+// robustness grid: inWindow is half-open, scoreAgainstWindows widens each
+// window by slackBins bins on both sides, and extremes reads the largest or
+// smallest value inside each window and outside all of them, from 0.
+func TestWindowRule(t *testing.T) {
+	t0 := time.Date(2015, 6, 12, 9, 0, 0, 0, time.UTC)
+	at := func(h int) time.Time { return t0.Add(time.Duration(h) * time.Hour) }
+	leak := [2]time.Time{at(0), at(2)}
+
+	for _, tc := range []struct {
+		bin  int
+		want bool
+	}{
+		{-1, false}, {0, true}, {1, true}, {2, false}, {3, false},
+	} {
+		if got := inWindow(leak, at(tc.bin)); got != tc.want {
+			t.Errorf("inWindow(%v, bin %+d) = %v, want %v", leak, tc.bin, got, tc.want)
+		}
+	}
+
+	var evs []events.Event
+	for h := -3; h <= 3; h++ {
+		evs = append(evs, events.Event{Bin: at(h)})
+	}
+	got := scoreAgainstWindows(evs, [][2]time.Time{leak}, time.Hour)
+	// With one bin of slack, bins -1 through 2 score; -3, -2 and 3 do not.
+	want := RobustScore{Events: 7, TruePos: 4, FalsePos: 3, Windows: 1, WindowsHit: 1, Precision: 4.0 / 7, Recall: 1}
+	if got != want {
+		t.Errorf("scoreAgainstWindows = %+v, want %+v", got, want)
+	}
+
+	windows := [][2]time.Time{leak, {at(5), at(6)}}
+	series := []timeseries.Point{{T: at(-1), V: 4}, {T: at(0), V: 7}, {T: at(1), V: -3}, {T: at(2), V: -8}, {T: at(5), V: 2}, {T: at(6), V: 5}}
+	for _, tc := range []struct {
+		name    string
+		pts     []timeseries.Point
+		windows [][2]time.Time
+		sign    float64
+		in      []float64
+		out     float64
+	}{
+		{"largest", series, windows, +1, []float64{7, 2}, 5},
+		{"smallest", series, windows, -1, []float64{-3, 0}, -8},
+		{"no windows", series, nil, +1, []float64{}, 7},
+		{"every point outside", series[:1], windows, -1, []float64{0, 0}, 0},
+		{"empty series", nil, windows, +1, []float64{0, 0}, 0},
+	} {
+		in, out := extremes(tc.pts, tc.windows, tc.sign)
+		if !slices.Equal(in, tc.in) || out != tc.out {
+			t.Errorf("%s: extremes = %v, %v; want %v, %v", tc.name, in, out, tc.in, tc.out)
+		}
+	}
+}
+
 func TestNewCaseUnknown(t *testing.T) {
 	if _, err := NewCase("nope", Quick); err == nil {
 		t.Error("unknown case accepted")
@@ -67,7 +124,7 @@ func TestRegistryIDsUnique(t *testing.T) {
 			t.Errorf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Run == nil || e.Title == "" {
+		if e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}

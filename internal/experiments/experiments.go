@@ -122,31 +122,30 @@ func (r *Report) Render() string {
 
 // Experiment is a registered harness.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Scale) (*Report, error)
+	ID  string
+	Run func(Scale) (*Report, error)
 }
 
 // Registry lists every experiment in paper order: figures, tables, then
 // ablations.
 var Registry = []Experiment{
-	{ID: "F2", Title: "Fig 2: median differential RTT stability", Run: Fig02MedianStability},
-	{ID: "F3", Title: "Fig 3: normality of median vs mean differential RTT", Run: Fig03Normality},
-	{ID: "F4", Title: "Fig 4 / §5.2.2: forwarding worked example", Run: Fig04ForwardingExample},
-	{ID: "F5", Title: "Fig 5a+5b: magnitude distributions over all ASes", Run: Fig05MagnitudeDistributions},
-	{ID: "F6", Title: "Fig 6: DDoS peaks in root-operator delay magnitude", Run: Fig06KrootMagnitude},
-	{ID: "F7", Title: "Fig 7: per-link delays during the DDoS", Run: Fig07PerLinkDelays},
-	{ID: "F8", Title: "Fig 8: alarm graph around the root server", Run: Fig08AlarmGraph},
-	{ID: "F9", Title: "Fig 9: route-leak delay magnitude (victim ASes)", Run: Fig09LeakDelayMagnitude},
-	{ID: "F10", Title: "Fig 10: route-leak forwarding magnitude", Run: Fig10LeakForwardingMagnitude},
-	{ID: "F11", Title: "Fig 11: route-leak per-link complementarity", Run: Fig11LeakLinks},
-	{ID: "F12", Title: "Fig 12: route-leak alarm graph (victim component)", Run: Fig12LeakGraph},
-	{ID: "F13", Title: "Fig 13: IXP outage forwarding anomaly", Run: Fig13IXPOutage},
-	{ID: "T1", Title: "§7 aggregate statistics", Run: Tab01AggregateStats},
-	{ID: "T2", Title: "Appendix B: detection limits", Run: Tab02DetectionLimits},
-	{ID: "A1", Title: "Ablation: median-CLT vs mean-CLT", Run: Abl01MedianVsMean},
-	{ID: "A2", Title: "Ablation: probe-diversity filter", Run: Abl02DiversityFilter},
-	{ID: "A3", Title: "Ablation: AS-level responsibility cancellation", Run: Abl03ASCancellation},
+	{ID: "F2", Run: Fig02MedianStability},
+	{ID: "F3", Run: Fig03Normality},
+	{ID: "F4", Run: Fig04ForwardingExample},
+	{ID: "F5", Run: Fig05MagnitudeDistributions},
+	{ID: "F6", Run: Fig06KrootMagnitude},
+	{ID: "F7", Run: Fig07PerLinkDelays},
+	{ID: "F8", Run: Fig08AlarmGraph},
+	{ID: "F9", Run: Fig09LeakDelayMagnitude},
+	{ID: "F10", Run: Fig10LeakForwardingMagnitude},
+	{ID: "F11", Run: Fig11LeakLinks},
+	{ID: "F12", Run: Fig12LeakGraph},
+	{ID: "F13", Run: Fig13IXPOutage},
+	{ID: "T1", Run: Tab01AggregateStats},
+	{ID: "T2", Run: Tab02DetectionLimits},
+	{ID: "A1", Run: Abl01MedianVsMean},
+	{ID: "A2", Run: Abl02DiversityFilter},
+	{ID: "A3", Run: Abl03ASCancellation},
 }
 
 // ByID returns the registered experiment with the given id.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pinpoint/internal/delay"
+	"pinpoint/internal/events"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
 	"pinpoint/internal/trace"
@@ -40,28 +41,9 @@ func Fig06KrootMagnitude(scale Scale) (*Report, error) {
 		return nil, err
 	}
 	root := d.Topo.Roots[0]
-	mags := d.a.Aggregator().DelayMagnitude(root.ASN, d.Start.Add(24*time.Hour), ddosEnd)
-
-	inWin := func(t time.Time) int {
-		if !t.Before(ddosAttack1Start) && t.Before(ddosAttack1End) {
-			return 1
-		}
-		if !t.Before(ddosAttack2Start) && t.Before(ddosAttack2End) {
-			return 2
-		}
-		return 0
-	}
-	var peak1, peak2, peakOut float64
-	for _, p := range mags {
-		switch inWin(p.T) {
-		case 1:
-			peak1 = maxf(peak1, p.V)
-		case 2:
-			peak2 = maxf(peak2, p.V)
-		default:
-			peakOut = maxf(peakOut, p.V)
-		}
-	}
+	mags := d.magnitude(root.ASN, events.DelayChange)
+	in, peakOut := extremes(mags, d.EventWindows, +1)
+	peak1, peak2 := in[0], in[1]
 
 	var sb strings.Builder
 	sb.WriteString(report.TimeSeries(
@@ -92,7 +74,7 @@ func Fig06KrootMagnitude(scale Scale) (*Report, error) {
 			Name:     "peaks dominate the quiet baseline",
 			Paper:    "peaks dwarf surrounding weeks",
 			Measured: fmt.Sprintf("outside max %.1f", peakOut),
-			Holds:    peak1 > 3*maxf(peakOut, 1) && peak2 > 3*maxf(peakOut, 1),
+			Holds:    peak1 > 3*max(peakOut, 1) && peak2 > 3*max(peakOut, 1),
 		},
 	}
 	return r, nil
@@ -118,10 +100,10 @@ func Fig07PerLinkDelays(scale Scale) (*Report, error) {
 		{"upstream of attacked site (Fig 7e)", d.roles.upstream},
 	}
 
-	alarmsIn := func(obs []delay.Observation, s, e time.Time) int {
+	alarmsIn := func(obs []delay.Observation, w [2]time.Time) int {
 		n := 0
 		for _, o := range obs {
-			if o.Anomalous && !o.Bin.Before(s) && o.Bin.Before(e) {
+			if o.Anomalous && inWindow(w, o.Bin) {
 				n++
 			}
 		}
@@ -133,8 +115,8 @@ func Fig07PerLinkDelays(scale Scale) (*Report, error) {
 	counts := map[string][3]int{}
 	for _, rl := range roles {
 		obs := d.state[rl.key]
-		a1 := alarmsIn(obs, ddosAttack1Start, ddosAttack1End)
-		a2 := alarmsIn(obs, ddosAttack2Start, ddosAttack2End)
+		a1 := alarmsIn(obs, d.EventWindows[0])
+		a2 := alarmsIn(obs, d.EventWindows[1])
 		tot := 0
 		for _, o := range obs {
 			if o.Anomalous {
@@ -209,14 +191,15 @@ func Fig08AlarmGraph(scale Scale) (*Report, error) {
 		return nil, err
 	}
 	root := d.Topo.Roots[0]
+	attack1 := d.EventWindows[0]
 
-	g := d.a.Graph(ddosAttack1Start, ddosAttack1End)
+	g := d.a.Graph(attack1[0], attack1[1])
 	nodes := g.ComponentNodes(root.Addr)
 	edges := g.Component(root.Addr)
 
 	rootAlarms := 0
 	for _, al := range d.a.DelayAlarms() {
-		if al.Bin.Before(ddosAttack1Start) || !al.Bin.Before(ddosAttack1End) {
+		if !inWindow(attack1, al.Bin) {
 			continue
 		}
 		for _, rt := range d.Topo.Roots {
@@ -229,7 +212,7 @@ func Fig08AlarmGraph(scale Scale) (*Report, error) {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Alarm graph over attack 1 (%s .. %s):\n",
-		ddosAttack1Start.Format("Jan 2 15:04"), ddosAttack1End.Format("15:04"))
+		attack1[0].Format("Jan 2 15:04"), attack1[1].Format("15:04"))
 	sb.WriteString(report.Table([][]string{
 		{"quantity", "value", "paper"},
 		{"component nodes around root", fmt.Sprintf("%d", len(nodes)), "dozens (Fig 8)"},
@@ -263,11 +246,4 @@ func Fig08AlarmGraph(scale Scale) (*Report, error) {
 		},
 	}
 	return r, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

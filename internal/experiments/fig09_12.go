@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pinpoint/internal/delay"
+	"pinpoint/internal/events"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
@@ -142,15 +143,9 @@ func Fig09LeakDelayMagnitude(scale Scale) (*Report, error) {
 	metrics := map[string]float64{}
 	claims := []Claim{}
 	for i, asn := range d.roles.victims {
-		mags := d.a.Aggregator().DelayMagnitude(asn, d.Start.Add(24*time.Hour), leakRunEnd)
-		var inPeak, outPeak float64
-		for _, p := range mags {
-			if !p.T.Before(leakStart) && p.T.Before(leakEnd) {
-				inPeak = maxf(inPeak, p.V)
-			} else {
-				outPeak = maxf(outPeak, p.V)
-			}
-		}
+		mags := d.magnitude(asn, events.DelayChange)
+		in, outPeak := extremes(mags, d.EventWindows, +1)
+		inPeak := in[0]
 		sb.WriteString(report.TimeSeries(fmt.Sprintf("%s delay change magnitude", asn), mags, 7))
 		sb.WriteString("\n")
 		metrics[fmt.Sprintf("victim%d_in_peak", i)] = inPeak
@@ -159,7 +154,7 @@ func Fig09LeakDelayMagnitude(scale Scale) (*Report, error) {
 			Name:     fmt.Sprintf("victim %d magnitude peaks during leak", i),
 			Paper:    "positive peaks June 12 09:00–11:00 (Fig 9)",
 			Measured: fmt.Sprintf("in=%.0f out=%.0f", inPeak, outPeak),
-			Holds:    inPeak > 10 && inPeak > 3*maxf(outPeak, 1),
+			Holds:    inPeak > 10 && inPeak > 3*max(outPeak, 1),
 		})
 	}
 	return &Report{
@@ -180,17 +175,9 @@ func Fig10LeakForwardingMagnitude(scale Scale) (*Report, error) {
 	metrics := map[string]float64{}
 	claims := []Claim{}
 	for i, asn := range d.roles.victims {
-		mags := d.a.Aggregator().ForwardingMagnitude(asn, d.Start.Add(24*time.Hour), leakRunEnd)
-		inMin, outMin := 0.0, 0.0
-		for _, p := range mags {
-			if !p.T.Before(leakStart) && p.T.Before(leakEnd) {
-				if p.V < inMin {
-					inMin = p.V
-				}
-			} else if p.V < outMin {
-				outMin = p.V
-			}
-		}
+		mags := d.magnitude(asn, events.ForwardingAnomaly)
+		in, outMin := extremes(mags, d.EventWindows, -1)
+		inMin := in[0]
 		sb.WriteString(report.TimeSeries(fmt.Sprintf("%s forwarding anomaly magnitude", asn), mags, 7))
 		sb.WriteString("\n")
 		metrics[fmt.Sprintf("victim%d_in_min", i)] = inMin
@@ -224,9 +211,10 @@ func Fig11LeakLinks(scale Scale) (*Report, error) {
 		}
 		return d.state[k.Reverse()]
 	}
-	within := func(o delay.Observation, s, e time.Time) bool {
-		return !o.Bin.Before(s) && o.Bin.Before(e)
-	}
+	// The leak window, and linkB's loss hour and congested rest within it.
+	leak := d.EventWindows[0]
+	lossHour := [2]time.Time{leak[0], leak[0].Add(time.Hour)}
+	congested := [2]time.Time{lossHour[1], leak[1]}
 
 	linkA, linkB := d.roles.linkA, d.roles.linkB
 	obsA := obsFor(linkA)
@@ -235,7 +223,7 @@ func Fig11LeakLinks(scale Scale) (*Report, error) {
 	var aAlarms int
 	var aShift float64
 	for _, o := range obsA {
-		if o.Anomalous && within(o, leakStart, leakEnd) {
+		if o.Anomalous && inWindow(leak, o.Bin) {
 			aAlarms++
 			shift := o.Observed.Median - o.Reference.Median
 			if shift > aShift {
@@ -245,17 +233,17 @@ func Fig11LeakLinks(scale Scale) (*Report, error) {
 	}
 	var bFirstHourObs, bSecondHourAlarms int
 	for _, o := range obsB {
-		if within(o, leakStart, leakStart.Add(time.Hour)) {
+		if inWindow(lossHour, o.Bin) {
 			bFirstHourObs++
 		}
-		if o.Anomalous && within(o, leakStart.Add(time.Hour), leakEnd) {
+		if o.Anomalous && inWindow(congested, o.Bin) {
 			bSecondHourAlarms++
 		}
 	}
 	// Forwarding anomalies naming linkB's near end during the loss hour.
 	bFwd := 0
 	for _, al := range d.a.ForwardingAlarms() {
-		if !al.Bin.Before(leakStart) && al.Bin.Before(leakStart.Add(time.Hour)) {
+		if inWindow(lossHour, al.Bin) {
 			if al.Router == linkB.Near || al.Router == linkB.Far {
 				bFwd++
 				continue
@@ -326,7 +314,8 @@ func Fig12LeakGraph(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := d.a.Graph(leakStart, leakEnd)
+	leak := d.EventWindows[0]
+	g := d.a.Graph(leak[0], leak[1])
 	nodes := g.ComponentNodes(d.roles.linkA.Near)
 	edges := g.Component(d.roles.linkA.Near)
 	flagged := 0

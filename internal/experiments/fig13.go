@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"time"
 
+	"pinpoint/internal/events"
 	"pinpoint/internal/netsim"
 	"pinpoint/internal/report"
 )
@@ -42,32 +42,16 @@ func Fig13IXPOutage(scale Scale) (*Report, error) {
 	ixp := d.Topo.IXPs[0]
 	lan := netip.MustParsePrefix(ixp.Prefix)
 
-	fwdMags := d.a.Aggregator().ForwardingMagnitude(ixp.ASN, d.Start.Add(24*time.Hour), ixpRunEnd)
-	delayMags := d.a.Aggregator().DelayMagnitude(ixp.ASN, d.Start.Add(24*time.Hour), ixpRunEnd)
-
-	inWin := func(t time.Time) bool { return !t.Before(ixpOutageStart) && t.Before(ixpOutageEnd) }
-	fwdMin, fwdMinOut := 0.0, 0.0
-	for _, p := range fwdMags {
-		if inWin(p.T) {
-			if p.V < fwdMin {
-				fwdMin = p.V
-			}
-		} else if p.V < fwdMinOut {
-			fwdMinOut = p.V
-		}
-	}
-	delayMaxIn := 0.0
-	for _, p := range delayMags {
-		if inWin(p.T) && p.V > delayMaxIn {
-			delayMaxIn = p.V
-		}
-	}
+	fwdMags := d.magnitude(ixp.ASN, events.ForwardingAnomaly)
+	fwdIn, fwdMinOut := extremes(fwdMags, d.EventWindows, -1)
+	delayIn, _ := extremes(d.magnitude(ixp.ASN, events.DelayChange), d.EventWindows, +1)
+	fwdMin, delayMaxIn := fwdIn[0], delayIn[0]
 
 	// "770 IP pairs related to the AMS-IX peering LAN became unresponsive":
 	// distinct (router, LAN next hop) pairs devalued during the outage.
 	pairs := map[string]struct{}{}
 	for _, al := range d.a.ForwardingAlarms() {
-		if !inWin(al.Bin) {
+		if !inWindow(d.EventWindows[0], al.Bin) {
 			continue
 		}
 		for _, h := range al.Hops {

@@ -22,7 +22,8 @@ func WriteCaseGraphs(scale Scale, create func(name string) (*os.File, error)) er
 		anycast[rt.Addr] = true
 	}
 	if err := writeDOT(create, "fig08_ddos.dot", func(w io.Writer) error {
-		return d.a.Graph(ddosAttack1Start, ddosAttack1End).WriteDOT(w, root.Addr, anycast)
+		attack1 := d.EventWindows[0]
+		return d.a.Graph(attack1[0], attack1[1]).WriteDOT(w, root.Addr, anycast)
 	}); err != nil {
 		return err
 	}
@@ -32,7 +33,8 @@ func WriteCaseGraphs(scale Scale, create func(name string) (*os.File, error)) er
 		return err
 	}
 	return writeDOT(create, "fig12_leak.dot", func(w io.Writer) error {
-		return l.a.Graph(leakStart, leakEnd).WriteDOT(w, l.roles.linkA.Near, nil)
+		leak := l.EventWindows[0]
+		return l.a.Graph(leak[0], leak[1]).WriteDOT(w, l.roles.linkA.Near, nil)
 	})
 }
 

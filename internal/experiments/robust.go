@@ -84,17 +84,19 @@ const slackBins = 1
 // RobustConfig parameterizes RunRobustness. The zero value takes the
 // defaults noted per field.
 type RobustConfig struct {
-	Cases   []string      // default: all of CaseNames
-	Mixes   []ArtifactMix // default: ArtifactMixes()
-	Workers int           // platform + analyzer workers; default 2
+	Cases   []string // default: all of CaseNames
+	Workers int      // platform + analyzer workers; default 2
+
+	// mixes, when set, replaces ArtifactMixes(): tests run smaller grids.
+	mixes []ArtifactMix
 }
 
 func (c RobustConfig) withDefaults() RobustConfig {
 	if len(c.Cases) == 0 {
 		c.Cases = CaseNames
 	}
-	if len(c.Mixes) == 0 {
-		c.Mixes = ArtifactMixes()
+	if len(c.mixes) == 0 {
+		c.mixes = ArtifactMixes()
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
@@ -118,25 +120,18 @@ func RunRobustness(scale Scale, cfg RobustConfig) (*RobustReport, error) {
 	evCfg := robustEventsConfig(scale)
 	rep := &RobustReport{
 		Scale:       scale.String(),
-		Threshold:   evCfg.Threshold,
-		WindowHours: evCfg.Window.Hours(),
 		SlackBins:   slackBins,
 		Workers:     cfg.Workers,
-		WarmupHours: 24,
-		Mixes:       cfg.Mixes,
-	}
-	if rep.Threshold == 0 {
-		rep.Threshold = 10 // events.Config default
-	}
-	if rep.WindowHours == 0 {
-		rep.WindowHours = 7 * 24
+		WarmupHours: warmup.Hours(),
+		Mixes:       cfg.mixes,
 	}
 	for _, name := range cfg.Cases {
-		for _, mix := range cfg.Mixes {
-			cell, err := runRobustCell(scale, name, mix, cfg, evCfg)
+		for _, mix := range cfg.mixes {
+			cell, used, err := runRobustCell(scale, name, mix, cfg, evCfg)
 			if err != nil {
 				return nil, fmt.Errorf("case %s mix %s: %w", name, mix.Name, err)
 			}
+			rep.Threshold, rep.WindowHours = used.Threshold, used.Window.Hours()
 			rep.Cells = append(rep.Cells, *cell)
 			if mix.Name == "clean" || !mix.Art.Enabled() {
 				rep.Summary.CleanTruePosBase += cell.Base.TruePos
@@ -150,23 +145,24 @@ func RunRobustness(scale Scale, cfg RobustConfig) (*RobustReport, error) {
 }
 
 // runRobustCell runs one (case, mix): generate + analyze once, then score
-// the events the analyzer's own aggregator detected.
-func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, evCfg events.Config) (*RobustCell, error) {
+// the events the analyzer's own aggregator detected. It also returns the
+// event configuration that aggregator ran, defaults applied.
+func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, evCfg events.Config) (*RobustCell, events.Config, error) {
 	c, err := NewCaseArtifacts(name, scale, mix.Art)
 	if err != nil {
-		return nil, err
+		return nil, events.Config{}, err
 	}
 	c.Platform.SetWorkers(cfg.Workers)
 	a, err := analyze(c, core.Config{RetainAlarms: true, Workers: cfg.Workers, Events: evCfg})
 	if err != nil {
-		return nil, err
+		return nil, events.Config{}, err
 	}
 	defer a.Close()
 	return &RobustCell{
 		Case: name, Mix: mix.Name,
 		Results: a.Results(), DelayAlarms: len(a.DelayAlarms()), FwdAlarms: len(a.ForwardingAlarms()),
 		Base: scoreEvents(c, a),
-	}, nil
+	}, a.Aggregator().Config(), nil
 }
 
 // scoreEvents scores the events of the analyzer's aggregator — closed at
@@ -175,10 +171,7 @@ func runRobustCell(scale Scale, name string, mix ArtifactMix, cfg RobustConfig, 
 func scoreEvents(c *Case, a *core.Analyzer) RobustScore {
 	agg := a.Aggregator()
 	binSize := agg.Config().BinSize
-	// Skip the first day: magnitudes over a nearly-empty window are noise in
-	// every configuration, and no case schedules its disruption that early
-	// (TestNewCaseAllNames holds every catalogue row to it).
-	evs := agg.Events(c.Start.Add(24*time.Hour), c.End.Add(binSize))
+	evs := agg.Events(c.Start.Add(warmup), c.End.Add(binSize))
 	return scoreAgainstWindows(evs, c.EventWindows, binSize)
 }
 
@@ -192,7 +185,7 @@ func scoreAgainstWindows(evs []events.Event, windows [][2]time.Time, binSize tim
 	for _, ev := range evs {
 		in := false
 		for wi, w := range windows {
-			if !ev.Bin.Before(w[0].Add(-slack)) && ev.Bin.Before(w[1].Add(slack)) {
+			if inWindow([2]time.Time{w[0].Add(-slack), w[1].Add(slack)}, ev.Bin) {
 				in = true
 				hit[wi] = true
 			}

@@ -88,7 +88,7 @@ func TestQuietCaseFalsePositiveFloor(t *testing.T) {
 func TestRunRobustnessSmoke(t *testing.T) {
 	rep, err := RunRobustness(Quick, RobustConfig{
 		Cases: []string{"quiet"},
-		Mixes: []ArtifactMix{
+		mixes: []ArtifactMix{
 			{Name: "clean"},
 			{Name: "lying", Art: netsim.Artifacts{LyingHopProb: 0.04, AliasProb: 0.25}},
 		},
@@ -132,7 +132,7 @@ func BenchmarkRobustCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep, err := RunRobustness(Quick, RobustConfig{
 			Cases: []string{"quiet"},
-			Mixes: []ArtifactMix{{Name: "storm", Art: stormMix}},
+			mixes: []ArtifactMix{{Name: "storm", Art: stormMix}},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -44,24 +44,23 @@ func runDetectionSweep(nProbes int, interval, bin, duration time.Duration) (bool
 	}
 
 	det := delay.NewDetector(delay.Config{BinSize: bin, Seed: 1}, platform.ProbeASN)
+	// One bin of lead: an alarm counts when its bin ends at or after the
+	// event's start and opens before its end.
+	lead := [2]time.Time{evStart.Add(-bin), evEnd}
 	detected := false
-	end := evEnd.Add(4 * time.Hour)
-	err = platform.Run(start, end, func(r trace.Result) error {
-		for _, al := range det.Observe(r) {
-			if !al.Bin.Add(bin).Before(evStart) && al.Bin.Before(evEnd) {
-				detected = true
-			}
+	check := func(als []delay.Alarm) {
+		for _, al := range als {
+			detected = detected || inWindow(lead, al.Bin)
 		}
+	}
+	err = platform.Run(start, evEnd.Add(4*time.Hour), func(r trace.Result) error {
+		check(det.Observe(r))
 		return nil
 	})
 	if err != nil {
 		return false, err
 	}
-	for _, al := range det.Flush() {
-		if !al.Bin.Add(bin).Before(evStart) && al.Bin.Before(evEnd) {
-			detected = true
-		}
-	}
+	check(det.Flush())
 	return detected, nil
 }
 
