@@ -79,36 +79,34 @@ func TestRunFilesViewEquivalence(t *testing.T) {
 		}
 	}
 
-	// Line 300 decodes but fails Validate (hops out of order); line 700 does
-	// not decode at all. Either way the chunk holding the first rejected
-	// line is withheld.
+	// Line 300 decodes though its hops are out of order (ingestion checks
+	// no structure); line 700 does not decode at all, and the chunk holding
+	// it is withheld.
 	lines := strings.Split(strings.TrimRight(string(dump), "\n"), "\n")
 	lines[299] = `{"prb_id":1,"timestamp":1,"src_addr":"10.0.0.1","dst_addr":"10.0.0.2","result":[{"hop":2,"result":[{"x":"*"}]},{"hop":1,"result":[]}]}`
 	lines[699] = "not json"
 	bad := []string{dumpFile(t, []byte(strings.Join(lines, "\n")+"\n"))}
-	for _, validate := range []bool{false, true} {
-		wantN := 0
-		_, err := ingest.Files(context.Background(), bad, ingest.Options{Workers: 1, Validate: validate},
-			func(rs []trace.Result) error { wantN += len(rs); return nil })
-		var wantLE *ingest.LineError
-		if !errors.As(err, &wantLE) || wantLE.Line != map[bool]int{false: 700, true: 300}[validate] {
-			t.Fatalf("validate=%t: ingest.Files stopped with %v", validate, err)
-		}
-		for _, cfg.Workers = range []int{1, 4} {
-			for _, decoders := range []int{1, 2, 4, 8} {
-				a := New(cfg, probeASN, table)
-				gotN := 0
-				_, err := a.RunFiles(context.Background(), bad, ingest.Options{Workers: decoders, Validate: validate},
-					func(n int, _, _ time.Time) { gotN += n })
-				a.Close()
-				var le *ingest.LineError
-				if !errors.As(err, &le) || le.File != wantLE.File || le.Line != wantLE.Line || le.Err.Error() != wantLE.Err.Error() {
-					t.Errorf("validate=%t workers=%d decoders=%d: stopped with %v, want %v", validate, cfg.Workers, decoders, err, wantLE)
-				}
-				if gotN != wantN || a.Results() != wantN {
-					t.Errorf("validate=%t workers=%d decoders=%d: ingested %d results (observers saw %d), want %d",
-						validate, cfg.Workers, decoders, a.Results(), gotN, wantN)
-				}
+	wantN := 0
+	_, err := ingest.Files(context.Background(), bad, ingest.Options{Workers: 1},
+		func(rs []trace.Result) error { wantN += len(rs); return nil })
+	var wantLE *ingest.LineError
+	if !errors.As(err, &wantLE) || wantLE.Line != 700 {
+		t.Fatalf("ingest.Files stopped with %v", err)
+	}
+	for _, cfg.Workers = range []int{1, 4} {
+		for _, decoders := range []int{1, 2, 4, 8} {
+			a := New(cfg, probeASN, table)
+			gotN := 0
+			_, err := a.RunFiles(context.Background(), bad, ingest.Options{Workers: decoders},
+				func(n int, _, _ time.Time) { gotN += n })
+			a.Close()
+			var le *ingest.LineError
+			if !errors.As(err, &le) || le.File != wantLE.File || le.Line != wantLE.Line || le.Err.Error() != wantLE.Err.Error() {
+				t.Errorf("workers=%d decoders=%d: stopped with %v, want %v", cfg.Workers, decoders, err, wantLE)
+			}
+			if gotN != wantN || a.Results() != wantN {
+				t.Errorf("workers=%d decoders=%d: ingested %d results (observers saw %d), want %d",
+					cfg.Workers, decoders, a.Results(), gotN, wantN)
 			}
 		}
 	}

@@ -101,6 +101,10 @@ type Aggregator struct {
 
 	delaySeries map[ipmap.ASN]*timeseries.Series
 	fwdSeries   map[ipmap.ASN]*timeseries.Series
+	ases        []ipmap.ASN // every AS with a series, sorted
+
+	// scratch is the window buffer of every Eq 10 evaluation.
+	scratch timeseries.Scratch
 
 	firstBin time.Time
 	haveBin  bool
@@ -125,9 +129,7 @@ func NewAggregator(cfg Config, table *ipmap.Table) *Aggregator {
 		table:       table,
 		delaySeries: make(map[ipmap.ASN]*timeseries.Series),
 		fwdSeries:   make(map[ipmap.ASN]*timeseries.Series),
-		inc: incState{mag: [2]map[ipmap.ASN][]timeseries.Point{
-			make(map[ipmap.ASN][]timeseries.Point), make(map[ipmap.ASN][]timeseries.Point),
-		}},
+		inc:         incState{mag: [2]map[ipmap.ASN][]float64{make(map[ipmap.ASN][]float64), make(map[ipmap.ASN][]float64)}},
 	}
 }
 
@@ -237,26 +239,15 @@ func (a *Aggregator) series(m map[ipmap.ASN]*timeseries.Series, asn ipmap.ASN) *
 	if s == nil {
 		s = timeseries.New(a.cfg.BinSize)
 		m[asn] = s
+		if i, found := slices.BinarySearch(a.ases, asn); !found {
+			a.ases = slices.Insert(a.ases, i, asn)
+		}
 	}
 	return s
 }
 
 // ASes returns every AS with at least one alarm, sorted.
-func (a *Aggregator) ASes() []ipmap.ASN {
-	seen := make(map[ipmap.ASN]struct{})
-	for asn := range a.delaySeries {
-		seen[asn] = struct{}{}
-	}
-	for asn := range a.fwdSeries {
-		seen[asn] = struct{}{}
-	}
-	out := make([]ipmap.ASN, 0, len(seen))
-	for asn := range seen {
-		out = append(out, asn)
-	}
-	slices.Sort(out) // ASNs are unique map keys: total order, deterministic
-	return out
-}
+func (a *Aggregator) ASes() []ipmap.ASN { return slices.Clone(a.ases) }
 
 // DelaySeries returns the Σ d(∆) series of an AS (nil when it has none).
 func (a *Aggregator) DelaySeries(asn ipmap.ASN) *timeseries.Series { return a.delaySeries[asn] }

@@ -24,11 +24,12 @@ import (
 )
 
 // incState is the closed region's read model. All slices are append-only;
-// mag is indexed by Type.
+// mag is indexed by Type, and an AS's magnitudes are dense from firstBin:
+// index i is the bin firstBin + i·BinSize.
 type incState struct {
 	validThrough time.Time // exclusive end of the region; zero while unopened
 
-	mag    [2]map[ipmap.ASN][]timeseries.Point
+	mag    [2]map[ipmap.ASN][]float64
 	events []Event
 }
 
@@ -71,7 +72,7 @@ func (a *Aggregator) CloseBins(upTo time.Time, d *CloseDelta) []Event {
 	if !end.After(a.inc.validThrough) {
 		return nil
 	}
-	asns := a.ASes()
+	asns := a.ases
 	firstNew := len(a.inc.events)
 	for t := a.inc.validThrough; t.Before(end); t = t.Add(a.cfg.BinSize) {
 		a.inc.events = a.evalBin(t, asns, a.inc.events, func(asn ipmap.ASN, typ Type, s *timeseries.Series, v float64) {
@@ -85,7 +86,7 @@ func (a *Aggregator) CloseBins(upTo time.Time, d *CloseDelta) []Event {
 			if typ == ForwardingAnomaly {
 				mag, raw = &d.FwdMag, &d.FwdRaw
 			}
-			*mag = appendASPoints(*mag, asn, cached[asn][old:])
+			*mag = a.appendASPoints(*mag, asn, cached[asn], old)
 			if rv, ok := s.Value(t); ok {
 				*raw = append(*raw, ASPoint{ASN: asn, T: t, V: rv})
 			}
@@ -127,40 +128,50 @@ func (a *Aggregator) evalRange(from, to time.Time, out []Event) []Event {
 	if !from.Before(to) {
 		return out
 	}
-	asns := a.ASes()
+	asns := a.ases
 	for t := from; t.Before(to); t = t.Add(a.cfg.BinSize) {
 		out = a.evalBin(t, asns, out, nil)
 	}
 	return out
 }
 
-// magAt computes one magnitude point.
+// magAt computes the magnitude of bin t in the aggregator's scratch.
 func (a *Aggregator) magAt(s *timeseries.Series, t time.Time) float64 {
-	return a.magRange(s, t, t.Add(a.cfg.BinSize))[0].V
+	return s.MagnitudeAt(a.spanStart(s), t, a.cfg.Window, &a.scratch)
 }
 
-// magRange computes the magnitude points of [from, to). Windows never reach
-// before the span start; an aggregator never told its span start (no
-// ObserveBin) uses the series' own first bin, so history before an AS's
-// first alarm never counts as zeros.
+// magRange computes the magnitude points of [from, to).
 func (a *Aggregator) magRange(s *timeseries.Series, from, to time.Time) []timeseries.Point {
-	start := a.firstBin
-	if !a.haveBin {
-		start, _, _ = s.Span()
-	}
-	return s.MagnitudeSince(start, from, to, a.cfg.Window)
+	return s.MagnitudeSince(a.spanStart(s), from, to, a.cfg.Window)
 }
 
-// appendMag appends the magnitude point for bin t to an AS's cached series,
-// first backfilling any bins from before the AS's first alarm. A series
-// that did not exist yet is all-zero over those windows, and the magnitude
-// of zero against an all-zero window is exactly (0−0)/(1+0) = 0 — the same
-// value evalBin produces — so the backfill is pure zeros.
-func (a *Aggregator) appendMag(pts []timeseries.Point, t time.Time, v float64) []timeseries.Point {
-	for next := a.firstBin.Add(time.Duration(len(pts)) * a.cfg.BinSize); next.Before(t); next = next.Add(a.cfg.BinSize) {
-		pts = append(pts, timeseries.Point{T: next})
+// spanStart is where s's windows begin. Windows never reach before the span
+// start; an aggregator never told its span start (no ObserveBin) uses the
+// series' own first bin, so history before an AS's first alarm never counts
+// as zeros.
+func (a *Aggregator) spanStart(s *timeseries.Series) time.Time {
+	if !a.haveBin {
+		start, _, _ := s.Span()
+		return start
 	}
-	return append(pts, timeseries.Point{T: t, V: v})
+	return a.firstBin
+}
+
+// appendMag appends the magnitude of bin t to an AS's cached series, first
+// backfilling any bins from before the AS's first alarm. A series that did
+// not exist yet is all-zero over those windows, and the magnitude of zero
+// against an all-zero window is exactly (0−0)/(1+0) = 0 — the same value
+// evalBin produces — so the backfill is pure zeros.
+func (a *Aggregator) appendMag(vals []float64, t time.Time, v float64) []float64 {
+	for n := int(t.Sub(a.firstBin) / a.cfg.BinSize); len(vals) < n; {
+		vals = append(vals, 0)
+	}
+	return append(vals, v)
+}
+
+// magBin is the bin of index i of a cached magnitude series.
+func (a *Aggregator) magBin(i int) time.Time {
+	return a.firstBin.Add(time.Duration(i) * a.cfg.BinSize)
 }
 
 // closedPart splits the bin range [f, t) at the closed region: bins in
@@ -202,7 +213,7 @@ func (a *Aggregator) Events(from, to time.Time) []Event {
 // magnitude answers a magnitude query over [from, to): closed bins from the
 // cache, the others by evaluation — whose windows reach back at most
 // cfg.Window, the horizon EvictBefore retains.
-func (a *Aggregator) magnitude(s *timeseries.Series, cached []timeseries.Point, from, to time.Time) []timeseries.Point {
+func (a *Aggregator) magnitude(s *timeseries.Series, cached []float64, from, to time.Time) []timeseries.Point {
 	if s == nil {
 		return nil
 	}
@@ -218,7 +229,9 @@ func (a *Aggregator) magnitude(s *timeseries.Series, cached []timeseries.Point, 
 	}
 	out := a.magRange(s, f, lo)
 	if lo.Before(hi) {
-		out = append(out, cached[i:j]...)
+		for k := i; k < j; k++ {
+			out = append(out, timeseries.Point{T: a.magBin(k), V: cached[k]})
+		}
 	}
 	return append(out, a.magRange(s, hi, t)...)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pinpoint/internal/forwarding"
+	"pinpoint/internal/ipmap"
 	"pinpoint/internal/timeseries"
 )
 
@@ -213,5 +214,46 @@ func assertEventsEqual(t *testing.T, label string, got, want []Event) {
 		if got[i] != want[i] {
 			t.Errorf("%s event %d: got %+v, want %+v", label, i, got[i], want[i])
 		}
+	}
+}
+
+// TestCloseBinsAllocationFree pins the close path at zero allocations per
+// AS per bin: each AS's Eq 10 window is a copy of its raw column into the
+// aggregator's scratch, selected in place, and the AS list is kept sorted
+// as series appear. Forty ASes with delay and forwarding series are warmed
+// through 130 bins, so their region slices have room for the measured
+// closes; a nil delta then makes every close allocation-free.
+func TestCloseBinsAllocationFree(t *testing.T) {
+	var tbl ipmap.Table
+	const nASes = 40
+	for i := 0; i < nASes; i++ {
+		if err := tbl.Add(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16), ipmap.ASN(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := NewAggregator(Config{}, &tbl)
+	for h := 0; h < 10; h++ {
+		bin := t0.Add(time.Duration(h) * time.Hour)
+		a.ObserveBin(bin)
+		for i := 0; i < nASes; i++ {
+			near, far := fmt.Sprintf("10.%d.0.1", i), fmt.Sprintf("10.%d.0.2", i)
+			a.AddDelayAlarm(delayAlarm(bin, near, far, float64(1+(h*i)%7)))
+			a.AddForwardingAlarm(forwarding.Alarm{
+				Bin:  bin,
+				Hops: []forwarding.HopScore{{Hop: netip.MustParseAddr(far), Responsibility: float64(h%3) - 1}},
+			})
+		}
+	}
+	next := t0.Add(130 * time.Hour)
+	a.CloseBins(next, nil)
+	if n := len(a.inc.mag[DelayChange]) + len(a.inc.mag[ForwardingAnomaly]); n != 2*nASes {
+		t.Fatalf("%d magnitude series, want %d", n, 2*nASes)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		next = next.Add(time.Hour)
+		a.CloseBins(next, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("closing one bin of %d ASes allocates %v times, want 0", nASes, allocs)
 	}
 }

@@ -33,9 +33,11 @@ type CloseDelta struct {
 	FwdRaw   []ASPoint
 }
 
-func appendASPoints(dst []ASPoint, asn ipmap.ASN, pts []timeseries.Point) []ASPoint {
-	for _, p := range pts {
-		dst = append(dst, ASPoint{ASN: asn, T: p.T, V: p.V})
+// appendASPoints appends the points of an AS's cached magnitude series from
+// index from on, each at its bin.
+func (a *Aggregator) appendASPoints(dst []ASPoint, asn ipmap.ASN, vals []float64, from int) []ASPoint {
+	for i := from; i < len(vals); i++ {
+		dst = append(dst, ASPoint{ASN: asn, T: a.magBin(i), V: vals[i]})
 	}
 	return dst
 }
@@ -43,11 +45,11 @@ func appendASPoints(dst []ASPoint, asn ipmap.ASN, pts []timeseries.Point) []ASPo
 // RestoredState is the read-model state a boot path reassembles from
 // committed segments and hands to RestoreIncremental.
 type RestoredState struct {
-	FirstBin     time.Time // analysis span start (segment FirstBin)
-	ValidThrough time.Time // exclusive end of durable history
-	Events       []Event   // full committed event list, (bin, AS, type) order
-	DelayMag     map[ipmap.ASN][]timeseries.Point
-	FwdMag       map[ipmap.ASN][]timeseries.Point
+	FirstBin     time.Time               // analysis span start (segment FirstBin)
+	ValidThrough time.Time               // exclusive end of durable history
+	Events       []Event                 // full committed event list, (bin, AS, type) order
+	DelayMag     map[ipmap.ASN][]float64 // magnitudes dense from FirstBin
+	FwdMag       map[ipmap.ASN][]float64
 	DelayRaw     []ASPoint // raw sums within the retained window only
 	FwdRaw       []ASPoint
 }

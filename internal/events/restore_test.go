@@ -69,8 +69,8 @@ func runPipeline(t *testing.T, a *Aggregator, start time.Time, from, n int) []se
 // only the raw window retained — exactly what a boot from segments has.
 func restoredState(segs []segment, k int) RestoredState {
 	rs := RestoredState{
-		DelayMag: make(map[ipmap.ASN][]timeseries.Point),
-		FwdMag:   make(map[ipmap.ASN][]timeseries.Point),
+		DelayMag: make(map[ipmap.ASN][]float64),
+		FwdMag:   make(map[ipmap.ASN][]float64),
 	}
 	rs.FirstBin = segs[0].delta.FirstBin
 	rs.ValidThrough = segs[k-1].bin.Add(binHour)
@@ -78,10 +78,10 @@ func restoredState(segs []segment, k int) RestoredState {
 	for _, s := range segs[:k] {
 		rs.Events = append(rs.Events, s.evs...)
 		for _, p := range s.delta.DelayMag {
-			rs.DelayMag[p.ASN] = append(rs.DelayMag[p.ASN], timeseries.Point{T: p.T, V: p.V})
+			rs.DelayMag[p.ASN] = append(rs.DelayMag[p.ASN], p.V)
 		}
 		for _, p := range s.delta.FwdMag {
-			rs.FwdMag[p.ASN] = append(rs.FwdMag[p.ASN], timeseries.Point{T: p.T, V: p.V})
+			rs.FwdMag[p.ASN] = append(rs.FwdMag[p.ASN], p.V)
 		}
 		for _, p := range s.delta.DelayRaw {
 			if !p.T.Before(keep) {

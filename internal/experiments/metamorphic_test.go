@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,13 +41,50 @@ type relationRun struct {
 }
 
 // relabel is one metamorphic rewrite of a case dump: every timestamp moves
-// shift later, every probe ID p becomes prb(p) and every ASN a, in the
-// probes' ASes and in the prefix table, becomes asn(a). asnBack undoes asn
-// on the outputs.
+// shift later, every probe ID p becomes prb(p), every ASN a, in the probes'
+// ASes and in the prefix table, becomes asn(a), and every IPv4 address, in
+// the results and in the prefix table, moves octet4 /8s up. asnBack undoes
+// asn on the outputs. Adding to the first octet keeps every prefix of /8 or
+// longer a prefix and keeps address order, which the detectors' close order
+// (and so the order in which the events stage sums floats) follows.
 type relabel struct {
 	shift        time.Duration
 	prb          func(int) int
 	asn, asnBack func(ipmap.ASN) ipmap.ASN
+	octet4       byte
+}
+
+// moveAddr moves an IPv4 address n /8s up (back down with -n); other
+// addresses stay.
+func moveAddr(a netip.Addr, n byte) netip.Addr {
+	if !a.Is4() || n == 0 {
+		return a
+	}
+	b := a.As4()
+	b[0] += n
+	return netip.AddrFrom4(b)
+}
+
+// result rewrites one generated result; the hops are copied, never shared
+// with the generator's.
+func (rel relabel) result(r trace.Result) trace.Result {
+	r.Time, r.PrbID = r.Time.Add(rel.shift), rel.prb(r.PrbID)
+	r.Src, r.Dst = moveAddr(r.Src, rel.octet4), moveAddr(r.Dst, rel.octet4)
+	hops := make([]trace.Hop, len(r.Hops))
+	for i, h := range r.Hops {
+		hops[i] = trace.Hop{Index: h.Index, Replies: slices.Clone(h.Replies)}
+		for j := range hops[i].Replies {
+			hops[i].Replies[j].From = moveAddr(hops[i].Replies[j].From, rel.octet4)
+		}
+	}
+	r.Hops = hops
+	return r
+}
+
+// relabelled is a case whose dump is rewritten by rel.
+type relabelled struct {
+	c   *Case
+	rel relabel
 }
 
 // identity is the relabelling that changes nothing.
@@ -89,6 +128,149 @@ func TestRenumberRelation(t *testing.T) {
 			asnBack: func(a ipmap.ASN) ipmap.ASN { return (a - 70000) / 3 },
 		}
 	})
+}
+
+// TestDisjointUnionRelation is the disjoint-union invariance: §4 keys its
+// state on links and routers and §6 on ASes, so two measurement campaigns
+// that share no address, ASN or probe and run side by side in one stream
+// must each see exactly what they see alone. The quick leak case is moved
+// onto disjoint names (every IPv4 address one /8 up, AS a → a+70000, probe
+// p → p+100000) and onto the ddos case's start, the two dumps are merged
+// into one time-ordered stream, and within each case's window every alarm,
+// event, AS and magnitude point of the merged replay, mapped back, must
+// equal that case's solo replay — with one engine shard and with two.
+func TestDisjointUnionRelation(t *testing.T) {
+	ddos, err := NewCase("ddos", Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leak, err := NewCase("leak", Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := relabel{
+		shift:   ddos.Start.Sub(leak.Start),
+		prb:     func(p int) int { return p + 100000 },
+		asn:     func(a ipmap.ASN) ipmap.ASN { return a + 70000 },
+		asnBack: func(a ipmap.ASN) ipmap.ASN { return a - 70000 },
+		octet4:  1,
+	}
+	parts := []relabelled{{ddos, identity}, {leak, moved}}
+
+	dir := t.TempDir()
+	var merged []trace.Result
+	addrs := [2]map[netip.Addr]bool{}
+	asns := [2]map[ipmap.ASN]bool{}
+	solo := [2]string{}
+	for k, rc := range parts {
+		addrs[k], asns[k] = map[netip.Addr]bool{}, map[ipmap.ASN]bool{}
+		for _, e := range rc.c.Net.Prefixes().Entries() {
+			asns[k][rc.rel.asn(e.ASN)] = true
+		}
+		for _, p := range rc.c.Platform.Probes() {
+			asns[k][rc.rel.asn(p.ASN)] = true
+		}
+		solo[k] = filepath.Join(dir, rc.c.Name+".ndjson")
+		f, err := os.Create(solo[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		w := trace.NewWriter(f)
+		if err := rc.c.Platform.Run(rc.c.Start, rc.c.End, func(r trace.Result) error {
+			if err := w.Write(r); err != nil {
+				return err
+			}
+			r = rc.rel.result(r)
+			for _, a := range []netip.Addr{r.Src, r.Dst} {
+				addrs[k][a] = true
+			}
+			for _, h := range r.Hops {
+				for _, rp := range h.Replies {
+					addrs[k][rp.From] = true
+				}
+			}
+			merged = append(merged, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delete(addrs[0], netip.Addr{})
+	delete(addrs[1], netip.Addr{})
+	for a := range addrs[1] {
+		if addrs[0][a] {
+			t.Fatalf("address %v is in both cases", a)
+		}
+	}
+	for a := range asns[1] {
+		if asns[0][a] {
+			t.Fatalf("%v is in both cases", a)
+		}
+	}
+	probes := map[int]bool{}
+	for _, p := range ddos.Platform.Probes() {
+		probes[p.ID] = true
+	}
+	for _, p := range leak.Platform.Probes() {
+		if probes[moved.prb(p.ID)] {
+			t.Fatalf("probe %d is in both cases", moved.prb(p.ID))
+		}
+	}
+	// A stable sort keeps each case's own result order.
+	slices.SortStableFunc(merged, func(a, b trace.Result) int { return a.Time.Compare(b.Time) })
+	union := filepath.Join(dir, "union.ndjson")
+	f, err := os.Create(union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := trace.NewWriter(f)
+	for _, r := range merged {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			cfg := core.Config{RetainAlarms: true, Workers: w}
+			u, _ := replay(t, union, cfg, parts...)
+			defer u.Close()
+			var delayAlarms, fwdAlarms, evs int
+			for k, rc := range parts {
+				a, _ := replay(t, solo[k], cfg, relabelled{rc.c, identity})
+				want := outputs(t, a, relabelled{rc.c, identity}, func(netip.Addr) bool { return true }, func(ipmap.ASN) bool { return true })
+				a.Close()
+				got := outputs(t, u, rc, func(a netip.Addr) bool { return addrs[k][a] }, func(a ipmap.ASN) bool { return asns[k][a] })
+				delayAlarms, fwdAlarms, evs = delayAlarms+len(want.delay), fwdAlarms+len(want.fwd), evs+len(want.events)
+				for _, d := range []struct {
+					what      string
+					want, got any
+				}{
+					{"delay alarms", want.delay, got.delay},
+					{"forwarding alarms", want.fwd, got.fwd},
+					{"events", want.events, got.events},
+					{"ASes", want.ases, got.ases},
+					{"delay magnitudes", want.delayMag, got.delayMag},
+					{"forwarding magnitudes", want.fwdMag, got.fwdMag},
+				} {
+					if !reflect.DeepEqual(d.want, d.got) {
+						t.Errorf("%s: %s of the union differ from the solo run:\nwant %s\ngot  %s", rc.c.Name, d.what, clip(d.want), clip(d.got))
+					}
+				}
+			}
+			if delayAlarms == 0 || fwdAlarms == 0 || evs == 0 {
+				t.Errorf("the cases raised %d delay alarms, %d forwarding alarms and %d events: some output goes unchecked", delayAlarms, fwdAlarms, evs)
+			}
+		})
+	}
 }
 
 // checkRelation replays the quick ddos and ixp cases as written and as
@@ -162,8 +344,7 @@ func relationRuns(t *testing.T, c *Case, rel relabel) (want, got relationRun) {
 		if err := ws[0].Write(r); err != nil {
 			return err
 		}
-		r.Time, r.PrbID = r.Time.Add(rel.shift), rel.prb(r.PrbID)
-		return ws[1].Write(r)
+		return ws[1].Write(rel.result(r))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,25 +355,8 @@ func relationRuns(t *testing.T, c *Case, rel relabel) (want, got relationRun) {
 	}
 
 	run := func(path string, rel relabel) relationRun {
-		probeASN := map[int]ipmap.ASN{}
-		for _, p := range c.Platform.Probes() {
-			probeASN[rel.prb(p.ID)] = rel.asn(p.ASN)
-		}
-		var table ipmap.Table
-		for _, e := range c.Net.Prefixes().Entries() {
-			if err := table.Add(e.Prefix, rel.asn(e.ASN)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a := core.New(core.Config{RetainAlarms: true}, func(id int) (ipmap.ASN, bool) {
-			asn, ok := probeASN[id]
-			return asn, ok
-		}, &table)
+		a, st := replay(t, path, core.Config{RetainAlarms: true}, relabelled{c, rel})
 		defer a.Close()
-		st, err := a.RunFiles(context.Background(), []string{path}, ingest.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// A relabelled name may print longer, so the payload count is held
 		// to the dump's own size rather than to the other run's.
 		fi, err := os.Stat(path)
@@ -203,41 +367,105 @@ func relationRuns(t *testing.T, c *Case, rel relabel) (want, got relationRun) {
 			t.Errorf("%s: %d payload bytes scanned, want the file's %d less %d line ends", path, st.Bytes, fi.Size(), st.Lines)
 		}
 		st.Bytes = 0
-		back := func(tm time.Time) time.Time { return tm.Add(-rel.shift) }
-		out := relationRun{st: st, results: a.Results(), closed: a.ResultsClosed(), links: a.LinksSeen(), routers: a.RoutersSeen(),
-			delayMag: map[ipmap.ASN][]timeseries.Point{}, fwdMag: map[ipmap.ASN][]timeseries.Point{}}
+		out := outputs(t, a, relabelled{c, rel}, func(netip.Addr) bool { return true }, func(ipmap.ASN) bool { return true })
+		out.st, out.results, out.closed, out.links, out.routers = st, a.Results(), a.ResultsClosed(), a.LinksSeen(), a.RoutersSeen()
 		out.delayClose, out.fwdClose = a.BinCloseStats()
 		out.delayClose.Dur, out.fwdClose.Dur = 0, 0
-		if out.delayClose.Dropped != 0 {
-			t.Fatalf("%d link-bins thinned by §4.3: the relation does not hold for them", out.delayClose.Dropped)
-		}
-		for _, al := range a.DelayAlarms() {
-			al.Bin = back(al.Bin)
-			out.delay = append(out.delay, al)
-		}
-		for _, al := range a.ForwardingAlarms() {
-			al.Bin = back(al.Bin)
-			out.fwd = append(out.fwd, al)
-		}
-		agg := a.Aggregator()
-		from, to := c.Start.Add(rel.shift), c.End.Add(rel.shift)
-		for _, e := range agg.Events(from, to) {
-			e.Bin, e.ASN = back(e.Bin), rel.asnBack(e.ASN)
-			out.events = append(out.events, e)
-		}
-		backPoints := func(pts []timeseries.Point) []timeseries.Point {
-			for i := range pts {
-				pts[i].T = back(pts[i].T)
-			}
-			return pts
-		}
-		for _, asn := range agg.ASes() {
-			orig := rel.asnBack(asn)
-			out.ases = append(out.ases, orig)
-			out.delayMag[orig] = backPoints(agg.DelayMagnitude(asn, from, to))
-			out.fwdMag[orig] = backPoints(agg.ForwardingMagnitude(asn, from, to))
-		}
 		return out
 	}
 	return run(paths[0], identity), run(paths[1], rel)
+}
+
+// replay runs the dump at path through RunFiles on a fresh analyzer with
+// cfg, resolving probes and addresses through the relabelled probe→AS maps
+// and prefix tables of the cases the dump holds. §4.3 must thin no
+// link-bin: its thinning seeds on the bin's time, so no relation holds for
+// a thinned one.
+func replay(t *testing.T, path string, cfg core.Config, cases ...relabelled) (*core.Analyzer, ingest.Stats) {
+	t.Helper()
+	probeASN := map[int]ipmap.ASN{}
+	var table ipmap.Table
+	for _, rc := range cases {
+		for _, p := range rc.c.Platform.Probes() {
+			probeASN[rc.rel.prb(p.ID)] = rc.rel.asn(p.ASN)
+		}
+		for _, e := range rc.c.Net.Prefixes().Entries() {
+			if e.Prefix.Addr().Is4() && e.Prefix.Bits() < 8 && rc.rel.octet4 != 0 {
+				t.Fatalf("prefix %v is shorter than the /8 the relabelling moves", e.Prefix)
+			}
+			p := netip.PrefixFrom(moveAddr(e.Prefix.Addr(), rc.rel.octet4), e.Prefix.Bits())
+			if err := table.Add(p, rc.rel.asn(e.ASN)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := core.New(cfg, func(id int) (ipmap.ASN, bool) {
+		asn, ok := probeASN[id]
+		return asn, ok
+	}, &table)
+	st, err := a.RunFiles(context.Background(), []string{path}, ingest.Options{Workers: 2})
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+	if dc, _ := a.BinCloseStats(); dc.Dropped != 0 {
+		a.Close()
+		t.Fatalf("%d link-bins thinned by §4.3: the relation does not hold for them", dc.Dropped)
+	}
+	return a, st
+}
+
+// outputs reports what a replay computed for one relabelled case within
+// its window, mapped back through its relabelling: the alarms whose
+// addresses ownAddr accepts, and the events, ASes and magnitudes of the
+// ASes ownASN accepts.
+func outputs(t *testing.T, a *core.Analyzer, rc relabelled, ownAddr func(netip.Addr) bool, ownASN func(ipmap.ASN) bool) relationRun {
+	rel := rc.rel
+	from, to := rc.c.Start.Add(rel.shift), rc.c.End.Add(rel.shift)
+	in := func(bin time.Time) bool { return !bin.Before(from) && bin.Before(to) }
+	back := func(tm time.Time) time.Time { return tm.Add(-rel.shift) }
+	addrBack := func(a netip.Addr) netip.Addr { return moveAddr(a, -rel.octet4) }
+	out := relationRun{delayMag: map[ipmap.ASN][]timeseries.Point{}, fwdMag: map[ipmap.ASN][]timeseries.Point{}}
+	for _, al := range a.DelayAlarms() {
+		if own := ownAddr(al.Link.Near); own != ownAddr(al.Link.Far) {
+			t.Fatalf("delay alarm on link %v joins the two cases", al.Link)
+		} else if own && in(al.Bin) {
+			al.Bin, al.Link.Near, al.Link.Far = back(al.Bin), addrBack(al.Link.Near), addrBack(al.Link.Far)
+			out.delay = append(out.delay, al)
+		}
+	}
+	for _, al := range a.ForwardingAlarms() {
+		if !ownAddr(al.Router) || !in(al.Bin) {
+			continue
+		}
+		al.Bin, al.Router, al.Dst = back(al.Bin), addrBack(al.Router), addrBack(al.Dst)
+		al.Hops = slices.Clone(al.Hops)
+		for i := range al.Hops {
+			al.Hops[i].Hop = addrBack(al.Hops[i].Hop)
+		}
+		out.fwd = append(out.fwd, al)
+	}
+	agg := a.Aggregator()
+	for _, e := range agg.Events(from, to) {
+		if ownASN(e.ASN) {
+			e.Bin, e.ASN = back(e.Bin), rel.asnBack(e.ASN)
+			out.events = append(out.events, e)
+		}
+	}
+	backPoints := func(pts []timeseries.Point) []timeseries.Point {
+		for i := range pts {
+			pts[i].T = back(pts[i].T)
+		}
+		return pts
+	}
+	for _, asn := range agg.ASes() {
+		if !ownASN(asn) {
+			continue
+		}
+		orig := rel.asnBack(asn)
+		out.ases = append(out.ases, orig)
+		out.delayMag[orig] = backPoints(agg.DelayMagnitude(asn, from, to))
+		out.fwdMag[orig] = backPoints(agg.ForwardingMagnitude(asn, from, to))
+	}
+	return out
 }

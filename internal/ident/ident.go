@@ -363,7 +363,7 @@ func (in *Interner) Addr(a netip.Addr) AddrID {
 }
 
 // AddrV4 interns the IPv4 address with big-endian value v: the id Addr
-// gives that address, without forming it. With AddrText it makes an
+// gives that address, without forming it. With AddrIP it makes an
 // Interner the trace.AddrInterner that trace.Decoder.DecodeView wants.
 func (in *Interner) AddrV4(v uint32) uint32 {
 	id, ok := in.v4.get(uint64(v))
@@ -374,27 +374,14 @@ func (in *Interner) AddrV4(v uint32) uint32 {
 	return id
 }
 
-// AddrText interns an address from its wire text — the id Addr gives the
-// parsed address, or netip.ParseAddr's error. A dotted quad is AddrV4 of
-// its value and forms no netip.Addr.
-func (in *Interner) AddrText(b []byte) (uint32, error) {
-	if v, ok := trace.ParseV4(b); ok {
-		return in.AddrV4(v), nil
-	}
-	a, err := netip.ParseAddr(string(b))
-	if err != nil {
-		return 0, err
-	}
-	return uint32(in.Addr(a)), nil
-}
+// AddrIP is Addr with the id as the uint32 trace.View holds.
+func (in *Interner) AddrIP(a netip.Addr) uint32 { return uint32(in.Addr(a)) }
 
 // View fills v with the interned form of r (see trace.View): the other
 // producer of views, for everything that already holds a Result.
 func (in *Interner) View(r *trace.Result, v *trace.View) {
-	v.Fill(r, in.addrID)
+	v.Fill(r, in.AddrIP)
 }
-
-func (in *Interner) addrID(a netip.Addr) uint32 { return uint32(in.Addr(a)) }
 
 // ScratchView is View into the interner's own reusable View, for callers
 // that are done with one result's view before they ask for the next.

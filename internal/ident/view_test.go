@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +111,10 @@ const fixtureLine = `{"msm_id":5002,"prb_id":6,"timestamp":1448668802,"src_addr"
 	`{"hop":4,"result":[{"from":"10.11.184.1","rtt":26.57813396469501},{"from":"10.11.184.1","rtt":26.591371729804514},{"from":"10.11.184.1","rtt":26.32383302803167}]},` +
 	`{"hop":5,"result":[{"from":"10.11.184.200","rtt":31.249051875889162},{"from":"10.11.184.200","rtt":31.204861304467467},{"from":"10.11.184.200","rtt":31.2768870643264}]}]}`
 
+// fixtureLine6 is fixtureLine on IPv6, the simulator's fd00:<asn>::/48
+// addressing: every address is text the dotted-quad path declines.
+var fixtureLine6 = regexp.MustCompile(`"10\.(\d+)\.(\d+)\.(\d+)"`).ReplaceAllString(fixtureLine, `"fd00:$1:$2::$3"`)
+
 // atlasLine has a real RIPE Atlas result's shape: Atlas key order, the
 // top-level members the detectors never read (fw, lts, endtime, proto,
 // msm_name, ...), ttl and size on every reply, Atlas's three-decimal RTTs.
@@ -161,7 +166,7 @@ func checkViewProducers(t *testing.T, line []byte) {
 // FuzzDecodeViewDifferential pins DecodeView, interning through the real
 // Interner, to the reference decoder on every input (checkViewProducers).
 func FuzzDecodeViewDifferential(f *testing.F) {
-	for _, s := range append(append(viewSeeds, quadSeeds...), fixtureLine) {
+	for _, s := range append(append(viewSeeds, quadSeeds...), fixtureLine, fixtureLine6) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(checkViewProducers)
@@ -170,7 +175,7 @@ func FuzzDecodeViewDifferential(f *testing.F) {
 // TestQuadEdges runs the quad seeds and the fixture line through
 // checkViewProducers.
 func TestQuadEdges(t *testing.T) {
-	for _, line := range append(quadSeeds, fixtureLine) {
+	for _, line := range append(quadSeeds, fixtureLine, fixtureLine6) {
 		checkViewProducers(t, []byte(line))
 	}
 }
@@ -181,6 +186,7 @@ func TestViewProducersAllocationFree(t *testing.T) {
 	for _, line := range [][]byte{
 		[]byte(`{"msm_id":5001,"prb_id":42,"timestamp":1448866800,"src_addr":"10.0.0.1","dst_addr":"193.0.14.129","paris_id":3,"result":[{"hop":1,"result":[{"from":"10.0.0.254","rtt":0.52},{"from":"10.0.0.254","rtt":0.6},{"x":"*"}]},{"hop":2,"result":[{"from":"10.0.1.254","rtt":1.25},{"from":"193.0.14.129","rtt":2}]}]}`),
 		[]byte(fixtureLine),
+		[]byte(fixtureLine6),
 		[]byte(atlasLine),
 	} {
 		var dec trace.Decoder
@@ -208,7 +214,7 @@ func TestViewProducersAllocationFree(t *testing.T) {
 // a warm Interner: on a fixture-shaped line (the canonical shape) and on a
 // real-Atlas-shaped one (the member walker).
 func BenchmarkDecodeView(b *testing.B) {
-	for _, bc := range []struct{ name, line string }{{"fixture", fixtureLine}, {"atlas", atlasLine}} {
+	for _, bc := range []struct{ name, line string }{{"fixture", fixtureLine}, {"fixture-v6", fixtureLine6}, {"atlas", atlasLine}} {
 		b.Run(bc.name, func(b *testing.B) {
 			line := []byte(bc.line)
 			var dec trace.Decoder

@@ -135,7 +135,7 @@ func TestViewsMatchResults(t *testing.T) {
 				name := fmt.Sprintf("validate=%t strict=%t workers=%d", validate, strict, workers)
 				var want, got outcome
 				opts := func(o *outcome) Options {
-					opts := Options{Workers: workers, chunk: 64, Validate: validate}
+					opts := Options{Workers: workers, chunk: 64, validate: validate}
 					if !strict {
 						opts.OnError = func(le *LineError) error {
 							o.errs = append(o.errs, le.Error())

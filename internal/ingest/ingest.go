@@ -97,12 +97,6 @@ type Options struct {
 	// goroutine. The delivered stream is identical for every value.
 	Workers int
 
-	// Validate additionally rejects results that decode but violate the
-	// structural invariants of trace.Result.Validate (valid endpoints,
-	// ascending hop indices); the violation is reported through the same
-	// error policy as a decode failure.
-	Validate bool
-
 	// OnError is the per-line error policy, invoked in input order. nil
 	// aborts the stream at the first bad line (the run error is a
 	// *LineError). A non-nil hook returning nil skips the line and
@@ -114,6 +108,12 @@ type Options struct {
 	// chunk, when positive, replaces DefaultChunkSize; tests lower it to
 	// cut a small dump into many chunks.
 	chunk int
+
+	// validate, set by tests, additionally rejects results that decode but
+	// violate the structural invariants of trace.Result.Validate (valid
+	// endpoints, ascending hop indices); the violation is reported through
+	// the same error policy as a decode failure.
+	validate bool
 }
 
 func (o Options) withDefaults() Options {
@@ -187,8 +187,8 @@ type decodedChunk[T any] struct {
 
 // lineDecoder is one decode worker's target, closed over the worker's private
 // state (scratch buffers, address memos). line decodes one wire line into
-// dst, applying Validate when asked; seal, when set, runs once per chunk over
-// the lines that decoded.
+// dst, checking its structure when asked; seal, when set, runs once per
+// chunk over the lines that decoded.
 type lineDecoder[T any] struct {
 	line func(line []byte, validate bool, dst *T) error
 	seal func(batch []T)
@@ -481,7 +481,7 @@ func run[T any](ctx context.Context, paths []string, opts Options, newDec func()
 		func() func(*lineChunk) decodedChunk[T] {
 			dec := newDec()
 			return func(c *lineChunk) decodedChunk[T] {
-				results, errs := decodeChunk(dec, c, opts.Validate)
+				results, errs := decodeChunk(dec, c, opts.validate)
 				chunkPool.Put(c)
 				return decodedChunk[T]{results, errs}
 			}

@@ -273,7 +273,7 @@ func TestOnErrorAbort(t *testing.T) {
 func TestValidateRejectsStructurallyInvalid(t *testing.T) {
 	// Decodes fine but hop indices are not ascending.
 	line := `{"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","result":[{"hop":2,"result":[{"x":"*"}]},{"hop":1,"result":[{"x":"*"}]}]}`
-	_, err := Files(context.Background(), dumpFiles(t, []byte(line+"\n")), Options{Workers: 1, Validate: true},
+	_, err := Files(context.Background(), dumpFiles(t, []byte(line+"\n")), Options{Workers: 1, validate: true},
 		func([]trace.Result) error { return nil })
 	var le *LineError
 	if !errors.As(err, &le) {

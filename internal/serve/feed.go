@@ -265,7 +265,7 @@ func orEmpty[T any](rows []T) []T {
 // magRows are one family's magnitude rows from mark p to mark c in the
 // order a close appends them: bin by bin, ASes ascending, and a new AS's
 // zero backfill before its first bin, at that bin.
-func (s *Snapshot) magRows(series map[ipmap.ASN][]timeseries.Point, fam int, p, c *seqMark) []MagRow {
+func (s *Snapshot) magRows(series map[ipmap.ASN][]float64, fam int, p, c *seqMark) []MagRow {
 	from, to := s.regionLen(p.magEnd), s.regionLen(c.magEnd)
 	if from >= to {
 		return nil
@@ -282,13 +282,13 @@ func (s *Snapshot) magRows(series map[ipmap.ASN][]timeseries.Point, fam int, p, 
 	var rows []MagRow
 	for i := from; i < to; i++ {
 		for _, a := range ases {
-			pts := series[a.asn]
-			lo, hi := i, min(i+1, len(pts))
+			vals := series[a.asn]
+			lo, hi := i, min(i+1, len(vals))
 			if a.fresh && i == from {
 				lo = 0
 			}
-			for _, pt := range pts[min(lo, hi):hi] {
-				rows = append(rows, MagRow{ASN: uint32(a.asn), T: pt.T, V: pt.V})
+			for k := min(lo, hi); k < hi; k++ {
+				rows = append(rows, MagRow{ASN: uint32(a.asn), T: s.magBin(k), V: vals[k]})
 			}
 		}
 	}

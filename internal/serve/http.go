@@ -366,7 +366,9 @@ func serveList[T any](s *Server, w http.ResponseWriter, r *http.Request, st *str
 		s.finish(w, bp, b, err)
 		return
 	}
-	buf, marks, err := render(st, all, listIndent, enc)
+	buf, marks, err := render(st, len(all), listIndent, func(b []byte, ind string, i int) ([]byte, error) {
+		return enc(b, ind, &all[i])
+	})
 	if err != nil {
 		s.encodeFailed(w, err)
 		return

@@ -21,7 +21,6 @@ import (
 
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/segstore"
-	"pinpoint/internal/timeseries"
 )
 
 type mirror struct {
@@ -37,12 +36,13 @@ type mirror struct {
 	fwd   []FwdAlarm
 	evs   []Event
 
-	// Magnitude region: dense per-AS points over [magStart, magThrough).
-	// apply swaps in extended copies of the maps and never mutates one that
-	// is here, so snapshots share them as they are. ases lists each
-	// family's ASes (delay, forwarding) in the order their first row
-	// arrived.
-	delayMag, fwdMag     map[ipmap.ASN][]timeseries.Point
+	// Magnitude region: dense per-AS magnitudes over [magStart,
+	// magThrough), index i the bin magStart + i·binSize (feed rows carry
+	// their bin; the region drops it). apply swaps in extended copies of
+	// the maps and never mutates one that is here, so snapshots share them
+	// as they are. ases lists each family's ASes (delay, forwarding) in the
+	// order their first row arrived.
+	delayMag, fwdMag     map[ipmap.ASN][]float64
 	magStart, magThrough time.Time
 	ases                 [2][]ipmap.ASN
 
@@ -153,16 +153,16 @@ func (m *mirror) apply(d *Delta) {
 // published, concurrently read map costs. The series' backing arrays are
 // shared and only ever written past the lengths src (and the snapshots
 // holding it) can see.
-func extendMag(src map[ipmap.ASN][]timeseries.Point, order []ipmap.ASN, rows []MagRow) (map[ipmap.ASN][]timeseries.Point, []ipmap.ASN) {
-	out := make(map[ipmap.ASN][]timeseries.Point, len(src))
+func extendMag(src map[ipmap.ASN][]float64, order []ipmap.ASN, rows []MagRow) (map[ipmap.ASN][]float64, []ipmap.ASN) {
+	out := make(map[ipmap.ASN][]float64, len(src))
 	maps.Copy(out, src)
 	for _, r := range rows {
 		asn := ipmap.ASN(r.ASN)
-		pts, ok := out[asn]
+		vals, ok := out[asn]
 		if !ok {
 			order = append(order, asn)
 		}
-		out[asn] = append(pts, timeseries.Point{T: r.T, V: r.V})
+		out[asn] = append(vals, r.V)
 	}
 	return out, order
 }

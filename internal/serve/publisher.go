@@ -93,10 +93,10 @@ type Snapshot struct {
 	FwdAlarms   []FwdAlarm
 	Events      []Event
 
-	// Incremental magnitude region: dense per-AS points, one per bin, over
-	// [MagStart, MagEnd).
+	// Incremental magnitude region: dense per-AS magnitudes, one per bin,
+	// over [MagStart, MagEnd); index i is the bin magBin(i).
 	MagStart, MagEnd time.Time
-	delayMag, fwdMag map[ipmap.ASN][]timeseries.Point
+	delayMag, fwdMag map[ipmap.ASN][]float64
 	ases             [2][]ipmap.ASN // each family's ASes in arrival order
 
 	// marks are the mirror's, one per seq ending at Seq: the history
@@ -134,6 +134,11 @@ func (s *Snapshot) magRange(from, to time.Time) (i, j int) {
 	return int(f.Sub(s.MagStart) / s.BinSize), int(t.Sub(s.MagStart) / s.BinSize)
 }
 
+// magBin is the bin of row i of the dense per-AS magnitudes.
+func (s *Snapshot) magBin(i int) time.Time {
+	return s.MagStart.Add(time.Duration(i) * s.BinSize)
+}
+
 // binCeil returns the first bin start at or after t.
 func binCeil(t time.Time, size time.Duration) time.Time {
 	b := timeseries.Bin(t, size)
@@ -147,17 +152,19 @@ func binCeil(t time.Time, size time.Duration) time.Time {
 // nil when the AS has none there (a series-less AS, which any 32-bit number
 // may name, never gets a stream).
 func (s *Snapshot) encodedMag(k magKey, i, j int) ([]byte, error) {
-	pts := s.delayMag[k.asn]
+	vals := s.delayMag[k.asn]
 	if k.fwd {
-		pts = s.fwdMag[k.asn]
+		vals = s.fwdMag[k.asn]
 	}
-	if j > len(pts) {
-		j = len(pts)
+	if j > len(vals) {
+		j = len(vals)
 	}
 	if i >= j {
 		return nil, nil
 	}
-	buf, marks, err := render(s.enc.magnitude(k), pts[:j], nestedIndent, appendPointJSON)
+	buf, marks, err := render(s.enc.magnitude(k), j, nestedIndent, func(b []byte, ind string, r int) ([]byte, error) {
+		return appendPointJSON(b, ind, s.magBin(r), vals[r])
+	})
 	if err != nil {
 		return nil, err
 	}

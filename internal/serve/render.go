@@ -17,7 +17,6 @@ import (
 
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/jsonenc"
-	"pinpoint/internal/timeseries"
 )
 
 // Brace indentation of a row inside a bare list, and inside an array one
@@ -69,12 +68,12 @@ func appendEventJSON(dst []byte, ind string, ev *Event) ([]byte, error) {
 	return e.close()
 }
 
-// appendPointJSON encodes a magnitude sample in Point's wire form.
-func appendPointJSON(dst []byte, ind string, p *timeseries.Point) ([]byte, error) {
+// appendPointJSON encodes the magnitude v of bin t in Point's wire form.
+func appendPointJSON(dst []byte, ind string, t time.Time, v float64) ([]byte, error) {
 	e := rowEnc{dst, ind, nil}
 	e.open()
-	e.time(`"t": `, p.T)
-	e.float(`"v": `, p.V)
+	e.time(`"t": `, t)
+	e.float(`"v": `, v)
 	return e.close()
 }
 
@@ -219,16 +218,17 @@ type mark struct {
 	sum uint64
 }
 
-// render extends st through rows' last row and returns the encoded bytes
-// and marks covering them. Every snapshot sharing st holds a prefix of the
-// same append-only rows, so row i means the same bytes to all of them.
-func render[T any](st *stream, rows []T, ind string, enc rowEncoder[T]) ([]byte, []mark, error) {
+// render extends st through row n-1, encoding row i with enc, and returns
+// the encoded bytes and marks covering rows [0, n). Every snapshot sharing
+// st holds a prefix of the same append-only rows, so row i means the same
+// bytes to all of them.
+func render(st *stream, n int, ind string, enc func(dst []byte, ind string, i int) ([]byte, error)) ([]byte, []mark, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i := len(st.marks); i < len(rows) && st.err == nil; i++ {
+	for i := len(st.marks); i < n && st.err == nil; i++ {
 		start := len(st.buf)
 		st.encodes++
-		b, err := enc(append(st.buf, ','), ind, &rows[i])
+		b, err := enc(append(st.buf, ','), ind, i)
 		if err != nil {
 			st.err = err
 			break
@@ -240,10 +240,10 @@ func render[T any](st *stream, rows []T, ind string, enc rowEncoder[T]) ([]byte,
 		st.buf = b
 		st.marks = append(st.marks, mark{len(b), fnv1a(sum, b[start+1:])})
 	}
-	if len(rows) > len(st.marks) {
+	if n > len(st.marks) {
 		return nil, nil, st.err
 	}
-	return st.buf, st.marks[:len(rows)], nil
+	return st.buf, st.marks[:n], nil
 }
 
 // span returns the encoded rows [i, j) without the leading separator; nil

@@ -58,16 +58,18 @@ type magnitudeJSON struct {
 }
 
 // oracleMagPoints is the published points whose bin passes the shared
-// [from, to) filter of every list endpoint.
-func oracleMagPoints(s *Snapshot, pts []timeseries.Point, from, to time.Time) []Point {
+// [from, to) filter of every list endpoint; point i of the dense series is
+// the bin MagStart + i·BinSize.
+func oracleMagPoints(s *Snapshot, vals []float64, from, to time.Time) []Point {
 	out := []Point{}
 	if s.BinSize <= 0 || s.MagEnd.IsZero() {
 		return out
 	}
 	q := query{haveFrom: true, from: from, haveTo: true, to: to}
-	for _, p := range pts {
-		if q.binMatch(p.T) && !p.T.Before(s.MagStart) && p.T.Before(s.MagEnd) {
-			out = append(out, Point{T: p.T, V: p.V})
+	for i, v := range vals {
+		bin := s.MagStart.Add(time.Duration(i) * s.BinSize)
+		if q.binMatch(bin) && bin.Before(s.MagEnd) {
+			out = append(out, Point{T: bin, V: v})
 		}
 	}
 	return out
@@ -182,7 +184,9 @@ func FuzzRenderDifferential(f *testing.F) {
 		differential(t, da, da, appendDelayAlarmJSON)
 		differential(t, fa, fa, appendFwdAlarmJSON)
 		differential(t, ev, ev, appendEventJSON)
-		differential(t, pt, Point{T: pt.T, V: pt.V}, appendPointJSON)
+		differential(t, pt, Point{T: pt.T, V: pt.V}, func(dst []byte, ind string, p *timeseries.Point) ([]byte, error) {
+			return appendPointJSON(dst, ind, p.T, p.V)
+		})
 	})
 }
 

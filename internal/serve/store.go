@@ -30,7 +30,6 @@ import (
 	"pinpoint/internal/events"
 	"pinpoint/internal/ipmap"
 	"pinpoint/internal/segstore"
-	"pinpoint/internal/timeseries"
 )
 
 // NewPublisherWithStore is NewPublisher plus durability: closed bins are
@@ -119,8 +118,8 @@ func (p *Publisher) restoreFromStore() error {
 
 	rs := events.RestoredState{
 		ValidThrough: validThrough,
-		DelayMag:     make(map[ipmap.ASN][]timeseries.Point),
-		FwdMag:       make(map[ipmap.ASN][]timeseries.Point),
+		DelayMag:     make(map[ipmap.ASN][]float64),
+		FwdMag:       make(map[ipmap.ASN][]float64),
 	}
 	err := p.m.restoreFromRecords(p.store, func(rec *segstore.BinRecord) {
 		rs.FirstBin = rec.FirstBin
@@ -129,13 +128,14 @@ func (p *Publisher) restoreFromStore() error {
 				ASN: ipmap.ASN(r.ASN), Bin: r.Bin, Type: events.Type(r.Type), Magnitude: r.Magnitude,
 			})
 		}
+		// Each AS's rows arrive dense from FirstBin, in bin order: a
+		// row's index is its bin.
 		for _, r := range rec.Mag {
-			pt := timeseries.Point{T: r.Bin, V: r.V}
+			m := rs.FwdMag
 			if r.Family == segstore.FamilyDelay {
-				rs.DelayMag[ipmap.ASN(r.ASN)] = append(rs.DelayMag[ipmap.ASN(r.ASN)], pt)
-			} else {
-				rs.FwdMag[ipmap.ASN(r.ASN)] = append(rs.FwdMag[ipmap.ASN(r.ASN)], pt)
+				m = rs.DelayMag
 			}
+			m[ipmap.ASN(r.ASN)] = append(m[ipmap.ASN(r.ASN)], r.V)
 		}
 		for _, r := range rec.Raw {
 			if r.Bin.Before(keep) {

@@ -28,9 +28,36 @@ func MAD(xs []float64) float64 {
 // where ref is the reference window (one sliding week in §6). The +1 in the
 // denominator keeps the score bounded when the window is almost constant.
 // An empty reference window yields NaN.
+// The pipeline scores windows with MagnitudeInPlace; this copying form is
+// its reference (FuzzMagnitudeWindow).
 func Magnitude(x float64, ref []float64) float64 {
 	if len(ref) == 0 {
 		return math.NaN()
 	}
 	return (x - Median(ref)) / (1 + MADScale*MAD(ref))
+}
+
+// MagnitudeInPlace is Magnitude computed inside ref, which it reorders:
+// the median and then the MAD are selected (SelectKths) rather than sorted,
+// with no allocation. It equals Magnitude(x, ref) bit for bit unless ref
+// holds a NaN, or both x and an element of ref are −0 — selection and sort
+// may then leave different NaN payloads or zero signs at the median rank.
+// Every deviation |v − median| is non-negative, so the MAD's order
+// statistics are the same bits whichever order they are selected in.
+func MagnitudeInPlace(x float64, ref []float64) float64 {
+	if len(ref) == 0 {
+		return math.NaN()
+	}
+	m := medianInPlace(ref)
+	for i, v := range ref {
+		ref[i] = math.Abs(v - m)
+	}
+	return (x - m) / (1 + MADScale*medianInPlace(ref))
+}
+
+// medianInPlace is Median by selection: it places the one or two middle
+// ranks where a sort would, and medianSorted reads only those.
+func medianInPlace(xs []float64) float64 {
+	SelectKths(xs, (len(xs)-1)/2, len(xs)/2)
+	return medianSorted(xs)
 }

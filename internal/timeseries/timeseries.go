@@ -6,6 +6,7 @@
 package timeseries
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -91,33 +92,54 @@ type Point struct {
 
 // Series accumulates values into fixed-size time bins. Values added to the
 // same bin are summed, matching the paper's per-AS "sum of d(∆)" and
-// "sum of rᵢ" series. The zero value is not usable; construct with New.
+// "sum of rᵢ" series. It is a dense column: vals[i] is the bin
+// start + i·binSize, an unwritten bin holds zero, and written tells a
+// written zero from a bin nobody wrote. The column is empty or begins and
+// ends on a written bin. The zero value is not usable; construct with New.
 type Series struct {
 	binSize time.Duration
-	points  []Point
-	index   map[time.Time]int
+	start   time.Time // bin of vals[0]; meaningless while vals is empty
+	vals    []float64
+	written []bool
+	n       int // written bins
 }
 
 // New returns an empty series with the given bin size.
-func New(binSize time.Duration) *Series {
-	return &Series{binSize: binSize, index: make(map[time.Time]int)}
-}
+func New(binSize time.Duration) *Series { return &Series{binSize: binSize} }
 
 // BinSize returns the series' bin duration.
 func (s *Series) BinSize() time.Duration { return s.binSize }
 
-// at returns a pointer to the value of the bin containing t, appending a
-// zero-valued point when the bin has never been written. Add and Set share
-// this lookup-or-append step; the pointer is only valid until the next
+// index is the column index of bin b (a bin start), which may lie outside
+// the column.
+func (s *Series) index(b time.Time) int { return int(b.Sub(s.start) / s.binSize) }
+
+// at returns a pointer to the value of the bin containing t, marking it
+// written and growing the column to reach it: zeros fill the gap, and a bin
+// before the column's start shifts the column, a copy the pipeline never
+// pays (it adds each bin's alarms at that bin's close, in bin order). Add
+// and Set share this step; the pointer is only valid until the next
 // mutation.
 func (s *Series) at(t time.Time) *float64 {
 	b := Bin(t, s.binSize)
-	if i, ok := s.index[b]; ok {
-		return &s.points[i].V
+	if len(s.vals) == 0 {
+		s.start = b
 	}
-	s.index[b] = len(s.points)
-	s.points = append(s.points, Point{T: b})
-	return &s.points[len(s.points)-1].V
+	i := s.index(b)
+	if i < 0 {
+		s.vals = slices.Insert(s.vals, 0, make([]float64, -i)...)
+		s.written = slices.Insert(s.written, 0, make([]bool, -i)...)
+		s.start, i = b, 0
+	}
+	for len(s.vals) <= i {
+		s.vals = append(s.vals, 0)
+		s.written = append(s.written, false)
+	}
+	if !s.written[i] {
+		s.written[i] = true
+		s.n++
+	}
+	return &s.vals[i]
 }
 
 // Add accumulates v into the bin containing t.
@@ -129,100 +151,119 @@ func (s *Series) Set(t time.Time, v float64) { *s.at(t) = v }
 // Value returns the value of the bin containing t; ok is false when the bin
 // has never been written.
 func (s *Series) Value(t time.Time) (v float64, ok bool) {
-	i, ok := s.index[Bin(t, s.binSize)]
-	if !ok {
+	if len(s.vals) == 0 {
 		return 0, false
 	}
-	return s.points[i].V, true
+	i := s.index(Bin(t, s.binSize))
+	if i < 0 || i >= len(s.vals) || !s.written[i] {
+		return 0, false
+	}
+	return s.vals[i], true
 }
 
-// Len returns the number of non-empty bins.
-func (s *Series) Len() int { return len(s.points) }
+// Len returns the number of written bins.
+func (s *Series) Len() int { return s.n }
 
-// EvictBefore drops every bin strictly before the bin containing t,
-// reclaiming their memory. Bounded-memory pipelines call this once a
-// bin's history is durable in the segment store and outside every window
-// the magnitude math can still reach; queries that would touch evicted
-// bins see zeros, exactly as if the bins were never written, so the
-// caller is responsible for choosing an eviction horizon no live window
-// crosses. Returns the number of bins dropped.
+// EvictBefore drops every bin strictly before the bin containing t.
+// Bounded-memory pipelines call this once a bin's history is durable in the
+// segment store and outside every window the magnitude math can still
+// reach; queries that would touch evicted bins see zeros, exactly as if the
+// bins were never written, so the caller is responsible for choosing an
+// eviction horizon no live window crosses. The column is resliced, not
+// copied: the dropped prefix is reclaimed when an append next regrows it.
+// Returns the number of written bins dropped.
 func (s *Series) EvictBefore(t time.Time) int {
-	cut := Bin(t, s.binSize)
-	kept := s.points[:0]
-	for _, p := range s.points {
-		if !p.T.Before(cut) {
-			kept = append(kept, p)
-		}
-	}
-	dropped := len(s.points) - len(kept)
-	if dropped == 0 {
+	if len(s.vals) == 0 {
 		return 0
 	}
-	// Zero the tail so evicted points are collectable, then rebuild the
-	// bin index over the surviving prefix.
-	tail := s.points[len(kept):]
-	for i := range tail {
-		tail[i] = Point{}
+	k := min(s.index(Bin(t, s.binSize)), len(s.vals))
+	// Keep the column starting on a written bin.
+	for k > 0 && k < len(s.vals) && !s.written[k] {
+		k++
 	}
-	s.points = kept
-	s.index = make(map[time.Time]int, len(kept))
-	for i, p := range kept {
-		s.index[p.T] = i
+	if k <= 0 {
+		return 0
 	}
+	dropped := 0
+	for _, w := range s.written[:k] {
+		if w {
+			dropped++
+		}
+	}
+	s.vals, s.written = s.vals[k:], s.written[k:]
+	s.start = s.start.Add(time.Duration(k) * s.binSize)
+	s.n -= dropped
 	return dropped
 }
 
-// Points returns the series in chronological order. Bins that were never
-// written do not appear; callers who need dense series use Dense.
+// Points returns the written bins in chronological order.
 func (s *Series) Points() []Point {
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	// Bin times are unique (one index entry per bin), so T alone is a total
-	// order and the type-specialized unstable sort is deterministic.
-	slices.SortFunc(out, func(a, b Point) int { return a.T.Compare(b.T) })
-	return out
-}
-
-// Dense returns the series between from and to (inclusive start, exclusive
-// end) with one point per bin, filling unwritten bins with zero. The paper's
-// magnitude windows treat quiet hours as zero alarms, so densification
-// matters: a week with one alarm must not look like a one-point window.
-func (s *Series) Dense(from, to time.Time) []Point {
-	from = Bin(from, s.binSize)
-	to = Bin(to, s.binSize)
-	var out []Point
-	for t := from; t.Before(to); t = t.Add(s.binSize) {
-		v, _ := s.Value(t)
-		out = append(out, Point{T: t, V: v})
+	out := make([]Point, 0, s.n)
+	for i, w := range s.written {
+		if w {
+			out = append(out, Point{T: s.start.Add(time.Duration(i) * s.binSize), V: s.vals[i]})
+		}
 	}
 	return out
 }
 
-// Span returns the first and last bin timestamps, or ok=false for an empty
+// Span returns the first and last written bins, or ok=false for an empty
 // series.
 func (s *Series) Span() (first, last time.Time, ok bool) {
-	if len(s.points) == 0 {
+	if len(s.vals) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	first, last = s.points[0].T, s.points[0].T
-	for _, p := range s.points[1:] {
-		if p.T.Before(first) {
-			first = p.T
-		}
-		if p.T.After(last) {
-			last = p.T
-		}
-	}
-	return first, last, true
+	return s.start, s.start.Add(time.Duration(len(s.vals)-1) * s.binSize), true
 }
 
-// Magnitude computes the robust anomaly magnitude of every bin between from
-// and to against a trailing window (one week in the paper): for each bin t,
+// Scratch is the window buffer MagnitudeAt copies and selects in, reused
+// from one evaluation to the next. The zero value is ready to use; it is
+// not safe for concurrent use.
+type Scratch struct{ buf []float64 }
+
+// MagnitudeAt computes the robust anomaly magnitude (Eq 10) of bin t
+// against its trailing window (one week in the paper):
 //
 //	mag(t) = (x_t − median(W)) / (1 + 1.4826·MAD(W))
 //
-// where W is the dense window (t−window, t]. Bins before `from` still
-// contribute to windows. This is Eq 10 applied over the series.
+// where W is the dense window (t−window, t], clamped so it never reaches
+// before spanStart: history that predates all observation must not appear
+// as phantom zeros. Bins between spanStart and the first written one count
+// as zero, so a series whose first alarm IS the event still gets a quiet
+// window behind it. A window left empty by the clamp (t before spanStart)
+// yields NaN. The window is one contiguous copy of the column into sc, and
+// its median and MAD are selected there: no allocation once sc has grown to
+// the window, and the value stats.Magnitude gives on the same window.
+func (s *Series) MagnitudeAt(spanStart, t time.Time, window time.Duration, sc *Scratch) float64 {
+	t = Bin(t, s.binSize)
+	from := t.Add(-window).Add(s.binSize)
+	if spanStart = Bin(spanStart, s.binSize); from.Before(spanStart) {
+		from = spanStart
+	}
+	n := int(t.Sub(from)/s.binSize) + 1
+	if n <= 0 {
+		return math.NaN()
+	}
+	w := slices.Grow(sc.buf[:0], n)[:n]
+	clear(w)
+	x := 0.0
+	if len(s.vals) > 0 {
+		lo := s.index(from)
+		a, b := max(lo, 0), min(lo+n, len(s.vals))
+		if a < b {
+			copy(w[a-lo:], s.vals[a:b])
+		}
+		if i := lo + n - 1; i >= 0 && i < len(s.vals) {
+			x = s.vals[i]
+		}
+	}
+	sc.buf = w
+	return stats.MagnitudeInPlace(x, w)
+}
+
+// Magnitude computes the magnitude of every bin between from and to with
+// the series' own first bin as span start (MagnitudeSince), or from's bin
+// for an empty series.
 func (s *Series) Magnitude(from, to time.Time, window time.Duration) []Point {
 	first, _, haveSpan := s.Span()
 	if !haveSpan {
@@ -231,30 +272,15 @@ func (s *Series) Magnitude(from, to time.Time, window time.Duration) []Point {
 	return s.MagnitudeSince(first, from, to, window)
 }
 
-// MagnitudeSince is Magnitude with an explicit series start: windows are
-// clamped so they never reach before spanStart, but bins between spanStart
-// and the first written point count as zero. Aggregators that know the true
-// analysis start use this so a series whose first alarm IS the event still
-// gets a quiet (all-zero) window behind it.
+// MagnitudeSince is MagnitudeAt over every bin of [from, to). Bins before
+// from still contribute to windows.
 func (s *Series) MagnitudeSince(spanStart, from, to time.Time, window time.Duration) []Point {
 	from = Bin(from, s.binSize)
 	to = Bin(to, s.binSize)
-	spanStart = Bin(spanStart, s.binSize)
 	var out []Point
+	var sc Scratch
 	for t := from; t.Before(to); t = t.Add(s.binSize) {
-		start := t.Add(-window).Add(s.binSize)
-		// The window never reaches before the series' known start: history
-		// that predates all observation must not appear as phantom zeros.
-		if start.Before(spanStart) {
-			start = spanStart
-		}
-		win := s.Dense(start, t.Add(s.binSize))
-		vals := make([]float64, len(win))
-		for i, p := range win {
-			vals[i] = p.V
-		}
-		x, _ := s.Value(t)
-		out = append(out, Point{T: t, V: stats.Magnitude(x, vals)})
+		out = append(out, Point{T: t, V: s.MagnitudeAt(spanStart, t, window, &sc)})
 	}
 	return out
 }

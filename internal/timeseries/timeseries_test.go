@@ -149,7 +149,7 @@ func TestPointsSorted(t *testing.T) {
 func TestDense(t *testing.T) {
 	s := New(time.Hour)
 	s.Add(t0.Add(2*time.Hour), 5)
-	pts := s.Dense(t0, t0.Add(4*time.Hour))
+	pts := dense(s, t0, t0.Add(4*time.Hour))
 	if len(pts) != 4 {
 		t.Fatalf("Dense len = %d, want 4", len(pts))
 	}

@@ -77,7 +77,7 @@ type Decoder struct {
 	rtts []float64  // one per reply: its RTT, 0 for a timeout
 	pend []pendAddr // one per kept reply; every other reply is a timeout
 
-	addrs map[string]netip.Addr
+	addrs map[string]netip.Addr // wire text of every non-quad address parsed (addr)
 
 	// The last dotted-quad "from" the scan parsed: its text and closing
 	// quote, and its value. A reply whose text repeats those bytes reuses
@@ -120,12 +120,11 @@ func (d *Decoder) Decode(line []byte, dst *Result) error {
 	return dst.UnmarshalJSON(line)
 }
 
-// AddrInterner maps addresses to ids for DecodeView: AddrText from wire
-// text, failing with netip.ParseAddr's error on text that does not parse,
-// and AddrV4 from a dotted quad's big-endian value, agreeing with AddrText
-// on that quad's text. ident.Interner is the implementation.
+// AddrInterner maps addresses to ids for DecodeView: AddrIP from a parsed
+// address, and AddrV4 from a dotted quad's big-endian value, agreeing with
+// AddrIP on that quad. ident.Interner is the implementation.
 type AddrInterner interface {
-	AddrText(b []byte) (uint32, error)
+	AddrIP(a netip.Addr) uint32
 	AddrV4(v uint32) uint32
 }
 
@@ -143,10 +142,7 @@ func (d *Decoder) DecodeView(line []byte, in AddrInterner, v *View) error {
 	if err := r.UnmarshalJSON(line); err != nil {
 		return err
 	}
-	v.Fill(&r, func(a netip.Addr) uint32 {
-		id, _ := in.AddrText(a.AppendTo(nil)) // a parsed address renders to text that parses
-		return id
-	})
+	v.Fill(&r, in.AddrIP)
 	return nil
 }
 
@@ -657,21 +653,19 @@ func (d *Decoder) addr(b []byte) (netip.Addr, bool) {
 	return a, true
 }
 
-// internAddr is addr for DecodeView: wire text to id through in.AddrText.
-// A repeat of the text interned just before on this line keeps its id.
+// internAddr is addr for DecodeView: wire text to id through addr, whose
+// memo spares non-quad text a second parse, and in.AddrIP. A repeat of the
+// text interned just before on this line keeps its id.
 func (d *Decoder) internAddr(b []byte, in AddrInterner) (uint32, bool) {
 	if len(d.prevText) > 0 && bytes.Equal(b, d.prevText) {
 		return d.prevID, true
 	}
-	if !utf8.Valid(b) {
+	a, ok := d.addr(b)
+	if !ok {
 		return 0, false
 	}
-	id, err := in.AddrText(b)
-	if err != nil {
-		return 0, false
-	}
-	d.prevText, d.prevID = b, id
-	return id, true
+	d.prevText, d.prevID = b, in.AddrIP(a)
+	return d.prevID, true
 }
 
 func addrV4(v uint32) netip.Addr {

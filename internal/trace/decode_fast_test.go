@@ -31,13 +31,7 @@ func (in *testInterner) id(a netip.Addr) uint32 {
 	return id
 }
 
-func (in *testInterner) AddrText(b []byte) (uint32, error) {
-	a, err := netip.ParseAddr(string(b))
-	if err != nil {
-		return 0, err
-	}
-	return in.id(a), nil
-}
+func (in *testInterner) AddrIP(a netip.Addr) uint32 { return in.id(a) }
 
 func (in *testInterner) AddrV4(v uint32) uint32 { return in.id(addrV4(v)) }
 
