@@ -91,7 +91,7 @@ func NewPlatform(n *netsim.Net, seed uint64, opts netsim.TracerouteOpts) *Platfo
 	return &Platform{
 		net:     n,
 		seed:    seed,
-		opts:    opts.Defaults(),
+		opts:    opts,
 		nextID:  5000, // Atlas-like measurement IDs start at 5000
 		workers: 1,
 	}

@@ -195,7 +195,7 @@ func TestLateResultsFoldIntoOpenBin(t *testing.T) {
 		t.Fatal("fixture moved no result")
 	}
 	for _, workers := range []int{1, 3} {
-		run := func(in []trace.Result) (bins []time.Time, closedCounts []int, a *Analyzer) {
+		run := func(in []trace.Result) (bins []time.Time, closedCounts []int64, a *Analyzer) {
 			a = New(Config{RetainAlarms: true, Workers: workers}, p.ProbeASN, p.Net().Prefixes())
 			defer a.Close()
 			a.OnBinClose = func(bin time.Time, _ []events.Event, _ *events.CloseDelta) {
@@ -217,7 +217,7 @@ func TestLateResultsFoldIntoOpenBin(t *testing.T) {
 		if !reflect.DeepEqual(gotCounts, wantCounts) {
 			t.Errorf("workers=%d: late results changed ResultsClosed at the closes: %v, want %v", workers, gotCounts, wantCounts)
 		}
-		if n := len(wantCounts); n == 0 || wantCounts[n-1] != want.Results() {
+		if n := len(wantCounts); n == 0 || wantCounts[n-1] != int64(want.Results()) {
 			t.Errorf("workers=%d: ResultsClosed at the last close %v, want every result (%d)", workers, wantCounts, want.Results())
 		}
 		if !reflect.DeepEqual(got.DelayAlarms(), want.DelayAlarms()) || !reflect.DeepEqual(got.ForwardingAlarms(), want.ForwardingAlarms()) {

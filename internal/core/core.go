@@ -107,8 +107,8 @@ type Analyzer struct {
 	// bin is a property of the input stream alone — batch boundaries and
 	// worker counts do not move it — which is what makes the segment store's
 	// per-bin records byte-identical across configurations.
-	results       int
-	resultsClosed int
+	results       int64
+	resultsClosed int64
 
 	// OnDelayAlarm and OnForwardingAlarm, when non-nil, are invoked for
 	// every alarm as its bin closes (the near-real-time reporting path).
@@ -330,14 +330,14 @@ func (a *Analyzer) RunFiles(ctx context.Context, paths []string, opts ingest.Opt
 }
 
 // Results returns how many traceroute results have been ingested.
-func (a *Analyzer) Results() int { return a.results }
+func (a *Analyzer) Results() int { return int(a.results) }
 
 // ResultsClosed returns the number of results observed before the most
 // recent close: before the result that closed the bin, or every result
 // when Flush closed it. Unlike Results it is invariant under batch
 // boundaries and worker counts, so it is what the segment store records
 // per bin.
-func (a *Analyzer) ResultsClosed() int { return a.resultsClosed }
+func (a *Analyzer) ResultsClosed() int64 { return a.resultsClosed }
 
 // Workers returns the engine's effective shard count.
 func (a *Analyzer) Workers() int { return a.eng.Workers() }

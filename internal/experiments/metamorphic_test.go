@@ -43,16 +43,23 @@ type relationRun struct {
 // relabel is one metamorphic rewrite of a case dump: every timestamp moves
 // shift later, every probe ID p becomes prb(p), every ASN a, in the probes'
 // ASes and in the prefix table, becomes asn(a), and every IPv4 address, in
-// the results and in the prefix table, moves octet4 /8s up. asnBack undoes
-// asn on the outputs. Adding to the first octet keeps every prefix of /8 or
-// longer a prefix and keeps address order, which the detectors' close order
-// (and so the order in which the events stage sums floats) follows.
+// the results and in the prefix table, moves octet4 /8s up and then, with
+// v6, into 2001:db8::/96 with its 32 bits low. asnBack undoes asn on the
+// outputs, addrBack undoes addr. Adding to the first octet keeps every
+// prefix of /8 or longer a prefix, the family move keeps every prefix one
+// (96 bits longer), and both keep address order, which the detectors'
+// close order (and so the order in which the events stage sums floats)
+// follows.
 type relabel struct {
 	shift        time.Duration
 	prb          func(int) int
 	asn, asnBack func(ipmap.ASN) ipmap.ASN
 	octet4       byte
+	v6           bool
 }
+
+// docV6 is the /96 the family relabelling maps IPv4 into.
+var docV6 = netip.MustParsePrefix("2001:db8::/96")
 
 // moveAddr moves an IPv4 address n /8s up (back down with -n); other
 // addresses stay.
@@ -65,16 +72,46 @@ func moveAddr(a netip.Addr, n byte) netip.Addr {
 	return netip.AddrFrom4(b)
 }
 
+// addr relabels one address of the dump or the prefix table.
+func (rel relabel) addr(a netip.Addr) netip.Addr {
+	a = moveAddr(a, rel.octet4)
+	if !rel.v6 || !a.Is4() {
+		return a
+	}
+	b := docV6.Addr().As16()
+	v4 := a.As4()
+	copy(b[12:], v4[:])
+	return netip.AddrFrom16(b)
+}
+
+// addrBack maps an output address back to the dump's own.
+func (rel relabel) addrBack(a netip.Addr) netip.Addr {
+	if rel.v6 && docV6.Contains(a) {
+		b := a.As16()
+		a = netip.AddrFrom4([4]byte(b[12:]))
+	}
+	return moveAddr(a, -rel.octet4)
+}
+
+// prefix relabels one prefix of the table.
+func (rel relabel) prefix(p netip.Prefix) netip.Prefix {
+	bits := p.Bits()
+	if rel.v6 && p.Addr().Is4() {
+		bits += docV6.Bits()
+	}
+	return netip.PrefixFrom(rel.addr(p.Addr()), bits)
+}
+
 // result rewrites one generated result; the hops are copied, never shared
 // with the generator's.
 func (rel relabel) result(r trace.Result) trace.Result {
 	r.Time, r.PrbID = r.Time.Add(rel.shift), rel.prb(r.PrbID)
-	r.Src, r.Dst = moveAddr(r.Src, rel.octet4), moveAddr(r.Dst, rel.octet4)
+	r.Src, r.Dst = rel.addr(r.Src), rel.addr(r.Dst)
 	hops := make([]trace.Hop, len(r.Hops))
 	for i, h := range r.Hops {
 		hops[i] = trace.Hop{Index: h.Index, Replies: slices.Clone(h.Replies)}
 		for j := range hops[i].Replies {
-			hops[i].Replies[j].From = moveAddr(hops[i].Replies[j].From, rel.octet4)
+			hops[i].Replies[j].From = rel.addr(hops[i].Replies[j].From)
 		}
 	}
 	r.Hops = hops
@@ -127,6 +164,22 @@ func TestRenumberRelation(t *testing.T) {
 			asn:     func(a ipmap.ASN) ipmap.ASN { return 3*a + 70000 },
 			asnBack: func(a ipmap.ASN) ipmap.ASN { return (a - 70000) / 3 },
 		}
+	})
+}
+
+// TestFamilyRelabelRelation is the family-relabelling invariance (§2: one
+// system for both address families): every IPv4 address of the dump and of
+// the prefix table moves into 2001:db8::/96 with its 32 bits low, an
+// order-preserving map, and every alarm (d(∆), ρ and responsibilities
+// included), event, AS and magnitude of the IPv6 replay, mapped back,
+// equals the IPv4 run's bit for bit. §4.3's thinning seeds on the link's
+// address bytes, so the relation holds only where nothing is thinned:
+// replay asserts that no link-bin is, in both runs.
+func TestFamilyRelabelRelation(t *testing.T) {
+	checkRelation(t, func(*testing.T, *Case) relabel {
+		rel := identity
+		rel.v6 = true
+		return rel
 	})
 }
 
@@ -368,7 +421,7 @@ func relationRuns(t *testing.T, c *Case, rel relabel) (want, got relationRun) {
 		}
 		st.Bytes = 0
 		out := outputs(t, a, relabelled{c, rel}, func(netip.Addr) bool { return true }, func(ipmap.ASN) bool { return true })
-		out.st, out.results, out.closed, out.links, out.routers = st, a.Results(), a.ResultsClosed(), a.LinksSeen(), a.RoutersSeen()
+		out.st, out.results, out.closed, out.links, out.routers = st, a.Results(), int(a.ResultsClosed()), a.LinksSeen(), a.RoutersSeen()
 		out.delayClose, out.fwdClose = a.BinCloseStats()
 		out.delayClose.Dur, out.fwdClose.Dur = 0, 0
 		return out
@@ -393,8 +446,7 @@ func replay(t *testing.T, path string, cfg core.Config, cases ...relabelled) (*c
 			if e.Prefix.Addr().Is4() && e.Prefix.Bits() < 8 && rc.rel.octet4 != 0 {
 				t.Fatalf("prefix %v is shorter than the /8 the relabelling moves", e.Prefix)
 			}
-			p := netip.PrefixFrom(moveAddr(e.Prefix.Addr(), rc.rel.octet4), e.Prefix.Bits())
-			if err := table.Add(p, rc.rel.asn(e.ASN)); err != nil {
+			if err := table.Add(rc.rel.prefix(e.Prefix), rc.rel.asn(e.ASN)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -424,7 +476,7 @@ func outputs(t *testing.T, a *core.Analyzer, rc relabelled, ownAddr func(netip.A
 	from, to := rc.c.Start.Add(rel.shift), rc.c.End.Add(rel.shift)
 	in := func(bin time.Time) bool { return !bin.Before(from) && bin.Before(to) }
 	back := func(tm time.Time) time.Time { return tm.Add(-rel.shift) }
-	addrBack := func(a netip.Addr) netip.Addr { return moveAddr(a, -rel.octet4) }
+	addrBack := rel.addrBack
 	out := relationRun{delayMag: map[ipmap.ASN][]timeseries.Point{}, fwdMag: map[ipmap.ASN][]timeseries.Point{}}
 	for _, al := range a.DelayAlarms() {
 		if own := ownAddr(al.Link.Near); own != ownAddr(al.Link.Far) {

@@ -24,11 +24,11 @@ func artifactTopology(t *testing.T, art *Artifacts, scenario *Scenario) (*Net, m
 	ids["B"] = b.Router(200, "B", RouterOpts{ResponseProb: 1})
 	ids["C"] = b.Router(300, "C", RouterOpts{ResponseProb: 1})
 	ids["D"] = b.Router(200, "D", RouterOpts{ResponseProb: 1})
-	b.Link(ids["P"], ids["A"], LinkOpts{DelayMS: 1, Loss: 1e-9})
-	b.Link(ids["A"], ids["B"], LinkOpts{DelayMS: 2, Loss: 1e-9})
-	b.Link(ids["B"], ids["C"], LinkOpts{DelayMS: 3, Loss: 1e-9})
-	b.Link(ids["P"], ids["D"], LinkOpts{DelayMS: 10, Loss: 1e-9})
-	b.Link(ids["D"], ids["C"], LinkOpts{DelayMS: 10, Loss: 1e-9})
+	b.Link(ids["P"], ids["A"], LinkOpts{DelayMS: 1, loss: 1e-9})
+	b.Link(ids["A"], ids["B"], LinkOpts{DelayMS: 2, loss: 1e-9})
+	b.Link(ids["B"], ids["C"], LinkOpts{DelayMS: 3, loss: 1e-9})
+	b.Link(ids["P"], ids["D"], LinkOpts{DelayMS: 10, loss: 1e-9})
+	b.Link(ids["D"], ids["C"], LinkOpts{DelayMS: 10, loss: 1e-9})
 	b.Service("10.1.44.200", 300, "", ids["C"])
 	if art != nil {
 		b.SetArtifacts(*art)
@@ -54,10 +54,10 @@ func diamondTopology(t *testing.T, art Artifacts) (*Net, map[string]RouterID) {
 	ids["A"] = b.Router(200, "A", RouterOpts{ResponseProb: 1})
 	ids["D"] = b.Router(200, "D", RouterOpts{ResponseProb: 1})
 	ids["C"] = b.Router(300, "C", RouterOpts{ResponseProb: 1})
-	b.Link(ids["P"], ids["A"], LinkOpts{DelayMS: 1, Loss: 1e-9})
-	b.Link(ids["A"], ids["C"], LinkOpts{DelayMS: 1, Loss: 1e-9})
-	b.Link(ids["P"], ids["D"], LinkOpts{DelayMS: 1, Loss: 1e-9})
-	b.Link(ids["D"], ids["C"], LinkOpts{DelayMS: 1, Loss: 1e-9})
+	b.Link(ids["P"], ids["A"], LinkOpts{DelayMS: 1, loss: 1e-9})
+	b.Link(ids["A"], ids["C"], LinkOpts{DelayMS: 1, loss: 1e-9})
+	b.Link(ids["P"], ids["D"], LinkOpts{DelayMS: 1, loss: 1e-9})
+	b.Link(ids["D"], ids["C"], LinkOpts{DelayMS: 1, loss: 1e-9})
 	b.Service("10.1.44.200", 300, "", ids["C"])
 	b.SetArtifacts(art)
 	n, err := b.Build(nil)
@@ -238,7 +238,7 @@ func TestMultipathMixesWithinHop(t *testing.T) {
 	aAddr, dAddr := n.routers[ids["A"]].Addr, n.routers[ids["D"]].Addr
 
 	mixedHop := func(net *Net, paris int, seed uint64) bool {
-		res, err := net.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, paris, rand.New(rand.NewPCG(seed, 5)), TracerouteOpts{PacketsPerHop: 8})
+		res, err := net.TracerouteWith(&TracerouteScratch{}, ids["P"], artDst, tAt, paris, rand.New(rand.NewPCG(seed, 5)), TracerouteOpts{packetsPerHop: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

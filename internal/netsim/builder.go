@@ -131,15 +131,19 @@ func (b *Builder) addRouter(asn ipmap.ASN, name string, addr netip.Addr, opts Ro
 	return id
 }
 
+// linkLoss is every link's baseline per-packet loss probability.
+const linkLoss = 0.0005
+
 // LinkOpts tunes one physical link (two directional edges). Zero fields take
 // defaults: Jitter = 5% of the base delay (min 0.02 ms), Weight = base delay
-// per direction, default spike noise, loss 0.0005.
+// per direction, default spike noise. The baseline loss is linkLoss; loss
+// is its test seam (0 takes linkLoss).
 type LinkOpts struct {
 	DelayMS     float64 // one-way base delay, required (> 0)
 	JitterMS    float64 // both dirs
 	WeightAB    float64 // routing weight A→B
 	WeightBA    float64 // routing weight B→A
-	Loss        float64
+	loss        float64
 	SpikeProb   float64
 	SpikeMS     float64
 	OutlierProb float64 // rare huge measurement-error spikes (both dirs)
@@ -183,9 +187,9 @@ func (b *Builder) Link(a, z RouterID, opts LinkOpts) (ab, ba EdgeID) {
 	if wBA == 0 {
 		wBA = delayBA
 	}
-	loss := opts.Loss
+	loss := opts.loss
 	if loss == 0 {
-		loss = 0.0005
+		loss = linkLoss
 	}
 	spikeProb := opts.SpikeProb
 	if spikeProb == 0 {

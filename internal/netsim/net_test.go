@@ -51,11 +51,11 @@ func lineTopology(t *testing.T, scenario *Scenario) (*Net, map[string]RouterID) 
 	ids["B"] = b.Router(200, "B", RouterOpts{ResponseProb: 1})
 	ids["C"] = b.Router(300, "C", RouterOpts{ResponseProb: 1})
 	ids["D"] = b.Router(200, "D", RouterOpts{ResponseProb: 1})
-	b.Link(ids["P"], ids["A"], LinkOpts{DelayMS: 1, Loss: 1e-9})
-	b.Link(ids["A"], ids["B"], LinkOpts{DelayMS: 2, Loss: 1e-9})
-	b.Link(ids["B"], ids["C"], LinkOpts{DelayMS: 3, Loss: 1e-9})
-	b.Link(ids["P"], ids["D"], LinkOpts{DelayMS: 10, Loss: 1e-9})
-	b.Link(ids["D"], ids["C"], LinkOpts{DelayMS: 10, Loss: 1e-9})
+	b.Link(ids["P"], ids["A"], LinkOpts{DelayMS: 1, loss: 1e-9})
+	b.Link(ids["A"], ids["B"], LinkOpts{DelayMS: 2, loss: 1e-9})
+	b.Link(ids["B"], ids["C"], LinkOpts{DelayMS: 3, loss: 1e-9})
+	b.Link(ids["P"], ids["D"], LinkOpts{DelayMS: 10, loss: 1e-9})
+	b.Link(ids["D"], ids["C"], LinkOpts{DelayMS: 10, loss: 1e-9})
 	b.Service("10.1.44.200", 300, "", ids["C"])
 	n, err := b.Build(scenario)
 	if err != nil {
@@ -381,7 +381,7 @@ func TestEpochKeyAndBoundaries(t *testing.T) {
 
 func TestGapLimitTruncates(t *testing.T) {
 	// P -- A -- B(silent+blackhole) -- C -- dst: traceroute should stop
-	// after GapLimit unresponsive hops.
+	// after gapLimit unresponsive hops.
 	_, ids := lineTopology(t, nil)
 	sc := NewScenario(
 		Event{Name: "bh", Kind: EventBlackhole, Router: ids["A"], Loss: 1, Start: tAt, End: tAt.Add(time.Hour)},
@@ -389,12 +389,12 @@ func TestGapLimitTruncates(t *testing.T) {
 	)
 	n, ids := lineTopology(t, sc)
 	rng := rand.New(rand.NewPCG(8, 8))
-	res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{GapLimit: 3})
+	res, err := n.TracerouteWith(&TracerouteScratch{}, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt.Add(time.Minute), 0, rng, TracerouteOpts{gapLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Hops) != 3 {
-		t.Errorf("hops = %d, want exactly GapLimit=3 timeout hops", len(res.Hops))
+		t.Errorf("hops = %d, want exactly gapLimit=3 timeout hops", len(res.Hops))
 	}
 	for _, h := range res.Hops {
 		if !h.Unresponsive() {
@@ -403,14 +403,14 @@ func TestGapLimitTruncates(t *testing.T) {
 	}
 }
 
-// TestNegativeTracerouteOptionsRejected: Defaults fills only zeros, so a
+// TestNegativeTracerouteOptionsRejected: withDefaults fills only zeros, so a
 // negative packet count (a hop of zero replies) or gap limit (stop at the
 // first unresponsive hop) would silently distort every result.
 func TestNegativeTracerouteOptionsRejected(t *testing.T) {
 	n, ids := lineTopology(t, nil)
 	var sc TracerouteScratch
 	rng := rand.New(rand.NewPCG(1, 1))
-	for _, opts := range []TracerouteOpts{{PacketsPerHop: -1}, {GapLimit: -1}, {PacketsPerHop: -3, GapLimit: 2}} {
+	for _, opts := range []TracerouteOpts{{packetsPerHop: -1}, {gapLimit: -1}, {packetsPerHop: -3, gapLimit: 2}} {
 		if res, err := n.TracerouteInto(&sc, ids["P"], netip.MustParseAddr("10.1.44.200"), tAt, 0, rng, opts); err == nil {
 			t.Errorf("%+v accepted: %d hops", opts, len(res.Hops))
 		}

@@ -19,21 +19,28 @@ const (
 	slowPathMS = 0.3
 )
 
-// TracerouteOpts controls the traceroute engine. Zero fields are replaced
-// by Defaults (3 packets per hop, gap limit 4) — the Atlas-like behaviour
-// the paper's dataset has — and TracerouteInto rejects negative ones.
+// The traceroute engine's Atlas-like behaviour, the one the paper's dataset
+// has: packets sent per TTL, and consecutive unresponsive hops before the
+// traceroute gives up.
+const (
+	packetsPerHop = 3
+	gapLimit      = 4
+)
+
+// TracerouteOpts is the traceroute engine's option set. Every caller passes
+// the zero value: its fields are test seams, where 0 takes the constant
+// above and TracerouteInto rejects a negative value.
 type TracerouteOpts struct {
-	PacketsPerHop int
-	GapLimit      int // consecutive unresponsive hops before giving up
+	packetsPerHop, gapLimit int
 }
 
-// Defaults fills zero fields with the default options.
-func (o TracerouteOpts) Defaults() TracerouteOpts {
-	if o.PacketsPerHop == 0 {
-		o.PacketsPerHop = 3
+// withDefaults fills zero fields with the constants.
+func (o TracerouteOpts) withDefaults() TracerouteOpts {
+	if o.packetsPerHop == 0 {
+		o.packetsPerHop = packetsPerHop
 	}
-	if o.GapLimit == 0 {
-		o.GapLimit = 4
+	if o.gapLimit == 0 {
+		o.gapLimit = gapLimit
 	}
 	return o
 }
@@ -160,10 +167,10 @@ func (n *Net) route(probe RouterID, dst netip.Addr, epoch uint64) (fwd *towardTr
 // legs). The per-packet loop only samples. The order of PRNG draws is a
 // contract (see cross and Artifacts).
 func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Addr, at time.Time, parisID int, rng *rand.Rand, opts TracerouteOpts) (trace.Result, error) {
-	if opts.PacketsPerHop < 0 || opts.GapLimit < 0 {
-		return trace.Result{}, fmt.Errorf("netsim: negative traceroute option (PacketsPerHop %d, GapLimit %d)", opts.PacketsPerHop, opts.GapLimit)
+	if opts.packetsPerHop < 0 || opts.gapLimit < 0 {
+		return trace.Result{}, fmt.Errorf("netsim: negative traceroute option (packets per hop %d, gap limit %d)", opts.packetsPerHop, opts.gapLimit)
 	}
-	opts = opts.Defaults()
+	opts = opts.withDefaults()
 	if !validRouter(probe, len(n.routers)) {
 		return trace.Result{}, fmt.Errorf("netsim: traceroute from unknown router %d", probe)
 	}
@@ -184,7 +191,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 	// Reserve the worst-case reply capacity up front so every hop's Replies
 	// subslices one stable backing array (no mid-run growth, no aliasing of
 	// two generations).
-	if need := maxTTL * opts.PacketsPerHop; cap(sc.replies) < need {
+	if need := maxTTL * opts.packetsPerHop; cap(sc.replies) < need {
 		sc.replies = make([]trace.Reply, 0, need)
 	}
 	if cap(sc.hops) < maxTTL {
@@ -239,7 +246,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 			}
 		}
 		hopStart := len(sc.replies)
-		for k := 0; k < opts.PacketsPerHop; k++ {
+		for k := 0; k < opts.packetsPerHop; k++ {
 			leg, rets, retLeg := fwdLeg, fwdRet, &sc.ret[0]
 			if p.multipath && rng.Uint64()&1 == 1 {
 				leg, rets, retLeg = altLeg, p.altRet, &sc.ret[1]
@@ -262,7 +269,7 @@ func (n *Net) TracerouteInto(sc *TracerouteScratch, probe RouterID, dst netip.Ad
 		}
 		if hop.Unresponsive() {
 			gap++
-			if gap >= opts.GapLimit {
+			if gap >= opts.gapLimit {
 				break
 			}
 		} else {

@@ -254,6 +254,30 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// release is the reuse rule of every buffer kept from one close to the
+// next (the store's frame buffer, a publisher's open record): s emptied for
+// reuse, or nil when its capacity is more than 4× the n elements its last
+// use needed and more than 64. Steady uses keep their buffer; one oversized
+// close does not pin its capacity for the rest of the run.
+func release[T any](s []T, n int) []T {
+	if c := cap(s); c > 64 && c > 4*n {
+		return nil
+	}
+	return s[:0]
+}
+
+// Reset empties rec for the next close, each row slice through the release
+// rule against the rows it held.
+func (rec *BinRecord) Reset() {
+	*rec = BinRecord{
+		Delay:  release(rec.Delay, len(rec.Delay)),
+		Fwd:    release(rec.Fwd, len(rec.Fwd)),
+		Events: release(rec.Events, len(rec.Events)),
+		Mag:    release(rec.Mag, len(rec.Mag)),
+		Raw:    release(rec.Raw, len(rec.Raw)),
+	}
+}
+
 // codec visits the fields of one payload in wire order. Encoding appends
 // each field to b; decoding reads it from b at off, bounds-checked. The
 // first failure sticks: every later field is skipped, so a walk reports

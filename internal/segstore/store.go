@@ -52,7 +52,7 @@ type Store struct {
 	data     File
 	entries  []entry
 	dataEnd  int64  // end offset of the committed prefix
-	buf      []byte // Append's frame; Payload's bytes
+	buf      []byte // Append's frame; Payload's bytes (see release)
 	rec      RecoveryInfo
 	failed   error // first Append I/O error; sticky
 	readonly bool
@@ -163,8 +163,7 @@ func (s *Store) recover() error {
 		if !ok || e.off != pos+entrySize || e.off+int64(e.length) > size || e.bin <= lastBin {
 			break
 		}
-		s.buf = resize(s.buf, int(e.length))
-		if _, err := io.ReadFull(r, s.buf); err != nil {
+		if _, err := io.ReadFull(r, s.frame(int(e.length))); err != nil {
 			return fmt.Errorf("segstore: reading segment at %d: %w", e.off, err)
 		}
 		if crc32.Checksum(s.buf, castagnoli) != e.crc {
@@ -274,7 +273,15 @@ func (s *Store) Append(rec *BinRecord) error {
 	}
 	s.entries = append(s.entries, e)
 	s.dataEnd = e.off + int64(e.length)
+	s.buf = release(s.buf, len(s.buf))
 	return nil
+}
+
+// frame returns the store's buffer resized to n bytes, released first when
+// it is oversized for them.
+func (s *Store) frame(n int) []byte {
+	s.buf = resize(release(s.buf, n), n)
+	return s.buf
 }
 
 // Payload returns the raw committed payload bytes of segment i, read into
@@ -282,11 +289,11 @@ func (s *Store) Append(rec *BinRecord) error {
 // Record calls.
 func (s *Store) Payload(i int) ([]byte, error) {
 	e := s.entries[i]
-	s.buf = resize(s.buf, int(e.length))
-	if n, err := s.data.ReadAt(s.buf, e.off); n != len(s.buf) {
+	b := s.frame(int(e.length))
+	if n, err := s.data.ReadAt(b, e.off); n != len(b) {
 		return nil, fmt.Errorf("segstore: reading segment %d: %w", i, cmp.Or(err, io.ErrUnexpectedEOF))
 	}
-	return s.buf, nil
+	return b, nil
 }
 
 // Record decodes committed segment i into rec, reusing rec's slices.

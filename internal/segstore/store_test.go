@@ -386,3 +386,63 @@ func TestV1DirectoryRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedFrameIsReleased: the store's one buffer follows the release
+// rule. After a backfill-sized frame (1 000 magnitude rows) and ten quiet
+// closes, neither Append, nor Payload, nor a reopen's recovery walk keeps
+// more than 4× the bytes of a quiet frame; a steady run of quiet frames
+// keeps reusing the buffer it has.
+func TestOversizedFrameIsReleased(t *testing.T) {
+	quiet := func(i int) *BinRecord {
+		rec := synthRecord(0)
+		rec.Bin = rec.Bin.Add(time.Duration(i) * time.Hour)
+		return rec
+	}
+	big := quiet(0)
+	for a := 0; a < 1000; a++ {
+		big.Mag = append(big.Mag, SeriesRow{Bin: big.FirstBin, ASN: uint32(64500 + a), V: 0.5})
+	}
+	fs := NewMemFS()
+	st, err := OpenFS(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	bigCap := cap(st.buf)
+	quietFrame := entrySize + len(encode(t, quiet(1)))
+	if bigCap <= 4*quietFrame {
+		t.Fatalf("the big frame's buffer (%d B) is not oversized for a quiet frame (%d B)", bigCap, quietFrame)
+	}
+	checkBuf := func(what string) {
+		t.Helper()
+		if c := cap(st.buf); c > 4*quietFrame {
+			t.Errorf("%s: the store buffer holds %d B, more than 4× a quiet frame's %d B", what, c, quietFrame)
+		}
+	}
+	var steady []byte
+	for i := 1; i <= 10; i++ {
+		if err := st.Append(quiet(i)); err != nil {
+			t.Fatal(err)
+		}
+		checkBuf(fmt.Sprintf("quiet append %d", i))
+		if i > 2 && &st.buf[:1][0] != &steady[:1][0] {
+			t.Errorf("quiet append %d reallocated the buffer a steady frame fits", i)
+		}
+		steady = st.buf
+	}
+	if _, err := st.Payload(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Payload(1); err != nil {
+		t.Fatal(err)
+	}
+	checkBuf("quiet read after the big one")
+
+	st, err = OpenFS(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBuf("reopen")
+}

@@ -30,7 +30,7 @@ type snapSource struct {
 }
 
 func (s snapSource) Snapshot() *Snapshot { return s.snap }
-func (s snapSource) Results() int        { return s.snap.Results }
+func (s snapSource) Results() int64      { return s.snap.Results }
 
 // catchUpRun is the synthetic run TestCatchUpLeavesMirrorIdentical
 // replays: eight closed bins, an event at the sixth, then Finish(runErr). AS 100

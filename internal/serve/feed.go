@@ -66,7 +66,7 @@ type MagRow struct {
 type Delta struct {
 	Seq     uint64    `json:"seq"`
 	Bin     time.Time `json:"bin,omitzero"`
-	Results int       `json:"results"`
+	Results int64     `json:"results"`
 
 	DelayAlarms []DelayAlarm `json:"delay_alarms"`
 	FwdAlarms   []FwdAlarm   `json:"fwd_alarms"`
@@ -101,7 +101,7 @@ type helloJSON struct {
 	Proto       int       `json:"proto"`
 	Seq         uint64    `json:"seq"`
 	Bin         time.Time `json:"bin,omitzero"`
-	Results     int       `json:"results"`
+	Results     int64     `json:"results"`
 	DelayAlarms int       `json:"delay_alarms"`
 	FwdAlarms   int       `json:"fwd_alarms"`
 	Events      int       `json:"events"`
@@ -176,7 +176,7 @@ func seriesMagRows(rows []segstore.SeriesRow, family uint8) []MagRow {
 // Identities is not persisted, so it is left nil.
 func deltaFromRecord(rec *segstore.BinRecord, seq uint64, binSize time.Duration) Delta {
 	d := Delta{
-		Seq: seq, Bin: rec.Bin, Results: int(rec.Results),
+		Seq: seq, Bin: rec.Bin, Results: rec.Results,
 		DelayAlarms: append([]DelayAlarm{}, rec.Delay...),
 		FwdAlarms:   append([]FwdAlarm{}, rec.Fwd...),
 		Events:      make([]Event, 0, len(rec.Events)),
@@ -211,7 +211,7 @@ func (s *Snapshot) catchUp(since uint64) iter.Seq[Delta] {
 		}
 		first := s.Seq + 1 - uint64(len(s.marks)) // the seq of marks[0]
 		if since < first || since > s.Seq {
-			d := s.between(&seqMark{}, &s.marks[len(s.marks)-1])
+			d := s.between(&noMark, &s.marks[len(s.marks)-1])
 			d.Seq, d.Bin, d.Full = s.Seq, s.LastBin, true
 			d.MagStart, d.MagThrough = s.MagStart, s.MagEnd
 			yield(last(d))
@@ -241,7 +241,7 @@ func (s *Snapshot) cut(i int) Delta {
 // lists are subslices of the snapshot's own; only magnitude rows are built.
 func (s *Snapshot) between(p, c *seqMark) Delta {
 	d := Delta{
-		Bin: c.bin, Results: c.results,
+		Bin: timeOf(c.bin), Results: c.results,
 		DelayAlarms: orEmpty(s.DelayAlarms[p.delay:c.delay]),
 		FwdAlarms:   orEmpty(s.FwdAlarms[p.fwd:c.fwd]),
 		Events:      orEmpty(s.Events[p.events:c.events]),
@@ -249,7 +249,7 @@ func (s *Snapshot) between(p, c *seqMark) Delta {
 		FwdMag:      s.magRows(s.fwdMag, 1, p, c),
 	}
 	if c.magSet {
-		d.MagStart, d.MagThrough = s.MagStart, c.magEnd
+		d.MagStart, d.MagThrough = s.MagStart, timeOf(c.magEnd)
 	}
 	return d
 }
@@ -276,7 +276,7 @@ func (s *Snapshot) magRows(series map[ipmap.ASN][]float64, fam int, p, c *seqMar
 	}
 	ases := make([]as, c.ases[fam])
 	for k, asn := range s.ases[fam][:c.ases[fam]] {
-		ases[k] = as{asn, k >= p.ases[fam]}
+		ases[k] = as{asn, k >= int(p.ases[fam])}
 	}
 	slices.SortFunc(ases, func(a, b as) int { return cmp.Compare(a.asn, b.asn) })
 	var rows []MagRow
@@ -296,18 +296,18 @@ func (s *Snapshot) magRows(series map[ipmap.ASN][]float64, fam int, p, c *seqMar
 }
 
 // regionLen is the number of bins the magnitude region holds when it ends
-// at end (zero: no region yet).
-func (s *Snapshot) regionLen(end time.Time) int {
-	if end.IsZero() {
+// at end, a mark's Unix seconds (noTime: no region yet).
+func (s *Snapshot) regionLen(end int64) int {
+	if end == noTime {
 		return 0
 	}
-	return int(end.Sub(s.MagStart) / s.BinSize)
+	return int(timeOf(end).Sub(s.MagStart) / s.BinSize)
 }
 
 // BinSummary is one closed bin as listed by /api/bins.
 type BinSummary struct {
 	Bin         time.Time `json:"bin"`
-	Results     int       `json:"results"`
+	Results     int64     `json:"results"`
 	DelayAlarms int       `json:"delay_alarms"`
 	FwdAlarms   int       `json:"fwd_alarms"`
 	Events      int       `json:"events"`
@@ -317,7 +317,7 @@ type BinSummary struct {
 // that bin's close contributed to the read model.
 type BinPayload struct {
 	Bin         time.Time    `json:"bin"`
-	Results     int          `json:"results"`
+	Results     int64        `json:"results"`
 	DelayAlarms []DelayAlarm `json:"delay_alarms"`
 	FwdAlarms   []FwdAlarm   `json:"fwd_alarms"`
 	Events      []Event      `json:"events"`
@@ -330,10 +330,10 @@ func (s *Snapshot) bins() []BinSummary {
 	out := []BinSummary{}
 	for i := 1; i < len(s.marks); i++ {
 		p, c := &s.marks[i-1], &s.marks[i]
-		if !c.bin.IsZero() {
+		if c.bin != noTime {
 			out = append(out, BinSummary{
-				Bin: c.bin, Results: c.results,
-				DelayAlarms: c.delay - p.delay, FwdAlarms: c.fwd - p.fwd, Events: c.events - p.events,
+				Bin: timeOf(c.bin), Results: c.results,
+				DelayAlarms: int(c.delay - p.delay), FwdAlarms: int(c.fwd - p.fwd), Events: int(c.events - p.events),
 			})
 		}
 	}
@@ -345,7 +345,7 @@ func (s *Snapshot) bins() []BinSummary {
 func (s *Snapshot) binPayload(t time.Time) (*BinPayload, bool) {
 	t = timeseries.Bin(t, s.BinSize)
 	for i := 1; i < len(s.marks); i++ {
-		if b := s.marks[i].bin; !b.IsZero() && b.Equal(t) {
+		if b := s.marks[i].bin; b != noTime && timeOf(b).Equal(t) {
 			d := s.cut(i)
 			return &BinPayload{
 				Bin: d.Bin, Results: d.Results,

@@ -97,7 +97,7 @@ func (f *Follower) Snapshot() *Snapshot { return f.cur.Load() }
 
 // Results returns the snapshot's result count (followers have no live
 // between-publish counter; the feed is the only result source).
-func (f *Follower) Results() int { return f.cur.Load().Results }
+func (f *Follower) Results() int64 { return f.cur.Load().Results }
 
 // errFeedGap asks the run loop to reconnect and resync via ?since=.
 var errFeedGap = errors.New("serve: feed gap")

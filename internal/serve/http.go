@@ -56,7 +56,7 @@ type Source interface {
 	Snapshot() *Snapshot
 	// Results returns the live ingested-result count (snapshot count plus
 	// anything observed since the last publication).
-	Results() int
+	Results() int64
 	// Subscribe registers a feed subscriber.
 	Subscribe() *Subscription
 	// CloseSubscribers terminates every feed stream (server shutdown).
@@ -478,7 +478,7 @@ type statusJSON struct {
 	Description string     `json:"description"`
 	Start       time.Time  `json:"start"`
 	End         time.Time  `json:"end"`
-	Results     int        `json:"results"`
+	Results     int64      `json:"results"`
 	Done        bool       `json:"done"`
 	Failed      bool       `json:"failed"`
 	Err         string     `json:"error,omitempty"`
@@ -526,7 +526,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	// Mid-run the payload is (seq, live results); polling between
 	// publications revalidates to 304 until either moves.
-	if !notModified(w, r, etagFor(snap.Seq, "status|"+strconv.Itoa(st.Results))) {
+	if !notModified(w, r, etagFor(snap.Seq, "status|"+strconv.FormatInt(st.Results, 10))) {
 		s.writeJSON(w, st)
 	}
 }

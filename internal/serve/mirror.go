@@ -17,6 +17,7 @@ package serve
 import (
 	"fmt"
 	"maps"
+	"math"
 	"time"
 
 	"pinpoint/internal/ipmap"
@@ -29,7 +30,7 @@ type mirror struct {
 
 	seq     uint64
 	lastBin time.Time
-	results int
+	results int64
 	idents  Identities
 
 	delay []DelayAlarm // append-only; snapshots hold prefixes
@@ -58,21 +59,55 @@ type mirror struct {
 	errMsg       string
 }
 
-// seqMark is where one seq left the mirror: the lengths of the append-only
-// lists and of each family's AS order, and what that seq's delta said
-// about itself.
+// seqMark is where one seq left the mirror, in 48 bytes: what that seq's
+// delta said about itself — its bin, the region's end after it (both Unix
+// seconds, noTime for none: bins are whole-second UTC times, as SEG1
+// stores them) and its result count — and the lengths of the append-only
+// lists and of each family's AS order. Every role keeps one mark per seq
+// for the whole run; feed.go unpacks them where it cuts deltas and bins.
 type seqMark struct {
-	delay, fwd, events int
-	ases               [2]int
-	bin                time.Time
-	results            int
-	magEnd             time.Time // the region's end after the seq
-	magSet             bool      // the seq's delta carried the region bounds
+	bin, magEnd        int64
+	results            int64
+	delay, fwd, events uint32
+	ases               [2]uint32
+	magSet             bool // the seq's delta carried the region bounds
+}
+
+// noTime is a mark's "no bin" and "no region yet": no Unix second a real
+// bin can take (0 is a 1970 bin).
+const noTime = math.MinInt64
+
+// noMark is the empty state's mark: seq 0's, and the start of a Full cut.
+var noMark = seqMark{bin: noTime, magEnd: noTime}
+
+// unixOf packs a bin time into a mark; the zero time is noTime.
+func unixOf(t time.Time) int64 {
+	if t.IsZero() {
+		return noTime
+	}
+	return t.Unix()
+}
+
+// timeOf unpacks a mark's time; noTime is the zero time.
+func timeOf(sec int64) time.Time {
+	if sec == noTime {
+		return time.Time{}
+	}
+	return time.Unix(sec, 0).UTC()
+}
+
+// len32 is a list length as a mark stores it. A list past 2³²−1 rows
+// panics here rather than wrap into a mark that cuts the wrong rows.
+func len32(n int) uint32 {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("serve: a list of %d rows overflows a seq mark", n))
+	}
+	return uint32(n)
 }
 
 // newMirror returns the empty mirror at seq 0.
 func newMirror(meta Meta, binSize time.Duration) mirror {
-	return mirror{meta: meta, binSize: binSize, marks: []seqMark{{}}}
+	return mirror{meta: meta, binSize: binSize, marks: []seqMark{noMark}}
 }
 
 // assemble builds the immutable snapshot of the mirror's current state.
@@ -141,10 +176,10 @@ func (m *mirror) apply(d *Delta) {
 		m.errMsg = d.Err
 	}
 	m.marks = append(m.marks, seqMark{
-		delay: len(m.delay), fwd: len(m.fwd), events: len(m.evs),
-		ases: [2]int{len(m.ases[0]), len(m.ases[1])},
-		bin:  d.Bin, results: d.Results,
-		magEnd: m.magThrough, magSet: magSet,
+		bin: unixOf(d.Bin), magEnd: unixOf(m.magThrough), results: d.Results,
+		delay: len32(len(m.delay)), fwd: len32(len(m.fwd)), events: len32(len(m.evs)),
+		ases:   [2]uint32{len32(len(m.ases[0])), len32(len(m.ases[1]))},
+		magSet: magSet,
 	})
 }
 

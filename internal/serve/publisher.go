@@ -83,7 +83,7 @@ type Snapshot struct {
 	Meta       Meta
 	BinSize    time.Duration
 	LastBin    time.Time // last closed bin; zero before the first close
-	Results    int
+	Results    int64
 	Done       bool // the run finished successfully
 	Failed     bool // the run finished with an error
 	Err        string
@@ -190,7 +190,9 @@ type Publisher struct {
 	// rec is the open bin's record: the alarm hooks append their wire rows to
 	// it — every alarm surfaces at its own bin's close, right before that
 	// bin's OnBinClose (core's TestAlarmsSurfaceAtTheirBinsClose) — the close
-	// fills in the rest, publish sends it on its way and empties it.
+	// fills in the rest, publish sends it on its way and empties it
+	// (BinRecord.Reset: a row slice far larger than its close needed is
+	// dropped, not kept for the rest of the run).
 	rec      segstore.BinRecord
 	finished bool
 
@@ -242,7 +244,7 @@ func (p *Publisher) attach() {
 	p.a.OnBinClose = func(bin time.Time, evs []events.Event, cd *events.CloseDelta) {
 		p.file(evs, cd)
 		p.rec.Bin = bin
-		p.rec.Results = int64(p.a.ResultsClosed())
+		p.rec.Results = p.a.ResultsClosed()
 		p.publish(false, nil)
 	}
 }
@@ -254,8 +256,8 @@ func (p *Publisher) ObserveResults(n int) { p.results.Add(int64(n)) }
 
 // Results returns the live ingested-result count, never below the published
 // snapshot's (a warm-up replay after a store boot recounts from zero).
-func (p *Publisher) Results() int {
-	n := int(p.results.Load())
+func (p *Publisher) Results() int64 {
+	n := p.results.Load()
 	if s := p.Snapshot(); s != nil && s.Results > n {
 		return s.Results
 	}
@@ -297,7 +299,7 @@ func (p *Publisher) Finish(err error) {
 	}
 	// A run that failed during a store boot's warm-up replay has recounted
 	// fewer results than are durable.
-	p.rec.Results = int64(max(p.a.Results(), p.m.results))
+	p.rec.Results = max(int64(p.a.Results()), p.m.results)
 	p.publish(true, err)
 }
 
@@ -356,8 +358,5 @@ func (p *Publisher) publish(final bool, runErr error) {
 	p.m.apply(&d)
 	p.cur.Store(p.m.assemble())
 	p.broadcast(d)
-	*rec = segstore.BinRecord{
-		Delay: rec.Delay[:0], Fwd: rec.Fwd[:0], Events: rec.Events[:0],
-		Mag: rec.Mag[:0], Raw: rec.Raw[:0],
-	}
+	rec.Reset()
 }

@@ -354,7 +354,7 @@ func TestPublisherResultsNeverOvercounts(t *testing.T) {
 		a.ObserveBatch(rs)
 		pub.ObserveResults(len(rs))
 		batches++
-		if got, want := pub.Results(), a.Results(); got != want {
+		if got, want := pub.Results(), int64(a.Results()); got != want {
 			t.Errorf("after batch %d: Publisher.Results() = %d, Analyzer.Results() = %d", batches, got, want)
 		}
 		return nil
