@@ -14,9 +14,10 @@
 // link come from at most six RTTs, which neighbouring links share), and
 // builds a link's ∆ column only when the bin closes. Steady-state
 // ingestion therefore touches no per-link state, writes no map and
-// allocates nothing; addresses reappear only at bin close,
-// where links are evaluated in reverse-resolved (Near, Far) order so the
-// emitted alarms are bit-identical to the pre-ID implementation.
+// allocates nothing; addresses reappear only at bin close, where links are
+// evaluated in (Near, Far) address order, which the registry sorts
+// (ident.Registry.SortLinks), so the emitted alarms are bit-identical to
+// the pre-ID implementation in both families.
 package delay
 
 import (
@@ -256,14 +257,12 @@ type probeRun struct {
 	start, end int32
 }
 
-// linkState is the per-link record a slot holds: the link's identity and
-// its reference, never its samples (those live in the open bin's Column). The
-// reverse-resolved key is cached at slot creation (a LinkID's address pair
-// never changes), so bin close never goes back to the registry. A slot is
-// created when its link's first record joins the log, and lives for the
-// whole run: like the paper, the detector keeps every link's reference.
+// linkState is the per-link record a slot holds: the link's reference,
+// never its samples (those live in the open bin's Column) nor its
+// addresses (the registry resolves those for what the close reports). A
+// slot is created when its link's first record joins the log, and lives for
+// the whole run: like the paper, the detector keeps every link's reference.
 type linkState struct {
-	key trace.LinkKey // reverse-resolved (Near, Far), cached once
 	ref linkRef
 }
 
@@ -326,9 +325,9 @@ type Detector struct {
 	// Per-link state. LinkIDs are global to the registry while a sharded
 	// detector owns only ~1/W of the links, so a dense per-detector slot
 	// table (slotOf: LinkID → index into links, −1 when unowned; 4 bytes
-	// per global ID) keeps the linkState records — a cached key and a
-	// 3-value reference each, in a slice grown by an eighth — scaled to the
-	// links this detector actually ingests.
+	// per global ID) keeps the linkState records — a 3-value reference
+	// each, in a slice grown by an eighth — scaled to the links this
+	// detector actually ingests.
 	slotOf []int32
 	links  []linkState
 
@@ -336,11 +335,11 @@ type Detector struct {
 	// chains[slot] are a slot's first and last record in the bin, and
 	// next[i] the log index of the record after record i on its link's
 	// chain, −1 after the last. log.recs[:len(next)] are chained.
-	// binLinks are the slots of the bin's links, in order of first record
-	// until the close sorts them (closeOrder).
+	// binLinks are the bin's links, in order of first record until the
+	// close sorts them into (Near, Far) address order.
 	chains   []chain
 	next     []int32
-	binLinks []int32
+	binLinks []ident.LinkID
 
 	// Bin-close scratch, reused across bins so steady-state close is
 	// alloc-free. colBuf/runBuf are one link-bin's rebuilt ∆ column and
@@ -492,7 +491,7 @@ func (d *Detector) chain() {
 		c := &d.chains[si]
 		if c.tail == 0 {
 			c.head = int32(i)
-			d.binLinks = append(d.binLinks, si)
+			d.binLinks = append(d.binLinks, recs[i].link)
 		} else {
 			d.next[c.tail-1] = int32(i)
 		}
@@ -518,32 +517,11 @@ func (d *Detector) slot(link ident.LinkID) int32 {
 	if si := d.slotOf[li]; si >= 0 {
 		return si
 	}
-	// Resolve the address pair once, at slot creation: every later bin
-	// close reads the cached key instead of going through the registry's
-	// read lock.
 	si := int32(len(d.links))
-	d.links = append(ident.Grow(d.links, 1), linkState{key: d.reg.LinkKeyOf(link)})
+	d.links = append(ident.Grow(d.links, 1), linkState{})
 	d.chains = append(ident.Grow(d.chains, 1), chain{})
 	d.slotOf[li] = si
 	return si
-}
-
-// closeOrder sorts the open bin's links, the slots chain listed as their
-// first records arrived, into close order and returns them.
-//
-// The close order is (Near, Far) address order. The probe-dropping step
-// consumes randomness keyed per link, and downstream consumers accumulate
-// floats in emission order, so it must stay exactly the address order the
-// pre-ID detector used — never the (run-dependent) ID order.
-func (d *Detector) closeOrder() []int32 {
-	slices.SortFunc(d.binLinks, func(a, b int32) int {
-		ka, kb := &d.links[a].key, &d.links[b].key
-		if c := ka.Near.Compare(kb.Near); c != 0 {
-			return c
-		}
-		return ka.Far.Compare(kb.Far)
-	})
-	return d.binLinks
 }
 
 // count counts, over the records on slot si's chain, what §4.3's verdict
@@ -669,9 +647,14 @@ func (d *Detector) verdict() (ok, thin bool) {
 func (d *Detector) closeBin(bin time.Time) []Alarm {
 	t0 := time.Now()
 	var alarms []Alarm
-	for _, si := range d.closeOrder() {
-		ls := &d.links[si]
-		key := ls.key
+	// The close order is (Near, Far) address order. The probe-dropping step
+	// consumes randomness keyed per link, and downstream consumers
+	// accumulate floats in emission order, so it must stay exactly the
+	// address order the pre-ID detector used — never the (run-dependent) ID
+	// order.
+	d.reg.SortLinks(d.binLinks)
+	for _, id := range d.binLinks {
+		si := d.slotOf[id]
 		// §4.3 decides from the counts. The statistics below read the
 		// samples as a multiset: unless §4.3 removes a probe they reorder
 		// the rebuilt column in place, and only a link-bin that must lose
@@ -690,7 +673,7 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		if thin {
 			runs := d.probeRuns(si)
 			rord, groups := d.groupRuns(runs)
-			d.reseed(key, bin)
+			d.reseed(d.reg.LinkKeyOf(id), bin)
 			samples, probes, ases, _ = d.filterDiversity(col, runs, rord, groups)
 		}
 		if len(samples) < d.cfg.minSamples {
@@ -712,7 +695,7 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 			obs = stats.MedianWilsonSelect(samples, z)
 		}
 
-		ref := &ls.ref
+		ref := &d.links[si].ref
 
 		refCI := ref.ci()
 		anomalous := false
@@ -726,7 +709,7 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 				anomalous = true
 				alarms = append(alarms, Alarm{
 					Bin:       bin,
-					Link:      key,
+					Link:      d.reg.LinkKeyOf(id),
 					Observed:  obs,
 					Reference: refCI,
 					Deviation: deviation,
@@ -739,7 +722,7 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		if d.cfg.Observer != nil {
 			d.cfg.Observer(Observation{
 				Bin:       bin,
-				Link:      key,
+				Link:      d.reg.LinkKeyOf(id),
 				Observed:  obs,
 				Reference: refCI,
 				Anomalous: anomalous,
@@ -753,8 +736,8 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 		ref.observe(obs)
 	}
 
-	for _, si := range d.binLinks {
-		d.chains[si] = chain{}
+	for _, id := range d.binLinks {
+		d.chains[d.slotOf[id]] = chain{}
 	}
 	d.binLinks, d.next = d.binLinks[:0], d.next[:0]
 	d.log.Reset()

@@ -240,8 +240,9 @@ type linkBin struct {
 // closing the bin.
 func openBins(d *Detector) map[trace.LinkKey]linkBin {
 	out := map[trace.LinkKey]linkBin{}
-	for _, si := range d.closeOrder() {
-		out[d.links[si].key] = linkBin{slices.Clone(d.column(si)), slices.Clone(d.probeRuns(si))}
+	for _, id := range d.binLinks {
+		si := d.slotOf[id]
+		out[d.reg.LinkKeyOf(id)] = linkBin{slices.Clone(d.column(si)), slices.Clone(d.probeRuns(si))}
 	}
 	return out
 }

@@ -41,11 +41,11 @@ func TestLinkRef(t *testing.T) {
 	}
 }
 
-// TestLinkRefLayout pins the per-link slot: a key and a 3-value reference
-// with its warm-up, no per-component smoother.
+// TestLinkRefLayout pins the per-link slot: a 3-value reference with its
+// warm-up, no per-component smoother and no cached address pair.
 func TestLinkRefLayout(t *testing.T) {
-	if n := unsafe.Sizeof(linkState{}); n > 104 {
-		t.Errorf("linkState is %d bytes, want ≤ 104", n)
+	if n := unsafe.Sizeof(linkState{}); n > 56 {
+		t.Errorf("linkState is %d bytes, want ≤ 56", n)
 	}
 }
 

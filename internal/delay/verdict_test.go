@@ -65,11 +65,11 @@ func FuzzDiversityVerdict(f *testing.F) {
 		d.ShareColumn(&col)
 		d.BeginBin(t0)
 		d.IngestLog(&log)
-		slots := d.closeOrder()
-		if len(slots) != 1 {
-			t.Fatalf("%d links in the bin, want 1", len(slots))
+		if len(d.binLinks) != 1 {
+			t.Fatalf("%d links in the bin, want 1", len(d.binLinks))
 		}
-		si := slots[0]
+		id := d.binLinks[0]
+		si := d.slotOf[id]
 
 		probes := d.count(si)
 		nASes := len(d.binASes)
@@ -78,7 +78,7 @@ func FuzzDiversityVerdict(f *testing.F) {
 		runs := d.probeRuns(si)
 		column := d.column(si)
 		rord, groups := d.groupRuns(runs)
-		d.reseed(d.links[si].key, t0)
+		d.reseed(d.reg.LinkKeyOf(id), t0)
 		samples, kept, keptASes, okGroups := d.filterDiversity(column, runs, rord, groups)
 
 		if probes != len(probeAS) || probes != len(groups) {

@@ -40,7 +40,10 @@
 // hashes one uint32 instead of two 16-byte addresses, and the shard
 // detectors index their per-link and per-flow state by the same IDs.
 // Alarms resurface with reverse-resolved addresses, so the deterministic
-// merge is unchanged.
+// merge is unchanged. Every shard's close takes its bin's order from the
+// registry (Registry.SortLinks, SortFlows) under its read lock; the
+// caller's goroutine waits at the barrier meanwhile, so no extraction
+// interns against those sorts.
 package engine
 
 import (

@@ -140,7 +140,7 @@ var identity = relabel{
 // bin's Unix time, so the relation is exact only where no link-bin is
 // thinned; relationRuns asserts that none is.
 func TestTimeShiftRelation(t *testing.T) {
-	checkRelation(t, func(t *testing.T, c *Case) relabel {
+	checkRelation(t, relationCases, func(t *testing.T, c *Case) relabel {
 		w0 := c.EventWindows[0][0]
 		k := time.Date(w0.Year(), 12, 31, 23, 0, 0, 0, time.UTC).Sub(w0) / time.Hour
 		rel := identity
@@ -158,7 +158,7 @@ func TestTimeShiftRelation(t *testing.T) {
 // 3a+70000, which puts every AS past the 16-bit range the cases use)
 // leaves every output equal once the ASNs are renamed back.
 func TestRenumberRelation(t *testing.T) {
-	checkRelation(t, func(*testing.T, *Case) relabel {
+	checkRelation(t, relationCases, func(*testing.T, *Case) relabel {
 		return relabel{
 			prb:     func(p int) int { return 3*p + 100 },
 			asn:     func(a ipmap.ASN) ipmap.ASN { return 3*a + 70000 },
@@ -174,9 +174,10 @@ func TestRenumberRelation(t *testing.T) {
 // included), event, AS and magnitude of the IPv6 replay, mapped back,
 // equals the IPv4 run's bit for bit. §4.3's thinning seeds on the link's
 // address bytes, so the relation holds only where nothing is thinned:
-// replay asserts that no link-bin is, in both runs.
+// replay asserts that no link-bin is, in both runs. It runs every case of
+// the catalogue.
 func TestFamilyRelabelRelation(t *testing.T) {
-	checkRelation(t, func(*testing.T, *Case) relabel {
+	checkRelation(t, []string{"ddos", "ixp", "leak", "quiet"}, func(*testing.T, *Case) relabel {
 		rel := identity
 		rel.v6 = true
 		return rel
@@ -326,14 +327,20 @@ func TestDisjointUnionRelation(t *testing.T) {
 	}
 }
 
-// checkRelation replays the quick ddos and ixp cases as written and as
-// relabelled by rel, and requires every alarm, magnitude point, event and
-// counter of the relabelled replay, mapped back, to equal the plain
-// replay's. ddos raises the delay alarms and the events, ixp the forwarding
-// alarms; the test fails if the two together leave one of them unchecked.
-func checkRelation(t *testing.T, rel func(*testing.T, *Case) relabel) {
+// relationCases are the quick cases a relation runs unless it says
+// otherwise: ddos raises the delay alarms and the events, ixp the
+// forwarding alarms. The time shift reads the first event window, which the
+// quiet case lacks.
+var relationCases = []string{"ddos", "ixp"}
+
+// checkRelation replays the named quick cases as written and as relabelled
+// by rel, and requires every alarm, magnitude point, event and counter of
+// the relabelled replay, mapped back, to equal the plain replay's. The test
+// fails if the cases together leave delay alarms, forwarding alarms or
+// events unchecked.
+func checkRelation(t *testing.T, cases []string, rel func(*testing.T, *Case) relabel) {
 	var delayAlarms, fwdAlarms, evs int
-	for _, name := range []string{"ddos", "ixp"} {
+	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {
 			c, err := NewCase(name, Quick)
 			if err != nil {

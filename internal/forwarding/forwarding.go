@@ -12,13 +12,13 @@
 // columnar per-flow state in flat slices indexed by that ID: a small record
 // whose current pattern and smoothed reference are (AddrID, count) vectors
 // in two detector-owned hop arenas, reused across bins. Flows are evaluated
-// at bin close in (Router, Dst) address order so alarms are bit-identical
-// to the pre-ID implementation; addresses are resolved only for what an
-// alarm or an Observer reports.
+// at bin close in (Router, Dst) address order, which the registry sorts
+// (ident.Registry.SortFlows), so alarms are bit-identical to the pre-ID
+// implementation in both families; addresses are resolved only for what
+// an alarm or an Observer reports.
 package forwarding
 
 import (
-	"encoding/binary"
 	"math"
 	"net/netip"
 	"slices"
@@ -74,14 +74,6 @@ func (c Config) withDefaults() Config {
 		c.Registry = ident.NewRegistry()
 	}
 	return c
-}
-
-// FlowKey identifies one forwarding pattern: packets crossing Router toward
-// the traceroute target Dst. Per §5.1 a separate model is kept per target
-// because next-hop choice depends on the packet's destination.
-type FlowKey struct {
-	Router netip.Addr
-	Dst    netip.Addr
 }
 
 // HopScore is one next hop of an anomalous pattern with its responsibility.
@@ -205,17 +197,14 @@ type span struct{ off, n uint32 }
 // no pointer in it. cur spans this bin's pattern in the pattern arena
 // and is emptied when a new bin first touches the flow; ref spans the
 // smoothed reference in the reference arena, empty until seeded. The
-// packed IPv4 (router, dst) key is computed at slot creation — a FlowID's
-// pair never changes — and the addresses themselves are resolved only for
-// an alarm, an Observer call or a non-IPv4 close order. A slot lives for
-// the whole run: like the paper, the detector keeps every flow's reference.
+// flow's addresses are resolved only for an alarm or an Observer call. A
+// slot lives for the whole run: like the paper, the detector keeps every
+// flow's reference.
 type flowState struct {
 	epoch  uint32
 	hasRef bool
-	isV4   bool   // both addresses are 4-byte: key64 is valid
-	key64  uint64 // big-endian-packed (router, dst) for the radix close order
-	cur    span   // this bin's pattern, in Detector.pat
-	ref    span   // smoothed reference (Eq 8), in Detector.refs
+	cur    span // this bin's pattern, in Detector.pat
+	ref    span // smoothed reference (Eq 8), in Detector.refs
 }
 
 // Detector is the streaming forwarding-anomaly detector. Feed
@@ -258,18 +247,10 @@ type Detector struct {
 	refNextHops int
 
 	// Bin-close scratch, reused across bins so steady-state close is
-	// alloc-free: the flow close-order permutation (closeKeys/closeOrd +
-	// radix ping-pong buffers), the union resolution buffer, the Pearson
-	// vectors, and the per-union radix scratch.
-	closeKeys  []uint64
-	closeOrd   []int32
-	closeTmpK  []uint64
-	closeTmpV  []int32
-	closeAddrs []FlowKey // the non-IPv4 close order's resolved pairs
-	unionBuf   []unionHop
-	fBuf       []float64
-	fbarBuf    []float64
-	usort      unionSort
+	// alloc-free: the union resolution buffer and the Pearson vectors.
+	unionBuf []unionHop
+	fBuf     []float64
+	fbarBuf  []float64
 
 	// Cumulative bin-close accounting (CloseStats).
 	binsClosed  int
@@ -381,16 +362,8 @@ func (d *Detector) IngestContribution(c Contribution) {
 	}
 	si := d.slotOf[fi]
 	if si < 0 {
-		// Pack the address pair once, at slot creation: bin close
-		// radix-sorts IPv4 flows by the packed key.
-		var st flowState
-		if router, dst := d.reg.FlowAddrsOf(c.Flow); router.Is4() && dst.Is4() {
-			r4, d4 := router.As4(), dst.As4()
-			st.key64 = uint64(binary.BigEndian.Uint32(r4[:]))<<32 | uint64(binary.BigEndian.Uint32(d4[:]))
-			st.isV4 = true
-		}
 		si = int32(len(d.flows))
-		d.flows = append(ident.Grow(d.flows, 1), st)
+		d.flows = append(ident.Grow(d.flows, 1), flowState{})
 		d.slotOf[fi] = si
 	}
 	fs := &d.flows[si]
@@ -484,47 +457,9 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 	var alarms []Alarm
 	// Deterministic iteration: flows are evaluated in (router, dst) address
 	// order — the pre-ID emission order the downstream single-writer
-	// aggregation depends on. As in the delay detector, all-IPv4 bins (the
-	// normal case) get the order from a radix sort over the packed
-	// big-endian keys cached in flowState (identical to the comparison
-	// order, since two Is4 addresses compare by their 4-byte big-endian
-	// value and distinct FlowIDs pack to distinct keys); anything else
-	// resolves every pair once into scratch and falls back to the
-	// comparison sort on it.
-	keys64 := d.closeKeys[:0]
-	order := d.closeOrd[:0]
-	allV4 := true
-	for i, id := range d.touched {
-		fs := &d.flows[d.slotOf[id]]
-		if !fs.isV4 {
-			allV4 = false
-			break
-		}
-		keys64 = append(keys64, fs.key64)
-		order = append(order, int32(i))
-	}
-	if allV4 {
-		d.closeTmpK, d.closeTmpV = stats.RadixSortUint64Pairs(keys64, order, d.closeTmpK, d.closeTmpV)
-	} else {
-		order = order[:0]
-		addrs := d.closeAddrs[:0]
-		for i, id := range d.touched {
-			order = append(order, int32(i))
-			router, dst := d.reg.FlowAddrsOf(id)
-			addrs = append(addrs, FlowKey{router, dst})
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			ka, kb := &addrs[a], &addrs[b]
-			if c := ka.Router.Compare(kb.Router); c != 0 {
-				return c
-			}
-			return ka.Dst.Compare(kb.Dst)
-		})
-		d.closeAddrs = addrs[:0]
-	}
-
-	for _, ti := range order {
-		id := d.touched[ti]
+	// aggregation depends on.
+	d.reg.SortFlows(d.touched)
+	for _, id := range d.touched {
 		fs := &d.flows[d.slotOf[id]]
 		cur := d.curOf(fs)
 
@@ -609,8 +544,6 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 
 	d.compactRefs()
 	d.pat = d.pat[:0]
-	d.closeKeys = keys64[:0]
-	d.closeOrd = order[:0]
 	d.touched = d.touched[:0]
 	d.epoch++
 	d.binsClosed++
@@ -618,61 +551,14 @@ func (d *Detector) closeBin(bin time.Time) []Alarm {
 	return alarms
 }
 
-// unionSort is the radix scratch of sortUnion, owned by the detector so
-// the hot path's union ordering is alloc-free; the exported Compare passes
-// nil and takes the comparison sort.
-type unionSort struct {
-	keys []uint64
-	tmp  []uint64
-	hops []unionHop
-}
-
-// sortUnion orders union ascending by address with the unresponsive zero
-// address first — exactly netip.Addr.Compare's order, which sorts the
-// invalid address before everything. With scratch and all-IPv4 addresses
-// the order comes from a radix sort over packed keys (bit 63: address is
-// valid, bits 62..31: big-endian IPv4, bits 30..0: input index — distinct
-// addresses give distinct keys, the index decodes the permutation);
-// otherwise it falls back to the comparison sort.
-func sortUnion(union []unionHop, sc *unionSort) {
-	if sc != nil {
-		allV4 := true
-		for i := range union {
-			if union[i].addr.IsValid() && !union[i].addr.Is4() {
-				allV4 = false
-				break
-			}
-		}
-		if allV4 {
-			keys := sc.keys[:0]
-			for i := range union {
-				k := uint64(uint32(i))
-				if a := union[i].addr; a.IsValid() {
-					a4 := a.As4()
-					k |= 1<<63 | uint64(binary.BigEndian.Uint32(a4[:]))<<31
-				}
-				keys = append(keys, k)
-			}
-			sc.tmp = stats.RadixSortUint64(keys, sc.tmp)
-			hops := sc.hops[:0]
-			for _, k := range keys {
-				hops = append(hops, union[uint32(k)&0x7fffffff])
-			}
-			copy(union, hops)
-			sc.keys, sc.hops = keys[:0], hops[:0]
-			return
-		}
-	}
-	slices.SortFunc(union, func(a, b unionHop) int { return a.addr.Compare(b.addr) })
-}
-
 // scoreUnion is the single implementation of the §5.2 arithmetic, shared
 // by the columnar hot path and the exported Compare: it sorts the union by
-// address, fills the Pearson vectors in that order (into the provided
-// scratch, which may be nil), and returns ρ and the Σ|Fᵢ−F̄ᵢ| normalizer
-// of Eq 9.
-func scoreUnion(union []unionHop, f, fbar []float64, sc *unionSort) (rho, absDiff float64, fOut, fbarOut []float64) {
-	sortUnion(union, sc)
+// address — netip.Addr.Compare's order, which puts the unresponsive zero
+// address first — fills the Pearson vectors in that order (into the
+// provided scratch, which may be nil), and returns ρ and the Σ|Fᵢ−F̄ᵢ|
+// normalizer of Eq 9.
+func scoreUnion(union []unionHop, f, fbar []float64) (rho, absDiff float64, fOut, fbarOut []float64) {
+	slices.SortFunc(union, func(a, b unionHop) int { return a.addr.Compare(b.addr) })
 	f, fbar = f[:0:cap(f)], fbar[:0:cap(fbar)]
 	for _, u := range union {
 		f = append(f, u.f)
@@ -720,7 +606,7 @@ func (d *Detector) compare(cur, ref []hopCount) (rho float64, scores []HopScore)
 			union = append(union, unionHop{addr: a, fbar: h.v})
 		}
 	}
-	rho, absDiff, f, fbar := scoreUnion(union, d.fBuf, d.fbarBuf, &d.usort)
+	rho, absDiff, f, fbar := scoreUnion(union, d.fBuf, d.fbarBuf)
 	if !math.IsNaN(rho) && rho < tau {
 		scores = unionScores(union, rho, absDiff)
 	}
@@ -753,6 +639,6 @@ func Compare(cur, ref map[netip.Addr]float64) (rho float64, scores []HopScore) {
 			union = append(union, unionHop{addr: a, fbar: v})
 		}
 	}
-	rho, absDiff, _, _ := scoreUnion(union, nil, nil, nil)
+	rho, absDiff, _, _ := scoreUnion(union, nil, nil)
 	return rho, unionScores(union, rho, absDiff)
 }

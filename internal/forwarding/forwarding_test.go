@@ -230,8 +230,8 @@ func TestPerDestinationModels(t *testing.T) {
 	d.Observe(r1)
 	d.Observe(r2)
 	d.Flush()
-	ref1, ok1 := d.referenceFor(FlowKey{Router: rtrR, Dst: dst1})
-	ref2, ok2 := d.referenceFor(FlowKey{Router: rtrR, Dst: dst2})
+	ref1, ok1 := d.referenceFor(flowKey{Router: rtrR, Dst: dst1})
+	ref2, ok2 := d.referenceFor(flowKey{Router: rtrR, Dst: dst2})
 	if !ok1 || !ok2 {
 		t.Fatal("missing per-destination references")
 	}
@@ -271,8 +271,8 @@ func TestECMPSplitWeights(t *testing.T) {
 	}
 	d.Observe(r)
 	d.Flush()
-	ref1, _ := d.referenceFor(FlowKey{Router: rtrR, Dst: dst1})
-	ref2, _ := d.referenceFor(FlowKey{Router: hopC, Dst: dst1})
+	ref1, _ := d.referenceFor(flowKey{Router: rtrR, Dst: dst1})
+	ref2, _ := d.referenceFor(flowKey{Router: hopC, Dst: dst1})
 	if math.Abs(ref1[hopA]-1.5) > 1e-9 || math.Abs(ref2[hopA]-1.5) > 1e-9 {
 		t.Errorf("split weights = %v / %v, want 1.5 each", ref1[hopA], ref2[hopA])
 	}
@@ -295,7 +295,7 @@ func TestReferenceDecaysUnseenHops(t *testing.T) {
 	feed(d, 0, 4, 4)
 	feed(d, 1, 8, 0) // B disappears
 	d.Flush()
-	ref, _ := d.referenceFor(FlowKey{Router: rtrR, Dst: dst1})
+	ref, _ := d.referenceFor(flowKey{Router: rtrR, Dst: dst1})
 	if ref[hopB] >= 12 {
 		t.Errorf("unseen hop did not decay: %v", ref[hopB])
 	}
@@ -349,19 +349,23 @@ func TestWrappedHopNumbersNotPaired(t *testing.T) {
 
 // TestBinCloseAllocationFree is the pin BenchmarkFwdBinClose only reports:
 // a warmed detector ingesting and closing an alarm-free bin allocates
-// nothing.
+// nothing, in either address family.
 func TestBinCloseAllocationFree(t *testing.T) {
-	d, run := steadyCloser()
-	step := func() {
-		if alarms := run(); len(alarms) != 0 {
-			t.Fatalf("steady fixture raised %d alarms", len(alarms))
-		}
-	}
-	if n := testing.AllocsPerRun(50, step); n != 0 {
-		t.Errorf("bin close allocates %v times per bin, want 0", n)
-	}
-	if cs := d.CloseStats(); cs.Flows == 0 {
-		t.Error("fixture evaluated no pattern against a reference")
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			d, run := steadyCloser(fam.addr)
+			step := func() {
+				if alarms := run(); len(alarms) != 0 {
+					t.Fatalf("steady fixture raised %d alarms", len(alarms))
+				}
+			}
+			if n := testing.AllocsPerRun(50, step); n != 0 {
+				t.Errorf("bin close allocates %v times per bin, want 0", n)
+			}
+			if cs := d.CloseStats(); cs.Flows == 0 {
+				t.Error("fixture evaluated no pattern against a reference")
+			}
+		})
 	}
 }
 
@@ -369,7 +373,7 @@ func TestBinCloseAllocationFree(t *testing.T) {
 // is false when the flow has no reference yet. It scans the detector's
 // flows rather than interning the key, so asking leaves the registry as it
 // was.
-func (d *Detector) referenceFor(k FlowKey) (map[netip.Addr]float64, bool) {
+func (d *Detector) referenceFor(k flowKey) (map[netip.Addr]float64, bool) {
 	for id, si := range d.slotOf {
 		if si < 0 || !d.flows[si].hasRef {
 			continue

@@ -15,10 +15,10 @@ import (
 )
 
 // TestSlotLayout pins the per-flow record and the hop entry its arenas
-// hold: a flow is an epoch, two flags, a packed key and two spans.
+// hold: a flow is an epoch, a flag and two spans, with no cached key.
 func TestSlotLayout(t *testing.T) {
-	if n := unsafe.Sizeof(flowState{}); n > 40 {
-		t.Errorf("flowState is %d bytes, want ≤ 40", n)
+	if n := unsafe.Sizeof(flowState{}); n > 24 {
+		t.Errorf("flowState is %d bytes, want ≤ 24", n)
 	}
 	if n := unsafe.Sizeof(hopCount{}); n > 16 {
 		t.Errorf("hopCount is %d bytes, want ≤ 16", n)
@@ -28,7 +28,7 @@ func TestSlotLayout(t *testing.T) {
 // shadowFlow is one flow of the map-based model: this bin's pattern and the
 // Eq 8 reference, nil until seeded.
 type shadowFlow struct {
-	key      FlowKey
+	key      flowKey
 	epoch    int
 	cur, ref map[netip.Addr]float64
 }
@@ -37,12 +37,12 @@ type shadowFlow struct {
 // detector's arenas are checked against: the same gate, ρ from the
 // exported Compare, and Eq 8 hop by hop.
 type shadow struct {
-	flows   map[FlowKey]*shadowFlow
+	flows   map[flowKey]*shadowFlow
 	touched []*shadowFlow
 	epoch   int
 }
 
-func (s *shadow) add(k FlowKey, hop netip.Addr, w float64, touch bool) {
+func (s *shadow) add(k flowKey, hop netip.Addr, w float64, touch bool) {
 	f := s.flows[k]
 	if f == nil {
 		f = &shadowFlow{key: k, epoch: -1}
@@ -94,7 +94,14 @@ func (s *shadow) close(bin time.Time) (alarms []Alarm, obs []Observation) {
 	return alarms, obs
 }
 
-func cmpFlowKey(a, b FlowKey) int {
+// flowKey identifies one forwarding pattern of the map model: packets
+// crossing Router toward the traceroute target Dst (§5.1).
+type flowKey struct {
+	Router netip.Addr
+	Dst    netip.Addr
+}
+
+func cmpFlowKey(a, b flowKey) int {
 	if c := a.Router.Compare(b.Router); c != 0 {
 		return c
 	}
@@ -140,7 +147,7 @@ func newSlotsRun(w int) *slotsRun {
 	return r
 }
 
-func (r *slotsRun) add(k FlowKey, hop netip.Addr, w float64, touch bool) {
+func (r *slotsRun) add(k flowKey, hop netip.Addr, w float64, touch bool) {
 	router := r.reg.Addr(k.Router)
 	c := Contribution{Flow: r.reg.Flow(router, r.reg.Addr(k.Dst)), Router: r.reg.Router(router), W: w, Touch: touch}
 	if !touch {
@@ -182,9 +189,9 @@ func (r *slotsRun) close(t *testing.T) (alarms []Alarm, obs []Observation) {
 			t.Fatalf("detector %d: %d flow slots in a capacity of %d", i, len(d.flows), cap(d.flows))
 		}
 	}
-	slices.SortFunc(alarms, func(a, b Alarm) int { return cmpFlowKey(FlowKey{a.Router, a.Dst}, FlowKey{b.Router, b.Dst}) })
+	slices.SortFunc(alarms, func(a, b Alarm) int { return cmpFlowKey(flowKey{a.Router, a.Dst}, flowKey{b.Router, b.Dst}) })
 	obs = slices.Clone(r.obs)
-	slices.SortFunc(obs, func(a, b Observation) int { return cmpFlowKey(FlowKey{a.Router, a.Dst}, FlowKey{b.Router, b.Dst}) })
+	slices.SortFunc(obs, func(a, b Observation) int { return cmpFlowKey(flowKey{a.Router, a.Dst}, flowKey{b.Router, b.Dst}) })
 	return alarms, obs
 }
 
@@ -209,8 +216,8 @@ func testSlotsMatchMapModel(t *testing.T, w int) {
 	)
 	rng := rand.New(rand.NewPCG(38, uint64(w)))
 	run := newSlotsRun(w)
-	sh := &shadow{flows: map[FlowKey]*shadowFlow{}}
-	add := func(k FlowKey, hop netip.Addr, wt float64, touch bool) {
+	sh := &shadow{flows: map[flowKey]*shadowFlow{}}
+	add := func(k flowKey, hop netip.Addr, wt float64, touch bool) {
 		run.add(k, hop, wt, touch)
 		sh.add(k, hop, wt, touch)
 	}
@@ -219,7 +226,7 @@ func testSlotsMatchMapModel(t *testing.T, w int) {
 	// flow starts with two or three next hops and one it prefers; weights
 	// are dyadic, so every packet total is exact in any summation order.
 	type flow struct {
-		key    FlowKey
+		key    flowKey
 		hops   []netip.Addr
 		prefer int
 	}
@@ -233,9 +240,9 @@ func testSlotsMatchMapModel(t *testing.T, w int) {
 			ndst = 2
 		}
 		for d := range ndst {
-			f := &flow{key: FlowKey{router, netip.AddrFrom4([4]byte{198, 51, 100, byte(d)})}}
+			f := &flow{key: flowKey{router, netip.AddrFrom4([4]byte{198, 51, 100, byte(d)})}}
 			for h := range 2 + rng.IntN(2) {
-				if router.Is4() {
+				if r < 60 {
 					f.hops = append(f.hops, netip.AddrFrom4([4]byte{10, 1, byte(r), byte(h)}))
 				} else {
 					f.hops = append(f.hops, netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 1, 14: byte(r), 15: byte(h)}))
@@ -244,7 +251,7 @@ func testSlotsMatchMapModel(t *testing.T, w int) {
 			flows = append(flows, f)
 		}
 	}
-	big := FlowKey{netip.MustParseAddr("10.9.0.1"), netip.MustParseAddr("198.51.100.250")}
+	big := flowKey{netip.MustParseAddr("10.9.0.1"), netip.MustParseAddr("198.51.100.250")}
 
 	var alarms, evaluated int
 	for b := range bins {
@@ -255,7 +262,7 @@ func testSlotsMatchMapModel(t *testing.T, w int) {
 		for i, f := range flows {
 			// A fifth of the flows sit out bins 8–13; every flow skips a
 			// bin now and then, and IPv6 flows show up in few bins.
-			if i%5 == 0 && b >= 8 && b < 14 || rng.IntN(8) == 0 || !f.key.Router.Is4() && rng.IntN(3) != 0 {
+			if i%5 == 0 && b >= 8 && b < 14 || rng.IntN(8) == 0 || f.key.Router.Is6() && rng.IntN(3) != 0 {
 				continue
 			}
 			if rng.IntN(6) == 0 {

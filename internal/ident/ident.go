@@ -16,13 +16,15 @@
 // any number of goroutines returns the same ID, and reverse lookups may
 // run concurrently with interning. IDs are assigned in first-seen order,
 // so two runs over the same chronological stream produce identical IDs —
-// but nothing downstream depends on that: emission order is always
-// restored by sorting on reverse-resolved keys.
+// but nothing downstream depends on that: the registry owns the close
+// order both detectors emit in (SortLinks, SortFlows), which is address
+// order over both families, never ID order.
 package ident
 
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"pinpoint/internal/trace"
@@ -182,6 +184,35 @@ func (g *Registry) FlowAddrsOf(id FlowID) (router, dst netip.Addr) {
 	dst = g.addrs[AddrID(k&0xffffffff)]
 	g.mu.RUnlock()
 	return router, dst
+}
+
+// SortLinks sorts ids into (near, far) address order: the order the delay
+// detector closes a bin's links in, because §4.3's PRNG and every
+// downstream float sum depend on it. Addresses compare as
+// netip.Addr.Compare does, so IPv4 and IPv6 links share the one order.
+func (g *Registry) SortLinks(ids []LinkID) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	slices.SortFunc(ids, func(a, b LinkID) int { return g.comparePairs(g.links[a], g.links[b]) })
+}
+
+// SortFlows sorts ids into (router, destination) address order, the
+// forwarding detector's close order; see SortLinks.
+func (g *Registry) SortFlows(ids []FlowID) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	slices.SortFunc(ids, func(a, b FlowID) int { return g.comparePairs(g.flows[a], g.flows[b]) })
+}
+
+// comparePairs orders two interned pairs by their first address, then by
+// their second. Equal IDs are equal addresses and distinct IDs distinct
+// ones, so only a differing ID reaches the address comparison. The caller
+// holds the read lock.
+func (g *Registry) comparePairs(a, b pairKey) int {
+	if a>>32 != b>>32 {
+		return g.addrs[a>>32].Compare(g.addrs[b>>32])
+	}
+	return g.addrs[a&0xffffffff].Compare(g.addrs[b&0xffffffff])
 }
 
 // Router interns an address into the router ID space.

@@ -98,26 +98,6 @@ func BenchmarkRadixSortUint64_1k(b *testing.B) {
 	}
 }
 
-func BenchmarkRadixSortUint64Pairs1k(b *testing.B) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	src := make([]uint64, 1000)
-	for i := range src {
-		src[i] = rng.Uint64()
-	}
-	keys := make([]uint64, len(src))
-	vals := make([]int32, len(src))
-	var tmpK []uint64
-	var tmpV []int32
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		copy(keys, src)
-		for j := range vals {
-			vals[j] = int32(j)
-		}
-		tmpK, tmpV = RadixSortUint64Pairs(keys, vals, tmpK, tmpV)
-	}
-}
-
 func BenchmarkPearson(b *testing.B) {
 	x := benchSamples(64)
 	y := benchSamples(64)

@@ -1,15 +1,16 @@
 package stats
 
-// LSD radix sorting kernels for the detectors' bin-close permutation
-// sorts. Every close-time ordering pass in internal/delay and
-// internal/forwarding is a total order over values that pack losslessly
-// into a uint64 (dense integer IDs, biased int32 probe IDs, big-endian
-// IPv4 addresses), so an 8-bit-digit LSD counting sort replaces the
-// comparison sorts: O(n) passes, no comparator calls, and — because
-// counting sort is stable and callers pack unique keys — output identical
-// to slices.SortFunc on the unpacked order.
+// An LSD radix sorting kernel for the delay close's permutation sorts.
+// When §4.3 thins a link-bin, grouping its runs by probe and its probe
+// groups by AS are total orders over values that pack losslessly into a
+// uint64 (a biased int32 probe ID or a uint32 ASN high, an index low), so
+// an 8-bit-digit LSD counting sort replaces the comparison sorts: O(n)
+// passes, no comparator calls, and — because callers pack unique keys —
+// output identical to slices.SortFunc on the unpacked order. The close
+// orders of links and flows are address orders over both families, which
+// ident.Registry sorts by comparison.
 //
-// Both kernels take caller-owned scratch and return it (possibly grown) so
+// The kernel takes caller-owned scratch and returns it (possibly grown) so
 // steady-state use across bins is allocation-free.
 
 // radixCutoff is the size below which binary-insertion sort beats setting
@@ -70,71 +71,6 @@ func RadixSortUint64(keys []uint64, tmp []uint64) []uint64 {
 	return tmp
 }
 
-// RadixSortUint64Pairs sorts keys ascending in place, permuting vals the
-// same way (vals[i] travels with keys[i]); len(vals) must equal len(keys).
-// The sort is stable, so equal keys keep their input order — callers that
-// pack only part of their order into the key rely on this. tmpK/tmpV are
-// scratch of at least len(keys) (grown and returned; pass nil first).
-func RadixSortUint64Pairs(keys []uint64, vals []int32, tmpK []uint64, tmpV []int32) ([]uint64, []int32) {
-	n := len(keys)
-	if n != len(vals) {
-		panic("stats: RadixSortUint64Pairs length mismatch")
-	}
-	if n < radixCutoff {
-		insertionSortUint64Pairs(keys, vals)
-		return tmpK, tmpV
-	}
-	if cap(tmpK) < n {
-		tmpK = make([]uint64, n)
-	}
-	if cap(tmpV) < n {
-		tmpV = make([]int32, n)
-	}
-	tmpK, tmpV = tmpK[:n], tmpV[:n]
-
-	var count [8][256]int32
-	for _, k := range keys {
-		count[0][byte(k)]++
-		count[1][byte(k>>8)]++
-		count[2][byte(k>>16)]++
-		count[3][byte(k>>24)]++
-		count[4][byte(k>>32)]++
-		count[5][byte(k>>40)]++
-		count[6][byte(k>>48)]++
-		count[7][byte(k>>56)]++
-	}
-
-	srcK, dstK := keys, tmpK
-	srcV, dstV := vals, tmpV
-	for b := 0; b < 8; b++ {
-		c := &count[b]
-		shift := uint(b * 8)
-		if c[byte(srcK[0]>>shift)] == int32(n) {
-			continue
-		}
-		var pos [256]int32
-		var sum int32
-		for d := 0; d < 256; d++ {
-			pos[d] = sum
-			sum += c[d]
-		}
-		for i, k := range srcK {
-			d := byte(k >> shift)
-			p := pos[d]
-			dstK[p] = k
-			dstV[p] = srcV[i]
-			pos[d] = p + 1
-		}
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-	if &srcK[0] != &keys[0] {
-		copy(keys, srcK)
-		copy(vals, srcV)
-	}
-	return tmpK, tmpV
-}
-
 // insertionSortUint64 sorts small key slices ascending.
 func insertionSortUint64(keys []uint64) {
 	for i := 1; i < len(keys); i++ {
@@ -145,19 +81,5 @@ func insertionSortUint64(keys []uint64) {
 			j--
 		}
 		keys[j] = k
-	}
-}
-
-// insertionSortUint64Pairs is insertionSortUint64 carrying a payload;
-// stable (strict > guard), matching the counting-sort passes.
-func insertionSortUint64Pairs(keys []uint64, vals []int32) {
-	for i := 1; i < len(keys); i++ {
-		k, v := keys[i], vals[i]
-		j := i
-		for j > 0 && keys[j-1] > k {
-			keys[j], vals[j] = keys[j-1], vals[j-1]
-			j--
-		}
-		keys[j], vals[j] = k, v
 	}
 }

@@ -59,52 +59,3 @@ func TestRadixSortUint64(t *testing.T) {
 		}
 	}
 }
-
-func TestRadixSortUint64Pairs(t *testing.T) {
-	type pair struct {
-		k uint64
-		v int32
-	}
-	rng := rand.New(rand.NewSource(5))
-	var tmpK []uint64
-	var tmpV []int32
-	for _, n := range radixSizes {
-		for name, keys := range radixPatterns(rng, n) {
-			vals := make([]int32, n)
-			for i := range vals {
-				vals[i] = int32(i)
-			}
-			// Stable reference: sort (key, original index) pairs stably by
-			// key only — equal keys must keep input order.
-			want := make([]pair, n)
-			for i := range want {
-				want[i] = pair{keys[i], vals[i]}
-			}
-			slices.SortStableFunc(want, func(a, b pair) int {
-				switch {
-				case a.k < b.k:
-					return -1
-				case a.k > b.k:
-					return 1
-				}
-				return 0
-			})
-			tmpK, tmpV = RadixSortUint64Pairs(keys, vals, tmpK, tmpV)
-			for i := range keys {
-				if keys[i] != want[i].k || vals[i] != want[i].v {
-					t.Fatalf("n=%d %s: pair %d = (%d,%d), stable oracle (%d,%d)",
-						n, name, i, keys[i], vals[i], want[i].k, want[i].v)
-				}
-			}
-		}
-	}
-}
-
-func TestRadixSortUint64PairsLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	RadixSortUint64Pairs(make([]uint64, 3), make([]int32, 2), nil, nil)
-}
