@@ -3,7 +3,9 @@
 // mapping, each AS gets two severity time series (Σ d(∆) for delay alarms
 // and Σ rᵢ for forwarding alarms), and peaks in the robust magnitude
 // mag(X) = (X − median)/(1 + 1.4826·MAD) over a one-week sliding window
-// (Eq 10) are reported as events.
+// (Eq 10) are reported as events. Each bin is scored once, when it closes
+// (CloseBins), and every query reads what the closes kept: a bin is
+// answered once it is closed, and never before.
 package events
 
 import (
@@ -252,16 +254,17 @@ func (a *Aggregator) ASes() []ipmap.ASN { return slices.Clone(a.ases) }
 // DelaySeries returns the Σ d(∆) series of an AS (nil when it has none).
 func (a *Aggregator) DelaySeries(asn ipmap.ASN) *timeseries.Series { return a.delaySeries[asn] }
 
-// DelayMagnitude computes the Eq 10 magnitude of an AS's delay series over
-// [from, to). Missing bins count as zero (a quiet hour is "no alarms").
+// DelayMagnitude returns the Eq 10 magnitude of an AS's delay series in
+// each closed bin of [from, to). Missing bins count as zero (a quiet hour
+// is "no alarms").
 func (a *Aggregator) DelayMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {
-	return a.magnitude(a.delaySeries[asn], a.inc.mag[DelayChange][asn], from, to)
+	return a.magnitude(a.inc.mag[DelayChange][asn], from, to)
 }
 
-// ForwardingMagnitude computes the Eq 10 magnitude of an AS's forwarding
-// series over [from, to).
+// ForwardingMagnitude returns the Eq 10 magnitude of an AS's forwarding
+// series in each closed bin of [from, to).
 func (a *Aggregator) ForwardingMagnitude(asn ipmap.ASN, from, to time.Time) []timeseries.Point {
-	return a.magnitude(a.fwdSeries[asn], a.inc.mag[ForwardingAnomaly][asn], from, to)
+	return a.magnitude(a.inc.mag[ForwardingAnomaly][asn], from, to)
 }
 
 // String implements fmt.Stringer.

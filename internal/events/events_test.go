@@ -110,6 +110,7 @@ func TestIntraASReroutingCancels(t *testing.T) {
 
 func TestEventsDetectPeaks(t *testing.T) {
 	a := NewAggregator(Config{Threshold: 10}, testTable(t))
+	a.ObserveBin(t0)
 	// A quiet week of small delay deviations for AS100.
 	for h := 0; h < 24*7; h++ {
 		a.AddDelayAlarm(delayAlarm(t0.Add(time.Duration(h)*time.Hour), "10.1.0.1", "10.1.0.2", 0.5))
@@ -119,6 +120,7 @@ func TestEventsDetectPeaks(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		a.AddDelayAlarm(delayAlarm(peak, "10.1.0.1", "10.1.0.2", 8))
 	}
+	a.CloseBins(peak.Add(2*time.Hour), nil)
 	evs := a.Events(t0, peak.Add(2*time.Hour))
 	if len(evs) == 0 {
 		t.Fatal("no events detected")
@@ -140,6 +142,7 @@ func TestEventsDetectPeaks(t *testing.T) {
 func TestNegativeForwardingEvent(t *testing.T) {
 	// The AMS-IX signature: strongly negative forwarding magnitude.
 	a := NewAggregator(Config{Threshold: 5}, testTable(t))
+	a.ObserveBin(t0)
 	lan := "80.81.192.5"
 	for h := 0; h < 24*7; h++ {
 		al := forwarding.Alarm{
@@ -155,6 +158,7 @@ func TestNegativeForwardingEvent(t *testing.T) {
 			Hops: []forwarding.HopScore{{Hop: netip.MustParseAddr(lan), Responsibility: -0.5}},
 		})
 	}
+	a.CloseBins(peak.Add(time.Hour), nil)
 	evs := a.Events(t0, peak.Add(time.Hour))
 	found := false
 	for _, e := range evs {
@@ -169,6 +173,7 @@ func TestNegativeForwardingEvent(t *testing.T) {
 
 func TestEventsSortedAndString(t *testing.T) {
 	a := NewAggregator(Config{Threshold: 1}, testTable(t))
+	a.ObserveBin(t0)
 	for h := 0; h < 24*7; h++ {
 		a.AddDelayAlarm(delayAlarm(t0.Add(time.Duration(h)*time.Hour), "10.1.0.1", "10.2.0.2", 0.1))
 	}
@@ -176,7 +181,11 @@ func TestEventsSortedAndString(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.AddDelayAlarm(delayAlarm(peak, "10.1.0.1", "10.2.0.2", 5))
 	}
+	a.CloseBins(peak.Add(time.Hour), nil)
 	evs := a.Events(t0, peak.Add(time.Hour))
+	if len(evs) == 0 {
+		t.Fatal("no events detected")
+	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Bin.Before(evs[i-1].Bin) {
 			t.Fatal("events not sorted")

@@ -10,10 +10,9 @@ package events
 // appended is therefore final, and the serving layer's per-bin record never
 // has to be revised.
 //
-// The query methods (Events, DelayMagnitude, ForwardingMagnitude) answer
-// closed bins from the region and run the same evaluation, without keeping
-// it, for every other bin: a tail past validThrough and every bin of an
-// aggregator nobody closed.
+// The query methods (Events, DelayMagnitude, ForwardingMagnitude) read the
+// region and nothing else: a bin is answered once it is closed, and never
+// before. A query range is clamped to [firstBin, validThrough).
 
 import (
 	"sort"
@@ -97,9 +96,8 @@ func (a *Aggregator) CloseBins(upTo time.Time, d *CloseDelta) []Event {
 }
 
 // evalBin is §6's evaluation of bin t: each AS's two Eq 10 magnitudes and
-// the threshold test. asns must be sorted, so the events it
-// appends to out come in (bin, AS, type) order. keep, when non-nil,
-// receives every magnitude computed.
+// the threshold test. asns must be sorted, so the events it appends to out
+// come in (bin, AS, type) order. keep receives every magnitude computed.
 func (a *Aggregator) evalBin(t time.Time, asns []ipmap.ASN, out []Event, keep func(ipmap.ASN, Type, *timeseries.Series, float64)) []Event {
 	for _, asn := range asns {
 		for typ, s := range [2]*timeseries.Series{a.delaySeries[asn], a.fwdSeries[asn]} {
@@ -107,10 +105,8 @@ func (a *Aggregator) evalBin(t time.Time, asns []ipmap.ASN, out []Event, keep fu
 				continue
 			}
 			typ := Type(typ)
-			v := a.magAt(s, t)
-			if keep != nil {
-				keep(asn, typ, s, v)
-			}
+			v := s.MagnitudeAt(a.firstBin, t, a.cfg.Window, &a.scratch)
+			keep(asn, typ, s, v)
 			// Delay events trigger on positive peaks (worse delays);
 			// forwarding events on both signs, matching the heavy left tail
 			// of Fig 5b.
@@ -120,41 +116,6 @@ func (a *Aggregator) evalBin(t time.Time, asns []ipmap.ASN, out []Event, keep fu
 		}
 	}
 	return out
-}
-
-// evalRange runs evalBin over the bins of [from, to) without keeping
-// anything, appending the events to out.
-func (a *Aggregator) evalRange(from, to time.Time, out []Event) []Event {
-	if !from.Before(to) {
-		return out
-	}
-	asns := a.ases
-	for t := from; t.Before(to); t = t.Add(a.cfg.BinSize) {
-		out = a.evalBin(t, asns, out, nil)
-	}
-	return out
-}
-
-// magAt computes the magnitude of bin t in the aggregator's scratch.
-func (a *Aggregator) magAt(s *timeseries.Series, t time.Time) float64 {
-	return s.MagnitudeAt(a.spanStart(s), t, a.cfg.Window, &a.scratch)
-}
-
-// magRange computes the magnitude points of [from, to).
-func (a *Aggregator) magRange(s *timeseries.Series, from, to time.Time) []timeseries.Point {
-	return s.MagnitudeSince(a.spanStart(s), from, to, a.cfg.Window)
-}
-
-// spanStart is where s's windows begin. Windows never reach before the span
-// start; an aggregator never told its span start (no ObserveBin) uses the
-// series' own first bin, so history before an AS's first alarm never counts
-// as zeros.
-func (a *Aggregator) spanStart(s *timeseries.Series) time.Time {
-	if !a.haveBin {
-		start, _, _ := s.Span()
-		return start
-	}
-	return a.firstBin
 }
 
 // appendMag appends the magnitude of bin t to an AS's cached series, first
@@ -174,66 +135,51 @@ func (a *Aggregator) magBin(i int) time.Time {
 	return a.firstBin.Add(time.Duration(i) * a.cfg.BinSize)
 }
 
-// closedPart splits the bin range [f, t) at the closed region: bins in
-// [lo, hi) are closed, the rest are not. lo == hi when the two miss each
-// other, and then every bin of [f, t) lies at or after hi.
-func (a *Aggregator) closedPart(f, t time.Time) (lo, hi time.Time) {
-	lo, hi = f, t
-	if lo.Before(a.firstBin) {
-		lo = a.firstBin
+// closedRange clamps [from, to) to the region and returns it as bin indexes
+// [i, j) from firstBin; i == j when the two miss each other. The offsets are
+// clamped before they become ints, so a far-off time cannot wrap a 32-bit
+// int, and truncating a negative offset toward zero is harmless once it is
+// clamped to 0.
+func (a *Aggregator) closedRange(from, to time.Time) (i, j int) {
+	if a.inc.validThrough.IsZero() {
+		return 0, 0
 	}
-	if hi.After(a.inc.validThrough) {
-		hi = a.inc.validThrough
+	n := int64(a.inc.validThrough.Sub(a.firstBin) / a.cfg.BinSize)
+	index := func(t time.Time) int {
+		return int(min(max(int64(t.Sub(a.firstBin)/a.cfg.BinSize), 0), n))
 	}
-	if !lo.Before(hi) {
-		return f, f
-	}
-	return lo, hi
+	i = index(from)
+	return i, max(i, index(to))
 }
 
-// Events returns the bins in [from, to) where an AS's |mag| ≥ Threshold,
-// sorted by time, then AS, then type.
+// Events returns the events of the closed bins in [from, to), sorted by
+// time, then AS, then type; nil when there are none.
 func (a *Aggregator) Events(from, to time.Time) []Event {
-	f := timeseries.Bin(from, a.cfg.BinSize)
-	t := timeseries.Bin(to, a.cfg.BinSize)
-	if a.haveBin && f.Before(a.firstBin) {
-		f = a.firstBin // windows before the span start are empty: no events
-	}
-	lo, hi := a.closedPart(f, t)
-	out := a.evalRange(f, lo, nil)
-	// The region's list is in (bin, AS, type) order: the closed bins are one
-	// binary-searched subrange.
-	evs := a.inc.events
-	i := sort.Search(len(evs), func(i int) bool { return !evs[i].Bin.Before(lo) })
-	j := sort.Search(len(evs), func(i int) bool { return !evs[i].Bin.Before(hi) })
-	out = append(out, evs[i:j]...)
-	return a.evalRange(hi, t, out)
-}
-
-// magnitude answers a magnitude query over [from, to): closed bins from the
-// cache, the others by evaluation — whose windows reach back at most
-// cfg.Window, the horizon EvictBefore retains.
-func (a *Aggregator) magnitude(s *timeseries.Series, cached []float64, from, to time.Time) []timeseries.Point {
-	if s == nil {
+	i, j := a.closedRange(from, to)
+	if i == j {
 		return nil
 	}
-	f := timeseries.Bin(from, a.cfg.BinSize)
-	t := timeseries.Bin(to, a.cfg.BinSize)
-	lo, hi := a.closedPart(f, t)
-	i := int(lo.Sub(a.firstBin) / a.cfg.BinSize)
-	j := int(hi.Sub(a.firstBin) / a.cfg.BinSize)
-	if lo.Before(hi) && j > len(cached) {
-		// The AS gained its series after the last close and has no cache
-		// yet — but then its entire history is still in memory.
-		lo, hi = f, f
+	// The region's list is in (bin, AS, type) order: the range is one
+	// binary-searched subrange.
+	lo, hi := a.magBin(i), a.magBin(j)
+	evs := a.inc.events
+	x := sort.Search(len(evs), func(k int) bool { return !evs[k].Bin.Before(lo) })
+	y := sort.Search(len(evs), func(k int) bool { return !evs[k].Bin.Before(hi) })
+	return append([]Event(nil), evs[x:y]...)
+}
+
+// magnitude returns an AS's cached magnitude points of the closed bins in
+// [from, to); nil when there are none.
+func (a *Aggregator) magnitude(cached []float64, from, to time.Time) []timeseries.Point {
+	i, j := a.closedRange(from, to)
+	if j = min(j, len(cached)); i >= j {
+		return nil
 	}
-	out := a.magRange(s, f, lo)
-	if lo.Before(hi) {
-		for k := i; k < j; k++ {
-			out = append(out, timeseries.Point{T: a.magBin(k), V: cached[k]})
-		}
+	out := make([]timeseries.Point, j-i)
+	for k := range out {
+		out[k] = timeseries.Point{T: a.magBin(i + k), V: cached[i+k]}
 	}
-	return append(out, a.magRange(s, hi, t)...)
+	return out
 }
 
 // Through returns the exclusive end of the closed region — every bin before

@@ -20,17 +20,35 @@ type feedStep struct {
 	fwdASN string // hop address for fwd responsibilities; default AS100
 }
 
-// recomputeEvents is the full scan: every AS's two magnitude series over
-// [from, to), thresholded and sorted.
+// recomputeMagnitudes is the oracle of one series: Eq 10 evaluated on its
+// own for every bin of [from, to) from the span start on, straight from the
+// raw series. It never reads the closed region.
+func (a *Aggregator) recomputeMagnitudes(s *timeseries.Series, from, to time.Time) []timeseries.Point {
+	if s == nil {
+		return nil
+	}
+	if from.Before(a.firstBin) {
+		from = a.firstBin
+	}
+	var out []timeseries.Point
+	var sc timeseries.Scratch
+	for t := from; t.Before(to); t = t.Add(a.cfg.BinSize) {
+		out = append(out, timeseries.Point{T: t, V: s.MagnitudeAt(a.firstBin, t, a.cfg.Window, &sc)})
+	}
+	return out
+}
+
+// recomputeEvents is the full scan: every AS's two recomputed magnitude
+// series over [from, to), thresholded and sorted.
 func (a *Aggregator) recomputeEvents(from, to time.Time) []Event {
 	var out []Event
 	for _, asn := range a.ASes() {
-		for _, p := range a.DelayMagnitude(asn, from, to) {
+		for _, p := range a.recomputeMagnitudes(a.delaySeries[asn], from, to) {
 			if p.V >= a.cfg.Threshold {
 				out = append(out, Event{ASN: asn, Bin: p.T, Type: DelayChange, Magnitude: p.V})
 			}
 		}
-		for _, p := range a.ForwardingMagnitude(asn, from, to) {
+		for _, p := range a.recomputeMagnitudes(a.fwdSeries[asn], from, to) {
 			if p.V >= a.cfg.Threshold || p.V <= -a.cfg.Threshold {
 				out = append(out, Event{ASN: asn, Bin: p.T, Type: ForwardingAnomaly, Magnitude: p.V})
 			}
@@ -54,12 +72,10 @@ func (a *Aggregator) recomputeEvents(from, to time.Time) []Event {
 	return out
 }
 
-// runSchedule feeds the schedule chronologically. When inc is true it
-// closes each bin after feeding it, exactly as core.Analyzer does; deltas
-// accumulate into the returned slice. An aggregator fed with inc false is
-// never closed, so recomputeEvents on it is an independent reference: its
-// magnitudes come straight from the raw series.
-func runSchedule(t *testing.T, steps []feedStep, inc bool) (*Aggregator, []Event) {
+// runSchedule feeds the schedule chronologically and closes each bin after
+// feeding it, exactly as core.Analyzer does; the events of the closes
+// accumulate into the returned slice.
+func runSchedule(t *testing.T, steps []feedStep) (*Aggregator, []Event) {
 	t.Helper()
 	a := NewAggregator(Config{Window: 12 * time.Hour, Threshold: 3}, testTable(t))
 	var deltas []Event
@@ -82,9 +98,7 @@ func runSchedule(t *testing.T, steps []feedStep, inc bool) (*Aggregator, []Event
 				Hops:   []forwarding.HopScore{{Hop: netip.MustParseAddr(hop), Responsibility: v}},
 			})
 		}
-		if inc {
-			deltas = append(deltas, a.CloseBins(bin.Add(time.Hour), nil)...)
-		}
+		deltas = append(deltas, a.CloseBins(bin.Add(time.Hour), nil)...)
 	}
 	return a, deltas
 }
@@ -106,104 +120,74 @@ var eqSchedule = []feedStep{
 }
 
 func TestIncrementalEventsMatchRecompute(t *testing.T) {
-	incAgg, deltas := runSchedule(t, eqSchedule, true)
-	refAgg, _ := runSchedule(t, eqSchedule, false)
+	a, deltas := runSchedule(t, eqSchedule)
 
 	from, to := t0, t0.Add(13*time.Hour)
-	want := refAgg.recomputeEvents(from, to)
+	want := a.recomputeEvents(from, to)
 	if len(want) == 0 {
 		t.Fatal("schedule produced no events; test is vacuous")
 	}
-	assertEventsEqual(t, "un-advanced Events", refAgg.Events(from, to), want)
-	got := incAgg.Events(from, to) // covered → served from the region
-	if len(got) != len(want) {
-		t.Fatalf("incremental Events len=%d, recompute len=%d\ngot %v\nwant %v", len(got), len(want), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	assertEventsEqual(t, "Events", a.Events(from, to), want)
 	// The per-close deltas concatenate to exactly the full event list.
-	if len(deltas) != len(want) {
-		t.Fatalf("delta concatenation len=%d, want %d", len(deltas), len(want))
-	}
-	for i := range want {
-		if deltas[i] != want[i] {
-			t.Errorf("delta %d: got %+v, want %+v", i, deltas[i], want[i])
-		}
-	}
+	assertEventsEqual(t, "delta concatenation", deltas, want)
 }
 
 func TestIncrementalMagnitudesMatchRecompute(t *testing.T) {
-	incAgg, _ := runSchedule(t, eqSchedule, true)
-	refAgg, _ := runSchedule(t, eqSchedule, false)
+	a, _ := runSchedule(t, eqSchedule)
 
 	from, to := t0, t0.Add(13*time.Hour)
-	for _, asn := range refAgg.ASes() {
-		for name, get := range map[string]func(*Aggregator) []timeseries.Point{
-			"delay": func(a *Aggregator) []timeseries.Point { return a.DelayMagnitude(asn, from, to) },
-			"fwd":   func(a *Aggregator) []timeseries.Point { return a.ForwardingMagnitude(asn, from, to) },
-		} {
-			want := get(refAgg)
-			got := get(incAgg)
-			if len(got) != len(want) {
-				t.Fatalf("AS%d %s: len=%d, want %d", asn, name, len(got), len(want))
-			}
-			for i := range want {
-				if !got[i].T.Equal(want[i].T) || got[i].V != want[i].V {
-					t.Errorf("AS%d %s point %d: got %v, want %v", asn, name, i, got[i], want[i])
-				}
-			}
-		}
+	for _, asn := range a.ASes() {
+		assertPointsEqual(t, fmt.Sprintf("AS%d delay", asn), a.DelayMagnitude(asn, from, to), a.recomputeMagnitudes(a.delaySeries[asn], from, to))
+		assertPointsEqual(t, fmt.Sprintf("AS%d fwd", asn), a.ForwardingMagnitude(asn, from, to), a.recomputeMagnitudes(a.fwdSeries[asn], from, to))
 	}
 }
 
 func TestIncrementalSubrangeQueries(t *testing.T) {
-	incAgg, _ := runSchedule(t, eqSchedule, true)
-	refAgg, _ := runSchedule(t, eqSchedule, false)
-	// Sub-windows of the covered region must match the recompute too, as
-	// must windows reaching before the span start (no events there) or past
-	// the region (those bins are evaluated, not cached), and a reversed
-	// window (from after to: bin 4 holds the first event) is empty.
+	a, _ := runSchedule(t, eqSchedule)
+	through := a.Through()
+	// Sub-windows of the closed region must match the recompute too, as
+	// must windows reaching before the span start (no bins there) or past
+	// the region (only its closed bins are answered), and a reversed window
+	// (from after to: bin 4 holds the first event) is empty.
 	for _, w := range [][2]int{{0, 13}, {3, 6}, {3, 4}, {4, 5}, {5, 5}, {9, 12}, {9, 13}, {5, 4}, {-2, 3}, {0, 20}, {-2, 20}} {
 		from, to := t0.Add(time.Duration(w[0])*time.Hour), t0.Add(time.Duration(w[1])*time.Hour)
 		label := fmt.Sprintf("window %v", w)
-		want := refAgg.recomputeEvents(from, to)
-		assertEventsEqual(t, label, incAgg.Events(from, to), want)
-		assertEventsEqual(t, label+" un-advanced", refAgg.Events(from, to), want)
+		clipped := to
+		if clipped.After(through) {
+			clipped = through
+		}
+		assertEventsEqual(t, label, a.Events(from, to), a.recomputeEvents(from, clipped))
+		for _, asn := range a.ASes() {
+			assertPointsEqual(t, fmt.Sprintf("%s AS%d delay", label, asn), a.DelayMagnitude(asn, from, to), a.recomputeMagnitudes(a.delaySeries[asn], from, clipped))
+			assertPointsEqual(t, fmt.Sprintf("%s AS%d fwd", label, asn), a.ForwardingMagnitude(asn, from, to), a.recomputeMagnitudes(a.fwdSeries[asn], from, clipped))
+		}
 	}
 }
 
-// An aggregator never told its span start windows each AS from its own
-// first alarm: the bins before it are not phantom zeros, so a first alarm
-// scores 0 against itself and raises no event.
-func TestBareAggregatorWindowsFromFirstAlarm(t *testing.T) {
-	a := NewAggregator(Config{Window: 12 * time.Hour, Threshold: 3}, testTable(t))
-	a.AddDelayAlarm(delayAlarm(t0.Add(3*time.Hour), "10.1.0.1", "10.2.0.1", 40))
-	a.AddDelayAlarm(delayAlarm(t0.Add(4*time.Hour), "10.1.0.1", "10.2.0.1", 1))
-	from, to := t0, t0.Add(8*time.Hour)
-	for _, asn := range a.ASes() {
-		got := a.DelayMagnitude(asn, from, to)
-		want := a.delaySeries[asn].Magnitude(from, to, a.cfg.Window)
-		if len(got) != len(want) {
-			t.Fatalf("AS%d: %d points, want %d", asn, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].T.Equal(want[i].T) || !sameMag(got[i].V, want[i].V) {
-				t.Errorf("AS%d point %d: got %v, want %v", asn, i, got[i], want[i])
-			}
-		}
-		if v := got[3].V; v != 0 {
-			t.Errorf("AS%d first alarm magnitude %v, want 0", asn, v)
-		}
-	}
-	if evs := a.Events(from, to); len(evs) != 0 {
-		t.Errorf("events %v, want none", evs)
+// TestQueriesAnswerOnlyClosedBins pins the query contract: a bin is
+// answered once it is closed, and never before. An alarm in the bin after
+// the region changes no answer until that bin closes; then it is answered,
+// and its event is there.
+func TestQueriesAnswerOnlyClosedBins(t *testing.T) {
+	a, _ := runSchedule(t, eqSchedule)
+	through := a.Through()
+	evs, mag := a.Events(t0, through), a.DelayMagnitude(100, t0, through)
+
+	a.AddDelayAlarm(delayAlarm(through, "10.1.0.1", "10.2.0.1", 500))
+	past := through.Add(8 * time.Hour)
+	assertEventsEqual(t, "past the region", a.Events(t0, past), evs)
+	assertPointsEqual(t, "AS100 delay past the region", a.DelayMagnitude(100, t0, past), mag)
+	// Far-off times clamp to the region; they never wrap a bin index.
+	assertEventsEqual(t, "widest range", a.Events(time.Time{}, time.Unix(1<<40, 0)), evs)
+
+	a.CloseBins(through.Add(time.Hour), nil)
+	got := a.Events(t0, past)
+	assertEventsEqual(t, "after the close", got, a.recomputeEvents(t0, a.Through()))
+	assertPointsEqual(t, "AS100 delay after the close", a.DelayMagnitude(100, t0, past), a.recomputeMagnitudes(a.delaySeries[100], t0, a.Through()))
+	if len(got) == len(evs) || !got[len(got)-1].Bin.Equal(through) || got[len(got)-1].Type != DelayChange {
+		t.Fatalf("closing bin %v raised no delay event: %v", through, got)
 	}
 }
-
-func sameMag(x, y float64) bool { return x == y || x != x && y != y }
 
 func assertEventsEqual(t *testing.T, label string, got, want []Event) {
 	t.Helper()
@@ -214,6 +198,13 @@ func assertEventsEqual(t *testing.T, label string, got, want []Event) {
 		if got[i] != want[i] {
 			t.Errorf("%s event %d: got %+v, want %+v", label, i, got[i], want[i])
 		}
+	}
+}
+
+func assertPointsEqual(t *testing.T, label string, got, want []timeseries.Point) {
+	t.Helper()
+	if !pointsEqual(got, want) {
+		t.Fatalf("%s: magnitudes differ\ngot  %v\nwant %v", label, got, want)
 	}
 }
 

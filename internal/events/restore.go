@@ -4,9 +4,10 @@ package events
 // segment store, the aggregator's pre-window history can be evicted from
 // memory (EvictBefore) and rebuilt at boot purely from segments
 // (RestoreIncremental). Both lean on the contracts of incremental.go:
-// closed bins are immutable, and queries evaluate only bins outside the
-// closed region — whose windows reach back no further than
-// validThrough − cfg.Window, the exact horizon EvictBefore retains.
+// closed bins are immutable, and queries read only the closed region. The
+// raw series is read only by the next closes, whose windows reach back no
+// further than validThrough − cfg.Window, the exact horizon EvictBefore
+// retains.
 
 import (
 	"fmt"
@@ -97,12 +98,11 @@ func (a *Aggregator) RestoreIncremental(rs RestoredState) error {
 }
 
 // EvictBefore drops raw series bins strictly before the bin containing t
-// from every per-AS series, clamped so no window the magnitude math can
-// still compute — (validThrough−Window, ∞) for the next closes and query
-// tails — ever crosses the eviction horizon (an aggregator nobody closed
-// evicts nothing). The cached region points and event list are unaffected:
-// they are the durable read model. Returns the number of series bins
-// dropped.
+// from every per-AS series, clamped so no window the next closes compute —
+// (validThrough−Window, ∞) — ever crosses the eviction horizon (an
+// aggregator nobody closed evicts nothing). The cached region points and
+// event list are unaffected: they are the durable read model that queries
+// read. Returns the number of series bins dropped.
 func (a *Aggregator) EvictBefore(t time.Time) int {
 	cut := timeseries.Bin(t, a.cfg.BinSize)
 	if floor := a.inc.validThrough.Add(-a.cfg.Window); cut.After(floor) {

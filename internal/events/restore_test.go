@@ -101,8 +101,7 @@ func restoredState(segs []segment, k int) RestoredState {
 // segment-derived state — with history before the retained window living
 // ONLY in those segments — and driven over the remaining bins must answer
 // every query identically to the uninterrupted aggregator, including
-// queries reaching past the region, whose tail recompute must not assume
-// in-memory storage from bin zero.
+// queries reaching past the region on either side.
 func TestRestoreMatchesUninterrupted(t *testing.T) {
 	const n = 24
 	start := t0
@@ -121,9 +120,9 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("k=%d: region ends %v, uninterrupted %v, want %v", k, got, want, end)
 		}
 
-		// Covered queries, and queries ending past the region, which split
-		// at validThrough: a whole-range recompute would read garbage here,
-		// because early raw bins live only in segments.
+		// Covered queries, and queries ending past the region, which clamp
+		// at validThrough: early raw bins live only in segments, so every
+		// answer must come from the restored region.
 		for _, to := range []time.Time{end, end.Add(3 * binHour)} {
 			want := full.Events(start, to)
 			got := a.Events(start, to)
@@ -195,7 +194,7 @@ func TestRestoreAfterEviction(t *testing.T) {
 // and counted, every query keeps answering like a reference aggregator
 // that never saw them, previously published prefixes are untouched, and
 // the next in-order close is fine. Before any CloseBins nothing is closed,
-// so out-of-order adds are still accepted (recompute semantics).
+// so out-of-order adds are still accepted.
 func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 	const n = 12
 	ref := NewAggregator(restoreConfig(), testTable(t))
@@ -239,7 +238,8 @@ func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 		}
 	}
 
-	// Never advanced: any order is accepted and answered by recomputation.
+	// Never advanced: any order is accepted, and one close then answers
+	// like the in-order feed.
 	fwd, rev := NewAggregator(restoreConfig(), testTable(t)), NewAggregator(restoreConfig(), testTable(t))
 	for i := 0; i < n; i++ {
 		for a, h := range map[*Aggregator]int{fwd: i, rev: n - 1 - i} {
@@ -253,6 +253,8 @@ func TestSegmentBackedRejectsStaleMutations(t *testing.T) {
 	if rev.DroppedStale() != 0 {
 		t.Fatalf("un-advanced aggregator dropped %d out-of-order mutations", rev.DroppedStale())
 	}
+	fwd.CloseBins(t0.Add(n*binHour), nil)
+	rev.CloseBins(t0.Add(n*binHour), nil)
 	want := fwd.Events(from, to)
 	if len(want) == 0 {
 		t.Fatal("schedule produced no events; test is vacuous")

@@ -17,6 +17,7 @@ import (
 	"pinpoint/internal/forwarding"
 	"pinpoint/internal/ingest"
 	"pinpoint/internal/ipmap"
+	"pinpoint/internal/netsim"
 	"pinpoint/internal/timeseries"
 	"pinpoint/internal/trace"
 )
@@ -140,7 +141,7 @@ var identity = relabel{
 // bin's Unix time, so the relation is exact only where no link-bin is
 // thinned; relationRuns asserts that none is.
 func TestTimeShiftRelation(t *testing.T) {
-	checkRelation(t, relationCases, func(t *testing.T, c *Case) relabel {
+	checkRelation(t, relationCases, netsim.Artifacts{}, func(t *testing.T, c *Case) relabel {
 		w0 := c.EventWindows[0][0]
 		k := time.Date(w0.Year(), 12, 31, 23, 0, 0, 0, time.UTC).Sub(w0) / time.Hour
 		rel := identity
@@ -158,7 +159,7 @@ func TestTimeShiftRelation(t *testing.T) {
 // 3a+70000, which puts every AS past the 16-bit range the cases use)
 // leaves every output equal once the ASNs are renamed back.
 func TestRenumberRelation(t *testing.T) {
-	checkRelation(t, relationCases, func(*testing.T, *Case) relabel {
+	checkRelation(t, relationCases, netsim.Artifacts{}, func(*testing.T, *Case) relabel {
 		return relabel{
 			prb:     func(p int) int { return 3*p + 100 },
 			asn:     func(a ipmap.ASN) ipmap.ASN { return 3*a + 70000 },
@@ -177,11 +178,29 @@ func TestRenumberRelation(t *testing.T) {
 // replay asserts that no link-bin is, in both runs. It runs every case of
 // the catalogue.
 func TestFamilyRelabelRelation(t *testing.T) {
-	checkRelation(t, []string{"ddos", "ixp", "leak", "quiet"}, func(*testing.T, *Case) relabel {
-		rel := identity
-		rel.v6 = true
-		return rel
-	})
+	checkRelation(t, []string{"ddos", "ixp", "leak", "quiet"}, netsim.Artifacts{}, v6Relabel)
+}
+
+// TestFamilyRelabelUnderArtifacts is the family relabelling over dumps full
+// of traceroute artifacts: every case of the catalogue under the storm mix,
+// which draws all five of Viger et al.'s classes at once (per-packet
+// multipath, mid-trace route flips, reordered replies, lying hops and
+// aliased interfaces). None of them reads an address's family, so the IPv6 replay
+// must still equal the IPv4 run bit for bit, and replay still asserts that
+// nothing is thinned.
+func TestFamilyRelabelUnderArtifacts(t *testing.T) {
+	storm := ArtifactMixes()[3]
+	if storm.Name != "storm" {
+		t.Fatalf("mix 3 is %q, want storm", storm.Name)
+	}
+	checkRelation(t, []string{"ddos", "ixp", "leak", "quiet"}, storm.Art, v6Relabel)
+}
+
+// v6Relabel moves every IPv4 address into 2001:db8::/96.
+func v6Relabel(*testing.T, *Case) relabel {
+	rel := identity
+	rel.v6 = true
+	return rel
 }
 
 // TestDisjointUnionRelation is the disjoint-union invariance: §4 keys its
@@ -333,16 +352,16 @@ func TestDisjointUnionRelation(t *testing.T) {
 // quiet case lacks.
 var relationCases = []string{"ddos", "ixp"}
 
-// checkRelation replays the named quick cases as written and as relabelled
-// by rel, and requires every alarm, magnitude point, event and counter of
-// the relabelled replay, mapped back, to equal the plain replay's. The test
-// fails if the cases together leave delay alarms, forwarding alarms or
-// events unchecked.
-func checkRelation(t *testing.T, cases []string, rel func(*testing.T, *Case) relabel) {
+// checkRelation replays the named quick cases, generated under art, as
+// written and as relabelled by rel, and requires every alarm, magnitude
+// point, event and counter of the relabelled replay, mapped back, to equal
+// the plain replay's. The test fails if the cases together leave delay
+// alarms, forwarding alarms or events unchecked.
+func checkRelation(t *testing.T, cases []string, art netsim.Artifacts, rel func(*testing.T, *Case) relabel) {
 	var delayAlarms, fwdAlarms, evs int
 	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {
-			c, err := NewCase(name, Quick)
+			c, err := NewCaseArtifacts(name, Quick, art)
 			if err != nil {
 				t.Fatal(err)
 			}

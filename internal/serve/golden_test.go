@@ -114,8 +114,9 @@ func TestCompletedRunPayloadsMatchLegacyServer(t *testing.T) {
 			}
 
 			// Legacy events: the old server asked a live aggregator for the
-			// full [start, end) recomputation. Rebuild one from the retained
-			// alarms so no incremental state is involved.
+			// full [start, end) evaluation. Rebuild one from the retained
+			// alarms and close it over [start, end) in one call, so none of
+			// the analyzer's per-bin closes is involved.
 			ref := events.NewAggregator(events.Config{}, c.Net.Prefixes())
 			if haveFirst {
 				ref.ObserveBin(firstT)
@@ -126,6 +127,7 @@ func TestCompletedRunPayloadsMatchLegacyServer(t *testing.T) {
 			for _, al := range a.ForwardingAlarms() {
 				ref.AddForwardingAlarm(al)
 			}
+			ref.CloseBins(c.End, nil)
 			legacyEvents := []legacyEventJSON{}
 			for _, e := range ref.Events(c.Start, c.End) {
 				legacyEvents = append(legacyEvents, legacyEventJSON{

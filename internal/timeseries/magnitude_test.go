@@ -45,6 +45,42 @@ func TestMagnitudeSinceWindowClamp(t *testing.T) {
 	}
 }
 
+// Len returns the number of written bins.
+func (s *Series) Len() int { return s.n }
+
+// Span returns the first and last written bins, or ok=false for an empty
+// series.
+func (s *Series) Span() (first, last time.Time, ok bool) {
+	if len(s.vals) == 0 {
+		return time.Time{}, time.Time{}, false
+	}
+	return s.start, s.start.Add(time.Duration(len(s.vals)-1) * s.binSize), true
+}
+
+// Magnitude is MagnitudeSince with the series' own first bin as span start,
+// or from's bin for an empty series.
+func (s *Series) Magnitude(from, to time.Time, window time.Duration) []Point {
+	first, _, haveSpan := s.Span()
+	if !haveSpan {
+		first = Bin(from, s.binSize)
+	}
+	return s.MagnitudeSince(first, from, to, window)
+}
+
+// MagnitudeSince is the Eq 10 oracle of a whole range: MagnitudeAt over
+// every bin of [from, to), each evaluated on its own from the raw column.
+// Bins before from still contribute to windows.
+func (s *Series) MagnitudeSince(spanStart, from, to time.Time, window time.Duration) []Point {
+	from = Bin(from, s.binSize)
+	to = Bin(to, s.binSize)
+	var out []Point
+	var sc Scratch
+	for t := from; t.Before(to); t = t.Add(s.binSize) {
+		out = append(out, Point{T: t, V: s.MagnitudeAt(spanStart, t, window, &sc)})
+	}
+	return out
+}
+
 // dense is the window as the map-backed series built it before the column:
 // one Value lookup per bin of [from, to), zero where none was written.
 func dense(s *Series, from, to time.Time) []Point {

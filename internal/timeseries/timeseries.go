@@ -107,9 +107,6 @@ type Series struct {
 // New returns an empty series with the given bin size.
 func New(binSize time.Duration) *Series { return &Series{binSize: binSize} }
 
-// BinSize returns the series' bin duration.
-func (s *Series) BinSize() time.Duration { return s.binSize }
-
 // index is the column index of bin b (a bin start), which may lie outside
 // the column.
 func (s *Series) index(b time.Time) int { return int(b.Sub(s.start) / s.binSize) }
@@ -161,9 +158,6 @@ func (s *Series) Value(t time.Time) (v float64, ok bool) {
 	return s.vals[i], true
 }
 
-// Len returns the number of written bins.
-func (s *Series) Len() int { return s.n }
-
 // EvictBefore drops every bin strictly before the bin containing t.
 // Bounded-memory pipelines call this once a bin's history is durable in the
 // segment store and outside every window the magnitude math can still
@@ -205,15 +199,6 @@ func (s *Series) Points() []Point {
 		}
 	}
 	return out
-}
-
-// Span returns the first and last written bins, or ok=false for an empty
-// series.
-func (s *Series) Span() (first, last time.Time, ok bool) {
-	if len(s.vals) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	return s.start, s.start.Add(time.Duration(len(s.vals)-1) * s.binSize), true
 }
 
 // Scratch is the window buffer MagnitudeAt copies and selects in, reused
@@ -259,30 +244,6 @@ func (s *Series) MagnitudeAt(spanStart, t time.Time, window time.Duration, sc *S
 	}
 	sc.buf = w
 	return stats.MagnitudeInPlace(x, w)
-}
-
-// Magnitude computes the magnitude of every bin between from and to with
-// the series' own first bin as span start (MagnitudeSince), or from's bin
-// for an empty series.
-func (s *Series) Magnitude(from, to time.Time, window time.Duration) []Point {
-	first, _, haveSpan := s.Span()
-	if !haveSpan {
-		first = Bin(from, s.binSize)
-	}
-	return s.MagnitudeSince(first, from, to, window)
-}
-
-// MagnitudeSince is MagnitudeAt over every bin of [from, to). Bins before
-// from still contribute to windows.
-func (s *Series) MagnitudeSince(spanStart, from, to time.Time, window time.Duration) []Point {
-	from = Bin(from, s.binSize)
-	to = Bin(to, s.binSize)
-	var out []Point
-	var sc Scratch
-	for t := from; t.Before(to); t = t.Add(s.binSize) {
-		out = append(out, Point{T: t, V: s.MagnitudeAt(spanStart, t, window, &sc)})
-	}
-	return out
 }
 
 // Values extracts just the values of a point slice, in order.
